@@ -490,9 +490,10 @@ def train_synthetic_classifier(plus_pts: np.ndarray, minus_pts: np.ndarray,
         im = rng.integers(0, len(minus_pts), size=half)
         xb = np.vstack([plus_pts[ip], minus_pts[im]])
         yb = np.concatenate([np.ones(half), np.zeros(half)])
-        p = nn.forward(params, xb)[:, 0]
+        tape = nn.Tape()
+        p = nn.forward(params, xb, tape)[:, 0]
         dp = (-(yb / p) + (1 - yb) / (1 - p)) / len(yb)
-        grads, _ = nn.backward(params, xb, dp[:, None])
+        grads, _ = nn.backward(params, tape, dp[:, None])
         params, opt = nn.adam_step(params, grads, opt)
     return params
 

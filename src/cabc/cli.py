@@ -213,10 +213,11 @@ def _cmd_labeldemo(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "true_sdf", "label", "removed"])
             for p, s in zip(plus, sdf_plus):
-                writer.writerow([repr(p[0]), repr(p[1]), repr(float(s)), 1, 0])
+                writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(s)), 1, 0])
             for p, s, rm in zip(query, sdf_query, removed):
                 label = -1 if rm else 0
-                writer.writerow([repr(p[0]), repr(p[1]), repr(float(s)), label, int(rm)])
+                writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(s)),
+                                 label, int(rm)])
 
         minus = query[~removed]
         params = train_synthetic_classifier(plus, minus, seed=args.seed)

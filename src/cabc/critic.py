@@ -120,12 +120,13 @@ def dyn_loss_and_grad(model: DynModel, states_raw: np.ndarray, actions: np.ndarr
     if len(states_raw) == 0:
         raise ValueError("empty dynamics batch")
     z = model.inputs(states_raw, actions)
-    pred = nn.forward(model.params, z)
+    tape = nn.Tape()
+    pred = nn.forward(model.params, z, tape)
     target = (np.atleast_2d(next_states_raw) - states_raw) / model.delta_scale
     diff = pred - target
     loss = float((diff * diff).mean())
     upstream = 2.0 * diff / diff.size
-    grads, _ = nn.backward(model.params, z, upstream)
+    grads, _ = nn.backward(model.params, tape, upstream)
     return loss, grads
 
 
@@ -148,10 +149,11 @@ def clf_loss_and_grad(clf: SafetyClf, states_raw: np.ndarray, labels: np.ndarray
     B = len(labels)
     weights = np.where(labels == 1.0, B / (2.0 * n_pos), B / (2.0 * n_neg))
     emb = clf.norm.normalize(embed_array(states_raw, clf.norm.lap_length))
-    p = nn.forward(clf.params, emb)[:, 0]
+    tape = nn.Tape()
+    p = nn.forward(clf.params, emb, tape)[:, 0]
     loss = float(-(weights * (labels * np.log(p) + (1 - labels) * np.log(1 - p))).mean())
     dp = weights * (-(labels / p) + (1 - labels) / (1 - p)) / B
-    grads, _ = nn.backward(clf.params, emb, dp[:, None])
+    grads, _ = nn.backward(clf.params, tape, dp[:, None])
     return loss, grads
 
 
@@ -159,26 +161,28 @@ def safety_penalty_and_input_grad(clf: SafetyClf, dyn: DynModel,
                                   states_raw: np.ndarray, actions: np.ndarray):
     """Penalty ``-lam * log p(next state safe)`` and its gradient w.r.t. the action.
 
-    Both networks are frozen here by construction: only input-gradients are
-    evaluated, so no parameter of either network can change.
+    Both networks are frozen here by construction: each runs one taped forward
+    and one input-only backward (no parameter gradients are formed), so no
+    parameter of either network can change.
     """
     states_raw = np.atleast_2d(np.asarray(states_raw, dtype=float))
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     B = len(states_raw)
     if clf.lam == 0.0:
         return np.zeros(B), np.zeros((B, 2))
+    tape_dyn, tape_clf = nn.Tape(), nn.Tape()
     z = dyn.inputs(states_raw, actions)
-    dnorm = nn.forward(dyn.params, z)
+    dnorm = nn.forward(dyn.params, z, tape_dyn)
     x_next = states_raw + dnorm * dyn.delta_scale
     emb_next = clf.norm.normalize(embed_array(x_next, clf.norm.lap_length))
-    p = nn.forward(clf.params, emb_next)[:, 0]
+    p = nn.forward(clf.params, emb_next, tape_clf)[:, 0]
     penalty = -clf.lam * np.log(p)
 
     dp = (-clf.lam / p)[:, None]
-    _, g_emb = nn.backward(clf.params, emb_next, dp)
+    _, g_emb = nn.backward(clf.params, tape_clf, dp, param_grads=False)
     g_xnext = _embed_jacobian_chain(g_emb, x_next, clf.norm)
     g_dnorm = g_xnext * dyn.delta_scale
-    _, g_z = nn.backward(dyn.params, z, g_dnorm)
+    _, g_z = nn.backward(dyn.params, tape_dyn, g_dnorm, param_grads=False)
     return penalty, g_z[:, 7:9]
 
 

@@ -24,6 +24,14 @@ class EvalTermination(Enum):
     FIFTY_LAPS = "fifty_laps"
     CONSTRAINT_VIOLATION = "constraint_violation"
     TIMEOUT = "timeout"
+    SINGULARITY = "singularity"
+
+
+_FAILURE_TERMINATION = {
+    TerminationReason.CONSTRAINT_VIOLATION: EvalTermination.CONSTRAINT_VIOLATION,
+    TerminationReason.TIMEOUT: EvalTermination.TIMEOUT,
+    TerminationReason.SINGULARITY: EvalTermination.SINGULARITY,
+}
 
 
 @dataclass(frozen=True)
@@ -66,9 +74,7 @@ def evaluate(policy, cfg: SimConfig, track: TrackSpec, seed: int,
     for _ in range(laps):
         traj = rollout(cfg, track, policy, x, cfg.max_steps, rng)
         if traj.outcome is not Outcome.SUCCESS:
-            if traj.termination_reason is TerminationReason.TIMEOUT:
-                return _result(lap_times, EvalTermination.TIMEOUT)
-            return _result(lap_times, EvalTermination.CONSTRAINT_VIOLATION)
+            return _result(lap_times, _FAILURE_TERMINATION[traj.termination_reason])
         lap_times.append(len(traj) * cfg.dt)
         x = traj.samples[-1].x_next
     return _result(lap_times, EvalTermination.FIFTY_LAPS)

@@ -1,19 +1,24 @@
 """Minimal MLP stack: forward, exact reverse-mode gradients, Adam, grad checks.
 
 Three fixed-topology networks are all this project needs (policy, dynamics
-surrogate, safety classifier), so there is no autodiff graph.  ``backward``
+surrogate, safety classifier).  Reverse mode is a one-call tape rather than a
+general autodiff graph: a training caller creates a :class:`Tape`, passes it
+to ``forward``, and hands the same tape to ``backward``, which reuses the
+recorded activations and runs no forward pass of its own.  ``backward``
 returns gradients with respect to the *inputs* as well as the parameters;
 the input gradient is what lets a trainable policy receive gradient through
-frozen downstream networks.
+frozen downstream networks, and for such a frozen network ``backward`` can
+skip the parameter gradients altogether.
 
-All functions are pure: parameters and optimizer states are never mutated.
+Parameters and optimizer states are never mutated; a tape is written once by
+the ``forward`` call it is passed to and belongs to the caller that made it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +78,17 @@ def _apply_head(z: np.ndarray, head: str) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-zc))
 
 
+class Tape:
+    """Activations one ``forward`` call recorded for the matching ``backward``.
+
+    ``acts`` holds the (batched) input followed by every layer's output before
+    the head, ``out`` the head output, and ``single`` whether the caller passed
+    one unbatched input vector.
+    """
+
+    __slots__ = ("acts", "out", "single")
+
+
 def _forward_cached(p: MlpParams, x: np.ndarray):
     acts = [x]
     z = x
@@ -85,48 +101,54 @@ def _forward_cached(p: MlpParams, x: np.ndarray):
     return out, acts
 
 
-def forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a single input (d,) or a batch (B, d)."""
+def forward(p: MlpParams, x: np.ndarray, tape: Optional[Tape] = None) -> np.ndarray:
+    """Evaluate the network on a single input (d,) or a batch (B, d).
+
+    With a ``tape``, also record the activations that ``backward`` needs.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    out, _ = _forward_cached(p, x[None, :] if single else x)
+    out, acts = _forward_cached(p, x[None, :] if single else x)
+    if tape is not None:
+        tape.acts, tape.out, tape.single = acts, out, single
     return out[0] if single else out
 
 
-def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray):
-    """Exact gradients of ``upstream . forward(p, x)``.
+def backward(p: MlpParams, tape: Tape, upstream: np.ndarray, param_grads: bool = True):
+    """Exact gradients of ``upstream . forward(p, x)`` from the tape of that call.
 
-    Returns ``(param_grads, input_grad)`` where ``param_grads`` mirrors
-    ``p.weights``.  Batched inputs accumulate parameter gradients over the
-    batch; the input gradient keeps the batch dimension.
+    ``tape`` must come from ``forward(p, x, tape)`` with the same ``p``; no
+    forward pass is re-run.  Returns ``(param_grads, input_grad)`` where
+    ``param_grads`` mirrors ``p.weights``.  Batched inputs accumulate parameter
+    gradients over the batch; the input gradient keeps the batch dimension.
+    With ``param_grads=False`` (a frozen network that only passes gradient on
+    to its input) the per-layer parameter gradients are not computed and
+    ``None`` is returned in their place; the input gradient is unchanged.
     """
-    x = np.asarray(x, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    ub = upstream[None, :] if single else upstream
-    out, acts = _forward_cached(p, xb)
+    ub = upstream[None, :] if tape.single else upstream
+    acts, out = tape.acts, tape.out
 
-    z_last = acts[-1]
     if p.head == "identity":
-        g = ub.copy()
+        g = ub
     elif p.head == "tanh":
         g = ub * (1.0 - out * out)
     else:
         # clipped logits have zero gradient outside the clamp
-        inside = (np.abs(z_last) < _LOGIT_CLAMP).astype(float)
+        inside = (np.abs(acts[-1]) < _LOGIT_CLAMP).astype(float)
         g = ub * out * (1.0 - out) * inside
 
-    param_grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(p.weights)
+    grads: Optional[List[Tuple[np.ndarray, np.ndarray]]] = (
+        [None] * len(p.weights) if param_grads else None)
     for i in range(len(p.weights) - 1, -1, -1):
         W, _ = p.weights[i]
-        a_prev = acts[i]
-        param_grads[i] = (a_prev.T @ g, g.sum(axis=0))
+        if grads is not None:
+            grads[i] = (acts[i].T @ g, g.sum(axis=0))
         g = g @ W.T
         if i > 0:
             g = g * (1.0 - acts[i] * acts[i])  # tanh'
-    input_grad = g[0] if single else g
-    return param_grads, input_grad
+    input_grad = g[0] if tape.single else g
+    return grads, input_grad
 
 
 @dataclass(frozen=True)
@@ -196,7 +218,9 @@ def grad_check(p: MlpParams, x: np.ndarray, tol: float = 1e-4,
     def scalar(params: MlpParams, xv: np.ndarray) -> float:
         return float(c @ forward(params, xv))
 
-    grads, gx = backward(p, x, c)
+    tape = Tape()
+    forward(p, x, tape)
+    grads, gx = backward(p, tape, c)
     worst = 0.0
     n = 0
 

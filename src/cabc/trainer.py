@@ -275,7 +275,8 @@ def agent_loss_and_grad(policy: nn.MlpParams, feats: np.ndarray, u_expert: np.nd
     evaluated at the policy's own action, so its gradient flows back through
     the action head; the critic networks receive no parameter gradient.
     """
-    pred = nn.forward(policy, feats)
+    tape = nn.Tape()
+    pred = nn.forward(policy, feats, tape)
     diff = pred - u_expert
     clone = float((diff * diff).sum(axis=1).mean())
     B = len(feats)
@@ -285,43 +286,8 @@ def agent_loss_and_grad(policy: nn.MlpParams, feats: np.ndarray, u_expert: np.nd
         penalty, g_u = safety_penalty_and_input_grad(clf, dyn, x_raw, pred)
         safety = float(penalty.mean())
         upstream = upstream + g_u / B
-    grads, _ = nn.backward(policy, feats, upstream)
+    grads, _ = nn.backward(policy, tape, upstream)
     return clone, safety, grads
-
-
-@dataclass(frozen=True)
-class GradientBundle:
-    grad_theta: tuple
-    grad_phi_f: Optional[tuple]
-    grad_phi_p: Optional[tuple]
-    clone_loss: float
-    safety_loss: float
-    dyn_loss: Optional[float]
-    clf_loss: Optional[float]
-
-
-def compute_gradients(batch: dict, pi_theta: nn.MlpParams, dyn: Optional[DynModel],
-                      clf: Optional[SafetyClf], lam: float) -> GradientBundle:
-    """One-batch gradients for all three networks, kept strictly disjoint.
-
-    ``batch`` carries ``feats``/``u_expert``/``x_raw`` for the policy loss,
-    ``u_applied``/``x_next`` for the dynamics loss, and ``labels`` for the
-    classifier loss; the latter two are optional.  The policy loss touches
-    only policy parameters: the critic pair enters it frozen.
-    """
-    clf_l = replace(clf, lam=lam) if clf is not None else None
-    clone, safety, grad_theta = agent_loss_and_grad(
-        pi_theta, batch["feats"], batch["u_expert"], batch.get("x_raw"), dyn, clf_l)
-    grad_f, loss_f = None, None
-    if dyn is not None and "u_applied" in batch:
-        loss_f, grad_f = dyn_loss_and_grad(dyn, batch["x_raw"], batch["u_applied"],
-                                           batch["x_next"])
-    grad_p, loss_p = None, None
-    if clf is not None and "labels" in batch:
-        loss_p, grad_p = clf_loss_and_grad(clf, batch["x_raw"], batch["labels"])
-    return GradientBundle(grad_theta=tuple(grad_theta), grad_phi_f=grad_f,
-                          grad_phi_p=grad_p, clone_loss=clone, safety_loss=safety,
-                          dyn_loss=loss_f, clf_loss=loss_p)
 
 
 # --- the training loop -------------------------------------------------------------

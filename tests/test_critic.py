@@ -24,6 +24,7 @@ from cabc.critic import (
 )
 from cabc.experts import RacingExpert, predictive_filter_oracle
 from cabc.sim import SimConfig, default_start_state, episode_rng, rollout, step
+from cabc.trainer import agent_loss_and_grad
 
 from conftest import make_state
 
@@ -228,6 +229,53 @@ class TestSafetyPenalty:
             assert np.all(W == W0) and np.all(b == b0)
         for (W, b), (W0, b0) in zip(clf.params.weights, snap_clf):
             assert np.all(W == W0) and np.all(b == b0)
+
+
+class TestTapedPasses:
+    """Every training path runs each network's forward once and reuses its tape."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        forwards, backwards = [], []
+        inner_forward, inner_backward = nn._forward_cached, nn.backward
+
+        def counting_forward(p, x):
+            forwards.append(p.head)
+            return inner_forward(p, x)
+
+        def recording_backward(p, tape, upstream, **kw):
+            grads, gx = inner_backward(p, tape, upstream, **kw)
+            backwards.append((p.head, grads is not None))
+            return grads, gx
+
+        monkeypatch.setattr(nn, "_forward_cached", counting_forward)
+        monkeypatch.setattr(nn, "backward", recording_backward)
+        return forwards, backwards
+
+    def test_policy_step_with_critic(self, small_critic, passes):
+        _, dyn, clf = small_critic
+        forwards, backwards = passes
+        policy = nn.init_mlp((5, 16, 2), head="tanh", seed=3)
+        rng = np.random.default_rng(4)
+        clone, safety, grads = agent_loss_and_grad(
+            policy, rng.normal(size=(6, 5)), rng.uniform(-0.5, 0.5, size=(6, 2)),
+            rng.normal(size=(6, 6)), dyn, clf)
+        assert safety > 0.0 and len(grads) == len(policy.weights)
+        # policy, then the frozen dynamics and classifier, one forward each;
+        # the frozen pair return input gradients only
+        assert sorted(forwards) == ["identity", "sigmoid", "tanh"]
+        assert sorted(backwards) == [("identity", False), ("sigmoid", False),
+                                     ("tanh", True)]
+
+    def test_critic_fits(self, small_critic, passes):
+        _, dyn, clf = small_critic
+        forwards, backwards = passes
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(4, 6))
+        dyn_loss_and_grad(dyn, X, rng.uniform(-1, 1, size=(4, 2)), X + 0.01)
+        clf_loss_and_grad(clf, X, np.array([1.0, 0.0, 1.0, 0.0]))
+        assert forwards == ["identity", "sigmoid"]
+        assert backwards == [("identity", True), ("sigmoid", True)]
 
 
 def monotone_critic(norm7, slope=4.0):

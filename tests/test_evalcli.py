@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -56,6 +57,21 @@ class TestEvaluate:
                     and result.laps_completed < 50):
                 violated += 1
         assert violated >= 1
+
+    def test_singularity_is_not_a_constraint_violation(self, monkeypatch, circle,
+                                                       noiseless_sim):
+        import cabc.evalharness as eval_mod
+        from cabc.core import Outcome, TerminationReason, Trajectory
+
+        def singular_rollout(*args, **kw):
+            return Trajectory(samples=(), outcome=Outcome.FAILURE,
+                              termination_reason=TerminationReason.SINGULARITY)
+
+        monkeypatch.setattr(eval_mod, "rollout", singular_rollout)
+        result = evaluate(lambda y, x: Action(0.0, 0.0), noiseless_sim, circle,
+                          seed=0, laps=50)
+        assert result.laps_completed == 0
+        assert result.terminated_by is EvalTermination.SINGULARITY
 
     def test_statistics_match_lap_list(self, circle, noiseless_sim):
         policy = PidCenterline(noiseless_sim, circle, v_ref=1.0)
@@ -217,6 +233,12 @@ class TestCli:
         assert (out / "points_rho0p5.csv").exists()
         assert (out / "decision_grid_rho0p5.csv").exists()
         ET.parse(out / "overlay_rho0p5.svg")
+        # coordinates are written as plain floats, never as numpy scalar reprs
+        with open(out / "points_rho0p5.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 400
+        for row in rows:
+            float(row["x"]), float(row["y"])
 
     def test_nonfinite_abort_exit_code(self, monkeypatch, tmp_path):
         import cabc.cli as cli_mod

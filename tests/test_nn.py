@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cabc.nn import (
     MlpParams,
+    Tape,
     adam_step,
     backward,
     forward,
@@ -14,6 +15,12 @@ from cabc.nn import (
     load_weights,
     save_weights,
 )
+
+
+def taped_backward(p, x, upstream, **kw):
+    tape = Tape()
+    forward(p, x, tape)
+    return backward(p, tape, upstream, **kw)
 
 
 def zero_net(sizes, head="identity"):
@@ -73,7 +80,7 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_grads(self):
         p = init_mlp((4, 8, 3), head="tanh", seed=0)
-        grads, gx = backward(p, np.ones(4), np.zeros(3))
+        grads, gx = taped_backward(p, np.ones(4), np.zeros(3))
         assert all(np.all(gW == 0) and np.all(gb == 0) for gW, gb in grads)
         assert np.all(gx == 0)
 
@@ -82,7 +89,7 @@ class TestBackward:
         W = rng.normal(size=(4, 3))
         p = MlpParams(sizes=(4, 3), weights=((W, np.zeros(3)),), head="identity")
         upstream = rng.normal(size=3)
-        _, gx = backward(p, rng.normal(size=4), upstream)
+        _, gx = taped_backward(p, rng.normal(size=4), upstream)
         assert np.allclose(gx, W @ upstream)
 
     def test_batched_param_grads_accumulate(self):
@@ -90,14 +97,27 @@ class TestBackward:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(5, 3))
         U = rng.normal(size=(5, 2))
-        grads_batch, gx_batch = backward(p, X, U)
+        grads_batch, gx_batch = taped_backward(p, X, U)
         acc = [(np.zeros_like(W), np.zeros_like(b)) for W, b in p.weights]
         for x, u in zip(X, U):
-            g, gx = backward(p, x, u)
+            g, gx = taped_backward(p, x, u)
             acc = [(aW + gW, ab + gb) for (aW, ab), (gW, gb) in zip(acc, g)]
         for (aW, ab), (bW, bb) in zip(acc, grads_batch):
             assert np.allclose(aW, bW) and np.allclose(ab, bb)
         assert gx_batch.shape == X.shape
+
+    @pytest.mark.parametrize("head", ["identity", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_input_only_backward_matches_full(self, head, batched):
+        p = init_mlp((5, 16, 16, 1 if head == "sigmoid" else 3), head=head, seed=7)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, 5) if batched else 5)
+        upstream = rng.normal(size=(6, p.n_out) if batched else p.n_out)
+        grads, gx_full = taped_backward(p, x, upstream)
+        none, gx_frozen = taped_backward(p, x, upstream, param_grads=False)
+        assert grads is not None and none is None
+        assert gx_frozen.shape == gx_full.shape
+        assert np.array_equal(gx_frozen, gx_full)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
@@ -139,8 +159,9 @@ class TestAdam:
         opt = init_opt(p, lr=0.1)
         x = np.array([1.0])
         for _ in range(200):
-            out = forward(p, x)
-            grads, _ = backward(p, x, 2.0 * (out - 3.0))
+            tape = Tape()
+            out = forward(p, x, tape)
+            grads, _ = backward(p, tape, 2.0 * (out - 3.0))
             p, opt = adam_step(p, grads, opt)
         assert abs(forward(p, x)[0] - 3.0) < 0.05
 

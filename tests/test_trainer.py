@@ -7,18 +7,22 @@ import pytest
 from cabc import nn
 from cabc.autolabel import NormStats
 from cabc.core import Action, Outcome
-from cabc.critic import DynModel, SafetyClf, delta_scale_from
+from cabc.critic import (
+    DynModel,
+    SafetyClf,
+    clf_loss_and_grad,
+    delta_scale_from,
+    dyn_loss_and_grad,
+)
 from cabc.experts import PidCenterline
 from cabc.sim import SimConfig, default_start_state, episode_rng, rollout
 from cabc.trainer import (
     EpochReport,
-    GradientBundle,
     MixedPolicy,
     MlpPolicy,
     NonFiniteLossError,
     TrainConfig,
     agent_loss_and_grad,
-    compute_gradients,
     features_from_obs,
     features_from_state,
     init_policy,
@@ -195,19 +199,25 @@ class TestComputeGradients:
         cfg, policy, dyn, clf, batch = self._setup(circle)
         dyn_snapshot = [(W.copy(), b.copy()) for W, b in dyn.params.weights]
         clf_snapshot = [(W.copy(), b.copy()) for W, b in clf.params.weights]
-        bundle = compute_gradients(batch, policy, dyn, clf, lam=1.0)
+        _, _, grad_theta = agent_loss_and_grad(
+            policy, batch["feats"], batch["u_expert"], batch["x_raw"], dyn, clf)
         # the agent path must leave the critic parameters untouched
         for (W, b), (W0, b0) in zip(dyn.params.weights, dyn_snapshot):
             assert np.array_equal(W, W0) and np.array_equal(b, b0)
         for (W, b), (W0, b0) in zip(clf.params.weights, clf_snapshot):
             assert np.array_equal(W, W0) and np.array_equal(b, b0)
-        assert len(bundle.grad_theta) == len(policy.weights)
-        assert bundle.grad_phi_f is not None and bundle.grad_phi_p is not None
+        _, grad_phi_f = dyn_loss_and_grad(dyn, batch["x_raw"], batch["u_applied"],
+                                          batch["x_next"])
+        _, grad_phi_p = clf_loss_and_grad(clf, batch["x_raw"], batch["labels"])
+        assert len(grad_theta) == len(policy.weights)
+        assert grad_phi_f is not None and grad_phi_p is not None
 
     def test_lambda_zero_reduces_to_clone_gradient(self, circle):
         cfg, policy, dyn, clf, batch = self._setup(circle)
-        bundle = compute_gradients(batch, policy, dyn, clf, lam=0.0)
-        assert bundle.safety_loss == 0.0
+        _, safety_loss, grad_theta = agent_loss_and_grad(
+            policy, batch["feats"], batch["u_expert"], batch["x_raw"], dyn,
+            replace(clf, lam=0.0))
+        assert safety_loss == 0.0
         # finite-difference check of the pure clone objective
         h = 1e-6
 
@@ -226,7 +236,7 @@ class TestComputeGradients:
             pp = nn.MlpParams(sizes=policy.sizes, weights=tuple(ws_p), head="tanh")
             pm = nn.MlpParams(sizes=policy.sizes, weights=tuple(ws_m), head="tanh")
             fd = (clone_loss(pp) - clone_loss(pm)) / (2 * h)
-            analytic = bundle.grad_theta[layer][0][idx]
+            analytic = grad_theta[layer][0][idx]
             assert abs(fd - analytic) <= 1e-6 + 1e-4 * max(abs(fd), abs(analytic))
 
     def test_hand_computed_linear_net(self, circle):
