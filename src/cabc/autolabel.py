@@ -485,12 +485,12 @@ def train_synthetic_classifier(plus_pts: np.ndarray, minus_pts: np.ndarray,
     opt = nn.init_opt(params, lr=lr)
     rng = np.random.default_rng(seed)
     half = batch // 2
+    yb = np.concatenate([np.ones(half), np.zeros(half)])
+    tape = nn.Tape()
     for _ in range(steps):
         ip = rng.integers(0, len(plus_pts), size=half)
         im = rng.integers(0, len(minus_pts), size=half)
         xb = np.vstack([plus_pts[ip], minus_pts[im]])
-        yb = np.concatenate([np.ones(half), np.zeros(half)])
-        tape = nn.Tape()
         p = nn.forward(params, xb, tape)[:, 0]
         dp = (-(yb / p) + (1 - yb) / (1 - p)) / len(yb)
         grads, _ = nn.backward(params, tape, dp[:, None])

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,13 +114,17 @@ def init_safety_clf(norm: NormStats, lam: float, hidden: Sequence[int] = (128, 1
 
 
 def dyn_loss_and_grad(model: DynModel, states_raw: np.ndarray, actions: np.ndarray,
-                      next_states_raw: np.ndarray):
-    """Mean squared error of the scaled one-step delta, with exact gradients."""
+                      next_states_raw: np.ndarray, tape: Optional[nn.Tape] = None):
+    """Mean squared error of the scaled one-step delta, with exact gradients.
+
+    A training loop passes the same ``tape`` every step so its buffers are
+    reused; the returned gradients live in it.
+    """
     states_raw = np.atleast_2d(states_raw)
     if len(states_raw) == 0:
         raise ValueError("empty dynamics batch")
     z = model.inputs(states_raw, actions)
-    tape = nn.Tape()
+    tape = tape or nn.Tape()
     pred = nn.forward(model.params, z, tape)
     target = (np.atleast_2d(next_states_raw) - states_raw) / model.delta_scale
     diff = pred - target
@@ -130,12 +134,14 @@ def dyn_loss_and_grad(model: DynModel, states_raw: np.ndarray, actions: np.ndarr
     return loss, grads
 
 
-def clf_loss_and_grad(clf: SafetyClf, states_raw: np.ndarray, labels: np.ndarray):
+def clf_loss_and_grad(clf: SafetyClf, states_raw: np.ndarray, labels: np.ndarray,
+                      tape: Optional[nn.Tape] = None):
     """Class-balanced binary cross-entropy with exact gradients.
 
     Weights are inverse class frequencies scaled so they sum to the batch
     size; with both classes present the degenerate collapse toward the
     majority class is removed.  Raises when only one class is in the batch.
+    ``tape`` is reused as in :func:`dyn_loss_and_grad`.
     """
     states_raw = np.atleast_2d(states_raw)
     labels = np.asarray(labels, dtype=float).reshape(-1)
@@ -149,7 +155,7 @@ def clf_loss_and_grad(clf: SafetyClf, states_raw: np.ndarray, labels: np.ndarray
     B = len(labels)
     weights = np.where(labels == 1.0, B / (2.0 * n_pos), B / (2.0 * n_neg))
     emb = clf.norm.normalize(embed_array(states_raw, clf.norm.lap_length))
-    tape = nn.Tape()
+    tape = tape or nn.Tape()
     p = nn.forward(clf.params, emb, tape)[:, 0]
     loss = float(-(weights * (labels * np.log(p) + (1 - labels) * np.log(1 - p))).mean())
     dp = weights * (-(labels / p) + (1 - labels) / (1 - p)) / B
@@ -158,19 +164,22 @@ def clf_loss_and_grad(clf: SafetyClf, states_raw: np.ndarray, labels: np.ndarray
 
 
 def safety_penalty_and_input_grad(clf: SafetyClf, dyn: DynModel,
-                                  states_raw: np.ndarray, actions: np.ndarray):
+                                  states_raw: np.ndarray, actions: np.ndarray,
+                                  tapes: Optional[Tuple[nn.Tape, nn.Tape]] = None):
     """Penalty ``-lam * log p(next state safe)`` and its gradient w.r.t. the action.
 
     Both networks are frozen here by construction: each runs one taped forward
     and one input-only backward (no parameter gradients are formed), so no
-    parameter of either network can change.
+    parameter of either network can change.  ``tapes`` (dynamics, classifier)
+    lets a training loop reuse their buffers; the action gradient lives in the
+    dynamics tape.
     """
     states_raw = np.atleast_2d(np.asarray(states_raw, dtype=float))
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     B = len(states_raw)
     if clf.lam == 0.0:
         return np.zeros(B), np.zeros((B, 2))
-    tape_dyn, tape_clf = nn.Tape(), nn.Tape()
+    tape_dyn, tape_clf = tapes or (nn.Tape(), nn.Tape())
     z = dyn.inputs(states_raw, actions)
     dnorm = nn.forward(dyn.params, z, tape_dyn)
     x_next = states_raw + dnorm * dyn.delta_scale

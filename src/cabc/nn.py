@@ -10,20 +10,42 @@ the input gradient is what lets a trainable policy receive gradient through
 frozen downstream networks, and for such a frozen network ``backward`` can
 skip the parameter gradients altogether.
 
-Parameters and optimizer states are never mutated; a tape is written once by
-the ``forward`` call it is passed to and belongs to the caller that made it.
+Every network keeps its parameters in one contiguous float64 vector
+(``MlpParams.flat``, layer by layer, each ``W`` row-major then its ``b``);
+``MlpParams.weights`` are views into it and parameter gradients use the same
+layout, so an Adam step is a handful of whole-vector operations.
+
+Ownership.  Parameters are immutable values: nothing writes into an
+``MlpParams`` after it is built, and ``adam_step`` returns a new one.  An
+``OptState``'s moments and a ``Tape``'s buffers are workspaces owned by one
+training loop: ``adam_step`` updates its ``OptState`` in place, and a tape
+passed again at the same layer sizes and batch reuses its buffers.  So an
+array returned by a taped ``forward`` or by ``backward`` is valid only until
+that tape is next used; a caller that keeps one must copy it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 _HEADS = ("identity", "tanh", "sigmoid")
 _LOGIT_CLAMP = 30.0  # keeps sigmoid output strictly inside (0, 1)
+
+
+def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple:
+    """``((W, b), ...)`` views into a flat parameter-layout vector."""
+    views = []
+    off = 0
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        W = flat[off:off + n_in * n_out].reshape(n_in, n_out)
+        off += n_in * n_out
+        views.append((W, flat[off:off + n_out]))
+        off += n_out
+    return tuple(views)
 
 
 @dataclass(frozen=True)
@@ -33,6 +55,7 @@ class MlpParams:
     head: str = "identity"
     activation: str = "tanh"
     seed: int = 0
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.head not in _HEADS:
@@ -42,10 +65,31 @@ class MlpParams:
         if len(self.weights) != len(self.sizes) - 1:
             raise ValueError("weight count does not match layer sizes")
         for i, (W, b) in enumerate(self.weights):
-            if W.shape != (self.sizes[i], self.sizes[i + 1]) or b.shape != (self.sizes[i + 1],):
+            if np.shape(W) != (self.sizes[i], self.sizes[i + 1]) or \
+                    np.shape(b) != (self.sizes[i + 1],):
                 raise ValueError(f"layer {i} shape mismatch")
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i} has non-finite values")
+        flat = np.empty(sum(np.size(W) + np.size(b) for W, b in self.weights))
+        for (W, b), (vW, vb) in zip(self.weights, _layer_views(flat, self.sizes)):
+            vW[...] = W
+            vb[...] = b
+        self._adopt(flat)
+
+    def _adopt(self, flat: np.ndarray) -> None:
+        """Back this value by ``flat`` (not copied) after checking it is finite."""
+        if not np.isfinite(flat).all():
+            bad = next(i for i, (W, b) in enumerate(_layer_views(flat, self.sizes))
+                       if not (np.isfinite(W).all() and np.isfinite(b).all()))
+            raise ValueError(f"layer {bad} has non-finite values")
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "weights", _layer_views(flat, self.sizes))
+
+    def with_flat(self, flat: np.ndarray) -> "MlpParams":
+        """The same network backed by ``flat``, which the new value takes over."""
+        new = object.__new__(MlpParams)
+        for name in ("sizes", "head", "activation", "seed"):
+            object.__setattr__(new, name, getattr(self, name))
+        new._adopt(flat)
+        return new
 
     @property
     def n_in(self) -> int:
@@ -78,39 +122,93 @@ def _apply_head(z: np.ndarray, head: str) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-zc))
 
 
+class ParamGrads(tuple):
+    """Per-layer ``(dW, db)`` gradients: views into the one vector ``flat``,
+    which has the layout of ``MlpParams.flat``."""
+
+    def __new__(cls, flat: np.ndarray, sizes: Sequence[int]):
+        self = super().__new__(cls, _layer_views(flat, sizes))
+        self.flat = flat
+        return self
+
+
 class Tape:
-    """Activations one ``forward`` call recorded for the matching ``backward``.
+    """Activations one ``forward`` call recorded for the matching ``backward``,
+    and the buffers both write into.
 
     ``acts`` holds the (batched) input followed by every layer's output before
     the head, ``out`` the head output, and ``single`` whether the caller passed
-    one unbatched input vector.
+    one unbatched input vector.  The buffers are kept while the layer sizes and
+    batch stay the same (``key``).  The two that only ``backward`` needs are
+    made by its first call, and the parameter-gradient vector by its first
+    call that forms parameter gradients.
     """
 
-    __slots__ = ("acts", "out", "single")
+    __slots__ = ("key", "acts", "out", "single", "_gin", "_dact", "_grads")
+
+    def __init__(self):
+        self.key = None
+
+    def _fit(self, sizes: Tuple[int, ...], batch: int) -> None:
+        """Make the buffers match ``sizes`` at ``batch`` rows, reusing them if they do."""
+        if self.key == (sizes, batch):
+            return
+        self.key = (sizes, batch)
+        self.acts = [None] + [np.empty((batch, n)) for n in sizes[1:]]
+        self._gin = self._dact = self._grads = None
+
+    def _fit_backward(self) -> None:
+        sizes, batch = self.key
+        # the input-gradient chain ping-pongs between two buffers: layer i
+        # writes the gradient w.r.t. its input (width sizes[i]) into _gin[i],
+        # and the tanh' it multiplies by into the other one, whose content
+        # (the gradient layer i consumed) is dead once its matmul has run
+        width = max(sizes[:-1])
+        ping, pong = np.empty(batch * width), np.empty(batch * width)
+        last = len(sizes) - 2
+        self._gin, self._dact = [], []
+        for i, n in enumerate(sizes[:-1]):
+            mine, other = (ping, pong) if (last - i) % 2 == 0 else (pong, ping)
+            self._gin.append(mine[:batch * n].reshape(batch, n))
+            self._dact.append(other[:batch * n].reshape(batch, n))
 
 
-def _forward_cached(p: MlpParams, x: np.ndarray):
-    acts = [x]
+def _forward_cached(p: MlpParams, x: np.ndarray, tape: Optional[Tape]) -> np.ndarray:
+    """Run the network on a batch ``x`` and return the head output.
+
+    With a ``tape`` every layer writes into the tape's buffers, which then
+    hold the activations ``backward`` needs; without one each layer's output
+    is a new array.
+    """
+    acts = None
+    if tape is not None:
+        tape._fit(p.sizes, len(x))
+        acts = tape.acts
+        acts[0] = x
     z = x
+    last = len(p.weights) - 1
     for i, (W, b) in enumerate(p.weights):
-        z = z @ W + b
-        if i < len(p.weights) - 1:
-            z = np.tanh(z)
-        acts.append(z)
-    out = _apply_head(acts[-1], p.head)
-    return out, acts
+        z = z @ W if acts is None else np.matmul(z, W, out=acts[i + 1])
+        z += b
+        if i < last:
+            np.tanh(z, out=z)
+    out = _apply_head(z, p.head)
+    if tape is not None:
+        tape.out = out
+    return out
 
 
 def forward(p: MlpParams, x: np.ndarray, tape: Optional[Tape] = None) -> np.ndarray:
     """Evaluate the network on a single input (d,) or a batch (B, d).
 
-    With a ``tape``, also record the activations that ``backward`` needs.
+    With a ``tape``, also record the activations that ``backward`` needs; the
+    result then lives in the tape's buffers (see the module's ownership rule).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    out, acts = _forward_cached(p, x[None, :] if single else x)
+    out = _forward_cached(p, x[None, :] if single else x, tape)
     if tape is not None:
-        tape.acts, tape.out, tape.single = acts, out, single
+        tape.single = single
     return out[0] if single else out
 
 
@@ -119,11 +217,12 @@ def backward(p: MlpParams, tape: Tape, upstream: np.ndarray, param_grads: bool =
 
     ``tape`` must come from ``forward(p, x, tape)`` with the same ``p``; no
     forward pass is re-run.  Returns ``(param_grads, input_grad)`` where
-    ``param_grads`` mirrors ``p.weights``.  Batched inputs accumulate parameter
-    gradients over the batch; the input gradient keeps the batch dimension.
-    With ``param_grads=False`` (a frozen network that only passes gradient on
-    to its input) the per-layer parameter gradients are not computed and
-    ``None`` is returned in their place; the input gradient is unchanged.
+    ``param_grads`` is a :class:`ParamGrads` mirroring ``p.weights``.  Batched
+    inputs accumulate parameter gradients over the batch; the input gradient
+    keeps the batch dimension.  With ``param_grads=False`` (a frozen network
+    that only passes gradient on to its input) the parameter gradients are not
+    computed and ``None`` is returned in their place; the input gradient is
+    unchanged.  Both results live in the tape's buffers.
     """
     upstream = np.asarray(upstream, dtype=float)
     ub = upstream[None, :] if tape.single else upstream
@@ -138,58 +237,81 @@ def backward(p: MlpParams, tape: Tape, upstream: np.ndarray, param_grads: bool =
         inside = (np.abs(acts[-1]) < _LOGIT_CLAMP).astype(float)
         g = ub * out * (1.0 - out) * inside
 
-    grads: Optional[List[Tuple[np.ndarray, np.ndarray]]] = (
-        [None] * len(p.weights) if param_grads else None)
+    if tape._gin is None:
+        tape._fit_backward()
+    grads = None
+    if param_grads:
+        if tape._grads is None:
+            tape._grads = ParamGrads(np.empty(p.flat.size), p.sizes)
+        grads = tape._grads
     for i in range(len(p.weights) - 1, -1, -1):
         W, _ = p.weights[i]
         if grads is not None:
-            grads[i] = (acts[i].T @ g, g.sum(axis=0))
-        g = g @ W.T
+            gW, gb = grads[i]
+            np.matmul(acts[i].T, g, out=gW)
+            np.sum(g, axis=0, out=gb)
+        g = np.matmul(g, W.T, out=tape._gin[i])
         if i > 0:
-            g = g * (1.0 - acts[i] * acts[i])  # tanh'
+            d = tape._dact[i]  # tanh'
+            np.multiply(acts[i], acts[i], out=d)
+            np.subtract(1.0, d, out=d)
+            g *= d
     input_grad = g[0] if tape.single else g
     return grads, input_grad
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class OptState:
-    m: tuple
-    v: tuple
+    """Adam state over a flat parameter vector: the moments ``m``/``v`` and a
+    scratch vector, all updated in place by ``adam_step``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    _scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._scratch = np.empty_like(self.m)
 
 
 def init_opt(p: MlpParams, lr: float = 1e-3, beta1: float = 0.9,
              beta2: float = 0.999, eps: float = 1e-8) -> OptState:
-    zeros = tuple((np.zeros_like(W), np.zeros_like(b)) for W, b in p.weights)
-    return OptState(m=zeros, v=tuple((np.zeros_like(W), np.zeros_like(b))
-                                     for W, b in p.weights),
+    return OptState(m=np.zeros_like(p.flat), v=np.zeros_like(p.flat),
                     t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(p: MlpParams, grads, opt: OptState) -> Tuple[MlpParams, OptState]:
-    t = opt.t + 1
+    """One Adam step: returns the new parameters and ``opt``, advanced in place.
+
+    ``grads`` is a :class:`ParamGrads`; ``p`` itself is left unchanged.
+    """
+    g = grads.flat
+    opt.t += 1
     b1, b2 = opt.beta1, opt.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    new_w, new_m, new_v = [], [], []
-    for (W, b), (gW, gb), (mW, mb), (vW, vb) in zip(p.weights, grads, opt.m, opt.v):
-        mW2 = b1 * mW + (1 - b1) * gW
-        mb2 = b1 * mb + (1 - b1) * gb
-        vW2 = b2 * vW + (1 - b2) * gW * gW
-        vb2 = b2 * vb + (1 - b2) * gb * gb
-        W2 = W - opt.lr * (mW2 / c1) / (np.sqrt(vW2 / c2) + opt.eps)
-        b2_ = b - opt.lr * (mb2 / c1) / (np.sqrt(vb2 / c2) + opt.eps)
-        new_w.append((W2, b2_))
-        new_m.append((mW2, mb2))
-        new_v.append((vW2, vb2))
-    p2 = MlpParams(sizes=p.sizes, weights=tuple(new_w), head=p.head,
-                   activation=p.activation, seed=p.seed)
-    return p2, OptState(m=tuple(new_m), v=tuple(new_v), t=t, lr=opt.lr,
-                        beta1=b1, beta2=b2, eps=opt.eps)
+    c1 = 1.0 - b1 ** opt.t
+    c2 = 1.0 - b2 ** opt.t
+    m, v, s = opt.m, opt.v, opt._scratch
+    # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+    m *= b1
+    np.multiply(g, 1 - b1, out=s)
+    m += s
+    v *= b2
+    np.multiply(g, 1 - b2, out=s)
+    s *= g
+    v += s
+    # p - lr * (m / c1) / (sqrt(v / c2) + eps), built in the new vector
+    new = np.divide(v, c2)
+    np.sqrt(new, out=new)
+    new += opt.eps
+    np.divide(m, c1, out=s)
+    s *= opt.lr
+    np.divide(s, new, out=new)
+    np.subtract(p.flat, new, out=new)
+    return p.with_flat(new), opt
 
 
 @dataclass(frozen=True)
@@ -223,32 +345,17 @@ def grad_check(p: MlpParams, x: np.ndarray, tol: float = 1e-4,
     grads, gx = backward(p, tape, c)
     worst = 0.0
     n = 0
-
-    def perturbed(layer: int, which: int, idx, dv: float) -> MlpParams:
-        new_weights = []
-        for i, (W, b) in enumerate(p.weights):
-            if i == layer:
-                W = W.copy()
-                b = b.copy()
-                if which == 0:
-                    W[idx] += dv
-                else:
-                    b[idx] += dv
-            new_weights.append((W, b))
-        return MlpParams(sizes=p.sizes, weights=tuple(new_weights), head=p.head,
-                         activation=p.activation, seed=p.seed)
-
-    for layer, (gW, gb) in enumerate(grads):
-        for idx in np.ndindex(gW.shape):
-            fd = (scalar(perturbed(layer, 0, idx, h), x)
-                  - scalar(perturbed(layer, 0, idx, -h), x)) / (2 * h)
-            worst = max(worst, _rel_err(gW[idx], fd, atol, tol))
-            n += 1
-        for idx in np.ndindex(gb.shape):
-            fd = (scalar(perturbed(layer, 1, idx, h), x)
-                  - scalar(perturbed(layer, 1, idx, -h), x)) / (2 * h)
-            worst = max(worst, _rel_err(gb[idx], fd, atol, tol))
-            n += 1
+    # ``q`` shares ``theta``: each entry is perturbed in place, then restored
+    theta = p.flat.copy()
+    q = p.with_flat(theta)
+    for j, g in enumerate(grads.flat):
+        theta[j] = p.flat[j] + h
+        f_plus = scalar(q, x)
+        theta[j] = p.flat[j] - h
+        f_minus = scalar(q, x)
+        theta[j] = p.flat[j]
+        worst = max(worst, _rel_err(g, (f_plus - f_minus) / (2 * h), atol, tol))
+        n += 1
     for j in range(x.shape[-1]):
         xp, xm = x.copy(), x.copy()
         xp[j] += h
@@ -260,15 +367,20 @@ def grad_check(p: MlpParams, x: np.ndarray, tol: float = 1e-4,
 
 
 def save_weights(p: MlpParams, path) -> None:
-    obj = {
-        "sizes": list(p.sizes),
-        "activation": p.activation,
-        "head": p.head,
-        "layers": [{"W": W.tolist(), "b": b.tolist()} for W, b in p.weights],
-        "seed": p.seed,
-    }
+    """Write ``p`` as the JSON text ``json.dump`` writes for ``{"sizes",
+    "activation", "head", "layers": [{"W", "b"}, ...], "seed"}``.
+
+    Each matrix row is encoded by ``json.dumps``, which runs the C encoder
+    (``json.dump`` streams through the pure-Python one), and each layer is
+    written as soon as it is encoded, so no more than one layer's text is held.
+    """
+    meta = json.dumps({"sizes": list(p.sizes), "activation": p.activation, "head": p.head})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        fh.write(meta[:-1] + ', "layers": [')
+        for i, (W, b) in enumerate(p.weights):
+            rows = ", ".join(json.dumps(row.tolist()) for row in W)
+            fh.write(f'{", " if i else ""}{{"W": [{rows}], "b": {json.dumps(b.tolist())}}}')
+        fh.write(f'], "seed": {json.dumps(p.seed)}}}')
 
 
 def load_weights(path) -> MlpParams:

@@ -268,14 +268,17 @@ def _collect_epoch(cfg: TrainConfig, track: TrackSpec, expert_factory,
 
 def agent_loss_and_grad(policy: nn.MlpParams, feats: np.ndarray, u_expert: np.ndarray,
                         x_raw: Optional[np.ndarray], dyn: Optional[DynModel],
-                        clf: Optional[SafetyClf]):
+                        clf: Optional[SafetyClf],
+                        tapes: Optional[Tuple[nn.Tape, nn.Tape, nn.Tape]] = None):
     """Joint policy objective: clone MSE plus the frozen-critic safety penalty.
 
     Returns ``(clone_loss, safety_loss, policy_grads)``.  The safety term is
     evaluated at the policy's own action, so its gradient flows back through
     the action head; the critic networks receive no parameter gradient.
+    ``tapes`` (policy, dynamics, classifier) lets a training loop reuse their
+    buffers across steps; the returned gradients live in the policy tape.
     """
-    tape = nn.Tape()
+    tape, *critic_tapes = tapes or (nn.Tape(), nn.Tape(), nn.Tape())
     pred = nn.forward(policy, feats, tape)
     diff = pred - u_expert
     clone = float((diff * diff).sum(axis=1).mean())
@@ -283,7 +286,8 @@ def agent_loss_and_grad(policy: nn.MlpParams, feats: np.ndarray, u_expert: np.nd
     upstream = 2.0 * diff / B
     safety = 0.0
     if clf is not None and dyn is not None and clf.lam > 0.0:
-        penalty, g_u = safety_penalty_and_input_grad(clf, dyn, x_raw, pred)
+        penalty, g_u = safety_penalty_and_input_grad(clf, dyn, x_raw, pred,
+                                                     tapes=critic_tapes)
         safety = float(penalty.mean())
         upstream = upstream + g_u / B
     grads, _ = nn.backward(policy, tape, upstream)
@@ -391,6 +395,10 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
     reports: List[EpochReport] = []
     stop_state = EarlyStopState()
     early_stopped_at = None
+    # one tape per network, reused by every step of every phase: the critic
+    # fits and the policy update's frozen critic pair run at the same batch
+    tapes = (nn.Tape(), nn.Tape(), nn.Tape())
+    _, tape_dyn, tape_clf = tapes
 
     for epoch in range(cfg.epochs):
         trajs = _collect_epoch(cfg, track, expert_factory, policy, epoch)
@@ -432,7 +440,8 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
                 for _ in range(cfg.grad_steps_dyn):
                     idx = rng_b.integers(0, n, size=min(cfg.batch_size, n))
                     loss_f, grads = dyn_loss_and_grad(
-                        dyn, arr["x_raw"][idx], arr["u_applied"][idx], arr["x_next"][idx])
+                        dyn, arr["x_raw"][idx], arr["u_applied"][idx], arr["x_next"][idx],
+                        tape=tape_dyn)
                     new_params, opt_dyn = nn.adam_step(dyn.params, grads, opt_dyn)
                     dyn = replace(dyn, params=new_params)
                 last_dyn_loss = _finite_or_raise("dyn_loss", loss_f, epoch)
@@ -443,12 +452,12 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
                     plus_raw = np.array([st.as_tuple() for st in pool.d_plus])
                     minus_raw = np.array([st.as_tuple() for st in pool.d_minus])
                     half = cfg.batch_size // 2
+                    yb = np.concatenate([np.ones(half), np.zeros(half)])
                     for _ in range(cfg.grad_steps_clf):
                         ip = rng_b.integers(0, len(plus_raw), size=half)
                         im = rng_b.integers(0, len(minus_raw), size=half)
                         xb = np.vstack([plus_raw[ip], minus_raw[im]])
-                        yb = np.concatenate([np.ones(half), np.zeros(half)])
-                        loss_p, grads = clf_loss_and_grad(clf, xb, yb)
+                        loss_p, grads = clf_loss_and_grad(clf, xb, yb, tape=tape_clf)
                         new_params, opt_clf = nn.adam_step(clf.params, grads, opt_clf)
                         clf = replace(clf, params=new_params)
                     last_clf_loss = _finite_or_raise("clf_loss", loss_p, epoch)
@@ -467,7 +476,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             clone, safety, grads = agent_loss_and_grad(
                 policy, arr["feats"][idx], arr["u_expert"][idx],
                 arr["x_raw"][idx] if use_critic else None,
-                dyn if use_critic else None, clf if use_critic else None)
+                dyn if use_critic else None, clf if use_critic else None, tapes=tapes)
             policy, opt_policy = nn.adam_step(policy, grads, opt_policy)
             clone_sum += clone
             safety_sum += safety

@@ -121,13 +121,14 @@ class TestDynLoss:
         dyn = init_dyn_model(norm, cfg, hidden=(128, 128, 128), seed=1)
         opt = nn.init_opt(dyn.params, lr=3e-3)
         rng = np.random.default_rng(0)
+        tape = nn.Tape()  # reused by every step, as the trainer does
         # the heading dimension carries the track's piecewise-constant
         # curvature jumps and needs the longer low-rate phase to resolve
         for n_steps, lr in ((2000, 3e-3), (4000, 1e-3)):
             opt = replace(opt, lr=lr)
             for _ in range(n_steps):
                 idx = rng.integers(0, n_train, size=512)
-                _, grads = dyn_loss_and_grad(dyn, X[idx], U[idx], XN[idx])
+                _, grads = dyn_loss_and_grad(dyn, X[idx], U[idx], XN[idx], tape=tape)
                 params, opt = nn.adam_step(dyn.params, grads, opt)
                 dyn = replace(dyn, params=params)
         pred = dyn.predict(X[n_train:], U[n_train:])
@@ -239,9 +240,9 @@ class TestTapedPasses:
         forwards, backwards = [], []
         inner_forward, inner_backward = nn._forward_cached, nn.backward
 
-        def counting_forward(p, x):
+        def counting_forward(p, x, tape):
             forwards.append(p.head)
-            return inner_forward(p, x)
+            return inner_forward(p, x, tape)
 
         def recording_backward(p, tape, upstream, **kw):
             grads, gx = inner_backward(p, tape, upstream, **kw)

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from cabc.nn import (
     MlpParams,
+    ParamGrads,
     Tape,
     adam_step,
     backward,
@@ -134,11 +138,115 @@ class TestBackward:
         assert grad_check(p, x, tol=1e-4, seed=seed).passed
 
 
+class TestTapeReuse:
+    """A tape passed again reuses its buffers; results equal a fresh tape's."""
+
+    @staticmethod
+    def fresh(p, x, upstream, param_grads=True):
+        tape = Tape()
+        out = forward(p, x, tape)
+        grads, gx = backward(p, tape, upstream, param_grads=param_grads)
+        return out, grads, gx
+
+    @staticmethod
+    def assert_same(a, b):
+        (out_a, grads_a, gx_a), (out_b, grads_b, gx_b) = a, b
+        assert np.array_equal(out_a, out_b)
+        assert np.array_equal(gx_a, gx_b)
+        if grads_b is None:
+            assert grads_a is None
+        else:
+            assert np.array_equal(grads_a.flat, grads_b.flat)
+            for (Wa, ba), (Wb, bb) in zip(grads_a, grads_b):
+                assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
+
+    @pytest.mark.parametrize("sizes,head", [
+        ((6, 32, 32, 32, 2), "tanh"),
+        ((9, 32, 32, 6), "identity"),
+        ((7, 32, 1), "sigmoid"),
+        ((3, 2), "identity"),
+    ])
+    def test_reused_tape_matches_fresh(self, sizes, head):
+        p = init_mlp(sizes, head=head, seed=4)
+        rng = np.random.default_rng(5)
+        tape = Tape()
+        # alternating inputs at one batch, then a batch-size change (new
+        # buffers), the single-vector path, and back to the first batch
+        for batch in (16, 16, 16, 9, None, 16):
+            shape = (batch,) if batch else ()
+            x = rng.normal(size=shape + (sizes[0],))
+            upstream = rng.normal(size=shape + (sizes[-1],))
+            for param_grads in (True, False):
+                out = forward(p, x, tape).copy()
+                grads, gx = backward(p, tape, upstream, param_grads=param_grads)
+                self.assert_same((out, grads, gx), self.fresh(p, x, upstream, param_grads))
+
+    def test_input_only_backward_allocates_no_gradient_vector(self):
+        p = init_mlp((4, 8, 2), head="tanh", seed=0)
+        tape = Tape()
+        forward(p, np.ones((3, 4)), tape)
+        assert backward(p, tape, np.ones((3, 2)), param_grads=False)[0] is None
+        assert tape._grads is None
+
+
+def reference_adam_step(weights, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-layer Adam update, one temporary per expression."""
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    new_w, new_m, new_v = [], [], []
+    for (W, b), (gW, gb), (mW, mb), (vW, vb) in zip(weights, grads, m, v):
+        mW2 = b1 * mW + (1 - b1) * gW
+        mb2 = b1 * mb + (1 - b1) * gb
+        vW2 = b2 * vW + (1 - b2) * gW * gW
+        vb2 = b2 * vb + (1 - b2) * gb * gb
+        W2 = W - lr * (mW2 / c1) / (np.sqrt(vW2 / c2) + eps)
+        b2_ = b - lr * (mb2 / c1) / (np.sqrt(vb2 / c2) + eps)
+        new_w.append((W2, b2_))
+        new_m.append((mW2, mb2))
+        new_v.append((vW2, vb2))
+    return new_w, new_m, new_v
+
+
 class TestAdam:
+    def test_flat_step_matches_per_layer_reference(self):
+        p = init_mlp((5, 32, 32, 3), head="tanh", seed=6)
+        opt = init_opt(p, lr=3e-3)
+        ref_w = [(W.copy(), b.copy()) for W, b in p.weights]
+        ref_m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in p.weights]
+        ref_v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in p.weights]
+        rng = np.random.default_rng(7)
+        tape = Tape()
+        for t in range(1, 6):
+            forward(p, rng.normal(size=(8, 5)), tape)
+            grads, _ = backward(p, tape, rng.normal(size=(8, 3)))
+            ref_w, ref_m, ref_v = reference_adam_step(ref_w, grads, ref_m, ref_v, t, 3e-3)
+            p, opt = adam_step(p, grads, opt)
+            assert opt.t == t
+            for (W, b), (rW, rb) in zip(p.weights, ref_w):
+                assert np.array_equal(W, rW) and np.array_equal(b, rb)
+            flat_m = np.concatenate([a.ravel() for pair in ref_m for a in pair])
+            flat_v = np.concatenate([a.ravel() for pair in ref_v for a in pair])
+            assert np.array_equal(opt.m, flat_m) and np.array_equal(opt.v, flat_v)
+
+    def test_step_leaves_its_input_params_unchanged(self):
+        p = init_mlp((4, 16, 2), head="tanh", seed=8)
+        before = p.flat.copy()
+        snapshot = [(W.copy(), b.copy()) for W, b in p.weights]
+        opt = init_opt(p, lr=0.1)
+        grads = ParamGrads(np.ones_like(p.flat), p.sizes)
+        for _ in range(3):
+            p2, opt = adam_step(p, grads, opt)
+        assert np.array_equal(p.flat, before)
+        for (W, b), (sW, sb) in zip(p.weights, snapshot):
+            assert np.array_equal(W, sW) and np.array_equal(b, sb)
+        assert not np.shares_memory(p2.flat, p.flat)
+        assert not np.array_equal(p2.flat, before)
+
+
     def test_zero_grads_leave_params_unchanged(self):
         p = init_mlp((2, 4, 1), seed=0)
         opt = init_opt(p, lr=0.1)
-        zeros = [(np.zeros_like(W), np.zeros_like(b)) for W, b in p.weights]
+        zeros = ParamGrads(np.zeros_like(p.flat), p.sizes)
         p2, opt2 = adam_step(p, zeros, opt)
         for (W, b), (W2, b2) in zip(p.weights, p2.weights):
             assert np.all(W == W2) and np.all(b == b2)
@@ -148,7 +256,7 @@ class TestAdam:
         W = (np.zeros((1, 1)), np.zeros(1))
         p = MlpParams(sizes=(1, 1), weights=(W,), head="identity")
         opt = init_opt(p, lr=0.01)
-        grads = [(np.full((1, 1), 3.7), np.array([-0.2]))]
+        grads = ParamGrads(np.array([3.7, -0.2]), p.sizes)  # (dW, db)
         p2, _ = adam_step(p, grads, opt)
         assert p2.weights[0][0][0, 0] == pytest.approx(-0.01, rel=1e-6)
         assert p2.weights[0][1][0] == pytest.approx(0.01, rel=1e-6)
@@ -181,6 +289,21 @@ class TestDeterminismAndIO:
         assert q.sizes == p.sizes and q.head == p.head and q.activation == p.activation
         for (Wa, ba), (Wb, bb) in zip(p.weights, q.weights):
             assert np.all(Wa == Wb) and np.all(ba == bb)
+        # the exact text the streaming encoder writes for the same object
+        expected = io.StringIO()
+        json.dump({"sizes": list(p.sizes), "activation": p.activation, "head": p.head,
+                   "layers": [{"W": W.tolist(), "b": b.tolist()} for W, b in p.weights],
+                   "seed": p.seed}, expected)
+        assert path.read_text(encoding="utf-8") == expected.getvalue()
+
+    def test_params_copy_their_source_arrays(self):
+        W, b = np.ones((2, 3)), np.zeros(3)
+        p = MlpParams(sizes=(2, 3), weights=((W, b),))
+        W[0, 0] = 5.0
+        b[1] = -1.0
+        assert np.all(p.weights[0][0] == 1.0) and np.all(p.weights[0][1] == 0.0)
+        assert np.array_equal(p.flat, np.r_[np.ones(6), np.zeros(3)])
+        assert np.shares_memory(p.weights[0][0], p.flat)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
