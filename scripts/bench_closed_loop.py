@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Closed-loop microbenchmark: microseconds per simulated step and per call.
+
+Loops (minimum over ``REPEATS`` of the mean cost of one step):
+
+- ``racing_gp``:     the racing expert on gp, two laps, observation noise;
+- ``pid_circle``:    the PID expert on circle, two laps;
+- ``mixed_circle``:  collection's mixture on circle: the PID expert and an
+  untrained 128-wide output-feedback policy, beta = 0.5, actuation noise.
+
+Calls (minimum over ``REPEATS`` of the mean cost of one call, each made on
+the states and observations the racing loop visited): ``sim.step``,
+``sim.observe``, ``sim.lane_preview``, ``RacingExpert.__call__`` and the
+batch-1 ``MlpPolicy.__call__``.
+
+Each invocation appends one record under ``--label`` to ``--out`` and
+rewrites the per-label summary: the minimum over that label's records, since
+on a shared host whose speed drifts the fastest invocation is the one least
+disturbed.  To compare two versions of the package, alternate invocations
+with ``--src`` pointing at each checkout's ``src``:
+
+    python3 scripts/bench_closed_loop.py --label before --src ../old/src
+    python3 scripts/bench_closed_loop.py --label after
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPEATS = 20
+
+
+def _import_cabc(src: str) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    import cabc  # noqa: F401
+
+
+def _loops() -> dict:
+    from cabc.experts import PidCenterline, RacingExpert
+    from cabc.sim import SimConfig, default_start_state, episode_rng, rollout
+    from cabc.track import get_track
+    from cabc.trainer import MixedPolicy, MlpPolicy, TrainConfig, init_policy
+
+    gp, circle = get_track("gp"), get_track("circle")
+    cfg = SimConfig(lap_target=2)
+    learner = MlpPolicy(init_policy(TrainConfig(seed=1, sim=cfg), circle), "output", circle)
+
+    def racing_gp():
+        return rollout(cfg, gp, RacingExpert(cfg, gp), default_start_state(), 1200,
+                       episode_rng(11, 0))
+
+    def pid_circle():
+        return rollout(cfg, circle, PidCenterline(cfg, circle), default_start_state(), 1200,
+                       episode_rng(12, 0))
+
+    def mixed_circle():
+        mixed = MixedPolicy(PidCenterline(cfg, circle), learner, 0.5, episode_rng(13, 1),
+                            sigma_u=0.15)
+        return rollout(cfg, circle, mixed, default_start_state(), 1200, episode_rng(13, 0),
+                       relabel=lambda x: mixed.last_expert_action)
+
+    out = {}
+    for name, run in (("racing_gp", racing_gp), ("pid_circle", pid_circle),
+                      ("mixed_circle", mixed_circle)):
+        best, steps = float("inf"), 0
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            traj = run()
+            dt = time.perf_counter() - t0
+            steps = len(traj)
+            best = min(best, dt / steps)
+        out[name] = {"us_per_step": round(best * 1e6, 3), "steps": steps}
+    return out
+
+
+def _calls() -> dict:
+    from cabc.experts import RacingExpert
+    from cabc.sim import (SimConfig, default_start_state, episode_rng, lane_preview, observe,
+                          rollout, step)
+    from cabc.track import get_track
+    from cabc.trainer import MlpPolicy, TrainConfig, init_policy
+
+    gp = get_track("gp")
+    cfg = SimConfig(lap_target=2)
+    traj = rollout(cfg, gp, RacingExpert(cfg, gp), default_start_state(), 1200,
+                   episode_rng(11, 0))
+    states = [smp.x for smp in traj.samples]
+    obs = [smp.y for smp in traj.samples]
+    acts = [smp.u_applied for smp in traj.samples]
+    expert = RacingExpert(cfg, gp)
+    policy = MlpPolicy(init_policy(TrainConfig(seed=1, sim=cfg), gp), "output", gp)
+    rng = episode_rng(0, 0)
+    distances = cfg.preview_distances
+    pairs = list(zip(states, acts, obs))
+
+    cases = {
+        "sim.step": lambda: [step(cfg, gp, x, u) for x, u, _ in pairs],
+        "sim.observe": lambda: [observe(cfg, gp, x, rng) for x in states],
+        "sim.lane_preview": lambda: [lane_preview(gp, x, distances) for x in states],
+        "RacingExpert.__call__": lambda: [expert(y, x) for x, _, y in pairs],
+        "MlpPolicy.__call__": lambda: [policy(y, x) for x, _, y in pairs],
+    }
+    out = {}
+    for name, run in cases.items():
+        best = float("inf")
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            run()
+            best = min(best, (time.perf_counter() - t0) / len(pairs))
+        out[name] = {"us_per_call": round(best * 1e6, 3), "calls": len(pairs)}
+    return out
+
+
+def _summary(records: list) -> dict:
+    by_label: dict = {}
+    for rec in records:
+        by_label.setdefault(rec["label"], []).append(rec)
+    out = {}
+    for label, recs in by_label.items():
+        summ = {"records": len(recs)}
+        for group, unit in (("loops", "us_per_step"), ("calls", "us_per_call")):
+            summ[group] = {name: min(r[group][name][unit] for r in recs)
+                           for name in recs[0][group]}
+        out[label] = summ
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="name of the measured version")
+    ap.add_argument("--src", default=os.path.join(HERE, "..", "src"),
+                    help="the src directory of the cabc package to measure")
+    ap.add_argument("--out", default=os.path.join(HERE, "..", "BENCH_micro.json"))
+    args = ap.parse_args(argv)
+
+    _import_cabc(args.src)
+    import numpy as np
+
+    record = {
+        "label": args.label,
+        "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "loops": _loops(),
+        "calls": _calls(),
+    }
+    doc = {"records": []}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["host"] = {"python": platform.python_version(), "numpy": np.__version__,
+                   "machine": platform.machine(), "cpus": os.cpu_count()}
+    doc["repeats"] = REPEATS
+    doc["records"].append(record)
+    doc["summary"] = _summary(doc["records"])
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(json.dumps({k: record[k] for k in ("label", "loops", "calls")}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import gzip
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 from typing import IO, Iterable, Optional, Union
 
 
@@ -27,7 +27,7 @@ class DatasetFormatError(ValueError):
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -48,6 +48,15 @@ class VehicleState:
     e_psi: float    # heading error w.r.t. the path tangent, rad
 
     def __post_init__(self):
+        # Fast path for finite built-in floats, which the closed loop builds
+        # every step: a float sum is finite only if every term is (an
+        # overflowing sum merely takes the per-field route).
+        a, b, c = self.v_long, self.v_tran, self.omega_psi
+        d, e, f = self.s, self.x_tran, self.e_psi
+        if (type(a) is float and type(b) is float and type(c) is float
+                and type(d) is float and type(e) is float and type(f) is float
+                and isfinite(a + b + c + d + e + f)):
+            return
         for name in ("v_long", "v_tran", "omega_psi", "s", "x_tran", "e_psi"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
@@ -73,6 +82,10 @@ class Action:
     u_steer: float
 
     def __post_init__(self):
+        a, b = self.u_a, self.u_steer
+        # the range test fails for nan and inf, so it also checks finiteness
+        if type(a) is float and type(b) is float and -1.0 <= a <= 1.0 and -1.0 <= b <= 1.0:
+            return
         for name in ("u_a", "u_steer"):
             val = _require_finite(name, getattr(self, name))
             if not -1.0 <= val <= 1.0:
@@ -81,7 +94,16 @@ class Action:
 
     @staticmethod
     def clamped(u_a: float, u_steer: float) -> "Action":
-        return Action(min(1.0, max(-1.0, float(u_a))), min(1.0, max(-1.0, float(u_steer))))
+        """Clip each component into [-1, 1].
+
+        Non-finite input raises the constructor's error: ``max(-1.0, nan)``
+        is -1.0, so clipping would silently turn nan into a full command.
+        """
+        u_a, u_steer = float(u_a), float(u_steer)
+        if not (isfinite(u_a) and isfinite(u_steer)):
+            _require_finite("u_a", u_a)
+            _require_finite("u_steer", u_steer)
+        return Action(min(1.0, max(-1.0, u_a)), min(1.0, max(-1.0, u_steer)))
 
     def as_tuple(self) -> tuple:
         return (self.u_a, self.u_steer)
@@ -102,11 +124,17 @@ class Observation:
     preview: tuple
 
     def __post_init__(self):
-        for name in ("v_long", "v_tran", "omega_psi"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        object.__setattr__(self, "preview", tuple(float(p) for p in self.preview))
-        for p in self.preview:
-            _require_finite("preview", p)
+        # same fast path as VehicleState's
+        a, b, c = self.v_long, self.v_tran, self.omega_psi
+        if not (type(a) is float and type(b) is float and type(c) is float
+                and isfinite(a + b + c)):
+            for name in ("v_long", "v_tran", "omega_psi"):
+                object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        preview = tuple(map(float, self.preview))
+        object.__setattr__(self, "preview", preview)
+        if not isfinite(sum(preview)):
+            for p in preview:
+                _require_finite("preview", p)
 
     def as_tuple(self) -> tuple:
         return (self.v_long, self.v_tran, self.omega_psi) + self.preview
@@ -174,8 +202,11 @@ class Trajectory:
             raise ValueError(
                 f"outcome {self.outcome} inconsistent with reason {self.termination_reason}"
             )
-        for k in range(len(self.samples) - 1):
-            if self.samples[k].x_next != self.samples[k + 1].x:
+        samples = self.samples
+        for k in range(len(samples) - 1):
+            # rollouts chain by identity, which skips the field-wise __eq__
+            a, b = samples[k].x_next, samples[k + 1].x
+            if a is not b and a != b:
                 raise ValueError(f"trajectory does not chain at step {k}")
 
     def __len__(self) -> int:

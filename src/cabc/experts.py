@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Action, Observation, VehicleState
 from .sim import SimConfig, SimSingularityError, step
-from .track import TrackSpec, curvature_at
+from .track import TrackSpec, curvature_at, peak_curvature
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,7 @@ class RacingExpert:
 
     def target_speed(self, s: float) -> float:
         p = self.params
-        worst = p.kappa_floor
-        d = 0.0
-        while d <= p.lookahead:
-            worst = max(worst, abs(curvature_at(self.track, s + d)))
-            d += 0.25
+        worst = max(p.kappa_floor, peak_curvature(self.track, s, p.lookahead, 0.25))
         return min(self.cfg.v_max, math.sqrt(p.a_lat_max / worst))
 
     def offset_ref(self, s: float) -> float:

@@ -12,6 +12,7 @@ brakes (and reverses thrust), but ``v_long`` is clamped to ``[0, v_max]``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -83,25 +84,28 @@ class StepResult:
 
 
 def _derivatives(cfg: SimConfig, kappa: float, x: VehicleState, u: Action):
+    v_long, v_tran, omega, e_psi = x.v_long, x.v_tran, x.omega_psi, x.e_psi
+    l_front, l_rear = cfg.l_front, cfg.l_rear
     delta = u.u_steer * cfg.steer_max
-    v_eff = max(x.v_long, cfg.v_slip_floor)
-    alpha_f = math.atan2(x.v_tran + cfg.l_front * x.omega_psi, v_eff) - delta
-    alpha_r = math.atan2(x.v_tran - cfg.l_rear * x.omega_psi, v_eff)
+    v_eff = max(v_long, cfg.v_slip_floor)
+    alpha_f = math.atan2(v_tran + l_front * omega, v_eff) - delta
+    alpha_r = math.atan2(v_tran - l_rear * omega, v_eff)
     a_yf = -cfg.stiff_front * alpha_f
     a_yr = -cfg.stiff_rear * alpha_r
     cos_d = math.cos(delta)
+    sin_e, cos_e = math.sin(e_psi), math.cos(e_psi)
 
     denom = 1.0 - x.x_tran * kappa
     if abs(denom) < 1e-6:
         raise SimSingularityError(f"Frenet singularity at s={x.s!r}, x_tran={x.x_tran!r}")
-    s_dot = (x.v_long * math.cos(x.e_psi) - x.v_tran * math.sin(x.e_psi)) / denom
+    s_dot = (v_long * cos_e - v_tran * sin_e) / denom
 
-    dv_long = (cfg.drive_gain * u.u_a - cfg.drag_lin * x.v_long
-               - cfg.drag_quad * x.v_long * x.v_long + x.omega_psi * x.v_tran)
-    dv_tran = a_yf * cos_d + a_yr - x.omega_psi * x.v_long
-    domega = (cfg.l_front * a_yf * cos_d - cfg.l_rear * a_yr) / cfg.yaw_radius_sq
-    dx_tran = x.v_long * math.sin(x.e_psi) + x.v_tran * math.cos(x.e_psi)
-    de_psi = x.omega_psi - kappa * s_dot
+    dv_long = (cfg.drive_gain * u.u_a - cfg.drag_lin * v_long
+               - cfg.drag_quad * v_long * v_long + omega * v_tran)
+    dv_tran = a_yf * cos_d + a_yr - omega * v_long
+    domega = (l_front * a_yf * cos_d - l_rear * a_yr) / cfg.yaw_radius_sq
+    dx_tran = v_long * sin_e + v_tran * cos_e
+    de_psi = omega - kappa * s_dot
     return dv_long, dv_tran, domega, s_dot, dx_tran, de_psi
 
 
@@ -129,42 +133,51 @@ def lane_preview(track: TrackSpec, x: VehicleState, distances) -> list:
     point, expressed in the vehicle's own frame.  It blends lateral deviation,
     heading error, and upcoming curvature, with no absolute localization.
     """
-    order = sorted(range(len(distances)), key=lambda i: distances[i])
-    out = [0.0] * len(distances)
-    # centerline pose ahead of the vehicle, in the tangent frame at arc s;
-    # walk segments by index so float rounding cannot stall the cursor
-    px, py, psi = 0.0, 0.0, 0.0
-    arc = 0.0
+    segments = track.segments
+    n_seg = len(segments)
     s_w = x.s % track.lap_length
     seg = track._segment_index(s_w)
-    n_seg = len(track.segments)
     remaining = track._starts[seg + 1] - s_w
+    # centerline pose ahead of the vehicle, in the tangent frame at arc s, with
+    # the sine and cosine of its heading carried along; walk segments by index
+    # so float rounding cannot stall the cursor
+    px, py, psi = 0.0, 0.0, 0.0
+    sin_p, cos_p = 0.0, 1.0
+    arc = 0.0
     sin_e, cos_e = math.sin(x.e_psi), math.cos(x.e_psi)
-
-    def advance(length: float, kappa: float):
-        nonlocal px, py, psi
-        if abs(kappa) < 1e-12:
-            px += length * math.cos(psi)
-            py += length * math.sin(psi)
-        else:
-            p1 = psi + kappa * length
-            px += (math.sin(p1) - math.sin(psi)) / kappa
-            py -= (math.cos(p1) - math.cos(psi)) / kappa
-            psi = p1
-
-    for i in order:
-        d = float(distances[i])
-        while arc + remaining < d:
-            advance(remaining, track.segments[seg][1])
+    x_tran = x.x_tran
+    kappa = segments[seg][1]
+    out = []
+    for d in map(float, distances):
+        if out and d < arc:
+            # not ascending: walk the sorted distances, then restore the order
+            order = sorted(range(len(distances)), key=distances.__getitem__)
+            ahead = lane_preview(track, x, [distances[i] for i in order])
+            out = [0.0] * len(distances)
+            for i, offset in zip(order, ahead):
+                out[i] = offset
+            return out
+        while True:
+            # advance to the end of the segment, or to d within it
+            whole = arc + remaining < d
+            length = remaining if whole else d - arc
+            if -1e-12 < kappa < 1e-12:
+                px += length * cos_p
+                py += length * sin_p
+            else:
+                psi += kappa * length
+                sin_1, cos_1 = math.sin(psi), math.cos(psi)
+                px += (sin_1 - sin_p) / kappa
+                py -= (cos_1 - cos_p) / kappa
+                sin_p, cos_p = sin_1, cos_1
+            if not whole:
+                break
             arc += remaining
             seg = (seg + 1) % n_seg
-            remaining = track.segments[seg][0]
-        partial = d - arc
-        advance(partial, track.segments[seg][1])
-        remaining -= partial
+            remaining, kappa = segments[seg]
+        remaining -= length
         arc = d
-        rel_x, rel_y = px, py - x.x_tran
-        out[i] = -sin_e * rel_x + cos_e * rel_y
+        out.append(-sin_e * px + cos_e * (py - x_tran))
     return out
 
 
@@ -172,14 +185,15 @@ def observe(cfg: SimConfig, track: TrackSpec, x: VehicleState,
             rng: Optional[np.random.Generator] = None) -> Observation:
     """Output map: body velocities and a lane-center preview, noise-corrupted."""
     preview = lane_preview(track, x, cfg.preview_distances)
-    v = [x.v_long, x.v_tran, x.omega_psi]
+    v_long, v_tran, omega_psi = x.v_long, x.v_tran, x.omega_psi
+    # draws as Python floats, so every sum is float + float
     if rng is not None and cfg.noise_sigma_v > 0.0:
-        n = rng.normal(0.0, cfg.noise_sigma_v, size=3)
-        v = [a + b for a, b in zip(v, n)]
+        n_long, n_tran, n_omega = rng.normal(0.0, cfg.noise_sigma_v, size=3).tolist()
+        v_long, v_tran, omega_psi = v_long + n_long, v_tran + n_tran, omega_psi + n_omega
     if rng is not None and cfg.noise_sigma_kappa > 0.0 and preview:
-        n = rng.normal(0.0, cfg.noise_sigma_kappa, size=len(preview))
-        preview = [a + b for a, b in zip(preview, n)]
-    return Observation(v[0], v[1], v[2], tuple(preview))
+        noise = rng.normal(0.0, cfg.noise_sigma_kappa, size=len(preview)).tolist()
+        preview = map(operator.add, preview, noise)
+    return Observation(v_long, v_tran, omega_psi, tuple(preview))
 
 
 def in_constraints(cfg: SimConfig, track: TrackSpec, x: VehicleState) -> bool:
@@ -226,7 +240,8 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
             relabel: Optional[Callable[[VehicleState], Action]] = None) -> Trajectory:
     """Run the closed loop until target, constraint violation, or timeout.
 
-    Actions are clamped to the input box before stepping.  ``relabel``
+    Policy outputs are clamped to the input box before stepping; an
+    :class:`Action` already lies in it and is used as it is.  ``relabel``
     optionally supplies the expert action recorded with every sample; without
     it the applied action doubles as the expert action.
     """
@@ -238,8 +253,9 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
     outcome, reason = Outcome.FAILURE, TerminationReason.TIMEOUT
     for _ in range(max_steps):
         y = observe(cfg, track, x, rng)
-        u_raw = policy(y, x)
-        u = Action.clamped(u_raw.u_a, u_raw.u_steer)
+        u = policy(y, x)
+        if type(u) is not Action:
+            u = Action.clamped(u.u_a, u.u_steer)
         try:
             x_next = step(cfg, track, x, u)
         except SimSingularityError:

@@ -57,9 +57,34 @@ class TrackSpec:
 
 
 def curvature_at(track: TrackSpec, s: float) -> float:
-    """Centerline curvature at arc length ``s`` (wrapped into one lap)."""
-    s_w = s % track.lap_length
-    return track.segments[track._segment_index(s_w)][1]
+    """Centerline curvature at arc length ``s`` (wrapped into one lap).
+
+    The segment of ``track._segment_index(s % lap_length)`` in one search:
+    the wrapped ``s`` is never negative, and searching only the segment
+    starts (``hi`` = number of segments) maps ``s_w == lap_length``, which
+    rounding can produce, to the last segment.
+    """
+    starts = track._starts
+    return track.segments[bisect.bisect_right(starts, s % starts[-1], 0, len(starts) - 1) - 1][1]
+
+
+def peak_curvature(track: TrackSpec, s: float, lookahead: float, ds: float) -> float:
+    """Largest ``abs(curvature_at(track, s + d))`` over ``d = 0, ds, 2 * ds, ...``
+    up to ``lookahead``, with ``d`` accumulated by repeated addition of ``ds``.
+
+    The segment lookup of :func:`curvature_at`, made once per point without a
+    call per point.
+    """
+    segments, starts = track.segments, track._starts
+    lap, n_seg = starts[-1], len(segments)
+    worst = 0.0
+    d = 0.0
+    while d <= lookahead:
+        kappa = abs(segments[bisect.bisect_right(starts, (s + d) % lap, 0, n_seg) - 1][1])
+        if kappa > worst:
+            worst = kappa
+        d += ds
+    return worst
 
 
 def _advance(x: float, y: float, psi: float, length: float, kappa: float):

@@ -119,7 +119,8 @@ class EpochReport:
 
 # --- policy featurization -------------------------------------------------------
 
-_VEL_SCALE = np.array([0.5, 2.0, 0.5])   # v_long, v_tran, omega
+_VEL_SCALES = (0.5, 2.0, 0.5)   # v_long, v_tran, omega
+_VEL_SCALE = np.array(_VEL_SCALES)
 
 
 def policy_input_dim(mode: str, sim_cfg: SimConfig) -> int:
@@ -129,10 +130,9 @@ def policy_input_dim(mode: str, sim_cfg: SimConfig) -> int:
 
 
 def features_from_obs(y: Observation) -> np.ndarray:
-    return np.concatenate([
-        _VEL_SCALE * np.array([y.v_long, y.v_tran, y.omega_psi]),
-        np.asarray(y.preview),
-    ])
+    # float products give the same bits as scaling an array, without temporaries
+    k_long, k_tran, k_omega = _VEL_SCALES
+    return np.array([k_long * y.v_long, k_tran * y.v_tran, k_omega * y.omega_psi, *y.preview])
 
 
 def features_from_state(x: VehicleState, track: TrackSpec) -> np.ndarray:
@@ -175,8 +175,8 @@ class MlpPolicy:
         return features_from_state(x, self.track)
 
     def __call__(self, y: Observation, x: VehicleState) -> Action:
-        out = nn.forward(self.params, self.features(y, x))
-        return Action(float(out[0]), float(out[1]))
+        u_a, u_steer = nn.forward(self.params, self.features(y, x)).tolist()
+        return Action(u_a, u_steer)
 
 
 def init_policy(cfg: TrainConfig, track: TrackSpec) -> nn.MlpParams:
@@ -218,8 +218,8 @@ class MixedPolicy:
         else:
             u = self.pi_theta(y, x)
         if self.sigma_u > 0.0:
-            noise = self.rng.normal(0.0, self.sigma_u, size=2)
-            u = Action.clamped(u.u_a + noise[0], u.u_steer + noise[1])
+            n_a, n_steer = self.rng.normal(0.0, self.sigma_u, size=2).tolist()
+            u = Action.clamped(u.u_a + n_a, u.u_steer + n_steer)
         return u
 
 

@@ -1,0 +1,275 @@
+"""Closed-loop golden digests and the edge cases of the per-step fast paths.
+
+The digests pin every bit of three short seeded rollouts: each state,
+observation and action is hashed through ``float.hex``.  A change to the
+simulator, the experts, the policy wrappers or the validation that alters
+any float, any random draw or the termination of a rollout changes them.
+"""
+
+import hashlib
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cabc.core import Action, Observation, Outcome, TerminationReason, Trajectory, VehicleState
+from cabc.experts import PidCenterline, RaceParams, RacingExpert
+from cabc.sim import SimConfig, default_start_state, episode_rng, lane_preview, rollout
+from cabc.track import curvature_at, default_tracks, peak_curvature
+from cabc.trainer import MixedPolicy, MlpPolicy, TrainConfig, init_policy
+
+from conftest import make_state, make_trajectory
+
+
+def _digest(traj: Trajectory) -> str:
+    h = hashlib.sha256()
+    h.update(f"{traj.outcome.value} {traj.termination_reason.value} {len(traj)}\n".encode())
+    for smp in traj.samples:
+        parts = (smp.x.as_tuple() + smp.y.as_tuple() + smp.u_expert.as_tuple()
+                 + smp.u_applied.as_tuple() + smp.x_next.as_tuple())
+        h.update(" ".join(float.hex(v) for v in parts).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _racing_gp(gp):
+    cfg = SimConfig(lap_target=2)
+    return rollout(cfg, gp, RacingExpert(cfg, gp), default_start_state(), 600,
+                   episode_rng(11, 0))
+
+
+def _pid_circle(circle):
+    cfg = SimConfig(lap_target=2)
+    return rollout(cfg, circle, PidCenterline(cfg, circle), default_start_state(), 600,
+                   episode_rng(12, 0))
+
+
+def _mixed_circle(circle):
+    cfg = SimConfig()
+    tcfg = TrainConfig(seed=1, hidden=(16, 16), sim=cfg)
+    learner = MlpPolicy(init_policy(tcfg, circle), "output", circle)
+    mixed = MixedPolicy(PidCenterline(cfg, circle), learner, 0.5, episode_rng(13, 1),
+                        sigma_u=0.15)
+    return rollout(cfg, circle, mixed, default_start_state(), 200, episode_rng(13, 0),
+                   relabel=lambda x: mixed.last_expert_action)
+
+
+# SHA-256 of the three rollouts, recorded before the closed-loop fast paths
+GOLDEN = {
+    "racing_gp": "b7a47b8fe1a6a9db2831d7efb070fb0890a0f955eb3ba0ead0357d71df7b895b",
+    "pid_circle": "2b90bfe678d4e83f211f2e28bae10cd13c44c862fed80de63c942048a5b74ebb",
+    "mixed_circle": "2df2aeea9a04b2f5e0476f8149baab0ccca067fa9fbf7ca9b031f98360075a82",
+}
+
+
+class TestGoldenRollouts:
+    def test_racing_gp(self, gp):
+        assert _digest(_racing_gp(gp)) == GOLDEN["racing_gp"]
+
+    def test_pid_circle(self, circle):
+        assert _digest(_pid_circle(circle)) == GOLDEN["pid_circle"]
+
+    def test_mixed_circle(self, circle):
+        assert _digest(_mixed_circle(circle)) == GOLDEN["mixed_circle"]
+
+
+# --- one segment lookup per curvature ------------------------------------------------
+
+def _reference_curvature(track, s):
+    """Reference: the clamped segment search of ``TrackSpec._segment_index``."""
+    return track.segments[track._segment_index(s % track.lap_length)][1]
+
+
+def _probe_arcs(track):
+    lap = track.lap_length
+    arcs = [0.0, -0.0, 5e-324, -5e-324, -1e-17, lap, -lap, 3 * lap, -7 * lap, 1e6]
+    for start in track._starts:
+        for k in (-2, 0, 1):
+            base = start + k * lap
+            arcs += [base, math.nextafter(base, -math.inf), math.nextafter(base, math.inf),
+                     -base]
+    return arcs
+
+
+@pytest.mark.parametrize("name", ["circle", "lshaped", "gp"])
+def test_curvature_lookup_matches_clamped_search(name):
+    track = {t.name: t for t in default_tracks()}[name]
+    arcs = _probe_arcs(track)
+    # rounding maps some negative arcs onto the lap end, the clamped case
+    assert any(s % track.lap_length == track.lap_length for s in arcs)
+    for s in arcs:
+        assert curvature_at(track, s) == _reference_curvature(track, s), s
+
+
+@pytest.mark.parametrize("name", ["circle", "lshaped", "gp"])
+def test_peak_curvature_matches_clamped_search(name):
+    track = {t.name: t for t in default_tracks()}[name]
+    params = RaceParams()
+    for s in _probe_arcs(track):
+        for lookahead, ds in ((params.lookahead, 0.25), (0.0, 0.25), (3 * track.lap_length, 7.0)):
+            worst, d = 0.0, 0.0
+            while d <= lookahead:
+                worst = max(worst, abs(_reference_curvature(track, s + d)))
+                d += ds
+            assert peak_curvature(track, s, lookahead, ds) == worst, (s, lookahead)
+
+
+# --- lane preview ---------------------------------------------------------------------
+
+def _reference_lane_preview(track, x, distances):
+    """Reference walk: sorts the distances and recomputes the heading's sine
+    and cosine at every advance."""
+    order = sorted(range(len(distances)), key=lambda i: distances[i])
+    out = [0.0] * len(distances)
+    px, py, psi = 0.0, 0.0, 0.0
+    arc = 0.0
+    s_w = x.s % track.lap_length
+    seg = track._segment_index(s_w)
+    n_seg = len(track.segments)
+    remaining = track._starts[seg + 1] - s_w
+    sin_e, cos_e = math.sin(x.e_psi), math.cos(x.e_psi)
+
+    def advance(length, kappa):
+        nonlocal px, py, psi
+        if abs(kappa) < 1e-12:
+            px += length * math.cos(psi)
+            py += length * math.sin(psi)
+        else:
+            p1 = psi + kappa * length
+            px += (math.sin(p1) - math.sin(psi)) / kappa
+            py -= (math.cos(p1) - math.cos(psi)) / kappa
+            psi = p1
+
+    for i in order:
+        d = float(distances[i])
+        while arc + remaining < d:
+            advance(remaining, track.segments[seg][1])
+            arc += remaining
+            seg = (seg + 1) % n_seg
+            remaining = track.segments[seg][0]
+        partial = d - arc
+        advance(partial, track.segments[seg][1])
+        remaining -= partial
+        arc = d
+        out[i] = -sin_e * px + cos_e * (py - x.x_tran)
+    return out
+
+
+def _preview_states(track, n=40):
+    rng = np.random.default_rng(7)
+    return [make_state(s=float(s), xt=float(xt), ep=float(ep))
+            for s, xt, ep in zip(rng.uniform(-track.lap_length, 3 * track.lap_length, n),
+                                 rng.uniform(-0.5, 0.5, n), rng.uniform(-1.0, 1.0, n))]
+
+
+@pytest.mark.parametrize("name", ["circle", "lshaped", "gp"])
+def test_lane_preview_matches_reference_walk(name):
+    track = {t.name: t for t in default_tracks()}[name]
+    # long ranges cross many segments and wrap the lap
+    for distances in (SimConfig().preview_distances, (0.5, 7.0, 7.0, 30.0, 95.0)):
+        for x in _preview_states(track):
+            assert lane_preview(track, x, distances) == _reference_lane_preview(track, x, distances)
+
+
+def test_lane_preview_unsorted_is_sorted_permuted(gp):
+    distances = [3.0, 1, 7.5, 2.0, 2.0, 10.0, 0.5]
+    order = sorted(range(len(distances)), key=distances.__getitem__)
+    for x in _preview_states(gp, 10):
+        ahead = lane_preview(gp, x, [distances[i] for i in order])
+        expected = [0.0] * len(distances)
+        for i, offset in zip(order, ahead):
+            expected[i] = offset
+        assert lane_preview(gp, x, distances) == expected
+        assert lane_preview(gp, x, np.array(distances)) == expected
+        assert lane_preview(gp, x, distances) == _reference_lane_preview(gp, x, distances)
+
+
+# --- validation fast paths ---------------------------------------------------------------
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_state_fast_path_still_rejects_non_finite(bad):
+    names = ("v_long", "v_tran", "omega_psi", "s", "x_tran", "e_psi")
+    for k, name in enumerate(names):
+        values = [0.5] * 6
+        values[k] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            VehicleState(*values)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_observation_and_action_fast_paths_still_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="omega_psi must be finite"):
+        Observation(1.0, 0.0, bad, (0.1, 0.2))
+    with pytest.raises(ValueError, match="preview must be finite"):
+        Observation(1.0, 0.0, 0.0, (0.1, bad, 0.2))
+    with pytest.raises(ValueError, match="u_steer must be finite"):
+        Action(0.0, bad)
+    with pytest.raises(ValueError, match="u_a must be finite"):
+        Action(bad, 0.0)
+
+
+def test_fast_paths_still_convert_numpy_scalars_and_ints():
+    x = VehicleState(np.float64(1.5), 0, np.float32(0.25), np.int64(3), 0.1, -0.0)
+    y = Observation(np.float64(1.0), 2, 0.5, np.array([0.1, 0.2]))
+    u = Action(np.float64(0.5), -1)
+    for v in x.as_tuple() + y.as_tuple() + u.as_tuple():
+        assert type(v) is float
+    assert x.as_tuple() == (1.5, 0.0, 0.25, 3.0, 0.1, -0.0)
+    assert y.preview == (0.1, 0.2) and type(y.preview) is tuple
+    assert Action.clamped(np.float64(3.0), np.float32(-0.5)) == Action(1.0, -0.5)
+
+
+def test_fast_paths_accept_finite_values_whose_sum_overflows():
+    big = 1e308
+    assert VehicleState(big, big, big, big, big, big).s == big
+    assert Observation(big, big, 0.0, (big, big)).preview == (big, big)
+
+
+def test_action_fast_path_keeps_the_box():
+    assert Action(-1.0, 1.0).as_tuple() == (-1.0, 1.0)
+    assert Action(1.0, -1.0).as_tuple() == (1.0, -1.0)
+    for edge in (1.0, -1.0):
+        outside = math.nextafter(edge, 2.0 * edge)
+        with pytest.raises(ValueError, match="u_a out of"):
+            Action(outside, 0.0)
+        with pytest.raises(ValueError, match="u_steer out of"):
+            Action(0.0, outside)
+
+
+# --- chaining and clamping in the loop ----------------------------------------------------
+
+def test_trajectory_chain_accepts_equal_distinct_states_and_rejects_breaks():
+    traj = make_trajectory(3, Outcome.SUCCESS)
+    a, b, c = traj.samples
+    b_copy = replace(b, x=VehicleState(*b.x.as_tuple()))
+    assert b_copy.x is not a.x_next and b_copy.x == a.x_next
+    Trajectory(samples=(a, b_copy, c), outcome=Outcome.SUCCESS,
+               termination_reason=TerminationReason.REACHED_TARGET)
+    broken = replace(b, x=make_state(v=1.0, s=b.x.s + 1e-9))
+    with pytest.raises(ValueError, match="does not chain at step 0"):
+        Trajectory(samples=(a, broken, c), outcome=Outcome.SUCCESS,
+                   termination_reason=TerminationReason.REACHED_TARGET)
+
+
+class _Command:
+    """A policy output that is not an Action: the rollout must clip it."""
+
+    def __init__(self, u_a, u_steer):
+        self.u_a, self.u_steer = u_a, u_steer
+
+
+def test_rollout_applies_actions_as_they_are_and_clamps_the_rest(circle, noiseless_sim):
+    u = Action(0.3, 0.1)
+    traj = rollout(noiseless_sim, circle, lambda y, x: u, default_start_state(), 3,
+                   episode_rng(0, 0))
+    assert all(smp.u_applied is u for smp in traj.samples)
+    traj = rollout(noiseless_sim, circle, lambda y, x: _Command(4.0, np.float64(-2.0)),
+                   default_start_state(), 3, episode_rng(0, 0))
+    assert all(smp.u_applied == Action(1.0, -1.0) for smp in traj.samples)
+    with pytest.raises(ValueError, match="u_a must be finite"):
+        rollout(noiseless_sim, circle, lambda y, x: _Command(math.nan, 0.0),
+                default_start_state(), 3, episode_rng(0, 0))

@@ -41,6 +41,15 @@ class TestTypes:
             Action(0.0, -1.0001)
         assert Action.clamped(3.0, -7.0) == Action(1.0, -1.0)
 
+    def test_clamped_rejects_non_finite(self):
+        # max(-1.0, nan) is -1.0: clipping must not turn nan into a full command
+        with pytest.raises(ValueError, match="u_a must be finite"):
+            Action.clamped(float("nan"), 0.3)
+        with pytest.raises(ValueError, match="u_steer must be finite"):
+            Action.clamped(0.3, float("-inf"))
+        with pytest.raises(ValueError, match="u_a must be finite"):
+            Action.clamped(float("inf"), 0.0)
+
     def test_observation_length(self):
         y = Observation(1.0, 0.0, 0.0, (0.1, 0.2, 0.3))
         assert len(y.as_tuple()) == 6

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cabc import nn as nn_module
 from cabc.nn import (
     MlpParams,
     ParamGrads,
     Tape,
+    _central_differences,
     adam_step,
     backward,
     forward,
@@ -122,6 +124,70 @@ class TestBackward:
         assert grads is not None and none is None
         assert gx_frozen.shape == gx_full.shape
         assert np.array_equal(gx_frozen, gx_full)
+
+    @pytest.mark.parametrize("sizes,head", [
+        ((3, 5, 4, 2), "tanh"),
+        ((4, 6, 3), "identity"),
+        ((5, 7, 1), "sigmoid"),
+    ])
+    def test_batched_differences_match_per_entry(self, sizes, head):
+        """Layer-batched central differences equal perturbing one entry at a time."""
+        p = init_mlp(sizes, head=head, seed=2)
+        rng = np.random.default_rng(1)
+        x, c, h = rng.normal(size=sizes[0]), rng.normal(size=sizes[-1]), 1e-5
+
+        def scalar(params, xv):
+            return float(c @ forward(params, xv))
+
+        theta = p.flat.copy()
+        q = p.with_flat(theta)
+        per_entry = []
+        for j in range(len(theta)):
+            theta[j] = p.flat[j] + h
+            f_plus = scalar(q, x)
+            theta[j] = p.flat[j] - h
+            f_minus = scalar(q, x)
+            theta[j] = p.flat[j]
+            per_entry.append((f_plus - f_minus) / (2 * h))
+        for j in range(len(x)):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            per_entry.append((scalar(p, xp) - scalar(p, xm)) / (2 * h))
+        # a chunk smaller than one layer exercises the chunk boundaries
+        batched = _central_differences(p, x, c, h, chunk=7)
+        assert batched.shape == (len(per_entry),)
+        assert np.max(np.abs(batched - np.array(per_entry))) < 1e-9
+
+    def test_grad_check_catches_a_wrong_gradient(self, monkeypatch):
+        p = init_mlp((3, 4, 2), head="tanh", seed=0)
+        x = np.random.default_rng(0).normal(size=3)
+        assert grad_check(p, x).passed
+        real = nn_module.backward
+
+        def off_by_one_entry(*args, **kw):
+            grads, gx = real(*args, **kw)
+            grads.flat[5] += 1e-2
+            return grads, gx
+
+        monkeypatch.setattr(nn_module, "backward", off_by_one_entry)
+        report = grad_check(p, x)
+        assert not report.passed and report.n_checked == p.flat.size + 3
+
+    def test_grad_check_catches_a_drifted_forward(self, monkeypatch):
+        """A forward that leaves the math fails the check, even though the
+        parameter differences never call it and its input differences cancel
+        a constant shift."""
+        p = init_mlp((3, 4, 2), head="tanh", seed=0)
+        x = np.random.default_rng(0).normal(size=3)
+        real = nn_module.forward
+
+        def shifted(*args, **kw):
+            return real(*args, **kw) + 1e-3
+
+        monkeypatch.setattr(nn_module, "forward", shifted)
+        report = grad_check(p, x)
+        assert report.max_rel_err <= 1e-4 and not report.passed
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
