@@ -6,12 +6,15 @@ Loops (minimum over ``REPEATS`` of the mean cost of one step):
 - ``racing_gp``:     the racing expert on gp, two laps, observation noise;
 - ``pid_circle``:    the PID expert on circle, two laps;
 - ``mixed_circle``:  collection's mixture on circle: the PID expert and an
-  untrained 128-wide output-feedback policy, beta = 0.5, actuation noise.
+  untrained 128-wide output-feedback policy, beta = 0.5, actuation noise;
+- ``mixed_full_circle``: the same mixture with a 128-wide full-state policy
+  (``--obs full``).
 
 Calls (minimum over ``REPEATS`` of the mean cost of one call, each made on
 the states and observations the racing loop visited): ``sim.step``,
-``sim.observe``, ``sim.lane_preview``, ``RacingExpert.__call__`` and the
-batch-1 ``MlpPolicy.__call__``.
+``sim.observe``, ``sim.lane_preview``, ``RacingExpert.__call__``, the
+batch-1 ``MlpPolicy.__call__`` and the full-state policy features
+``trainer.features_from_state``.
 
 Each invocation appends one record under ``--label`` to ``--out`` and
 rewrites the per-label summary: the minimum over that label's records, since
@@ -41,33 +44,45 @@ def _import_cabc(src: str) -> None:
     import cabc  # noqa: F401
 
 
+def _rng(seed: int, key: int):
+    """Stream ``key`` of ``seed``, as ``cabc.sim.rng_stream(seed, key)`` draws it.
+
+    Built here so that checkouts from before that helper measure the same loops.
+    """
+    import numpy as np
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+
+
 def _loops() -> dict:
     from cabc.experts import PidCenterline, RacingExpert
-    from cabc.sim import SimConfig, default_start_state, episode_rng, rollout
+    from cabc.sim import SimConfig, default_start_state, rollout
     from cabc.track import get_track
     from cabc.trainer import MixedPolicy, MlpPolicy, TrainConfig, init_policy
 
     gp, circle = get_track("gp"), get_track("circle")
     cfg = SimConfig(lap_target=2)
     learner = MlpPolicy(init_policy(TrainConfig(seed=1, sim=cfg), circle), "output", circle)
+    full_cfg = TrainConfig(seed=1, sim=cfg, observation_mode="full_state")
+    full_learner = MlpPolicy(init_policy(full_cfg, circle), "full_state", circle)
 
     def racing_gp():
         return rollout(cfg, gp, RacingExpert(cfg, gp), default_start_state(), 1200,
-                       episode_rng(11, 0))
+                       _rng(11, 0))
 
     def pid_circle():
         return rollout(cfg, circle, PidCenterline(cfg, circle), default_start_state(), 1200,
-                       episode_rng(12, 0))
+                       _rng(12, 0))
 
-    def mixed_circle():
-        mixed = MixedPolicy(PidCenterline(cfg, circle), learner, 0.5, episode_rng(13, 1),
+    def mixture(policy):
+        mixed = MixedPolicy(PidCenterline(cfg, circle), policy, 0.5, _rng(13, 1),
                             sigma_u=0.15)
-        return rollout(cfg, circle, mixed, default_start_state(), 1200, episode_rng(13, 0),
+        return rollout(cfg, circle, mixed, default_start_state(), 1200, _rng(13, 0),
                        relabel=lambda x: mixed.last_expert_action)
 
     out = {}
     for name, run in (("racing_gp", racing_gp), ("pid_circle", pid_circle),
-                      ("mixed_circle", mixed_circle)):
+                      ("mixed_circle", lambda: mixture(learner)),
+                      ("mixed_full_circle", lambda: mixture(full_learner))):
         best, steps = float("inf"), 0
         for _ in range(REPEATS):
             t0 = time.perf_counter()
@@ -81,21 +96,20 @@ def _loops() -> dict:
 
 def _calls() -> dict:
     from cabc.experts import RacingExpert
-    from cabc.sim import (SimConfig, default_start_state, episode_rng, lane_preview, observe,
-                          rollout, step)
+    from cabc.sim import SimConfig, default_start_state, lane_preview, observe, rollout, step
     from cabc.track import get_track
-    from cabc.trainer import MlpPolicy, TrainConfig, init_policy
+    from cabc.trainer import MlpPolicy, TrainConfig, features_from_state, init_policy
 
     gp = get_track("gp")
     cfg = SimConfig(lap_target=2)
     traj = rollout(cfg, gp, RacingExpert(cfg, gp), default_start_state(), 1200,
-                   episode_rng(11, 0))
+                   _rng(11, 0))
     states = [smp.x for smp in traj.samples]
     obs = [smp.y for smp in traj.samples]
     acts = [smp.u_applied for smp in traj.samples]
     expert = RacingExpert(cfg, gp)
     policy = MlpPolicy(init_policy(TrainConfig(seed=1, sim=cfg), gp), "output", gp)
-    rng = episode_rng(0, 0)
+    rng = _rng(0, 0)
     distances = cfg.preview_distances
     pairs = list(zip(states, acts, obs))
 
@@ -105,6 +119,7 @@ def _calls() -> dict:
         "sim.lane_preview": lambda: [lane_preview(gp, x, distances) for x in states],
         "RacingExpert.__call__": lambda: [expert(y, x) for x, _, y in pairs],
         "MlpPolicy.__call__": lambda: [policy(y, x) for x, _, y in pairs],
+        "trainer.features_from_state": lambda: [features_from_state(x, gp) for x in states],
     }
     out = {}
     for name, run in cases.items():
@@ -125,8 +140,10 @@ def _summary(records: list) -> dict:
     for label, recs in by_label.items():
         summ = {"records": len(recs)}
         for group, unit in (("loops", "us_per_step"), ("calls", "us_per_call")):
-            summ[group] = {name: min(r[group][name][unit] for r in recs)
-                           for name in recs[0][group]}
+            # a measurement added later is summarised over the records that have it
+            names = dict.fromkeys(name for r in recs for name in r[group])
+            summ[group] = {name: min(r[group][name][unit] for r in recs if name in r[group])
+                           for name in names}
         out[label] = summ
     return out
 

@@ -16,12 +16,12 @@ from .core import (
     save_dataset,
 )
 from .track import TrackSpec, curvature_at, default_tracks, frenet_to_cartesian, get_track
-from .sim import SimConfig, StepResult, in_constraints, in_target, observe, rollout, step
+from .sim import SimConfig, in_constraints, in_target, observe, rollout, step
 
 __all__ = [
     "Action", "LabeledPool", "Observation", "Outcome", "Sample",
     "TerminationReason", "Trajectory", "VehicleState",
     "load_dataset", "partition_trajectories", "save_dataset",
     "TrackSpec", "curvature_at", "default_tracks", "frenet_to_cartesian", "get_track",
-    "SimConfig", "StepResult", "in_constraints", "in_target", "observe", "rollout", "step",
+    "SimConfig", "in_constraints", "in_target", "observe", "rollout", "step",
 ]

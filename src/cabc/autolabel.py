@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import LabeledPool, VehicleState
+from .core import VehicleState
 
 SIGMA_MIN = 1e-6
 HULL_TOL = 1e-7
@@ -31,24 +31,38 @@ HULL_TOL = 1e-7
 
 # --- state embedding and normalization ---------------------------------------
 
-def embed_state(x: VehicleState, lap_length: float) -> np.ndarray:
-    """6-D state -> 7-D embedding with ``s`` mapped to the unit circle.
+def embed(states_raw: np.ndarray, lap_length: float) -> np.ndarray:
+    """Raw ``(B, 6)`` states -> ``(B, 7)`` embedding with ``s`` on the unit circle.
 
-    The embedding makes the neighbor metric periodic in ``s``: states just
-    before and just after the start line are close.
+    Columns: ``v_long, v_tran, omega_psi, cos(2 pi s / L), sin(2 pi s / L),
+    x_tran, e_psi``.  The embedding makes the neighbor metric periodic in
+    ``s``: states just before and just after the start line are close.
     """
-    ang = 2.0 * math.pi * x.s / lap_length
-    return np.array([x.v_long, x.v_tran, x.omega_psi,
-                     math.cos(ang), math.sin(ang), x.x_tran, x.e_psi])
-
-
-def embed_states(states: Sequence[VehicleState], lap_length: float) -> np.ndarray:
-    if not states:
-        return np.zeros((0, 7))
-    arr = np.array([st.as_tuple() for st in states])
+    arr = np.atleast_2d(np.asarray(states_raw, dtype=float))
     ang = 2.0 * math.pi * arr[:, 3] / lap_length
     return np.column_stack([arr[:, 0], arr[:, 1], arr[:, 2],
                             np.cos(ang), np.sin(ang), arr[:, 4], arr[:, 5]])
+
+
+def embed_vjp(states_raw: np.ndarray, grad_embed: np.ndarray,
+              lap_length: float) -> np.ndarray:
+    """Pull a ``(B, 7)`` gradient w.r.t. :func:`embed` back to the raw states.
+
+    The embedding is identity on five dimensions and maps ``s`` onto the unit
+    circle, so the only nontrivial rows are the cos/sin pair.
+    """
+    ang = 2.0 * math.pi * states_raw[:, 3] / lap_length
+    scale = 2.0 * math.pi / lap_length
+    g_x = np.empty((len(states_raw), 6))
+    g_x[:, 0:3] = grad_embed[:, 0:3]
+    g_x[:, 3] = scale * (-np.sin(ang) * grad_embed[:, 3] + np.cos(ang) * grad_embed[:, 4])
+    g_x[:, 4] = grad_embed[:, 5]
+    g_x[:, 5] = grad_embed[:, 6]
+    return g_x
+
+
+def _raw_states(states: Sequence[VehicleState]) -> np.ndarray:
+    return np.array([st.as_tuple() for st in states], dtype=float).reshape(-1, 6)
 
 
 @dataclass(frozen=True)
@@ -62,14 +76,8 @@ class NormStats:
     def normalize(self, embedded: np.ndarray) -> np.ndarray:
         return (embedded - self.mean) / self.std
 
-    def denormalize(self, normalized: np.ndarray) -> np.ndarray:
-        return normalized * self.std + self.mean
-
     def normalize_states(self, states: Sequence[VehicleState]) -> np.ndarray:
-        return self.normalize(embed_states(states, self.lap_length))
-
-    def normalize_state(self, x: VehicleState) -> np.ndarray:
-        return self.normalize(embed_state(x, self.lap_length))
+        return self.normalize(embed(_raw_states(states), self.lap_length))
 
     @staticmethod
     def identity(dim: int) -> "NormStats":
@@ -80,7 +88,7 @@ def fit_norm(d_plus: Sequence[VehicleState], lap_length: float) -> NormStats:
     """Mean/std over the embedded positive pool, stds floored at ``SIGMA_MIN``."""
     if len(d_plus) < 2:
         raise ValueError("need at least 2 states to fit normalization")
-    emb = embed_states(d_plus, lap_length)
+    emb = embed(_raw_states(d_plus), lap_length)
     mean = emb.mean(axis=0)
     std = np.maximum(emb.std(axis=0), SIGMA_MIN)
     return NormStats(mean=mean, std=std, lap_length=lap_length)
@@ -99,7 +107,7 @@ def radius_neighbors(x: VehicleState, d_plus: Sequence[VehicleState],
         raise ValueError("rho must be non-negative")
     if not d_plus:
         return []
-    q = norm.normalize_state(x)
+    q = norm.normalize_states([x])[0]
     pts = norm.normalize_states(d_plus)
     d2 = ((pts - q) ** 2).sum(axis=1)
     return [d_plus[i] for i in np.flatnonzero(d2 <= rho * rho)]
@@ -239,58 +247,31 @@ def hull_membership(x: np.ndarray, points: np.ndarray, tol: float = HULL_TOL,
 def member_mask(plus_norm: np.ndarray, query_norm: np.ndarray, rho: float,
                 tol: float = HULL_TOL,
                 assume_member: Optional[np.ndarray] = None,
-                workers: int = 1,
                 max_neighbors: Optional[int] = None) -> np.ndarray:
     """Hull-membership flags for each query point against its radius neighbors.
 
     ``assume_member`` lets callers skip points already decided as members:
     with a fixed normalization, membership can only grow as the positive
-    pool grows, so cached positives stay valid.  With ``workers > 1`` the
-    queries (which are independent) are processed in index-disjoint chunks.
-    ``max_neighbors`` caps each hull at the nearest such neighbors; a subset
-    hull is contained in the full one, so capping only errs toward keeping
-    points in the negative set.
+    pool grows, so cached positives stay valid.  ``max_neighbors`` caps each
+    hull at the nearest such neighbors; a subset hull is contained in the
+    full one, so capping only errs toward keeping points in the negative set.
     """
-    m = len(query_norm)
-    mask = np.zeros(m, dtype=bool) if assume_member is None else assume_member.copy()
-    index = NeighborIndex(plus_norm)
-
-    def run(indices) -> None:
-        for i in indices:
-            if mask[i]:
-                continue
-            if max_neighbors is None:
-                idx = index.query(query_norm[i], rho)
-            else:
-                idx = index.query_nearest(query_norm[i], rho, max_neighbors)
-            if len(idx) == 0:
-                continue
-            mask[i] = hull_membership(query_norm[i], plus_norm[idx], tol)
-
-    workers = max(1, int(workers))
-    if workers == 1 or m < 2 * workers:
-        run(range(m))
+    if assume_member is None:
+        mask = np.zeros(len(query_norm), dtype=bool)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-        chunks = np.array_split(np.arange(m), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, chunks))
+        mask = assume_member.copy()
+    index = NeighborIndex(plus_norm)
+    for i, q in enumerate(query_norm):
+        if mask[i]:
+            continue
+        if max_neighbors is None:
+            idx = index.query(q, rho)
+        else:
+            idx = index.query_nearest(q, rho, max_neighbors)
+        if len(idx) == 0:
+            continue
+        mask[i] = hull_membership(q, plus_norm[idx], tol)
     return mask
-
-
-def build_negatives(pool: LabeledPool, norm: NormStats, rho: float,
-                    tol: float = HULL_TOL) -> LabeledPool:
-    """Rebuild the negative set: undecided states not in any local safe hull.
-
-    The undecided pool is retained untouched so the exclusion can be
-    recomputed as the positive pool grows.
-    """
-    plus_norm = norm.normalize_states(pool.d_plus)
-    query_norm = norm.normalize_states(pool.d_query)
-    mask = member_mask(plus_norm, query_norm, rho, tol)
-    d_minus = [st for st, member in zip(pool.d_query, mask) if not member]
-    return LabeledPool(d_plus=list(pool.d_plus), d_query=list(pool.d_query),
-                       d_minus=d_minus)
 
 
 # --- synthetic 2-D benchmark sets ---------------------------------------------
@@ -432,7 +413,7 @@ def sample_box(n: int, rng: np.random.Generator, lo: float = -5.0,
 
 def label_synthetic(synth: SyntheticSet, n_plus: int, n_query: int, rho: float,
                     rng: np.random.Generator, tol: float = HULL_TOL,
-                    box: Tuple[float, float] = (-5.0, 5.0), workers: int = 1):
+                    box: Tuple[float, float] = (-5.0, 5.0)):
     """Fig-style benchmark: sample pools, run the hull exclusion, return arrays.
 
     Returns ``(plus_pts, query_pts, removed_mask)`` where ``removed_mask``
@@ -440,7 +421,7 @@ def label_synthetic(synth: SyntheticSet, n_plus: int, n_query: int, rho: float,
     """
     plus = synth.sample_inside(n_plus, rng)
     query = sample_box(n_query, rng, box[0], box[1])
-    removed = member_mask(plus, query, rho, tol, workers=workers)
+    removed = member_mask(plus, query, rho, tol)
     return plus, query, removed
 
 

@@ -34,25 +34,15 @@ from .reports import (
     svg_xy_figure,
     write_reports_csv,
 )
-from .sim import SimConfig
 from .track import resolve_track
 from .trainer import (
     MlpPolicy,
     NonFiniteLossError,
-    TrainConfig,
     make_expert_factory,
     train,
 )
 
 EXIT_NONFINITE = 2
-
-
-def max_workers(requested: int = 0) -> int:
-    """Parallelism cap from the CABC_THREADS environment variable."""
-    cap = int(os.environ.get("CABC_THREADS", "1") or "1")
-    if requested <= 0:
-        return max(1, cap)
-    return max(1, min(requested, cap))
 
 
 def _load_configs(args) -> tuple:
@@ -199,11 +189,9 @@ def _cmd_labeldemo(args) -> int:
     synth = _SYNTH[args.set]()
     rhos = [float(tok) for tok in args.rho.split(",") if tok]
     os.makedirs(args.out, exist_ok=True)
-    workers = max_workers()
     for rho in rhos:
         rng = np.random.default_rng(args.seed)
-        plus, query, removed = label_synthetic(synth, args.n, args.n, rho, rng,
-                                               workers=workers)
+        plus, query, removed = label_synthetic(synth, args.n, args.n, rho, rng)
         sdf_plus = synth.signed_distance(plus)
         sdf_query = synth.signed_distance(query)
         tag = f"rho{rho:g}".replace(".", "p")
@@ -255,8 +243,7 @@ def _cmd_labeldemo(args) -> int:
             fh.write(svg)
         n_inc = int((sdf_query[removed] < 0).sum())
         print(f"rho={rho:g}: removed {int(removed.sum())} of {len(query)} "
-              f"({n_inc} outside the true set); wrote {points_path}, {grid_path}, {svg_path} "
-              f"[workers={workers}]")
+              f"({n_inc} outside the true set); wrote {points_path}, {grid_path}, {svg_path}")
     return 0
 
 

@@ -8,7 +8,7 @@ silent typos in experiment configs are worse than a hard error.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .experts import PidGains, RaceParams
 from .sim import SimConfig
@@ -33,11 +33,20 @@ _SIM_KEYS = {
     "noise_sigma_kappa": float,
     "preview_k": int,
     "preview_spacing": float,
-    "seed": int,
     "max_steps": int,
     "lap_target": int,
 }
 
+
+def _parse_hidden(text: str) -> Tuple[int, ...]:
+    return tuple(int(t) for t in text.split(",") if t)
+
+
+def _parse_flag(text: str) -> bool:
+    return bool(int(text))
+
+
+# ``seed`` seeds the simulator as well as the trainer
 _TRAIN_KEYS = {
     "epochs": int,
     "alpha": float,
@@ -56,11 +65,19 @@ _TRAIN_KEYS = {
     "grad_steps_policy": int,
     "grad_steps_dyn": int,
     "grad_steps_clf": int,
+    "seed": int,
     "method": str,
     "observation_mode": str,
-    "hidden": str,
+    "hidden": _parse_hidden,
     "eval_laps": int,
-    "early_stop": int,
+    "early_stop": _parse_flag,
+}
+
+# where a config key and its TrainConfig field differ in name or text form
+_TRAIN_FIELDS = {"lambda": "lam"}
+_RENDER = {
+    "hidden": lambda hidden: ",".join(str(h) for h in hidden),
+    "early_stop": lambda flag: "1" if flag else "0",
 }
 
 _EXPERT_KEYS = {
@@ -99,13 +116,14 @@ def parse_config_file(path) -> Dict[str, str]:
     return values
 
 
-def _typed(values: Dict[str, str], table: Dict[str, type]) -> Dict[str, object]:
+def _typed(values: Dict[str, str],
+           table: Dict[str, Callable[[str], object]]) -> Dict[str, object]:
     return {k: table[k](v) for k, v in values.items() if k in table}
 
 
 def sim_config_from(values: Dict[str, str], base: Optional[SimConfig] = None) -> SimConfig:
     base = base or SimConfig()
-    typed = _typed(values, _SIM_KEYS)
+    typed = _typed(values, {**_SIM_KEYS, "seed": int})
     if "preview_k" in typed or "preview_spacing" in typed:
         k = typed.pop("preview_k", len(base.preview_distances))
         spacing = typed.pop("preview_spacing", 1.0)
@@ -116,15 +134,7 @@ def sim_config_from(values: Dict[str, str], base: Optional[SimConfig] = None) ->
 def train_config_from(values: Dict[str, str], sim: SimConfig,
                       base: Optional[TrainConfig] = None) -> TrainConfig:
     base = base or TrainConfig()
-    typed = _typed(values, _TRAIN_KEYS)
-    if "lambda" in typed:
-        typed["lam"] = typed.pop("lambda")
-    if "hidden" in typed:
-        typed["hidden"] = tuple(int(t) for t in typed["hidden"].split(",") if t)
-    if "early_stop" in typed:
-        typed["early_stop"] = bool(typed["early_stop"])
-    if "seed" in values:
-        typed["seed"] = int(values["seed"])
+    typed = {_TRAIN_FIELDS.get(k, k): v for k, v in _typed(values, _TRAIN_KEYS).items()}
     return replace(base, sim=sim, **typed)
 
 
@@ -151,56 +161,23 @@ def expert_params_from(values: Dict[str, str]) -> Tuple[float, PidGains, RacePar
     return v_ref, gains, race
 
 
+def _render(key: str, value) -> str:
+    if key in _RENDER:
+        return _RENDER[key](value)
+    return value if isinstance(value, str) else repr(value)
+
+
 def snapshot_config(cfg: TrainConfig, values: Dict[str, str]) -> str:
-    """Render a full, reloadable snapshot of the effective configuration."""
+    """Render a full, reloadable snapshot of the effective configuration.
+
+    Every simulator and trainer key is written, in table order, followed by
+    the expert keys the run's own config file set.
+    """
     sim = cfg.sim
-    spacing = (sim.preview_distances[0] if sim.preview_distances else 1.0)
-    lines = [
-        f"dt = {sim.dt!r}",
-        f"v_max = {sim.v_max!r}",
-        f"drive_gain = {sim.drive_gain!r}",
-        f"drag_lin = {sim.drag_lin!r}",
-        f"drag_quad = {sim.drag_quad!r}",
-        f"stiff_front = {sim.stiff_front!r}",
-        f"stiff_rear = {sim.stiff_rear!r}",
-        f"l_front = {sim.l_front!r}",
-        f"l_rear = {sim.l_rear!r}",
-        f"yaw_radius_sq = {sim.yaw_radius_sq!r}",
-        f"steer_max = {sim.steer_max!r}",
-        f"v_slip_floor = {sim.v_slip_floor!r}",
-        f"half_width_margin = {sim.half_width_margin!r}",
-        f"e_psi_max = {sim.e_psi_max!r}",
-        f"noise_sigma_v = {sim.noise_sigma_v!r}",
-        f"noise_sigma_kappa = {sim.noise_sigma_kappa!r}",
-        f"preview_k = {len(sim.preview_distances)}",
-        f"preview_spacing = {spacing!r}",
-        f"max_steps = {sim.max_steps}",
-        f"lap_target = {sim.lap_target}",
-        f"epochs = {cfg.epochs}",
-        f"alpha = {cfg.alpha!r}",
-        f"rho = {cfg.rho!r}",
-        f"lambda = {cfg.lam!r}",
-        f"k_f = {cfg.k_f}",
-        f"k_p = {cfg.k_p}",
-        f"episodes_per_epoch = {cfg.episodes_per_epoch}",
-        f"actuation_noise_sigma = {cfg.actuation_noise_sigma!r}",
-        f"hull_tol = {cfg.hull_tol!r}",
-        f"neighbor_cap = {cfg.neighbor_cap}",
-        f"batch_size = {cfg.batch_size}",
-        f"lr_policy = {cfg.lr_policy!r}",
-        f"lr_dyn = {cfg.lr_dyn!r}",
-        f"lr_clf = {cfg.lr_clf!r}",
-        f"grad_steps_policy = {cfg.grad_steps_policy}",
-        f"grad_steps_dyn = {cfg.grad_steps_dyn}",
-        f"grad_steps_clf = {cfg.grad_steps_clf}",
-        f"seed = {cfg.seed}",
-        f"method = {cfg.method}",
-        f"observation_mode = {cfg.observation_mode}",
-        "hidden = " + ",".join(str(h) for h in cfg.hidden),
-        f"eval_laps = {cfg.eval_laps}",
-        f"early_stop = {1 if cfg.early_stop else 0}",
-    ]
-    for key in sorted(_EXPERT_KEYS):
-        if key in values:
-            lines.append(f"{key} = {values[key]}")
+    preview = {"preview_k": len(sim.preview_distances),
+               "preview_spacing": sim.preview_distances[0] if sim.preview_distances else 1.0}
+    current = {key: preview[key] if key in preview else getattr(sim, key) for key in _SIM_KEYS}
+    current.update((key, getattr(cfg, _TRAIN_FIELDS.get(key, key))) for key in _TRAIN_KEYS)
+    lines = [f"{key} = {_render(key, value)}" for key, value in current.items()]
+    lines += [f"{key} = {values[key]}" for key in sorted(_EXPERT_KEYS) if key in values]
     return "\n".join(lines) + "\n"

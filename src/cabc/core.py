@@ -339,6 +339,13 @@ def _field(obj: dict, line_no: int, name: str):
     return obj[name]
 
 
+def _index(obj: dict, line_no: int, name: str) -> int:
+    value = _field(obj, line_no, name)
+    if type(value) is not int:
+        raise DatasetFormatError(line_no, f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_sample(obj: dict, line_no: int) -> Sample:
     try:
         return Sample(
@@ -363,7 +370,7 @@ def load_dataset(path) -> Union[LabeledPool, list]:
     Malformed records raise :class:`DatasetFormatError` with the line number.
     """
     headers: dict = {}
-    samples: dict = {}
+    samples: dict = {}   # traj_id -> {k: sample}
     pool = LabeledPool()
     saw_pool = False
     saw_traj = False
@@ -381,21 +388,29 @@ def load_dataset(path) -> Union[LabeledPool, list]:
             kind = _field(obj, line_no, "kind")
             if kind == "traj":
                 saw_traj = True
-                tid = _field(obj, line_no, "traj_id")
+                tid = _index(obj, line_no, "traj_id")
+                if tid in headers:
+                    raise DatasetFormatError(line_no, f"second 'traj' header for trajectory {tid}")
                 try:
                     headers[tid] = (
                         Outcome(_field(obj, line_no, "outcome")),
                         TerminationReason(_field(obj, line_no, "reason")),
+                        line_no,
                     )
                 except ValueError as exc:
                     raise DatasetFormatError(line_no, str(exc)) from exc
-                samples.setdefault(tid, [])
+                samples[tid] = {}
             elif kind == "sample":
                 saw_traj = True
-                tid = _field(obj, line_no, "traj_id")
-                samples.setdefault(tid, []).append(
-                    (_field(obj, line_no, "k"), _parse_sample(obj, line_no))
-                )
+                tid = _index(obj, line_no, "traj_id")
+                k = _index(obj, line_no, "k")
+                sample = _parse_sample(obj, line_no)
+                if tid not in headers:
+                    raise DatasetFormatError(
+                        line_no, f"sample of trajectory {tid} before its 'traj' header")
+                if k in samples[tid]:
+                    raise DatasetFormatError(line_no, f"duplicate k={k} in trajectory {tid}")
+                samples[tid][k] = sample
             elif kind == "pool":
                 saw_pool = True
                 which = _field(obj, line_no, "set")
@@ -416,7 +431,11 @@ def load_dataset(path) -> Union[LabeledPool, list]:
         return pool
     trajs = []
     for tid in sorted(headers):
-        outcome, reason = headers[tid]
-        ordered = [smp for _, smp in sorted(samples.get(tid, []), key=lambda t: t[0])]
-        trajs.append(Trajectory(samples=ordered, outcome=outcome, termination_reason=reason))
+        outcome, reason, line_no = headers[tid]
+        steps = samples[tid]
+        try:
+            trajs.append(Trajectory(samples=[steps[k] for k in sorted(steps)],
+                                    outcome=outcome, termination_reason=reason))
+        except ValueError as exc:
+            raise DatasetFormatError(line_no, f"trajectory {tid}: {exc}") from exc
     return trajs

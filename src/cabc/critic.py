@@ -10,7 +10,6 @@ updating the critic weights.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -18,40 +17,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import nn
-from .autolabel import NormStats, embed_states
+from .autolabel import NormStats, embed, embed_vjp
 from .core import Action, VehicleState
 from .sim import SimConfig
 
 
 class DegenerateLabelsError(ValueError):
     """Classifier training needs both label classes present."""
-
-
-def embed_array(states_raw: np.ndarray, lap_length: float) -> np.ndarray:
-    """Vectorized state embedding for raw (B, 6) state arrays."""
-    arr = np.atleast_2d(np.asarray(states_raw, dtype=float))
-    ang = 2.0 * math.pi * arr[:, 3] / lap_length
-    return np.column_stack([arr[:, 0], arr[:, 1], arr[:, 2],
-                            np.cos(ang), np.sin(ang), arr[:, 4], arr[:, 5]])
-
-
-def _embed_jacobian_chain(grad_embed: np.ndarray, states_raw: np.ndarray,
-                          norm: NormStats) -> np.ndarray:
-    """Pull a gradient w.r.t. the normalized embedding back to the raw state.
-
-    The embedding is identity on five dimensions and maps ``s`` onto the unit
-    circle, so the only nontrivial rows are the cos/sin pair.
-    """
-    arr = np.atleast_2d(np.asarray(states_raw, dtype=float))
-    g_e = grad_embed / norm.std  # undo standardization
-    ang = 2.0 * math.pi * arr[:, 3] / norm.lap_length
-    scale = 2.0 * math.pi / norm.lap_length
-    g_x = np.empty((len(arr), 6))
-    g_x[:, 0:3] = g_e[:, 0:3]
-    g_x[:, 3] = scale * (-np.sin(ang) * g_e[:, 3] + np.cos(ang) * g_e[:, 4])
-    g_x[:, 4] = g_e[:, 5]
-    g_x[:, 5] = g_e[:, 6]
-    return g_x
 
 
 def delta_scale_from(cfg: SimConfig) -> np.ndarray:
@@ -80,7 +52,7 @@ class DynModel:
     delta_scale: np.ndarray
 
     def inputs(self, states_raw: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        emb = self.norm.normalize(embed_array(states_raw, self.norm.lap_length))
+        emb = self.norm.normalize(embed(states_raw, self.norm.lap_length))
         return np.column_stack([emb, np.atleast_2d(actions)])
 
     def predict(self, states_raw: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -97,7 +69,7 @@ class SafetyClf:
     lam: float = 1.0
 
     def prob(self, states_raw: np.ndarray) -> np.ndarray:
-        emb = self.norm.normalize(embed_array(states_raw, self.norm.lap_length))
+        emb = self.norm.normalize(embed(states_raw, self.norm.lap_length))
         return nn.forward(self.params, emb)[..., 0]
 
 
@@ -154,7 +126,7 @@ def clf_loss_and_grad(clf: SafetyClf, states_raw: np.ndarray, labels: np.ndarray
             f"need both classes, got {int(n_pos)} positive / {int(n_neg)} negative")
     B = len(labels)
     weights = np.where(labels == 1.0, B / (2.0 * n_pos), B / (2.0 * n_neg))
-    emb = clf.norm.normalize(embed_array(states_raw, clf.norm.lap_length))
+    emb = clf.norm.normalize(embed(states_raw, clf.norm.lap_length))
     tape = tape or nn.Tape()
     p = nn.forward(clf.params, emb, tape)[:, 0]
     loss = float(-(weights * (labels * np.log(p) + (1 - labels) * np.log(1 - p))).mean())
@@ -183,13 +155,13 @@ def safety_penalty_and_input_grad(clf: SafetyClf, dyn: DynModel,
     z = dyn.inputs(states_raw, actions)
     dnorm = nn.forward(dyn.params, z, tape_dyn)
     x_next = states_raw + dnorm * dyn.delta_scale
-    emb_next = clf.norm.normalize(embed_array(x_next, clf.norm.lap_length))
+    emb_next = clf.norm.normalize(embed(x_next, clf.norm.lap_length))
     p = nn.forward(clf.params, emb_next, tape_clf)[:, 0]
     penalty = -clf.lam * np.log(p)
 
     dp = (-clf.lam / p)[:, None]
     _, g_emb = nn.backward(clf.params, tape_clf, dp, param_grads=False)
-    g_xnext = _embed_jacobian_chain(g_emb, x_next, clf.norm)
+    g_xnext = embed_vjp(x_next, g_emb / clf.norm.std, clf.norm.lap_length)
     g_dnorm = g_xnext * dyn.delta_scale
     _, g_z = nn.backward(dyn.params, tape_dyn, g_dnorm, param_grads=False)
     return penalty, g_z[:, 7:9]

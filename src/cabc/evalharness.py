@@ -8,7 +8,6 @@ time); no actuation noise is injected.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List
@@ -16,7 +15,7 @@ from typing import List
 import numpy as np
 
 from .core import Outcome, TerminationReason
-from .sim import SimConfig, default_start_state, rollout
+from .sim import SimConfig, default_start_state, rng_stream, rollout
 from .track import TrackSpec
 
 
@@ -68,7 +67,7 @@ def evaluate(policy, cfg: SimConfig, track: TrackSpec, seed: int,
     progress target at the actual terminal state of the previous lap, so a
     policy in a periodic steady state produces identical lap times.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = rng_stream(seed)
     x = default_start_state(v_long=1.0, s=0.0)
     lap_times: List[float] = []
     for _ in range(laps):

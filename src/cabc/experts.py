@@ -65,15 +65,6 @@ class PidCenterline:
         return Action.clamped(u_a, delta / cfg.steer_max)
 
 
-def pid_centerline(x: VehicleState, v_ref: float, gains: PidGains,
-                   cfg: SimConfig, track: TrackSpec,
-                   integral: float = 0.0) -> Action:
-    """Single-shot PID action with an explicit integrator value (stateless form)."""
-    ctl = PidCenterline(cfg, track, v_ref=v_ref, gains=gains)
-    ctl._integral = integral
-    return ctl(None, x)
-
-
 @dataclass(frozen=True)
 class RaceParams:
     a_lat_max: float = 2.8       # lateral-acceleration budget, m/s^2
@@ -124,12 +115,6 @@ class RacingExpert:
         kappa_cmd = 2.0 * math.sin(alpha) / l_d + curvature_at(self.track, x.s)
         delta = _steer_feedforward(cfg, kappa_cmd, x.v_long)
         return Action.clamped(u_a, delta / cfg.steer_max)
-
-
-def racing_expert(x: VehicleState, track: TrackSpec, params: RaceParams,
-                  cfg: SimConfig) -> Action:
-    """Single-shot racing action with a fresh integrator (stateless form)."""
-    return RacingExpert(cfg, track, params)(None, x)
 
 
 class FilterDecision(NamedTuple):

@@ -378,8 +378,8 @@ def rollout_figure(policy_params_path, sim_cfg: SimConfig, track: TrackSpec,
 
 def policy_rollout_figure(policy, sim_cfg: SimConfig, track: TrackSpec, seed: int,
                           out_path, laps: int = 3) -> str:
-    from .sim import default_start_state, rollout
-    rng = np.random.Generator(np.random.PCG64(seed))
+    from .sim import default_start_state, rng_stream, rollout
+    rng = rng_stream(seed)
     polys = track_polylines(track)
     x = default_start_state(v_long=1.0, s=0.0)
     xs: List[float] = []

@@ -76,13 +76,6 @@ class SimConfig:
                            tuple(float(d) for d in self.preview_distances))
 
 
-@dataclass(frozen=True)
-class StepResult:
-    x_next: VehicleState
-    in_constraints: bool
-    in_target: bool
-
-
 def _derivatives(cfg: SimConfig, kappa: float, x: VehicleState, u: Action):
     v_long, v_tran, omega, e_psi = x.v_long, x.v_tran, x.omega_psi, x.e_psi
     l_front, l_rear = cfg.l_front, cfg.l_rear
@@ -209,22 +202,6 @@ def in_target(cfg: SimConfig, track: TrackSpec, x: VehicleState, s_start: float)
             and in_constraints(cfg, track, x))
 
 
-def stage_cost(cfg: SimConfig, track: TrackSpec, x: VehicleState, u: Action,
-               s_start: float) -> float:
-    """Unit cost per step until the target set is reached; zero afterwards."""
-    return 0.0 if in_target(cfg, track, x, s_start) else 1.0
-
-
-def step_result(cfg: SimConfig, track: TrackSpec, x: VehicleState, u: Action,
-                s_start: float) -> StepResult:
-    x_next = step(cfg, track, x, u)
-    return StepResult(
-        x_next=x_next,
-        in_constraints=in_constraints(cfg, track, x_next),
-        in_target=in_target(cfg, track, x_next, s_start),
-    )
-
-
 # Policies are callables (observation, full_state) -> Action.  Full-state
 # experts ignore the observation; output-feedback policies ignore the state.
 Policy = Callable[[Observation, VehicleState], Action]
@@ -273,7 +250,11 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
     return Trajectory(samples=samples, outcome=outcome, termination_reason=reason)
 
 
-def episode_rng(seed: int, episode_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one episode."""
+def rng_stream(seed: int, *key: int) -> np.random.Generator:
+    """Independent, reproducible stream ``key`` of the family rooted at ``seed``.
+
+    The key is the ``SeedSequence`` spawn key, so distinct keys give
+    independent streams and ``rng_stream(seed)`` is the root stream itself.
+    """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=seed, spawn_key=(episode_index,))))
+        entropy=seed, spawn_key=key)))

@@ -117,12 +117,6 @@ def frenet_to_cartesian(track: TrackSpec, s: float, x_tran: float, e_psi: float 
     return xg, yg, psi + e_psi
 
 
-def centerline_points(track: TrackSpec, ds: float = 0.05) -> List[Tuple[float, float]]:
-    """Dense polyline of the centerline, used by plotting and tests."""
-    n = max(2, int(math.ceil(track.lap_length / ds)))
-    return [frenet_to_cartesian(track, i * track.lap_length / n, 0.0)[:2] for i in range(n + 1)]
-
-
 def _rounded_polygon(edges: Sequence[float], turns: Sequence[float], radii: Sequence[float]):
     """Segments for a closed polygon with circular corner fillets.
 

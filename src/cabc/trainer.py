@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import nn
-from .autolabel import NormStats, embed_state, fit_norm, member_mask
+from .autolabel import NormStats, embed, fit_norm, member_mask
 from .core import (
     Action,
     LabeledPool,
@@ -42,9 +42,9 @@ from .critic import (
     init_safety_clf,
     safety_penalty_and_input_grad,
 )
-from .evalharness import EarlyStopState, EvalResult, early_stop_update, evaluate
+from .evalharness import EarlyStopState, early_stop_update, evaluate
 from .experts import PidCenterline, PidGains, RaceParams, RacingExpert
-from .sim import SimConfig, default_start_state, rollout
+from .sim import SimConfig, rng_stream, rollout
 from .track import TrackSpec
 
 
@@ -135,14 +135,6 @@ def features_from_obs(y: Observation) -> np.ndarray:
     return np.array([k_long * y.v_long, k_tran * y.v_tran, k_omega * y.omega_psi, *y.preview])
 
 
-def features_from_state(x: VehicleState, track: TrackSpec) -> np.ndarray:
-    emb = embed_state(x, track.lap_length)
-    emb[0:3] *= _VEL_SCALE
-    emb[5] /= track.half_width
-    emb[6] *= 2.0 / math.pi
-    return emb
-
-
 def features_from_obs_array(y_arr: np.ndarray) -> np.ndarray:
     out = np.array(y_arr, dtype=float)
     out[:, 0:3] *= _VEL_SCALE
@@ -150,13 +142,21 @@ def features_from_obs_array(y_arr: np.ndarray) -> np.ndarray:
 
 
 def features_from_state_array(x_arr: np.ndarray, track: TrackSpec) -> np.ndarray:
-    ang = 2.0 * math.pi * x_arr[:, 3] / track.lap_length
-    return np.column_stack([
-        x_arr[:, 0:3] * _VEL_SCALE,
-        np.cos(ang), np.sin(ang),
-        x_arr[:, 4] / track.half_width,
-        x_arr[:, 5] * 2.0 / math.pi,
-    ])
+    """The state embedding with each column brought to order one."""
+    out = embed(x_arr, track.lap_length)
+    out[:, 0:3] *= _VEL_SCALE
+    out[:, 6] *= 2.0   # then / pi: (e_psi * 2) / pi rounds unlike e_psi * (2 / pi)
+    out[:, 5:7] /= (track.half_width, math.pi)
+    return out
+
+
+def features_from_state(x: VehicleState, track: TrackSpec) -> np.ndarray:
+    """One row of :func:`features_from_state_array`, bit for bit, in float arithmetic."""
+    k_long, k_tran, k_omega = _VEL_SCALES
+    ang = 2.0 * math.pi * x.s / track.lap_length
+    return np.array([k_long * x.v_long, k_tran * x.v_tran, k_omega * x.omega_psi,
+                     math.cos(ang), math.sin(ang),
+                     x.x_tran / track.half_width, x.e_psi * 2.0 / math.pi])
 
 
 class MlpPolicy:
@@ -223,11 +223,6 @@ class MixedPolicy:
         return u
 
 
-def mix_policy(pi_beta, pi_theta, beta_prob: float, rng: np.random.Generator,
-               sigma_u: float = 0.0) -> MixedPolicy:
-    return MixedPolicy(pi_beta, pi_theta, beta_prob, rng, sigma_u)
-
-
 def make_expert_factory(name: str, sim_cfg: SimConfig, track: TrackSpec,
                         v_ref: float = 1.0,
                         pid_gains: PidGains = PidGains(),
@@ -239,18 +234,13 @@ def make_expert_factory(name: str, sim_cfg: SimConfig, track: TrackSpec,
     raise ValueError(f"unknown expert {name!r}; use 'pid' or 'racing'")
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))))
-
-
 def _collect_epoch(cfg: TrainConfig, track: TrackSpec, expert_factory,
                    policy_params: nn.MlpParams, epoch: int) -> List[Trajectory]:
     beta = cfg.alpha ** epoch
     trajs = []
     for i in range(cfg.episodes_per_epoch):
-        rng_noise = _stream(cfg.seed, 1, epoch, i)
-        rng_obs = _stream(cfg.seed, 2, epoch, i)
+        rng_noise = rng_stream(cfg.seed, 1, epoch, i)
+        rng_obs = rng_stream(cfg.seed, 2, epoch, i)
         s0 = rng_noise.uniform(0.0, track.lap_length)
         xt0 = rng_noise.uniform(-0.15, 0.15)
         x0 = VehicleState(v_long=1.0, v_tran=0.0, omega_psi=0.0,
@@ -379,7 +369,11 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
           epoch_callback: Optional[Callable[[EpochReport, nn.MlpParams], None]] = None,
           traj_callback: Optional[Callable[[int, List[Trajectory]], None]] = None
           ) -> TrainResult:
-    """Run the configured method end to end; see :func:`train_ca` / :func:`train_bc`."""
+    """Run ``cfg.method`` end to end.
+
+    ``"ca"`` is the full loop with auto-labeling and critics; ``"bc"`` is the
+    same loop minus labeling, critics, and the safety term.
+    """
     constraint_aware = cfg.method == "ca"
     policy = init_policy(cfg, track)
     opt_policy = nn.init_opt(policy, lr=cfg.lr_policy)
@@ -434,7 +428,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
                 clf = replace(clf, norm=norm)
 
             if update_dyn and dyn is not None and len(store) > 0:
-                rng_b = _stream(cfg.seed, 4, epoch)
+                rng_b = rng_stream(cfg.seed, 4, epoch)
                 arr = store.arrays()
                 n = len(arr["x_raw"])
                 for _ in range(cfg.grad_steps_dyn):
@@ -448,7 +442,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
 
             if update_clf and clf is not None:
                 if pool.d_plus and pool.d_minus:
-                    rng_b = _stream(cfg.seed, 5, epoch)
+                    rng_b = rng_stream(cfg.seed, 5, epoch)
                     plus_raw = np.array([st.as_tuple() for st in pool.d_plus])
                     minus_raw = np.array([st.as_tuple() for st in pool.d_minus])
                     half = cfg.batch_size // 2
@@ -466,7 +460,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
 
         # policy update (identical code path for both methods; the safety
         # branch is off exactly when the penalty weight is zero)
-        rng_b = _stream(cfg.seed, 3, epoch)
+        rng_b = rng_stream(cfg.seed, 3, epoch)
         arr = store.arrays()
         n = len(arr["feats"])
         clone_sum = safety_sum = 0.0
@@ -515,13 +509,3 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
 
     return TrainResult(policy=policy, reports=reports, pool=pool, dyn=dyn, clf=clf,
                        norm=norm, early_stopped_at=early_stopped_at)
-
-
-def train_ca(cfg: TrainConfig, track: TrackSpec, expert_factory, **kw) -> TrainResult:
-    """Constraint-aware training: full loop with auto-labeling and critics."""
-    return train(replace(cfg, method="ca"), track, expert_factory, **kw)
-
-
-def train_bc(cfg: TrainConfig, track: TrackSpec, expert_factory, **kw) -> TrainResult:
-    """Baseline cloning: the same loop minus labeling, critics, and safety term."""
-    return train(replace(cfg, method="bc"), track, expert_factory, **kw)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from cabc.autolabel import (
     NeighborIndex,
     NormStats,
+    HULL_TOL,
     SyntheticSet,
-    build_negatives,
-    embed_state,
+    embed,
     fit_norm,
     hull_membership,
     incorrect_removals,
@@ -20,6 +20,7 @@ from cabc.autolabel import (
     radius_neighbors,
 )
 from cabc.core import LabeledPool
+from cabc.trainer import _LabelState
 
 from conftest import lp_hull_oracle, make_state
 
@@ -51,8 +52,8 @@ class TestNormalization:
 
     def test_circular_embedding_joins_lap_ends(self):
         lap = 10.0
-        a = embed_state(make_state(s=0.0), lap)
-        b = embed_state(make_state(s=lap - 1e-6), lap)
+        a, b = embed(np.array([make_state(s=0.0).as_tuple(),
+                               make_state(s=lap - 1e-6).as_tuple()]), lap)
         assert np.linalg.norm(a - b) < 1e-5
 
 
@@ -85,7 +86,7 @@ class TestRadiusNeighbors:
             q = make_state(v=rng.uniform(0, 3), s=rng.uniform(0, 10),
                            xt=rng.normal(0, 0.2))
             scan = radius_neighbors(q, plus, norm, 1.0)
-            idx = index.query(norm.normalize_state(q), 1.0)
+            idx = index.query(norm.normalize_states([q])[0], 1.0)
             assert sorted(map(id, scan)) == sorted(id(plus[i]) for i in idx)
 
 
@@ -129,6 +130,11 @@ class TestHullMembership:
         assert hull_membership(x, P)
 
 
+def relabel_full(pool: LabeledPool, norm: NormStats, rho: float) -> None:
+    """The trainer's full rebuild of ``pool.d_minus``, every neighbor in each hull."""
+    _LabelState().relabel(pool, norm, rho, full=True, tol=HULL_TOL, neighbor_cap=None)
+
+
 class TestBuildNegatives:
     def _pool_and_norm(self):
         rng = np.random.default_rng(5)
@@ -140,30 +146,30 @@ class TestBuildNegatives:
     def test_duplicate_of_safe_state_is_excluded(self):
         plus, norm = self._pool_and_norm()
         pool = LabeledPool(d_plus=plus, d_query=[plus[0]])
-        out = build_negatives(pool, norm, rho=0.5)
-        assert out.d_minus == []
+        relabel_full(pool, norm, rho=0.5)
+        assert pool.d_minus == []
 
     def test_isolated_state_stays_negative(self):
         plus, norm = self._pool_and_norm()
         faraway = make_state(v=50.0, s=5.0, xt=0.0)
         pool = LabeledPool(d_plus=plus, d_query=[faraway])
-        out = build_negatives(pool, norm, rho=0.5)
-        assert out.d_minus == [faraway]
+        relabel_full(pool, norm, rho=0.5)
+        assert pool.d_minus == [faraway]
 
     def test_query_pool_is_retained(self):
         plus, norm = self._pool_and_norm()
         queries = [plus[0], make_state(v=50.0, s=5.0)]
-        pool = LabeledPool(d_plus=plus, d_query=queries)
-        out = build_negatives(pool, norm, rho=0.5)
-        assert out.d_query == queries
-        out.validate()
+        pool = LabeledPool(d_plus=plus, d_query=list(queries))
+        relabel_full(pool, norm, rho=0.5)
+        assert pool.d_query == queries
+        pool.validate()
 
     def test_empty_plus_pool_keeps_all_negatives(self):
         norm = NormStats.identity(7)
         queries = [make_state(v=1.0), make_state(v=2.0)]
         pool = LabeledPool(d_plus=[], d_query=queries)
-        out = build_negatives(pool, norm, rho=1.0)
-        assert out.d_minus == queries
+        relabel_full(pool, norm, rho=1.0)
+        assert pool.d_minus == queries
 
     def test_incremental_mask_matches_full_recompute(self):
         rng = np.random.default_rng(17)

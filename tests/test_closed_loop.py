@@ -15,7 +15,7 @@ import pytest
 
 from cabc.core import Action, Observation, Outcome, TerminationReason, Trajectory, VehicleState
 from cabc.experts import PidCenterline, RaceParams, RacingExpert
-from cabc.sim import SimConfig, default_start_state, episode_rng, lane_preview, rollout
+from cabc.sim import SimConfig, default_start_state, lane_preview, rng_stream, rollout
 from cabc.track import curvature_at, default_tracks, peak_curvature
 from cabc.trainer import MixedPolicy, MlpPolicy, TrainConfig, init_policy
 
@@ -36,22 +36,22 @@ def _digest(traj: Trajectory) -> str:
 def _racing_gp(gp):
     cfg = SimConfig(lap_target=2)
     return rollout(cfg, gp, RacingExpert(cfg, gp), default_start_state(), 600,
-                   episode_rng(11, 0))
+                   rng_stream(11, 0))
 
 
 def _pid_circle(circle):
     cfg = SimConfig(lap_target=2)
     return rollout(cfg, circle, PidCenterline(cfg, circle), default_start_state(), 600,
-                   episode_rng(12, 0))
+                   rng_stream(12, 0))
 
 
 def _mixed_circle(circle):
     cfg = SimConfig()
     tcfg = TrainConfig(seed=1, hidden=(16, 16), sim=cfg)
     learner = MlpPolicy(init_policy(tcfg, circle), "output", circle)
-    mixed = MixedPolicy(PidCenterline(cfg, circle), learner, 0.5, episode_rng(13, 1),
+    mixed = MixedPolicy(PidCenterline(cfg, circle), learner, 0.5, rng_stream(13, 1),
                         sigma_u=0.15)
-    return rollout(cfg, circle, mixed, default_start_state(), 200, episode_rng(13, 0),
+    return rollout(cfg, circle, mixed, default_start_state(), 200, rng_stream(13, 0),
                    relabel=lambda x: mixed.last_expert_action)
 
 
@@ -265,11 +265,11 @@ class _Command:
 def test_rollout_applies_actions_as_they_are_and_clamps_the_rest(circle, noiseless_sim):
     u = Action(0.3, 0.1)
     traj = rollout(noiseless_sim, circle, lambda y, x: u, default_start_state(), 3,
-                   episode_rng(0, 0))
+                   rng_stream(0, 0))
     assert all(smp.u_applied is u for smp in traj.samples)
     traj = rollout(noiseless_sim, circle, lambda y, x: _Command(4.0, np.float64(-2.0)),
-                   default_start_state(), 3, episode_rng(0, 0))
+                   default_start_state(), 3, rng_stream(0, 0))
     assert all(smp.u_applied == Action(1.0, -1.0) for smp in traj.samples)
     with pytest.raises(ValueError, match="u_a must be finite"):
         rollout(noiseless_sim, circle, lambda y, x: _Command(math.nan, 0.0),
-                default_start_state(), 3, episode_rng(0, 0))
+                default_start_state(), 3, rng_stream(0, 0))

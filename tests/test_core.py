@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -168,6 +169,61 @@ class TestPersistence:
             fh.write('{"kind":"pool","set":"plus","x":[0,0,0,0,0,0]}\n')
         with pytest.raises(DatasetFormatError):
             load_dataset(path)
+
+    def _saved_lines(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset([make_trajectory(2, Outcome.SUCCESS)], path)
+        return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+    @staticmethod
+    def _write(path, records):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    def test_sample_without_header_reports_line(self, tmp_path):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        self._write(path, [first])
+        with pytest.raises(DatasetFormatError, match="header") as err:
+            load_dataset(path)
+        assert err.value.line_no == 1
+        second["traj_id"] = 7
+        self._write(path, [header, first, second])
+        with pytest.raises(DatasetFormatError, match="header") as err:
+            load_dataset(path)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("name", ["k", "traj_id"])
+    @pytest.mark.parametrize("value", ["1", 1.0, None, [1]])
+    def test_non_integer_index_reports_line(self, tmp_path, name, value):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        second[name] = value
+        self._write(path, [header, first, second])
+        with pytest.raises(DatasetFormatError, match=f"{name} must be an integer") as err:
+            load_dataset(path)
+        assert err.value.line_no == 3
+
+    def test_duplicate_k_reports_line(self, tmp_path):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        second["k"] = 0
+        self._write(path, [header, first, second])
+        with pytest.raises(DatasetFormatError, match="duplicate k=0") as err:
+            load_dataset(path)
+        assert err.value.line_no == 3
+
+    def test_second_header_reports_line(self, tmp_path):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        relabeled = dict(header, outcome="failure", reason="timeout")
+        self._write(path, [header, first, second, relabeled])
+        with pytest.raises(DatasetFormatError, match="second 'traj' header") as err:
+            load_dataset(path)
+        assert err.value.line_no == 4
+
+    def test_broken_chain_reports_header_line(self, tmp_path):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        second["x"][0] += 1.0
+        self._write(path, [header, first, second])
+        with pytest.raises(DatasetFormatError, match="does not chain") as err:
+            load_dataset(path)
+        assert err.value.line_no == 1
 
     @given(st.lists(
         st.tuples(

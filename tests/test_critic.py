@@ -14,7 +14,6 @@ from cabc.critic import (
     clf_loss_and_grad,
     delta_scale_from,
     dyn_loss_and_grad,
-    embed_array,
     init_dyn_model,
     init_safety_clf,
     load_critic,
@@ -23,7 +22,7 @@ from cabc.critic import (
     soft_filter_pi_xi,
 )
 from cabc.experts import RacingExpert, predictive_filter_oracle
-from cabc.sim import SimConfig, default_start_state, episode_rng, rollout, step
+from cabc.sim import SimConfig, default_start_state, rng_stream, rollout, step
 from cabc.trainer import agent_loss_and_grad
 
 from conftest import make_state
@@ -104,7 +103,7 @@ class TestDynLoss:
         X, U, XN, states = [], [], [], []
         i = 0
         while sum(len(x) for x in X) < 10_000:
-            rng = episode_rng(50 + i, 0)
+            rng = rng_stream(50 + i, 0)
             i += 1
             pol = Noisy(RacingExpert(cfg, gp), rng)
             s0 = float(rng.uniform(0, gp.lap_length))

@@ -17,7 +17,7 @@ from cabc.evalharness import (
 )
 from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import emit_reports, read_reports_csv
-from cabc.sim import SimConfig, episode_rng
+from cabc.sim import SimConfig, rng_stream
 
 from conftest import make_state
 
@@ -51,7 +51,7 @@ class TestEvaluate:
 
         violated = 0
         for seed in range(10):
-            policy = Noisy(RacingExpert(noiseless_sim, gp), episode_rng(seed, 7))
+            policy = Noisy(RacingExpert(noiseless_sim, gp), rng_stream(seed, 7))
             result = evaluate(policy, noiseless_sim, gp, seed=seed, laps=50)
             if (result.terminated_by is EvalTermination.CONSTRAINT_VIOLATION
                     and result.laps_completed < 50):

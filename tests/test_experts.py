@@ -7,14 +7,10 @@ from cabc.core import Action, Outcome
 from cabc.experts import (
     FilterDecision,
     PidCenterline,
-    PidGains,
-    RaceParams,
     RacingExpert,
     predictive_filter_oracle,
-    racing_expert,
-    pid_centerline,
 )
-from cabc.sim import SimConfig, default_start_state, episode_rng, rollout, step
+from cabc.sim import SimConfig, default_start_state, rng_stream, rollout, step
 from cabc.track import default_tracks
 
 from conftest import make_state
@@ -50,15 +46,9 @@ class TestPid:
         pid = PidCenterline(noiseless_sim, track, v_ref=1.0)
         traj = rollout(noiseless_sim, track, pid, default_start_state(1.0),
                        max_steps=int(track.lap_length / noiseless_sim.dt * 2.5),
-                       rng=episode_rng(0, 0))
+                       rng=rng_stream(0, 0))
         assert traj.outcome is Outcome.SUCCESS
         assert max(abs(s.x.x_tran) for s in traj.samples) < 0.3 * track.half_width
-
-    def test_stateless_form_matches_fresh_controller(self, gp, noiseless_sim):
-        x = make_state(v=0.8, s=3.0, xt=0.1, ep=-0.05)
-        a = pid_centerline(x, 1.0, PidGains(), noiseless_sim, gp)
-        b = PidCenterline(noiseless_sim, gp, v_ref=1.0)(None, x)
-        assert a == b
 
 
 class TestRacing:
@@ -82,9 +72,9 @@ class TestRacing:
         track = {t.name: t for t in default_tracks()}[track_name]
         max_steps = int(track.lap_length / noiseless_sim.dt * 3)
         pid_traj = rollout(noiseless_sim, track, PidCenterline(noiseless_sim, track, 1.0),
-                           default_start_state(1.0), max_steps, episode_rng(0, 0))
+                           default_start_state(1.0), max_steps, rng_stream(0, 0))
         race_traj = rollout(noiseless_sim, track, RacingExpert(noiseless_sim, track),
-                            default_start_state(1.0), max_steps, episode_rng(0, 0))
+                            default_start_state(1.0), max_steps, rng_stream(0, 0))
         assert pid_traj.outcome is Outcome.SUCCESS
         assert race_traj.outcome is Outcome.SUCCESS
         assert len(race_traj) < len(pid_traj)
@@ -92,24 +82,19 @@ class TestRacing:
     def test_gp_lap_time_ratio(self, gp, noiseless_sim):
         max_steps = int(gp.lap_length / noiseless_sim.dt * 3)
         pid_traj = rollout(noiseless_sim, gp, PidCenterline(noiseless_sim, gp, 1.0),
-                           default_start_state(1.0), max_steps, episode_rng(0, 0))
+                           default_start_state(1.0), max_steps, rng_stream(0, 0))
         race_traj = rollout(noiseless_sim, gp, RacingExpert(noiseless_sim, gp),
-                            default_start_state(1.0), max_steps, episode_rng(0, 0))
+                            default_start_state(1.0), max_steps, rng_stream(0, 0))
         assert len(race_traj) < 0.6 * len(pid_traj)
 
     def test_actuation_noise_produces_failures(self, gp, noiseless_sim):
         failures = 0
         for seed in range(20):
-            rng = episode_rng(100 + seed, 0)
+            rng = rng_stream(100 + seed, 0)
             noisy = NoisyPolicy(RacingExpert(noiseless_sim, gp), 0.2, rng)
             traj = rollout(noiseless_sim, gp, noisy, default_start_state(1.0), 2000, rng)
             failures += traj.outcome is not Outcome.SUCCESS
         assert failures >= 1
-
-    def test_stateless_form(self, gp, noiseless_sim):
-        x = make_state(v=2.0, s=5.0, xt=-0.1)
-        assert racing_expert(x, gp, RaceParams(), noiseless_sim) == \
-            RacingExpert(noiseless_sim, gp)(None, x)
 
 
 class TestPredictiveFilterOracle:

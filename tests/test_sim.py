@@ -10,15 +10,13 @@ from cabc.sim import (
     SimConfig,
     SimSingularityError,
     default_start_state,
-    episode_rng,
     in_constraints,
     in_target,
     lane_preview,
     observe,
+    rng_stream,
     rollout,
-    stage_cost,
     step,
-    step_result,
 )
 
 from conftest import make_state
@@ -160,23 +158,27 @@ class TestSets:
         x = make_state(v=1.0, s=gp.lap_length, xt=gp.half_width)
         assert not in_target(noiseless_sim, gp, x, s_start=0.0)
 
-    def test_stage_cost_is_time_to_target(self, gp, noiseless_sim):
-        u = Action(0.0, 0.0)
-        assert stage_cost(noiseless_sim, gp, make_state(v=1.0, s=1.0), u, 0.0) == 1.0
-        assert stage_cost(noiseless_sim, gp, make_state(v=1.0, s=gp.lap_length + 1), u, 0.0) == 0.0
+    def test_time_to_target_ends_at_the_target_set(self, gp, noiseless_sim):
+        # the time-to-target cost counts exactly the steps outside the target set
+        assert not in_target(noiseless_sim, gp, make_state(v=1.0, s=1.0), 0.0)
+        assert in_target(noiseless_sim, gp, make_state(v=1.0, s=gp.lap_length + 1), 0.0)
 
-    def test_step_result_flags_consistent(self, gp, noiseless_sim):
+    def test_rollout_flags_match_in_constraints_and_in_target(self, gp, noiseless_sim):
         x = make_state(v=1.0, s=1.0)
-        res = step_result(noiseless_sim, gp, x, Action(0.2, 0.0), s_start=0.0)
-        assert res.in_constraints == in_constraints(noiseless_sim, gp, res.x_next)
-        assert res.in_target == in_target(noiseless_sim, gp, res.x_next, 0.0)
+        traj = rollout(noiseless_sim, gp, lambda y, x: Action(0.2, 0.0), x, 1,
+                       rng_stream(0, 0))
+        x_next = step(noiseless_sim, gp, x, Action(0.2, 0.0))
+        assert traj.samples[-1].x_next == x_next
+        assert in_constraints(noiseless_sim, gp, x_next)
+        assert not in_target(noiseless_sim, gp, x_next, 0.0)
+        assert traj.termination_reason is TerminationReason.TIMEOUT
 
 
 class TestRollout:
     def test_zero_policy_from_rest_times_out(self, circle, noiseless_sim):
         policy = lambda y, x: Action(0.0, 0.0)
         x0 = default_start_state(v_long=0.0)
-        traj = rollout(noiseless_sim, circle, policy, x0, 50, episode_rng(0, 0))
+        traj = rollout(noiseless_sim, circle, policy, x0, 50, rng_stream(0, 0))
         assert traj.outcome is Outcome.FAILURE
         assert traj.termination_reason is TerminationReason.TIMEOUT
         assert all(s.x == x0 for s in traj.samples)
@@ -184,7 +186,7 @@ class TestRollout:
     def test_pid_lap_time_near_kinematic_estimate(self, circle, noiseless_sim):
         pid = PidCenterline(noiseless_sim, circle, v_ref=1.0)
         traj = rollout(noiseless_sim, circle, pid, default_start_state(1.0), 1000,
-                       episode_rng(0, 0))
+                       rng_stream(0, 0))
         assert traj.outcome is Outcome.SUCCESS
         lap_time = len(traj) * noiseless_sim.dt
         assert abs(lap_time - circle.lap_length / 1.0) / (circle.lap_length / 1.0) < 0.10
@@ -192,7 +194,7 @@ class TestRollout:
     def test_full_throttle_full_steer_crashes(self, gp, noiseless_sim):
         policy = lambda y, x: Action(1.0, 1.0)
         traj = rollout(noiseless_sim, gp, policy, default_start_state(1.0), 600,
-                       episode_rng(0, 0))
+                       rng_stream(0, 0))
         assert traj.outcome is Outcome.FAILURE
         assert traj.termination_reason in (TerminationReason.CONSTRAINT_VIOLATION,
                                            TerminationReason.SINGULARITY)
@@ -201,14 +203,14 @@ class TestRollout:
         cfg = SimConfig(noise_sigma_v=0.02, noise_sigma_kappa=0.01)
         pid1 = PidCenterline(cfg, gp, v_ref=1.0)
         pid2 = PidCenterline(cfg, gp, v_ref=1.0)
-        t1 = rollout(cfg, gp, pid1, default_start_state(1.0), 400, episode_rng(3, 1))
-        t2 = rollout(cfg, gp, pid2, default_start_state(1.0), 400, episode_rng(3, 1))
+        t1 = rollout(cfg, gp, pid1, default_start_state(1.0), 400, rng_stream(3, 1))
+        t2 = rollout(cfg, gp, pid2, default_start_state(1.0), 400, rng_stream(3, 1))
         assert t1 == t2
 
     def test_success_states_all_inside_constraints(self, gp):
         cfg = SimConfig(noise_sigma_v=0.02, noise_sigma_kappa=0.01)
         pid = PidCenterline(cfg, gp, v_ref=1.0)
-        traj = rollout(cfg, gp, pid, default_start_state(1.0), 1000, episode_rng(5, 0))
+        traj = rollout(cfg, gp, pid, default_start_state(1.0), 1000, rng_stream(5, 0))
         assert traj.outcome is Outcome.SUCCESS
         for smp in traj.samples:
             assert in_constraints(cfg, gp, smp.x)
@@ -217,14 +219,14 @@ class TestRollout:
     def test_samples_chain_and_match_plant(self, circle, noiseless_sim):
         pid = PidCenterline(noiseless_sim, circle, v_ref=1.0)
         traj = rollout(noiseless_sim, circle, pid, default_start_state(1.0), 200,
-                       episode_rng(1, 1))
+                       rng_stream(1, 1))
         for smp in traj.samples:
             assert step(noiseless_sim, circle, smp.x, smp.u_applied) == smp.x_next
 
     def test_rollout_requires_steps(self, circle, noiseless_sim):
         with pytest.raises(ValueError):
             rollout(noiseless_sim, circle, lambda y, x: Action(0, 0),
-                    default_start_state(), 0, episode_rng(0, 0))
+                    default_start_state(), 0, rng_stream(0, 0))
 
     def test_singularity_becomes_distinct_failure(self, gp, noiseless_sim):
         s_tight, kappa = next(
@@ -233,6 +235,6 @@ class TestRollout:
             if abs(k) == gp.max_abs_curvature())
         x0 = make_state(v=1.0, s=float(s_tight) + 0.1, xt=1.0 / kappa)
         traj = rollout(noiseless_sim, gp, lambda y, x: Action(0.0, 0.0), x0, 10,
-                       episode_rng(0, 0))
+                       rng_stream(0, 0))
         assert traj.outcome is Outcome.FAILURE
         assert traj.termination_reason is TerminationReason.SINGULARITY

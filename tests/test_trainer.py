@@ -6,7 +6,7 @@ import pytest
 
 from cabc import nn
 from cabc.autolabel import NormStats
-from cabc.core import Action, Outcome
+from cabc.core import Action, Outcome, VehicleState
 from cabc.critic import (
     DynModel,
     SafetyClf,
@@ -14,8 +14,9 @@ from cabc.critic import (
     delta_scale_from,
     dyn_loss_and_grad,
 )
-from cabc.experts import PidCenterline
-from cabc.sim import SimConfig, default_start_state, episode_rng, rollout
+from cabc.experts import PidCenterline, RacingExpert
+from cabc.sim import SimConfig, default_start_state, rng_stream, rollout
+from cabc.track import get_track
 from cabc.trainer import (
     EpochReport,
     MixedPolicy,
@@ -25,12 +26,10 @@ from cabc.trainer import (
     agent_loss_and_grad,
     features_from_obs,
     features_from_state,
+    features_from_state_array,
     init_policy,
     make_expert_factory,
-    mix_policy,
     train,
-    train_bc,
-    train_ca,
     _finite_or_raise,
 )
 
@@ -67,17 +66,17 @@ class TestMixPolicy:
     def test_pure_expert_is_trajectorywise_identical(self, circle, noiseless_sim):
         factory = lambda: PidCenterline(noiseless_sim, circle, v_ref=1.0)
         learner = lambda y, x: Action(0.0, 0.0)
-        mixed = mix_policy(factory(), learner, 1.0, episode_rng(0, 9), sigma_u=0.0)
+        mixed = MixedPolicy(factory(), learner, 1.0, rng_stream(0, 9), sigma_u=0.0)
         t_mixed = rollout(noiseless_sim, circle, mixed, default_start_state(1.0),
-                          300, episode_rng(0, 1))
+                          300, rng_stream(0, 1))
         t_expert = rollout(noiseless_sim, circle, factory(), default_start_state(1.0),
-                           300, episode_rng(0, 1))
+                           300, rng_stream(0, 1))
         assert t_mixed == t_expert
 
     def test_pure_learner(self, circle, noiseless_sim):
         expert = PidCenterline(noiseless_sim, circle, v_ref=1.0)
         learner = lambda y, x: Action(0.3, 0.0)
-        mixed = mix_policy(expert, learner, 0.0, episode_rng(0, 9), sigma_u=0.0)
+        mixed = MixedPolicy(expert, learner, 0.0, rng_stream(0, 9), sigma_u=0.0)
         y = None
         for _ in range(10):
             assert mixed(y, make_state(v=1.0)) == Action(0.3, 0.0)
@@ -85,7 +84,7 @@ class TestMixPolicy:
     def test_bernoulli_frequency(self, circle, noiseless_sim):
         expert = lambda y, x: Action(1.0, 0.0)
         learner = lambda y, x: Action(-1.0, 0.0)
-        mixed = mix_policy(expert, learner, 0.5, episode_rng(4, 2), sigma_u=0.0)
+        mixed = MixedPolicy(expert, learner, 0.5, rng_stream(4, 2), sigma_u=0.0)
         x = make_state(v=1.0)
         for _ in range(10_000):
             mixed(None, x)
@@ -94,25 +93,25 @@ class TestMixPolicy:
 
     def test_alpha_decay_fractions(self):
         for beta in (1.0, 0.7, 0.49):
-            mixed = mix_policy(lambda y, x: Action(1.0, 0.0),
-                               lambda y, x: Action(-1.0, 0.0),
-                               beta, episode_rng(1, 3), sigma_u=0.0)
+            mixed = MixedPolicy(lambda y, x: Action(1.0, 0.0),
+                                lambda y, x: Action(-1.0, 0.0),
+                                beta, rng_stream(1, 3), sigma_u=0.0)
             x = make_state(v=1.0)
             for _ in range(5000):
                 mixed(None, x)
             assert abs(mixed.expert_steps / mixed.total_steps - beta) < 0.03
 
     def test_noise_is_clamped(self):
-        mixed = mix_policy(lambda y, x: Action(1.0, 1.0), lambda y, x: Action(0, 0),
-                           1.0, episode_rng(2, 2), sigma_u=5.0)
+        mixed = MixedPolicy(lambda y, x: Action(1.0, 1.0), lambda y, x: Action(0, 0),
+                            1.0, rng_stream(2, 2), sigma_u=5.0)
         for _ in range(50):
             u = mixed(None, make_state(v=1.0))
             assert -1.0 <= u.u_a <= 1.0 and -1.0 <= u.u_steer <= 1.0
 
     def test_expert_action_cached_for_relabeling(self, circle, noiseless_sim):
         expert = PidCenterline(noiseless_sim, circle, v_ref=1.0)
-        mixed = mix_policy(expert, lambda y, x: Action(0, 0), 0.0,
-                           episode_rng(0, 0), sigma_u=0.0)
+        mixed = MixedPolicy(expert, lambda y, x: Action(0, 0), 0.0,
+                            rng_stream(0, 0), sigma_u=0.0)
         x = make_state(v=0.9)
         mixed(None, x)
         assert mixed.last_expert_action is not None
@@ -122,7 +121,7 @@ class TestTrainLoops:
     def test_one_epoch_smoke_all_success(self, circle):
         cfg = tiny_cfg(circle, epochs=1, alpha=1.0, actuation_noise_sigma=0.0,
                        method="ca", lam=1.0)
-        res = train_ca(cfg, circle, make_expert_factory("pid", cfg.sim, circle))
+        res = train(replace(cfg, method="ca"), circle, make_expert_factory("pid", cfg.sim, circle))
         (rep,) = res.reports
         assert rep.new_successes == cfg.episodes_per_epoch
         assert rep.n_minus == 0 and rep.n_query == 0
@@ -133,8 +132,9 @@ class TestTrainLoops:
 
     def test_lambda_zero_gives_bitwise_bc_equivalence(self, circle):
         factory = make_expert_factory("pid", SimConfig(max_steps=400), circle)
-        ca = train_ca(tiny_cfg(circle, lam=0.0), circle, factory)
-        bc = train_bc(tiny_cfg(circle, lam=0.0), circle, factory)
+        cfg = tiny_cfg(circle, lam=0.0)
+        ca = train(replace(cfg, method="ca"), circle, factory)
+        bc = train(replace(cfg, method="bc"), circle, factory)
         for (Wa, ba), (Wb, bb) in zip(ca.policy.weights, bc.policy.weights):
             assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
 
@@ -147,13 +147,13 @@ class TestTrainLoops:
 
     def test_deterministic_reports(self, circle):
         factory = make_expert_factory("pid", SimConfig(max_steps=400), circle)
-        r1 = train_ca(tiny_cfg(circle), circle, factory)
-        r2 = train_ca(tiny_cfg(circle), circle, factory)
+        r1 = train(replace(tiny_cfg(circle), method="ca"), circle, factory)
+        r2 = train(replace(tiny_cfg(circle), method="ca"), circle, factory)
         assert r1.reports == r2.reports
 
     def test_pool_growth_is_monotone(self, circle):
         cfg = tiny_cfg(circle, epochs=4, actuation_noise_sigma=0.3)
-        res = train_ca(cfg, circle, make_expert_factory("pid", cfg.sim, circle))
+        res = train(replace(cfg, method="ca"), circle, make_expert_factory("pid", cfg.sim, circle))
         plus = [r.n_plus for r in res.reports]
         query = [r.n_query for r in res.reports]
         assert all(a <= b for a, b in zip(plus, plus[1:]))
@@ -162,8 +162,8 @@ class TestTrainLoops:
     def test_traj_callback_sees_every_episode(self, circle):
         cfg = tiny_cfg(circle, epochs=2)
         seen = []
-        train_ca(cfg, circle, make_expert_factory("pid", cfg.sim, circle),
-                 traj_callback=lambda epoch, trajs: seen.append((epoch, len(trajs))))
+        train(replace(cfg, method="ca"), circle, make_expert_factory("pid", cfg.sim, circle),
+              traj_callback=lambda epoch, trajs: seen.append((epoch, len(trajs))))
         assert seen == [(0, cfg.episodes_per_epoch), (1, cfg.episodes_per_epoch)]
 
     def test_nonfinite_loss_raises(self):
@@ -308,6 +308,31 @@ class TestPolicyWrapper:
         y = observe(sim, circle, make_state(v=1.0), None)
         assert len(features_from_obs(y)) == 3 + len(sim.preview_distances)
         assert len(features_from_state(make_state(v=1.0), circle)) == 7
+
+    @pytest.mark.parametrize("name", ["circle", "lshaped", "gp"])
+    def test_full_state_features_match_training_bits(self, name):
+        # the policy is trained on the batch features and driven on the
+        # per-step ones, so the two must agree bit for bit on every state
+        track = get_track(name)
+        states = []
+        if name == "gp":
+            cfg = SimConfig(lap_target=2)
+            traj = rollout(cfg, track, RacingExpert(cfg, track), default_start_state(),
+                           1200, rng_stream(11, 0))
+            states = [smp.x for smp in traj.samples]
+        rng = np.random.default_rng(7)
+        n, lap = 10_000, track.lap_length
+        raw = np.column_stack([
+            rng.uniform(0.0, 5.0, n), rng.normal(0.0, 0.5, n), rng.normal(0.0, 2.0, n),
+            rng.uniform(-3.0 * lap, 5.0 * lap, n),
+            rng.uniform(-track.half_width, track.half_width, n),
+            rng.uniform(-math.pi / 2, math.pi / 2, n)])
+        states += [VehicleState(*row) for row in raw.tolist()]
+        batch = features_from_state_array(np.array([x.as_tuple() for x in states]), track)
+        rows = np.array([features_from_state(x, track) for x in states])
+        assert batch.shape == rows.shape == (len(states), 7)
+        differ = np.flatnonzero((batch.view(np.int64) != rows.view(np.int64)).any(axis=1))
+        assert len(differ) == 0, f"{len(differ)} of {len(states)} rows differ, first {differ[:5]}"
 
     def test_policy_head_must_be_bounded(self, circle):
         bad = nn.init_mlp((5, 4, 2), head="identity", seed=0)
