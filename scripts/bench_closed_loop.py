@@ -16,6 +16,16 @@ the states and observations the racing loop visited): ``sim.step``,
 batch-1 ``MlpPolicy.__call__`` and the full-state policy features
 ``trainer.features_from_state``.
 
+Hull tests (minimum over ``HULL_REPEATS`` of the mean cost of one
+``autolabel.hull_membership`` call, with the number accepted), each over the
+first ``HULL_QUERIES`` queries that have a neighbor:
+
+- ``labeldemo_rho1``: 2-D, the shape ``cabc labeldemo --set crescent --n 6000``
+  tests at rho = 1: every pool point within rho, default tolerance;
+- ``train_gp``: 7-D, the shape training tests: the failed states of a
+  fixed-seed expert collection on gp (eight epochs, alpha = 1) against at most
+  ``neighbor_cap`` nearest safe states within ``rho``, at ``hull_tol``.
+
 Each invocation appends one record under ``--label`` to ``--out`` and
 rewrites the per-label summary: the minimum over that label's records, since
 on a shared host whose speed drifts the fastest invocation is the one least
@@ -37,6 +47,8 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPEATS = 20
+HULL_REPEATS = 3
+HULL_QUERIES = 100
 
 
 def _import_cabc(src: str) -> None:
@@ -132,6 +144,50 @@ def _calls() -> dict:
     return out
 
 
+def _hull_cases() -> dict:
+    """``(x, points, tol)`` triples of the two hull-test shapes."""
+    import numpy as np
+    from cabc.autolabel import HULL_TOL, NeighborIndex, SyntheticSet, fit_norm, sample_box
+    from cabc.core import partition_trajectories
+    from cabc.track import get_track
+    from cabc.trainer import TrainConfig, _collect_epoch, init_policy, make_expert_factory
+
+    rng = np.random.default_rng(0)
+    plus = SyntheticSet.crescent().sample_inside(6000, rng)
+    index = NeighborIndex(plus)
+    demo = [(q, plus[idx], HULL_TOL) for q in sample_box(6000, rng)
+            if len(idx := index.query(q, 1.0))]
+
+    cfg = TrainConfig(seed=0, alpha=1.0)
+    gp = get_track("gp")
+    factory = make_expert_factory("racing", cfg.sim, gp)
+    policy = init_policy(cfg, gp)
+    pool = partition_trajectories(
+        [t for epoch in range(8) for t in _collect_epoch(cfg, gp, factory, policy, epoch)])
+    norm = fit_norm(pool.d_plus, gp.lap_length)
+    safe = norm.normalize_states(pool.d_plus)
+    index = NeighborIndex(safe)
+    train = [(q, safe[idx], cfg.hull_tol) for q in norm.normalize_states(pool.d_query)
+             if len(idx := index.query_nearest(q, cfg.rho, cfg.neighbor_cap))]
+    return {"labeldemo_rho1": demo[:HULL_QUERIES], "train_gp": train[:HULL_QUERIES]}
+
+
+def _hulls() -> dict:
+    from cabc.autolabel import hull_membership
+
+    out = {}
+    for name, cases in _hull_cases().items():
+        best = float("inf")
+        for _ in range(HULL_REPEATS):
+            t0 = time.perf_counter()
+            accepted = sum(hull_membership(x, pts, tol) for x, pts, tol in cases)
+            best = min(best, (time.perf_counter() - t0) / len(cases))
+        out[name] = {"us_per_call": round(best * 1e6, 3), "calls": len(cases),
+                     "points_mean": round(sum(len(c[1]) for c in cases) / len(cases), 2),
+                     "accepted": int(accepted)}
+    return out
+
+
 def _summary(records: list) -> dict:
     by_label: dict = {}
     for rec in records:
@@ -139,10 +195,12 @@ def _summary(records: list) -> dict:
     out = {}
     for label, recs in by_label.items():
         summ = {"records": len(recs)}
-        for group, unit in (("loops", "us_per_step"), ("calls", "us_per_call")):
+        for group, unit in (("loops", "us_per_step"), ("calls", "us_per_call"),
+                            ("hulls", "us_per_call")):
             # a measurement added later is summarised over the records that have it
-            names = dict.fromkeys(name for r in recs for name in r[group])
-            summ[group] = {name: min(r[group][name][unit] for r in recs if name in r[group])
+            names = dict.fromkeys(name for r in recs for name in r.get(group, {}))
+            summ[group] = {name: min(r[group][name][unit] for r in recs
+                                     if name in r.get(group, {}))
                            for name in names}
         out[label] = summ
     return out
@@ -164,6 +222,7 @@ def main(argv=None) -> int:
         "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "loops": _loops(),
         "calls": _calls(),
+        "hulls": _hulls(),
     }
     doc = {"records": []}
     if os.path.exists(args.out):
@@ -177,7 +236,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    print(json.dumps({k: record[k] for k in ("label", "loops", "calls")}, indent=1))
+    print(json.dumps({k: record[k] for k in ("label", "loops", "calls", "hulls")}, indent=1))
     return 0
 
 

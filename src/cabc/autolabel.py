@@ -9,9 +9,11 @@ within ``rho`` of the safe set, hence not confidently unsafe.  Shrinking
 ``rho`` makes the exclusion more conservative around concave boundary
 regions.
 
-The hull test is an away-step conditional-gradient solve of the nearest
-point in the simplex-weighted hull, with a duality-gap certificate for both
-accept and reject decisions.
+The hull test asks whether a state lies within Euclidean distance ``tol``
+of that hull, the norm the ``rho``-ball is measured in.  It is decided
+exactly: a Lawson-Hanson active-set solve finds the nearest hull point, and
+every verdict carries a certificate, a convex combination within ``tol`` to
+accept or a separating hyperplane to reject.
 """
 
 from __future__ import annotations
@@ -114,134 +116,156 @@ def radius_neighbors(x: VehicleState, d_plus: Sequence[VehicleState],
 
 
 class NeighborIndex:
-    """KD-tree over normalized points; returns the same sets as the linear scan."""
+    """KD-tree over normalized points; returns the same sets as the linear scan.
+
+    Both queries take one point ``(d,)`` and return an index array, or a
+    block ``(m, d)`` and return a list of ``m`` index arrays, as ``cKDTree``
+    does.
+    """
 
     def __init__(self, points_norm: np.ndarray):
         self.points = np.asarray(points_norm, dtype=float)
         self._tree = cKDTree(self.points) if len(self.points) else None
 
-    def query(self, q: np.ndarray, rho: float) -> np.ndarray:
+    def query(self, q: np.ndarray, rho: float):
+        """All points within ``rho``, in ascending index order."""
+        q = np.asarray(q, dtype=float)
         if self._tree is None:
-            return np.zeros(0, dtype=int)
-        return np.asarray(self._tree.query_ball_point(np.asarray(q, dtype=float), rho,
-                                                      return_sorted=True), dtype=int)
+            none = np.zeros(0, dtype=int)
+            return none if q.ndim == 1 else [none] * len(q)
+        hits = self._tree.query_ball_point(q, rho, return_sorted=True)
+        if q.ndim == 1:
+            return np.asarray(hits, dtype=int)
+        return [np.asarray(h, dtype=int) for h in hits]
 
-    def query_nearest(self, q: np.ndarray, rho: float, cap: int) -> np.ndarray:
+    def query_nearest(self, q: np.ndarray, rho: float, cap: int):
         """At most ``cap`` nearest neighbors within ``rho``, nearest first."""
+        q = np.asarray(q, dtype=float)
         if self._tree is None:
-            return np.zeros(0, dtype=int)
-        dist, idx = self._tree.query(np.asarray(q, dtype=float),
-                                     k=min(cap, len(self.points)),
+            none = np.zeros(0, dtype=int)
+            return none if q.ndim == 1 else [none] * len(q)
+        dist, idx = self._tree.query(q, k=min(cap, len(self.points)),
                                      distance_upper_bound=rho * (1 + 1e-12))
-        idx = np.atleast_1d(idx)
-        dist = np.atleast_1d(dist)
-        return idx[np.isfinite(dist)]
+        if q.ndim == 1:
+            idx = np.atleast_1d(idx)
+            return idx[np.isfinite(np.atleast_1d(dist))]
+        idx = idx.reshape(len(q), -1)
+        dist = dist.reshape(len(q), -1)
+        return [row[np.isfinite(d)] for row, d in zip(idx, dist)]
 
 
 # --- convex hull membership ---------------------------------------------------
 
-def _affine_correction(P: np.ndarray, x: np.ndarray, w: np.ndarray) -> bool:
-    """Try jumping to the affine least-squares optimum over the active set.
-
-    The jump is taken only when it stays inside the simplex, so it can only
-    shortcut convergence, never change the iterate's feasibility.  Returns
-    whether the jump was taken; ``w`` is updated in place.
-    """
-    active = np.flatnonzero(w > 0)
-    if len(active) < 2:
-        return False
-    A = np.vstack([P[active].T, np.ones(len(active))])
-    b = np.concatenate([x, [1.0]])
-    w_aff, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if w_aff.min() < 0.0:
-        return False
-    ssum = w_aff.sum()
-    if ssum <= 0.0:
-        return False
-    w_aff = w_aff / ssum
-    r_new = w_aff @ P[active] - x
-    r_old = w @ P - x
-    if r_new @ r_new >= r_old @ r_old:
-        return False
-    w[:] = 0.0
-    w[active] = w_aff
-    return True
+# Distances below this fraction of the neighbourhood radius are float64
+# rounding: a hull point computed from simplex weights is no more exact.
+_ROUNDING = 2.0 ** -40
+# A column enters the active-set solve only if its gradient is more negative
+# than this: gradients of columns the passive ones span are rounding noise.
+_ENTER_TOL = 128.0 * 2.0 ** -52
 
 
-def hull_membership(x: np.ndarray, points: np.ndarray, tol: float = HULL_TOL,
-                    max_iter: int = 3000) -> bool:
-    """Is ``x`` a convex combination of ``points`` (within ``tol`` in max norm)?
+class HullSolveError(ArithmeticError):
+    """The nearest-point solve ended without an accept or a reject certificate."""
 
-    Solves ``min_w 0.5 * ||P^T w - x||^2`` over the simplex by away-step
-    conditional gradient, accelerated by an exact least-squares jump over the
-    current active set whenever that jump is simplex-feasible.  Accepts as
-    soon as an iterate lands within ``tol``; rejects once the duality gap
-    certifies that no point of the hull can be that close.  The empty hull
-    contains nothing.
+
+def hull_membership(x: np.ndarray, points: np.ndarray, tol: float = HULL_TOL) -> bool:
+    """Is ``x`` within Euclidean distance ``tol`` of the convex hull of ``points``?
+
+    With ``Q = points - x``, Lawson-Hanson active-set NNLS solves
+    ``min_{u >= 0} ||[Q^T; 1^T] u - e_{d+1}||``; at its optimum ``w = u / sum(u)``
+    are the simplex weights of the hull point ``z = Q^T w`` nearest to ``x``
+    (Lawson & Hanson 1974, least-distance programming).  Every outer
+    iteration checks two certificates, and either one decides the verdict:
+
+    - accept when ``||z|| <= tol``: an explicit convex combination that close;
+    - reject when ``min_i q_i . z / ||z|| > tol``: a hyperplane that keeps
+      every point, hence the whole hull, further than ``tol`` from ``x``.
+
+    At the optimum exactly one of them holds, so no iteration count decides a
+    verdict; a solve that ends without either raises :class:`HullSolveError`.
+    A distance below rounding (about ``1e-12`` of the largest ``||q_i||``,
+    more for a nearly flat hull) counts as zero, so ``tol = 0`` asks for
+    membership up to rounding.  The empty hull contains nothing.
     """
     P = np.asarray(points, dtype=float)
     x = np.asarray(x, dtype=float)
     if P.ndim != 2 or (len(P) and P.shape[1] != x.shape[0]):
         raise ValueError("points must be (n, d) matching x")
-    n = len(P)
+    if not tol >= 0.0:
+        raise ValueError("tol must be non-negative")
+    n, d = P.shape
     if n == 0:
         return False
-    d = x.shape[0]
-    reject_level = 0.5 * d * tol * tol
+    # A = [Q^T; 1^T] with Q = points - x, filled row-wise: for small d that is
+    # several times cheaper than broadcasting x over the rows of points
+    A = np.empty((d + 1, n))
+    Qt = A[:d]
+    np.subtract(P.T, x[:, None], out=Qt)
+    sq = np.einsum("ij,ij->j", Qt, Qt)
+    radius = math.sqrt(float(sq.max()))
+    if not math.isfinite(radius):
+        raise ValueError("x and points must be finite")
+    if radius <= tol:
+        return True
+    # solve at unit radius, where the simplex row of A is as large as the rest
+    Qt /= radius
+    A[d] = 1.0
+    e = np.zeros(d + 1)
+    e[d] = 1.0
+    unit_tol = tol / radius
+    accept_tol = max(unit_tol, _ROUNDING)
 
-    i0 = int(np.argmin(((P - x) ** 2).sum(axis=1)))
-    w = np.zeros(n)
-    w[i0] = 1.0
-    v = P[i0].copy()
-
-    for _ in range(max_iter):
-        r = v - x
-        if np.abs(r).max() <= tol:
+    i0 = int(np.argmin(sq))
+    passive = [i0]
+    u = np.array([1.0 / (1.0 + sq[i0] / (radius * radius))])
+    for _ in range(3 * n):
+        s = float(u.sum())
+        z = Qt[:, passive] @ (u / s)
+        z_norm = math.sqrt(float(z @ z))
+        if z_norm <= accept_tol:
             return True
-        f = 0.5 * float(r @ r)
-        g = P @ r
-        i_fw = int(np.argmin(g))
-        wg = float(w @ g)
-        gap_fw = wg - g[i_fw]
-        if f - gap_fw > reject_level:
+        Qz = z @ Qt
+        if Qz.min() > unit_tol * z_norm:
             return False
-        active = np.flatnonzero(w > 0)
-        i_aw = int(active[np.argmax(g[active])])
-        gap_aw = g[i_aw] - wg
-        if gap_fw >= gap_aw:
-            direction = P[i_fw] - v
-            gamma_max = 1.0
-            drop = None
+        # gradient of 0.5 * ||A u - e||^2; it is zero on the passive set
+        grad = s * Qz + (s - 1.0)
+        grad[passive] = 0.0
+        j = int(np.argmin(grad))
+        while grad[j] < -_ENTER_TOL:
+            v = np.linalg.lstsq(A[:, passive + [j]], e, rcond=None)[0]
+            if v[-1] > 0.0:
+                break
+            grad[j] = 0.0  # dependent on the passive columns up to rounding
+            j = int(np.argmin(grad))
         else:
-            direction = v - P[i_aw]
-            w_aw = w[i_aw]
-            if w_aw >= 1.0:
-                break  # single-vertex away step cannot improve
-            gamma_max = w_aw / (1.0 - w_aw)
-            drop = i_aw
-        denom = float(direction @ direction)
-        if denom <= 0.0:
-            break
-        gamma = min(max(-float(r @ direction) / denom, 0.0), gamma_max)
-        if gamma <= 0.0:
-            break
-        if drop is None:
-            w *= 1.0 - gamma
-            w[i_fw] += gamma
-        else:
-            w *= 1.0 + gamma
-            w[drop] -= gamma
-            if gamma >= gamma_max - 1e-15:
-                w[drop] = 0.0
-        np.clip(w, 0.0, None, out=w)
-        ssum = w.sum()
-        if ssum <= 0.0:
-            break
-        w /= ssum
-        _affine_correction(P, x, w)
-        v = w @ P
-    r = v - x
-    return bool(np.abs(r).max() <= tol)
+            # the optimum: z is normal to its face but for rounding, which
+            # tilts it by about |q| / |z| ulps; straighten it and try again
+            face = Qt[:, passive]
+            D = face[:, 1:] - face[:, :1]
+            normal = z - D @ np.linalg.lstsq(D, z, rcond=None)[0]
+            if (normal @ Qt).min() > unit_tol * math.sqrt(float(normal @ normal)):
+                return False
+            raise HullSolveError(f"no certificate at the optimum: distance "
+                                 f"{z_norm * radius!r}, tol {tol!r}")
+        passive.append(j)
+        u = np.append(u, 0.0)
+        while v.min() <= 0.0:
+            # step back to where the first passive weight reaches zero; drop it
+            neg = np.flatnonzero(v <= 0.0)
+            ratio = u[neg] / (u[neg] - v[neg])
+            u = u + ratio.min() * (v - u)
+            keep = u > 0.0
+            keep[neg[np.argmin(ratio)]] = False
+            passive = [p for p, k in zip(passive, keep) if k]
+            u = u[keep]
+            v = np.linalg.lstsq(A[:, passive], e, rcond=None)[0]
+        u = v
+    raise HullSolveError(f"no certificate after {3 * n} active-set iterations")
+
+
+# queries per neighbor search in member_mask: a block of 64 keeps the lists
+# of 2-D queries with hundreds of neighbors each to a few MB
+_QUERY_BLOCK = 64
 
 
 def member_mask(plus_norm: np.ndarray, query_norm: np.ndarray, rho: float,
@@ -250,27 +274,36 @@ def member_mask(plus_norm: np.ndarray, query_norm: np.ndarray, rho: float,
                 max_neighbors: Optional[int] = None) -> np.ndarray:
     """Hull-membership flags for each query point against its radius neighbors.
 
-    ``assume_member`` lets callers skip points already decided as members:
-    with a fixed normalization, membership can only grow as the positive
-    pool grows, so cached positives stay valid.  ``max_neighbors`` caps each
+    ``assume_member`` lets callers skip points already decided as members;
+    the rest are searched for neighbors in blocks of ``_QUERY_BLOCK``, which
+    keeps the neighbor lists held at once small.  ``max_neighbors`` caps each
     hull at the nearest such neighbors; a subset hull is contained in the
     full one, so capping only errs toward keeping points in the negative set.
+
+    The cache is sound, not history-free.  Without a cap, membership under a
+    fixed normalization only grows with the positive pool, so a cached member
+    is a member on recompute.  With a cap it need not be: new, nearer
+    neighbors can displace the ones whose hull held it.  It stays within
+    ``tol`` of the hull of its full ``rho``-ball, though, which only grows,
+    so every cached member is still one for the uncapped test.
     """
     if assume_member is None:
         mask = np.zeros(len(query_norm), dtype=bool)
     else:
         mask = assume_member.copy()
+    todo = np.flatnonzero(~mask)
     index = NeighborIndex(plus_norm)
-    for i, q in enumerate(query_norm):
-        if mask[i]:
-            continue
+    for start in range(0, len(todo), _QUERY_BLOCK):
+        rows = todo[start:start + _QUERY_BLOCK]
         if max_neighbors is None:
-            idx = index.query(q, rho)
+            neighbors = index.query(query_norm[rows], rho)
         else:
-            idx = index.query_nearest(q, rho, max_neighbors)
-        if len(idx) == 0:
-            continue
-        mask[i] = hull_membership(q, plus_norm[idx], tol)
+            neighbors = index.query_nearest(query_norm[rows], rho, max_neighbors)
+        for i, idx in zip(rows, neighbors):
+            if len(idx):
+                # take: a row gather several times cheaper than plus_norm[idx]
+                mask[i] = hull_membership(query_norm[i], np.take(plus_norm, idx, axis=0),
+                                          tol)
     return mask
 
 

@@ -62,7 +62,7 @@ class TrainConfig:
     k_p: int = 10                        # classifier update cadence (epochs)
     episodes_per_epoch: int = 2
     actuation_noise_sigma: float = 0.15  # collection-time action noise
-    hull_tol: float = 0.05               # distance-to-hull rescue tolerance (normalized)
+    hull_tol: float = 0.05               # Euclidean distance to the hull (normalized)
     neighbor_cap: int = 64               # nearest neighbors per hull test
     batch_size: int = 256
     lr_policy: float = 1e-3
@@ -338,8 +338,9 @@ class _LabelState:
     """Membership cache for the undecided pool.
 
     With a fixed metric, hull membership only grows as the positive pool
-    grows, so decided members need no retesting; a metric refit invalidates
-    the cache and forces a full recompute.
+    grows, so decided members need no retesting (``member_mask`` states what
+    this keeps under a neighbor cap); a metric refit invalidates the cache
+    and forces a full recompute.
     """
 
     def __init__(self):

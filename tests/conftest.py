@@ -82,3 +82,25 @@ def lp_hull_oracle(x: np.ndarray, points: np.ndarray, tol: float = 1e-7) -> bool
             if np.abs(w @ P[list(subset)] - x).max() <= tol:
                 return True
     return False
+
+
+def euclidean_hull_distance(x: np.ndarray, points: np.ndarray) -> float:
+    """Exact Euclidean distance from x to the convex hull of points, by enumeration.
+
+    The nearest hull point is the projection of x onto the affine hull of
+    some face, spanned by at most dim + 1 vertices, with non-negative
+    barycentric weights; the distance is the least over all such subsets.
+    """
+    P = np.asarray(points, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n, d = P.shape
+    best = math.inf
+    for k in range(1, min(n, d + 1) + 1):
+        for subset in itertools.combinations(range(n), k):
+            V = P[list(subset)]
+            c, *_ = np.linalg.lstsq((V[1:] - V[0]).T, x - V[0], rcond=None)
+            w = np.concatenate([[1.0 - c.sum()], c])
+            if w.min() < -1e-12:
+                continue
+            best = min(best, float(np.linalg.norm(w @ V - x)))
+    return best

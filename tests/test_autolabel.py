@@ -22,7 +22,7 @@ from cabc.autolabel import (
 from cabc.core import LabeledPool
 from cabc.trainer import _LabelState
 
-from conftest import lp_hull_oracle, make_state
+from conftest import euclidean_hull_distance, lp_hull_oracle, make_state
 
 
 class TestNormalization:
@@ -89,6 +89,19 @@ class TestRadiusNeighbors:
             idx = index.query(norm.normalize_states([q])[0], 1.0)
             assert sorted(map(id, scan)) == sorted(id(plus[i]) for i in idx)
 
+    def test_block_queries_match_single_queries(self):
+        rng = np.random.default_rng(12)
+        index = NeighborIndex(rng.normal(size=(300, 3)))
+        block = rng.normal(scale=1.2, size=(40, 3))
+        for found, q in zip(index.query(block, 0.6), block):
+            assert np.array_equal(found, index.query(q, 0.6))
+        for cap in (1, 8):
+            for found, q in zip(index.query_nearest(block, 0.6, cap), block):
+                assert np.array_equal(found, index.query_nearest(q, 0.6, cap))
+        assert index.query(block[:0], 0.6) == []
+        empty = NeighborIndex(np.zeros((0, 3)))
+        assert [len(i) for i in empty.query_nearest(block[:2], 0.6, 8)] == [0, 0]
+
 
 class TestHullMembership:
     def test_centroid_of_symmetric_set(self):
@@ -118,6 +131,94 @@ class TestHullMembership:
             else:
                 x = rng.normal(scale=1.5, size=d)
             assert hull_membership(x, P) == lp_hull_oracle(x, P)
+
+    @pytest.mark.parametrize("tol", [1e-7, 0.05])
+    def test_agrees_with_euclidean_distance_oracle(self, tol):
+        rng = np.random.default_rng(23)
+        for _ in range(120):
+            d = int(rng.integers(2, 8))
+            n = int(rng.integers(1, 9))
+            P = rng.normal(size=(n, d))
+            x = rng.dirichlet(np.ones(n)) @ P
+            if rng.random() < 0.7:
+                step = rng.normal(size=d)
+                x = x + step * rng.uniform(0.0, 3.0) * tol / np.linalg.norm(step)
+            dist = euclidean_hull_distance(x, P)
+            if abs(dist - tol) > 1e-9:
+                assert hull_membership(x, P, tol) == (dist <= tol)
+
+    @pytest.mark.parametrize("tol", [1e-7, 0.05])
+    def test_facet_distance_decides(self, tol):
+        # a 7-simplex: the facet opposite vertex 0, approached along its normal
+        rng = np.random.default_rng(4)
+        P = rng.normal(size=(8, 7))
+        facet = P[1:]
+        normal = np.linalg.svd(facet[1:] - facet[0])[2][-1]
+        if normal @ (P[0] - facet[0]) > 0:
+            normal = -normal
+        centroid = facet.mean(axis=0)
+        assert hull_membership(centroid + 0.9 * tol * normal, P, tol)
+        assert not hull_membership(centroid + 1.1 * tol * normal, P, tol)
+
+    def test_vertex_diagonal_is_measured_in_euclidean_norm(self):
+        # off the corner of the unit simplex along -(1, ..., 1): Euclidean
+        # distance 1.2 * tol, max-norm distance 1.2 * tol / sqrt(7) < tol
+        d, tol = 7, 0.05
+        P = np.vstack([np.zeros(d), np.eye(d)])
+        x = -1.2 * tol * np.ones(d) / math.sqrt(d)
+        assert np.abs(x).max() <= tol
+        assert not hull_membership(x, P, tol)
+        assert hull_membership(0.8 * x, P, tol)
+
+    def test_labeling_run_query_is_decided_at_its_euclidean_distance(self):
+        # a normalized 7-D query and its 8 capped neighbors from a lambda = 1
+        # CA run on gp: within 0.039 of their hull in the max norm, 0.068 in
+        # the Euclidean norm, so not a member at the run's hull_tol of 0.05
+        x = np.array([0.2709, -0.9486, 1.2933, -0.5383, -1.3524, -0.801, 0.4853])
+        P = np.array([[0.6111, -1.2258, 0.966, -0.5387, -1.3523, -0.8223, 0.7923],
+                      [0.6857, -0.3622, 1.3534, -0.5873, -1.3321, -0.9187, 0.4355],
+                      [0.6397, -0.679, 0.6179, -0.5668, -1.3409, -0.6454, 0.397],
+                      [0.1909, -1.5254, 1.6557, -0.5687, -1.34, -1.3458, 0.7945],
+                      [0.0822, -1.0387, 0.5303, -0.4894, -1.3707, -0.6963, 0.9611],
+                      [0.9463, -0.7717, 0.6996, -0.6181, -1.3181, -0.6986, 0.3869],
+                      [0.5138, -0.7739, 1.7102, -0.5426, -1.3507, -0.5186, -0.2559],
+                      [0.0902, -1.7887, 0.8643, -0.4926, -1.3695, -0.6522, 0.2673]])
+        dist = euclidean_hull_distance(x, P)
+        assert dist == pytest.approx(0.068133, abs=1e-6)
+        assert not hull_membership(x, P, 0.05)
+        assert not hull_membership(x, P, 0.99 * dist)
+        assert hull_membership(x, P, 1.01 * dist)
+
+    def test_degenerate_inputs(self):
+        rng = np.random.default_rng(8)
+        simplex = rng.normal(size=(4, 3))
+        dupes = simplex[[0, 1, 1, 2, 3, 3, 3, 0]]
+        assert hull_membership(simplex.mean(axis=0), dupes)
+        outside = 2.0 * simplex[0] - simplex.mean(axis=0)
+        assert not hull_membership(outside, dupes)
+
+        # collinear points in 7-D: a segment from t = -1 to t = 2
+        direction = rng.normal(size=7)
+        direction /= np.linalg.norm(direction)
+        base = rng.normal(size=7)
+        line = base + np.linspace(-1.0, 2.0, 9)[:, None] * direction
+        side = np.linalg.svd(direction[None, :])[2][-1]
+        assert hull_membership(base + 0.3 * direction, line)
+        assert hull_membership(base + (2.0 + 0.04) * direction, line, 0.05)
+        assert not hull_membership(base + (2.0 + 0.06) * direction, line, 0.05)
+        assert hull_membership(base + 0.04 * side, line, 0.05)
+        assert not hull_membership(base + 0.06 * side, line, 0.05)
+
+        for tol in (HULL_TOL, 0.0):
+            assert hull_membership(simplex[2], simplex, tol)      # x on a vertex
+            assert hull_membership(simplex[0], simplex[:1], tol)  # n = 1
+            assert not hull_membership(outside, simplex, tol)
+        assert hull_membership(simplex.mean(axis=0), simplex, 0.0)
+        origin = np.zeros((1, 3))
+        assert hull_membership(np.array([0.0, 0.03, 0.04]), origin, 0.05)
+        assert not hull_membership(np.array([0.0, 0.03, 0.0401]), origin, 0.05)
+        with pytest.raises(ValueError):
+            hull_membership(np.array([np.nan, 0.0, 0.0]), simplex)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
