@@ -26,6 +26,10 @@ first ``HULL_QUERIES`` queries that have a neighbor:
   fixed-seed expert collection on gp (eight epochs, alpha = 1) against at most
   ``neighbor_cap`` nearest safe states within ``rho``, at ``hull_tol``.
 
+Weight files (minimum over ``REPEATS`` of one call, with the file's size):
+``nn.save_weights`` and ``nn.load_weights`` of the default 128x3
+output-feedback policy, in a temporary directory.
+
 Each invocation appends one record under ``--label`` to ``--out`` and
 rewrites the per-label summary: the minimum over that label's records, since
 on a shared host whose speed drifts the fastest invocation is the one least
@@ -43,6 +47,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -188,6 +193,28 @@ def _hulls() -> dict:
     return out
 
 
+def _io() -> dict:
+    from cabc import nn
+    from cabc.track import get_track
+    from cabc.trainer import TrainConfig, init_policy
+
+    gp = get_track("gp")
+    policy = init_policy(TrainConfig(seed=1), gp)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "policy")
+        cases = {"nn.save_weights": lambda: nn.save_weights(policy, path),
+                 "nn.load_weights": lambda: nn.load_weights(path)}
+        for name, run in cases.items():
+            best = float("inf")
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                run()
+                best = min(best, time.perf_counter() - t0)
+            out[name] = {"us_per_call": round(best * 1e6, 3), "bytes": os.path.getsize(path)}
+    return out
+
+
 def _summary(records: list) -> dict:
     by_label: dict = {}
     for rec in records:
@@ -196,7 +223,7 @@ def _summary(records: list) -> dict:
     for label, recs in by_label.items():
         summ = {"records": len(recs)}
         for group, unit in (("loops", "us_per_step"), ("calls", "us_per_call"),
-                            ("hulls", "us_per_call")):
+                            ("hulls", "us_per_call"), ("io", "us_per_call")):
             # a measurement added later is summarised over the records that have it
             names = dict.fromkeys(name for r in recs for name in r.get(group, {}))
             summ[group] = {name: min(r[group][name][unit] for r in recs
@@ -223,6 +250,7 @@ def main(argv=None) -> int:
         "loops": _loops(),
         "calls": _calls(),
         "hulls": _hulls(),
+        "io": _io(),
     }
     doc = {"records": []}
     if os.path.exists(args.out):
@@ -236,7 +264,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    print(json.dumps({k: record[k] for k in ("label", "loops", "calls", "hulls")}, indent=1))
+    print(json.dumps({k: record[k] for k in ("label", "loops", "calls", "hulls", "io")}, indent=1))
     return 0
 
 

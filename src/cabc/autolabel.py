@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -98,29 +98,19 @@ def fit_norm(d_plus: Sequence[VehicleState], lap_length: float) -> NormStats:
 
 # --- radius neighbors ---------------------------------------------------------
 
-def radius_neighbors(x: VehicleState, d_plus: Sequence[VehicleState],
-                     norm: NormStats, rho: float) -> List[VehicleState]:
-    """All pool states within normalized Euclidean distance ``rho`` of ``x``.
-
-    Reference implementation: exhaustive linear scan.  Indexed queries must
-    return exactly this set.
-    """
-    if rho < 0:
+def _check_radius(rho: float) -> None:
+    # cKDTree squares the radius, so a negative one would act as its magnitude
+    if not rho >= 0.0:
         raise ValueError("rho must be non-negative")
-    if not d_plus:
-        return []
-    q = norm.normalize_states([x])[0]
-    pts = norm.normalize_states(d_plus)
-    d2 = ((pts - q) ** 2).sum(axis=1)
-    return [d_plus[i] for i in np.flatnonzero(d2 <= rho * rho)]
 
 
 class NeighborIndex:
-    """KD-tree over normalized points; returns the same sets as the linear scan.
+    """KD-tree over normalized points: exactly the points within Euclidean
+    distance ``rho`` of a query, as an exhaustive scan finds them.
 
     Both queries take one point ``(d,)`` and return an index array, or a
     block ``(m, d)`` and return a list of ``m`` index arrays, as ``cKDTree``
-    does.
+    does.  Both raise ``ValueError`` for a negative ``rho``.
     """
 
     def __init__(self, points_norm: np.ndarray):
@@ -129,6 +119,7 @@ class NeighborIndex:
 
     def query(self, q: np.ndarray, rho: float):
         """All points within ``rho``, in ascending index order."""
+        _check_radius(rho)
         q = np.asarray(q, dtype=float)
         if self._tree is None:
             none = np.zeros(0, dtype=int)
@@ -140,6 +131,7 @@ class NeighborIndex:
 
     def query_nearest(self, q: np.ndarray, rho: float, cap: int):
         """At most ``cap`` nearest neighbors within ``rho``, nearest first."""
+        _check_radius(rho)
         q = np.asarray(q, dtype=float)
         if self._tree is None:
             none = np.zeros(0, dtype=int)
@@ -182,10 +174,14 @@ def hull_membership(x: np.ndarray, points: np.ndarray, tol: float = HULL_TOL) ->
       every point, hence the whole hull, further than ``tol`` from ``x``.
 
     At the optimum exactly one of them holds, so no iteration count decides a
-    verdict; a solve that ends without either raises :class:`HullSolveError`.
-    A distance below rounding (about ``1e-12`` of the largest ``||q_i||``,
-    more for a nearly flat hull) counts as zero, so ``tol = 0`` asks for
-    membership up to rounding.  The empty hull contains nothing.
+    verdict.  Near a face within about ``1e-8`` of ``x`` (a nearly flat hull)
+    the gradients that pick entering points are rounding, so there the face's
+    normal picks them instead (see the loop).  A distance below rounding
+    (about ``1e-12`` of the largest ``||q_i||``) counts as zero, so ``tol = 0``
+    asks for membership up to rounding.  A solve that proves neither raises
+    :class:`HullSolveError`; on random flat and full-dimensional hulls that
+    happens only at distances within rounding of ``tol``.  The empty hull
+    contains nothing.
     """
     P = np.asarray(points, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -238,15 +234,29 @@ def hull_membership(x: np.ndarray, points: np.ndarray, tol: float = HULL_TOL) ->
             grad[j] = 0.0  # dependent on the passive columns up to rounding
             j = int(np.argmin(grad))
         else:
-            # the optimum: z is normal to its face but for rounding, which
-            # tilts it by about |q| / |z| ulps; straighten it and try again
+            # no gradient clears rounding.  Each one is s * q_j . z + (s - 1)
+            # with s near 1, so it carries ~1e-16 of absolute rounding, and a
+            # face within ~1e-8 of x has genuine gradients that small.  The
+            # face's normal, which a rank-revealing solve of its edges gives
+            # to rounding, measures the same thing by heights instead: they
+            # either separate every point (reject), or put one below the face,
+            # which then enters as its gradient would have.
             face = Qt[:, passive]
             D = face[:, 1:] - face[:, :1]
             normal = z - D @ np.linalg.lstsq(D, z, rcond=None)[0]
-            if (normal @ Qt).min() > unit_tol * math.sqrt(float(normal @ normal)):
+            depth = math.sqrt(float(normal @ normal))
+            heights = normal @ Qt
+            if heights.min() > unit_tol * depth:
                 return False
-            raise HullSolveError(f"no certificate at the optimum: distance "
-                                 f"{z_norm * radius!r}, tol {tol!r}")
+            heights[passive] = math.inf
+            below = np.flatnonzero(heights < depth * (depth - _ENTER_TOL))
+            for j in below[np.argsort(heights[below])].tolist():
+                v = np.linalg.lstsq(A[:, passive + [j]], e, rcond=None)[0]
+                if v[-1] > 0.0:
+                    break
+            else:
+                raise HullSolveError(f"no certificate at the optimum: distance "
+                                     f"{z_norm * radius!r}, tol {tol!r}")
         passive.append(j)
         u = np.append(u, 0.0)
         while v.min() <= 0.0:

@@ -92,7 +92,7 @@ def _cmd_train(args) -> int:
         if args.checkpoint_every and report.epoch % args.checkpoint_every == 0:
             d = os.path.join(ckpt_dir, f"epoch_{report.epoch:04d}")
             os.makedirs(d, exist_ok=True)
-            nn.save_weights(policy_params, os.path.join(d, "policy.json"))
+            nn.save_weights(policy_params, os.path.join(d, "policy.npz"))
 
     try:
         result = train(cfg, track, factory, epoch_callback=on_epoch,
@@ -103,7 +103,7 @@ def _cmd_train(args) -> int:
         return EXIT_NONFINITE
     writer.close()
 
-    nn.save_weights(result.policy, os.path.join(out, "policy.json"))
+    nn.save_weights(result.policy, os.path.join(out, "policy.npz"))
     if result.dyn is not None and result.clf is not None:
         save_critic(result.dyn, result.clf, os.path.join(out, "critic"))
     if result.pool.d_plus or result.pool.d_query:
@@ -138,7 +138,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     written = emit_reports(args.run, args.out, baseline_dir=args.baseline)
-    run_policy = os.path.join(args.run, "policy.json")
+    run_policy = os.path.join(args.run, "policy.npz")
     cfg_path = os.path.join(args.run, "config.txt")
     meta_path = os.path.join(args.run, "meta.json")
     if os.path.exists(run_policy) and os.path.exists(cfg_path) and os.path.exists(meta_path):
@@ -266,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate saved policy weights")
-    p.add_argument("--weights", required=True)
+    p.add_argument("--weights", required=True,
+                   help="policy .npz archive written by train, e.g. RUN/policy.npz or "
+                        "RUN/checkpoints/epoch_NNNN/policy.npz: .npy members flat "
+                        "(float64 parameters), sizes, head, activation and seed")
     p.add_argument("--track", default="gp")
     p.add_argument("--obs", choices=("full", "output"), default="output")
     p.add_argument("--seed", type=int, default=0)

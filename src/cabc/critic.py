@@ -197,9 +197,11 @@ def soft_filter_pi_xi(clf: SafetyClf, dyn: DynModel, x: VehicleState, u_hat: Act
 # --- checkpointing -------------------------------------------------------------
 
 def save_critic(dyn: DynModel, clf: SafetyClf, dirpath) -> None:
+    """Write ``dyn.npz`` and ``clf.npz`` (``nn.save_weights``) and the shared
+    normalization, ``norm.json``, into ``dirpath``."""
     os.makedirs(dirpath, exist_ok=True)
-    nn.save_weights(dyn.params, os.path.join(dirpath, "dyn.json"))
-    nn.save_weights(clf.params, os.path.join(dirpath, "clf.json"))
+    nn.save_weights(dyn.params, os.path.join(dirpath, "dyn.npz"))
+    nn.save_weights(clf.params, os.path.join(dirpath, "clf.npz"))
     with open(os.path.join(dirpath, "norm.json"), "w", encoding="utf-8") as fh:
         json.dump({"mean": dyn.norm.mean.tolist(), "std": dyn.norm.std.tolist(),
                    "lap_length": dyn.norm.lap_length}, fh)
@@ -210,8 +212,8 @@ def load_critic(dirpath, cfg: SimConfig, lam: float) -> Tuple[DynModel, SafetyCl
         obj = json.load(fh)
     norm = NormStats(mean=np.asarray(obj["mean"]), std=np.asarray(obj["std"]),
                      lap_length=float(obj["lap_length"]))
-    dyn = DynModel(params=nn.load_weights(os.path.join(dirpath, "dyn.json")),
+    dyn = DynModel(params=nn.load_weights(os.path.join(dirpath, "dyn.npz")),
                    norm=norm, delta_scale=delta_scale_from(cfg))
-    clf = SafetyClf(params=nn.load_weights(os.path.join(dirpath, "clf.json")),
+    clf = SafetyClf(params=nn.load_weights(os.path.join(dirpath, "clf.npz")),
                     norm=norm, lam=lam)
     return dyn, clf

@@ -15,6 +15,13 @@ Every network keeps its parameters in one contiguous float64 vector
 ``MlpParams.weights`` are views into it and parameter gradients use the same
 layout, so an Adam step is a handful of whole-vector operations.
 
+Files.  ``save_weights`` writes one network as an ``.npz`` archive: an
+uncompressed zip whose members are plain ``.npy`` arrays (NumPy NEP 1),
+``flat`` (float64, the layout above), ``sizes`` (int64), ``head`` and
+``activation`` (unicode scalars) and ``seed`` (int64 scalar).  Every member
+carries zip's fixed 1980 timestamp, so saving one network twice gives the
+same bytes, and ``np.load(path, allow_pickle=False)`` reads every member.
+
 Ownership.  Parameters are immutable values: nothing writes into an
 ``MlpParams`` after it is built, and ``adam_step`` returns a new one.  An
 ``OptState``'s moments and a ``Tape``'s buffers are workspaces owned by one
@@ -26,7 +33,7 @@ that tape is next used; a caller that keeps one must copy it.
 
 from __future__ import annotations
 
-import json
+import zipfile
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -58,10 +65,7 @@ class MlpParams:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.head not in _HEADS:
-            raise ValueError(f"unknown head {self.head!r}")
-        if self.activation != "tanh":
-            raise ValueError("only tanh hidden activation is supported")
+        _check_kind(self.head, self.activation)
         if len(self.weights) != len(self.sizes) - 1:
             raise ValueError("weight count does not match layer sizes")
         for i, (W, b) in enumerate(self.weights):
@@ -85,11 +89,7 @@ class MlpParams:
 
     def with_flat(self, flat: np.ndarray) -> "MlpParams":
         """The same network backed by ``flat``, which the new value takes over."""
-        new = object.__new__(MlpParams)
-        for name in ("sizes", "head", "activation", "seed"):
-            object.__setattr__(new, name, getattr(self, name))
-        new._adopt(flat)
-        return new
+        return _from_flat(self.sizes, flat, self.head, self.activation, self.seed)
 
     @property
     def n_in(self) -> int:
@@ -98,6 +98,24 @@ class MlpParams:
     @property
     def n_out(self) -> int:
         return self.sizes[-1]
+
+
+def _check_kind(head: str, activation: str) -> None:
+    if head not in _HEADS:
+        raise ValueError(f"unknown head {head!r}")
+    if activation != "tanh":
+        raise ValueError("only tanh hidden activation is supported")
+
+
+def _from_flat(sizes: Tuple[int, ...], flat: np.ndarray, head: str, activation: str,
+               seed: int) -> MlpParams:
+    """An ``MlpParams`` backed by ``flat`` (not copied), which has its layout."""
+    new = object.__new__(MlpParams)
+    for name, value in (("sizes", sizes), ("head", head), ("activation", activation),
+                        ("seed", seed)):
+        object.__setattr__(new, name, value)
+    new._adopt(flat)
+    return new
 
 
 def init_mlp(sizes: Sequence[int], head: str = "identity", seed: int = 0) -> MlpParams:
@@ -390,26 +408,39 @@ def grad_check(p: MlpParams, x: np.ndarray, tol: float = 1e-4,
 
 
 def save_weights(p: MlpParams, path) -> None:
-    """Write ``p`` as the JSON text ``json.dump`` writes for ``{"sizes",
-    "activation", "head", "layers": [{"W", "b"}, ...], "seed"}``.
+    """Write ``p`` to ``path`` as the ``.npz`` archive the module docstring lays out.
 
-    Each matrix row is encoded by ``json.dumps``, which runs the C encoder
-    (``json.dump`` streams through the pure-Python one), and each layer is
-    written as soon as it is encoded, so no more than one layer's text is held.
+    Each member is written by ``np.lib.format.write_array`` into a
+    ``zipfile.ZipInfo`` that keeps its default timestamp; ``np.savez`` would
+    stamp the current time into every member.
     """
-    meta = json.dumps({"sizes": list(p.sizes), "activation": p.activation, "head": p.head})
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(meta[:-1] + ', "layers": [')
-        for i, (W, b) in enumerate(p.weights):
-            rows = ", ".join(json.dumps(row.tolist()) for row in W)
-            fh.write(f'{", " if i else ""}{{"W": [{rows}], "b": {json.dumps(b.tolist())}}}')
-        fh.write(f'], "seed": {json.dumps(p.seed)}}}')
+    members = (("flat", p.flat), ("sizes", np.asarray(p.sizes, dtype=np.int64)),
+               ("head", np.asarray(p.head)), ("activation", np.asarray(p.activation)),
+               ("seed", np.asarray(p.seed, dtype=np.int64)))
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, value in members:
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, value, allow_pickle=False)
 
 
 def load_weights(path) -> MlpParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    weights = tuple((np.asarray(layer["W"], dtype=float), np.asarray(layer["b"], dtype=float))
-                    for layer in obj["layers"])
-    return MlpParams(sizes=tuple(obj["sizes"]), weights=weights, head=obj["head"],
-                     activation=obj["activation"], seed=int(obj.get("seed", 0)))
+    """Read a network that ``save_weights`` wrote; the result owns ``flat``.
+
+    Raises ``ValueError`` when ``path`` is not a zip archive (weights saved
+    as JSON text before the ``.npz`` format no longer load), or when ``flat``
+    does not hold exactly the parameters ``sizes`` calls for, or holds a
+    non-finite value.
+    """
+    if not zipfile.is_zipfile(path):
+        # np.load would report such a file as pickled data
+        raise ValueError(f"{path} is not an .npz weight archive")
+    with np.load(path, allow_pickle=False) as data:
+        flat = data["flat"].astype(np.float64, copy=False)
+        sizes = tuple(int(n) for n in data["sizes"])
+        head, activation = data["head"].item(), data["activation"].item()
+        seed = int(data["seed"])
+    _check_kind(head, activation)
+    n = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    if len(sizes) < 2 or min(sizes) < 1 or flat.shape != (n,):
+        raise ValueError(f"flat has shape {flat.shape}; layer sizes {sizes} need ({n},)")
+    return _from_flat(sizes, flat, head, activation, seed)

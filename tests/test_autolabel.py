@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from cabc.autolabel import (
     NeighborIndex,
@@ -17,7 +18,6 @@ from cabc.autolabel import (
     label_synthetic,
     member_mask,
     prop1_violation_count,
-    radius_neighbors,
 )
 from cabc.core import LabeledPool
 from cabc.trainer import _LabelState
@@ -57,31 +57,55 @@ class TestNormalization:
         assert np.linalg.norm(a - b) < 1e-5
 
 
+def _index_and_norm(plus):
+    norm = fit_norm(plus, lap_length=10.0)
+    return NeighborIndex(norm.normalize_states(plus)), norm
+
+
 class TestRadiusNeighbors:
     def test_zero_radius_without_exact_match(self):
         plus = [make_state(v=1.0), make_state(v=2.0)]
-        norm = fit_norm(plus, lap_length=10.0)
-        assert radius_neighbors(make_state(v=1.5), plus, norm, 0.0) == []
+        index, norm = _index_and_norm(plus)
+        assert index.query(norm.normalize_states([make_state(v=1.5)])[0], 0.0).tolist() == []
 
     def test_huge_radius_returns_all(self):
         plus = [make_state(v=float(i)) for i in range(5)]
-        norm = fit_norm(plus, lap_length=10.0)
-        assert radius_neighbors(make_state(v=2.0), plus, norm, 1e9) == plus
+        index, norm = _index_and_norm(plus)
+        found = index.query(norm.normalize_states([make_state(v=2.0)])[0], 1e9)
+        assert [plus[i] for i in found] == plus
 
     def test_rejects_negative_radius(self):
         plus = [make_state(), make_state(v=2.0)]
-        norm = fit_norm(plus, lap_length=10.0)
+        index, norm = _index_and_norm(plus)
         with pytest.raises(ValueError):
-            radius_neighbors(make_state(), plus, norm, -1.0)
+            index.query(norm.normalize_states([make_state()])[0], -1.0)
+
+    def test_nearest_rejects_negative_radius(self):
+        # cKDTree squares the radius: unchecked, -0.7 would return the +0.7 sets
+        index = NeighborIndex(np.random.default_rng(13).normal(size=(50, 3)))
+        for q in (np.zeros(3), np.zeros((4, 3))):
+            with pytest.raises(ValueError):
+                index.query_nearest(q, -0.7, 8)
+            with pytest.raises(ValueError):
+                index.query(q, -0.7)
+        with pytest.raises(ValueError):
+            NeighborIndex(np.zeros((0, 3))).query_nearest(np.zeros(3), -0.7, 8)
+        with pytest.raises(ValueError):
+            member_mask(index.points, np.zeros((4, 3)), -0.7)
 
     def test_index_matches_linear_scan(self):
+        def radius_neighbors(x, d_plus, norm, rho):
+            """Reference: every pool state within normalized distance rho, by scan."""
+            q = norm.normalize_states([x])[0]
+            d2 = ((norm.normalize_states(d_plus) - q) ** 2).sum(axis=1)
+            return [d_plus[i] for i in np.flatnonzero(d2 <= rho * rho)]
+
         rng = np.random.default_rng(11)
         plus = [make_state(v=rng.uniform(0, 3), s=rng.uniform(0, 10),
                            xt=rng.normal(0, 0.2), ep=rng.normal(0, 0.3),
                            vt=rng.normal(0, 0.1), om=rng.normal(0, 0.5))
                 for _ in range(1000)]
-        norm = fit_norm(plus, lap_length=10.0)
-        index = NeighborIndex(norm.normalize_states(plus))
+        index, norm = _index_and_norm(plus)
         for _ in range(25):
             q = make_state(v=rng.uniform(0, 3), s=rng.uniform(0, 10),
                            xt=rng.normal(0, 0.2))
@@ -219,6 +243,33 @@ class TestHullMembership:
         assert not hull_membership(np.array([0.0, 0.03, 0.0401]), origin, 0.05)
         with pytest.raises(ValueError):
             hull_membership(np.array([np.nan, 0.0, 0.0]), simplex)
+
+    def test_nearly_flat_hulls_are_decided(self):
+        # one dimension squeezed to 1e-5: faces end up within ~1e-7 of x,
+        # where the entering gradients are rounding; these solves used to end
+        # at such a face without a certificate (trials 229 and 1697 among them)
+        def nnls_distance(x, P):
+            Q = P - x
+            scale = np.linalg.norm(Q, axis=1).max()
+            u = nnls(np.vstack([Q.T / scale, np.ones(len(P))]),
+                     np.r_[np.zeros(len(x)), 1.0], maxiter=2000)[0]
+            return float(np.linalg.norm(u @ Q / u.sum()))
+
+        rng = np.random.default_rng(5)
+        for trial in range(2000):
+            d = int(rng.integers(2, 8))
+            n = int(rng.integers(2, 30))
+            P = rng.normal(size=(n, d))
+            P[:, -1] *= 1e-5
+            x = rng.dirichlet(np.ones(n)) @ P
+            if trial % 2:
+                x = x + rng.normal(scale=1e-3, size=d) * np.r_[np.ones(d - 1), 1e-5]
+            dist = euclidean_hull_distance(x, P) if n <= 5 else nnls_distance(x, P)
+            band = 1e-9 * np.linalg.norm(P - x, axis=1).max()
+            for tol in (0.0, HULL_TOL, 0.05):
+                verdict = hull_membership(x, P, tol)
+                if abs(dist - tol) > band:
+                    assert verdict == (dist <= tol), (trial, tol, dist)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -419,3 +420,17 @@ class TestCheckpointIO:
         U = np.random.default_rng(2).uniform(-1, 1, (3, 2))
         assert np.allclose(dyn.predict(X, U), dyn2.predict(X, U), atol=0, rtol=0)
         assert np.allclose(clf.prob(X), clf2.prob(X), atol=0, rtol=0)
+
+    def test_round_trip_is_exact(self, tmp_path, small_critic):
+        cfg, dyn, clf = small_critic
+        save_critic(dyn, clf, tmp_path / "critic")
+        assert sorted(os.listdir(tmp_path / "critic")) == ["clf.npz", "dyn.npz", "norm.json"]
+        dyn2, clf2 = load_critic(tmp_path / "critic", cfg, lam=clf.lam)
+        for a, b in ((dyn.params, dyn2.params), (clf.params, clf2.params)):
+            assert a.flat.tobytes() == b.flat.tobytes()
+            for name in ("sizes", "head", "activation", "seed"):
+                assert getattr(a, name) == getattr(b, name)
+        for a, b in ((dyn.norm, dyn2.norm), (clf.norm, clf2.norm)):
+            assert a.mean.tobytes() == b.mean.tobytes() and a.std.tobytes() == b.std.tobytes()
+            assert a.lap_length == b.lap_length
+        assert dyn2.delta_scale.tobytes() == dyn.delta_scale.tobytes() and clf2.lam == clf.lam

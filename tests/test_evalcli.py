@@ -155,7 +155,7 @@ def smoke_run(tmp_path_factory):
 class TestCli:
     def test_train_writes_run_directory(self, smoke_run):
         _, _, out = smoke_run
-        for name in ("config.txt", "meta.json", "reports.csv", "policy.json",
+        for name in ("config.txt", "meta.json", "reports.csv", "policy.npz",
                      "trajectories.jsonl.gz", "critic"):
             assert os.path.exists(out / name), name
         rows = read_reports_csv(out / "reports.csv")
@@ -165,6 +165,18 @@ class TestCli:
         assert meta["method"] == "ca"
         assert "expert_lap_mean" in meta
 
+    def test_run_directory_weights_are_npz(self, smoke_run):
+        _, _, out = smoke_run
+        ckpts = sorted(os.listdir(out / "checkpoints"))
+        assert ckpts == ["epoch_0000", "epoch_0001", "epoch_0002"]
+        for d in ckpts:
+            assert os.listdir(out / "checkpoints" / d) == ["policy.npz"]
+        assert sorted(os.listdir(out / "critic")) == ["clf.npz", "dyn.npz", "norm.json"]
+        # the final policy is the last epoch's
+        final = (out / "policy.npz").read_bytes()
+        assert final == (out / "checkpoints" / "epoch_0002" / "policy.npz").read_bytes()
+        assert sorted(p.name for p in out.rglob("*.json")) == ["meta.json", "norm.json"]
+
     def test_saved_dataset_loads(self, smoke_run):
         _, _, out = smoke_run
         from cabc.core import load_dataset
@@ -173,7 +185,7 @@ class TestCli:
 
     def test_eval_subcommand(self, smoke_run, capsys):
         _, cfg_path, out = smoke_run
-        code = run_cli("eval", "--weights", str(out / "policy.json"),
+        code = run_cli("eval", "--weights", str(out / "policy.npz"),
                        "--track", "circle", "--obs", "output", "--seed", "3",
                        "--laps", "2", "--config", str(cfg_path))
         assert code == 0
@@ -239,6 +251,13 @@ class TestCli:
         assert len(rows) == 400
         for row in rows:
             float(row["x"]), float(row["y"])
+
+    def test_labeldemo_rejects_negative_rho(self, tmp_path):
+        out = tmp_path / "demo"
+        with pytest.raises(ValueError):
+            run_cli("labeldemo", "--rho=-0.5", "--n", "50", "--grid", "10",
+                    "--out", str(out))
+        assert not list(out.glob("*rho-0p5*"))
 
     def test_nonfinite_abort_exit_code(self, monkeypatch, tmp_path):
         import cabc.cli as cli_mod

@@ -1,5 +1,6 @@
 import io
-import json
+import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -349,18 +350,75 @@ class TestDeterminismAndIO:
 
     def test_save_load_round_trip(self, tmp_path):
         p = init_mlp((4, 10, 1), head="sigmoid", seed=11)
-        path = tmp_path / "w.json"
+        path = tmp_path / "w.npz"
         save_weights(p, path)
         q = load_weights(path)
         assert q.sizes == p.sizes and q.head == p.head and q.activation == p.activation
         for (Wa, ba), (Wb, bb) in zip(p.weights, q.weights):
             assert np.all(Wa == Wb) and np.all(ba == bb)
-        # the exact text the streaming encoder writes for the same object
-        expected = io.StringIO()
-        json.dump({"sizes": list(p.sizes), "activation": p.activation, "head": p.head,
-                   "layers": [{"W": W.tolist(), "b": b.tolist()} for W, b in p.weights],
-                   "seed": p.seed}, expected)
-        assert path.read_text(encoding="utf-8") == expected.getvalue()
+        # the exact bytes of the layout: stored .npy members in a fixed order,
+        # each with zip's default 1980 timestamp
+        expected = io.BytesIO()
+        with zipfile.ZipFile(expected, "w") as zf:
+            for name, value in (("flat", p.flat), ("sizes", np.array([4, 10, 1])),
+                                ("head", np.array("sigmoid")), ("activation", np.array("tanh")),
+                                ("seed", np.array(11))):
+                with zf.open(zipfile.ZipInfo(name + ".npy"), "w") as fh:
+                    np.lib.format.write_array(fh, value, allow_pickle=False)
+        assert path.read_bytes() == expected.getvalue()
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        p = init_mlp((3, 4, 2), head="tanh", seed=2)
+        flat = p.flat.copy()
+        flat[:6] = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.nextafter(1.0, 2.0)]
+        p = p.with_flat(flat)
+        save_weights(p, tmp_path / "w.npz")
+        q = load_weights(tmp_path / "w.npz")
+        assert q.flat.dtype == np.float64
+        assert q.flat.tobytes() == p.flat.tobytes()   # keeps the sign of -0.0
+        assert (q.sizes, q.head, q.activation, q.seed) == (p.sizes, p.head, p.activation, 2)
+
+    def test_saves_are_byte_identical(self, tmp_path, monkeypatch):
+        # the clock must not reach the file, as it does through np.savez
+        p = init_mlp((5, 8, 2), head="tanh", seed=4)
+        for stamp, name in ((0.0, "a.npz"), (1.6e9, "b.npz")):
+            monkeypatch.setattr(time, "time", lambda: stamp)
+            save_weights(p, tmp_path / name)
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_members_load_without_pickle(self, tmp_path):
+        p = init_mlp((5, 8, 2), head="identity", seed=7)
+        save_weights(p, tmp_path / "w.npz")
+        with np.load(tmp_path / "w.npz", allow_pickle=False) as data:
+            assert sorted(data.files) == ["activation", "flat", "head", "seed", "sizes"]
+            assert data["flat"].dtype == np.float64
+            assert np.array_equal(data["flat"], p.flat)
+            assert data["sizes"].tolist() == [5, 8, 2]
+            assert (data["head"].item(), data["activation"].item()) == ("identity", "tanh")
+            assert int(data["seed"]) == 7
+
+    def test_load_rejects_bad_flat(self, tmp_path):
+        p = init_mlp((3, 4, 2), seed=1)
+        meta = dict(sizes=np.array(p.sizes), head=np.array("identity"),
+                    activation=np.array("tanh"), seed=np.array(1))
+        nan = p.flat.copy()
+        nan[5] = np.nan
+        inf = p.flat.copy()
+        inf[-1] = -np.inf
+        for flat in (p.flat[:-1], np.r_[p.flat, 0.0], p.flat.reshape(2, -1), nan, inf):
+            np.savez(tmp_path / "bad.npz", flat=flat, **meta)
+            with pytest.raises(ValueError):
+                load_weights(tmp_path / "bad.npz")
+        np.savez(tmp_path / "ok.npz", flat=p.flat, **meta)
+        assert np.array_equal(load_weights(tmp_path / "ok.npz").flat, p.flat)
+
+    def test_load_rejects_json_weights(self, tmp_path):
+        # the text format weights had before .npz
+        path = tmp_path / "policy.json"
+        path.write_text('{"sizes": [1, 1], "activation": "tanh", "head": "identity", '
+                        '"layers": [{"W": [[0.5]], "b": [0.0]}], "seed": 0}')
+        with pytest.raises(ValueError, match="not an .npz weight archive"):
+            load_weights(path)
 
     def test_params_copy_their_source_arrays(self):
         W, b = np.ones((2, 3)), np.zeros(3)
