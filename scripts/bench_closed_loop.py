@@ -30,6 +30,15 @@ Weight files (minimum over ``REPEATS`` of one call, with the file's size):
 ``nn.save_weights`` and ``nn.load_weights`` of the default 128x3
 output-feedback policy, in a temporary directory.
 
+Start-up (minimum over ``STARTUP_REPEATS`` fresh interpreters, run one after
+another with ``--src`` on ``PYTHONPATH``, of the wall time from spawn to exit
+and of the child's ``ru_maxrss``):
+
+- ``import_cli``: ``import cabc.cli``, what ``train --method bc``, ``eval``,
+  ``sim`` and ``report`` load;
+- ``import_cli_scipy``: ``import cabc.cli, scipy.spatial``, what the labeling
+  commands (``train --method ca``, ``labeldemo``) load.
+
 Each invocation appends one record under ``--label`` to ``--out`` and
 rewrites the per-label summary: the minimum over that label's records, since
 on a shared host whose speed drifts the fastest invocation is the one least
@@ -46,6 +55,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -54,6 +64,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPEATS = 20
 HULL_REPEATS = 3
 HULL_QUERIES = 100
+STARTUP_REPEATS = 10
+STARTUP = {"import_cli": "import cabc.cli",
+           "import_cli_scipy": "import cabc.cli, scipy.spatial"}
 
 
 def _import_cabc(src: str) -> None:
@@ -215,6 +228,24 @@ def _io() -> dict:
     return out
 
 
+def _startup(src: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = {}
+    for name, stmt in STARTUP.items():
+        wall, rss_kb = float("inf"), float("inf")
+        for _ in range(STARTUP_REPEATS):
+            t0 = time.perf_counter()
+            child = subprocess.Popen([sys.executable, "-c", stmt], env=env)
+            _, status, usage = os.wait4(child.pid, 0)   # the child's own rusage
+            wall = min(wall, time.perf_counter() - t0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            if child.returncode != 0:
+                raise RuntimeError(f"{stmt!r} exited with {child.returncode}")
+            rss_kb = min(rss_kb, usage.ru_maxrss)
+        out[name] = {"s": round(wall, 4), "peak_rss_mb": round(rss_kb / 1024.0, 2)}
+    return out
+
+
 def _summary(records: list) -> dict:
     by_label: dict = {}
     for rec in records:
@@ -223,12 +254,16 @@ def _summary(records: list) -> dict:
     for label, recs in by_label.items():
         summ = {"records": len(recs)}
         for group, unit in (("loops", "us_per_step"), ("calls", "us_per_call"),
-                            ("hulls", "us_per_call"), ("io", "us_per_call")):
+                            ("hulls", "us_per_call"), ("io", "us_per_call"),
+                            ("startup", "s"), ("startup", "peak_rss_mb")):
             # a measurement added later is summarised over the records that have it
             names = dict.fromkeys(name for r in recs for name in r.get(group, {}))
-            summ[group] = {name: min(r[group][name][unit] for r in recs
-                                     if name in r.get(group, {}))
-                           for name in names}
+            mins = {name: min(r[group][name][unit] for r in recs if name in r.get(group, {}))
+                    for name in names}
+            if group == "startup":
+                summ.setdefault(group, {})[unit] = mins
+            else:
+                summ[group] = mins
         out[label] = summ
     return out
 
@@ -241,6 +276,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=os.path.join(HERE, "..", "BENCH_micro.json"))
     args = ap.parse_args(argv)
 
+    # before this process loads numpy: a child's ru_maxrss counts the image it
+    # was forked from, so the children must be spawned from a small process
+    startup = _startup(args.src)
     _import_cabc(args.src)
     import numpy as np
 
@@ -251,6 +289,7 @@ def main(argv=None) -> int:
         "calls": _calls(),
         "hulls": _hulls(),
         "io": _io(),
+        "startup": startup,
     }
     doc = {"records": []}
     if os.path.exists(args.out):
@@ -259,12 +298,13 @@ def main(argv=None) -> int:
     doc["host"] = {"python": platform.python_version(), "numpy": np.__version__,
                    "machine": platform.machine(), "cpus": os.cpu_count()}
     doc["repeats"] = REPEATS
+    doc["startup_repeats"] = STARTUP_REPEATS
     doc["records"].append(record)
     doc["summary"] = _summary(doc["records"])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    print(json.dumps({k: record[k] for k in ("label", "loops", "calls", "hulls", "io")}, indent=1))
+    print(json.dumps({k: v for k, v in record.items() if k != "started"}, indent=1))
     return 0
 
 

@@ -1,4 +1,12 @@
-"""Command-line entry points: train, eval, report, sim, labeldemo."""
+"""Command-line entry points: train, eval, report, sim, labeldemo.
+
+Only the commands that label, ``labeldemo`` and ``train --method ca``, load
+scipy (for the neighbor search's k-d tree).  Each imports it first thing,
+before the expert reference evaluation or the first labeling pass, so its
+cost falls in set-up and a missing scipy fails the command before it writes
+anything.  ``train --method bc``, ``eval``, ``sim`` and ``report`` run on
+numpy alone.
+"""
 
 from __future__ import annotations
 
@@ -55,7 +63,14 @@ def _load_configs(args) -> tuple:
     return cfg, values
 
 
+def _load_labeler() -> None:
+    """Import scipy's k-d tree now rather than in the first labeling pass."""
+    import scipy.spatial  # noqa: F401
+
+
 def _cmd_train(args) -> int:
+    if args.method == "ca":
+        _load_labeler()
     cfg, values = _load_configs(args)
     from dataclasses import replace
     cfg = replace(cfg, method=args.method,
@@ -186,6 +201,7 @@ _SYNTH = {
 
 
 def _cmd_labeldemo(args) -> int:
+    _load_labeler()
     synth = _SYNTH[args.set]()
     rhos = [float(tok) for tok in args.rho.split(",") if tok]
     os.makedirs(args.out, exist_ok=True)

@@ -234,26 +234,36 @@ def svg_xy_figure(polylines: Sequence[dict], title: str, width: int = 560,
 
 def contour_segments(xs: np.ndarray, ys: np.ndarray, field: np.ndarray,
                      level: float) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
-    """Level-crossing segments of a scalar grid (simple marching squares)."""
-    segs = []
+    """Level-crossing segments of a scalar grid (simple marching squares).
+
+    ``field[i, j]`` is the value at ``(xs[j], ys[i])``.  Cells are visited in
+    row-major order and each cell's edges counter-clockwise from its lower
+    side; an edge whose ends differ in the sign of ``field - level`` is
+    crossed at the linear interpolant, and consecutive crossings within a
+    cell (two or four) are joined pairwise.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if len(xs) < 2 or len(ys) < 2:
+        return []
     F = np.asarray(field) - level
-    for i in range(len(ys) - 1):
-        for j in range(len(xs) - 1):
-            corners = [F[i, j], F[i, j + 1], F[i + 1, j + 1], F[i + 1, j]]
-            pts = []
-            edges = (
-                ((xs[j], ys[i]), (xs[j + 1], ys[i]), corners[0], corners[1]),
-                ((xs[j + 1], ys[i]), (xs[j + 1], ys[i + 1]), corners[1], corners[2]),
-                ((xs[j + 1], ys[i + 1]), (xs[j], ys[i + 1]), corners[2], corners[3]),
-                ((xs[j], ys[i + 1]), (xs[j], ys[i]), corners[3], corners[0]),
-            )
-            for (x0, y0), (x1, y1), f0, f1 in edges:
-                if (f0 < 0) != (f1 < 0):
-                    t = f0 / (f0 - f1)
-                    pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-            for k in range(0, len(pts) - 1, 2):
-                segs.append((pts[k], pts[k + 1]))
-    return segs
+    lo, hi = F[:-1], F[1:]
+    corners = (lo[:, :-1], lo[:, 1:], hi[:, 1:], hi[:, :-1])
+    shape = corners[0].shape
+    x_lo, x_hi = np.broadcast_to(xs[:-1], shape), np.broadcast_to(xs[1:], shape)
+    y_lo, y_hi = np.broadcast_to(ys[:-1, None], shape), np.broadcast_to(ys[1:, None], shape)
+    # (cell row, cell column, edge): edge k runs from corner k to corner k + 1
+    f0 = np.stack(corners, axis=-1)
+    f1 = np.stack(corners[1:] + corners[:1], axis=-1)
+    x0 = np.stack((x_lo, x_hi, x_hi, x_lo), axis=-1)
+    x1 = np.stack((x_hi, x_hi, x_lo, x_lo), axis=-1)
+    y0 = np.stack((y_lo, y_lo, y_hi, y_hi), axis=-1)
+    y1 = np.stack((y_lo, y_hi, y_hi, y_lo), axis=-1)
+    cross = (f0 < 0) != (f1 < 0)
+    f0, f1, x0, x1, y0, y1 = (a[cross] for a in (f0, f1, x0, x1, y0, y1))
+    t = f0 / (f0 - f1)
+    pts = np.column_stack((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    return [((a, b), (c, d)) for a, b, c, d in pts.reshape(-1, 4).tolist()]
 
 
 def track_polylines(track: TrackSpec, ds: float = 0.05) -> List[dict]:

@@ -82,8 +82,15 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.rho < 0 or self.lam < 0:
-            raise ValueError("rho and lam must be non-negative")
+        # written so that NaN fails too
+        if not self.rho >= 0:
+            raise ValueError("rho must be non-negative")
+        if not self.lam >= 0:
+            raise ValueError("lam must be non-negative")
+        if not 0 <= self.hull_tol < math.inf:
+            raise ValueError("hull_tol must be non-negative and finite")
+        if self.neighbor_cap < 1:
+            raise ValueError("neighbor_cap must be >= 1")
         if self.k_f < 1 or self.k_p < 1:
             raise ValueError("k_f and k_p must be >= 1")
         if self.method not in ("ca", "bc"):

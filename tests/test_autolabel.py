@@ -93,6 +93,18 @@ class TestRadiusNeighbors:
         with pytest.raises(ValueError):
             member_mask(index.points, np.zeros((4, 3)), -0.7)
 
+    def test_nearest_rejects_cap_below_one(self):
+        # cap = 0 used to fail inside cKDTree with numpy's empty-reduction error
+        index = NeighborIndex(np.random.default_rng(14).normal(size=(50, 3)))
+        for q in (np.zeros(3), np.zeros((4, 3))):
+            for cap in (0, -1):
+                with pytest.raises(ValueError, match="cap"):
+                    index.query_nearest(q, 0.7, cap)
+        with pytest.raises(ValueError, match="cap"):
+            NeighborIndex(np.zeros((0, 3))).query_nearest(np.zeros(3), 0.7, 0)
+        with pytest.raises(ValueError, match="cap"):
+            member_mask(index.points, np.zeros((4, 3)), 0.7, max_neighbors=0)
+
     def test_index_matches_linear_scan(self):
         def radius_neighbors(x, d_plus, norm, rho):
             """Reference: every pool state within normalized distance rho, by scan."""

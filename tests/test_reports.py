@@ -1,0 +1,64 @@
+import numpy as np
+import pytest
+
+from cabc.autolabel import SyntheticSet
+from cabc.reports import contour_segments
+
+
+def contour_segments_loop(xs, ys, field, level):
+    """Reference: the per-cell marching-squares loop ``contour_segments`` replaced."""
+    segs = []
+    F = np.asarray(field) - level
+    for i in range(len(ys) - 1):
+        for j in range(len(xs) - 1):
+            corners = [F[i, j], F[i, j + 1], F[i + 1, j + 1], F[i + 1, j]]
+            pts = []
+            edges = (
+                ((xs[j], ys[i]), (xs[j + 1], ys[i]), corners[0], corners[1]),
+                ((xs[j + 1], ys[i]), (xs[j + 1], ys[i + 1]), corners[1], corners[2]),
+                ((xs[j + 1], ys[i + 1]), (xs[j], ys[i + 1]), corners[2], corners[3]),
+                ((xs[j], ys[i + 1]), (xs[j], ys[i]), corners[3], corners[0]),
+            )
+            for (x0, y0), (x1, y1), f0, f1 in edges:
+                if (f0 < 0) != (f1 < 0):
+                    t = f0 / (f0 - f1)
+                    pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+            for k in range(0, len(pts) - 1, 2):
+                segs.append((pts[k], pts[k + 1]))
+    return segs
+
+
+def _bits(segs):
+    return np.asarray(segs, dtype=float).reshape(-1, 4).view(np.int64)
+
+
+def _fields():
+    xs = np.linspace(-5.0, 5.0, 60)
+    ys = np.linspace(-4.0, 6.0, 50)
+    gx, gy = np.meshgrid(xs, ys)
+    sdf = SyntheticSet.crescent().signed_distance(
+        np.column_stack([gx.ravel(), gy.ravel()])).reshape(len(ys), len(xs))
+    rng = np.random.default_rng(7)
+    noise = rng.normal(size=(len(ys), len(xs)))
+    holes = np.where(rng.random(noise.shape) < 0.1, np.nan, noise)
+    return {
+        "sdf": (xs, ys, sdf, 0.0),
+        "probability": (xs, ys, 1.0 / (1.0 + np.exp(-noise)), 0.5),
+        # rounding leaves 0.0 and -0.0 corners: the sign test is `< 0`, not `<= 0`
+        "ties": (xs, ys, np.round(noise), 0.0),
+        "nan": (xs, ys, holes, 0.25),
+        "saddles": (xs, ys, np.cos(3 * gx) * np.cos(3 * gy), 0.0),
+        "flat": (xs, ys, np.zeros_like(noise), 0.0),
+        "one_column": (xs[:1], ys, sdf[:, :1], 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fields()))
+def test_contour_segments_match_cell_loop_bit_for_bit(name):
+    xs, ys, field, level = _fields()[name]
+    expected = contour_segments_loop(xs, ys, field, level)
+    got = contour_segments(xs, ys, field, level)
+    assert len(got) == len(expected)
+    assert np.array_equal(_bits(got), _bits(expected))
+    if name in ("sdf", "saddles"):
+        assert got   # the comparison is not vacuous

@@ -61,6 +61,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_cfg(circle, method="dagger")
 
+    def test_neighbor_cap_positive(self, circle):
+        # a zero cap used to pass here and crash in the first labeling pass
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="neighbor_cap"):
+                tiny_cfg(circle, neighbor_cap=cap)
+        assert tiny_cfg(circle, neighbor_cap=1).neighbor_cap == 1
+
+    def test_hull_tol_nonnegative_and_finite(self, circle):
+        for tol in (-1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="hull_tol"):
+                tiny_cfg(circle, hull_tol=tol)
+        assert tiny_cfg(circle, hull_tol=0.0).hull_tol == 0.0
+
+    def test_rho_rejects_nan(self, circle):
+        for rho in (math.nan, -0.5):
+            with pytest.raises(ValueError, match="rho"):
+                tiny_cfg(circle, rho=rho)
+
+    def test_lam_rejects_nan(self, circle):
+        for lam in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="lam"):
+                tiny_cfg(circle, lam=lam)
+        assert tiny_cfg(circle, lam=0.0).lam == 0.0
+
 
 class TestMixPolicy:
     def test_pure_expert_is_trajectorywise_identical(self, circle, noiseless_sim):
