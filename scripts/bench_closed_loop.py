@@ -10,6 +10,12 @@ Loops (minimum over ``REPEATS`` of the mean cost of one step):
 - ``mixed_full_circle``: the same mixture with a 128-wide full-state policy
   (``--obs full``).
 
+Evaluations (minimum over ``REPEATS`` of the mean cost of one step of
+``evalharness.evaluate`` over ``EVAL_LAPS`` laps, default simulator, seed 0):
+
+- ``pid_circle``: the PID expert on circle;
+- ``racing_gp``:  the racing expert on gp.
+
 Calls (minimum over ``REPEATS`` of the mean cost of one call, each made on
 the states and observations the racing loop visited): ``sim.step``,
 ``sim.observe``, ``sim.lane_preview``, ``RacingExpert.__call__``, the
@@ -62,6 +68,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPEATS = 20
+EVAL_LAPS = 10
 HULL_REPEATS = 3
 HULL_QUERIES = 100
 STARTUP_REPEATS = 10
@@ -121,6 +128,32 @@ def _loops() -> dict:
             steps = len(traj)
             best = min(best, dt / steps)
         out[name] = {"us_per_step": round(best * 1e6, 3), "steps": steps}
+    return out
+
+
+def _evaluations() -> dict:
+    from cabc.evalharness import evaluate
+    from cabc.experts import PidCenterline, RacingExpert
+    from cabc.sim import SimConfig
+    from cabc.track import get_track
+
+    gp, circle = get_track("gp"), get_track("circle")
+    cfg = SimConfig()
+    cases = {"pid_circle": (circle, PidCenterline), "racing_gp": (gp, RacingExpert)}
+    out = {}
+    for name, (track, expert) in cases.items():
+        best, steps = float("inf"), 0
+        for _ in range(REPEATS):
+            policy = expert(cfg, track)
+            t0 = time.perf_counter()
+            result = evaluate(policy, cfg, track, seed=0, laps=EVAL_LAPS)
+            dt = time.perf_counter() - t0
+            if result.laps_completed != EVAL_LAPS:
+                raise RuntimeError(f"{name}: {result.laps_completed} of {EVAL_LAPS} laps")
+            # each lap time is a whole number of steps times dt
+            steps = sum(round(t / cfg.dt) for t in result.lap_times)
+            best = min(best, dt / steps)
+        out[name] = {"us_per_step": round(best * 1e6, 3), "steps": steps, "laps": EVAL_LAPS}
     return out
 
 
@@ -253,7 +286,8 @@ def _summary(records: list) -> dict:
     out = {}
     for label, recs in by_label.items():
         summ = {"records": len(recs)}
-        for group, unit in (("loops", "us_per_step"), ("calls", "us_per_call"),
+        for group, unit in (("loops", "us_per_step"), ("evaluate", "us_per_step"),
+                            ("calls", "us_per_call"),
                             ("hulls", "us_per_call"), ("io", "us_per_call"),
                             ("startup", "s"), ("startup", "peak_rss_mb")):
             # a measurement added later is summarised over the records that have it
@@ -286,6 +320,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "loops": _loops(),
+        "evaluate": _evaluations(),
         "calls": _calls(),
         "hulls": _hulls(),
         "io": _io(),

@@ -11,7 +11,6 @@ numpy alone.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -59,7 +58,11 @@ def _load_configs(args) -> tuple:
     if args.seed is not None:
         values["seed"] = str(args.seed)
         sim = sim_config_from({"seed": str(args.seed)}, base=sim)
-    cfg = train_config_from(values, sim)
+    # the command line's method and feedback override the file's, and are in
+    # place when the config is validated
+    options = {"method": args.method,
+               "observation_mode": "output" if args.obs == "output" else "full_state"}
+    cfg = train_config_from({**values, **options}, sim)
     return cfg, values
 
 
@@ -72,9 +75,6 @@ def _cmd_train(args) -> int:
     if args.method == "ca":
         _load_labeler()
     cfg, values = _load_configs(args)
-    from dataclasses import replace
-    cfg = replace(cfg, method=args.method,
-                  observation_mode="output" if args.obs == "output" else "full_state")
     track = resolve_track(args.track)
     v_ref, pid_gains, race_params = expert_params_from(values)
     factory = make_expert_factory(args.expert, cfg.sim, track, v_ref=v_ref,
@@ -200,6 +200,32 @@ _SYNTH = {
 }
 
 
+# The labeldemo CSVs are written as csv.writer would write them: "\r\n" line
+# ends and no quoting, since a float's repr holds no delimiter, quote or line
+# break.  Rows are formatted from Python floats and streamed.
+
+def write_points_csv(path, plus, sdf_plus, query, sdf_query, removed) -> None:
+    """Safe points (label 1), then query points: label -1 if removed, else 0."""
+    flags = {True: "-1,1", False: "0,0"}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,y,true_sdf,label,removed\r\n")
+        fh.writelines(f"{x!r},{y!r},{s!r},1,0\r\n"
+                      for (x, y), s in zip(plus.tolist(), sdf_plus.tolist()))
+        fh.writelines(f"{x!r},{y!r},{s!r},{flags[rm]}\r\n"
+                      for (x, y), s, rm in zip(query.tolist(), sdf_query.tolist(),
+                                               removed.tolist()))
+
+
+def write_grid_csv(path, xs, ys, probs) -> None:
+    """One row per grid point, ``x`` varying fastest."""
+    xs = xs.tolist()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,y,p_safe\r\n")
+        fh.writelines(f"{x!r},{y!r},{p!r}\r\n"
+                      for y, row in zip(ys.tolist(), probs.tolist())
+                      for x, p in zip(xs, row))
+
+
 def _cmd_labeldemo(args) -> int:
     _load_labeler()
     synth = _SYNTH[args.set]()
@@ -213,27 +239,13 @@ def _cmd_labeldemo(args) -> int:
         tag = f"rho{rho:g}".replace(".", "p")
 
         points_path = os.path.join(args.out, f"points_{tag}.csv")
-        with open(points_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "true_sdf", "label", "removed"])
-            for p, s in zip(plus, sdf_plus):
-                writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(s)), 1, 0])
-            for p, s, rm in zip(query, sdf_query, removed):
-                label = -1 if rm else 0
-                writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(s)),
-                                 label, int(rm)])
+        write_points_csv(points_path, plus, sdf_plus, query, sdf_query, removed)
 
         minus = query[~removed]
         params = train_synthetic_classifier(plus, minus, seed=args.seed)
         xs, ys, probs = classifier_grid(params, bounds=(-5.0, 5.0), n=args.grid)
         grid_path = os.path.join(args.out, f"decision_grid_{tag}.csv")
-        with open(grid_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "p_safe"])
-            for i in range(len(ys)):
-                for j in range(len(xs)):
-                    writer.writerow([repr(float(xs[j])), repr(float(ys[i])),
-                                     repr(float(probs[i, j]))])
+        write_grid_csv(grid_path, xs, ys, probs)
 
         # true boundary (dotted) and classifier decision boundary overlay
         gx, gy = np.meshgrid(xs, ys)

@@ -158,7 +158,7 @@ class Sample:
     """
 
     x: VehicleState
-    y: Observation
+    y: Optional[Observation]      # None where the rollout skipped the output map
     u_expert: Action
     u_applied: Action
     x_next: VehicleState

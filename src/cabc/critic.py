@@ -1,4 +1,4 @@
-"""Learned safety critic: dynamics surrogate, safety classifier, soft filter.
+"""Learned safety critic: dynamics surrogate and safety classifier.
 
 The critic pair approximates the plant's one-step map and the likelihood
 that a state can still be driven to the target set.  During policy training
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import nn
 from .autolabel import NormStats, embed, embed_vjp
-from .core import Action, VehicleState
 from .sim import SimConfig
 
 
@@ -165,33 +164,6 @@ def safety_penalty_and_input_grad(clf: SafetyClf, dyn: DynModel,
     g_dnorm = g_xnext * dyn.delta_scale
     _, g_z = nn.backward(dyn.params, tape_dyn, g_dnorm, param_grads=False)
     return penalty, g_z[:, 7:9]
-
-
-def soft_filter_pi_xi(clf: SafetyClf, dyn: DynModel, x: VehicleState, u_hat: Action,
-                      steps: int = 50, step_size: float = 0.1) -> Action:
-    """Soften the one-step filter: projected gradient descent on
-    ``||u - u_hat||^2 - lam * log p(f_hat(x, u) safe)`` over the action box.
-
-    Returns the best iterate found; with a zero penalty weight or a saturated
-    classifier the gradient vanishes and the proposal passes through unchanged.
-    """
-    x_arr = np.array([x.as_tuple()])
-    u_hat_arr = np.array(u_hat.as_tuple())
-    u = u_hat_arr.copy()
-
-    def objective(u_vec: np.ndarray):
-        pen, g_u = safety_penalty_and_input_grad(clf, dyn, x_arr, u_vec[None, :])
-        d = u_vec - u_hat_arr
-        return float(d @ d + pen[0]), 2.0 * d + g_u[0]
-
-    best_u = u.copy()
-    best_j, grad = objective(u)
-    for _ in range(steps):
-        u = np.clip(u - step_size * grad, -1.0, 1.0)
-        j, grad = objective(u)
-        if j < best_j:
-            best_j, best_u = j, u.copy()
-    return Action(best_u[0], best_u[1])
 
 
 # --- checkpointing -------------------------------------------------------------

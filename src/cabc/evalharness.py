@@ -2,8 +2,11 @@
 
 Evaluation always starts from the standard start state and chains lap
 iterations, carrying the terminal state of each completed lap into the next
-attempt.  Observation noise stays on (the policy must cope with it at test
-time); no actuation noise is injected.
+attempt.  For a policy that reads observations, observation noise stays on
+(the policy must cope with it at test time).  A ``state_feedback`` policy is
+not observed at all: the observation stream feeds nothing but the output
+map, so skipping it leaves every result unchanged.  No actuation noise is
+injected.
 """
 
 from __future__ import annotations
@@ -67,11 +70,13 @@ def evaluate(policy, cfg: SimConfig, track: TrackSpec, seed: int,
     progress target at the actual terminal state of the previous lap, so a
     policy in a periodic steady state produces identical lap times.
     """
+    if laps < 1:
+        raise ValueError("laps must be >= 1")
     rng = rng_stream(seed)
     x = default_start_state(v_long=1.0, s=0.0)
     lap_times: List[float] = []
     for _ in range(laps):
-        traj = rollout(cfg, track, policy, x, cfg.max_steps, rng)
+        traj = rollout(cfg, track, policy, x, cfg.max_steps, rng, observe_unread=False)
         if traj.outcome is not Outcome.SUCCESS:
             return _result(lap_times, _FAILURE_TERMINATION[traj.termination_reason])
         lap_times.append(len(traj) * cfg.dt)

@@ -395,7 +395,8 @@ def policy_rollout_figure(policy, sim_cfg: SimConfig, track: TrackSpec, seed: in
     xs: List[float] = []
     ys: List[float] = []
     for _ in range(laps):
-        traj = rollout(sim_cfg, track, policy, x, sim_cfg.max_steps, rng)
+        traj = rollout(sim_cfg, track, policy, x, sim_cfg.max_steps, rng,
+                       observe_unread=False)
         for smp in traj.samples:
             gx, gy, _ = frenet_to_cartesian(track, smp.x.s, smp.x.x_tran, smp.x.e_psi)
             xs.append(gx)

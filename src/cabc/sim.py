@@ -204,7 +204,9 @@ def in_target(cfg: SimConfig, track: TrackSpec, x: VehicleState, s_start: float)
 
 # Policies are callables (observation, full_state) -> Action.  Full-state
 # experts ignore the observation; output-feedback policies ignore the state.
-Policy = Callable[[Observation, VehicleState], Action]
+# A policy whose ``state_feedback`` attribute is true never reads its
+# observation, so it may be handed ``None`` in its place.
+Policy = Callable[[Optional[Observation], VehicleState], Action]
 
 
 def default_start_state(v_long: float = 1.0, s: float = 0.0) -> VehicleState:
@@ -214,22 +216,30 @@ def default_start_state(v_long: float = 1.0, s: float = 0.0) -> VehicleState:
 
 def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
             max_steps: int, rng: np.random.Generator,
-            relabel: Optional[Callable[[VehicleState], Action]] = None) -> Trajectory:
+            relabel: Optional[Callable[[VehicleState], Action]] = None,
+            observe_unread: bool = True) -> Trajectory:
     """Run the closed loop until target, constraint violation, or timeout.
 
     Policy outputs are clamped to the input box before stepping; an
     :class:`Action` already lies in it and is used as it is.  ``relabel``
     optionally supplies the expert action recorded with every sample; without
     it the applied action doubles as the expert action.
+
+    ``rng`` feeds only the observation noise.  With ``observe_unread=False``
+    a policy whose ``state_feedback`` attribute is true is not observed: it
+    is handed ``None`` and every sample records ``y=None``, while its states
+    and actions are unchanged.  Callers that keep the observations (dataset
+    collection) leave the default.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    skip_observe = not observe_unread and getattr(policy, "state_feedback", False)
     samples = []
     x = x0
     s_start = x0.s
     outcome, reason = Outcome.FAILURE, TerminationReason.TIMEOUT
     for _ in range(max_steps):
-        y = observe(cfg, track, x, rng)
+        y = None if skip_observe else observe(cfg, track, x, rng)
         u = policy(y, x)
         if type(u) is not Action:
             u = Action.clamped(u.u_a, u.u_steer)

@@ -93,6 +93,14 @@ class TrainConfig:
             raise ValueError("neighbor_cap must be >= 1")
         if self.k_f < 1 or self.k_p < 1:
             raise ValueError("k_f and k_p must be >= 1")
+        for name in ("episodes_per_epoch", "grad_steps_policy", "grad_steps_dyn",
+                     "grad_steps_clf", "eval_laps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # the classifier batch is half safe, half unsafe states
+        min_batch = 2 if self.method == "ca" else 1
+        if self.batch_size < min_batch:
+            raise ValueError(f"batch_size must be >= {min_batch} for method {self.method!r}")
         if self.method not in ("ca", "bc"):
             raise ValueError("method must be 'ca' or 'bc'")
         if self.observation_mode not in ("output", "full_state"):
@@ -175,6 +183,7 @@ class MlpPolicy:
         self.params = params
         self.mode = mode
         self.track = track
+        self.state_feedback = mode != "output"   # full-state features skip ``y``
 
     def features(self, y: Observation, x: VehicleState) -> np.ndarray:
         if self.mode == "output":

@@ -7,7 +7,7 @@ import pytest
 
 from cabc import nn
 from cabc.autolabel import NormStats, fit_norm
-from cabc.core import Action, VehicleState
+from cabc.core import Action
 from cabc.critic import (
     DegenerateLabelsError,
     DynModel,
@@ -20,13 +20,10 @@ from cabc.critic import (
     load_critic,
     safety_penalty_and_input_grad,
     save_critic,
-    soft_filter_pi_xi,
 )
-from cabc.experts import RacingExpert, predictive_filter_oracle
-from cabc.sim import SimConfig, default_start_state, rng_stream, rollout, step
+from cabc.experts import RacingExpert
+from cabc.sim import SimConfig, default_start_state, rng_stream, rollout
 from cabc.trainer import agent_loss_and_grad
-
-from conftest import make_state
 
 
 @pytest.fixture(scope="module")
@@ -277,138 +274,6 @@ class TestTapedPasses:
         clf_loss_and_grad(clf, X, np.array([1.0, 0.0, 1.0, 0.0]))
         assert forwards == ["identity", "sigmoid"]
         assert backwards == [("identity", True), ("sigmoid", True)]
-
-
-def monotone_critic(norm7, slope=4.0):
-    """Hand-built pair: predicted v_long rises with u_a, classifier dislikes speed.
-
-    The composition makes p(safe) strictly decreasing in throttle, so the
-    penalty must push the action toward braking.
-    """
-    cfg = SimConfig()
-    W_dyn = np.zeros((9, 6))
-    W_dyn[7, 0] = 1.0  # u_a raises the v_long delta; linear single layer
-    dyn_params = nn.MlpParams(sizes=(9, 6), weights=((W_dyn, np.zeros(6)),),
-                              head="identity")
-    dyn = DynModel(params=dyn_params, norm=norm7, delta_scale=delta_scale_from(cfg))
-    W_clf = np.zeros((7, 1))
-    W_clf[0, 0] = -slope  # p(safe) falls as (normalized) v_long grows
-    clf_params = nn.MlpParams(sizes=(7, 1), weights=((W_clf, np.ones(1)),),
-                              head="sigmoid")
-    clf = SafetyClf(params=clf_params, norm=norm7, lam=1.0)
-    return cfg, dyn, clf
-
-
-class TestSoftFilter:
-    def test_zero_weight_passes_through(self, small_critic):
-        _, dyn, clf = small_critic
-        clf0 = replace(clf, lam=0.0)
-        u_hat = Action(0.7, -0.3)
-        out = soft_filter_pi_xi(clf0, dyn, make_state(v=1.0, s=2.0), u_hat)
-        assert out == u_hat
-
-    def test_saturated_safe_classifier_passes_through(self, norm7):
-        cfg = SimConfig()
-        dyn = init_dyn_model(norm7, cfg, hidden=(8,), seed=0)
-        sat = nn.MlpParams(sizes=(7, 1),
-                           weights=((np.zeros((7, 1)), np.full(1, 100.0)),),
-                           head="sigmoid")
-        clf = SafetyClf(params=sat, norm=norm7, lam=5.0)
-        u_hat = Action(0.4, 0.2)
-        out = soft_filter_pi_xi(clf, dyn, make_state(v=1.0), u_hat)
-        assert abs(out.u_a - u_hat.u_a) < 1e-9
-        assert abs(out.u_steer - u_hat.u_steer) < 1e-9
-
-    def test_monotone_case_matches_grid_search(self, norm7):
-        cfg, dyn, clf = monotone_critic(norm7)
-        x = make_state(v=1.0, s=2.0)
-        u_hat = Action(0.9, 0.0)
-        out = soft_filter_pi_xi(clf, dyn, x, u_hat, steps=80, step_size=0.05)
-
-        def objective(u_a):
-            pen, _ = safety_penalty_and_input_grad(
-                clf, dyn, np.array([x.as_tuple()]), np.array([[u_a, 0.0]]))
-            return (u_a - u_hat.u_a) ** 2 + pen[0]
-
-        grid = np.linspace(-1.0, 1.0, 10_000)
-        best = min(objective(g) for g in grid)
-        assert out.u_a < u_hat.u_a  # the filter backed off the throttle
-        assert objective(out.u_a) <= best + 1e-3
-
-    def test_output_stays_in_action_box(self, small_critic):
-        _, dyn, clf = small_critic
-        hot = replace(clf, lam=50.0)
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            x = make_state(v=rng.uniform(0, 3), s=rng.uniform(0, 10),
-                           xt=rng.normal(0, 0.2))
-            u_hat = Action(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            out = soft_filter_pi_xi(hot, dyn, x, u_hat)
-            assert -1.0 <= out.u_a <= 1.0 and -1.0 <= out.u_steer <= 1.0
-
-    def test_hard_classifier_limit_agrees_with_filter_oracle(self, gp):
-        """Near-indicator classifier: the soft filter enforces (approximately)
-        the same speed gate the grid-search oracle enforces exactly."""
-        cfg = SimConfig(noise_sigma_v=0.0, noise_sigma_kappa=0.0)
-        v_star = 1.9
-        x0 = make_state(v=1.85, s=1.0)
-        u_hat = Action(1.0, 0.0)
-
-        norm = NormStats(mean=np.zeros(7), std=np.ones(7), lap_length=gp.lap_length)
-        # exact longitudinal surrogate on the straight: delta_v = dt*(gain*u - drag)
-        W_dyn = np.zeros((9, 6))
-        W_dyn[7, 0] = 1.0  # delta_scale[0] = dt * drive_gain
-        drag = cfg.dt * (cfg.drag_lin * x0.v_long + cfg.drag_quad * x0.v_long ** 2)
-        b_dyn = np.zeros(6)
-        b_dyn[0] = -drag / (cfg.dt * cfg.drive_gain)
-        dyn = DynModel(params=nn.MlpParams(sizes=(9, 6), weights=((W_dyn, b_dyn),),
-                                           head="identity"),
-                       norm=norm, delta_scale=delta_scale_from(cfg))
-        pred_next = dyn.predict(np.array([x0.as_tuple()]), np.array([u_hat.as_tuple()]))
-        true_next = step(cfg, gp, x0, u_hat)
-        assert abs(pred_next[0, 0] - true_next.v_long) < 1e-3
-
-        slope = 25.0
-        W_clf = np.zeros((7, 1))
-        W_clf[0, 0] = -slope
-        clf = SafetyClf(params=nn.MlpParams(
-            sizes=(7, 1), weights=((W_clf, np.array([slope * v_star])),),
-            head="sigmoid"), norm=norm, lam=4.0)
-
-        soft = soft_filter_pi_xi(clf, dyn, x0, u_hat, steps=400, step_size=0.01)
-        oracle = predictive_filter_oracle(x0, u_hat, lambda xn: xn.v_long <= v_star,
-                                          cfg, gp, n_candidates=41)
-        assert oracle.feasible
-        # both reduce throttle; the soft output lands on the conservative side
-        # of the hard gate, in the oracle's neighborhood
-        assert soft.u_a < u_hat.u_a and oracle.action.u_a < u_hat.u_a
-        assert step(cfg, gp, x0, soft).v_long <= v_star + 0.01
-        assert abs(soft.u_a - oracle.action.u_a) < 0.4
-
-    def test_indicator_limit_grid_argmin_equals_oracle(self, gp, noiseless_sim):
-        """With a hard indicator the softened objective reduces to the oracle's
-        constrained argmin; check on a grid of states."""
-        v_star = 1.6
-        safe = lambda xn: xn.v_long <= v_star
-        grid = np.linspace(-1.0, 1.0, 21)
-        for v0 in (1.2, 1.5, 1.58):
-            x = make_state(v=v0, s=1.0)
-            u_hat = Action(0.8, 0.1)
-            # same candidate set as the filter: the proposal plus the full grid
-            candidates = [u_hat] + [Action(float(a), float(s))
-                                    for a in grid for s in grid]
-            best, best_d = None, np.inf
-            for cand in candidates:
-                if not safe(step(noiseless_sim, gp, x, cand)):
-                    continue  # the indicator term is +inf here
-                d = (cand.u_a - u_hat.u_a) ** 2 + (cand.u_steer - u_hat.u_steer) ** 2
-                if d < best_d:
-                    best, best_d = cand, d
-            oracle = predictive_filter_oracle(x, u_hat, safe, noiseless_sim, gp,
-                                              n_candidates=21)
-            assert oracle.feasible
-            assert oracle.action == best
-            assert safe(step(noiseless_sim, gp, x, oracle.action))
 
 
 class TestCheckpointIO:

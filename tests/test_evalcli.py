@@ -99,6 +99,151 @@ class TestEvaluate:
         for (W, b), (W0, b0) in zip(params.weights, snapshot):
             assert np.array_equal(W, W0) and np.array_equal(b, b0)
 
+    def test_rejects_fewer_than_one_lap(self, circle, noiseless_sim):
+        # zero laps used to report "fifty_laps" with no lap driven
+        for laps in (0, -1):
+            with pytest.raises(ValueError, match="laps"):
+                evaluate(PidCenterline(noiseless_sim, circle), noiseless_sim, circle,
+                         seed=0, laps=laps)
+
+
+class Recorder:
+    """Forwards to ``inner`` and records every observation it is handed.
+
+    It reads the observation exactly when ``inner`` does, so it copies the
+    inner policy's ``state_feedback`` marker.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+        self.state_feedback = getattr(inner, "state_feedback", False)
+
+    def __call__(self, y, x):
+        self.seen.append(y)
+        return self.inner(y, x)
+
+
+class Observed:
+    """Forwards to ``inner`` unmarked, so every rollout observes it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, y, x):
+        return self.inner(y, x)
+
+
+@pytest.fixture
+def observe_calls(monkeypatch):
+    """Counts the calls of ``sim.observe`` that rollouts make."""
+    import cabc.sim as sim_mod
+    calls = []
+    inner = sim_mod.observe
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sim_mod, "observe", counting)
+    return calls
+
+
+def _full_state_policy(track, seed=4):
+    from cabc.trainer import MlpPolicy, TrainConfig, init_policy
+    cfg = TrainConfig(seed=seed, hidden=(16, 16), observation_mode="full_state")
+    return MlpPolicy(init_policy(cfg, track), "full_state", track)
+
+
+def _output_policy(track, seed=4):
+    from cabc.trainer import MlpPolicy, TrainConfig, init_policy
+    cfg = TrainConfig(seed=seed, hidden=(16, 16))
+    return MlpPolicy(init_policy(cfg, track), "output", track)
+
+
+class TestStateFeedback:
+    """Evaluation and the rollout figure skip the output map for policies
+    that never read it, and nothing they report changes."""
+
+    def test_markers(self, circle):
+        sim = SimConfig()
+        assert PidCenterline(sim, circle).state_feedback is True
+        assert RacingExpert(sim, circle).state_feedback is True
+        assert _full_state_policy(circle).state_feedback is True
+        assert _output_policy(circle).state_feedback is False
+
+    @pytest.mark.parametrize("make", [
+        lambda sim, track: PidCenterline(sim, track),
+        lambda sim, track: RacingExpert(sim, track),
+        lambda sim, track: _full_state_policy(track),
+    ])
+    def test_state_feedback_is_never_observed(self, make, circle, observe_calls, tmp_path):
+        from cabc.reports import policy_rollout_figure
+        sim = SimConfig()
+        policy = Recorder(make(sim, circle))
+        evaluate(policy, sim, circle, seed=3, laps=2)
+        policy_rollout_figure(policy, sim, circle, seed=3, out_path=tmp_path / "f.svg",
+                              laps=2)
+        assert policy.seen and set(policy.seen) == {None}
+        assert observe_calls == []
+
+    def test_rollout_records_no_observation(self, circle):
+        from cabc.sim import default_start_state, rollout
+        sim = SimConfig()
+        skipped = rollout(sim, circle, PidCenterline(sim, circle), default_start_state(),
+                          50, rng_stream(0), observe_unread=False)
+        kept = rollout(sim, circle, PidCenterline(sim, circle), default_start_state(),
+                       50, rng_stream(0))
+        assert [smp.y for smp in skipped.samples] == [None] * 50
+        assert all(smp.y is not None for smp in kept.samples)
+        assert [(s.x, s.u_applied, s.x_next) for s in skipped.samples] == \
+            [(s.x, s.u_applied, s.x_next) for s in kept.samples]
+
+    @pytest.mark.parametrize("case", ["pid_circle", "racing_gp", "full_state_gp"])
+    def test_results_equal_forced_observation(self, case, circle, gp, observe_calls):
+        sim = SimConfig()
+        track, make = {
+            "pid_circle": (circle, lambda: PidCenterline(sim, circle)),
+            "racing_gp": (gp, lambda: RacingExpert(sim, gp)),
+            "full_state_gp": (gp, lambda: _full_state_policy(gp, seed=9)),
+        }[case]
+        skipped = evaluate(make(), sim, track, seed=17, laps=10)
+        assert observe_calls == []
+        observed = evaluate(Observed(make()), sim, track, seed=17, laps=10)
+        assert observe_calls
+        assert skipped == observed
+        if case != "full_state_gp":
+            assert skipped.laps_completed == 10
+
+    def test_figure_equals_forced_observation(self, gp, tmp_path):
+        from cabc.reports import policy_rollout_figure
+        sim = SimConfig()
+        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+        policy_rollout_figure(RacingExpert(sim, gp), sim, gp, seed=5, out_path=a, laps=2)
+        policy_rollout_figure(Observed(RacingExpert(sim, gp)), sim, gp, seed=5,
+                              out_path=b, laps=2)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["output", "mixed"])
+    def test_observation_readers_are_observed(self, kind, circle, observe_calls, tmp_path):
+        from cabc.core import Observation
+        from cabc.reports import policy_rollout_figure
+        from cabc.trainer import MixedPolicy
+        sim = SimConfig()
+        if kind == "output":
+            inner = _output_policy(circle)
+        else:
+            # even a mixture of two state-feedback policies is observed
+            inner = MixedPolicy(PidCenterline(sim, circle), _full_state_policy(circle),
+                                0.5, rng_stream(2, 1), sigma_u=0.1)
+        policy = Recorder(inner)
+        evaluate(policy, sim, circle, seed=3, laps=2)
+        policy_rollout_figure(policy, sim, circle, seed=3, out_path=tmp_path / "f.svg",
+                              laps=2)
+        assert policy.seen
+        assert all(type(y) is Observation for y in policy.seen)
+        assert len(observe_calls) == len(policy.seen)
+
 
 class TestEarlyStop:
     def test_triggers_on_second_full_run(self):
@@ -183,6 +328,25 @@ class TestCli:
         trajs = load_dataset(out / "trajectories.jsonl.gz")
         assert len(trajs) == 6  # 3 epochs x 2 episodes
 
+    def test_eval_subcommand_rejects_zero_laps(self, smoke_run):
+        _, cfg_path, out = smoke_run
+        with pytest.raises(ValueError, match="laps"):
+            run_cli("eval", "--weights", str(out / "policy.npz"), "--track", "circle",
+                    "--laps", "0", "--config", str(cfg_path))
+
+    def test_train_validates_config_for_the_command_line_method(self, tmp_path):
+        cfg_path = tmp_path / "b1.cfg"
+        cfg_path.write_text("epochs = 1\nmax_steps = 100\nhidden = 8\nbatch_size = 1\n"
+                            "grad_steps_policy = 2\neval_laps = 1\n")
+        # a one-row batch is fine for plain cloning, but CA needs both classes
+        with pytest.raises(ValueError, match="batch_size"):
+            run_cli("train", "--method", "ca", "--track", "circle", "--expert", "pid",
+                    "--config", str(cfg_path), "--out", str(tmp_path / "ca"))
+        assert not (tmp_path / "ca").exists()
+        assert run_cli("train", "--method", "bc", "--track", "circle", "--expert", "pid",
+                       "--config", str(cfg_path), "--out", str(tmp_path / "bc")) == 0
+        assert "method = bc\n" in (tmp_path / "bc" / "config.txt").read_text()
+
     def test_eval_subcommand(self, smoke_run, capsys):
         _, cfg_path, out = smoke_run
         code = run_cli("eval", "--weights", str(out / "policy.npz"),
@@ -251,6 +415,45 @@ class TestCli:
         assert len(rows) == 400
         for row in rows:
             float(row["x"]), float(row["y"])
+
+    def test_labeldemo_csv_bytes_match_csv_writer(self, tmp_path):
+        """The streamed CSVs are byte for byte what a ``csv.writer`` loop writes."""
+        from cabc.cli import write_grid_csv, write_points_csv
+
+        rng = np.random.default_rng(6)
+        special = np.array([0.0, -0.0, 1e-300, 5e-324, -1e300, 0.1, 1 / 3, np.nan,
+                            np.inf, -np.inf])
+        plus = np.concatenate([rng.normal(size=(30, 2)), special.reshape(-1, 2)])
+        query = np.concatenate([rng.normal(size=(40, 2)), special[::-1].reshape(-1, 2)])
+        sdf_plus = rng.normal(size=len(plus))
+        sdf_query = np.concatenate([rng.normal(size=40), special[:5]])
+        removed = rng.random(len(query)) < 0.4
+        xs, ys = np.linspace(-5.0, 5.0, 7), np.linspace(-5.0, 5.0, 9)
+        probs = rng.random((len(ys), len(xs)))
+        probs[0, :3] = (0.0, 1.0, 1e-17)
+
+        ref_points, ref_grid = tmp_path / "ref_points.csv", tmp_path / "ref_grid.csv"
+        with open(ref_points, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y", "true_sdf", "label", "removed"])
+            for p, s in zip(plus, sdf_plus):
+                writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(s)), 1, 0])
+            for p, s, rm in zip(query, sdf_query, removed):
+                label = -1 if rm else 0
+                writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(s)),
+                                 label, int(rm)])
+        with open(ref_grid, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y", "p_safe"])
+            for i in range(len(ys)):
+                for j in range(len(xs)):
+                    writer.writerow([repr(float(xs[j])), repr(float(ys[i])),
+                                     repr(float(probs[i, j]))])
+
+        write_points_csv(tmp_path / "points.csv", plus, sdf_plus, query, sdf_query, removed)
+        write_grid_csv(tmp_path / "grid.csv", xs, ys, probs)
+        assert (tmp_path / "points.csv").read_bytes() == ref_points.read_bytes()
+        assert (tmp_path / "grid.csv").read_bytes() == ref_grid.read_bytes()
 
     def test_labeldemo_rejects_negative_rho(self, tmp_path):
         out = tmp_path / "demo"

@@ -85,6 +85,44 @@ class TestConfigValidation:
                 tiny_cfg(circle, lam=lam)
         assert tiny_cfg(circle, lam=0.0).lam == 0.0
 
+    # each of these used to pass here and fail later with an unrelated error
+    def test_grad_steps_dyn_positive(self, circle):
+        # UnboundLocalError for the dynamics loss at the first fit
+        with pytest.raises(ValueError, match="grad_steps_dyn"):
+            tiny_cfg(circle, grad_steps_dyn=0)
+
+    def test_grad_steps_clf_positive(self, circle):
+        # UnboundLocalError for the classifier loss at the first fit
+        with pytest.raises(ValueError, match="grad_steps_clf"):
+            tiny_cfg(circle, grad_steps_clf=0)
+
+    def test_grad_steps_policy_positive(self, circle):
+        # ZeroDivisionError in the epoch's mean clone loss
+        with pytest.raises(ValueError, match="grad_steps_policy"):
+            tiny_cfg(circle, grad_steps_policy=0)
+
+    def test_episodes_per_epoch_positive(self, circle):
+        # a matmul shape error on the empty sample store
+        with pytest.raises(ValueError, match="episodes_per_epoch"):
+            tiny_cfg(circle, episodes_per_epoch=0)
+
+    def test_batch_size_positive(self, circle):
+        # "empty dynamics batch" at the first fit
+        for method in ("ca", "bc"):
+            with pytest.raises(ValueError, match="batch_size"):
+                tiny_cfg(circle, method=method, batch_size=0)
+
+    def test_ca_batch_size_holds_both_classes(self, circle):
+        # half a batch of one is zero: "empty classifier batch" at the first fit
+        with pytest.raises(ValueError, match="batch_size"):
+            tiny_cfg(circle, method="ca", batch_size=1)
+        assert tiny_cfg(circle, method="bc", batch_size=1).batch_size == 1
+
+    def test_eval_laps_positive(self, circle):
+        # zero laps counted as a full evaluation, so early stopping fired at epoch 1
+        with pytest.raises(ValueError, match="eval_laps"):
+            tiny_cfg(circle, eval_laps=0)
+
 
 class TestMixPolicy:
     def test_pure_expert_is_trajectorywise_identical(self, circle, noiseless_sim):
