@@ -1,10 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from cabc.core import Action, Outcome
-from cabc.experts import PidCenterline, RacingExpert
-from cabc.sim import default_start_state, rng_stream, rollout
+from cabc.experts import (
+    FilterDecision,
+    PidCenterline,
+    RacingExpert,
+    predictive_filter_oracle,
+)
+from cabc.sim import SimConfig, default_start_state, rng_stream, rollout, step
 from cabc.track import default_tracks
 
 from conftest import make_state
@@ -89,3 +95,73 @@ class TestRacing:
             traj = rollout(noiseless_sim, gp, noisy, default_start_state(1.0), 2000, rng)
             failures += traj.outcome is not Outcome.SUCCESS
         assert failures >= 1
+
+
+class TestPredictiveFilterOracle:
+    def test_trivially_safe_returns_proposal(self, gp, noiseless_sim):
+        u_hat = Action(0.37, -0.21)
+        out = predictive_filter_oracle(make_state(v=1.0, s=1.0), u_hat,
+                                       lambda x: True, noiseless_sim, gp)
+        assert out == FilterDecision(u_hat, True)
+
+    def test_infeasible_flag(self, gp, noiseless_sim):
+        out = predictive_filter_oracle(make_state(v=1.0, s=1.0), Action(0.0, 0.0),
+                                       lambda x: False, noiseless_sim, gp)
+        assert not out.feasible
+
+    def test_matches_exhaustive_search(self, gp, noiseless_sim):
+        """Speed-limit safe test versus an independent scan of the same grid."""
+        x = make_state(v=2.0, s=1.0)
+        u_hat = Action(1.0, 0.0)
+        v_star = 2.05
+        safe = lambda xn: xn.v_long <= v_star
+
+        n = 21
+        out = predictive_filter_oracle(x, u_hat, safe, noiseless_sim, gp, n_candidates=n)
+        grid = np.linspace(-1.0, 1.0, n)
+        best, best_d = None, np.inf
+        for ua in [u_hat.u_a] + list(grid):
+            for us in [u_hat.u_steer] + list(grid):
+                cand = Action(float(ua), float(us))
+                if not safe(step(noiseless_sim, gp, x, cand)):
+                    continue
+                d = (cand.u_a - u_hat.u_a) ** 2 + (cand.u_steer - u_hat.u_steer) ** 2
+                if d < best_d - 1e-15:
+                    best, best_d = cand, d
+        assert out.feasible
+        d_out = (out.action.u_a - u_hat.u_a) ** 2 + (out.action.u_steer - u_hat.u_steer) ** 2
+        assert d_out == pytest.approx(best_d, abs=1e-12)
+        assert safe(step(noiseless_sim, gp, x, out.action))
+        assert out.action.u_a < u_hat.u_a  # throttle was reduced
+
+    def test_idempotent_on_safe_proposals(self, gp, noiseless_sim):
+        rng = np.random.default_rng(8)
+        checked = 0
+        for _ in range(20):
+            x = make_state(v=rng.uniform(0.5, 2.5), s=rng.uniform(0, 30),
+                           xt=rng.uniform(-0.3, 0.3))
+            u_hat = Action(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            safe = lambda xn: abs(xn.x_tran) <= 0.4
+            if safe(step(noiseless_sim, gp, x, u_hat)):
+                out = predictive_filter_oracle(x, u_hat, safe, noiseless_sim, gp)
+                assert out == FilterDecision(u_hat, True)
+                checked += 1
+        assert checked > 5
+
+    def test_output_always_in_input_box(self, gp, noiseless_sim):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            x = make_state(v=rng.uniform(0.5, 2.0), s=rng.uniform(0, 30))
+            u_hat = Action(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            out = predictive_filter_oracle(
+                x, u_hat, lambda xn: xn.v_long <= 1.0, noiseless_sim, gp)
+            assert -1.0 <= out.action.u_a <= 1.0
+            assert -1.0 <= out.action.u_steer <= 1.0
+
+    def test_scored_safe_test_fallback(self, gp, noiseless_sim):
+        # signed score: infeasible everywhere, fallback maximizes the score
+        x = make_state(v=1.0, s=1.0)
+        score = lambda xn: -1.0 - abs(xn.v_long - 0.9)
+        out = predictive_filter_oracle(x, Action(0.0, 0.0), score, noiseless_sim, gp,
+                                       n_candidates=5)
+        assert not out.feasible
