@@ -199,9 +199,14 @@ def _hull_cases() -> dict:
     """``(x, points, tol)`` triples of the two hull-test shapes."""
     import numpy as np
     from cabc.autolabel import HULL_TOL, NeighborIndex, SyntheticSet, fit_norm, sample_box
-    from cabc.core import partition_trajectories
     from cabc.track import get_track
-    from cabc.trainer import TrainConfig, _collect_epoch, init_policy, make_expert_factory
+    from cabc.trainer import (
+        TrainConfig,
+        _collect_epoch,
+        _SampleStore,
+        init_policy,
+        make_expert_factory,
+    )
 
     rng = np.random.default_rng(0)
     plus = SyntheticSet.crescent().sample_inside(6000, rng)
@@ -213,12 +218,15 @@ def _hull_cases() -> dict:
     gp = get_track("gp")
     factory = make_expert_factory("racing", cfg.sim, gp)
     policy = init_policy(cfg, gp)
-    pool = partition_trajectories(
-        [t for epoch in range(8) for t in _collect_epoch(cfg, gp, factory, policy, epoch)])
-    norm = fit_norm(pool.d_plus, gp.lap_length)
-    safe = norm.normalize_states(pool.d_plus)
+    store = _SampleStore()
+    store.add_trajectories(
+        [t for epoch in range(8) for t in _collect_epoch(cfg, gp, factory, policy, epoch)],
+        cfg.observation_mode, gp)
+    plus, query = store.pools()
+    norm = fit_norm(plus, gp.lap_length)
+    safe = norm.normalize_states(plus)
     index = NeighborIndex(safe)
-    train = [(q, safe[idx], cfg.hull_tol) for q in norm.normalize_states(pool.d_query)
+    train = [(q, safe[idx], cfg.hull_tol) for q in norm.normalize_states(query)
              if len(idx := index.query_nearest(q, cfg.rho, cfg.neighbor_cap))]
     return {"labeldemo_rho1": demo[:HULL_QUERIES], "train_gp": train[:HULL_QUERIES]}
 

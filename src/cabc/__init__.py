@@ -12,7 +12,6 @@ from .core import (
     Trajectory,
     VehicleState,
     load_dataset,
-    partition_trajectories,
     save_dataset,
 )
 from .track import TrackSpec, curvature_at, default_tracks, frenet_to_cartesian, get_track
@@ -21,7 +20,7 @@ from .sim import SimConfig, in_constraints, in_target, observe, rollout, step
 __all__ = [
     "Action", "LabeledPool", "Observation", "Outcome", "Sample",
     "TerminationReason", "Trajectory", "VehicleState",
-    "load_dataset", "partition_trajectories", "save_dataset",
+    "load_dataset", "save_dataset",
     "TrackSpec", "curvature_at", "default_tracks", "frenet_to_cartesian", "get_track",
     "SimConfig", "in_constraints", "in_target", "observe", "rollout", "step",
 ]

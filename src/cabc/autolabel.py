@@ -28,8 +28,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import VehicleState
-
 SIGMA_MIN = 1e-6
 HULL_TOL = 1e-7
 
@@ -66,10 +64,6 @@ def embed_vjp(states_raw: np.ndarray, grad_embed: np.ndarray,
     return g_x
 
 
-def _raw_states(states: Sequence[VehicleState]) -> np.ndarray:
-    return np.array([st.as_tuple() for st in states], dtype=float).reshape(-1, 6)
-
-
 @dataclass(frozen=True)
 class NormStats:
     """Per-dimension standardization fitted on the known-safe pool."""
@@ -81,19 +75,20 @@ class NormStats:
     def normalize(self, embedded: np.ndarray) -> np.ndarray:
         return (embedded - self.mean) / self.std
 
-    def normalize_states(self, states: Sequence[VehicleState]) -> np.ndarray:
-        return self.normalize(embed(_raw_states(states), self.lap_length))
+    def normalize_states(self, states_raw: np.ndarray) -> np.ndarray:
+        """Raw ``(B, 6)`` states -> standardized ``(B, 7)`` embedding."""
+        return self.normalize(embed(states_raw, self.lap_length))
 
     @staticmethod
     def identity(dim: int) -> "NormStats":
         return NormStats(mean=np.zeros(dim), std=np.ones(dim), lap_length=1.0)
 
 
-def fit_norm(d_plus: Sequence[VehicleState], lap_length: float) -> NormStats:
-    """Mean/std over the embedded positive pool, stds floored at ``SIGMA_MIN``."""
+def fit_norm(d_plus: np.ndarray, lap_length: float) -> NormStats:
+    """Mean/std over the embedded ``(n, 6)`` positive pool, stds floored at ``SIGMA_MIN``."""
     if len(d_plus) < 2:
         raise ValueError("need at least 2 states to fit normalization")
-    emb = embed(_raw_states(d_plus), lap_length)
+    emb = embed(d_plus, lap_length)
     mean = emb.mean(axis=0)
     std = np.maximum(emb.std(axis=0), SIGMA_MIN)
     return NormStats(mean=mean, std=std, lap_length=lap_length)

@@ -57,7 +57,6 @@ def _load_configs(args) -> tuple:
     sim = sim_config_from(values)
     if args.seed is not None:
         values["seed"] = str(args.seed)
-        sim = sim_config_from({"seed": str(args.seed)}, base=sim)
     # the command line's method and feedback override the file's, and are in
     # place when the config is validated
     options = {"method": args.method,
@@ -121,7 +120,7 @@ def _cmd_train(args) -> int:
     nn.save_weights(result.policy, os.path.join(out, "policy.npz"))
     if result.dyn is not None and result.clf is not None:
         save_critic(result.dyn, result.clf, os.path.join(out, "critic"))
-    if result.pool.d_plus or result.pool.d_query:
+    if len(result.pool.d_plus) or len(result.pool.d_query):
         save_dataset(result.pool, os.path.join(out, "pool.jsonl.gz"))
     meta["early_stopped_at"] = result.early_stopped_at
     meta["completed_epochs"] = len(result.reports)

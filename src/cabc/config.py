@@ -46,7 +46,6 @@ def _parse_flag(text: str) -> bool:
     return bool(int(text))
 
 
-# ``seed`` seeds the simulator as well as the trainer
 _TRAIN_KEYS = {
     "epochs": int,
     "alpha": float,
@@ -121,14 +120,13 @@ def _typed(values: Dict[str, str],
     return {k: table[k](v) for k, v in values.items() if k in table}
 
 
-def sim_config_from(values: Dict[str, str], base: Optional[SimConfig] = None) -> SimConfig:
-    base = base or SimConfig()
-    typed = _typed(values, {**_SIM_KEYS, "seed": int})
+def sim_config_from(values: Dict[str, str]) -> SimConfig:
+    typed = _typed(values, _SIM_KEYS)
     if "preview_k" in typed or "preview_spacing" in typed:
-        k = typed.pop("preview_k", len(base.preview_distances))
+        k = typed.pop("preview_k", len(SimConfig.preview_distances))
         spacing = typed.pop("preview_spacing", 1.0)
         typed["preview_distances"] = tuple(spacing * (i + 1) for i in range(k))
-    return replace(base, **typed)
+    return SimConfig(**typed)
 
 
 def train_config_from(values: Dict[str, str], sim: SimConfig,

@@ -1,4 +1,4 @@
-"""Shared domain types, trajectory partitioning, and dataset persistence.
+"""Shared domain types, the labeled-pool record, and dataset persistence.
 
 The vehicle lives in Frenet coordinates attached to a closed reference path:
 arc length ``s`` (stored unwrapped so progress is monotone across laps),
@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import gzip
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
 from typing import IO, Iterable, Optional, Union
+
+import numpy as np
 
 
 class DatasetFormatError(ValueError):
@@ -212,49 +214,27 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def states(self) -> list:
-        return [smp.x for smp in self.samples]
 
-
-@dataclass
+@dataclass(frozen=True)
 class LabeledPool:
-    """Safety-labeling pools: known-safe states, undecided states, negatives.
+    """The safety-labeling pools as raw ``(n, 6)`` state arrays.
 
-    ``d_minus`` always holds a subset of ``d_query``; it is rebuilt by the
-    auto-labeler as the positive pool grows, never edited in place.
+    ``d_plus`` holds the states of successful rollouts (known safe) and
+    ``d_query`` those of failed ones (undecided); ``minus`` marks the query
+    rows the auto-labeler keeps as negatives, so the negatives are a subset
+    of the undecided states by construction.
     """
 
-    d_plus: list = field(default_factory=list)
-    d_query: list = field(default_factory=list)
-    d_minus: list = field(default_factory=list)
+    d_plus: np.ndarray
+    d_query: np.ndarray
+    minus: np.ndarray
 
-    def validate(self) -> None:
-        query = set(st.as_tuple() for st in self.d_query)
-        plus = set(st.as_tuple() for st in self.d_plus)
-        for st in self.d_minus:
-            if st.as_tuple() not in query:
-                raise ValueError("d_minus state not present in d_query")
-            if st.as_tuple() in plus:
-                raise ValueError("state labeled both safe and unsafe")
-
-    def counts(self) -> tuple:
-        return (len(self.d_plus), len(self.d_query), len(self.d_minus))
-
-
-def partition_trajectories(trajs: Iterable[Trajectory]) -> LabeledPool:
-    """Split rollout states by outcome: successes feed ``d_plus``, failures ``d_query``.
-
-    Every state visited on a successful trajectory is known reachable-to-target,
-    hence safe; failed-trajectory states are merely undecided.  ``d_minus``
-    starts empty and is populated later by the auto-labeler.
-    """
-    pool = LabeledPool()
-    for traj in trajs:
-        if len(traj) == 0:
-            raise ValueError("cannot partition a trajectory with zero samples")
-        dest = pool.d_plus if traj.outcome is Outcome.SUCCESS else pool.d_query
-        dest.extend(traj.states())
-    return pool
+    def __post_init__(self):
+        for name in ("d_plus", "d_query"):
+            if np.shape(getattr(self, name))[1:] != (6,):
+                raise ValueError(f"{name} must be an (n, 6) array of raw states")
+        if np.shape(self.minus) != (len(self.d_query),):
+            raise ValueError("minus must hold one flag per d_query row")
 
 
 # --- JSON-lines persistence -------------------------------------------------
@@ -283,7 +263,7 @@ def _traj_lines(trajs: Iterable[Trajectory]):
                 "traj_id": tid,
                 "k": k,
                 "x": _state_json(smp.x),
-                "y": list(smp.y.as_tuple()),
+                "y": None if smp.y is None else list(smp.y.as_tuple()),
                 "u_expert": list(smp.u_expert.as_tuple()),
                 "u_applied": list(smp.u_applied.as_tuple()),
                 "x_next": _state_json(smp.x_next),
@@ -292,12 +272,10 @@ def _traj_lines(trajs: Iterable[Trajectory]):
 
 
 def _pool_lines(pool: LabeledPool):
-    minus = set(st.as_tuple() for st in pool.d_minus)
-    for x in pool.d_plus:
-        yield {"kind": "pool", "set": "plus", "x": _state_json(x)}
-    for x in pool.d_query:
-        yield {"kind": "pool", "set": "query", "x": _state_json(x),
-               "minus": 1 if x.as_tuple() in minus else 0}
+    for x in pool.d_plus.tolist():
+        yield {"kind": "pool", "set": "plus", "x": x}
+    for x, minus in zip(pool.d_query.tolist(), pool.minus.tolist()):
+        yield {"kind": "pool", "set": "query", "x": x, "minus": 1 if minus else 0}
 
 
 def save_dataset(data: Union[LabeledPool, Iterable[Trajectory]], path) -> None:
@@ -348,9 +326,10 @@ def _index(obj: dict, line_no: int, name: str) -> int:
 
 def _parse_sample(obj: dict, line_no: int) -> Sample:
     try:
+        y = _field(obj, line_no, "y")
         return Sample(
             x=VehicleState.from_sequence(_field(obj, line_no, "x")),
-            y=Observation.from_sequence(_field(obj, line_no, "y")),
+            y=None if y is None else Observation.from_sequence(y),
             u_expert=Action(*map(float, _field(obj, line_no, "u_expert"))),
             u_applied=Action(*map(float, _field(obj, line_no, "u_applied"))),
             x_next=VehicleState.from_sequence(_field(obj, line_no, "x_next")),
@@ -371,7 +350,7 @@ def load_dataset(path) -> Union[LabeledPool, list]:
     """
     headers: dict = {}
     samples: dict = {}   # traj_id -> {k: sample}
-    pool = LabeledPool()
+    pool = {"plus": [], "query": [], "minus": []}
     saw_pool = False
     saw_traj = False
     with _open(path, "r") as fh:
@@ -414,13 +393,12 @@ def load_dataset(path) -> Union[LabeledPool, list]:
             elif kind == "pool":
                 saw_pool = True
                 which = _field(obj, line_no, "set")
-                x = VehicleState.from_sequence(_field(obj, line_no, "x"))
+                x = VehicleState.from_sequence(_field(obj, line_no, "x")).as_tuple()
                 if which == "plus":
-                    pool.d_plus.append(x)
+                    pool["plus"].append(x)
                 elif which == "query":
-                    pool.d_query.append(x)
-                    if _field(obj, line_no, "minus"):
-                        pool.d_minus.append(x)
+                    pool["query"].append(x)
+                    pool["minus"].append(bool(_field(obj, line_no, "minus")))
                 else:
                     raise DatasetFormatError(line_no, f"unknown pool set {which!r}")
             else:
@@ -428,7 +406,9 @@ def load_dataset(path) -> Union[LabeledPool, list]:
     if saw_pool and saw_traj:
         raise DatasetFormatError(0, "file mixes pool and trajectory records")
     if saw_pool:
-        return pool
+        return LabeledPool(d_plus=np.array(pool["plus"]).reshape(-1, 6),
+                           d_query=np.array(pool["query"]).reshape(-1, 6),
+                           minus=np.array(pool["minus"], dtype=bool))
     trajs = []
     for tid in sorted(headers):
         outcome, reason, line_no = headers[tid]

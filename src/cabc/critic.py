@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import nn
-from .autolabel import NormStats, embed, embed_vjp
+from .autolabel import NormStats, embed_vjp
 from .sim import SimConfig
 
 
@@ -51,7 +51,7 @@ class DynModel:
     delta_scale: np.ndarray
 
     def inputs(self, states_raw: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        emb = self.norm.normalize(embed(states_raw, self.norm.lap_length))
+        emb = self.norm.normalize_states(states_raw)
         return np.column_stack([emb, np.atleast_2d(actions)])
 
     def predict(self, states_raw: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -68,7 +68,7 @@ class SafetyClf:
     lam: float = 1.0
 
     def prob(self, states_raw: np.ndarray) -> np.ndarray:
-        emb = self.norm.normalize(embed(states_raw, self.norm.lap_length))
+        emb = self.norm.normalize_states(states_raw)
         return nn.forward(self.params, emb)[..., 0]
 
 
@@ -125,7 +125,7 @@ def clf_loss_and_grad(clf: SafetyClf, states_raw: np.ndarray, labels: np.ndarray
             f"need both classes, got {int(n_pos)} positive / {int(n_neg)} negative")
     B = len(labels)
     weights = np.where(labels == 1.0, B / (2.0 * n_pos), B / (2.0 * n_neg))
-    emb = clf.norm.normalize(embed(states_raw, clf.norm.lap_length))
+    emb = clf.norm.normalize_states(states_raw)
     tape = tape or nn.Tape()
     p = nn.forward(clf.params, emb, tape)[:, 0]
     loss = float(-(weights * (labels * np.log(p) + (1 - labels) * np.log(1 - p))).mean())
@@ -154,7 +154,7 @@ def safety_penalty_and_input_grad(clf: SafetyClf, dyn: DynModel,
     z = dyn.inputs(states_raw, actions)
     dnorm = nn.forward(dyn.params, z, tape_dyn)
     x_next = states_raw + dnorm * dyn.delta_scale
-    emb_next = clf.norm.normalize(embed(x_next, clf.norm.lap_length))
+    emb_next = clf.norm.normalize_states(x_next)
     p = nn.forward(clf.params, emb_next, tape_clf)[:, 0]
     penalty = -clf.lam * np.log(p)
 

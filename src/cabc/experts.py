@@ -1,4 +1,4 @@
-"""Full-state expert policies and a grid-search predictive safety filter.
+"""Full-state expert policies.
 
 Both experts are privileged: they read the true vehicle state.  The PID
 expert is deliberately conservative; the racing expert trades margin for lap
@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
-
-import numpy as np
+from typing import Optional
 
 from .core import Action, Observation, VehicleState
-from .sim import SimConfig, SimSingularityError, step
+from .sim import SimConfig
 from .track import TrackSpec, curvature_at, peak_curvature
 
 
@@ -119,49 +117,3 @@ class RacingExpert:
         kappa_cmd = 2.0 * math.sin(alpha) / l_d + curvature_at(self.track, x.s)
         delta = _steer_feedforward(cfg, kappa_cmd, x.v_long)
         return Action.clamped(u_a, delta / cfg.steer_max)
-
-
-class FilterDecision(NamedTuple):
-    action: Action
-    feasible: bool
-
-
-def predictive_filter_oracle(x: VehicleState, u_hat: Action,
-                             safe_test: Callable[[VehicleState], object],
-                             cfg: SimConfig, track: TrackSpec,
-                             n_candidates: int = 21) -> FilterDecision:
-    """Minimum-intervention one-step filter by exhaustive grid search.
-
-    Evaluates ``u_hat`` plus an ``n_candidates**2`` action grid, keeping the
-    candidate closest to ``u_hat`` whose successor state passes ``safe_test``.
-    ``safe_test`` may return a bool or a signed score (safe iff >= 0).  When
-    nothing passes, the highest-scoring candidate is returned with
-    ``feasible=False``; with boolean tests all scores tie at 0, so the
-    fallback degrades to the candidate nearest ``u_hat``.
-    """
-    grid = np.linspace(-1.0, 1.0, n_candidates)
-    candidates = [u_hat] + [Action(a, s) for a in grid for s in grid]
-    best = None           # (dist2, action) among safe candidates
-    best_any = None       # (-score, dist2, action) among all candidates
-    for u in candidates:
-        try:
-            x_next = step(cfg, track, x, u)
-        except SimSingularityError:
-            continue
-        verdict = safe_test(x_next)
-        if isinstance(verdict, (bool, np.bool_)):
-            safe, score = bool(verdict), 1.0 if verdict else 0.0
-        else:
-            score = float(verdict)
-            safe = score >= 0.0
-        d2 = (u.u_a - u_hat.u_a) ** 2 + (u.u_steer - u_hat.u_steer) ** 2
-        if safe and (best is None or d2 < best[0]):
-            best = (d2, u)
-        key = (-score, d2)
-        if best_any is None or key < best_any[:2]:
-            best_any = (key[0], key[1], u)
-    if best is not None:
-        return FilterDecision(action=best[1], feasible=True)
-    if best_any is None:
-        return FilterDecision(action=u_hat, feasible=False)
-    return FilterDecision(action=best_any[2], feasible=False)

@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -28,21 +28,15 @@ def write_reports_csv(reports: Sequence[EpochReport], path) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in r.row()])
 
 
+# how each reports.csv column reads back, from its EpochReport field type
+_PARSE = {int: int, float: float, bool: lambda text: text == "True"}
+_COLUMN_PARSERS = {name: _PARSE[kind] for name, kind in get_type_hints(EpochReport).items()}
+
+
 def read_reports_csv(path) -> List[Dict[str, float]]:
-    rows: List[Dict[str, float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for record in csv.DictReader(fh):
-            row = {}
-            for key, value in record.items():
-                if key in ("epoch", "new_successes", "new_failures", "n_plus",
-                           "n_query", "n_minus", "eval_laps"):
-                    row[key] = int(value)
-                elif key == "clf_degenerate":
-                    row[key] = value == "True"
-                else:
-                    row[key] = float(value)
-            rows.append(row)
-    return rows
+        return [{key: _COLUMN_PARSERS.get(key, float)(value) for key, value in record.items()}
+                for record in csv.DictReader(fh)]
 
 
 # --- minimal SVG emission ---------------------------------------------------------

@@ -62,7 +62,6 @@ class SimConfig:
     noise_sigma_kappa: float = 0.01
     preview_distances: Tuple[float, ...] = tuple(float(i) for i in range(1, 11))
 
-    seed: int = 0
     max_steps: int = 600       # per lap attempt
     lap_target: int = 1        # laps of progress required to reach the target set
 

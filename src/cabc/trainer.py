@@ -4,8 +4,8 @@ safety classifier.
 
 Each epoch: roll out the mixed collection policy (expert with probability
 ``alpha**epoch``, learner otherwise, plus actuation noise), relabel every
-visited state with the expert action, partition new trajectories into the
-labeling pools, rebuild the negative set, then run minibatch updates.  The
+visited state with the expert action, record every visited state with its
+rollout's outcome, rebuild the negative set, then run minibatch updates.  The
 policy trains every epoch on clone MSE plus the frozen-critic safety
 penalty; the dynamics model and classifier train on their own cadences.
 
@@ -17,22 +17,14 @@ bit-identical policy updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import nn
 from .autolabel import NormStats, embed, fit_norm, member_mask
-from .core import (
-    Action,
-    LabeledPool,
-    Observation,
-    Outcome,
-    Trajectory,
-    VehicleState,
-    partition_trajectories,
-)
+from .core import Action, LabeledPool, Observation, Outcome, Trajectory, VehicleState
 from .critic import (
     DynModel,
     SafetyClf,
@@ -89,6 +81,14 @@ class TrainConfig:
             raise ValueError("lam must be non-negative")
         if not 0 <= self.hull_tol < math.inf:
             raise ValueError("hull_tol must be non-negative and finite")
+        # a NaN sigma would silently turn actuation noise off
+        if not 0 <= self.actuation_noise_sigma < math.inf:
+            raise ValueError("actuation_noise_sigma must be non-negative and finite")
+        for name in ("lr_policy", "lr_dyn", "lr_clf"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
         if self.neighbor_cap < 1:
             raise ValueError("neighbor_cap must be >= 1")
         if self.k_f < 1 or self.k_p < 1:
@@ -124,12 +124,12 @@ class EpochReport:
     eval_lap_std: float
     clf_degenerate: bool = False
 
-    FIELDS = ("epoch", "clone_loss", "safety_loss", "dyn_loss", "clf_loss",
-              "new_successes", "new_failures", "n_plus", "n_query", "n_minus",
-              "eval_laps", "eval_lap_mean", "eval_lap_std", "clf_degenerate")
-
     def row(self) -> list:
         return [getattr(self, name) for name in self.FIELDS]
+
+
+# the reports.csv columns, in order
+EpochReport.FIELDS = tuple(f.name for f in fields(EpochReport))
 
 
 # --- policy featurization -------------------------------------------------------
@@ -314,16 +314,22 @@ class TrainResult:
 
 
 class _SampleStore:
-    """Aligned growing arrays of everything each recorded step provides."""
+    """Aligned growing arrays of everything each recorded step provides.
+
+    This is the one record of visited states: ``safe`` marks the rows of
+    successful rollouts, so the labeling pools are views of ``x_raw`` (see
+    :meth:`pools`), in visit order.
+    """
 
     def __init__(self):
-        self._chunks = {k: [] for k in ("feats", "u_expert", "x_raw", "u_applied", "x_next")}
+        self._chunks = {k: [] for k in ("feats", "u_expert", "x_raw", "u_applied", "x_next",
+                                        "safe")}
         self._arrays = None
 
     def add_trajectories(self, trajs: Sequence[Trajectory], mode: str, track: TrackSpec):
         for traj in trajs:
             if not traj.samples:
-                continue
+                raise ValueError("cannot record a trajectory with zero samples")
             x_raw = np.array([s.x.as_tuple() for s in traj.samples])
             if mode == "output":
                 feats = features_from_obs_array(
@@ -338,6 +344,8 @@ class _SampleStore:
                 np.array([s.u_applied.as_tuple() for s in traj.samples]))
             self._chunks["x_next"].append(
                 np.array([s.x_next.as_tuple() for s in traj.samples]))
+            self._chunks["safe"].append(
+                np.full(len(x_raw), traj.outcome is Outcome.SUCCESS))
         self._arrays = None
 
     def arrays(self) -> dict:
@@ -348,6 +356,13 @@ class _SampleStore:
 
     def __len__(self) -> int:
         return sum(len(c) for c in self._chunks["feats"])
+
+    def pools(self) -> Tuple[np.ndarray, np.ndarray]:
+        """D+ and D_query: the visited states of successful and of failed rollouts."""
+        if not len(self):
+            return np.zeros((0, 6)), np.zeros((0, 6))
+        arr = self.arrays()
+        return arr["x_raw"][arr["safe"]], arr["x_raw"][~arr["safe"]]
 
 
 class _LabelState:
@@ -362,18 +377,17 @@ class _LabelState:
     def __init__(self):
         self.mask = np.zeros(0, dtype=bool)
 
-    def relabel(self, pool: LabeledPool, norm: NormStats, rho: float,
+    def relabel(self, plus: np.ndarray, query: np.ndarray, norm: NormStats, rho: float,
                 full: bool, tol: float, neighbor_cap: int) -> None:
-        plus_norm = norm.normalize_states(pool.d_plus)
-        query_norm = norm.normalize_states(pool.d_query)
-        if full or len(self.mask) > len(pool.d_query):
+        """Recompute ``mask``, the hull members among the raw ``query`` rows."""
+        if full or len(self.mask) > len(query):
             assume = None
         else:
             assume = np.concatenate(
-                [self.mask, np.zeros(len(pool.d_query) - len(self.mask), dtype=bool)])
-        self.mask = member_mask(plus_norm, query_norm, rho, tol=tol,
-                                assume_member=assume, max_neighbors=neighbor_cap)
-        pool.d_minus = [st for st, member in zip(pool.d_query, self.mask) if not member]
+                [self.mask, np.zeros(len(query) - len(self.mask), dtype=bool)])
+        self.mask = member_mask(norm.normalize_states(plus), norm.normalize_states(query),
+                                rho, tol=tol, assume_member=assume,
+                                max_neighbors=neighbor_cap)
 
 
 def _finite_or_raise(name: str, value: float, epoch: int) -> float:
@@ -395,7 +409,8 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
     policy = init_policy(cfg, track)
     opt_policy = nn.init_opt(policy, lr=cfg.lr_policy)
     store = _SampleStore()
-    pool = LabeledPool()
+    plus, query = store.pools()   # empty pools when there are no epochs
+    minus = np.zeros(0, dtype=bool)
     labels = _LabelState()
     norm: Optional[NormStats] = None
     dyn: Optional[DynModel] = None
@@ -415,25 +430,25 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
         trajs = _collect_epoch(cfg, track, expert_factory, policy, epoch)
         if traj_callback is not None:
             traj_callback(epoch, trajs)
-        new_pool = partition_trajectories(trajs)
-        pool.d_plus.extend(new_pool.d_plus)
-        pool.d_query.extend(new_pool.d_query)
         store.add_trajectories(trajs, cfg.observation_mode, track)
         new_succ = sum(t.outcome is Outcome.SUCCESS for t in trajs)
+        plus, query = store.pools()
+        minus = np.zeros(len(query), dtype=bool)
 
         clf_degenerate = False
         if constraint_aware:
             update_dyn = epoch % cfg.k_f == 0
             update_clf = epoch % cfg.k_p == 0
-            refit = (update_dyn or update_clf) and len(pool.d_plus) >= 2
+            refit = (update_dyn or update_clf) and len(plus) >= 2
             if refit:
-                norm = fit_norm(pool.d_plus, track.lap_length)
+                norm = fit_norm(plus, track.lap_length)
             if norm is not None:
-                labels.relabel(pool, norm, cfg.rho, full=refit,
+                labels.relabel(plus, query, norm, cfg.rho, full=refit,
                                tol=cfg.hull_tol, neighbor_cap=cfg.neighbor_cap)
+                minus = ~labels.mask
             else:
                 # no metric yet: nothing can be excluded from the negatives
-                pool.d_minus = list(pool.d_query)
+                minus[:] = True
 
             if norm is not None and dyn is None:
                 dyn = init_dyn_model(norm, cfg.sim, hidden=cfg.hidden, seed=cfg.seed + 1)
@@ -458,16 +473,15 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
                 last_dyn_loss = _finite_or_raise("dyn_loss", loss_f, epoch)
 
             if update_clf and clf is not None:
-                if pool.d_plus and pool.d_minus:
+                minus_raw = query[minus]
+                if len(plus) and len(minus_raw):
                     rng_b = rng_stream(cfg.seed, 5, epoch)
-                    plus_raw = np.array([st.as_tuple() for st in pool.d_plus])
-                    minus_raw = np.array([st.as_tuple() for st in pool.d_minus])
                     half = cfg.batch_size // 2
                     yb = np.concatenate([np.ones(half), np.zeros(half)])
                     for _ in range(cfg.grad_steps_clf):
-                        ip = rng_b.integers(0, len(plus_raw), size=half)
+                        ip = rng_b.integers(0, len(plus), size=half)
                         im = rng_b.integers(0, len(minus_raw), size=half)
-                        xb = np.vstack([plus_raw[ip], minus_raw[im]])
+                        xb = np.vstack([plus[ip], minus_raw[im]])
                         loss_p, grads = clf_loss_and_grad(clf, xb, yb, tape=tape_clf)
                         new_params, opt_clf = nn.adam_step(clf.params, grads, opt_clf)
                         clf = replace(clf, params=new_params)
@@ -508,9 +522,9 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             clf_loss=last_clf_loss,
             new_successes=new_succ,
             new_failures=len(trajs) - new_succ,
-            n_plus=len(pool.d_plus),
-            n_query=len(pool.d_query),
-            n_minus=len(pool.d_minus),
+            n_plus=len(plus),
+            n_query=len(query),
+            n_minus=int(minus.sum()),
             eval_laps=result.laps_completed,
             eval_lap_mean=result.lap_mean,
             eval_lap_std=result.lap_std,
@@ -524,5 +538,6 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             early_stopped_at = epoch
             break
 
+    pool = LabeledPool(d_plus=plus, d_query=query, minus=minus)
     return TrainResult(policy=policy, reports=reports, pool=pool, dyn=dyn, clf=clf,
                        norm=norm, early_stopped_at=early_stopped_at)

@@ -19,21 +19,20 @@ from cabc.autolabel import (
     member_mask,
     prop1_violation_count,
 )
-from cabc.core import LabeledPool
 from cabc.trainer import _LabelState
 
-from conftest import euclidean_hull_distance, lp_hull_oracle, make_state
+from conftest import euclidean_hull_distance, lp_hull_oracle, make_state, states_array
 
 
 class TestNormalization:
     def test_degenerate_variance_is_floored(self):
-        states = [make_state(v=1.0, s=2.0)] * 2
+        states = states_array([make_state(v=1.0, s=2.0)] * 2)
         norm = fit_norm(states, lap_length=10.0)
         assert np.all(norm.std == 1e-6)
 
     def test_requires_two_states(self):
         with pytest.raises(ValueError):
-            fit_norm([make_state()], lap_length=10.0)
+            fit_norm(states_array([make_state()]), lap_length=10.0)
 
     def test_monte_carlo_std_recovery(self):
         rng = np.random.default_rng(3)
@@ -45,7 +44,7 @@ class TestNormalization:
                              xt=rng.normal(0.0, sigmas["xt"]),
                              ep=rng.normal(0.0, sigmas["ep"]))
                   for _ in range(10_000)]
-        norm = fit_norm(states, lap_length=10.0)
+        norm = fit_norm(states_array(states), lap_length=10.0)
         # non-embedded dimensions: v, vt, om at 0..2, xt at 5, ep at 6
         for idx, key in zip((0, 1, 2, 5, 6), ("v", "vt", "om", "xt", "ep")):
             assert norm.std[idx] == pytest.approx(sigmas[key], rel=0.05)
@@ -62,23 +61,27 @@ def _index_and_norm(plus):
     return NeighborIndex(norm.normalize_states(plus)), norm
 
 
+def _normalized(norm, state):
+    return norm.normalize_states(states_array([state]))[0]
+
+
 class TestRadiusNeighbors:
     def test_zero_radius_without_exact_match(self):
-        plus = [make_state(v=1.0), make_state(v=2.0)]
+        plus = states_array([make_state(v=1.0), make_state(v=2.0)])
         index, norm = _index_and_norm(plus)
-        assert index.query(norm.normalize_states([make_state(v=1.5)])[0], 0.0).tolist() == []
+        assert index.query(_normalized(norm, make_state(v=1.5)), 0.0).tolist() == []
 
     def test_huge_radius_returns_all(self):
-        plus = [make_state(v=float(i)) for i in range(5)]
+        plus = states_array([make_state(v=float(i)) for i in range(5)])
         index, norm = _index_and_norm(plus)
-        found = index.query(norm.normalize_states([make_state(v=2.0)])[0], 1e9)
-        assert [plus[i] for i in found] == plus
+        found = index.query(_normalized(norm, make_state(v=2.0)), 1e9)
+        assert found.tolist() == list(range(len(plus)))
 
     def test_rejects_negative_radius(self):
-        plus = [make_state(), make_state(v=2.0)]
+        plus = states_array([make_state(), make_state(v=2.0)])
         index, norm = _index_and_norm(plus)
         with pytest.raises(ValueError):
-            index.query(norm.normalize_states([make_state()])[0], -1.0)
+            index.query(_normalized(norm, make_state()), -1.0)
 
     def test_nearest_rejects_negative_radius(self):
         # cKDTree squares the radius: unchecked, -0.7 would return the +0.7 sets
@@ -107,23 +110,23 @@ class TestRadiusNeighbors:
 
     def test_index_matches_linear_scan(self):
         def radius_neighbors(x, d_plus, norm, rho):
-            """Reference: every pool state within normalized distance rho, by scan."""
-            q = norm.normalize_states([x])[0]
+            """Reference: rows of every pool state within normalized distance rho, by scan."""
+            q = _normalized(norm, x)
             d2 = ((norm.normalize_states(d_plus) - q) ** 2).sum(axis=1)
-            return [d_plus[i] for i in np.flatnonzero(d2 <= rho * rho)]
+            return np.flatnonzero(d2 <= rho * rho)
 
         rng = np.random.default_rng(11)
-        plus = [make_state(v=rng.uniform(0, 3), s=rng.uniform(0, 10),
-                           xt=rng.normal(0, 0.2), ep=rng.normal(0, 0.3),
-                           vt=rng.normal(0, 0.1), om=rng.normal(0, 0.5))
-                for _ in range(1000)]
+        plus = states_array([make_state(v=rng.uniform(0, 3), s=rng.uniform(0, 10),
+                                        xt=rng.normal(0, 0.2), ep=rng.normal(0, 0.3),
+                                        vt=rng.normal(0, 0.1), om=rng.normal(0, 0.5))
+                             for _ in range(1000)])
         index, norm = _index_and_norm(plus)
         for _ in range(25):
             q = make_state(v=rng.uniform(0, 3), s=rng.uniform(0, 10),
                            xt=rng.normal(0, 0.2))
             scan = radius_neighbors(q, plus, norm, 1.0)
-            idx = index.query(norm.normalize_states([q])[0], 1.0)
-            assert sorted(map(id, scan)) == sorted(id(plus[i]) for i in idx)
+            idx = index.query(_normalized(norm, q), 1.0)
+            assert scan.tolist() == sorted(idx.tolist())
 
     def test_block_queries_match_single_queries(self):
         rng = np.random.default_rng(12)
@@ -294,46 +297,42 @@ class TestHullMembership:
         assert hull_membership(x, P)
 
 
-def relabel_full(pool: LabeledPool, norm: NormStats, rho: float) -> None:
-    """The trainer's full rebuild of ``pool.d_minus``, every neighbor in each hull."""
-    _LabelState().relabel(pool, norm, rho, full=True, tol=HULL_TOL, neighbor_cap=None)
+def minus_full(plus: np.ndarray, query: np.ndarray, norm: NormStats, rho: float) -> np.ndarray:
+    """The trainer's full rebuild of the negative flags, every neighbor in each hull."""
+    labels = _LabelState()
+    labels.relabel(plus, query, norm, rho, full=True, tol=HULL_TOL, neighbor_cap=None)
+    return ~labels.mask
 
 
 class TestBuildNegatives:
     def _pool_and_norm(self):
         rng = np.random.default_rng(5)
-        plus = [make_state(v=rng.uniform(0.5, 2.0), s=rng.uniform(0, 10),
-                           xt=rng.normal(0, 0.1)) for _ in range(200)]
+        plus = states_array([make_state(v=rng.uniform(0.5, 2.0), s=rng.uniform(0, 10),
+                                        xt=rng.normal(0, 0.1)) for _ in range(200)])
         norm = fit_norm(plus, lap_length=10.0)
         return plus, norm
 
     def test_duplicate_of_safe_state_is_excluded(self):
         plus, norm = self._pool_and_norm()
-        pool = LabeledPool(d_plus=plus, d_query=[plus[0]])
-        relabel_full(pool, norm, rho=0.5)
-        assert pool.d_minus == []
+        assert minus_full(plus, plus[:1], norm, rho=0.5).tolist() == [False]
 
     def test_isolated_state_stays_negative(self):
         plus, norm = self._pool_and_norm()
-        faraway = make_state(v=50.0, s=5.0, xt=0.0)
-        pool = LabeledPool(d_plus=plus, d_query=[faraway])
-        relabel_full(pool, norm, rho=0.5)
-        assert pool.d_minus == [faraway]
+        faraway = states_array([make_state(v=50.0, s=5.0, xt=0.0)])
+        assert minus_full(plus, faraway, norm, rho=0.5).tolist() == [True]
 
     def test_query_pool_is_retained(self):
         plus, norm = self._pool_and_norm()
-        queries = [plus[0], make_state(v=50.0, s=5.0)]
-        pool = LabeledPool(d_plus=plus, d_query=list(queries))
-        relabel_full(pool, norm, rho=0.5)
-        assert pool.d_query == queries
-        pool.validate()
+        queries = np.vstack([plus[:1], states_array([make_state(v=50.0, s=5.0)])])
+        before = queries.copy()
+        minus = minus_full(plus, queries, norm, rho=0.5)
+        assert np.array_equal(queries, before)
+        assert minus.tolist() == [False, True]
 
     def test_empty_plus_pool_keeps_all_negatives(self):
         norm = NormStats.identity(7)
-        queries = [make_state(v=1.0), make_state(v=2.0)]
-        pool = LabeledPool(d_plus=[], d_query=queries)
-        relabel_full(pool, norm, rho=1.0)
-        assert pool.d_minus == queries
+        queries = states_array([make_state(v=1.0), make_state(v=2.0)])
+        assert minus_full(np.zeros((0, 6)), queries, norm, rho=1.0).tolist() == [True, True]
 
     def test_incremental_mask_matches_full_recompute(self):
         rng = np.random.default_rng(17)

@@ -32,7 +32,6 @@ def _all_changed(cls, **kw):
 def test_snapshot_round_trips_every_key(tmp_path):
     sim = _all_changed(SimConfig)
     cfg = _all_changed(TrainConfig, sim=sim)
-    assert cfg.seed == sim.seed   # one config key seeds both
     for obj, default in ((sim, SimConfig()), (cfg, TrainConfig())):
         for f in dataclasses.fields(obj):
             if f.name != "sim":

@@ -1,6 +1,8 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,11 @@ from cabc.core import (
     Trajectory,
     VehicleState,
     load_dataset,
-    partition_trajectories,
     save_dataset,
 )
+from cabc.trainer import _SampleStore
 
-from conftest import make_state, make_trajectory
+from conftest import make_state, make_trajectory, states_array
 
 
 class TestTypes:
@@ -77,26 +79,34 @@ class TestTypes:
                        termination_reason=TerminationReason.REACHED_TARGET)
 
 
+def pools(trajs):
+    """The trainer's labeling pools over ``trajs``: the D+ and D_query rows."""
+    store = _SampleStore()
+    store.add_trajectories(trajs, "output", track=None)   # no track in output mode
+    return store.pools()
+
+
 class TestPartition:
     def test_basic_partition(self):
-        pool = partition_trajectories([
+        plus, query = pools([
             make_trajectory(10, Outcome.SUCCESS),
             make_trajectory(4, Outcome.FAILURE),
         ])
-        assert pool.counts() == (10, 4, 0)
+        assert (plus.shape, query.shape) == ((10, 6), (4, 6))
 
     def test_empty_input(self):
-        assert partition_trajectories([]).counts() == (0, 0, 0)
+        plus, query = pools([])
+        assert (plus.shape, query.shape) == ((0, 6), (0, 6))
 
     def test_success_only_leaves_query_empty(self):
-        pool = partition_trajectories([make_trajectory(3, Outcome.SUCCESS)] * 3)
-        assert pool.counts() == (9, 0, 0)
+        plus, query = pools([make_trajectory(3, Outcome.SUCCESS)] * 3)
+        assert (plus.shape, query.shape) == ((9, 6), (0, 6))
 
     def test_rejects_empty_trajectory(self):
         empty = Trajectory(samples=(), outcome=Outcome.FAILURE,
                            termination_reason=TerminationReason.TIMEOUT)
         with pytest.raises(ValueError):
-            partition_trajectories([empty])
+            pools([empty])
 
     @given(st.lists(st.tuples(st.integers(1, 6), st.booleans()), max_size=6))
     @settings(max_examples=40, deadline=None)
@@ -104,11 +114,15 @@ class TestPartition:
         trajs = [make_trajectory(n, Outcome.SUCCESS if ok else Outcome.FAILURE,
                                  start=float(10 * i))
                  for i, (n, ok) in enumerate(spec)]
-        pool = partition_trajectories(trajs)
-        n_total = sum(len(t) for t in trajs)
-        assert len(pool.d_plus) + len(pool.d_query) == n_total
-        assert not pool.d_minus
-        pool.validate()
+        plus, query = pools(trajs)
+        # every visited state lands in the pool of its rollout's outcome, in visit order
+        for rows, outcome in ((plus, Outcome.SUCCESS), (query, Outcome.FAILURE)):
+            states = [smp.x for t in trajs if t.outcome is outcome for smp in t.samples]
+            assert np.array_equal(rows, states_array(states))
+
+
+def plus_only(plus: np.ndarray) -> LabeledPool:
+    return LabeledPool(d_plus=plus, d_query=np.zeros((0, 6)), minus=np.zeros(0, dtype=bool))
 
 
 class TestPersistence:
@@ -127,17 +141,28 @@ class TestPersistence:
 
     def test_pool_round_trip(self, tmp_path):
         pool = LabeledPool(
-            d_plus=[make_state(v=1.5, s=2.0)],
-            d_query=[make_state(v=0.5, s=1.0), make_state(v=0.7, s=3.0)],
-            d_minus=[make_state(v=0.5, s=1.0)],
+            d_plus=states_array([make_state(v=1.5, s=2.0)]),
+            d_query=states_array([make_state(v=0.5, s=1.0), make_state(v=0.7, s=3.0)]),
+            minus=np.array([True, False]),
         )
         path = tmp_path / "pool.jsonl"
         save_dataset(pool, path)
         loaded = load_dataset(path)
         assert isinstance(loaded, LabeledPool)
-        assert loaded.d_plus == pool.d_plus
-        assert loaded.d_query == pool.d_query
-        assert loaded.d_minus == pool.d_minus
+        assert np.array_equal(loaded.d_plus, pool.d_plus)
+        assert np.array_equal(loaded.d_query, pool.d_query)
+        assert loaded.minus.dtype == bool
+        assert np.array_equal(loaded.minus, pool.minus)
+
+    def test_unobserved_samples_round_trip(self, tmp_path):
+        # state-feedback rollouts skip the output map and record y=None
+        traj = make_trajectory(3, Outcome.FAILURE)
+        blind = Trajectory(samples=[replace(smp, y=None) for smp in traj.samples],
+                           outcome=traj.outcome, termination_reason=traj.termination_reason)
+        path = tmp_path / "data.jsonl"
+        save_dataset([blind], path)
+        assert '"y": null' in path.read_text()
+        assert load_dataset(path) == [blind]
 
     def test_truncated_line_reports_line_number(self, tmp_path):
         trajs = [make_trajectory(2, Outcome.SUCCESS)]
@@ -233,30 +258,31 @@ class TestPersistence:
         min_size=1, max_size=8))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_preserves_floats_bit_exactly(self, tmp_path_factory, pairs):
-        pool = LabeledPool(d_plus=[make_state(v=abs(v) % 10, s=s) for v, s in pairs])
+        pool = plus_only(states_array([make_state(v=abs(v) % 10, s=s) for v, s in pairs]))
         path = tmp_path_factory.mktemp("rt") / "pool.jsonl"
         save_dataset(pool, path)
         loaded = load_dataset(path)
-        for a, b in zip(loaded.d_plus, pool.d_plus):
-            assert a.as_tuple() == b.as_tuple()
+        assert loaded.d_plus.tobytes() == pool.d_plus.tobytes()
 
     def test_round_trip_awkward_floats(self, tmp_path):
-        awkward = [make_state(v=math.pi, s=1e-300), make_state(v=0.1 + 0.2, s=1.0 / 3.0)]
-        pool = LabeledPool(d_plus=awkward)
+        awkward = states_array([make_state(v=math.pi, s=1e-300),
+                                make_state(v=0.1 + 0.2, s=1.0 / 3.0)])
         path = tmp_path / "pool.jsonl"
-        save_dataset(pool, path)
-        assert load_dataset(path).d_plus == awkward
+        save_dataset(plus_only(awkward), path)
+        assert load_dataset(path).d_plus.tobytes() == awkward.tobytes()
 
 
 class TestPoolInvariants:
     def test_minus_must_be_subset_of_query(self):
-        pool = LabeledPool(d_plus=[], d_query=[make_state(v=1.0)],
-                           d_minus=[make_state(v=2.0)])
-        with pytest.raises(ValueError):
-            pool.validate()
+        # negatives are flags over the query rows: one flag too many names a
+        # state outside the query pool
+        query = states_array([make_state(v=1.0)])
+        with pytest.raises(ValueError, match="minus"):
+            LabeledPool(d_plus=np.zeros((0, 6)), d_query=query, minus=np.array([True, True]))
 
-    def test_no_state_in_both_labels(self):
-        st_ = make_state(v=1.0)
-        pool = LabeledPool(d_plus=[st_], d_query=[st_], d_minus=[st_])
-        with pytest.raises(ValueError):
-            pool.validate()
+    def test_pools_hold_raw_states(self):
+        rows = states_array([make_state(v=1.0)])
+        with pytest.raises(ValueError, match="d_plus"):
+            LabeledPool(d_plus=rows[:, :5], d_query=rows, minus=np.array([False]))
+        with pytest.raises(ValueError, match="d_query"):
+            LabeledPool(d_plus=rows, d_query=rows[0], minus=np.array([False]))

@@ -98,7 +98,7 @@ class TestDynLoss:
                 n = self.rng.normal(0.0, 0.2, size=2)
                 return Action.clamped(u.u_a + n[0], u.u_steer + n[1])
 
-        X, U, XN, states = [], [], [], []
+        X, U, XN = [], [], []
         i = 0
         while sum(len(x) for x in X) < 10_000:
             rng = rng_stream(50 + i, 0)
@@ -111,10 +111,9 @@ class TestDynLoss:
             X.append(np.array([s.x.as_tuple() for s in traj.samples]))
             U.append(np.array([s.u_applied.as_tuple() for s in traj.samples]))
             XN.append(np.array([s.x_next.as_tuple() for s in traj.samples]))
-            states.extend(s.x for s in traj.samples)
         X, U, XN = np.concatenate(X), np.concatenate(U), np.concatenate(XN)
         n_train = int(0.9 * len(X))
-        norm = fit_norm(states[:n_train], gp.lap_length)
+        norm = fit_norm(X[:n_train], gp.lap_length)
         dyn = init_dyn_model(norm, cfg, hidden=(128, 128, 128), seed=1)
         opt = nn.init_opt(dyn.params, lr=3e-3)
         rng = np.random.default_rng(0)

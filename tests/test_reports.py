@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from cabc.autolabel import SyntheticSet
-from cabc.reports import contour_segments
+from cabc.reports import contour_segments, read_reports_csv, write_reports_csv
+from cabc.trainer import EpochReport
 
 
 def contour_segments_loop(xs, ys, field, level):
@@ -62,3 +66,25 @@ def test_contour_segments_match_cell_loop_bit_for_bit(name):
     assert np.array_equal(_bits(got), _bits(expected))
     if name in ("sdf", "saddles"):
         assert got   # the comparison is not vacuous
+
+
+def test_reports_csv_round_trips_every_field(tmp_path):
+    reports = [
+        EpochReport(epoch=0, clone_loss=0.1 + 0.2, safety_loss=0.0, dyn_loss=1e-300,
+                    clf_loss=math.pi, new_successes=2, new_failures=0, n_plus=812,
+                    n_query=0, n_minus=0, eval_laps=50, eval_lap_mean=7.25,
+                    eval_lap_std=1.0 / 3.0),
+        EpochReport(epoch=1, clone_loss=1e6, safety_loss=2.5, dyn_loss=-0.0,
+                    clf_loss=0.5, new_successes=0, new_failures=2, n_plus=812,
+                    n_query=600, n_minus=431, eval_laps=0, eval_lap_mean=0.0,
+                    eval_lap_std=0.0, clf_degenerate=True),
+    ]
+    path = tmp_path / "reports.csv"
+    write_reports_csv(reports, path)
+    assert path.read_text().splitlines()[0] == ",".join(
+        f.name for f in dataclasses.fields(EpochReport))
+    rows = read_reports_csv(path)
+    assert [EpochReport(**row) for row in rows] == reports
+    for row, report in zip(rows, reports):
+        for name, value in row.items():
+            assert type(value) is type(getattr(report, name)), name

@@ -123,6 +123,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="eval_laps"):
             tiny_cfg(circle, eval_laps=0)
 
+    def test_epochs_nonnegative(self, circle):
+        with pytest.raises(ValueError, match="epochs"):
+            tiny_cfg(circle, epochs=-1)
+        assert tiny_cfg(circle, epochs=0).epochs == 0
+
+    def test_actuation_noise_sigma_nonnegative_and_finite(self, circle):
+        # a NaN sigma used to turn actuation noise off without a word
+        for sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="actuation_noise_sigma"):
+                tiny_cfg(circle, actuation_noise_sigma=sigma)
+        assert tiny_cfg(circle, actuation_noise_sigma=0.0).actuation_noise_sigma == 0.0
+
+    @pytest.mark.parametrize("name", ["lr_policy", "lr_dyn", "lr_clf"])
+    def test_learning_rate_positive_and_finite(self, circle, name):
+        for lr in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                tiny_cfg(circle, **{name: lr})
+
 
 class TestMixPolicy:
     def test_pure_expert_is_trajectorywise_identical(self, circle, noiseless_sim):
@@ -220,6 +238,21 @@ class TestTrainLoops:
         query = [r.n_query for r in res.reports]
         assert all(a <= b for a, b in zip(plus, plus[1:]))
         assert all(a <= b for a, b in zip(query, query[1:]))
+
+    def test_pool_is_the_visited_states_by_outcome(self, circle):
+        # the untrained learner drives from epoch 1 on, so both pools fill
+        cfg = tiny_cfg(circle, epochs=3, alpha=0.1)
+        trajs = []
+        res = train(replace(cfg, method="ca"), circle, make_expert_factory("pid", cfg.sim, circle),
+                    traj_callback=lambda epoch, new: trajs.extend(new))
+        for rows, outcome in ((res.pool.d_plus, Outcome.SUCCESS),
+                              (res.pool.d_query, Outcome.FAILURE)):
+            states = [smp.x.as_tuple() for t in trajs if t.outcome is outcome
+                      for smp in t.samples]
+            assert len(states) and np.array_equal(rows, np.reshape(states, (-1, 6)))
+        last = res.reports[-1]
+        assert (last.n_plus, last.n_query, last.n_minus) == (
+            len(res.pool.d_plus), len(res.pool.d_query), int(res.pool.minus.sum()))
 
     def test_traj_callback_sees_every_episode(self, circle):
         cfg = tiny_cfg(circle, epochs=2)
