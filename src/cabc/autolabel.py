@@ -79,10 +79,6 @@ class NormStats:
         """Raw ``(B, 6)`` states -> standardized ``(B, 7)`` embedding."""
         return self.normalize(embed(states_raw, self.lap_length))
 
-    @staticmethod
-    def identity(dim: int) -> "NormStats":
-        return NormStats(mean=np.zeros(dim), std=np.ones(dim), lap_length=1.0)
-
 
 def fit_norm(d_plus: np.ndarray, lap_length: float) -> NormStats:
     """Mean/std over the embedded ``(n, 6)`` positive pool, stds floored at ``SIGMA_MIN``."""

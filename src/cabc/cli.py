@@ -98,7 +98,6 @@ def _cmd_train(args) -> int:
 
     reports = []
     ckpt_dir = os.path.join(out, "checkpoints")
-    writer = DatasetWriter(os.path.join(out, "trajectories.jsonl.gz"))
 
     def on_epoch(report, policy_params):
         reports.append(report)
@@ -109,13 +108,12 @@ def _cmd_train(args) -> int:
             nn.save_weights(policy_params, os.path.join(d, "policy.npz"))
 
     try:
-        result = train(cfg, track, factory, epoch_callback=on_epoch,
-                       traj_callback=lambda epoch, trajs: [writer.write(t) for t in trajs])
+        with DatasetWriter(os.path.join(out, "trajectories.jsonl.gz")) as writer:
+            result = train(cfg, track, factory, epoch_callback=on_epoch,
+                           traj_callback=lambda epoch, trajs: [writer.write(t) for t in trajs])
     except NonFiniteLossError as exc:
-        writer.close()
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
-    writer.close()
 
     nn.save_weights(result.policy, os.path.join(out, "policy.npz"))
     if result.dyn is not None and result.clf is not None:

@@ -7,8 +7,7 @@ silent typos in experiment configs are worse than a hard error.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .experts import PidGains, RaceParams
 from .sim import SimConfig
@@ -129,11 +128,9 @@ def sim_config_from(values: Dict[str, str]) -> SimConfig:
     return SimConfig(**typed)
 
 
-def train_config_from(values: Dict[str, str], sim: SimConfig,
-                      base: Optional[TrainConfig] = None) -> TrainConfig:
-    base = base or TrainConfig()
+def train_config_from(values: Dict[str, str], sim: SimConfig) -> TrainConfig:
     typed = {_TRAIN_FIELDS.get(k, k): v for k, v in _typed(values, _TRAIN_KEYS).items()}
-    return replace(base, sim=sim, **typed)
+    return TrainConfig(sim=sim, **typed)
 
 
 def expert_params_from(values: Dict[str, str]) -> Tuple[float, PidGains, RaceParams]:

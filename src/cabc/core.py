@@ -10,6 +10,7 @@ collection; gzip is used transparently for ``.gz`` paths.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -38,8 +39,7 @@ def _require_finite(name: str, value: float) -> float:
 class VehicleState:
     """Frenet-frame vehicle state.
 
-    ``s`` is unwrapped: it keeps growing across laps.  Use :meth:`s_wrapped`
-    wherever track geometry is looked up.
+    ``s`` is unwrapped: it keeps growing across laps.
     """
 
     v_long: float   # longitudinal velocity, m/s
@@ -61,9 +61,6 @@ class VehicleState:
             return
         for name in ("v_long", "v_tran", "omega_psi", "s", "x_tran", "e_psi"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-
-    def s_wrapped(self, lap_length: float) -> float:
-        return self.s % lap_length
 
     def as_tuple(self) -> tuple:
         return (self.v_long, self.v_tran, self.omega_psi, self.s, self.x_tran, self.e_psi)
@@ -241,7 +238,8 @@ class LabeledPool:
 
 def _open(path, mode: str) -> IO:
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
+        # a zero header timestamp keeps the file's bytes a function of its lines
+        return io.TextIOWrapper(gzip.GzipFile(path, mode + "b", mtime=0), encoding="utf-8")
     return open(path, mode, encoding="utf-8")
 
 

@@ -54,8 +54,10 @@ class DynModel:
         emb = self.norm.normalize_states(states_raw)
         return np.column_stack([emb, np.atleast_2d(actions)])
 
-    def predict(self, states_raw: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        out = nn.forward(self.params, self.inputs(states_raw, actions))
+    def predict(self, states_raw: np.ndarray, actions: np.ndarray,
+                tape: Optional[nn.Tape] = None) -> np.ndarray:
+        """Next raw states; a ``tape`` records the forward for ``nn.backward``."""
+        out = nn.forward(self.params, self.inputs(states_raw, actions), tape)
         return np.atleast_2d(states_raw) + np.atleast_2d(out) * self.delta_scale
 
 
@@ -65,11 +67,11 @@ class SafetyClf:
 
     params: nn.MlpParams          # 7 -> 1, sigmoid head
     norm: NormStats
-    lam: float = 1.0
 
-    def prob(self, states_raw: np.ndarray) -> np.ndarray:
+    def prob(self, states_raw: np.ndarray, tape: Optional[nn.Tape] = None) -> np.ndarray:
+        """p(safe) per raw state; a ``tape`` records the forward for ``nn.backward``."""
         emb = self.norm.normalize_states(states_raw)
-        return nn.forward(self.params, emb)[..., 0]
+        return nn.forward(self.params, emb, tape)[..., 0]
 
 
 def init_dyn_model(norm: NormStats, cfg: SimConfig, hidden: Sequence[int] = (128, 128, 128),
@@ -78,10 +80,10 @@ def init_dyn_model(norm: NormStats, cfg: SimConfig, hidden: Sequence[int] = (128
     return DynModel(params=params, norm=norm, delta_scale=delta_scale_from(cfg))
 
 
-def init_safety_clf(norm: NormStats, lam: float, hidden: Sequence[int] = (128, 128, 128),
+def init_safety_clf(norm: NormStats, hidden: Sequence[int] = (128, 128, 128),
                     seed: int = 1) -> SafetyClf:
     params = nn.init_mlp((7, *hidden, 1), head="sigmoid", seed=seed)
-    return SafetyClf(params=params, norm=norm, lam=lam)
+    return SafetyClf(params=params, norm=norm)
 
 
 def dyn_loss_and_grad(model: DynModel, states_raw: np.ndarray, actions: np.ndarray,
@@ -125,9 +127,8 @@ def clf_loss_and_grad(clf: SafetyClf, states_raw: np.ndarray, labels: np.ndarray
             f"need both classes, got {int(n_pos)} positive / {int(n_neg)} negative")
     B = len(labels)
     weights = np.where(labels == 1.0, B / (2.0 * n_pos), B / (2.0 * n_neg))
-    emb = clf.norm.normalize_states(states_raw)
     tape = tape or nn.Tape()
-    p = nn.forward(clf.params, emb, tape)[:, 0]
+    p = clf.prob(states_raw, tape)
     loss = float(-(weights * (labels * np.log(p) + (1 - labels) * np.log(1 - p))).mean())
     dp = weights * (-(labels / p) + (1 - labels) / (1 - p)) / B
     grads, _ = nn.backward(clf.params, tape, dp[:, None])
@@ -135,7 +136,7 @@ def clf_loss_and_grad(clf: SafetyClf, states_raw: np.ndarray, labels: np.ndarray
 
 
 def safety_penalty_and_input_grad(clf: SafetyClf, dyn: DynModel,
-                                  states_raw: np.ndarray, actions: np.ndarray,
+                                  states_raw: np.ndarray, actions: np.ndarray, lam: float,
                                   tapes: Optional[Tuple[nn.Tape, nn.Tape]] = None):
     """Penalty ``-lam * log p(next state safe)`` and its gradient w.r.t. the action.
 
@@ -147,18 +148,12 @@ def safety_penalty_and_input_grad(clf: SafetyClf, dyn: DynModel,
     """
     states_raw = np.atleast_2d(np.asarray(states_raw, dtype=float))
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    B = len(states_raw)
-    if clf.lam == 0.0:
-        return np.zeros(B), np.zeros((B, 2))
     tape_dyn, tape_clf = tapes or (nn.Tape(), nn.Tape())
-    z = dyn.inputs(states_raw, actions)
-    dnorm = nn.forward(dyn.params, z, tape_dyn)
-    x_next = states_raw + dnorm * dyn.delta_scale
-    emb_next = clf.norm.normalize_states(x_next)
-    p = nn.forward(clf.params, emb_next, tape_clf)[:, 0]
-    penalty = -clf.lam * np.log(p)
+    x_next = dyn.predict(states_raw, actions, tape_dyn)
+    p = clf.prob(x_next, tape_clf)
+    penalty = -lam * np.log(p)
 
-    dp = (-clf.lam / p)[:, None]
+    dp = (-lam / p)[:, None]
     _, g_emb = nn.backward(clf.params, tape_clf, dp, param_grads=False)
     g_xnext = embed_vjp(x_next, g_emb / clf.norm.std, clf.norm.lap_length)
     g_dnorm = g_xnext * dyn.delta_scale
@@ -179,13 +174,12 @@ def save_critic(dyn: DynModel, clf: SafetyClf, dirpath) -> None:
                    "lap_length": dyn.norm.lap_length}, fh)
 
 
-def load_critic(dirpath, cfg: SimConfig, lam: float) -> Tuple[DynModel, SafetyClf]:
+def load_critic(dirpath, cfg: SimConfig) -> Tuple[DynModel, SafetyClf]:
     with open(os.path.join(dirpath, "norm.json"), "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     norm = NormStats(mean=np.asarray(obj["mean"]), std=np.asarray(obj["std"]),
                      lap_length=float(obj["lap_length"]))
     dyn = DynModel(params=nn.load_weights(os.path.join(dirpath, "dyn.npz")),
                    norm=norm, delta_scale=delta_scale_from(cfg))
-    clf = SafetyClf(params=nn.load_weights(os.path.join(dirpath, "clf.npz")),
-                    norm=norm, lam=lam)
+    clf = SafetyClf(params=nn.load_weights(os.path.join(dirpath, "clf.npz")), norm=norm)
     return dyn, clf

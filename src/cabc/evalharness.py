@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -84,19 +84,11 @@ def evaluate(policy, cfg: SimConfig, track: TrackSpec, seed: int,
     return _result(lap_times, EvalTermination.FIFTY_LAPS)
 
 
-@dataclass(frozen=True)
-class EarlyStopState:
-    """Stop once evaluation hits the full lap count for the second time."""
+def early_stop_epoch(laps: Sequence[int], full_laps: int) -> Optional[int]:
+    """The epoch training stops at: the second whose evaluation drove ``full_laps``.
 
-    count: int = 0
-    triggered: bool = False
-
-    def __post_init__(self):
-        if self.triggered != (self.count >= 2):
-            raise ValueError("triggered flag inconsistent with count")
-
-
-def early_stop_update(state: EarlyStopState, result: EvalResult,
-                      full_laps: int = 50) -> EarlyStopState:
-    count = state.count + (1 if result.laps_completed >= full_laps else 0)
-    return EarlyStopState(count=count, triggered=count >= 2)
+    ``laps`` holds each epoch's completed laps, epoch 0 first; ``None`` while
+    fewer than two evaluations were full.
+    """
+    full = [epoch for epoch, n in enumerate(laps) if n >= full_laps]
+    return full[1] if len(full) >= 2 else None

@@ -1,4 +1,4 @@
-"""Minimal MLP stack: forward, exact reverse-mode gradients, Adam, grad checks.
+"""Minimal MLP stack: forward, exact reverse-mode gradients, Adam.
 
 Three fixed-topology networks are all this project needs (policy, dynamics
 surrogate, safety classifier).  Reverse mode is a one-call tape rather than a
@@ -90,14 +90,6 @@ class MlpParams:
     def with_flat(self, flat: np.ndarray) -> "MlpParams":
         """The same network backed by ``flat``, which the new value takes over."""
         return _from_flat(self.sizes, flat, self.head, self.activation, self.seed)
-
-    @property
-    def n_in(self) -> int:
-        return self.sizes[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.sizes[-1]
 
 
 def _check_kind(head: str, activation: str) -> None:
@@ -332,81 +324,6 @@ def adam_step(p: MlpParams, grads, opt: OptState) -> Tuple[MlpParams, OptState]:
     return p.with_flat(new), opt
 
 
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_err: float
-    passed: bool
-    n_checked: int
-
-
-def _forward_from(p: MlpParams, z: np.ndarray, layer: int) -> np.ndarray:
-    """Head output for a batch ``z`` of pre-activations of layer ``layer``."""
-    for W, b in p.weights[layer + 1:]:
-        z = np.tanh(z) @ W + b
-    return _apply_head(z, p.head)
-
-
-def _central_differences(p: MlpParams, x: np.ndarray, c: np.ndarray, h: float,
-                         chunk: int = 2048) -> np.ndarray:
-    """Central differences of ``c . forward(p, x)`` with step ``h``: one per
-    parameter entry (in ``p.flat`` order), then one per entry of ``x`` (d,).
-
-    Perturbing ``W[r, j]`` of a layer by ``h`` shifts only unit ``j`` of that
-    layer's pre-activation, by ``h * a[r]`` (``a`` the layer's input), and
-    perturbing ``b[j]`` shifts it by ``h``.  So all of one layer's differences
-    come from batched forwards, ``chunk`` rows at a time, of the layers above.
-    """
-    fd = []
-    a = x
-    for i, (W, b) in enumerate(p.weights):
-        z = a @ W + b
-        n_in, n_out = W.shape
-        units = np.concatenate([np.tile(np.arange(n_out), n_in), np.arange(n_out)])
-        shifts = np.concatenate([np.repeat(h * a, n_out), np.full(n_out, h)])
-        for lo in range(0, len(units), chunk):
-            unit, shift = units[lo:lo + chunk], shifts[lo:lo + chunk]
-            rows = np.arange(len(unit))
-            z_plus = np.tile(z, (len(unit), 1))
-            z_minus = z_plus.copy()
-            z_plus[rows, unit] += shift
-            z_minus[rows, unit] -= shift
-            fd.append((_forward_from(p, z_plus, i) @ c - _forward_from(p, z_minus, i) @ c)
-                      / (2 * h))
-        a = np.tanh(z)
-    step = h * np.eye(len(x))
-    fd.append((forward(p, x + step) @ c - forward(p, x - step) @ c) / (2 * h))
-    return np.concatenate(fd)
-
-
-def grad_check(p: MlpParams, x: np.ndarray, tol: float = 1e-4,
-               h: float = 1e-5, atol: float = 1e-6, seed: int = 0) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    Checks every parameter entry and every input entry of one input vector
-    ``x`` for the scalar ``c . forward(p, x)`` with a fixed random probe
-    vector ``c``.  The error of an entry is ``|g - fd|`` over the largest of
-    ``|g|``, ``|fd|`` and ``atol / tol``; a non-finite difference fails.
-
-    The parameter differences come from ``_forward_from``, not ``forward``,
-    so the check also fails unless the two agree on the unperturbed output.
-    """
-    x = np.asarray(x, dtype=float)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    c = rng.normal(size=p.n_out)
-    tape = Tape()
-    y = forward(p, x, tape).copy()
-    grads, gx = backward(p, tape, c)
-    g = np.concatenate([grads.flat, gx])
-    fd = _central_differences(p, x, c, h)
-    scale = np.maximum(np.maximum(np.abs(g), np.abs(fd)), atol / tol)
-    worst = float((np.abs(g - fd) / scale).max())
-    W, b = p.weights[0]
-    same_forward = np.allclose(_forward_from(p, (x @ W + b)[None], 0)[0], y,
-                               rtol=1e-12, atol=1e-12)
-    return GradCheckReport(max_rel_err=worst, passed=bool(same_forward and worst <= tol),
-                           n_checked=len(g))
-
-
 def save_weights(p: MlpParams, path) -> None:
     """Write ``p`` to ``path`` as the ``.npz`` archive the module docstring lays out.
 
@@ -427,9 +344,9 @@ def load_weights(path) -> MlpParams:
     """Read a network that ``save_weights`` wrote; the result owns ``flat``.
 
     Raises ``ValueError`` when ``path`` is not a zip archive (weights saved
-    as JSON text before the ``.npz`` format no longer load), or when ``flat``
-    does not hold exactly the parameters ``sizes`` calls for, or holds a
-    non-finite value.
+    as JSON text before the ``.npz`` format no longer load), when ``sizes``
+    has fewer than two widths or one below 1, or when ``flat`` does not hold
+    exactly the parameters ``sizes`` calls for, or holds a non-finite value.
     """
     if not zipfile.is_zipfile(path):
         # np.load would report such a file as pickled data
@@ -440,7 +357,9 @@ def load_weights(path) -> MlpParams:
         head, activation = data["head"].item(), data["activation"].item()
         seed = int(data["seed"])
     _check_kind(head, activation)
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"layer sizes {sizes} need two or more widths, each >= 1")
     n = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
-    if len(sizes) < 2 or min(sizes) < 1 or flat.shape != (n,):
+    if flat.shape != (n,):
         raise ValueError(f"flat has shape {flat.shape}; layer sizes {sizes} need ({n},)")
     return _from_flat(sizes, flat, head, activation, seed)

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
+from .evalharness import early_stop_epoch
 from .sim import SimConfig
 from .track import TrackSpec, frenet_to_cartesian
 from .trainer import EpochReport, MlpPolicy
@@ -275,16 +276,6 @@ def track_polylines(track: TrackSpec, ds: float = 0.05) -> List[dict]:
 
 # --- run-directory reports ----------------------------------------------------------
 
-def _early_stop_epoch(rows: List[dict], full_laps: int) -> Optional[int]:
-    count = 0
-    for row in rows:
-        if row["eval_laps"] >= full_laps:
-            count += 1
-            if count == 2:
-                return row["epoch"]
-    return None
-
-
 def _require(paths: Sequence[str]) -> None:
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
@@ -326,7 +317,7 @@ def emit_reports(run_dir, out_dir, baseline_dir=None) -> List[str]:
     if base_rows:
         chart.add_series([r["epoch"] for r in base_rows],
                          [r["eval_laps"] for r in base_rows], "baseline", dash="5 3")
-    es = _early_stop_epoch(rows, full_laps)
+    es = early_stop_epoch([r["eval_laps"] for r in rows], full_laps)
     if es is not None:
         chart.add_marker(es, full_laps, "x")
     path = os.path.join(out_dir, "laps_vs_epoch.svg")

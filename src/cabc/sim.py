@@ -57,7 +57,7 @@ class SimConfig:
     half_width_margin: float = 0.1
     e_psi_max: float = math.pi / 2
 
-    # output map: velocities plus K curvature samples ahead, Gaussian noise
+    # output map: velocities plus the lane centre's lateral offsets ahead, Gaussian noise
     noise_sigma_v: float = 0.02
     noise_sigma_kappa: float = 0.01
     preview_distances: Tuple[float, ...] = tuple(float(i) for i in range(1, 11))

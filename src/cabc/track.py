@@ -52,9 +52,6 @@ class TrackSpec:
         idx = bisect.bisect_right(self._starts, s_wrapped) - 1
         return min(max(idx, 0), len(self.segments) - 1)
 
-    def max_abs_curvature(self) -> float:
-        return max(abs(k) for _, k in self.segments)
-
 
 def curvature_at(track: TrackSpec, s: float) -> float:
     """Centerline curvature at arc length ``s`` (wrapped into one lap).

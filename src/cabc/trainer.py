@@ -34,7 +34,7 @@ from .critic import (
     init_safety_clf,
     safety_penalty_and_input_grad,
 )
-from .evalharness import EarlyStopState, early_stop_update, evaluate
+from .evalharness import early_stop_epoch, evaluate
 from .experts import PidCenterline, PidGains, RaceParams, RacingExpert
 from .sim import SimConfig, rng_stream, rollout
 from .track import TrackSpec
@@ -105,6 +105,8 @@ class TrainConfig:
             raise ValueError("method must be 'ca' or 'bc'")
         if self.observation_mode not in ("output", "full_state"):
             raise ValueError("observation_mode must be 'output' or 'full_state'")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError("hidden widths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -274,13 +276,14 @@ def _collect_epoch(cfg: TrainConfig, track: TrackSpec, expert_factory,
 
 def agent_loss_and_grad(policy: nn.MlpParams, feats: np.ndarray, u_expert: np.ndarray,
                         x_raw: Optional[np.ndarray], dyn: Optional[DynModel],
-                        clf: Optional[SafetyClf],
+                        clf: Optional[SafetyClf], lam: float,
                         tapes: Optional[Tuple[nn.Tape, nn.Tape, nn.Tape]] = None):
     """Joint policy objective: clone MSE plus the frozen-critic safety penalty.
 
-    Returns ``(clone_loss, safety_loss, policy_grads)``.  The safety term is
-    evaluated at the policy's own action, so its gradient flows back through
-    the action head; the critic networks receive no parameter gradient.
+    Returns ``(clone_loss, safety_loss, policy_grads)``.  The safety term, with
+    weight ``lam``, runs when a critic pair is given; it is evaluated at the
+    policy's own action, so its gradient flows back through the action head,
+    and the critic networks receive no parameter gradient.
     ``tapes`` (policy, dynamics, classifier) lets a training loop reuse their
     buffers across steps; the returned gradients live in the policy tape.
     """
@@ -291,8 +294,8 @@ def agent_loss_and_grad(policy: nn.MlpParams, feats: np.ndarray, u_expert: np.nd
     B = len(feats)
     upstream = 2.0 * diff / B
     safety = 0.0
-    if clf is not None and dyn is not None and clf.lam > 0.0:
-        penalty, g_u = safety_penalty_and_input_grad(clf, dyn, x_raw, pred,
+    if clf is not None and dyn is not None:
+        penalty, g_u = safety_penalty_and_input_grad(clf, dyn, x_raw, pred, lam,
                                                      tapes=critic_tapes)
         safety = float(penalty.mean())
         upstream = upstream + g_u / B
@@ -309,7 +312,6 @@ class TrainResult:
     pool: LabeledPool
     dyn: Optional[DynModel] = None
     clf: Optional[SafetyClf] = None
-    norm: Optional[NormStats] = None
     early_stopped_at: Optional[int] = None
 
 
@@ -419,7 +421,6 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
     last_dyn_loss = 0.0
     last_clf_loss = 0.0
     reports: List[EpochReport] = []
-    stop_state = EarlyStopState()
     early_stopped_at = None
     # one tape per network, reused by every step of every phase: the critic
     # fits and the policy update's frozen critic pair run at the same batch
@@ -452,7 +453,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
 
             if norm is not None and dyn is None:
                 dyn = init_dyn_model(norm, cfg.sim, hidden=cfg.hidden, seed=cfg.seed + 1)
-                clf = init_safety_clf(norm, cfg.lam, hidden=cfg.hidden, seed=cfg.seed + 2)
+                clf = init_safety_clf(norm, hidden=cfg.hidden, seed=cfg.seed + 2)
                 opt_dyn = nn.init_opt(dyn.params, lr=cfg.lr_dyn)
                 opt_clf = nn.init_opt(clf.params, lr=cfg.lr_clf)
             elif refit and dyn is not None:
@@ -489,8 +490,8 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
                 else:
                     clf_degenerate = True
 
-        # policy update (identical code path for both methods; the safety
-        # branch is off exactly when the penalty weight is zero)
+        # policy update (identical code path for both methods; this is the one
+        # place that decides whether the safety term runs)
         rng_b = rng_stream(cfg.seed, 3, epoch)
         arr = store.arrays()
         n = len(arr["feats"])
@@ -501,7 +502,8 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             clone, safety, grads = agent_loss_and_grad(
                 policy, arr["feats"][idx], arr["u_expert"][idx],
                 arr["x_raw"][idx] if use_critic else None,
-                dyn if use_critic else None, clf if use_critic else None, tapes=tapes)
+                dyn if use_critic else None, clf if use_critic else None, cfg.lam,
+                tapes=tapes)
             policy, opt_policy = nn.adam_step(policy, grads, opt_policy)
             clone_sum += clone
             safety_sum += safety
@@ -533,11 +535,11 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
         reports.append(report)
         if epoch_callback is not None:
             epoch_callback(report, policy)
-        stop_state = early_stop_update(stop_state, result, full_laps=cfg.eval_laps)
-        if cfg.early_stop and stop_state.triggered:
+        if cfg.early_stop and early_stop_epoch([r.eval_laps for r in reports],
+                                               cfg.eval_laps) is not None:
             early_stopped_at = epoch
             break
 
     pool = LabeledPool(d_plus=plus, d_query=query, minus=minus)
     return TrainResult(policy=policy, reports=reports, pool=pool, dyn=dyn, clf=clf,
-                       norm=norm, early_stopped_at=early_stopped_at)
+                       early_stopped_at=early_stopped_at)

@@ -42,6 +42,10 @@ def make_state(v=1.0, s=0.0, xt=0.0, ep=0.0, vt=0.0, om=0.0) -> VehicleState:
     return VehicleState(v_long=v, v_tran=vt, omega_psi=om, s=s, x_tran=xt, e_psi=ep)
 
 
+def max_abs_curvature(track: TrackSpec) -> float:
+    return max(abs(k) for _, k in track.segments)
+
+
 def states_array(states) -> np.ndarray:
     """Raw ``(n, 6)`` rows of ``states``, as the trainer's sample store holds them."""
     return np.array([x.as_tuple() for x in states], dtype=float).reshape(-1, 6)

@@ -330,7 +330,7 @@ class TestBuildNegatives:
         assert minus.tolist() == [False, True]
 
     def test_empty_plus_pool_keeps_all_negatives(self):
-        norm = NormStats.identity(7)
+        norm = NormStats(mean=np.zeros(7), std=np.ones(7), lap_length=1.0)
         queries = states_array([make_state(v=1.0), make_state(v=2.0)])
         assert minus_full(np.zeros((0, 6)), queries, norm, rho=1.0).tolist() == [True, True]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cabc.core import (
     Action,
     DatasetFormatError,
+    DatasetWriter,
     LabeledPool,
     Observation,
     Outcome,
@@ -31,11 +33,6 @@ class TestTypes:
             VehicleState(float("nan"), 0, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             VehicleState(0, 0, 0, float("inf"), 0, 0)
-
-    def test_s_wrapped(self):
-        x = make_state(s=25.5)
-        assert x.s_wrapped(10.0) == pytest.approx(5.5)
-        assert x.s == 25.5  # stored unwrapped
 
     def test_action_bounds(self):
         with pytest.raises(ValueError):
@@ -138,6 +135,17 @@ class TestPersistence:
         path = tmp_path / "data.jsonl.gz"
         save_dataset(trajs, path)
         assert load_dataset(path) == trajs
+
+    def test_gzip_header_carries_no_clock(self, tmp_path, monkeypatch):
+        # the header's MTIME field (bytes 4-8) stays zero whatever the clock reads
+        monkeypatch.setattr(time, "time", lambda: 1.6e9)
+        traj = make_trajectory(2, Outcome.SUCCESS)
+        save_dataset([traj], tmp_path / "saved.jsonl.gz")
+        save_dataset(plus_only(states_array([make_state()])), tmp_path / "pool.jsonl.gz")
+        with DatasetWriter(tmp_path / "written.jsonl.gz") as writer:
+            writer.write(traj)
+        for name in ("saved", "pool", "written"):
+            assert (tmp_path / f"{name}.jsonl.gz").read_bytes()[4:8] == bytes(4), name
 
     def test_pool_round_trip(self, tmp_path):
         pool = LabeledPool(

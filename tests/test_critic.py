@@ -26,6 +26,9 @@ from cabc.sim import SimConfig, default_start_state, rng_stream, rollout
 from cabc.trainer import agent_loss_and_grad
 
 
+LAM = 2.0  # safety weight of the penalty tests
+
+
 @pytest.fixture(scope="module")
 def norm7():
     return NormStats(mean=np.full(7, 0.1), std=np.full(7, 0.8), lap_length=12.0)
@@ -35,7 +38,7 @@ def norm7():
 def small_critic(norm7):
     cfg = SimConfig()
     dyn = init_dyn_model(norm7, cfg, hidden=(16, 16), seed=5)
-    clf = init_safety_clf(norm7, lam=2.0, hidden=(12,), seed=6)
+    clf = init_safety_clf(norm7, hidden=(12,), seed=6)
     return cfg, dyn, clf
 
 
@@ -137,7 +140,7 @@ class TestClfLoss:
     def test_coin_flip_classifier_loss_is_ln2(self, norm7):
         zero = nn.MlpParams(sizes=(7, 1), weights=((np.zeros((7, 1)), np.zeros(1)),),
                             head="sigmoid")
-        clf = SafetyClf(params=zero, norm=norm7, lam=1.0)
+        clf = SafetyClf(params=zero, norm=norm7)
         X = np.random.default_rng(0).normal(size=(10, 6))
         labels = np.array([1, 0] * 5, dtype=float)
         loss, _ = clf_loss_and_grad(clf, X, labels)
@@ -170,7 +173,7 @@ class TestClfLoss:
         X = np.zeros((400, 6))
         X[:, 0] = rng.uniform(0.0, 2.0, size=400)
         labels = (X[:, 0] > 1.0).astype(float)
-        clf = init_safety_clf(norm7, lam=1.0, hidden=(16,), seed=4)
+        clf = init_safety_clf(norm7, hidden=(16,), seed=4)
         opt = nn.init_opt(clf.params, lr=1e-2)
         for _ in range(400):
             loss, grads = clf_loss_and_grad(clf, X, labels)
@@ -186,23 +189,22 @@ class TestSafetyPenalty:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(3, 6))
         U = rng.uniform(-1, 1, size=(3, 2))
-        pen, g_u = safety_penalty_and_input_grad(clf, dyn, X, U)
+        pen, g_u = safety_penalty_and_input_grad(clf, dyn, X, U, LAM)
         h = 1e-6
         for b in range(3):
             for j in range(2):
                 Up, Um = U.copy(), U.copy()
                 Up[b, j] += h
                 Um[b, j] -= h
-                pp, _ = safety_penalty_and_input_grad(clf, dyn, X, Up)
-                pm, _ = safety_penalty_and_input_grad(clf, dyn, X, Um)
+                pp, _ = safety_penalty_and_input_grad(clf, dyn, X, Up, LAM)
+                pm, _ = safety_penalty_and_input_grad(clf, dyn, X, Um, LAM)
                 fd = (pp[b] - pm[b]) / (2 * h)
                 assert abs(fd - g_u[b, j]) <= 1e-6 + 1e-4 * max(abs(fd), abs(g_u[b, j]))
 
     def test_zero_weight_is_exactly_zero(self, small_critic):
         _, dyn, clf = small_critic
-        clf0 = replace(clf, lam=0.0)
-        pen, g_u = safety_penalty_and_input_grad(clf0, dyn, np.zeros((2, 6)),
-                                                 np.zeros((2, 2)))
+        pen, g_u = safety_penalty_and_input_grad(clf, dyn, np.zeros((2, 6)),
+                                                 np.zeros((2, 2)), 0.0)
         assert np.all(pen == 0.0) and np.all(g_u == 0.0)
 
     def test_saturated_safe_classifier_gives_zero_gradient(self, norm7):
@@ -211,9 +213,9 @@ class TestSafetyPenalty:
         sat = nn.MlpParams(sizes=(7, 1),
                            weights=((np.zeros((7, 1)), np.full(1, 100.0)),),
                            head="sigmoid")
-        clf = SafetyClf(params=sat, norm=norm7, lam=5.0)
+        clf = SafetyClf(params=sat, norm=norm7)
         pen, g_u = safety_penalty_and_input_grad(clf, dyn, np.zeros((2, 6)),
-                                                 np.zeros((2, 2)))
+                                                 np.zeros((2, 2)), 5.0)
         assert np.all(pen < 1e-12)
         assert np.all(g_u == 0.0)  # logit clamp zeroes the gradient
 
@@ -221,7 +223,7 @@ class TestSafetyPenalty:
         _, dyn, clf = small_critic
         snap_dyn = [(W.copy(), b.copy()) for W, b in dyn.params.weights]
         snap_clf = [(W.copy(), b.copy()) for W, b in clf.params.weights]
-        safety_penalty_and_input_grad(clf, dyn, np.ones((3, 6)), np.zeros((3, 2)))
+        safety_penalty_and_input_grad(clf, dyn, np.ones((3, 6)), np.zeros((3, 2)), LAM)
         for (W, b), (W0, b0) in zip(dyn.params.weights, snap_dyn):
             assert np.all(W == W0) and np.all(b == b0)
         for (W, b), (W0, b0) in zip(clf.params.weights, snap_clf):
@@ -256,7 +258,7 @@ class TestTapedPasses:
         rng = np.random.default_rng(4)
         clone, safety, grads = agent_loss_and_grad(
             policy, rng.normal(size=(6, 5)), rng.uniform(-0.5, 0.5, size=(6, 2)),
-            rng.normal(size=(6, 6)), dyn, clf)
+            rng.normal(size=(6, 6)), dyn, clf, LAM)
         assert safety > 0.0 and len(grads) == len(policy.weights)
         # policy, then the frozen dynamics and classifier, one forward each;
         # the frozen pair return input gradients only
@@ -279,7 +281,7 @@ class TestCheckpointIO:
     def test_round_trip(self, tmp_path, small_critic):
         cfg, dyn, clf = small_critic
         save_critic(dyn, clf, tmp_path / "critic")
-        dyn2, clf2 = load_critic(tmp_path / "critic", cfg, lam=clf.lam)
+        dyn2, clf2 = load_critic(tmp_path / "critic", cfg)
         X = np.random.default_rng(1).normal(size=(3, 6))
         U = np.random.default_rng(2).uniform(-1, 1, (3, 2))
         assert np.allclose(dyn.predict(X, U), dyn2.predict(X, U), atol=0, rtol=0)
@@ -289,7 +291,7 @@ class TestCheckpointIO:
         cfg, dyn, clf = small_critic
         save_critic(dyn, clf, tmp_path / "critic")
         assert sorted(os.listdir(tmp_path / "critic")) == ["clf.npz", "dyn.npz", "norm.json"]
-        dyn2, clf2 = load_critic(tmp_path / "critic", cfg, lam=clf.lam)
+        dyn2, clf2 = load_critic(tmp_path / "critic", cfg)
         for a, b in ((dyn.params, dyn2.params), (clf.params, clf2.params)):
             assert a.flat.tobytes() == b.flat.tobytes()
             for name in ("sizes", "head", "activation", "seed"):
@@ -297,4 +299,4 @@ class TestCheckpointIO:
         for a, b in ((dyn.norm, dyn2.norm), (clf.norm, clf2.norm)):
             assert a.mean.tobytes() == b.mean.tobytes() and a.std.tobytes() == b.std.tobytes()
             assert a.lap_length == b.lap_length
-        assert dyn2.delta_scale.tobytes() == dyn.delta_scale.tobytes() and clf2.lam == clf.lam
+        assert dyn2.delta_scale.tobytes() == dyn.delta_scale.tobytes()

@@ -8,13 +8,7 @@ import pytest
 
 from cabc.cli import main
 from cabc.core import Action
-from cabc.evalharness import (
-    EarlyStopState,
-    EvalResult,
-    EvalTermination,
-    early_stop_update,
-    evaluate,
-)
+from cabc.evalharness import EvalResult, EvalTermination, early_stop_epoch, evaluate
 from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import emit_reports, read_reports_csv
 from cabc.sim import SimConfig, rng_stream
@@ -247,34 +241,16 @@ class TestStateFeedback:
 
 class TestEarlyStop:
     def test_triggers_on_second_full_run(self):
-        state = EarlyStopState()
-        for laps, expect in ((50, False), (49, False), (50, True)):
-            result = EvalResult(laps_completed=laps, lap_times=(1.0,) * laps,
-                                terminated_by=EvalTermination.FIFTY_LAPS if laps == 50
-                                else EvalTermination.CONSTRAINT_VIOLATION,
-                                lap_mean=1.0, lap_std=0.0, lap_min=1.0, lap_max=1.0)
-            state = early_stop_update(state, result)
-            assert state.triggered is expect
+        laps = []
+        for n, expect in ((50, None), (49, None), (50, 2)):
+            laps.append(n)
+            assert early_stop_epoch(laps, 50) == expect
 
     def test_single_full_run_is_not_enough(self):
-        state = EarlyStopState()
-        result = EvalResult(laps_completed=50, lap_times=(1.0,) * 50,
-                            terminated_by=EvalTermination.FIFTY_LAPS,
-                            lap_mean=1.0, lap_std=0.0, lap_min=1.0, lap_max=1.0)
-        assert not early_stop_update(state, result).triggered
+        assert early_stop_epoch([50], 50) is None
 
     def test_never_triggers_below_threshold(self):
-        state = EarlyStopState()
-        result = EvalResult(laps_completed=49, lap_times=(1.0,) * 49,
-                            terminated_by=EvalTermination.CONSTRAINT_VIOLATION,
-                            lap_mean=1.0, lap_std=0.0, lap_min=1.0, lap_max=1.0)
-        for _ in range(100):
-            state = early_stop_update(state, result)
-        assert not state.triggered
-
-    def test_state_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            EarlyStopState(count=2, triggered=False)
+        assert early_stop_epoch([49] * 100, 50) is None
 
 
 def run_cli(*argv) -> int:

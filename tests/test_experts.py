@@ -7,7 +7,7 @@ from cabc.experts import PidCenterline, RacingExpert
 from cabc.sim import default_start_state, rng_stream, rollout
 from cabc.track import default_tracks
 
-from conftest import make_state
+from conftest import make_state, max_abs_curvature
 
 
 class NoisyPolicy:
@@ -57,7 +57,7 @@ class TestRacing:
     def test_corner_speed_uses_worst_preview_curvature(self, gp, noiseless_sim):
         race = RacingExpert(noiseless_sim, gp)
         p = race.params
-        kappa_max = gp.max_abs_curvature()
+        kappa_max = max_abs_curvature(gp)
         v_corner = race.target_speed(2.0)  # tight chicane starts at ~2.26 m
         assert v_corner == pytest.approx(math.sqrt(p.a_lat_max / kappa_max), rel=1e-9)
 

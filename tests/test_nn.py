@@ -12,16 +12,16 @@ from cabc.nn import (
     MlpParams,
     ParamGrads,
     Tape,
-    _central_differences,
     adam_step,
     backward,
     forward,
-    grad_check,
     init_mlp,
     init_opt,
     load_weights,
     save_weights,
 )
+
+from gradcheck import _central_differences, grad_check
 
 
 def taped_backward(p, x, upstream, **kw):
@@ -119,7 +119,7 @@ class TestBackward:
         p = init_mlp((5, 16, 16, 1 if head == "sigmoid" else 3), head=head, seed=7)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(6, 5) if batched else 5)
-        upstream = rng.normal(size=(6, p.n_out) if batched else p.n_out)
+        upstream = rng.normal(size=(6, p.sizes[-1]) if batched else p.sizes[-1])
         grads, gx_full = taped_backward(p, x, upstream)
         none, gx_frozen = taped_backward(p, x, upstream, param_grads=False)
         assert grads is not None and none is None
@@ -409,6 +409,11 @@ class TestDeterminismAndIO:
             np.savez(tmp_path / "bad.npz", flat=flat, **meta)
             with pytest.raises(ValueError):
                 load_weights(tmp_path / "bad.npz")
+        # a zero width, whose flat has the shape the sizes call for, is
+        # reported as a bad width rather than as a bad flat
+        np.savez(tmp_path / "bad.npz", flat=np.zeros(2), **{**meta, "sizes": np.array([3, 0, 2])})
+        with pytest.raises(ValueError, match="each >= 1"):
+            load_weights(tmp_path / "bad.npz")
         np.savez(tmp_path / "ok.npz", flat=p.flat, **meta)
         assert np.array_equal(load_weights(tmp_path / "ok.npz").flat, p.flat)
 

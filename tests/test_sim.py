@@ -19,7 +19,7 @@ from cabc.sim import (
     step,
 )
 
-from conftest import make_state
+from conftest import make_state, max_abs_curvature
 
 
 class TestStep:
@@ -70,7 +70,7 @@ class TestStep:
         s_tight, kappa = next(
             (s, k) for s, (l, k) in zip(
                 np.cumsum([0.0] + [l for l, _ in gp.segments]), gp.segments)
-            if abs(k) == gp.max_abs_curvature())
+            if abs(k) == max_abs_curvature(gp))
         x = make_state(v=1.0, s=float(s_tight) + 0.1, xt=1.0 / kappa)
         with pytest.raises(SimSingularityError):
             step(noiseless_sim, gp, x, Action(0.0, 0.0))
@@ -232,7 +232,7 @@ class TestRollout:
         s_tight, kappa = next(
             (s, k) for s, (l, k) in zip(
                 np.cumsum([0.0] + [l for l, _ in gp.segments]), gp.segments)
-            if abs(k) == gp.max_abs_curvature())
+            if abs(k) == max_abs_curvature(gp))
         x0 = make_state(v=1.0, s=float(s_tight) + 0.1, xt=1.0 / kappa)
         traj = rollout(noiseless_sim, gp, lambda y, x: Action(0.0, 0.0), x0, 10,
                        rng_stream(0, 0))

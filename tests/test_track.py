@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from conftest import max_abs_curvature
+
 from cabc.track import (
     TrackSpec,
     curvature_at,
@@ -145,7 +147,7 @@ class TestDefaults:
 
     def test_gp_has_tight_corner(self, gp):
         threshold = 1.0 / (3.0 * gp.half_width * 4.0)
-        assert gp.max_abs_curvature() >= threshold
+        assert max_abs_curvature(gp) >= threshold
 
     def test_gp_alternating_curvature_signs(self, gp):
         signs = [np.sign(k) for _, k in gp.segments if k != 0.0]
@@ -154,7 +156,7 @@ class TestDefaults:
     def test_minimum_radius_exceeds_half_width(self):
         # keeps the Frenet chart regular everywhere inside the track
         for track in default_tracks():
-            assert 1.0 / track.max_abs_curvature() > track.half_width
+            assert 1.0 / max_abs_curvature(track) > track.half_width
 
 
 class TestFiles:

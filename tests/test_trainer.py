@@ -123,6 +123,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="eval_laps"):
             tiny_cfg(circle, eval_laps=0)
 
+    def test_hidden_widths_positive(self, circle):
+        # a zero width trained and saved a policy that `cabc eval` could not load
+        for hidden in ((0,), (24, -1)):
+            with pytest.raises(ValueError, match="hidden"):
+                tiny_cfg(circle, hidden=hidden)
+
     def test_epochs_nonnegative(self, circle):
         with pytest.raises(ValueError, match="epochs"):
             tiny_cfg(circle, epochs=-1)
@@ -276,11 +282,11 @@ class TestComputeGradients:
         norm = NormStats(mean=np.zeros(7), std=np.ones(7), lap_length=circle.lap_length)
         from cabc.critic import init_dyn_model, init_safety_clf
         dyn = init_dyn_model(norm, cfg.sim, hidden=(8,), seed=1)
-        clf = init_safety_clf(norm, lam=1.0, hidden=(8,), seed=2)
+        clf = init_safety_clf(norm, hidden=(8,), seed=2)
         rng = np.random.default_rng(0)
         B = 4
         batch = {
-            "feats": rng.normal(size=(B, policy.n_in)),
+            "feats": rng.normal(size=(B, policy.sizes[0])),
             "u_expert": rng.uniform(-0.5, 0.5, size=(B, 2)),
             "x_raw": rng.normal(size=(B, 6)) * 0.3 + np.array([1, 0, 0, 3, 0, 0]),
             "u_applied": rng.uniform(-1, 1, size=(B, 2)),
@@ -295,7 +301,7 @@ class TestComputeGradients:
         dyn_snapshot = [(W.copy(), b.copy()) for W, b in dyn.params.weights]
         clf_snapshot = [(W.copy(), b.copy()) for W, b in clf.params.weights]
         _, _, grad_theta = agent_loss_and_grad(
-            policy, batch["feats"], batch["u_expert"], batch["x_raw"], dyn, clf)
+            policy, batch["feats"], batch["u_expert"], batch["x_raw"], dyn, clf, 1.0)
         # the agent path must leave the critic parameters untouched
         for (W, b), (W0, b0) in zip(dyn.params.weights, dyn_snapshot):
             assert np.array_equal(W, W0) and np.array_equal(b, b0)
@@ -310,8 +316,7 @@ class TestComputeGradients:
     def test_lambda_zero_reduces_to_clone_gradient(self, circle):
         cfg, policy, dyn, clf, batch = self._setup(circle)
         _, safety_loss, grad_theta = agent_loss_and_grad(
-            policy, batch["feats"], batch["u_expert"], batch["x_raw"], dyn,
-            replace(clf, lam=0.0))
+            policy, batch["feats"], batch["u_expert"], batch["x_raw"], dyn, clf, 0.0)
         assert safety_loss == 0.0
         # finite-difference check of the pure clone objective
         h = 1e-6
@@ -343,7 +348,7 @@ class TestComputeGradients:
         x = rng.normal(size=4)
         u_exp = np.array([0.2, -0.1])
         clone, safety, grads = agent_loss_and_grad(policy, x[None, :], u_exp[None, :],
-                                                   None, None, None)
+                                                   None, None, None, 0.0)
         z = x @ W + b
         out = np.tanh(z)
         assert clone == pytest.approx(float(((out - u_exp) ** 2).sum()))
@@ -367,11 +372,11 @@ class TestComputeGradients:
         clf = SafetyClf(params=nn.MlpParams(sizes=(7, 1),
                                             weights=((W_clf, np.zeros(1)),),
                                             head="sigmoid"),
-                        norm=norm, lam=2.0)
+                        norm=norm)
         from cabc.critic import safety_penalty_and_input_grad
         x = np.array([[1.0, 0.0, 0.0, 3.0, 0.0, 0.0]])
         u = np.array([[0.5, 0.0]])
-        _, g_u = safety_penalty_and_input_grad(clf, dyn, x, u)
+        _, g_u = safety_penalty_and_input_grad(clf, dyn, x, u, 2.0)
         assert g_u[0, 0] > 0.0  # descent direction reduces throttle
         assert g_u[0, 1] == pytest.approx(0.0, abs=1e-12)
 
