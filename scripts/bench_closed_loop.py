@@ -40,10 +40,10 @@ Start-up (minimum over ``STARTUP_REPEATS`` fresh interpreters, run one after
 another with ``--src`` on ``PYTHONPATH``, of the wall time from spawn to exit
 and of the child's ``ru_maxrss``):
 
-- ``import_cli``: ``import cabc.cli``, what ``train --method bc``, ``eval``,
-  ``sim`` and ``report`` load;
-- ``import_cli_scipy``: ``import cabc.cli, scipy.spatial``, what the labeling
-  commands (``train --method ca``, ``labeldemo``) load.
+- ``import_cli``: ``import cabc.cli``, what every command loads.  Records
+  from before the labeling commands dropped scipy also hold
+  ``import_cli_scipy``, ``import cabc.cli, scipy.spatial``, what
+  ``train --method ca`` and ``labeldemo`` loaded then.
 
 Each invocation appends one record under ``--label`` to ``--out`` and
 rewrites the per-label summary: the minimum over that label's records, since
@@ -72,8 +72,7 @@ EVAL_LAPS = 10
 HULL_REPEATS = 3
 HULL_QUERIES = 100
 STARTUP_REPEATS = 10
-STARTUP = {"import_cli": "import cabc.cli",
-           "import_cli_scipy": "import cabc.cli, scipy.spatial"}
+STARTUP = {"import_cli": "import cabc.cli"}
 
 
 def _import_cabc(src: str) -> None:

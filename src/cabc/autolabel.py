@@ -15,9 +15,8 @@ exactly: a Lawson-Hanson active-set solve finds the nearest hull point, and
 every verdict carries a certificate, a convex combination within ``tol`` to
 accept or a separating hyperplane to reject.
 
-Radius-neighbor search uses scipy's ``cKDTree``.  scipy is imported when the
-first :class:`NeighborIndex` is built, not with this module, so commands that
-never label (behavior cloning, ``eval``, ``sim``, ``report``) load numpy alone.
+Radius-neighbor search is an exact slab scan in numpy (:class:`NeighborIndex`),
+so labeling, like every other command, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -92,60 +91,100 @@ def fit_norm(d_plus: np.ndarray, lap_length: float) -> NormStats:
 
 # --- radius neighbors ---------------------------------------------------------
 
+# The scanned slab is wider than rho by more than the rounding of p_0 - q_0
+# and of its square, and than a difference whose square underflows to zero,
+# so it holds every point the squared-distance test can accept.
+_SLAB_REL = 2.0 ** -30
+_SLAB_ABS = 1e-150
+# squared distances computed at once: 64 kB stays in cache, and under
+# malloc's mmap threshold, so scans do not map and fault in fresh pages
+_SCAN_ELEMENTS = 8192
+
+
 def _check_radius(rho: float) -> None:
-    # cKDTree squares the radius, so a negative one would act as its magnitude
     if not rho >= 0.0:
         raise ValueError("rho must be non-negative")
 
 
 class NeighborIndex:
-    """KD-tree over normalized points: exactly the points within Euclidean
+    """Exact radius search over normalized points: the points within Euclidean
     distance ``rho`` of a query, as an exhaustive scan finds them.
 
-    Both queries take one point ``(d,)`` and return an index array, or a
-    block ``(m, d)`` and return a list of ``m`` index arrays, as ``cKDTree``
-    does.  Both raise ``ValueError`` for a negative ``rho``, and
-    ``query_nearest`` also for a ``cap`` below 1.
+    The points are sorted along their first coordinate.  A block of queries
+    scans one slab, the union of the slabs ``|p_0 - q_0| <= rho`` of its
+    queries, so blocks whose first coordinates lie close together scan
+    little more than their own slabs.  Each squared distance is summed over
+    the dimensions left to right, as a k-d tree's leaf test sums it below
+    eight dimensions, so points at distance exactly ``rho`` are decided as
+    such a tree decides them.
 
-    The first index built imports ``scipy.spatial`` (about 0.3 s and 35 MB of
-    peak RSS); the commands that label import it up front instead.
+    Both queries take one point ``(d,)`` and return an index array, or a
+    block ``(m, d)`` and return a list of ``m`` index arrays.  Both raise
+    ``ValueError`` for a negative ``rho`` or a non-finite query, and
+    ``query_nearest`` also for a ``cap`` below 1; non-finite points are
+    refused when the index is built.
     """
 
     def __init__(self, points_norm: np.ndarray):
-        from scipy.spatial import cKDTree
-
-        self.points = np.asarray(points_norm, dtype=float)
-        self._tree = cKDTree(self.points) if len(self.points) else None
+        points = np.asarray(points_norm, dtype=float)
+        if points.ndim != 2:
+            raise ValueError("points must be (n, d)")
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
+        self.points = points
+        self._order = np.argsort(points[:, 0], kind="stable")
+        self._keys = points[self._order, 0]
+        self._cols = np.ascontiguousarray(points.T)   # one row per dimension
 
     def query(self, q: np.ndarray, rho: float):
         """All points within ``rho``, in ascending index order."""
         _check_radius(rho)
-        q = np.asarray(q, dtype=float)
-        if self._tree is None:
-            none = np.zeros(0, dtype=int)
-            return none if q.ndim == 1 else [none] * len(q)
-        hits = self._tree.query_ball_point(q, rho, return_sorted=True)
-        if q.ndim == 1:
-            return np.asarray(hits, dtype=int)
-        return [np.asarray(h, dtype=int) for h in hits]
+        r2 = rho * rho
+        return self._scan(q, rho, lambda idx, d2: idx[d2 <= r2])
 
     def query_nearest(self, q: np.ndarray, rho: float, cap: int):
-        """At most ``cap`` nearest neighbors within ``rho``, nearest first."""
+        """At most ``cap`` nearest neighbors within ``rho``, nearest first.
+
+        Ties in distance go to the lower index.  The radius is widened by a
+        relative ``1e-12`` and its bound is strict.
+        """
         _check_radius(rho)
         if cap < 1:
             raise ValueError("cap must be >= 1")
+        r = rho * (1 + 1e-12)
+        r2 = r * r
+
+        def nearest(idx, d2):
+            keep = d2 < r2
+            # a stable sort of the ascending indices breaks ties by index
+            return idx[keep][np.argsort(d2[keep], kind="stable")[:cap]]
+
+        return self._scan(q, r, nearest)
+
+    def _scan(self, q, rho: float, pick):
+        """``pick(idx, d2)`` for each query: the indices of its block's slab,
+        ascending, and their squared distances to it."""
         q = np.asarray(q, dtype=float)
-        if self._tree is None:
-            none = np.zeros(0, dtype=int)
-            return none if q.ndim == 1 else [none] * len(q)
-        dist, idx = self._tree.query(q, k=min(cap, len(self.points)),
-                                     distance_upper_bound=rho * (1 + 1e-12))
-        if q.ndim == 1:
-            idx = np.atleast_1d(idx)
-            return idx[np.isfinite(np.atleast_1d(dist))]
-        idx = idx.reshape(len(q), -1)
-        dist = dist.reshape(len(q), -1)
-        return [row[np.isfinite(d)] for row, d in zip(idx, dist)]
+        if q.shape[-1:] != self.points.shape[1:] or q.ndim > 2:
+            raise ValueError("queries must be (d,) or (m, d) matching the points")
+        if not np.isfinite(q).all():
+            raise ValueError("queries must be finite")
+        block = np.atleast_2d(q)
+        if not len(block):
+            return []
+        first = block[:, 0]
+        half = rho + _SLAB_REL * (rho + float(np.abs(first).max())) + _SLAB_ABS
+        lo, hi = np.searchsorted(self._keys, (first.min() - half, first.max() + half))
+        idx = np.sort(self._order[lo:hi])
+        cols = self._cols[:, idx]
+        found = []
+        step = max(1, _SCAN_ELEMENTS // max(len(idx), 1))
+        for part in np.split(block, range(step, len(block), step)):
+            d2 = np.square(cols[0] - part[:, :1])
+            for col, x in zip(cols[1:], part.T[1:]):
+                d2 += np.square(col - x[:, None])
+            found.extend(pick(idx, row) for row in d2)
+        return found[0] if q.ndim == 1 else found
 
 
 # --- convex hull membership ---------------------------------------------------
@@ -288,7 +327,8 @@ def member_mask(plus_norm: np.ndarray, query_norm: np.ndarray, rho: float,
 
     ``assume_member`` lets callers skip points already decided as members;
     the rest are searched for neighbors in blocks of ``_QUERY_BLOCK``, which
-    keeps the neighbor lists held at once small.  ``max_neighbors`` caps each
+    keeps the neighbor lists held at once small.  The blocks follow the
+    queries' first coordinate, so each block's search scans one narrow slab.  ``max_neighbors`` caps each
     hull at the nearest such neighbors; a subset hull is contained in the
     full one, so capping only errs toward keeping points in the negative set.
 
@@ -304,6 +344,7 @@ def member_mask(plus_norm: np.ndarray, query_norm: np.ndarray, rho: float,
     else:
         mask = assume_member.copy()
     todo = np.flatnonzero(~mask)
+    todo = todo[np.argsort(query_norm[todo, 0], kind="stable")]
     index = NeighborIndex(plus_norm)
     for start in range(0, len(todo), _QUERY_BLOCK):
         rows = todo[start:start + _QUERY_BLOCK]

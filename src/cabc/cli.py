@@ -1,11 +1,6 @@
 """Command-line entry points: train, eval, report, sim, labeldemo.
 
-Only the commands that label, ``labeldemo`` and ``train --method ca``, load
-scipy (for the neighbor search's k-d tree).  Each imports it first thing,
-before the expert reference evaluation or the first labeling pass, so its
-cost falls in set-up and a missing scipy fails the command before it writes
-anything.  ``train --method bc``, ``eval``, ``sim`` and ``report`` run on
-numpy alone.
+Every command runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -65,14 +60,7 @@ def _load_configs(args) -> tuple:
     return cfg, values
 
 
-def _load_labeler() -> None:
-    """Import scipy's k-d tree now rather than in the first labeling pass."""
-    import scipy.spatial  # noqa: F401
-
-
 def _cmd_train(args) -> int:
-    if args.method == "ca":
-        _load_labeler()
     cfg, values = _load_configs(args)
     track = resolve_track(args.track)
     v_ref, pid_gains, race_params = expert_params_from(values)
@@ -224,7 +212,6 @@ def write_grid_csv(path, xs, ys, probs) -> None:
 
 
 def _cmd_labeldemo(args) -> int:
-    _load_labeler()
     synth = _SYNTH[args.set]()
     rhos = [float(tok) for tok in args.rho.split(",") if tok]
     os.makedirs(args.out, exist_ok=True)

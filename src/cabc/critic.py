@@ -172,14 +172,3 @@ def save_critic(dyn: DynModel, clf: SafetyClf, dirpath) -> None:
     with open(os.path.join(dirpath, "norm.json"), "w", encoding="utf-8") as fh:
         json.dump({"mean": dyn.norm.mean.tolist(), "std": dyn.norm.std.tolist(),
                    "lap_length": dyn.norm.lap_length}, fh)
-
-
-def load_critic(dirpath, cfg: SimConfig) -> Tuple[DynModel, SafetyClf]:
-    with open(os.path.join(dirpath, "norm.json"), "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    norm = NormStats(mean=np.asarray(obj["mean"]), std=np.asarray(obj["std"]),
-                     lap_length=float(obj["lap_length"]))
-    dyn = DynModel(params=nn.load_weights(os.path.join(dirpath, "dyn.npz")),
-                   norm=norm, delta_scale=delta_scale_from(cfg))
-    clf = SafetyClf(params=nn.load_weights(os.path.join(dirpath, "clf.npz")), norm=norm)
-    return dyn, clf

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from .evalharness import early_stop_epoch
 from .sim import SimConfig
 from .track import TrackSpec, frenet_to_cartesian
 from .trainer import EpochReport, MlpPolicy
@@ -317,7 +316,7 @@ def emit_reports(run_dir, out_dir, baseline_dir=None) -> List[str]:
     if base_rows:
         chart.add_series([r["epoch"] for r in base_rows],
                          [r["eval_laps"] for r in base_rows], "baseline", dash="5 3")
-    es = early_stop_epoch([r["eval_laps"] for r in rows], full_laps)
+    es = meta.get("early_stopped_at")
     if es is not None:
         chart.add_marker(es, full_laps, "x")
     path = os.path.join(out_dir, "laps_vs_epoch.svg")

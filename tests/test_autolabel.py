@@ -84,7 +84,7 @@ class TestRadiusNeighbors:
             index.query(_normalized(norm, make_state()), -1.0)
 
     def test_nearest_rejects_negative_radius(self):
-        # cKDTree squares the radius: unchecked, -0.7 would return the +0.7 sets
+        # the search squares the radius: unchecked, -0.7 would return the +0.7 sets
         index = NeighborIndex(np.random.default_rng(13).normal(size=(50, 3)))
         for q in (np.zeros(3), np.zeros((4, 3))):
             with pytest.raises(ValueError):
@@ -97,7 +97,7 @@ class TestRadiusNeighbors:
             member_mask(index.points, np.zeros((4, 3)), -0.7)
 
     def test_nearest_rejects_cap_below_one(self):
-        # cap = 0 used to fail inside cKDTree with numpy's empty-reduction error
+        # unchecked, cap = 0 would return no neighbors and so label nothing
         index = NeighborIndex(np.random.default_rng(14).normal(size=(50, 3)))
         for q in (np.zeros(3), np.zeros((4, 3))):
             for cap in (0, -1):
@@ -140,6 +140,67 @@ class TestRadiusNeighbors:
         assert index.query(block[:0], 0.6) == []
         empty = NeighborIndex(np.zeros((0, 3)))
         assert [len(i) for i in empty.query_nearest(block[:2], 0.6, 8)] == [0, 0]
+
+    def test_point_at_exactly_rho_is_found(self):
+        # 3-4-5: squared distances 25 and 25 + 8e-8 are exact against rho**2 = 25;
+        # the last two sit on the edges of the first coordinate's slab
+        index = NeighborIndex(np.array([[3.0, 4.0], [3.0, 4.0 + 1e-8], [0.0, 5.0],
+                                        [5.0, 0.0], [-5.0, 0.0]]))
+        assert index.query(np.zeros(2), 5.0).tolist() == [0, 2, 3, 4]
+        assert index.query(np.array([3.0, 9.0]), 5.0).tolist() == [0, 1, 2]
+        assert index.query_nearest(np.zeros(2), 5.0, 8).tolist() == [0, 2, 3, 4]
+        # a difference whose square underflows is at distance 0 to the test
+        assert NeighborIndex(np.array([[1e-170, 0.0]])).query(np.zeros(2), 0.0).tolist() == [0]
+
+    def test_nearest_orders_ties_by_index(self):
+        points = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+        index = NeighborIndex(points)
+        assert index.query_nearest(np.zeros(2), 2.0, 5).tolist() == [1, 3, 0, 2, 4]
+        assert index.query_nearest(np.zeros(2), 2.0, 3).tolist() == [1, 3, 0]
+        assert index.query_nearest(np.zeros(2), 0.0, 5).tolist() == []
+
+    def test_nearest_matches_scan_oracle(self):
+        def nearest_by_scan(points, q, rho, cap):
+            """Reference: (squared distance, index) order over every point."""
+            bound = (rho * (1 + 1e-12)) ** 2
+            d2 = [sum((a - b) ** 2 for a, b in zip(p, q)) for p in points.tolist()]
+            return sorted((d, i) for i, d in enumerate(d2) if d < bound)[:cap]
+
+        rng = np.random.default_rng(15)
+        # coordinates on a 0.25 grid, with repeated rows: many exact ties
+        points = np.round(4 * rng.normal(size=(200, 3))) / 4
+        points = np.vstack([points, points[:40]])
+        index = NeighborIndex(points)
+        queries = np.vstack([np.round(4 * rng.normal(size=(30, 3))) / 4,
+                             rng.normal(size=(30, 3))])
+        for rho in (0.0, 0.5, 1.0, 2.0):
+            for cap in (1, 4, 64, 1000):
+                for q, found in zip(queries, index.query_nearest(queries, rho, cap)):
+                    expect = [i for _, i in nearest_by_scan(points, q, rho, cap)]
+                    assert found.tolist() == expect
+
+    def test_rejects_non_finite_points_and_queries(self):
+        bad = np.zeros((4, 3))
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            NeighborIndex(bad)
+        bad[2, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            NeighborIndex(bad)
+        index = NeighborIndex(np.zeros((4, 3)))
+        for q in (np.array([0.0, np.nan, 0.0]), np.array([[0.0] * 3, [-np.inf, 0.0, 0.0]])):
+            with pytest.raises(ValueError, match="finite"):
+                index.query(q, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                index.query_nearest(q, 1.0, 8)
+
+    def test_infinite_radius_returns_every_point(self):
+        points = np.random.default_rng(16).normal(scale=1e3, size=(100, 3))
+        index = NeighborIndex(points)
+        q = np.full(3, 5e3)
+        assert index.query(q, math.inf).tolist() == list(range(100))
+        d2 = ((points - q) ** 2).sum(axis=1)
+        assert index.query_nearest(q, math.inf, 1000).tolist() == np.argsort(d2).tolist()
 
 
 class TestHullMembership:

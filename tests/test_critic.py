@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from dataclasses import replace
@@ -17,7 +18,6 @@ from cabc.critic import (
     dyn_loss_and_grad,
     init_dyn_model,
     init_safety_clf,
-    load_critic,
     safety_penalty_and_input_grad,
     save_critic,
 )
@@ -275,6 +275,18 @@ class TestTapedPasses:
         clf_loss_and_grad(clf, X, np.array([1.0, 0.0, 1.0, 0.0]))
         assert forwards == ["identity", "sigmoid"]
         assert backwards == [("identity", True), ("sigmoid", True)]
+
+
+def load_critic(dirpath, cfg: SimConfig):
+    """Read back what ``save_critic`` wrote: ``(DynModel, SafetyClf)``."""
+    with open(os.path.join(dirpath, "norm.json"), "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    norm = NormStats(mean=np.asarray(obj["mean"]), std=np.asarray(obj["std"]),
+                     lap_length=float(obj["lap_length"]))
+    dyn = DynModel(params=nn.load_weights(os.path.join(dirpath, "dyn.npz")),
+                   norm=norm, delta_scale=delta_scale_from(cfg))
+    clf = SafetyClf(params=nn.load_weights(os.path.join(dirpath, "clf.npz")), norm=norm)
+    return dyn, clf
 
 
 class TestCheckpointIO:

@@ -1,4 +1,4 @@
-"""Which commands load scipy, checked in a fresh interpreter.
+"""No command loads scipy, checked in a fresh interpreter.
 
 pytest has already imported scipy in this process, so each check runs its
 commands through ``cabc.cli.main`` in a child process and reports back what
@@ -10,8 +10,6 @@ import os
 import subprocess
 import sys
 import textwrap
-
-import pytest
 
 import cabc
 
@@ -59,29 +57,30 @@ def test_bc_eval_sim_report_never_load_scipy(tmp_path):
     assert result["scipy"] == []
 
 
-LABELING_COMMANDS = {
-    "train": 'cli.main(["train", "--method", "ca", "--track", "circle", "--expert", "pid", '
-             '"--config", cfg, "--out", os.path.join(out, "ca"), "--checkpoint-every", "0"])',
-    "label_synthetic": 'cli.main(["labeldemo", "--rho", "0.5", "--n", "50", "--grid", "10", '
-                       '"--out", os.path.join(out, "demo")])',
-}
-
-
-@pytest.mark.parametrize("entry", sorted(LABELING_COMMANDS))
-def test_labeling_commands_load_scipy_before_their_work(entry, tmp_path):
-    """``train --method ca`` and ``labeldemo`` import scipy in set-up: it is
-    loaded when ``cli.train`` / ``cli.label_synthetic`` is first entered."""
-    result = _run_child(f"""
-        inner = cli.{entry}
-        seen = []
-        def spy(*args, **kw):
-            seen.append("scipy.spatial" in sys.modules)
-            return inner(*args, **kw)
-        cli.{entry} = spy
-        before = scipy_modules()
-        code = {LABELING_COMMANDS[entry]}
-        result = {{"code": code, "before": before, "seen": seen}}
+def test_labeling_commands_never_load_scipy(tmp_path):
+    """``train --method ca`` and ``labeldemo`` label, and find neighbors in numpy."""
+    result = _run_child("""
+        import cabc.autolabel as autolabel
+        import cabc.trainer as trainer
+        passes = []
+        def counted(inner):
+            def member_mask(*args, **kw):
+                passes.append(1)
+                return inner(*args, **kw)
+            return member_mask
+        trainer.member_mask = counted(trainer.member_mask)
+        autolabel.member_mask = counted(autolabel.member_mask)
+        codes, counts = [], []
+        for argv in (["train", "--method", "ca", "--track", "circle", "--expert", "pid",
+                      "--config", cfg, "--out", os.path.join(out, "ca"),
+                      "--checkpoint-every", "0"],
+                     ["labeldemo", "--rho", "0.5", "--n", "50", "--grid", "10",
+                      "--out", os.path.join(out, "demo")]):
+            del passes[:]
+            codes.append(cli.main(argv))
+            counts.append(len(passes))
+        result = {"codes": codes, "passes": counts, "scipy": scipy_modules()}
     """, tmp_path)
-    assert result["code"] == 0
-    assert result["before"] == []
-    assert result["seen"] and all(result["seen"])
+    assert result["codes"] == [0, 0]
+    assert result["passes"] == [1, 1]   # each command ran its labeling pass
+    assert result["scipy"] == []

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cabc.autolabel import SyntheticSet
-from cabc.reports import contour_segments, read_reports_csv, write_reports_csv
+from cabc.reports import contour_segments, emit_reports, read_reports_csv, write_reports_csv
 from cabc.trainer import EpochReport
 
 
@@ -88,3 +89,22 @@ def test_reports_csv_round_trips_every_field(tmp_path):
     for row, report in zip(rows, reports):
         for name, value in row.items():
             assert type(value) is type(getattr(report, name)), name
+
+
+@pytest.mark.parametrize("stopped_at", [None, 1])
+def test_early_stop_marker_follows_meta(stopped_at, tmp_path):
+    """Two full evaluations draw the marker only if the run stopped there:
+    an ``early_stop = 0`` run trains on and records ``early_stopped_at: null``."""
+    run = tmp_path / "run"
+    run.mkdir()
+    write_reports_csv([
+        EpochReport(epoch=e, clone_loss=1.0 / (e + 1), safety_loss=0.0, dyn_loss=0.0,
+                    clf_loss=0.0, new_successes=2, new_failures=0, n_plus=100, n_query=0,
+                    n_minus=0, eval_laps=50, eval_lap_mean=12.0, eval_lap_std=0.0)
+        for e in range(3)], run / "reports.csv")
+    (run / "meta.json").write_text(json.dumps(
+        {"method": "bc", "eval_laps": 50, "early_stopped_at": stopped_at}))
+    emit_reports(run, tmp_path / "rep")
+    for name in ("laps_vs_epoch.svg", "imitation_loss.svg"):
+        markers = (tmp_path / "rep" / name).read_text().count(">x</text>")
+        assert markers == (stopped_at is not None), name
