@@ -17,7 +17,9 @@ Evaluations (minimum over ``REPEATS`` of the mean cost of one step of
 - ``racing_gp``:  the racing expert on gp.
 
 Calls (minimum over ``REPEATS`` of the mean cost of one call, each made on
-the states and observations the racing loop visited): ``sim.step``,
+the states and observations the racing loop visits, stepped here through
+``sim.step`` and ``sim.observe`` so that any version of the trajectory
+record gives the same calls): ``sim.step``,
 ``sim.observe``, ``sim.lane_preview``, ``RacingExpert.__call__``, the
 batch-1 ``MlpPolicy.__call__`` and the full-state policy features
 ``trainer.features_from_state``.
@@ -53,6 +55,16 @@ with ``--src`` pointing at each checkout's ``src``:
 
     python3 scripts/bench_closed_loop.py --label before --src ../old/src
     python3 scripts/bench_closed_loop.py --label after
+
+Paired comparison: with ``--against OTHER_SRC`` the invocation measures only
+the loops, evaluations and calls, in ``PAIRS`` pairs of child processes,
+one per tree, alternating which tree runs first.  Each pair gives one ratio
+per entry, ``--src`` over ``OTHER_SRC`` (below 1 means ``--src`` is faster).
+The record holds every ratio and their median; slow drift cancels within a
+pair, but a host on which whole processes run at different speeds spreads
+the ratios, so read the median together with that spread:
+
+    python3 scripts/bench_closed_loop.py --label change-vs-parent --against ../old/src
 """
 
 from __future__ import annotations
@@ -72,6 +84,8 @@ EVAL_LAPS = 10
 HULL_REPEATS = 3
 HULL_QUERIES = 100
 STARTUP_REPEATS = 10
+PAIRS = 10
+PAIRED_GROUPS = ("loops", "evaluate", "calls")
 STARTUP = {"import_cli": "import cabc.cli"}
 
 
@@ -158,17 +172,32 @@ def _evaluations() -> dict:
 
 def _calls() -> dict:
     from cabc.experts import RacingExpert
-    from cabc.sim import SimConfig, default_start_state, lane_preview, observe, rollout, step
+    from cabc.sim import (
+        SimConfig,
+        default_start_state,
+        in_constraints,
+        in_target,
+        lane_preview,
+        observe,
+        step,
+    )
     from cabc.track import get_track
     from cabc.trainer import MlpPolicy, TrainConfig, features_from_state, init_policy
 
     gp = get_track("gp")
     cfg = SimConfig(lap_target=2)
-    traj = rollout(cfg, gp, RacingExpert(cfg, gp), default_start_state(), 1200,
-                   _rng(11, 0))
-    states = [smp.x for smp in traj.samples]
-    obs = [smp.y for smp in traj.samples]
-    acts = [smp.u_applied for smp in traj.samples]
+    # the racing loop's steps, as ``rollout`` drives them
+    expert, rng_obs, x = RacingExpert(cfg, gp), _rng(11, 0), default_start_state()
+    states, obs, acts = [], [], []
+    for _ in range(1200):
+        y = observe(cfg, gp, x, rng_obs)
+        u = expert(y, x)
+        states.append(x)
+        obs.append(y)
+        acts.append(u)
+        x = step(cfg, gp, x, u)
+        if not in_constraints(cfg, gp, x) or in_target(cfg, gp, x, 0.0):
+            break
     expert = RacingExpert(cfg, gp)
     policy = MlpPolicy(init_policy(TrainConfig(seed=1, sim=cfg), gp), "output", gp)
     rng = _rng(0, 0)
@@ -286,6 +315,30 @@ def _startup(src: str) -> dict:
     return out
 
 
+def _paired(src: str, against: str) -> dict:
+    """Per-pair ratios ``src / against`` of every paired entry, and their medians."""
+    import numpy as np
+
+    ratios: dict = {}
+    trees = (src, against)
+    for i in range(PAIRS):
+        runs = [None, None]   # by side, so that a tree measured against itself pairs two runs
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            child = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--paired-child",
+                 "--src", trees[side]], check=True, capture_output=True, text=True)
+            runs[side] = json.loads(child.stdout)
+        for group in PAIRED_GROUPS:
+            for name, entry in runs[0][group].items():
+                unit = "us_per_step" if "us_per_step" in entry else "us_per_call"
+                ratio = entry[unit] / runs[1][group][name][unit]
+                ratios.setdefault(group, {}).setdefault(name, []).append(round(ratio, 4))
+    return {"pairs": PAIRS,
+            "ratio_median": {g: {n: round(float(np.median(r)), 4) for n, r in entries.items()}
+                             for g, entries in ratios.items()},
+            "ratios": ratios}
+
+
 def _summary(records: list) -> dict:
     by_label: dict = {}
     for rec in records:
@@ -305,34 +358,43 @@ def _summary(records: list) -> dict:
                 summ.setdefault(group, {})[unit] = mins
             else:
                 summ[group] = mins
+        paired = [r["paired"] for r in recs if "paired" in r]
+        if paired:
+            summ["paired_ratio_median"] = paired[-1]["ratio_median"]
         out[label] = summ
     return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="name of the measured version")
+    ap.add_argument("--label", help="name of the measured version (required)")
     ap.add_argument("--src", default=os.path.join(HERE, "..", "src"),
                     help="the src directory of the cabc package to measure")
     ap.add_argument("--out", default=os.path.join(HERE, "..", "BENCH_micro.json"))
+    ap.add_argument("--against", default=None, metavar="OTHER_SRC",
+                    help="measure loops, evaluations and calls in pairs against the "
+                         "package in this src directory")
+    ap.add_argument("--paired-child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.paired_child:
+        _import_cabc(args.src)
+        print(json.dumps({"loops": _loops(), "evaluate": _evaluations(), "calls": _calls()}))
+        return 0
+    if not args.label:
+        ap.error("--label is required")
 
-    # before this process loads numpy: a child's ru_maxrss counts the image it
-    # was forked from, so the children must be spawned from a small process
-    startup = _startup(args.src)
-    _import_cabc(args.src)
+    record = {"label": args.label, "started": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    if args.against:
+        record["paired"] = _paired(args.src, args.against)
+    else:
+        # before this process loads numpy: a child's ru_maxrss counts the image it
+        # was forked from, so the children must be spawned from a small process
+        startup = _startup(args.src)
+        _import_cabc(args.src)
+        record.update(loops=_loops(), evaluate=_evaluations(), calls=_calls(),
+                      hulls=_hulls(), io=_io(), startup=startup)
     import numpy as np
 
-    record = {
-        "label": args.label,
-        "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "loops": _loops(),
-        "evaluate": _evaluations(),
-        "calls": _calls(),
-        "hulls": _hulls(),
-        "io": _io(),
-        "startup": startup,
-    }
     doc = {"records": []}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

@@ -7,7 +7,6 @@ from .core import (
     LabeledPool,
     Observation,
     Outcome,
-    Sample,
     TerminationReason,
     Trajectory,
     VehicleState,
@@ -18,8 +17,8 @@ from .track import TrackSpec, curvature_at, default_tracks, frenet_to_cartesian,
 from .sim import SimConfig, in_constraints, in_target, observe, rollout, step
 
 __all__ = [
-    "Action", "LabeledPool", "Observation", "Outcome", "Sample",
-    "TerminationReason", "Trajectory", "VehicleState",
+    "Action", "LabeledPool", "Observation", "Outcome", "TerminationReason",
+    "Trajectory", "VehicleState",
     "load_dataset", "save_dataset",
     "TrackSpec", "curvature_at", "default_tracks", "frenet_to_cartesian", "get_track",
     "SimConfig", "in_constraints", "in_target", "observe", "rollout", "step",

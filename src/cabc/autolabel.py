@@ -27,6 +27,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import nn
+
 SIGMA_MIN = 1e-6
 HULL_TOL = 1e-7
 
@@ -542,8 +544,6 @@ def train_synthetic_classifier(plus_pts: np.ndarray, minus_pts: np.ndarray,
     Balanced minibatches (half positive, half negative) remove the class
     imbalance between a dense interior pool and the surviving negatives.
     """
-    from . import nn
-
     plus_pts = np.asarray(plus_pts, dtype=float)
     minus_pts = np.asarray(minus_pts, dtype=float)
     if len(plus_pts) == 0 or len(minus_pts) == 0:
@@ -567,8 +567,6 @@ def train_synthetic_classifier(plus_pts: np.ndarray, minus_pts: np.ndarray,
 
 def classifier_grid(params, bounds: Tuple[float, float], n: int = 200):
     """Probability field of a trained 2-D classifier on an ``n x n`` grid."""
-    from . import nn
-
     lo, hi = bounds
     xs = np.linspace(lo, hi, n)
     ys = np.linspace(lo, hi, n)

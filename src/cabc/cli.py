@@ -37,12 +37,7 @@ from .reports import (
     write_reports_csv,
 )
 from .track import resolve_track
-from .trainer import (
-    MlpPolicy,
-    NonFiniteLossError,
-    make_expert_factory,
-    train,
-)
+from .trainer import NonFiniteLossError, load_policy, make_expert_factory, train
 
 EXIT_NONFINITE = 2
 
@@ -123,7 +118,7 @@ def _cmd_eval(args) -> int:
     sim = sim_config_from(values)
     track = resolve_track(args.track)
     mode = "output" if args.obs == "output" else "full_state"
-    policy = MlpPolicy(nn.load_weights(args.weights), mode, track)
+    policy = load_policy(args.weights, mode, sim, track)
     result = evaluate(policy, sim, track, seed=args.seed, laps=args.laps)
     print(json.dumps({
         "laps_completed": result.laps_completed,
@@ -147,10 +142,10 @@ def _cmd_report(args) -> int:
         values = parse_config_file(cfg_path)
         sim = sim_config_from(values)
         track = resolve_track(meta["track"])
-        from .reports import rollout_figure
+        policy = load_policy(run_policy, meta.get("observation_mode", "output"), sim, track)
         path = os.path.join(args.out, "trajectory_xy.svg")
-        rollout_figure(run_policy, sim, track, meta.get("observation_mode", "output"),
-                       seed=int(values.get("seed", "0")), out_path=path)
+        policy_rollout_figure(policy, sim, track, seed=int(values.get("seed", "0")),
+                              out_path=path)
         written.append(path)
     for path in written:
         print(path)

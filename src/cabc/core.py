@@ -5,6 +5,11 @@ arc length ``s`` (stored unwrapped so progress is monotone across laps),
 lateral offset ``x_tran`` (left-positive), and heading error ``e_psi``.
 Datasets are JSON-lines files so they can be appended to during iterative
 collection; gzip is used transparently for ``.gz`` paths.
+
+Trajectory files hold a ``{"kind": "traj", "traj_id", "outcome", "reason"}``
+header per rollout and one ``{"kind": "sample", "traj_id", "k", "x", "y",
+"u_expert", "u_applied", "x_next"}`` line per step (``y`` null where the
+output map was skipped; the ``"safe": null`` of older files is ignored).
 """
 
 from __future__ import annotations
@@ -146,28 +151,6 @@ class Observation:
         return Observation(v[0], v[1], v[2], tuple(v[3:]))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One closed-loop step record.
-
-    ``u_expert`` is the expert's relabeled action at ``x``; ``u_applied`` is
-    the action that actually drove the plant to ``x_next``.  Both are kept
-    because cloning trains against the former while the dynamics surrogate
-    trains against the latter.
-    """
-
-    x: VehicleState
-    y: Optional[Observation]      # None where the rollout skipped the output map
-    u_expert: Action
-    u_applied: Action
-    x_next: VehicleState
-    safe_label: Optional[int] = None
-
-    def __post_init__(self):
-        if self.safe_label is not None and self.safe_label not in (0, 1):
-            raise ValueError(f"safe_label must be 0, 1 or None, got {self.safe_label!r}")
-
-
 class Outcome(Enum):
     SUCCESS = "success"
     FAILURE = "failure"
@@ -181,35 +164,49 @@ class TerminationReason(Enum):
     SINGULARITY = "singularity"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A closed-loop rollout with a definite outcome.
+    """A closed-loop rollout with a definite outcome, one array row per step.
 
-    Success means exactly that the rollout terminated inside the target set;
-    consecutive samples must chain (``samples[k].x_next == samples[k+1].x``).
+    Row ``k`` holds the state ``x``, the observation ``y`` (``None`` for the
+    whole rollout where it skipped the output map), the expert's relabeled
+    action ``u_expert``, the action ``u_applied`` that drove the plant, and
+    the state ``x_next`` it reached: cloning trains against ``u_expert``, the
+    dynamics surrogate against ``u_applied``.  Success means exactly that the
+    rollout terminated inside the target set; steps chain
+    (``x_next[k] == x[k + 1]``).
     """
 
-    samples: tuple
+    x: np.ndarray                 # (n, 6), VehicleState field order
+    y: Optional[np.ndarray]       # (n, k), Observation.as_tuple order
+    u_expert: np.ndarray          # (n, 2)
+    u_applied: np.ndarray         # (n, 2)
+    x_next: np.ndarray            # (n, 6)
     outcome: Outcome
     termination_reason: TerminationReason
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
         success = self.outcome is Outcome.SUCCESS
         reached = self.termination_reason is TerminationReason.REACHED_TARGET
         if success != reached:
             raise ValueError(
                 f"outcome {self.outcome} inconsistent with reason {self.termination_reason}"
             )
-        samples = self.samples
-        for k in range(len(samples) - 1):
-            # rollouts chain by identity, which skips the field-wise __eq__
-            a, b = samples[k].x_next, samples[k + 1].x
-            if a is not b and a != b:
-                raise ValueError(f"trajectory does not chain at step {k}")
+        n = len(self.x)
+        shapes = {"x": (n, 6), "u_expert": (n, 2), "u_applied": (n, 2), "x_next": (n, 6)}
+        if self.y is not None:
+            shapes["y"] = (n, *np.shape(self.y)[-1:])
+        for name, shape in shapes.items():
+            rows = np.asarray(getattr(self, name), dtype=float)
+            if rows.shape != shape:
+                raise ValueError(f"{name} has shape {rows.shape}, expected {shape}")
+            object.__setattr__(self, name, rows)
+        breaks = np.flatnonzero(~(self.x_next[:-1] == self.x[1:]).all(axis=1))
+        if len(breaks):
+            raise ValueError(f"trajectory does not chain at step {breaks[0]}")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -243,30 +240,18 @@ def _open(path, mode: str) -> IO:
     return open(path, mode, encoding="utf-8")
 
 
-def _state_json(x: VehicleState) -> list:
-    return list(x.as_tuple())
+_STEP_FIELDS = ("x", "y", "u_expert", "u_applied", "x_next")
 
 
-def _traj_lines(trajs: Iterable[Trajectory]):
-    for tid, traj in enumerate(trajs):
-        yield {
-            "kind": "traj",
-            "traj_id": tid,
-            "outcome": traj.outcome.value,
-            "reason": traj.termination_reason.value,
-        }
-        for k, smp in enumerate(traj.samples):
-            yield {
-                "kind": "sample",
-                "traj_id": tid,
-                "k": k,
-                "x": _state_json(smp.x),
-                "y": None if smp.y is None else list(smp.y.as_tuple()),
-                "u_expert": list(smp.u_expert.as_tuple()),
-                "u_applied": list(smp.u_applied.as_tuple()),
-                "x_next": _state_json(smp.x_next),
-                "safe": smp.safe_label,
-            }
+def _traj_lines(trajs: Iterable[Trajectory], first_id: int = 0):
+    for tid, traj in enumerate(trajs, first_id):
+        yield {"kind": "traj", "traj_id": tid, "outcome": traj.outcome.value,
+               "reason": traj.termination_reason.value}
+        ys = [None] * len(traj) if traj.y is None else traj.y.tolist()
+        columns = (traj.x.tolist(), ys, traj.u_expert.tolist(), traj.u_applied.tolist(),
+                   traj.x_next.tolist())
+        for k, row in enumerate(zip(*columns)):
+            yield {"kind": "sample", "traj_id": tid, "k": k, **dict(zip(_STEP_FIELDS, row))}
 
 
 def _pool_lines(pool: LabeledPool):
@@ -280,8 +265,7 @@ def save_dataset(data: Union[LabeledPool, Iterable[Trajectory]], path) -> None:
     """Write trajectories or a labeled pool as one JSON object per line."""
     lines = _pool_lines(data) if isinstance(data, LabeledPool) else _traj_lines(list(data))
     with _open(path, "w") as fh:
-        for obj in lines:
-            fh.write(json.dumps(obj) + "\n")
+        fh.writelines(json.dumps(obj) + "\n" for obj in lines)
 
 
 class DatasetWriter:
@@ -294,9 +278,7 @@ class DatasetWriter:
     def write(self, traj: Trajectory) -> int:
         tid = self._next_id
         self._next_id += 1
-        for obj in _traj_lines([traj]):
-            obj["traj_id"] = tid
-            self._fh.write(json.dumps(obj) + "\n")
+        self._fh.writelines(json.dumps(obj) + "\n" for obj in _traj_lines([traj], tid))
         return tid
 
     def close(self) -> None:
@@ -322,21 +304,31 @@ def _index(obj: dict, line_no: int, name: str) -> int:
     return value
 
 
-def _parse_sample(obj: dict, line_no: int) -> Sample:
+def _parse_step(obj: dict, line_no: int) -> tuple:
+    """A sample line's ``(x, y, u_expert, u_applied, x_next)``, checked by their record types."""
     try:
-        y = _field(obj, line_no, "y")
-        return Sample(
-            x=VehicleState.from_sequence(_field(obj, line_no, "x")),
-            y=None if y is None else Observation.from_sequence(y),
-            u_expert=Action(*map(float, _field(obj, line_no, "u_expert"))),
-            u_applied=Action(*map(float, _field(obj, line_no, "u_applied"))),
-            x_next=VehicleState.from_sequence(_field(obj, line_no, "x_next")),
-            safe_label=_field(obj, line_no, "safe"),
-        )
+        x, y, u_expert, u_applied, x_next = (_field(obj, line_no, f) for f in _STEP_FIELDS)
+        return (VehicleState.from_sequence(x).as_tuple(),
+                None if y is None else Observation.from_sequence(y).as_tuple(),
+                Action(*map(float, u_expert)).as_tuple(),
+                Action(*map(float, u_applied)).as_tuple(),
+                VehicleState.from_sequence(x_next).as_tuple())
     except (TypeError, ValueError) as exc:
         if isinstance(exc, DatasetFormatError):
             raise
         raise DatasetFormatError(line_no, str(exc)) from exc
+
+
+def _trajectory(steps: list, outcome: Outcome, reason: TerminationReason) -> Trajectory:
+    """The record of one trajectory's parsed step rows, in step order."""
+    n = len(steps)
+    x, y, u_expert, u_applied, x_next = zip(*steps) if steps else ((),) * 5
+    unobserved = y.count(None)
+    if 0 < unobserved < n:
+        raise ValueError(f"y is null on {unobserved} of {n} lines")
+    return Trajectory(np.reshape(x, (-1, 6)), None if unobserved or not n else np.array(y),
+                      np.reshape(u_expert, (-1, 2)), np.reshape(u_applied, (-1, 2)),
+                      np.reshape(x_next, (-1, 6)), outcome, reason)
 
 
 def load_dataset(path) -> Union[LabeledPool, list]:
@@ -347,7 +339,7 @@ def load_dataset(path) -> Union[LabeledPool, list]:
     Malformed records raise :class:`DatasetFormatError` with the line number.
     """
     headers: dict = {}
-    samples: dict = {}   # traj_id -> {k: sample}
+    rows: dict = {}   # traj_id -> {k: step rows}
     pool = {"plus": [], "query": [], "minus": []}
     saw_pool = False
     saw_traj = False
@@ -376,18 +368,18 @@ def load_dataset(path) -> Union[LabeledPool, list]:
                     )
                 except ValueError as exc:
                     raise DatasetFormatError(line_no, str(exc)) from exc
-                samples[tid] = {}
+                rows[tid] = {}
             elif kind == "sample":
                 saw_traj = True
                 tid = _index(obj, line_no, "traj_id")
                 k = _index(obj, line_no, "k")
-                sample = _parse_sample(obj, line_no)
+                step = _parse_step(obj, line_no)
                 if tid not in headers:
                     raise DatasetFormatError(
                         line_no, f"sample of trajectory {tid} before its 'traj' header")
-                if k in samples[tid]:
+                if k in rows[tid]:
                     raise DatasetFormatError(line_no, f"duplicate k={k} in trajectory {tid}")
-                samples[tid][k] = sample
+                rows[tid][k] = step
             elif kind == "pool":
                 saw_pool = True
                 which = _field(obj, line_no, "set")
@@ -410,10 +402,9 @@ def load_dataset(path) -> Union[LabeledPool, list]:
     trajs = []
     for tid in sorted(headers):
         outcome, reason, line_no = headers[tid]
-        steps = samples[tid]
+        steps = rows[tid]
         try:
-            trajs.append(Trajectory(samples=[steps[k] for k in sorted(steps)],
-                                    outcome=outcome, termination_reason=reason))
+            trajs.append(_trajectory([steps[k] for k in sorted(steps)], outcome, reason))
         except ValueError as exc:
             raise DatasetFormatError(line_no, f"trajectory {tid}: {exc}") from exc
     return trajs

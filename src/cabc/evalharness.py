@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .core import Outcome, TerminationReason
+from .core import Outcome, TerminationReason, Trajectory, VehicleState
 from .sim import SimConfig, default_start_state, rng_stream, rollout
 from .track import TrackSpec
 
@@ -62,6 +62,20 @@ def _result(lap_times: List[float], terminated_by: EvalTermination) -> EvalResul
                       lap_std=stats[1], lap_min=stats[2], lap_max=stats[3])
 
 
+def chained_laps(policy, cfg: SimConfig, track: TrackSpec, seed: int,
+                 laps: int) -> Iterator[Trajectory]:
+    """Yield up to ``laps`` chained lap attempts from the standard start; a
+    failed attempt is the last.  Every lap draws from one noise stream."""
+    rng = rng_stream(seed)
+    x = default_start_state(v_long=1.0, s=0.0)
+    for _ in range(laps):
+        traj = rollout(cfg, track, policy, x, cfg.max_steps, rng, observe_unread=False)
+        yield traj
+        if traj.outcome is not Outcome.SUCCESS:
+            return
+        x = VehicleState(*traj.x_next[-1].tolist())
+
+
 def evaluate(policy, cfg: SimConfig, track: TrackSpec, seed: int,
              laps: int = 50) -> EvalResult:
     """Drive up to ``laps`` consecutive laps; stop at the first failure.
@@ -72,15 +86,11 @@ def evaluate(policy, cfg: SimConfig, track: TrackSpec, seed: int,
     """
     if laps < 1:
         raise ValueError("laps must be >= 1")
-    rng = rng_stream(seed)
-    x = default_start_state(v_long=1.0, s=0.0)
     lap_times: List[float] = []
-    for _ in range(laps):
-        traj = rollout(cfg, track, policy, x, cfg.max_steps, rng, observe_unread=False)
+    for traj in chained_laps(policy, cfg, track, seed, laps):
         if traj.outcome is not Outcome.SUCCESS:
             return _result(lap_times, _FAILURE_TERMINATION[traj.termination_reason])
         lap_times.append(len(traj) * cfg.dt)
-        x = traj.samples[-1].x_next
     return _result(lap_times, EvalTermination.FIFTY_LAPS)
 
 

@@ -15,9 +15,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
+from .evalharness import chained_laps
 from .sim import SimConfig
 from .track import TrackSpec, frenet_to_cartesian
-from .trainer import EpochReport, MlpPolicy
+from .trainer import EpochReport
 
 
 def write_reports_csv(reports: Sequence[EpochReport], path) -> None:
@@ -362,32 +363,17 @@ def emit_reports(run_dir, out_dir, baseline_dir=None) -> List[str]:
     return written
 
 
-def rollout_figure(policy_params_path, sim_cfg: SimConfig, track: TrackSpec,
-                   mode: str, seed: int, out_path, laps: int = 3) -> str:
-    """Roll the saved policy and draw its path over the track outline."""
-    from . import nn
-    policy = MlpPolicy(nn.load_weights(policy_params_path), mode, track)
-    return policy_rollout_figure(policy, sim_cfg, track, seed, out_path, laps)
-
-
 def policy_rollout_figure(policy, sim_cfg: SimConfig, track: TrackSpec, seed: int,
                           out_path, laps: int = 3) -> str:
-    from .sim import default_start_state, rng_stream, rollout
-    rng = rng_stream(seed)
+    """Draw the path of the evaluation's first ``laps`` lap attempts over the track outline."""
     polys = track_polylines(track)
-    x = default_start_state(v_long=1.0, s=0.0)
     xs: List[float] = []
     ys: List[float] = []
-    for _ in range(laps):
-        traj = rollout(sim_cfg, track, policy, x, sim_cfg.max_steps, rng,
-                       observe_unread=False)
-        for smp in traj.samples:
-            gx, gy, _ = frenet_to_cartesian(track, smp.x.s, smp.x.x_tran, smp.x.e_psi)
+    for traj in chained_laps(policy, sim_cfg, track, seed, laps):
+        for s, x_tran, e_psi in traj.x[:, 3:].tolist():
+            gx, gy, _ = frenet_to_cartesian(track, s, x_tran, e_psi)
             xs.append(gx)
             ys.append(gy)
-        if traj.outcome.value != "success":
-            break
-        x = traj.samples[-1].x_next
     polys.append({"x": xs, "y": ys, "color": "#d62728"})
     svg = svg_xy_figure(polys, f"rollout on {track.name}")
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -22,7 +23,6 @@ from .core import (
     Action,
     Observation,
     Outcome,
-    Sample,
     TerminationReason,
     Trajectory,
     VehicleState,
@@ -201,10 +201,10 @@ def in_target(cfg: SimConfig, track: TrackSpec, x: VehicleState, s_start: float)
             and in_constraints(cfg, track, x))
 
 
-# Policies are callables (observation, full_state) -> Action.  Full-state
-# experts ignore the observation; output-feedback policies ignore the state.
-# A policy whose ``state_feedback`` attribute is true never reads its
-# observation, so it may be handed ``None`` in its place.
+# Policies are callables (observation, full_state) -> Action on one step's
+# records.  Full-state experts ignore the observation; output-feedback policies
+# ignore the state.  A policy whose ``state_feedback`` attribute is true never
+# reads its observation, so it may be handed ``None`` and recorded as ``y=None``.
 Policy = Callable[[Optional[Observation], VehicleState], Action]
 
 
@@ -221,19 +221,20 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
 
     Policy outputs are clamped to the input box before stepping; an
     :class:`Action` already lies in it and is used as it is.  ``relabel``
-    optionally supplies the expert action recorded with every sample; without
+    optionally supplies the expert action recorded at every step; without
     it the applied action doubles as the expert action.
 
     ``rng`` feeds only the observation noise.  With ``observe_unread=False``
     a policy whose ``state_feedback`` attribute is true is not observed: it
-    is handed ``None`` and every sample records ``y=None``, while its states
-    and actions are unchanged.  Callers that keep the observations (dataset
-    collection) leave the default.
+    is handed ``None`` and the trajectory records ``y=None``, while its
+    states and actions are unchanged.  Callers that keep the observations
+    (dataset collection) leave the default.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     skip_observe = not observe_unread and getattr(policy, "state_feedback", False)
-    samples = []
+    states = [x0]
+    observations, expert_actions, applied_actions = [], [], []
     x = x0
     s_start = x0.s
     outcome, reason = Outcome.FAILURE, TerminationReason.TIMEOUT
@@ -247,8 +248,10 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
         except SimSingularityError:
             outcome, reason = Outcome.FAILURE, TerminationReason.SINGULARITY
             break
-        u_expert = relabel(x) if relabel is not None else u
-        samples.append(Sample(x=x, y=y, u_expert=u_expert, u_applied=u, x_next=x_next))
+        observations.append(y)
+        expert_actions.append(relabel(x) if relabel is not None else u)
+        applied_actions.append(u)
+        states.append(x_next)
         x = x_next
         if not in_constraints(cfg, track, x):
             outcome, reason = Outcome.FAILURE, TerminationReason.CONSTRAINT_VIOLATION
@@ -256,7 +259,16 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
         if in_target(cfg, track, x, s_start):
             outcome, reason = Outcome.SUCCESS, TerminationReason.REACHED_TARGET
             break
-    return Trajectory(samples=samples, outcome=outcome, termination_reason=reason)
+    visited = _rows(states, 6)
+    y = None if skip_observe else _rows(observations, 3 + len(cfg.preview_distances))
+    return Trajectory(visited[:-1], y, _rows(expert_actions, 2), _rows(applied_actions, 2),
+                      visited[1:], outcome, reason)
+
+
+def _rows(records: list, width: int) -> np.ndarray:
+    # a record of another width fails the reshape
+    values = chain.from_iterable(r.as_tuple() for r in records)
+    return np.fromiter(values, float).reshape(len(records), width)
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:

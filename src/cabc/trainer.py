@@ -197,6 +197,17 @@ class MlpPolicy:
         return Action(u_a, u_steer)
 
 
+def load_policy(path, mode: str, sim_cfg: SimConfig, track: TrackSpec) -> MlpPolicy:
+    """The saved policy at ``path``; ``ValueError`` if its input width is not ``mode``'s."""
+    params = nn.load_weights(path)
+    want = policy_input_dim(mode, sim_cfg)
+    if params.sizes[0] != want:
+        obs = "output" if mode == "output" else "full"
+        raise ValueError(f"{path}: the policy takes {params.sizes[0]} inputs, but "
+                         f"observation mode {mode!r} (--obs {obs}) gives {want}")
+    return MlpPolicy(params, mode, track)
+
+
 def init_policy(cfg: TrainConfig, track: TrackSpec) -> nn.MlpParams:
     sizes = (policy_input_dim(cfg.observation_mode, cfg.sim), *cfg.hidden, 2)
     return nn.init_mlp(sizes, head="tanh", seed=cfg.seed)
@@ -330,24 +341,17 @@ class _SampleStore:
 
     def add_trajectories(self, trajs: Sequence[Trajectory], mode: str, track: TrackSpec):
         for traj in trajs:
-            if not traj.samples:
-                raise ValueError("cannot record a trajectory with zero samples")
-            x_raw = np.array([s.x.as_tuple() for s in traj.samples])
+            if not len(traj):
+                raise ValueError("cannot record a trajectory with zero steps")
             if mode == "output":
-                feats = features_from_obs_array(
-                    np.array([s.y.as_tuple() for s in traj.samples]))
+                feats = features_from_obs_array(traj.y)
             else:
-                feats = features_from_state_array(x_raw, track)
-            self._chunks["feats"].append(feats)
-            self._chunks["u_expert"].append(
-                np.array([s.u_expert.as_tuple() for s in traj.samples]))
-            self._chunks["x_raw"].append(x_raw)
-            self._chunks["u_applied"].append(
-                np.array([s.u_applied.as_tuple() for s in traj.samples]))
-            self._chunks["x_next"].append(
-                np.array([s.x_next.as_tuple() for s in traj.samples]))
-            self._chunks["safe"].append(
-                np.full(len(x_raw), traj.outcome is Outcome.SUCCESS))
+                feats = features_from_state_array(traj.x, track)
+            safe = np.full(len(traj), traj.outcome is Outcome.SUCCESS)
+            for key, rows in (("feats", feats), ("u_expert", traj.u_expert), ("x_raw", traj.x),
+                              ("u_applied", traj.u_applied), ("x_next", traj.x_next),
+                              ("safe", safe)):
+                self._chunks[key].append(rows)
         self._arrays = None
 
     def arrays(self) -> dict:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cabc.core import Action, Observation, Outcome, Sample, TerminationReason, Trajectory, VehicleState
+from cabc.core import Outcome, TerminationReason, Trajectory, VehicleState
 from cabc.sim import SimConfig
 from cabc.track import TrackSpec, get_track
 
@@ -53,18 +53,33 @@ def states_array(states) -> np.ndarray:
 
 def make_trajectory(n: int, outcome: Outcome, k_preview: int = 2,
                     start: float = 0.0) -> Trajectory:
-    """Synthetic chained trajectory for dataset-level tests."""
-    samples = []
-    x = make_state(v=1.0, s=start)
-    for k in range(n):
-        x_next = make_state(v=1.0, s=x.s + 0.1)
-        y = Observation(x.v_long, x.v_tran, x.omega_psi, (0.5,) * k_preview)
-        samples.append(Sample(x=x, y=y, u_expert=Action(0.2, 0.0),
-                              u_applied=Action(0.25, -0.1), x_next=x_next))
-        x = x_next
+    """Synthetic chained trajectory for dataset-level tests: 1 m/s along the
+    centerline, 0.1 m per step from arc length ``start``."""
+    s = [start]
+    for _ in range(n):
+        s.append(s[-1] + 0.1)
+    visited = states_array([make_state(v=1.0, s=s_k) for s_k in s])
+    y = np.column_stack([visited[:-1, :3], np.full((n, k_preview), 0.5)])
     reason = (TerminationReason.REACHED_TARGET if outcome is Outcome.SUCCESS
               else TerminationReason.CONSTRAINT_VIOLATION)
-    return Trajectory(samples=samples, outcome=outcome, termination_reason=reason)
+    return Trajectory(x=visited[:-1], y=y, u_expert=np.tile([0.2, 0.0], (n, 1)),
+                      u_applied=np.tile([0.25, -0.1], (n, 1)), x_next=visited[1:],
+                      outcome=outcome, termination_reason=reason)
+
+
+STEP_FIELDS = ("x", "y", "u_expert", "u_applied", "x_next")
+
+
+def same_trajectory(a: Trajectory, b: Trajectory) -> bool:
+    """Equal outcome, reason and step rows (``Trajectory`` defines no ``__eq__``)."""
+    return (a.outcome is b.outcome and a.termination_reason is b.termination_reason
+            and (a.y is None) == (b.y is None)
+            and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in STEP_FIELDS
+                    if getattr(a, f) is not None))
+
+
+def same_trajectories(a, b) -> bool:
+    return len(a) == len(b) and all(map(same_trajectory, a, b))
 
 
 def lp_hull_oracle(x: np.ndarray, points: np.ndarray, tol: float = 1e-7) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cabc.core import Action, Observation, Outcome, TerminationReason, Trajectory, VehicleState
+from cabc.core import Action, Observation, Outcome, Trajectory, VehicleState
 from cabc.experts import PidCenterline, RaceParams, RacingExpert
 from cabc.sim import SimConfig, default_start_state, lane_preview, rng_stream, rollout
 from cabc.track import curvature_at, default_tracks, peak_curvature
@@ -25,9 +25,8 @@ from conftest import make_state, make_trajectory
 def _digest(traj: Trajectory) -> str:
     h = hashlib.sha256()
     h.update(f"{traj.outcome.value} {traj.termination_reason.value} {len(traj)}\n".encode())
-    for smp in traj.samples:
-        parts = (smp.x.as_tuple() + smp.y.as_tuple() + smp.u_expert.as_tuple()
-                 + smp.u_applied.as_tuple() + smp.x_next.as_tuple())
+    rows = np.hstack([traj.x, traj.y, traj.u_expert, traj.u_applied, traj.x_next])
+    for parts in rows.tolist():
         h.update(" ".join(float.hex(v) for v in parts).encode())
         h.update(b"\n")
     return h.hexdigest()
@@ -244,15 +243,17 @@ def test_action_fast_path_keeps_the_box():
 
 def test_trajectory_chain_accepts_equal_distinct_states_and_rejects_breaks():
     traj = make_trajectory(3, Outcome.SUCCESS)
-    a, b, c = traj.samples
-    b_copy = replace(b, x=VehicleState(*b.x.as_tuple()))
-    assert b_copy.x is not a.x_next and b_copy.x == a.x_next
-    Trajectory(samples=(a, b_copy, c), outcome=Outcome.SUCCESS,
-               termination_reason=TerminationReason.REACHED_TARGET)
-    broken = replace(b, x=make_state(v=1.0, s=b.x.s + 1e-9))
+    # the synthetic record's x and x_next are views of one array; copies chain too
+    copied = replace(traj, x=traj.x.copy(), x_next=traj.x_next.copy())
+    assert not np.shares_memory(copied.x, copied.x_next)
+    broken = traj.x.copy()
+    broken[1, 3] += 1e-9
     with pytest.raises(ValueError, match="does not chain at step 0"):
-        Trajectory(samples=(a, broken, c), outcome=Outcome.SUCCESS,
-                   termination_reason=TerminationReason.REACHED_TARGET)
+        replace(traj, x=broken)
+    broken = traj.x_next.copy()
+    broken[1, 0] = np.nextafter(broken[1, 0], 0.0)
+    with pytest.raises(ValueError, match="does not chain at step 1"):
+        replace(traj, x_next=broken)
 
 
 class _Command:
@@ -266,10 +267,10 @@ def test_rollout_applies_actions_as_they_are_and_clamps_the_rest(circle, noisele
     u = Action(0.3, 0.1)
     traj = rollout(noiseless_sim, circle, lambda y, x: u, default_start_state(), 3,
                    rng_stream(0, 0))
-    assert all(smp.u_applied is u for smp in traj.samples)
+    assert traj.u_applied.tolist() == [[0.3, 0.1]] * 3
     traj = rollout(noiseless_sim, circle, lambda y, x: _Command(4.0, np.float64(-2.0)),
                    default_start_state(), 3, rng_stream(0, 0))
-    assert all(smp.u_applied == Action(1.0, -1.0) for smp in traj.samples)
+    assert traj.u_applied.tolist() == [[1.0, -1.0]] * 3
     with pytest.raises(ValueError, match="u_a must be finite"):
         rollout(noiseless_sim, circle, lambda y, x: _Command(math.nan, 0.0),
                 default_start_state(), 3, rng_stream(0, 0))

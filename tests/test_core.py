@@ -15,7 +15,6 @@ from cabc.core import (
     LabeledPool,
     Observation,
     Outcome,
-    Sample,
     TerminationReason,
     Trajectory,
     VehicleState,
@@ -24,7 +23,7 @@ from cabc.core import (
 )
 from cabc.trainer import _SampleStore
 
-from conftest import make_state, make_trajectory, states_array
+from conftest import STEP_FIELDS, make_state, make_trajectory, same_trajectories, states_array
 
 
 class TestTypes:
@@ -55,25 +54,27 @@ class TestTypes:
         assert len(y.as_tuple()) == 6
         assert Observation.from_sequence(y.as_tuple()) == y
 
-    def test_safe_label_domain(self):
-        traj = make_trajectory(1, Outcome.SUCCESS)
-        smp = traj.samples[0]
-        with pytest.raises(ValueError):
-            Sample(x=smp.x, y=smp.y, u_expert=smp.u_expert,
-                   u_applied=smp.u_applied, x_next=smp.x_next, safe_label=2)
-
     def test_trajectory_outcome_reason_consistency(self):
         traj = make_trajectory(2, Outcome.SUCCESS)
         with pytest.raises(ValueError):
-            Trajectory(samples=traj.samples, outcome=Outcome.SUCCESS,
-                       termination_reason=TerminationReason.TIMEOUT)
+            replace(traj, termination_reason=TerminationReason.TIMEOUT)
 
     def test_trajectory_chaining_enforced(self):
         a = make_trajectory(2, Outcome.SUCCESS)
         b = make_trajectory(2, Outcome.SUCCESS, start=5.0)
-        with pytest.raises(ValueError):
-            Trajectory(samples=(a.samples[0], b.samples[1]), outcome=Outcome.SUCCESS,
+        # step 0 of a, then step 1 of b
+        mixed = {f: np.vstack([getattr(a, f)[:1], getattr(b, f)[1:]]) for f in STEP_FIELDS}
+        with pytest.raises(ValueError, match="does not chain at step 0"):
+            Trajectory(**mixed, outcome=Outcome.SUCCESS,
                        termination_reason=TerminationReason.REACHED_TARGET)
+
+    @pytest.mark.parametrize("name, shape", [("x", (3, 5)), ("u_expert", (2, 2)),
+                                             ("u_applied", (3,)), ("x_next", (3, 6, 1)),
+                                             ("y", (2, 5))])
+    def test_trajectory_rejects_misshapen_rows(self, name, shape):
+        traj = make_trajectory(3, Outcome.FAILURE)
+        with pytest.raises(ValueError, match=f"{name} has shape"):
+            replace(traj, **{name: np.zeros(shape)})
 
 
 def pools(trajs):
@@ -100,10 +101,8 @@ class TestPartition:
         assert (plus.shape, query.shape) == ((9, 6), (0, 6))
 
     def test_rejects_empty_trajectory(self):
-        empty = Trajectory(samples=(), outcome=Outcome.FAILURE,
-                           termination_reason=TerminationReason.TIMEOUT)
-        with pytest.raises(ValueError):
-            pools([empty])
+        with pytest.raises(ValueError, match="zero steps"):
+            pools([make_trajectory(0, Outcome.FAILURE)])
 
     @given(st.lists(st.tuples(st.integers(1, 6), st.booleans()), max_size=6))
     @settings(max_examples=40, deadline=None)
@@ -114,8 +113,8 @@ class TestPartition:
         plus, query = pools(trajs)
         # every visited state lands in the pool of its rollout's outcome, in visit order
         for rows, outcome in ((plus, Outcome.SUCCESS), (query, Outcome.FAILURE)):
-            states = [smp.x for t in trajs if t.outcome is outcome for smp in t.samples]
-            assert np.array_equal(rows, states_array(states))
+            states = [t.x for t in trajs if t.outcome is outcome]
+            assert np.array_equal(rows, np.concatenate(states) if states else np.zeros((0, 6)))
 
 
 def plus_only(plus: np.ndarray) -> LabeledPool:
@@ -128,13 +127,13 @@ class TestPersistence:
                  make_trajectory(2, Outcome.FAILURE, start=9.0)]
         path = tmp_path / "data.jsonl"
         save_dataset(trajs, path)
-        assert load_dataset(path) == trajs
+        assert same_trajectories(load_dataset(path), trajs)
 
     def test_gzip_round_trip(self, tmp_path):
         trajs = [make_trajectory(4, Outcome.FAILURE)]
         path = tmp_path / "data.jsonl.gz"
         save_dataset(trajs, path)
-        assert load_dataset(path) == trajs
+        assert same_trajectories(load_dataset(path), trajs)
 
     def test_gzip_header_carries_no_clock(self, tmp_path, monkeypatch):
         # the header's MTIME field (bytes 4-8) stays zero whatever the clock reads
@@ -165,12 +164,27 @@ class TestPersistence:
     def test_unobserved_samples_round_trip(self, tmp_path):
         # state-feedback rollouts skip the output map and record y=None
         traj = make_trajectory(3, Outcome.FAILURE)
-        blind = Trajectory(samples=[replace(smp, y=None) for smp in traj.samples],
-                           outcome=traj.outcome, termination_reason=traj.termination_reason)
+        blind = replace(traj, y=None)
         path = tmp_path / "data.jsonl"
         save_dataset([blind], path)
         assert '"y": null' in path.read_text()
-        assert load_dataset(path) == [blind]
+        assert same_trajectories(load_dataset(path), [blind])
+
+    def test_empty_trajectory_round_trip(self, tmp_path):
+        # a rollout that hit a singularity at its first step records no rows
+        trajs = [make_trajectory(0, Outcome.FAILURE), make_trajectory(2, Outcome.SUCCESS)]
+        path = tmp_path / "data.jsonl"
+        save_dataset(trajs, path)
+        loaded = load_dataset(path)
+        assert [len(t) for t in loaded] == [0, 2]
+        assert same_trajectories(loaded[1:], trajs[1:])
+
+    def test_writer_numbers_trajectories_as_save_does(self, tmp_path):
+        trajs = [make_trajectory(2, Outcome.SUCCESS), make_trajectory(1, Outcome.FAILURE)]
+        save_dataset(trajs, tmp_path / "saved.jsonl")
+        with DatasetWriter(tmp_path / "written.jsonl") as writer:
+            assert [writer.write(t) for t in trajs] == [0, 1]
+        assert (tmp_path / "written.jsonl").read_text() == (tmp_path / "saved.jsonl").read_text()
 
     def test_truncated_line_reports_line_number(self, tmp_path):
         trajs = [make_trajectory(2, Outcome.SUCCESS)]
@@ -257,6 +271,40 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="does not chain") as err:
             load_dataset(path)
         assert err.value.line_no == 1
+
+    def test_chain_break_in_a_later_trajectory_names_its_header_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset([make_trajectory(2, Outcome.SUCCESS),
+                      make_trajectory(3, Outcome.FAILURE, start=4.0)], path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records[3] == dict(records[3], kind="traj", traj_id=1)
+        records[6]["x"][3] += 1e-9   # step 2 of trajectory 1 no longer follows step 1
+        self._write(path, records)
+        with pytest.raises(DatasetFormatError,
+                           match="trajectory 1: trajectory does not chain at step 1") as err:
+            load_dataset(path)
+        assert err.value.line_no == 4
+
+    def test_partly_unobserved_trajectory_rejected(self, tmp_path):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        second["y"] = None
+        self._write(path, [header, first, second])
+        with pytest.raises(DatasetFormatError, match="y is null on 1 of 2 lines") as err:
+            load_dataset(path)
+        assert err.value.line_no == 1
+
+    def test_lines_with_the_old_safe_member_load(self, tmp_path):
+        # files written while every step line carried "safe": null
+        trajs = [make_trajectory(3, Outcome.SUCCESS),
+                 make_trajectory(2, Outcome.FAILURE, start=9.0)]
+        path = tmp_path / "data.jsonl"
+        save_dataset(trajs, path)
+        lines = path.read_text().splitlines()
+        old = [line[:-1] + ', "safe": null}' if '"kind": "sample"' in line else line
+               for line in lines]
+        assert sum(line.endswith('"safe": null}') for line in old) == 5
+        path.write_text("".join(line + "\n" for line in old))
+        assert same_trajectories(load_dataset(path), trajs)
 
     @given(st.lists(
         st.tuples(

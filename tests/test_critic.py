@@ -109,11 +109,9 @@ class TestDynLoss:
             pol = Noisy(RacingExpert(cfg, gp), rng)
             s0 = float(rng.uniform(0, gp.lap_length))
             traj = rollout(cfg, gp, pol, default_start_state(1.0, s=s0), 600, rng)
-            if not traj.samples:
-                continue
-            X.append(np.array([s.x.as_tuple() for s in traj.samples]))
-            U.append(np.array([s.u_applied.as_tuple() for s in traj.samples]))
-            XN.append(np.array([s.x_next.as_tuple() for s in traj.samples]))
+            X.append(traj.x)
+            U.append(traj.u_applied)
+            XN.append(traj.x_next)
         X, U, XN = np.concatenate(X), np.concatenate(U), np.concatenate(XN)
         n_train = int(0.9 * len(X))
         norm = fit_norm(X[:n_train], gp.lap_length)

@@ -13,7 +13,7 @@ from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import emit_reports, read_reports_csv
 from cabc.sim import SimConfig, rng_stream
 
-from conftest import make_state
+from conftest import make_trajectory
 
 
 class TestEvaluate:
@@ -55,11 +55,13 @@ class TestEvaluate:
     def test_singularity_is_not_a_constraint_violation(self, monkeypatch, circle,
                                                        noiseless_sim):
         import cabc.evalharness as eval_mod
-        from cabc.core import Outcome, TerminationReason, Trajectory
+        from dataclasses import replace
+
+        from cabc.core import Outcome, TerminationReason
 
         def singular_rollout(*args, **kw):
-            return Trajectory(samples=(), outcome=Outcome.FAILURE,
-                              termination_reason=TerminationReason.SINGULARITY)
+            return replace(make_trajectory(0, Outcome.FAILURE),
+                           termination_reason=TerminationReason.SINGULARITY)
 
         monkeypatch.setattr(eval_mod, "rollout", singular_rollout)
         result = evaluate(lambda y, x: Action(0.0, 0.0), noiseless_sim, circle,
@@ -188,10 +190,10 @@ class TestStateFeedback:
                           50, rng_stream(0), observe_unread=False)
         kept = rollout(sim, circle, PidCenterline(sim, circle), default_start_state(),
                        50, rng_stream(0))
-        assert [smp.y for smp in skipped.samples] == [None] * 50
-        assert all(smp.y is not None for smp in kept.samples)
-        assert [(s.x, s.u_applied, s.x_next) for s in skipped.samples] == \
-            [(s.x, s.u_applied, s.x_next) for s in kept.samples]
+        assert (len(skipped), skipped.y) == (50, None)
+        assert kept.y.shape == (50, 3 + len(sim.preview_distances))
+        for name in ("x", "u_expert", "u_applied", "x_next"):
+            assert np.array_equal(getattr(skipped, name), getattr(kept, name)), name
 
     @pytest.mark.parametrize("case", ["pid_circle", "racing_gp", "full_state_gp"])
     def test_results_equal_forced_observation(self, case, circle, gp, observe_calls):
@@ -331,6 +333,15 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) >= {"laps_completed", "terminated_by", "lap_mean"}
+
+    def test_eval_rejects_weights_of_the_other_observation_mode(self, smoke_run, capsys):
+        # the smoke policy reads 13 output features; --obs full would feed it 7
+        _, cfg_path, out = smoke_run
+        with pytest.raises(ValueError, match=r"takes 13 inputs, but observation mode "
+                                             r"'full_state' \(--obs full\) gives 7"):
+            run_cli("eval", "--weights", str(out / "policy.npz"), "--track", "circle",
+                    "--obs", "full", "--laps", "1", "--config", str(cfg_path))
+        assert capsys.readouterr().out == ""
 
     def test_report_emits_charts(self, smoke_run, tmp_path):
         _, _, out = smoke_run

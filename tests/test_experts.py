@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cabc.core import Action, Outcome
@@ -42,7 +43,7 @@ class TestPid:
                        max_steps=int(track.lap_length / noiseless_sim.dt * 2.5),
                        rng=rng_stream(0, 0))
         assert traj.outcome is Outcome.SUCCESS
-        assert max(abs(s.x.x_tran) for s in traj.samples) < 0.3 * track.half_width
+        assert np.abs(traj.x[:, 4]).max() < 0.3 * track.half_width
 
 
 class TestRacing:

@@ -19,7 +19,7 @@ from cabc.sim import (
     step,
 )
 
-from conftest import make_state, max_abs_curvature
+from conftest import make_state, max_abs_curvature, same_trajectory
 
 
 class TestStep:
@@ -168,7 +168,7 @@ class TestSets:
         traj = rollout(noiseless_sim, gp, lambda y, x: Action(0.2, 0.0), x, 1,
                        rng_stream(0, 0))
         x_next = step(noiseless_sim, gp, x, Action(0.2, 0.0))
-        assert traj.samples[-1].x_next == x_next
+        assert traj.x_next[-1].tolist() == list(x_next.as_tuple())
         assert in_constraints(noiseless_sim, gp, x_next)
         assert not in_target(noiseless_sim, gp, x_next, 0.0)
         assert traj.termination_reason is TerminationReason.TIMEOUT
@@ -181,7 +181,7 @@ class TestRollout:
         traj = rollout(noiseless_sim, circle, policy, x0, 50, rng_stream(0, 0))
         assert traj.outcome is Outcome.FAILURE
         assert traj.termination_reason is TerminationReason.TIMEOUT
-        assert all(s.x == x0 for s in traj.samples)
+        assert traj.x.tolist() == [list(x0.as_tuple())] * len(traj)
 
     def test_pid_lap_time_near_kinematic_estimate(self, circle, noiseless_sim):
         pid = PidCenterline(noiseless_sim, circle, v_ref=1.0)
@@ -205,23 +205,23 @@ class TestRollout:
         pid2 = PidCenterline(cfg, gp, v_ref=1.0)
         t1 = rollout(cfg, gp, pid1, default_start_state(1.0), 400, rng_stream(3, 1))
         t2 = rollout(cfg, gp, pid2, default_start_state(1.0), 400, rng_stream(3, 1))
-        assert t1 == t2
+        assert same_trajectory(t1, t2)
 
     def test_success_states_all_inside_constraints(self, gp):
         cfg = SimConfig(noise_sigma_v=0.02, noise_sigma_kappa=0.01)
         pid = PidCenterline(cfg, gp, v_ref=1.0)
         traj = rollout(cfg, gp, pid, default_start_state(1.0), 1000, rng_stream(5, 0))
         assert traj.outcome is Outcome.SUCCESS
-        for smp in traj.samples:
-            assert in_constraints(cfg, gp, smp.x)
-        assert in_constraints(cfg, gp, traj.samples[-1].x_next)
+        for row in traj.x.tolist() + traj.x_next[-1:].tolist():
+            assert in_constraints(cfg, gp, VehicleState(*row))
 
     def test_samples_chain_and_match_plant(self, circle, noiseless_sim):
         pid = PidCenterline(noiseless_sim, circle, v_ref=1.0)
         traj = rollout(noiseless_sim, circle, pid, default_start_state(1.0), 200,
                        rng_stream(1, 1))
-        for smp in traj.samples:
-            assert step(noiseless_sim, circle, smp.x, smp.u_applied) == smp.x_next
+        for x, u, x_next in zip(traj.x.tolist(), traj.u_applied.tolist(), traj.x_next.tolist()):
+            assert step(noiseless_sim, circle, VehicleState(*x), Action(*u)).as_tuple() == \
+                tuple(x_next)
 
     def test_rollout_requires_steps(self, circle, noiseless_sim):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from cabc.trainer import (
     _finite_or_raise,
 )
 
-from conftest import make_state
+from conftest import make_state, same_trajectory
 
 
 def tiny_cfg(track, **kw):
@@ -157,7 +157,7 @@ class TestMixPolicy:
                           300, rng_stream(0, 1))
         t_expert = rollout(noiseless_sim, circle, factory(), default_start_state(1.0),
                            300, rng_stream(0, 1))
-        assert t_mixed == t_expert
+        assert same_trajectory(t_mixed, t_expert)
 
     def test_pure_learner(self, circle, noiseless_sim):
         expert = PidCenterline(noiseless_sim, circle, v_ref=1.0)
@@ -253,9 +253,8 @@ class TestTrainLoops:
                     traj_callback=lambda epoch, new: trajs.extend(new))
         for rows, outcome in ((res.pool.d_plus, Outcome.SUCCESS),
                               (res.pool.d_query, Outcome.FAILURE)):
-            states = [smp.x.as_tuple() for t in trajs if t.outcome is outcome
-                      for smp in t.samples]
-            assert len(states) and np.array_equal(rows, np.reshape(states, (-1, 6)))
+            states = [t.x for t in trajs if t.outcome is outcome]
+            assert len(states) and np.array_equal(rows, np.concatenate(states))
         last = res.reports[-1]
         assert (last.n_plus, last.n_query, last.n_minus) == (
             len(res.pool.d_plus), len(res.pool.d_query), int(res.pool.minus.sum()))
@@ -419,7 +418,7 @@ class TestPolicyWrapper:
             cfg = SimConfig(lap_target=2)
             traj = rollout(cfg, track, RacingExpert(cfg, track), default_start_state(),
                            1200, rng_stream(11, 0))
-            states = [smp.x for smp in traj.samples]
+            states = [VehicleState(*row) for row in traj.x.tolist()]
         rng = np.random.default_rng(7)
         n, lap = 10_000, track.lap_length
         raw = np.column_stack([
