@@ -24,6 +24,13 @@ record gives the same calls): ``sim.step``,
 batch-1 ``MlpPolicy.__call__`` and the full-state policy features
 ``trainer.features_from_state``.
 
+Kernels (minimum over ``REPEATS`` of the mean cost of one of ``NN_CALLS``
+calls, each on a batch of ``NN_BATCH`` random rows): a taped ``nn.forward``,
+``nn.backward`` from its tape and ``nn.adam_step`` of the default 128x3
+output-feedback policy (13 -> 2, tanh head), dynamics model (9 -> 6) and
+safety classifier (7 -> 1), and one ``critic.safety_penalty_and_input_grad``
+batch through that dynamics model and classifier.
+
 Hull tests (minimum over ``HULL_REPEATS`` of the mean cost of one
 ``autolabel.hull_membership`` call, with the number accepted), each over the
 first ``HULL_QUERIES`` queries that have a neighbor:
@@ -57,7 +64,7 @@ with ``--src`` pointing at each checkout's ``src``:
     python3 scripts/bench_closed_loop.py --label after
 
 Paired comparison: with ``--against OTHER_SRC`` the invocation measures only
-the loops, evaluations and calls, in ``PAIRS`` pairs of child processes,
+the loops, evaluations, calls and kernels, in ``PAIRS`` pairs of child processes,
 one per tree, alternating which tree runs first.  Each pair gives one ratio
 per entry, ``--src`` over ``OTHER_SRC`` (below 1 means ``--src`` is faster).
 The record holds every ratio and their median; slow drift cancels within a
@@ -85,7 +92,9 @@ HULL_REPEATS = 3
 HULL_QUERIES = 100
 STARTUP_REPEATS = 10
 PAIRS = 10
-PAIRED_GROUPS = ("loops", "evaluate", "calls")
+NN_BATCH = 256
+NN_CALLS = 20
+PAIRED_GROUPS = ("loops", "evaluate", "calls", "nn")
 STARTUP = {"import_cli": "import cabc.cli"}
 
 
@@ -223,6 +232,47 @@ def _calls() -> dict:
     return out
 
 
+def _nn() -> dict:
+    from cabc import nn
+    from cabc.autolabel import fit_norm
+    from cabc.critic import init_dyn_model, init_safety_clf, safety_penalty_and_input_grad
+    from cabc.sim import SimConfig
+    from cabc.track import get_track
+    from cabc.trainer import TrainConfig, init_policy
+
+    gp, cfg = get_track("gp"), SimConfig()
+    rng = _rng(0, 0)
+    states, actions = rng.normal(size=(NN_BATCH, 6)), rng.normal(size=(NN_BATCH, 2))
+    norm = fit_norm(states, gp.lap_length)
+    dyn, clf = init_dyn_model(norm, cfg, seed=1), init_safety_clf(norm, seed=2)
+    nets = {"policy": init_policy(TrainConfig(seed=1), gp), "dyn": dyn.params,
+            "clf": clf.params}
+
+    def timed(run) -> float:
+        best = float("inf")
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            for _ in range(NN_CALLS):
+                run()
+            best = min(best, (time.perf_counter() - t0) / NN_CALLS)
+        return round(best * 1e6, 3)
+
+    out = {}
+    for name, params in nets.items():
+        x = rng.normal(size=(NN_BATCH, params.sizes[0]))
+        upstream = rng.normal(size=(NN_BATCH, params.sizes[-1]))
+        tape, opt = nn.Tape(), nn.init_opt(params)
+        out[f"nn.forward.{name}"] = timed(lambda: nn.forward(params, x, tape))
+        # one taped forward feeds every backward: the tape is not consumed
+        grads, _ = nn.backward(params, tape, upstream)
+        out[f"nn.backward.{name}"] = timed(lambda: nn.backward(params, tape, upstream))
+        out[f"nn.adam_step.{name}"] = timed(lambda: nn.adam_step(params, grads, opt))
+    tapes = (nn.Tape(), nn.Tape())
+    out["critic.safety_penalty"] = timed(
+        lambda: safety_penalty_and_input_grad(clf, dyn, states, actions, 10.0, tapes=tapes))
+    return {name: {"us_per_call": us, "batch": NN_BATCH} for name, us in out.items()}
+
+
 def _hull_cases() -> dict:
     """``(x, points, tol)`` triples of the two hull-test shapes."""
     import numpy as np
@@ -347,7 +397,7 @@ def _summary(records: list) -> dict:
     for label, recs in by_label.items():
         summ = {"records": len(recs)}
         for group, unit in (("loops", "us_per_step"), ("evaluate", "us_per_step"),
-                            ("calls", "us_per_call"),
+                            ("calls", "us_per_call"), ("nn", "us_per_call"),
                             ("hulls", "us_per_call"), ("io", "us_per_call"),
                             ("startup", "s"), ("startup", "peak_rss_mb")):
             # a measurement added later is summarised over the records that have it
@@ -372,13 +422,14 @@ def main(argv=None) -> int:
                     help="the src directory of the cabc package to measure")
     ap.add_argument("--out", default=os.path.join(HERE, "..", "BENCH_micro.json"))
     ap.add_argument("--against", default=None, metavar="OTHER_SRC",
-                    help="measure loops, evaluations and calls in pairs against the "
+                    help="measure loops, evaluations, calls and kernels in pairs against the "
                          "package in this src directory")
     ap.add_argument("--paired-child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.paired_child:
         _import_cabc(args.src)
-        print(json.dumps({"loops": _loops(), "evaluate": _evaluations(), "calls": _calls()}))
+        print(json.dumps({"loops": _loops(), "evaluate": _evaluations(), "calls": _calls(),
+                          "nn": _nn()}))
         return 0
     if not args.label:
         ap.error("--label is required")
@@ -391,7 +442,7 @@ def main(argv=None) -> int:
         # was forked from, so the children must be spawned from a small process
         startup = _startup(args.src)
         _import_cabc(args.src)
-        record.update(loops=_loops(), evaluate=_evaluations(), calls=_calls(),
+        record.update(loops=_loops(), evaluate=_evaluations(), calls=_calls(), nn=_nn(),
                       hulls=_hulls(), io=_io(), startup=startup)
     import numpy as np
 

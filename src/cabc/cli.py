@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -16,6 +17,7 @@ from . import nn
 from .autolabel import (
     SyntheticSet,
     classifier_grid,
+    grid_map,
     label_synthetic,
     train_synthetic_classifier,
 )
@@ -202,13 +204,32 @@ def write_grid_csv(path, xs, ys, probs) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y,p_safe\r\n")
         fh.writelines(f"{x!r},{y!r},{p!r}\r\n"
-                      for y, row in zip(ys.tolist(), probs.tolist())
-                      for x, p in zip(xs, row))
+                      for y, row in zip(ys.tolist(), probs)
+                      for x, p in zip(xs, row.tolist()))
+
+
+def _labeldemo_radii(args) -> list:
+    """The ``--rho`` radii, once every argument is checked: a bad one raises
+    ``ValueError`` naming it before anything is written."""
+    try:
+        rhos = [float(tok) for tok in args.rho.split(",") if tok]
+    except ValueError:
+        raise ValueError(f"--rho must be comma-separated numbers, got {args.rho!r}") from None
+    if not rhos:
+        raise ValueError("--rho must list at least one radius")
+    for rho in rhos:
+        if not 0.0 <= rho < math.inf:
+            raise ValueError(f"--rho radii must be finite and non-negative, got {rho!r}")
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.grid < 2:
+        raise ValueError(f"--grid must be at least 2, got {args.grid}")
+    return rhos
 
 
 def _cmd_labeldemo(args) -> int:
     synth = _SYNTH[args.set]()
-    rhos = [float(tok) for tok in args.rho.split(",") if tok]
+    rhos = _labeldemo_radii(args)
     os.makedirs(args.out, exist_ok=True)
     for rho in rhos:
         rng = np.random.default_rng(args.seed)
@@ -227,9 +248,7 @@ def _cmd_labeldemo(args) -> int:
         write_grid_csv(grid_path, xs, ys, probs)
 
         # true boundary (dotted) and classifier decision boundary overlay
-        gx, gy = np.meshgrid(xs, ys)
-        sdf_grid = synth.signed_distance(
-            np.column_stack([gx.ravel(), gy.ravel()])).reshape(len(ys), len(xs))
+        sdf_grid = grid_map(synth.signed_distance, xs, ys)
         svg = svg_xy_figure(
             [],
             title=f"{args.set}, rho = {rho:g}: removed points in red",

@@ -331,15 +331,17 @@ class _SampleStore:
 
     This is the one record of visited states: ``safe`` marks the rows of
     successful rollouts, so the labeling pools are views of ``x_raw`` (see
-    :meth:`pools`), in visit order.
+    :meth:`pools`), in visit order.  Each column is one array, extended by
+    every :meth:`add_trajectories` call.
     """
 
+    _COLUMNS = ("feats", "u_expert", "x_raw", "u_applied", "x_next", "safe")
+
     def __init__(self):
-        self._chunks = {k: [] for k in ("feats", "u_expert", "x_raw", "u_applied", "x_next",
-                                        "safe")}
         self._arrays = None
 
     def add_trajectories(self, trajs: Sequence[Trajectory], mode: str, track: TrackSpec):
+        chunks = {k: [] for k in self._COLUMNS}
         for traj in trajs:
             if not len(traj):
                 raise ValueError("cannot record a trajectory with zero steps")
@@ -351,17 +353,19 @@ class _SampleStore:
             for key, rows in (("feats", feats), ("u_expert", traj.u_expert), ("x_raw", traj.x),
                               ("u_applied", traj.u_applied), ("x_next", traj.x_next),
                               ("safe", safe)):
-                self._chunks[key].append(rows)
-        self._arrays = None
+                chunks[key].append(rows)
+        if chunks["feats"]:
+            old = self._arrays
+            self._arrays = {k: np.concatenate(v if old is None else [old[k], *v])
+                            for k, v in chunks.items()}
 
     def arrays(self) -> dict:
         if self._arrays is None:
-            self._arrays = {k: (np.concatenate(v) if v else np.zeros((0, 2)))
-                            for k, v in self._chunks.items()}
+            return {k: np.zeros((0, 2)) for k in self._COLUMNS}
         return self._arrays
 
     def __len__(self) -> int:
-        return sum(len(c) for c in self._chunks["feats"])
+        return 0 if self._arrays is None else len(self._arrays["feats"])
 
     def pools(self) -> Tuple[np.ndarray, np.ndarray]:
         """D+ and D_query: the visited states of successful and of failed rollouts."""
@@ -436,6 +440,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
         if traj_callback is not None:
             traj_callback(epoch, trajs)
         store.add_trajectories(trajs, cfg.observation_mode, track)
+        arr = store.arrays()
         new_succ = sum(t.outcome is Outcome.SUCCESS for t in trajs)
         plus, query = store.pools()
         minus = np.zeros(len(query), dtype=bool)
@@ -466,7 +471,6 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
 
             if update_dyn and dyn is not None and len(store) > 0:
                 rng_b = rng_stream(cfg.seed, 4, epoch)
-                arr = store.arrays()
                 n = len(arr["x_raw"])
                 for _ in range(cfg.grad_steps_dyn):
                     idx = rng_b.integers(0, n, size=min(cfg.batch_size, n))
@@ -497,7 +501,6 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
         # policy update (identical code path for both methods; this is the one
         # place that decides whether the safety term runs)
         rng_b = rng_stream(cfg.seed, 3, epoch)
-        arr = store.arrays()
         n = len(arr["feats"])
         clone_sum = safety_sum = 0.0
         use_critic = constraint_aware and cfg.lam > 0.0 and dyn is not None and clf is not None

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,3 +129,14 @@ def euclidean_hull_distance(x: np.ndarray, points: np.ndarray) -> float:
                 continue
             best = min(best, float(np.linalg.norm(w @ V - x)))
     return best
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes ``fn()`` allocates, as ``tracemalloc`` counts them (numpy's
+    array buffers included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

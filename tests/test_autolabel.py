@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
+from cabc import nn
 from cabc.autolabel import (
+    _GRID_BLOCK,
     NeighborIndex,
     NormStats,
     HULL_TOL,
     SyntheticSet,
+    classifier_grid,
     embed,
     fit_norm,
+    grid_map,
     hull_membership,
     incorrect_removals,
     label_synthetic,
@@ -21,7 +25,13 @@ from cabc.autolabel import (
 )
 from cabc.trainer import _LabelState
 
-from conftest import euclidean_hull_distance, lp_hull_oracle, make_state, states_array
+from conftest import (
+    euclidean_hull_distance,
+    lp_hull_oracle,
+    make_state,
+    states_array,
+    traced_peak,
+)
 
 
 class TestNormalization:
@@ -471,3 +481,36 @@ class TestPropositionSoundness:
             counts.append(incorrect_removals(removed, query, synth))
         assert counts[0] >= counts[1] >= counts[2]
         assert counts[0] > 0  # the concavity does fool the largest radius
+
+
+def _grid_points(xs, ys):
+    """All grid points at once, ``x`` varying fastest."""
+    gx, gy = np.meshgrid(xs, ys)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+class TestGrid:
+    # 1369 points: one full block and a partial one
+    N = 37
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_classifier_grid_matches_one_forward_bit_for_bit(self, seed):
+        assert self.N ** 2 > _GRID_BLOCK and self.N ** 2 % _GRID_BLOCK
+        params = nn.init_mlp((2, 64, 64, 1), head="sigmoid", seed=seed)
+        xs, ys, probs = classifier_grid(params, (-5.0, 5.0), n=self.N)
+        expected = nn.forward(params, _grid_points(xs, ys))[:, 0].reshape(self.N, self.N)
+        assert np.array_equal(probs.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("synth", [SyntheticSet.crescent(), SyntheticSet.sector()],
+                             ids=["crescent", "sector"])
+    def test_signed_distance_grid_matches_one_call_bit_for_bit(self, synth):
+        xs = np.linspace(-5.0, 5.0, self.N)
+        ys = np.linspace(-4.0, 6.0, self.N + 3)
+        got = grid_map(synth.signed_distance, xs, ys)
+        expected = synth.signed_distance(_grid_points(xs, ys)).reshape(len(ys), len(xs))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_classifier_grid_memory_does_not_grow_with_the_grid(self):
+        params = nn.init_mlp((2, 64, 64, 1), head="sigmoid", seed=0)
+        # one forward over all 40000 points would hold two 20 MB activations
+        assert traced_peak(lambda: classifier_grid(params, (-5.0, 5.0), n=200)) < 8e6

@@ -444,10 +444,24 @@ class TestCli:
 
     def test_labeldemo_rejects_negative_rho(self, tmp_path):
         out = tmp_path / "demo"
-        with pytest.raises(ValueError):
-            run_cli("labeldemo", "--rho=-0.5", "--n", "50", "--grid", "10",
-                    "--out", str(out))
-        assert not list(out.glob("*rho-0p5*"))
+        out.mkdir()
+        for rho in ("-0.5", "1.0,-0.5"):
+            with pytest.raises(ValueError, match="--rho"):
+                run_cli("labeldemo", f"--rho={rho}", "--n", "50", "--grid", "10",
+                        "--out", str(out))
+            assert not list(out.iterdir())   # not even the valid radius's files
+
+    @pytest.mark.parametrize("args, name", [
+        (("--rho", ","), "--rho"), (("--rho", "0.5,nan"), "--rho"), (("--rho", "inf"), "--rho"),
+        (("--rho", "0.5,x"), "--rho"), (("--n", "0"), "--n"), (("--grid", "1"), "--grid"),
+        (("--grid", "0"), "--grid"),
+    ])
+    def test_labeldemo_checks_arguments_before_writing(self, tmp_path, args, name):
+        out = tmp_path / "demo"
+        out.mkdir()
+        with pytest.raises(ValueError, match=name):
+            run_cli("labeldemo", "--n", "50", "--grid", "10", *args, "--out", str(out))
+        assert not list(out.iterdir())
 
     def test_nonfinite_abort_exit_code(self, monkeypatch, tmp_path):
         import cabc.cli as cli_mod

@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from cabc.autolabel import SyntheticSet
-from cabc.reports import contour_segments, emit_reports, read_reports_csv, write_reports_csv
+from cabc import nn
+from cabc.autolabel import SyntheticSet, classifier_grid, grid_map
+from cabc.reports import (
+    _CONTOUR_CELLS,
+    contour_segments,
+    emit_reports,
+    read_reports_csv,
+    write_reports_csv,
+)
 from cabc.trainer import EpochReport
+
+from conftest import traced_peak
 
 
 def contour_segments_loop(xs, ys, field, level):
@@ -41,8 +50,10 @@ def _fields():
     xs = np.linspace(-5.0, 5.0, 60)
     ys = np.linspace(-4.0, 6.0, 50)
     gx, gy = np.meshgrid(xs, ys)
-    sdf = SyntheticSet.crescent().signed_distance(
-        np.column_stack([gx.ravel(), gy.ravel()])).reshape(len(ys), len(xs))
+    crescent = SyntheticSet.crescent().signed_distance
+    sdf = grid_map(crescent, xs, ys)
+    # three bands of cell rows, both joins across the crescent
+    tall_ys = np.linspace(-2.5, 2.5, 2 * _CONTOUR_CELLS // (len(xs) - 1) + 12)
     rng = np.random.default_rng(7)
     noise = rng.normal(size=(len(ys), len(xs)))
     holes = np.where(rng.random(noise.shape) < 0.1, np.nan, noise)
@@ -55,6 +66,7 @@ def _fields():
         "saddles": (xs, ys, np.cos(3 * gx) * np.cos(3 * gy), 0.0),
         "flat": (xs, ys, np.zeros_like(noise), 0.0),
         "one_column": (xs[:1], ys, sdf[:, :1], 0.0),
+        "bands": (xs, tall_ys, grid_map(crescent, xs, tall_ys), 0.0),
     }
 
 
@@ -65,8 +77,16 @@ def test_contour_segments_match_cell_loop_bit_for_bit(name):
     got = contour_segments(xs, ys, field, level)
     assert len(got) == len(expected)
     assert np.array_equal(_bits(got), _bits(expected))
-    if name in ("sdf", "saddles"):
+    if name in ("sdf", "saddles", "bands"):
         assert got   # the comparison is not vacuous
+
+
+def test_contour_memory_does_not_grow_with_the_grid():
+    params = nn.init_mlp((2, 64, 64, 1), head="sigmoid", seed=0)
+    xs, ys, probs = classifier_grid(params, (-5.0, 5.0), n=200)
+    assert contour_segments(xs, ys, probs, 0.5)
+    # the (cells, 4) edge arrays of all 39601 cells at once would take 8.4 MB
+    assert traced_peak(lambda: contour_segments(xs, ys, probs, 0.5)) < 3e6
 
 
 def test_reports_csv_round_trips_every_field(tmp_path):
