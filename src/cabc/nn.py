@@ -184,7 +184,8 @@ class Tape:
 
 
 def _forward_cached(p: MlpParams, x: np.ndarray, tape: Optional[Tape]) -> np.ndarray:
-    """Run the network on a batch ``x`` and return the head output.
+    """Run the network on a batch ``x`` (B, d), or untaped on one input (d,),
+    and return the head output.
 
     With a ``tape`` every layer writes into the tape's buffers, which then
     hold the activations ``backward`` needs; without one each layer's output
@@ -215,11 +216,12 @@ def forward(p: MlpParams, x: np.ndarray, tape: Optional[Tape] = None) -> np.ndar
     result then lives in the tape's buffers (see the module's ownership rule).
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    out = _forward_cached(p, x[None, :] if single else x, tape)
-    if tape is not None:
-        tape.single = single
-    return out[0] if single else out
+    if tape is None:
+        # a single input (d,) runs as it is: every layer maps it to a vector
+        return _forward_cached(p, x, None)
+    tape.single = x.ndim == 1
+    out = _forward_cached(p, x[None, :] if tape.single else x, tape)
+    return out[0] if tape.single else out
 
 
 def backward(p: MlpParams, tape: Tape, upstream: np.ndarray, param_grads: bool = True):
@@ -259,7 +261,7 @@ def backward(p: MlpParams, tape: Tape, upstream: np.ndarray, param_grads: bool =
         if grads is not None:
             gW, gb = grads[i]
             np.matmul(acts[i].T, g, out=gW)
-            np.sum(g, axis=0, out=gb)
+            np.add.reduce(g, axis=0, out=gb)
         g = np.matmul(g, W.T, out=tape._gin[i])
         if i > 0:
             d = tape._dact[i]  # tanh'

@@ -179,25 +179,28 @@ def svg_xy_figure(polylines: Sequence[dict], title: str, width: int = 560,
 
     ``polylines`` and ``points`` are ``{x, y, color, dash/r}`` dicts;
     ``segments`` are ``{segs: [((x0,y0),(x1,y1)), ...], color, dash}``.
+    Each ``points`` group is drawn as one path of zero-length round-capped
+    subpaths (``M x yh0``), which SVG renders as dots of radius ``r``, and each
+    ``segments`` group as one path of ``M…L…`` pairs; an empty group draws
+    nothing.  Groups are drawn in that order: points, segments, polylines.
     """
-    xs = [v for p in polylines for v in p["x"]] + [v for p in points for v in p["x"]]
-    ys = [v for p in polylines for v in p["y"]] + [v for p in points for v in p["y"]]
-    for s in segments:
-        for (x0, y0), (x1, y1) in s["segs"]:
-            xs.extend((x0, x1))
-            ys.extend((y0, y1))
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    lines = [(np.asarray(p["x"], dtype=float), np.asarray(p["y"], dtype=float))
+             for p in polylines]
+    dots = [(np.asarray(p["x"], dtype=float), np.asarray(p["y"], dtype=float))
+            for p in points]
+    segs = [np.asarray(s["segs"], dtype=float).reshape(-1, 4) for s in segments]
+    xs = np.concatenate([x for x, _ in lines + dots] + [s[:, 0::2].ravel() for s in segs])
+    ys = np.concatenate([y for _, y in lines + dots] + [s[:, 1::2].ravel() for s in segs])
+    x_lo, x_hi = xs.min(), xs.max()
+    y_lo, y_hi = ys.min(), ys.max()
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
     margin = 30
     scale = (min(width, height) - 2 * margin) / span
     cx, cy = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
 
-    def px(x):
-        return width / 2 + (x - cx) * scale
-
-    def py(y):
-        return height / 2 - (y - cy) * scale
+    def pixels(x: np.ndarray, y: np.ndarray) -> tuple:
+        """Pixel coordinates of world arrays ``x``, ``y``, as lists of floats."""
+        return (width / 2 + (x - cx) * scale).tolist(), (height / 2 - (y - cy) * scale).tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -206,20 +209,22 @@ def svg_xy_figure(polylines: Sequence[dict], title: str, width: int = 560,
         f'<text x="{width / 2}" y="18" text-anchor="middle" font-size="13" '
         f'font-family="sans-serif">{title}</text>',
     ]
-    for p in points:
-        r = p.get("r", 1.2)
-        color = p.get("color", "black")
-        for x, y in zip(p["x"], p["y"]):
-            parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="{r}" '
-                         f'fill="{color}" stroke="none"/>')
-    for s in segments:
-        dash = f' stroke-dasharray="{s["dash"]}"' if s.get("dash") else ""
-        for (x0, y0), (x1, y1) in s["segs"]:
-            parts.append(f'<line x1="{px(x0):.1f}" y1="{py(y0):.1f}" x2="{px(x1):.1f}" '
-                         f'y2="{py(y1):.1f}" stroke="{s.get("color", "black")}" '
+    for p, (x, y) in zip(points, dots):
+        if len(x):
+            d = "".join(f"M{a:.1f} {b:.1f}h0" for a, b in zip(*pixels(x, y)))
+            parts.append(f'<path d="{d}" fill="none" stroke="{p.get("color", "black")}" '
+                         f'stroke-width="{2 * p.get("r", 1.2):g}" stroke-linecap="round"/>')
+    for s, seg in zip(segments, segs):
+        if len(seg):
+            x0, y0 = pixels(seg[:, 0], seg[:, 1])
+            x1, y1 = pixels(seg[:, 2], seg[:, 3])
+            d = "".join(f"M{a:.1f} {b:.1f}L{c:.1f} {e:.1f}"
+                        for a, b, c, e in zip(x0, y0, x1, y1))
+            dash = f' stroke-dasharray="{s["dash"]}"' if s.get("dash") else ""
+            parts.append(f'<path d="{d}" fill="none" stroke="{s.get("color", "black")}" '
                          f'stroke-width="1.2"{dash}/>')
-    for p in polylines:
-        pts = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(p["x"], p["y"]))
+    for p, (x, y) in zip(polylines, lines):
+        pts = " ".join(f"{a:.1f},{b:.1f}" for a, b in zip(*pixels(x, y)))
         dash = f' stroke-dasharray="{p["dash"]}"' if p.get("dash") else ""
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{p.get("color", "black")}" stroke-width="1.3"{dash}/>')

@@ -63,6 +63,19 @@ class TestForward:
         out = forward(p, 100.0 * np.ones(3))
         assert np.all(np.abs(out) < 1.0)
 
+    @pytest.mark.parametrize("head", ["identity", "tanh", "sigmoid"])
+    def test_untaped_single_input_matches_taped(self, head):
+        """An untaped (d,) input runs as a vector; a taped one as a (1, d) batch."""
+        p = init_mlp((13, 128, 128, 128, 1 if head == "sigmoid" else 2), head=head, seed=4)
+        rng = np.random.default_rng(5)
+        for x in rng.normal(scale=3.0, size=(20, 13)):
+            untaped = forward(p, x)
+            tape = Tape()
+            taped = forward(p, x, tape)
+            assert untaped.shape == taped.shape == (p.sizes[-1],) and tape.single
+            assert np.array_equal(untaped, taped)
+            assert np.array_equal(untaped, forward(p, x[None, :])[0])
+
     def test_probability_head_never_saturates_exactly(self):
         W = (np.full((1, 1), 1e6), np.zeros(1))
         p = MlpParams(sizes=(1, 1), weights=(W,), head="sigmoid")
@@ -125,6 +138,25 @@ class TestBackward:
         assert grads is not None and none is None
         assert gx_frozen.shape == gx_full.shape
         assert np.array_equal(gx_frozen, gx_full)
+
+    @pytest.mark.parametrize("width", [1, 64, 128])
+    @pytest.mark.parametrize("param_grads", [True, False])
+    def test_one_output_input_grad_matches_matmul(self, width, param_grads):
+        """A one-output network's input gradient equals a ``g @ W.T`` chain bit for bit."""
+        p = init_mlp((7, width, width, 1), head="sigmoid", seed=width)
+        rng = np.random.default_rng(width)
+        x = rng.normal(size=(256, 7))
+        upstream = rng.normal(size=(256, 1))
+        _, gx = taped_backward(p, x, upstream, param_grads=param_grads)
+        # the reference chain, every layer through a matmul
+        tape = Tape()
+        out = forward(p, x, tape)
+        g = upstream * out * (1.0 - out)
+        for i in range(len(p.weights) - 1, -1, -1):
+            g = g @ p.weights[i][0].T
+            if i > 0:
+                g = g * (1.0 - tape.acts[i] * tape.acts[i])
+        assert np.array_equal(gx, g)
 
     @pytest.mark.parametrize("sizes,head", [
         ((3, 5, 4, 2), "tanh"),
@@ -433,6 +465,25 @@ class TestDeterminismAndIO:
         assert np.all(p.weights[0][0] == 1.0) and np.all(p.weights[0][1] == 0.0)
         assert np.array_equal(p.flat, np.r_[np.ones(6), np.zeros(3)])
         assert np.shares_memory(p.weights[0][0], p.flat)
+
+    def test_non_finite_values_are_rejected_by_layer(self):
+        p = init_mlp((3, 4, 4, 2), seed=2)
+        for bad in (np.nan, np.inf, -np.inf):
+            for layer, index in ((0, 5), (1, 23), (2, p.flat.size - 1)):
+                flat = p.flat.copy()
+                flat[index] = bad
+                with pytest.raises(ValueError, match=f"layer {layer} has non-finite"):
+                    p.with_flat(flat)
+        # +inf and -inf together are caught at the first of them
+        flat = p.flat.copy()
+        flat[[1, 30]] = np.inf, -np.inf
+        with pytest.raises(ValueError, match="layer 0 has non-finite"):
+            p.with_flat(flat)
+
+    def test_finite_values_whose_sum_overflows_are_accepted(self):
+        p = MlpParams(sizes=(1, 2), weights=((np.array([[1e308, 1e308]]), np.zeros(2)),))
+        assert np.array_equal(p.flat, [1e308, 1e308, 0.0, 0.0])
+        assert p.with_flat(-p.flat).flat[1] == -1e308
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cabc.reports import (
     contour_segments,
     emit_reports,
     read_reports_csv,
+    svg_xy_figure,
     write_reports_csv,
 )
 from cabc.trainer import EpochReport
@@ -87,6 +90,70 @@ def test_contour_memory_does_not_grow_with_the_grid():
     assert contour_segments(xs, ys, probs, 0.5)
     # the (cells, 4) edge arrays of all 39601 cells at once would take 8.4 MB
     assert traced_peak(lambda: contour_segments(xs, ys, probs, 0.5)) < 3e6
+
+
+def xy_figure_coords(polylines, points, segments, width=560, height=560):
+    """Reference: the pixel strings the one-element-per-point figure gave each
+    group, from per-point closures over the figure's bounds."""
+    xs = [v for p in polylines for v in p["x"]] + [v for p in points for v in p["x"]]
+    ys = [v for p in polylines for v in p["y"]] + [v for p in points for v in p["y"]]
+    for s in segments:
+        for (x0, y0), (x1, y1) in s["segs"]:
+            xs.extend((x0, x1))
+            ys.extend((y0, y1))
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    scale = (min(width, height) - 60) / span
+    cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
+
+    def px(x):
+        return f"{width / 2 + (x - cx) * scale:.1f}"
+
+    def py(y):
+        return f"{height / 2 - (y - cy) * scale:.1f}"
+
+    dots = [[(px(x), py(y)) for x, y in zip(p["x"], p["y"])] for p in points]
+    lines = [[(px(x0), py(y0), px(x1), py(y1)) for (x0, y0), (x1, y1) in s["segs"]]
+             for s in segments]
+    polys = [" ".join(f"{px(x)},{py(y)}" for x, y in zip(p["x"], p["y"])) for p in polylines]
+    return dots, lines, polys
+
+
+_SVG = "{http://www.w3.org/2000/svg}"
+
+
+def test_xy_figure_draws_each_group_as_one_path():
+    rng = np.random.default_rng(3)
+    plus, minus = rng.normal(size=(500, 2)), rng.uniform(-4.0, 3.0, size=(300, 2))
+    points = [
+        {"x": plus[:, 0], "y": plus[:, 1], "color": "#bbbbbb", "r": 1.0},
+        {"x": minus[:0, 0], "y": minus[:0, 1], "color": "#7f7fff"},   # empty: no element
+        {"x": minus[:, 0], "y": minus[:, 1], "color": "#d62728", "r": 1.8},
+    ]
+    xs, ys = np.linspace(-5.0, 5.0, 60), np.linspace(-4.0, 6.0, 50)
+    field = grid_map(SyntheticSet.crescent().signed_distance, xs, ys)
+    segments = [{"segs": contour_segments(xs, ys, field, 0.0), "color": "black", "dash": "2 3"},
+                {"segs": [], "color": "blue"},
+                {"segs": [((9.5, -7.0), (-6.25, 8.0))], "color": "#1f77b4"}]
+    polyline = {"x": [-6.0, 0.0, 2.0], "y": [1.0, -2.0, 0.5], "color": "#888888", "dash": "4 4"}
+    svg = svg_xy_figure([polyline], "overlay", points=points, segments=segments)
+    paths = ET.fromstring(svg).findall(f"{_SVG}path")
+    dots, lines, polys = xy_figure_coords([polyline], points, segments)
+
+    assert [(e.get("stroke"), e.get("stroke-width"), e.get("stroke-linecap"),
+             e.get("stroke-dasharray"), e.get("fill")) for e in paths] == [
+        ("#bbbbbb", "2", "round", None, "none"),
+        ("#d62728", "3.6", "round", None, "none"),
+        ("black", "1.2", None, "2 3", "none"),
+        ("#1f77b4", "1.2", None, None, "none"),
+    ]
+    for e, want in zip(paths[:2], (dots[0], dots[2])):
+        assert re.fullmatch(r"(M\S+ \S+h0)+", e.get("d"))
+        assert re.findall(r"M(\S+) (\S+?)h0", e.get("d")) == want
+    for e, want in zip(paths[2:], (lines[0], lines[2])):
+        assert re.fullmatch(r"(M\S+ \S+L\S+ \S+?)+", e.get("d"))
+        assert re.findall(r"M(\S+) (\S+)L(\S+) (\S+?)(?=M|$)", e.get("d")) == want
+    assert len(lines[0]) > 100 and len(dots[0]) == 500
+    assert [e.get("points") for e in ET.fromstring(svg).findall(f"{_SVG}polyline")] == polys
 
 
 def test_reports_csv_round_trips_every_field(tmp_path):
