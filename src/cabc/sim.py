@@ -71,8 +71,15 @@ class SimConfig:
         for name in ("drag_lin", "drag_quad", "stiff_front", "stiff_rear"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        object.__setattr__(self, "preview_distances",
-                           tuple(float(d) for d in self.preview_distances))
+        for name in ("max_steps", "lap_target"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        distances = tuple(float(d) for d in self.preview_distances)
+        # lane_preview walks forward from the vehicle; written so that NaN fails too
+        if (not all(0 <= d < math.inf for d in distances)
+                or any(b < a for a, b in zip(distances, distances[1:]))):
+            raise ValueError("preview_distances must be finite, non-negative and ascending")
+        object.__setattr__(self, "preview_distances", distances)
 
 
 def _derivatives(cfg: SimConfig, kappa: float, x: VehicleState, u: Action):
@@ -124,6 +131,8 @@ def lane_preview(track: TrackSpec, x: VehicleState, distances) -> list:
     arc distance the lateral coordinate (left positive) of the centerline
     point, expressed in the vehicle's own frame.  It blends lateral deviation,
     heading error, and upcoming curvature, with no absolute localization.
+    The walk only goes forward, so ``distances`` must be non-negative and
+    ascending; anything else raises ``ValueError``.
     """
     segments = track.segments
     n_seg = len(segments)
@@ -141,14 +150,9 @@ def lane_preview(track: TrackSpec, x: VehicleState, distances) -> list:
     kappa = segments[seg][1]
     out = []
     for d in map(float, distances):
-        if out and d < arc:
-            # not ascending: walk the sorted distances, then restore the order
-            order = sorted(range(len(distances)), key=distances.__getitem__)
-            ahead = lane_preview(track, x, [distances[i] for i in order])
-            out = [0.0] * len(distances)
-            for i, offset in zip(order, ahead):
-                out[i] = offset
-            return out
+        if d < arc:
+            raise ValueError(f"preview distances must be non-negative and ascending, "
+                             f"got {d!r} after {arc!r}")
         while True:
             # advance to the end of the segment, or to d within it
             whole = arc + remaining < d

@@ -212,14 +212,13 @@ def get_track(name: str) -> TrackSpec:
 
 # --- plain-text track files ---------------------------------------------------
 
-def save_track(track: TrackSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"halfwidth {track.half_width!r}\n")
-        for length, kappa in track.segments:
-            fh.write(f"{length!r} {kappa!r}\n")
-
-
 def load_track(path, name: str | None = None) -> TrackSpec:
+    """Read a track file: a ``halfwidth <m>`` line, then one ``<length> <curvature>``
+    line per segment, in driving order, floats as written by ``repr``.
+
+    Blank lines and lines starting with ``#`` are skipped.  ``name`` defaults
+    to the file name without its extension.
+    """
     half_width = None
     segments = []
     with open(path, "r", encoding="utf-8") as fh:

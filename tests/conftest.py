@@ -47,6 +47,13 @@ def max_abs_curvature(track: TrackSpec) -> float:
     return max(abs(k) for _, k in track.segments)
 
 
+def write_track_file(track: TrackSpec, path) -> None:
+    """Write ``track`` in the plain-text format ``track.load_track`` reads."""
+    lines = [f"halfwidth {track.half_width!r}"] + [f"{length!r} {kappa!r}"
+                                                  for length, kappa in track.segments]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def states_array(states) -> np.ndarray:
     """Raw ``(n, 6)`` rows of ``states``, as the trainer's sample store holds them."""
     return np.array([x.as_tuple() for x in states], dtype=float).reshape(-1, 6)

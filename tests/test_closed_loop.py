@@ -171,17 +171,12 @@ def test_lane_preview_matches_reference_walk(name):
             assert lane_preview(track, x, distances) == _reference_lane_preview(track, x, distances)
 
 
-def test_lane_preview_unsorted_is_sorted_permuted(gp):
+def test_lane_preview_rejects_descending_distances(gp):
     distances = [3.0, 1, 7.5, 2.0, 2.0, 10.0, 0.5]
-    order = sorted(range(len(distances)), key=distances.__getitem__)
     for x in _preview_states(gp, 10):
-        ahead = lane_preview(gp, x, [distances[i] for i in order])
-        expected = [0.0] * len(distances)
-        for i, offset in zip(order, ahead):
-            expected[i] = offset
-        assert lane_preview(gp, x, distances) == expected
-        assert lane_preview(gp, x, np.array(distances)) == expected
-        assert lane_preview(gp, x, distances) == _reference_lane_preview(gp, x, distances)
+        for bad in (distances, np.array(distances), [-0.5, 1.0]):
+            with pytest.raises(ValueError, match="ascending"):
+                lane_preview(gp, x, bad)
 
 
 # --- validation fast paths ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import emit_reports, read_reports_csv
 from cabc.sim import SimConfig, rng_stream
 
-from conftest import make_trajectory
+from conftest import make_trajectory, write_track_file
 
 
 class TestEvaluate:
@@ -483,9 +483,8 @@ class TestCli:
                     "--config", str(bad), "--out", str(tmp_path / "r"))
 
     def test_custom_track_file(self, tmp_path, circle):
-        from cabc.track import save_track
         track_path = tmp_path / "mycircle.track"
-        save_track(circle, track_path)
+        write_track_file(circle, track_path)
         code = run_cli("sim", "--expert", "pid", "--track", str(track_path),
                        "--laps", "1")
         assert code == 0

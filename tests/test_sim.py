@@ -22,6 +22,20 @@ from cabc.sim import (
 from conftest import make_state, max_abs_curvature, same_trajectory
 
 
+@pytest.mark.parametrize("name, value", [
+    ("lap_target", 0),
+    ("max_steps", 0),
+    ("preview_distances", (-1.0, -2.0)),
+    ("preview_distances", (-0.5, 1.0)),
+    ("preview_distances", (1.0, math.nan)),
+    ("preview_distances", (1.0, math.inf)),
+    ("preview_distances", (1.0, 3.0, 2.0)),
+], ids=["lap_target", "max_steps", "negative", "negative_first", "nan", "inf", "descending"])
+def test_config_rejects_settings_that_corrupt_rollouts(name, value):
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**{name: value})
+
+
 class TestStep:
     def test_zero_state_zero_input_fixed_point(self, circle, noiseless_sim):
         x = default_start_state(v_long=0.0)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import max_abs_curvature
+from conftest import max_abs_curvature, write_track_file
 
 from cabc.track import (
     TrackSpec,
@@ -16,7 +16,6 @@ from cabc.track import (
     get_track,
     load_track,
     resolve_track,
-    save_track,
 )
 
 
@@ -162,7 +161,7 @@ class TestDefaults:
 class TestFiles:
     def test_round_trip(self, tmp_path, gp):
         path = tmp_path / "gp.track"
-        save_track(gp, path)
+        write_track_file(gp, path)
         loaded = load_track(path)
         assert loaded.segments == gp.segments
         assert loaded.half_width == gp.half_width
@@ -176,7 +175,7 @@ class TestFiles:
     def test_resolve_by_name_and_path(self, tmp_path, circle):
         assert resolve_track("circle").name == "circle"
         path = tmp_path / "custom.track"
-        save_track(circle, path)
+        write_track_file(circle, path)
         assert resolve_track(str(path)).segments == circle.segments
         with pytest.raises(KeyError):
             resolve_track("nope")
