@@ -284,6 +284,7 @@ def _hull_cases() -> dict:
         _SampleStore,
         init_policy,
         make_expert_factory,
+        policy_input_dim,
     )
 
     rng = np.random.default_rng(0)
@@ -296,11 +297,11 @@ def _hull_cases() -> dict:
     gp = get_track("gp")
     factory = make_expert_factory("racing", cfg.sim, gp)
     policy = init_policy(cfg, gp)
-    store = _SampleStore()
+    store = _SampleStore(policy_input_dim(cfg.observation_mode, cfg.sim))
     store.add_trajectories(
         [t for epoch in range(8) for t in _collect_epoch(cfg, gp, factory, policy, epoch)],
         cfg.observation_mode, gp)
-    plus, query = store.pools()
+    plus, query = (store.states[rows] for rows in store.pools())
     norm = fit_norm(plus, gp.lap_length)
     safe = norm.normalize_states(plus)
     index = NeighborIndex(safe)

@@ -20,6 +20,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from cabc.autolabel import (
     SyntheticSet,
     classifier_grid,
+    grid_map,
     incorrect_removals,
     label_synthetic,
     prop1_violation_count,
@@ -29,9 +30,7 @@ from cabc.autolabel import (
 
 def balanced_accuracy(synth, params, n_grid: int = 200) -> float:
     xs, ys, probs = classifier_grid(params, (-5.0, 5.0), n=n_grid)
-    gx, gy = np.meshgrid(xs, ys)
-    truth = synth.contains(np.column_stack([gx.ravel(), gy.ravel()]))
-    truth = truth.reshape(n_grid, n_grid)
+    truth = grid_map(synth.contains, xs, ys) > 0.5   # grid_map returns floats
     pred = probs > 0.5
     tpr = (pred & truth).sum() / max(truth.sum(), 1)
     tnr = (~pred & ~truth).sum() / max((~truth).sum(), 1)

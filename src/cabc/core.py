@@ -211,12 +211,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class LabeledPool:
-    """The safety-labeling pools as raw ``(n, 6)`` state arrays.
+    """The safety-labeling pools as raw ``(n, 6)`` state arrays: the I/O record.
 
     ``d_plus`` holds the states of successful rollouts (known safe) and
     ``d_query`` those of failed ones (undecided); ``minus`` marks the query
     rows the auto-labeler keeps as negatives, so the negatives are a subset
-    of the undecided states by construction.
+    of the undecided states by construction.  Training keeps the pools as
+    row indices into its sample store and builds this record once, at the
+    end of a run.
     """
 
     d_plus: np.ndarray

@@ -41,6 +41,7 @@ import numpy as np
 
 _HEADS = ("identity", "tanh", "sigmoid")
 _LOGIT_CLAMP = 30.0  # keeps sigmoid output strictly inside (0, 1)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
 
 
 def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple:
@@ -281,19 +282,14 @@ class OptState:
     v: np.ndarray
     t: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     _scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._scratch = np.empty_like(self.m)
 
 
-def init_opt(p: MlpParams, lr: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> OptState:
-    return OptState(m=np.zeros_like(p.flat), v=np.zeros_like(p.flat),
-                    t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def init_opt(p: MlpParams, lr: float = 1e-3) -> OptState:
+    return OptState(m=np.zeros_like(p.flat), v=np.zeros_like(p.flat), t=0, lr=lr)
 
 
 def adam_step(p: MlpParams, grads, opt: OptState) -> Tuple[MlpParams, OptState]:
@@ -303,22 +299,21 @@ def adam_step(p: MlpParams, grads, opt: OptState) -> Tuple[MlpParams, OptState]:
     """
     g = grads.flat
     opt.t += 1
-    b1, b2 = opt.beta1, opt.beta2
-    c1 = 1.0 - b1 ** opt.t
-    c2 = 1.0 - b2 ** opt.t
+    c1 = 1.0 - _BETA1 ** opt.t
+    c2 = 1.0 - _BETA2 ** opt.t
     m, v, s = opt.m, opt.v, opt._scratch
-    # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-    m *= b1
-    np.multiply(g, 1 - b1, out=s)
+    # m = _BETA1 * m + (1 - _BETA1) * g;  v = _BETA2 * v + (1 - _BETA2) * g * g
+    m *= _BETA1
+    np.multiply(g, 1 - _BETA1, out=s)
     m += s
-    v *= b2
-    np.multiply(g, 1 - b2, out=s)
+    v *= _BETA2
+    np.multiply(g, 1 - _BETA2, out=s)
     s *= g
     v += s
     # p - lr * (m / c1) / (sqrt(v / c2) + eps), built in the new vector
     new = np.divide(v, c2)
     np.sqrt(new, out=new)
-    new += opt.eps
+    new += _EPS
     np.divide(m, c1, out=s)
     s *= opt.lr
     np.divide(s, new, out=new)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Optional, Tuple
 
@@ -66,10 +66,18 @@ class SimConfig:
     lap_target: int = 1        # laps of progress required to reach the target set
 
     def __post_init__(self):
-        if self.dt <= 0 or self.v_max <= 0:
-            raise ValueError("dt and v_max must be positive")
-        for name in ("drag_lin", "drag_quad", "stiff_front", "stiff_rear"):
-            if getattr(self, name) < 0:
+        # written so that NaN fails too
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "preview_distances" and not -math.inf < value < math.inf:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for name in ("dt", "v_max", "yaw_radius_sq", "steer_max", "e_psi_max"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        # a negative noise sigma would silently turn observation noise off
+        for name in ("drag_lin", "drag_quad", "stiff_front", "stiff_rear",
+                     "half_width_margin", "noise_sigma_v", "noise_sigma_kappa"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         for name in ("max_steps", "lap_target"):
             if getattr(self, name) < 1:

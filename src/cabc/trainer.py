@@ -4,8 +4,8 @@ safety classifier.
 
 Each epoch: roll out the mixed collection policy (expert with probability
 ``alpha**epoch``, learner otherwise, plus actuation noise), relabel every
-visited state with the expert action, record every visited state with its
-rollout's outcome, rebuild the negative set, then run minibatch updates.  The
+visited state with the expert action, record it once in the sample store,
+pick the negatives D- among the store's rows, then run minibatch updates.  The
 policy trains every epoch on clone MSE plus the frozen-critic safety
 penalty; the dynamics model and classifier train on their own cadences.
 
@@ -327,21 +327,28 @@ class TrainResult:
 
 
 class _SampleStore:
-    """Aligned growing arrays of everything each recorded step provides.
+    """The one record of visited states, extended by :meth:`add_trajectories`.
 
-    This is the one record of visited states: ``safe`` marks the rows of
-    successful rollouts, so the labeling pools are views of ``x_raw`` (see
-    :meth:`pools`), in visit order.  Each column is one array, extended by
-    every :meth:`add_trajectories` call.
+    ``states`` holds each rollout's ``x`` rows followed by its final
+    ``x_next``, so every visited state is stored once.  The other columns
+    hold one row per step: ``rows[k]`` is the ``states`` row of step ``k``
+    (the state it reached is row ``rows[k] + 1``), ``feats`` its policy
+    features, ``u_expert`` and ``u_applied`` its actions, and ``safe``
+    whether its rollout succeeded.  The labeling pools are ``states`` rows
+    of steps (see :meth:`pools`), in visit order.
     """
 
-    _COLUMNS = ("feats", "u_expert", "x_raw", "u_applied", "x_next", "safe")
-
-    def __init__(self):
-        self._arrays = None
+    def __init__(self, n_feats: int):
+        self.states = np.zeros((0, 6))
+        self.rows = np.zeros(0, dtype=np.intp)
+        self.feats = np.zeros((0, n_feats))
+        self.u_expert = np.zeros((0, 2))
+        self.u_applied = np.zeros((0, 2))
+        self.safe = np.zeros(0, dtype=bool)
 
     def add_trajectories(self, trajs: Sequence[Trajectory], mode: str, track: TrackSpec):
-        chunks = {k: [] for k in self._COLUMNS}
+        chunks = {k: [column] for k, column in vars(self).items()}
+        first = len(self.states)
         for traj in trajs:
             if not len(traj):
                 raise ValueError("cannot record a trajectory with zero steps")
@@ -349,34 +356,26 @@ class _SampleStore:
                 feats = features_from_obs_array(traj.y)
             else:
                 feats = features_from_state_array(traj.x, track)
-            safe = np.full(len(traj), traj.outcome is Outcome.SUCCESS)
-            for key, rows in (("feats", feats), ("u_expert", traj.u_expert), ("x_raw", traj.x),
-                              ("u_applied", traj.u_applied), ("x_next", traj.x_next),
-                              ("safe", safe)):
-                chunks[key].append(rows)
-        if chunks["feats"]:
-            old = self._arrays
-            self._arrays = {k: np.concatenate(v if old is None else [old[k], *v])
-                            for k, v in chunks.items()}
-
-    def arrays(self) -> dict:
-        if self._arrays is None:
-            return {k: np.zeros((0, 2)) for k in self._COLUMNS}
-        return self._arrays
+            chunks["states"] += [traj.x, traj.x_next[-1:]]
+            chunks["rows"].append(np.arange(first, first + len(traj)))
+            chunks["feats"].append(feats)
+            chunks["u_expert"].append(traj.u_expert)
+            chunks["u_applied"].append(traj.u_applied)
+            chunks["safe"].append(np.full(len(traj), traj.outcome is Outcome.SUCCESS))
+            first += len(traj) + 1
+        for key, parts in chunks.items():
+            setattr(self, key, np.concatenate(parts))
 
     def __len__(self) -> int:
-        return 0 if self._arrays is None else len(self._arrays["feats"])
+        return len(self.rows)
 
     def pools(self) -> Tuple[np.ndarray, np.ndarray]:
-        """D+ and D_query: the visited states of successful and of failed rollouts."""
-        if not len(self):
-            return np.zeros((0, 6)), np.zeros((0, 6))
-        arr = self.arrays()
-        return arr["x_raw"][arr["safe"]], arr["x_raw"][~arr["safe"]]
+        """D+ and D_query: the ``states`` rows visited by successful and by failed rollouts."""
+        return self.rows[self.safe], self.rows[~self.safe]
 
 
 class _LabelState:
-    """Membership cache for the undecided pool.
+    """The labeling seam, with a membership cache for the undecided pool.
 
     With a fixed metric, hull membership only grows as the positive pool
     grows, so decided members need no retesting (``member_mask`` states what
@@ -387,17 +386,21 @@ class _LabelState:
     def __init__(self):
         self.mask = np.zeros(0, dtype=bool)
 
-    def relabel(self, plus: np.ndarray, query: np.ndarray, norm: NormStats, rho: float,
-                full: bool, tol: float, neighbor_cap: int) -> None:
-        """Recompute ``mask``, the hull members among the raw ``query`` rows."""
-        if full or len(self.mask) > len(query):
-            assume = None
-        else:
-            assume = np.concatenate(
-                [self.mask, np.zeros(len(query) - len(self.mask), dtype=bool)])
-        self.mask = member_mask(norm.normalize_states(plus), norm.normalize_states(query),
+    def relabel(self, states: np.ndarray, plus: np.ndarray, query: np.ndarray,
+                norm: NormStats, rho: float, full: bool, tol: float,
+                neighbor_cap: int) -> np.ndarray:
+        """D-: the ``query`` rows of ``states`` outside the hulls of their ``plus`` neighbors.
+
+        ``mask`` keeps the hull members among ``query``; rows only ever join
+        the end of ``query``, so the last call's mask covers a prefix of it.
+        """
+        assume = None if full else np.concatenate(
+            [self.mask, np.zeros(len(query) - len(self.mask), dtype=bool)])
+        self.mask = member_mask(norm.normalize_states(states[plus]),
+                                norm.normalize_states(states[query]),
                                 rho, tol=tol, assume_member=assume,
                                 max_neighbors=neighbor_cap)
+        return query[~self.mask]
 
 
 def _finite_or_raise(name: str, value: float, epoch: int) -> float:
@@ -418,9 +421,9 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
     constraint_aware = cfg.method == "ca"
     policy = init_policy(cfg, track)
     opt_policy = nn.init_opt(policy, lr=cfg.lr_policy)
-    store = _SampleStore()
-    plus, query = store.pools()   # empty pools when there are no epochs
-    minus = np.zeros(0, dtype=bool)
+    store = _SampleStore(policy_input_dim(cfg.observation_mode, cfg.sim))
+    # D+, D_query and D- as rows of store.states; BC labels no negatives
+    plus = query = minus = np.zeros(0, dtype=np.intp)
     labels = _LabelState()
     norm: Optional[NormStats] = None
     dyn: Optional[DynModel] = None
@@ -440,10 +443,9 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
         if traj_callback is not None:
             traj_callback(epoch, trajs)
         store.add_trajectories(trajs, cfg.observation_mode, track)
-        arr = store.arrays()
+        states, n = store.states, len(store)
         new_succ = sum(t.outcome is Outcome.SUCCESS for t in trajs)
         plus, query = store.pools()
-        minus = np.zeros(len(query), dtype=bool)
 
         clf_degenerate = False
         if constraint_aware:
@@ -451,14 +453,13 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             update_clf = epoch % cfg.k_p == 0
             refit = (update_dyn or update_clf) and len(plus) >= 2
             if refit:
-                norm = fit_norm(plus, track.lap_length)
+                norm = fit_norm(states[plus], track.lap_length)
             if norm is not None:
-                labels.relabel(plus, query, norm, cfg.rho, full=refit,
-                               tol=cfg.hull_tol, neighbor_cap=cfg.neighbor_cap)
-                minus = ~labels.mask
+                minus = labels.relabel(states, plus, query, norm, cfg.rho, full=refit,
+                                       tol=cfg.hull_tol, neighbor_cap=cfg.neighbor_cap)
             else:
                 # no metric yet: nothing can be excluded from the negatives
-                minus[:] = True
+                minus = query
 
             if norm is not None and dyn is None:
                 dyn = init_dyn_model(norm, cfg.sim, hidden=cfg.hidden, seed=cfg.seed + 1)
@@ -469,28 +470,26 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
                 dyn = replace(dyn, norm=norm)
                 clf = replace(clf, norm=norm)
 
-            if update_dyn and dyn is not None and len(store) > 0:
+            if update_dyn and dyn is not None:
                 rng_b = rng_stream(cfg.seed, 4, epoch)
-                n = len(arr["x_raw"])
                 for _ in range(cfg.grad_steps_dyn):
                     idx = rng_b.integers(0, n, size=min(cfg.batch_size, n))
+                    at = store.rows[idx]
                     loss_f, grads = dyn_loss_and_grad(
-                        dyn, arr["x_raw"][idx], arr["u_applied"][idx], arr["x_next"][idx],
-                        tape=tape_dyn)
+                        dyn, states[at], store.u_applied[idx], states[at + 1], tape=tape_dyn)
                     new_params, opt_dyn = nn.adam_step(dyn.params, grads, opt_dyn)
                     dyn = replace(dyn, params=new_params)
                 last_dyn_loss = _finite_or_raise("dyn_loss", loss_f, epoch)
 
             if update_clf and clf is not None:
-                minus_raw = query[minus]
-                if len(plus) and len(minus_raw):
+                if len(plus) and len(minus):
                     rng_b = rng_stream(cfg.seed, 5, epoch)
                     half = cfg.batch_size // 2
                     yb = np.concatenate([np.ones(half), np.zeros(half)])
                     for _ in range(cfg.grad_steps_clf):
                         ip = rng_b.integers(0, len(plus), size=half)
-                        im = rng_b.integers(0, len(minus_raw), size=half)
-                        xb = np.vstack([plus[ip], minus_raw[im]])
+                        im = rng_b.integers(0, len(minus), size=half)
+                        xb = states[np.concatenate([plus[ip], minus[im]])]
                         loss_p, grads = clf_loss_and_grad(clf, xb, yb, tape=tape_clf)
                         new_params, opt_clf = nn.adam_step(clf.params, grads, opt_clf)
                         clf = replace(clf, params=new_params)
@@ -501,14 +500,13 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
         # policy update (identical code path for both methods; this is the one
         # place that decides whether the safety term runs)
         rng_b = rng_stream(cfg.seed, 3, epoch)
-        n = len(arr["feats"])
         clone_sum = safety_sum = 0.0
         use_critic = constraint_aware and cfg.lam > 0.0 and dyn is not None and clf is not None
         for _ in range(cfg.grad_steps_policy):
             idx = rng_b.integers(0, n, size=min(cfg.batch_size, n))
             clone, safety, grads = agent_loss_and_grad(
-                policy, arr["feats"][idx], arr["u_expert"][idx],
-                arr["x_raw"][idx] if use_critic else None,
+                policy, store.feats[idx], store.u_expert[idx],
+                states[store.rows[idx]] if use_critic else None,
                 dyn if use_critic else None, clf if use_critic else None, cfg.lam,
                 tapes=tapes)
             policy, opt_policy = nn.adam_step(policy, grads, opt_policy)
@@ -533,7 +531,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             new_failures=len(trajs) - new_succ,
             n_plus=len(plus),
             n_query=len(query),
-            n_minus=int(minus.sum()),
+            n_minus=len(minus),
             eval_laps=result.laps_completed,
             eval_lap_mean=result.lap_mean,
             eval_lap_std=result.lap_std,
@@ -547,6 +545,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             early_stopped_at = epoch
             break
 
-    pool = LabeledPool(d_plus=plus, d_query=query, minus=minus)
+    pool = LabeledPool(d_plus=store.states[plus], d_query=store.states[query],
+                       minus=np.isin(query, minus))
     return TrainResult(policy=policy, reports=reports, pool=pool, dyn=dyn, clf=clf,
                        early_stopped_at=early_stopped_at)

@@ -370,9 +370,10 @@ class TestHullMembership:
 
 def minus_full(plus: np.ndarray, query: np.ndarray, norm: NormStats, rho: float) -> np.ndarray:
     """The trainer's full rebuild of the negative flags, every neighbor in each hull."""
-    labels = _LabelState()
-    labels.relabel(plus, query, norm, rho, full=True, tol=HULL_TOL, neighbor_cap=None)
-    return ~labels.mask
+    rows = np.arange(len(plus) + len(query))
+    minus = _LabelState().relabel(np.vstack([plus, query]), rows[:len(plus)], rows[len(plus):],
+                                  norm, rho, full=True, tol=HULL_TOL, neighbor_cap=None)
+    return np.isin(rows[len(plus):], minus)
 
 
 class TestBuildNegatives:

@@ -77,11 +77,19 @@ class TestTypes:
             replace(traj, **{name: np.zeros(shape)})
 
 
+def store_of(*batches):
+    """The trainer's sample store after recording each batch of trajectories."""
+    store = _SampleStore(n_feats=5)   # make_trajectory observes 3 velocities and 2 previews
+    for trajs in batches:
+        store.add_trajectories(trajs, "output", track=None)   # no track in output mode
+    return store
+
+
 def pools(trajs):
-    """The trainer's labeling pools over ``trajs``: the D+ and D_query rows."""
-    store = _SampleStore()
-    store.add_trajectories(trajs, "output", track=None)   # no track in output mode
-    return store.pools()
+    """The trainer's labeling pools over ``trajs``: the D+ and D_query states."""
+    store = store_of(trajs)
+    plus, query = store.pools()
+    return store.states[plus], store.states[query]
 
 
 class TestPartition:
@@ -115,6 +123,21 @@ class TestPartition:
         for rows, outcome in ((plus, Outcome.SUCCESS), (query, Outcome.FAILURE)):
             states = [t.x for t in trajs if t.outcome is outcome]
             assert np.array_equal(rows, np.concatenate(states) if states else np.zeros((0, 6)))
+
+    def test_store_holds_each_visited_state_once(self):
+        first = [make_trajectory(3, Outcome.SUCCESS),
+                 make_trajectory(2, Outcome.FAILURE, start=9.0)]
+        second = [make_trajectory(4, Outcome.FAILURE, start=20.0)]
+        store = store_of(first, second)
+        trajs = first + second
+        assert len(store) == sum(map(len, trajs)) == 9
+        assert len(store.states) == len(store) + len(trajs)
+        steps = np.cumsum([0] + [len(t) for t in trajs])
+        for traj, lo, hi in zip(trajs, steps, steps[1:]):
+            rows = store.rows[lo:hi]
+            assert np.array_equal(store.states[rows], traj.x)
+            assert np.array_equal(store.u_applied[lo:hi], traj.u_applied)
+            assert np.array_equal(store.states[rows + 1], traj.x_next)
 
 
 def plus_only(plus: np.ndarray) -> LabeledPool:

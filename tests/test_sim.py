@@ -36,6 +36,30 @@ def test_config_rejects_settings_that_corrupt_rollouts(name, value):
         SimConfig(**{name: value})
 
 
+_SIM_FLOATS = [name for name, value in vars(SimConfig()).items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", _SIM_FLOATS)
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SimConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["dt", "v_max", "yaw_radius_sq", "steer_max", "e_psi_max"])
+def test_config_requires_positive(name):
+    for value in (0.0, -0.5):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            SimConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["noise_sigma_v", "noise_sigma_kappa", "half_width_margin"])
+def test_config_requires_non_negative(name):
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        SimConfig(**{name: -1e-3})
+    assert getattr(SimConfig(**{name: 0.0}), name) == 0.0
+
+
 class TestStep:
     def test_zero_state_zero_input_fixed_point(self, circle, noiseless_sim):
         x = default_start_state(v_long=0.0)

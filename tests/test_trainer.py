@@ -259,6 +259,16 @@ class TestTrainLoops:
         assert (last.n_plus, last.n_query, last.n_minus) == (
             len(res.pool.d_plus), len(res.pool.d_query), int(res.pool.minus.sum()))
 
+    def test_bc_labels_no_negatives_when_rollouts_fail(self, gp):
+        # the learner drives half the steps from epoch 1 on and fails on gp;
+        # only the CA loop turns the failed rollouts' states into negatives
+        cfg = tiny_cfg(gp, method="bc", epochs=3, alpha=0.5, grad_steps_policy=5, eval_laps=1)
+        res = train(cfg, gp, make_expert_factory("racing", cfg.sim, gp))
+        assert sum(r.new_failures for r in res.reports) > 0
+        assert res.reports[-1].n_query == len(res.pool.d_query) > 0
+        assert [r.n_minus for r in res.reports] == [0] * cfg.epochs
+        assert not res.pool.minus.any()
+
     def test_traj_callback_sees_every_episode(self, circle):
         cfg = tiny_cfg(circle, epochs=2)
         seen = []
