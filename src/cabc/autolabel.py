@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -322,34 +322,22 @@ _QUERY_BLOCK = 64
 
 
 def member_mask(plus_norm: np.ndarray, query_norm: np.ndarray, rho: float,
-                tol: float = HULL_TOL,
-                assume_member: Optional[np.ndarray] = None,
-                max_neighbors: Optional[int] = None) -> np.ndarray:
+                tol: float = HULL_TOL, max_neighbors: Optional[int] = None) -> np.ndarray:
     """Hull-membership flags for each query point against its radius neighbors.
 
-    ``assume_member`` lets callers skip points already decided as members;
-    the rest are searched for neighbors in blocks of ``_QUERY_BLOCK``, which
-    keeps the neighbor lists held at once small.  The blocks follow the
-    queries' first coordinate, so each block's search scans one narrow slab.  ``max_neighbors`` caps each
-    hull at the nearest such neighbors; a subset hull is contained in the
-    full one, so capping only errs toward keeping points in the negative set.
+    The queries are searched for neighbors in blocks of ``_QUERY_BLOCK``,
+    which keeps the neighbor lists held at once small.  The blocks follow the
+    queries' first coordinate, so each block's search scans one narrow slab.
 
-    The cache is sound, not history-free.  Without a cap, membership under a
-    fixed normalization only grows with the positive pool, so a cached member
-    is a member on recompute.  With a cap it need not be: new, nearer
-    neighbors can displace the ones whose hull held it.  It stays within
-    ``tol`` of the hull of its full ``rho``-ball, though, which only grows,
-    so every cached member is still one for the uncapped test.
+    ``max_neighbors`` caps each hull at the nearest such neighbors; a subset
+    hull is contained in the full one, so capping only errs toward keeping
+    points in the negative set.
     """
-    if assume_member is None:
-        mask = np.zeros(len(query_norm), dtype=bool)
-    else:
-        mask = assume_member.copy()
-    todo = np.flatnonzero(~mask)
-    todo = todo[np.argsort(query_norm[todo, 0], kind="stable")]
+    mask = np.zeros(len(query_norm), dtype=bool)
+    order = np.argsort(query_norm[:, 0], kind="stable")
     index = NeighborIndex(plus_norm)
-    for start in range(0, len(todo), _QUERY_BLOCK):
-        rows = todo[start:start + _QUERY_BLOCK]
+    for start in range(0, len(order), _QUERY_BLOCK):
+        rows = order[start:start + _QUERY_BLOCK]
         if max_neighbors is None:
             neighbors = index.query(query_norm[rows], rho)
         else:
@@ -500,16 +488,17 @@ def sample_box(n: int, rng: np.random.Generator, lo: float = -5.0,
 
 
 def label_synthetic(synth: SyntheticSet, n_plus: int, n_query: int, rho: float,
-                    rng: np.random.Generator, tol: float = HULL_TOL,
-                    box: Tuple[float, float] = (-5.0, 5.0)):
+                    rng: np.random.Generator):
     """Fig-style benchmark: sample pools, run the hull exclusion, return arrays.
 
-    Returns ``(plus_pts, query_pts, removed_mask)`` where ``removed_mask``
-    flags the query points excluded from the negative set.
+    The queries are uniform over :func:`sample_box`'s default square, and the
+    hull test runs at ``HULL_TOL`` with uncapped neighborhoods.  Returns
+    ``(plus_pts, query_pts, removed_mask)`` where ``removed_mask`` flags the
+    query points excluded from the negative set.
     """
     plus = synth.sample_inside(n_plus, rng)
-    query = sample_box(n_query, rng, box[0], box[1])
-    removed = member_mask(plus, query, rho, tol)
+    query = sample_box(n_query, rng)
+    removed = member_mask(plus, query, rho)
     return plus, query, removed
 
 
@@ -536,9 +525,15 @@ def incorrect_removals(removed_mask: np.ndarray, query_pts: np.ndarray,
     return int((sdf < 0.0).sum())
 
 
-def train_synthetic_classifier(plus_pts: np.ndarray, minus_pts: np.ndarray,
-                               hidden: Sequence[int] = (64, 64), steps: int = 1500,
-                               batch: int = 256, lr: float = 1e-3, seed: int = 0):
+# the 2-D benchmark classifier: hidden widths, Adam steps and rate, and a
+# batch of half positive, half negative points
+_SYNTH_CLF_HIDDEN = (64, 64)
+_SYNTH_CLF_STEPS = 1500
+_SYNTH_CLF_BATCH = 256
+_SYNTH_CLF_LR = 1e-3
+
+
+def train_synthetic_classifier(plus_pts: np.ndarray, minus_pts: np.ndarray, seed: int = 0):
     """Fit a small probability-head MLP on auto-labeled 2-D points.
 
     Balanced minibatches (half positive, half negative) remove the class
@@ -548,13 +543,13 @@ def train_synthetic_classifier(plus_pts: np.ndarray, minus_pts: np.ndarray,
     minus_pts = np.asarray(minus_pts, dtype=float)
     if len(plus_pts) == 0 or len(minus_pts) == 0:
         raise ValueError("need both positive and negative points")
-    params = nn.init_mlp((2, *hidden, 1), head="sigmoid", seed=seed)
-    opt = nn.init_opt(params, lr=lr)
+    params = nn.init_mlp((2, *_SYNTH_CLF_HIDDEN, 1), head="sigmoid", seed=seed)
+    opt = nn.init_opt(params, lr=_SYNTH_CLF_LR)
     rng = np.random.default_rng(seed)
-    half = batch // 2
+    half = _SYNTH_CLF_BATCH // 2
     yb = np.concatenate([np.ones(half), np.zeros(half)])
     tape = nn.Tape()
-    for _ in range(steps):
+    for _ in range(_SYNTH_CLF_STEPS):
         ip = rng.integers(0, len(plus_pts), size=half)
         im = rng.integers(0, len(minus_pts), size=half)
         xb = np.vstack([plus_pts[ip], minus_pts[im]])

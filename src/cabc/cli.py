@@ -58,6 +58,8 @@ def _load_configs(args) -> tuple:
 
 
 def _cmd_train(args) -> int:
+    if args.checkpoint_every < 0:
+        raise ValueError(f"--checkpoint-every must be non-negative, got {args.checkpoint_every}")
     cfg, values = _load_configs(args)
     track = resolve_track(args.track)
     v_ref, pid_gains, race_params = expert_params_from(values)
@@ -208,6 +210,11 @@ def write_grid_csv(path, xs, ys, probs) -> None:
                       for x, p in zip(xs, row.tolist()))
 
 
+def _rho_tag(rho: float) -> str:
+    """The file-name tag of one ``--rho`` radius."""
+    return f"rho{rho:g}".replace(".", "p")
+
+
 def _labeldemo_radii(args) -> list:
     """The ``--rho`` radii, once every argument is checked: a bad one raises
     ``ValueError`` naming it before anything is written."""
@@ -220,6 +227,11 @@ def _labeldemo_radii(args) -> list:
     for rho in rhos:
         if not 0.0 <= rho < math.inf:
             raise ValueError(f"--rho radii must be finite and non-negative, got {rho!r}")
+    tags = [_rho_tag(rho) for rho in rhos]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ValueError(f"--rho radius {rhos[i]!r} repeats the file tag {tag!r} "
+                             f"of radius {rhos[tags.index(tag)]!r}")
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.grid < 2:
@@ -236,7 +248,7 @@ def _cmd_labeldemo(args) -> int:
         plus, query, removed = label_synthetic(synth, args.n, args.n, rho, rng)
         sdf_plus = synth.signed_distance(plus)
         sdf_query = synth.signed_distance(query)
-        tag = f"rho{rho:g}".replace(".", "p")
+        tag = _rho_tag(rho)
 
         points_path = os.path.join(args.out, f"points_{tag}.csv")
         write_points_csv(points_path, plus, sdf_plus, query, sdf_query, removed)

@@ -30,11 +30,11 @@ def write_reports_csv(reports: Sequence[EpochReport], path) -> None:
 
 
 # how each reports.csv column reads back, from its EpochReport field type
-_PARSE = {int: int, float: float, bool: lambda text: text == "True"}
+_PARSE = {int: int, float: float, bool: lambda text: text == "True", str: str}
 _COLUMN_PARSERS = {name: _PARSE[kind] for name, kind in get_type_hints(EpochReport).items()}
 
 
-def read_reports_csv(path) -> List[Dict[str, float]]:
+def read_reports_csv(path) -> List[Dict[str, object]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return [{key: _COLUMN_PARSERS.get(key, float)(value) for key, value in record.items()}
                 for record in csv.DictReader(fh)]

@@ -5,9 +5,11 @@ safety classifier.
 Each epoch: roll out the mixed collection policy (expert with probability
 ``alpha**epoch``, learner otherwise, plus actuation noise), relabel every
 visited state with the expert action, record it once in the sample store,
-pick the negatives D- among the store's rows, then run minibatch updates.  The
-policy trains every epoch on clone MSE plus the frozen-critic safety
-penalty; the dynamics model and classifier train on their own cadences.
+pick the negatives D- among the store's rows, then run minibatch updates.
+D- is decided afresh from the current pools and metric alone; no label
+carries over from an earlier epoch.  The policy trains every epoch on clone
+MSE plus the frozen-critic safety penalty; the dynamics model and
+classifier train on their own cadences.
 
 The baseline trainer is the same loop with labeling, critics, and the
 safety term removed; with a zero safety weight the two code paths perform
@@ -125,6 +127,9 @@ class EpochReport:
     eval_lap_mean: float
     eval_lap_std: float
     clf_degenerate: bool = False
+    safety_on: bool = False            # the policy update ran the safety term
+    clf_fit_epoch: int = -1            # epoch of the classifier's last fit, -1 before it
+    eval_terminated_by: str = ""       # EvalResult.terminated_by.value
 
     def row(self) -> list:
         return [getattr(self, name) for name in self.FIELDS]
@@ -374,33 +379,26 @@ class _SampleStore:
         return self.rows[self.safe], self.rows[~self.safe]
 
 
+@dataclass(frozen=True)
 class _LabelState:
-    """The labeling seam, with a membership cache for the undecided pool.
+    """The labeling seam: the run's fixed labeling parameters, and D- from them.
 
-    With a fixed metric, hull membership only grows as the positive pool
-    grows, so decided members need no retesting (``member_mask`` states what
-    this keeps under a neighbor cap); a metric refit invalidates the cache
-    and forces a full recompute.
+    It holds no labels.  Every :meth:`relabel` decides each D_query row
+    against the hull of its capped safe neighbors under the metric it is
+    given, so D- is a function of its arguments alone.
     """
 
-    def __init__(self):
-        self.mask = np.zeros(0, dtype=bool)
+    rho: float
+    hull_tol: float
+    neighbor_cap: Optional[int]
 
     def relabel(self, states: np.ndarray, plus: np.ndarray, query: np.ndarray,
-                norm: NormStats, rho: float, full: bool, tol: float,
-                neighbor_cap: int) -> np.ndarray:
-        """D-: the ``query`` rows of ``states`` outside the hulls of their ``plus`` neighbors.
-
-        ``mask`` keeps the hull members among ``query``; rows only ever join
-        the end of ``query``, so the last call's mask covers a prefix of it.
-        """
-        assume = None if full else np.concatenate(
-            [self.mask, np.zeros(len(query) - len(self.mask), dtype=bool)])
-        self.mask = member_mask(norm.normalize_states(states[plus]),
-                                norm.normalize_states(states[query]),
-                                rho, tol=tol, assume_member=assume,
-                                max_neighbors=neighbor_cap)
-        return query[~self.mask]
+                norm: NormStats) -> np.ndarray:
+        """D-: the ``query`` rows of ``states`` outside the hulls of their ``plus`` neighbors."""
+        member = member_mask(norm.normalize_states(states[plus]),
+                             norm.normalize_states(states[query]),
+                             self.rho, tol=self.hull_tol, max_neighbors=self.neighbor_cap)
+        return query[~member]
 
 
 def _finite_or_raise(name: str, value: float, epoch: int) -> float:
@@ -424,13 +422,14 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
     store = _SampleStore(policy_input_dim(cfg.observation_mode, cfg.sim))
     # D+, D_query and D- as rows of store.states; BC labels no negatives
     plus = query = minus = np.zeros(0, dtype=np.intp)
-    labels = _LabelState()
+    labels = _LabelState(cfg.rho, cfg.hull_tol, cfg.neighbor_cap)
     norm: Optional[NormStats] = None
     dyn: Optional[DynModel] = None
     clf: Optional[SafetyClf] = None
     opt_dyn = opt_clf = None
     last_dyn_loss = 0.0
     last_clf_loss = 0.0
+    clf_fit_epoch = -1
     reports: List[EpochReport] = []
     early_stopped_at = None
     # one tape per network, reused by every step of every phase: the critic
@@ -455,8 +454,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             if refit:
                 norm = fit_norm(states[plus], track.lap_length)
             if norm is not None:
-                minus = labels.relabel(states, plus, query, norm, cfg.rho, full=refit,
-                                       tol=cfg.hull_tol, neighbor_cap=cfg.neighbor_cap)
+                minus = labels.relabel(states, plus, query, norm)
             else:
                 # no metric yet: nothing can be excluded from the negatives
                 minus = query
@@ -494,6 +492,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
                         new_params, opt_clf = nn.adam_step(clf.params, grads, opt_clf)
                         clf = replace(clf, params=new_params)
                     last_clf_loss = _finite_or_raise("clf_loss", loss_p, epoch)
+                    clf_fit_epoch = epoch
                 else:
                     clf_degenerate = True
 
@@ -536,6 +535,9 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             eval_lap_mean=result.lap_mean,
             eval_lap_std=result.lap_std,
             clf_degenerate=clf_degenerate,
+            safety_on=use_critic,
+            clf_fit_epoch=clf_fit_epoch,
+            eval_terminated_by=result.terminated_by.value,
         )
         reports.append(report)
         if epoch_callback is not None:

@@ -371,8 +371,8 @@ class TestHullMembership:
 def minus_full(plus: np.ndarray, query: np.ndarray, norm: NormStats, rho: float) -> np.ndarray:
     """The trainer's full rebuild of the negative flags, every neighbor in each hull."""
     rows = np.arange(len(plus) + len(query))
-    minus = _LabelState().relabel(np.vstack([plus, query]), rows[:len(plus)], rows[len(plus):],
-                                  norm, rho, full=True, tol=HULL_TOL, neighbor_cap=None)
+    minus = _LabelState(rho, HULL_TOL, None).relabel(np.vstack([plus, query]), rows[:len(plus)],
+                                                     rows[len(plus):], norm)
     return np.isin(rows[len(plus):], minus)
 
 
@@ -406,15 +406,34 @@ class TestBuildNegatives:
         queries = states_array([make_state(v=1.0), make_state(v=2.0)])
         assert minus_full(np.zeros((0, 6)), queries, norm, rho=1.0).tolist() == [True, True]
 
-    def test_incremental_mask_matches_full_recompute(self):
-        rng = np.random.default_rng(17)
-        plus1 = rng.normal(size=(60, 3))
-        plus2 = np.vstack([plus1, rng.normal(size=(40, 3))])
-        query = rng.normal(scale=1.5, size=(50, 3))
-        mask1 = member_mask(plus1, query, rho=1.0)
-        incr = member_mask(plus2, query, rho=1.0, assume_member=mask1)
-        full = member_mask(plus2, query, rho=1.0)
-        assert np.array_equal(incr, full)
+    def test_labels_are_history_free_under_the_neighbor_cap(self):
+        """A query held by its capped hull in one epoch is decided afresh in the next.
+
+        States vary in ``v_long`` and ``v_tran`` only, under the identity
+        metric.  Epoch 1: four safe states at distance 0.5 around the query
+        enclose it.  Epoch 2: four safe states arrive nearer, all on one
+        side, and displace the old ones from its four-neighbor hull.
+        """
+        norm = NormStats(mean=np.zeros(7), std=np.ones(7), lap_length=10.0)
+
+        def states(*points):
+            return states_array([make_state(v=v, vt=vt) for v, vt in points])
+
+        around = states((0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5))
+        query = states((0.0, 0.0))
+        one_side = states((0.1, 0.1), (0.2, 0.1), (0.1, 0.2), (0.2, 0.3))
+        pool1 = np.vstack([around, query])
+        pool2 = np.vstack([pool1, one_side])
+        plus1, plus2, q = np.arange(4), np.r_[0:4, 5:9], np.array([4])
+
+        labels = _LabelState(rho=1.0, hull_tol=HULL_TOL, neighbor_cap=4)
+        assert labels.relabel(pool1, plus1, q, norm).tolist() == []
+        second = labels.relabel(pool2, plus2, q, norm)
+        fresh = _LabelState(rho=1.0, hull_tol=HULL_TOL, neighbor_cap=4).relabel(
+            pool2, plus2, q, norm)
+        assert second.tolist() == fresh.tolist() == [4]
+        # the cap decides it: the whole ball still encloses the query
+        assert _LabelState(1.0, HULL_TOL, None).relabel(pool2, plus2, q, norm).tolist() == []
 
 
 class TestSyntheticSets:

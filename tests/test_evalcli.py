@@ -455,6 +455,10 @@ class TestCli:
         (("--rho", ","), "--rho"), (("--rho", "0.5,nan"), "--rho"), (("--rho", "inf"), "--rho"),
         (("--rho", "0.5,x"), "--rho"), (("--n", "0"), "--n"), (("--grid", "1"), "--grid"),
         (("--grid", "0"), "--grid"),
+        # radii with one file tag (rho1, rho0p123457): the second pass would
+        # overwrite the first pass's files
+        (("--rho", "1,0.5,1.0"), "--rho radius 1.0 repeats the file tag 'rho1'"),
+        (("--rho", "0.1234567,0.1234568"), "--rho radius 0.1234568 repeats"),
     ])
     def test_labeldemo_checks_arguments_before_writing(self, tmp_path, args, name):
         out = tmp_path / "demo"
@@ -462,6 +466,16 @@ class TestCli:
         with pytest.raises(ValueError, match=name):
             run_cli("labeldemo", "--n", "50", "--grid", "10", *args, "--out", str(out))
         assert not list(out.iterdir())
+
+    def test_train_rejects_a_negative_checkpoint_cadence(self, tmp_path):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("epochs = 2\nmax_steps = 100\nhidden = 8\n"
+                            "grad_steps_policy = 2\neval_laps = 1\n")
+        with pytest.raises(ValueError, match="--checkpoint-every"):
+            run_cli("train", "--method", "bc", "--track", "circle", "--expert", "pid",
+                    "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                    "--checkpoint-every", "-1")
+        assert not (tmp_path / "run").exists()
 
     def test_nonfinite_abort_exit_code(self, monkeypatch, tmp_path):
         import cabc.cli as cli_mod

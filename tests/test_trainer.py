@@ -276,6 +276,54 @@ class TestTrainLoops:
               traj_callback=lambda epoch, trajs: seen.append((epoch, len(trajs))))
         assert seen == [(0, cfg.episodes_per_epoch), (1, cfg.episodes_per_epoch)]
 
+    @pytest.mark.parametrize("method", ["bc", "ca"])
+    def test_reports_record_safety_term_clf_fit_and_eval_end(self, monkeypatch, gp, method):
+        """The trailing report columns say what the epoch did, as spies on the
+        policy step, the classifier step and the evaluation see it."""
+        import cabc.trainer as trainer
+
+        seen = []   # per epoch: safety term per policy step, classifier fit, eval end
+        agent, clf_step, evaluate = (trainer.agent_loss_and_grad, trainer.clf_loss_and_grad,
+                                     trainer.evaluate)
+
+        def spy_agent(policy, feats, u, x_raw, dyn, clf, *rest, **kw):
+            seen[-1]["safety"].add(clf is not None)
+            return agent(policy, feats, u, x_raw, dyn, clf, *rest, **kw)
+
+        def spy_clf(*args, **kw):
+            seen[-1]["fit"] = True
+            return clf_step(*args, **kw)
+
+        def spy_eval(*args, **kw):
+            result = evaluate(*args, **kw)
+            seen[-1]["end"] = result.terminated_by.value
+            return result
+
+        monkeypatch.setattr(trainer, "agent_loss_and_grad", spy_agent)
+        monkeypatch.setattr(trainer, "clf_loss_and_grad", spy_clf)
+        monkeypatch.setattr(trainer, "evaluate", spy_eval)
+        # the learner drives half the steps from epoch 1 on and fails on gp.
+        # The classifier is due at epochs 0 and 2; at seed 13 both epoch-0
+        # episodes succeed, so its first fit is at epoch 2
+        cfg = tiny_cfg(gp, method=method, epochs=4, alpha=0.5, k_f=1, k_p=2, seed=13,
+                       grad_steps_policy=5, grad_steps_dyn=5, grad_steps_clf=5, eval_laps=1)
+        res = train(cfg, gp, make_expert_factory("racing", cfg.sim, gp),
+                    traj_callback=lambda epoch, trajs: seen.append({"safety": set(),
+                                                                    "fit": False}))
+        assert EpochReport.FIELDS[-3:] == ("safety_on", "clf_fit_epoch", "eval_terminated_by")
+        assert len(seen) == len(res.reports) == cfg.epochs
+        fit_epoch = -1
+        for report, epoch in zip(res.reports, seen):
+            fit_epoch = report.epoch if epoch["fit"] else fit_epoch
+            assert epoch["safety"] == {report.safety_on}
+            assert report.clf_fit_epoch == fit_epoch
+            assert report.eval_terminated_by == epoch["end"]
+        columns = [(r.safety_on, r.clf_fit_epoch) for r in res.reports]
+        if method == "bc":
+            assert columns == [(False, -1)] * cfg.epochs
+        else:
+            assert columns == [(True, -1), (True, -1), (True, 2), (True, 2)]
+
     def test_nonfinite_loss_raises(self):
         with pytest.raises(NonFiniteLossError):
             _finite_or_raise("clone_loss", float("nan"), epoch=3)
