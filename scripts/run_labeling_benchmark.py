@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -37,22 +38,46 @@ def balanced_accuracy(synth, params, n_grid: int = 200) -> float:
     return 0.5 * float(tpr + tnr)
 
 
-def main() -> int:
+MAKERS = {"disk": SyntheticSet.disk, "crescent": SyntheticSet.crescent,
+          "sector": SyntheticSet.sector}
+
+
+def parse_args(argv=None):
+    """The arguments, with ``--sets`` and ``--rho`` split into lists; a set
+    name, radius or point count that cannot be run is a usage error before
+    any labeling."""
     parser = argparse.ArgumentParser()
-    parser.add_argument("--sets", default="crescent,sector")
-    parser.add_argument("--rho", default="1.0,0.5,0.25")
+    parser.add_argument("--sets", default="crescent,sector",
+                        help=f"comma-separated set names, from {', '.join(MAKERS)}")
+    parser.add_argument("--rho", default="1.0,0.5,0.25",
+                        help="comma-separated finite, non-negative radii")
     parser.add_argument("--n", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=123)
     parser.add_argument("--out", default="runs/labeling")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    args.sets = args.sets.split(",")
+    unknown = [name for name in args.sets if name not in MAKERS]
+    if unknown:
+        parser.error(f"--sets: unknown set {unknown[0]!r}; choose from {', '.join(MAKERS)}")
+    try:
+        args.rho = [float(tok) for tok in args.rho.split(",")]
+    except ValueError:
+        parser.error(f"--rho must be comma-separated numbers, got {args.rho!r}")
+    bad = [rho for rho in args.rho if not 0.0 <= rho < math.inf]
+    if bad:
+        parser.error(f"--rho radii must be finite and non-negative, got {bad[0]!r}")
+    if args.n < 1:
+        parser.error(f"--n must be at least 1, got {args.n}")
+    return args
 
-    makers = {"disk": SyntheticSet.disk, "crescent": SyntheticSet.crescent,
-              "sector": SyntheticSet.sector}
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for name in args.sets.split(","):
-        synth = makers[name]()
-        for rho in (float(t) for t in args.rho.split(",")):
+    for name in args.sets:
+        synth = MAKERS[name]()
+        for rho in args.rho:
             rng = np.random.default_rng(args.seed)
             plus, query, removed = label_synthetic(synth, args.n, args.n, rho, rng)
             violations = prop1_violation_count(query[removed], synth, rho)

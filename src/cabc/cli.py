@@ -201,13 +201,12 @@ def write_points_csv(path, plus, sdf_plus, query, sdf_query, removed) -> None:
 
 
 def write_grid_csv(path, xs, ys, probs) -> None:
-    """One row per grid point, ``x`` varying fastest."""
-    xs = xs.tolist()
+    """The p(safe) matrix: a header row of ``y\\x`` and the x-coordinates,
+    then one row per y, that y followed by ``probs[i, :]`` along x."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,y,p_safe\r\n")
-        fh.writelines(f"{x!r},{y!r},{p!r}\r\n"
-                      for y, row in zip(ys.tolist(), probs)
-                      for x, p in zip(xs, row.tolist()))
+        fh.write(f"y\\x,{','.join(map(repr, xs.tolist()))}\r\n")
+        fh.writelines(f"{y!r},{','.join(map(repr, row.tolist()))}\r\n"
+                      for y, row in zip(ys.tolist(), probs))
 
 
 def _rho_tag(rho: float) -> str:

@@ -147,15 +147,14 @@ class Tape:
     """Activations one ``forward`` call recorded for the matching ``backward``,
     and the buffers both write into.
 
-    ``acts`` holds the (batched) input followed by every layer's output before
-    the head, ``out`` the head output, and ``single`` whether the caller passed
-    one unbatched input vector.  The buffers are kept while the layer sizes and
-    batch stay the same (``key``).  The two that only ``backward`` needs are
-    made by its first call, and the parameter-gradient vector by its first
-    call that forms parameter gradients.
+    ``acts`` holds the input batch followed by every layer's output before
+    the head, and ``out`` the head output.  The buffers are kept while the
+    layer sizes and batch stay the same (``key``).  The two that only
+    ``backward`` needs are made by its first call, and the parameter-gradient
+    vector by its first call that forms parameter gradients.
     """
 
-    __slots__ = ("key", "acts", "out", "single", "_gin", "_dact", "_grads")
+    __slots__ = ("key", "acts", "out", "_gin", "_dact", "_grads")
 
     def __init__(self):
         self.key = None
@@ -213,42 +212,42 @@ def _forward_cached(p: MlpParams, x: np.ndarray, tape: Optional[Tape]) -> np.nda
 def forward(p: MlpParams, x: np.ndarray, tape: Optional[Tape] = None) -> np.ndarray:
     """Evaluate the network on a single input (d,) or a batch (B, d).
 
-    With a ``tape``, also record the activations that ``backward`` needs; the
-    result then lives in the tape's buffers (see the module's ownership rule).
+    With a ``tape``, ``x`` must be a batch, and the activations that
+    ``backward`` needs are recorded; the result then lives in the tape's
+    buffers (see the module's ownership rule).  Raises ``ValueError`` for a
+    taped input that is not a batch.
     """
     x = np.asarray(x, dtype=float)
-    if tape is None:
-        # a single input (d,) runs as it is: every layer maps it to a vector
-        return _forward_cached(p, x, None)
-    tape.single = x.ndim == 1
-    out = _forward_cached(p, x[None, :] if tape.single else x, tape)
-    return out[0] if tape.single else out
+    if tape is not None and x.ndim != 2:
+        raise ValueError(f"a taped forward takes a batch (B, d), got shape {x.shape}")
+    # without a tape a single input (d,) runs as it is: every layer maps it to a vector
+    return _forward_cached(p, x, tape)
 
 
 def backward(p: MlpParams, tape: Tape, upstream: np.ndarray, param_grads: bool = True):
     """Exact gradients of ``upstream . forward(p, x)`` from the tape of that call.
 
     ``tape`` must come from ``forward(p, x, tape)`` with the same ``p``; no
-    forward pass is re-run.  Returns ``(param_grads, input_grad)`` where
-    ``param_grads`` is a :class:`ParamGrads` mirroring ``p.weights``.  Batched
-    inputs accumulate parameter gradients over the batch; the input gradient
-    keeps the batch dimension.  With ``param_grads=False`` (a frozen network
-    that only passes gradient on to its input) the parameter gradients are not
-    computed and ``None`` is returned in their place; the input gradient is
-    unchanged.  Both results live in the tape's buffers.
+    forward pass is re-run, and ``upstream`` has the shape of its output.
+    Returns ``(param_grads, input_grad)`` where ``param_grads`` is a
+    :class:`ParamGrads` mirroring ``p.weights``.  Parameter gradients
+    accumulate over the batch; the input gradient keeps the batch dimension.
+    With ``param_grads=False`` (a frozen network that only passes gradient on
+    to its input) the parameter gradients are not computed and ``None`` is
+    returned in their place; the input gradient is unchanged.  Both results
+    live in the tape's buffers.
     """
     upstream = np.asarray(upstream, dtype=float)
-    ub = upstream[None, :] if tape.single else upstream
     acts, out = tape.acts, tape.out
 
     if p.head == "identity":
-        g = ub
+        g = upstream
     elif p.head == "tanh":
-        g = ub * (1.0 - out * out)
+        g = upstream * (1.0 - out * out)
     else:
         # clipped logits have zero gradient outside the clamp
         inside = (np.abs(acts[-1]) < _LOGIT_CLAMP).astype(float)
-        g = ub * out * (1.0 - out) * inside
+        g = upstream * out * (1.0 - out) * inside
 
     if tape._gin is None:
         tape._fit_backward()
@@ -269,8 +268,7 @@ def backward(p: MlpParams, tape: Tape, upstream: np.ndarray, param_grads: bool =
             np.multiply(acts[i], acts[i], out=d)
             np.subtract(1.0, d, out=d)
             g *= d
-    input_grad = g[0] if tape.single else g
-    return grads, input_grad
+    return grads, g
 
 
 @dataclass(eq=False)

@@ -66,13 +66,16 @@ def _ticks(lo: float, hi: float, n: int = 5) -> List[float]:
 
 
 class SvgChart:
-    """A single x/y chart with polyline series, bands, and point markers."""
+    """A single x/y chart with polyline series, bands, point markers, and
+    shaded or marked x positions."""
 
     def __init__(self, title: str, xlabel: str, ylabel: str):
         self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
         self.series: List[dict] = []
         self.markers: List[Tuple[float, float, str]] = []
         self.hlines: List[Tuple[float, str, str]] = []
+        self.vlines: List[Tuple[float, str, str]] = []
+        self.spans: List[Tuple[float, float, str, str]] = []
 
     def add_series(self, xs, ys, label: str, color: Optional[str] = None,
                    dash: Optional[str] = None, band: Optional[Tuple] = None):
@@ -86,6 +89,15 @@ class SvgChart:
 
     def add_hline(self, y: float, label: str, color: str = "#555555"):
         self.hlines.append((float(y), label, color))
+
+    def add_vline(self, x: float, label: str, color: str = "#555555"):
+        """A dotted vertical line at ``x``, labelled at its top."""
+        self.vlines.append((float(x), label, color))
+
+    def add_span(self, x0: float, x1: float, label: str, color: str = "#2ca02c"):
+        """A shaded band over ``[x0, x1]``, clipped to the chart; each label
+        gets one legend entry."""
+        self.spans.append((float(x0), float(x1), label, color))
 
     def _bounds(self):
         xs = [v for s in self.series for v in s["x"]] or [0.0, 1.0]
@@ -121,6 +133,11 @@ class SvgChart:
             f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" font-size="14" '
             f'font-family="sans-serif">{self.title}</text>',
         ]
+        for x0, x1, _, color in self.spans:
+            left, right = px(max(x0, x_lo)), px(min(x1, x_hi))
+            parts.append(f'<rect class="span" x="{left:.1f}" y="{_MT}" '
+                         f'width="{right - left:.1f}" height="{_H - _MT - _MB}" '
+                         f'fill="{color}" opacity="0.15"/>')
         axis = (f'M {_ML} {_MT} L {_ML} {_H - _MB} L {_W - _MR} {_H - _MB}')
         parts.append(f'<path d="{axis}" stroke="black" fill="none"/>')
         for t in _ticks(x_lo, x_hi):
@@ -143,6 +160,11 @@ class SvgChart:
                          f'y2="{py(y):.1f}" stroke="{color}" stroke-dasharray="6 4"/>')
             parts.append(f'<text x="{_W - _MR - 4}" y="{py(y) - 4:.1f}" text-anchor="end" '
                          f'font-size="10" font-family="sans-serif" fill="{color}">{label}</text>')
+        for x, label, color in self.vlines:
+            parts.append(f'<line class="vline" x1="{px(x):.1f}" y1="{_MT}" x2="{px(x):.1f}" '
+                         f'y2="{_H - _MB}" stroke="{color}" stroke-dasharray="2 3"/>')
+            parts.append(f'<text x="{px(x) + 3:.1f}" y="{_MT + 10}" font-size="10" '
+                         f'font-family="sans-serif" fill="{color}">{label}</text>')
         for s in self.series:
             if s["band"]:
                 lo, hi = s["band"]
@@ -161,6 +183,13 @@ class SvgChart:
                          f'y2="{y0}" stroke="{s["color"]}" stroke-width="2"/>')
             parts.append(f'<text x="{_W - _MR - 84}" y="{y0 + 4}" font-size="10" '
                          f'font-family="sans-serif">{s["label"]}</text>')
+        span_labels = {label: color for _, _, label, color in self.spans}
+        for i, (label, color) in enumerate(span_labels.items(), start=len(self.series)):
+            y0 = _MT + 14 * i
+            parts.append(f'<rect x="{_W - _MR - 110}" y="{y0 - 4}" width="22" height="8" '
+                         f'fill="{color}" opacity="0.15"/>')
+            parts.append(f'<text x="{_W - _MR - 84}" y="{y0 + 4}" font-size="10" '
+                         f'font-family="sans-serif">{label}</text>')
         for x, y, text in self.markers:
             parts.append(f'<text x="{px(x):.1f}" y="{py(y) + 5:.1f}" text-anchor="middle" '
                          f'font-size="16" font-family="sans-serif">{text}</text>')
@@ -329,10 +358,25 @@ def emit_reports(run_dir, out_dir, baseline_dir=None) -> List[str]:
     full_laps = int(meta.get("eval_laps", 50))
     epochs = [r["epoch"] for r in rows]
 
-    # laps per epoch
-    laps_rows = [[r["epoch"], r["eval_laps"]] for r in rows]
-    _csv("laps_vs_epoch.csv", ["epoch", "laps"], laps_rows)
+    # laps per epoch, with the epochs whose policy update ran the safety term
+    # and the classifier fits (a reports.csv older than these columns has
+    # empty cells and draws no marks)
+    laps_rows = [[r["epoch"], r["eval_laps"], r.get("safety_on", ""), r.get("clf_fit_epoch", "")]
+                 for r in rows]
+    _csv("laps_vs_epoch.csv", ["epoch", "laps", "safety_on", "clf_fit_epoch"], laps_rows)
     chart = SvgChart("Consecutive laps completed per evaluation", "epoch", "laps")
+    spans: List[List[float]] = []   # runs of consecutive safety-term epochs
+    for r in rows:
+        epoch = r["epoch"]
+        if r.get("safety_on"):
+            if spans and spans[-1][1] == epoch - 0.5:
+                spans[-1][1] += 1.0
+            else:
+                spans.append([epoch - 0.5, epoch + 0.5])
+        if r.get("clf_fit_epoch") == epoch:
+            chart.add_vline(epoch, "clf fit")
+    for x0, x1 in spans:
+        chart.add_span(x0, x1, "safety term on")
     chart.add_series(epochs, [r["eval_laps"] for r in rows], meta.get("method", "run"))
     if base_rows:
         chart.add_series([r["epoch"] for r in base_rows],

@@ -497,10 +497,12 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
                     clf_degenerate = True
 
         # policy update (identical code path for both methods; this is the one
-        # place that decides whether the safety term runs)
+        # place that decides whether the safety term runs).  It runs only
+        # through a classifier that has been fit, which only CA does: until
+        # then the classifier's weights are its random initialization
         rng_b = rng_stream(cfg.seed, 3, epoch)
         clone_sum = safety_sum = 0.0
-        use_critic = constraint_aware and cfg.lam > 0.0 and dyn is not None and clf is not None
+        use_critic = cfg.lam > 0.0 and clf_fit_epoch >= 0
         for _ in range(cfg.grad_steps_policy):
             idx = rng_b.integers(0, n, size=min(cfg.batch_size, n))
             clone, safety, grads = agent_loss_and_grad(

@@ -75,9 +75,9 @@ def grad_check(p: nn.MlpParams, x: np.ndarray, tol: float = 1e-4,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     c = rng.normal(size=p.sizes[-1])
     tape = nn.Tape()
-    y = nn.forward(p, x, tape).copy()
-    grads, gx = nn.backward(p, tape, c)
-    g = np.concatenate([grads.flat, gx])
+    y = nn.forward(p, x[None, :], tape)[0].copy()
+    grads, gx = nn.backward(p, tape, c[None, :])
+    g = np.concatenate([grads.flat, gx[0]])
     fd = _central_differences(p, x, c, h)
     scale = np.maximum(np.maximum(np.abs(g), np.abs(fd)), atol / tol)
     worst = float((np.abs(g - fd) / scale).max())

@@ -418,6 +418,7 @@ class TestCli:
         xs, ys = np.linspace(-5.0, 5.0, 7), np.linspace(-5.0, 5.0, 9)
         probs = rng.random((len(ys), len(xs)))
         probs[0, :3] = (0.0, 1.0, 1e-17)
+        probs[1:6, :2] = special.reshape(5, 2)
 
         ref_points, ref_grid = tmp_path / "ref_points.csv", tmp_path / "ref_grid.csv"
         with open(ref_points, "w", encoding="utf-8", newline="") as fh:
@@ -431,16 +432,23 @@ class TestCli:
                                  label, int(rm)])
         with open(ref_grid, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["x", "y", "p_safe"])
+            writer.writerow(["y\\x"] + [repr(float(x)) for x in xs])
             for i in range(len(ys)):
-                for j in range(len(xs)):
-                    writer.writerow([repr(float(xs[j])), repr(float(ys[i])),
-                                     repr(float(probs[i, j]))])
+                writer.writerow([repr(float(ys[i]))]
+                                + [repr(float(probs[i, j])) for j in range(len(xs))])
 
         write_points_csv(tmp_path / "points.csv", plus, sdf_plus, query, sdf_query, removed)
         write_grid_csv(tmp_path / "grid.csv", xs, ys, probs)
         assert (tmp_path / "points.csv").read_bytes() == ref_points.read_bytes()
         assert (tmp_path / "grid.csv").read_bytes() == ref_grid.read_bytes()
+        # the matrix reads back to the grid bit for bit: nan, +-inf, -0.0, subnormals
+        with open(tmp_path / "grid.csv", newline="") as fh:
+            (corner, *header), *rows = list(csv.reader(fh))
+        got = np.array([[float(v) for v in row] for row in rows])
+        assert corner == "y\\x"
+        for want, have in ((xs, np.array(header, dtype=float)), (ys, got[:, 0]),
+                           (probs, got[:, 1:])):
+            assert np.array_equal(want.view(np.int64), have.view(np.int64))
 
     def test_labeldemo_rejects_negative_rho(self, tmp_path):
         out = tmp_path / "demo"

@@ -65,16 +65,21 @@ class TestForward:
 
     @pytest.mark.parametrize("head", ["identity", "tanh", "sigmoid"])
     def test_untaped_single_input_matches_taped(self, head):
-        """An untaped (d,) input runs as a vector; a taped one as a (1, d) batch."""
+        """An untaped (d,) input runs as a vector and equals a taped (1, d) batch."""
         p = init_mlp((13, 128, 128, 128, 1 if head == "sigmoid" else 2), head=head, seed=4)
         rng = np.random.default_rng(5)
         for x in rng.normal(scale=3.0, size=(20, 13)):
             untaped = forward(p, x)
-            tape = Tape()
-            taped = forward(p, x, tape)
-            assert untaped.shape == taped.shape == (p.sizes[-1],) and tape.single
-            assert np.array_equal(untaped, taped)
+            taped = forward(p, x[None, :], Tape())
+            assert untaped.shape == (p.sizes[-1],) and taped.shape == (1, p.sizes[-1])
+            assert np.array_equal(untaped, taped[0])
             assert np.array_equal(untaped, forward(p, x[None, :])[0])
+
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 3, 4)])
+    def test_taped_forward_takes_only_a_batch(self, shape):
+        p = init_mlp((4, 8, 2), head="tanh", seed=0)
+        with pytest.raises(ValueError, match="batch"):
+            forward(p, np.ones(shape), Tape())
 
     def test_probability_head_never_saturates_exactly(self):
         W = (np.full((1, 1), 1e6), np.zeros(1))
@@ -100,7 +105,7 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_grads(self):
         p = init_mlp((4, 8, 3), head="tanh", seed=0)
-        grads, gx = taped_backward(p, np.ones(4), np.zeros(3))
+        grads, gx = taped_backward(p, np.ones((1, 4)), np.zeros((1, 3)))
         assert all(np.all(gW == 0) and np.all(gb == 0) for gW, gb in grads)
         assert np.all(gx == 0)
 
@@ -108,9 +113,9 @@ class TestBackward:
         rng = np.random.default_rng(5)
         W = rng.normal(size=(4, 3))
         p = MlpParams(sizes=(4, 3), weights=((W, np.zeros(3)),), head="identity")
-        upstream = rng.normal(size=3)
-        _, gx = taped_backward(p, rng.normal(size=4), upstream)
-        assert np.allclose(gx, W @ upstream)
+        upstream = rng.normal(size=(1, 3))
+        _, gx = taped_backward(p, rng.normal(size=(1, 4)), upstream)
+        assert np.allclose(gx, upstream @ W.T)
 
     def test_batched_param_grads_accumulate(self):
         p = init_mlp((3, 6, 2), head="identity", seed=1)
@@ -120,7 +125,7 @@ class TestBackward:
         grads_batch, gx_batch = taped_backward(p, X, U)
         acc = [(np.zeros_like(W), np.zeros_like(b)) for W, b in p.weights]
         for x, u in zip(X, U):
-            g, gx = taped_backward(p, x, u)
+            g, gx = taped_backward(p, x[None, :], u[None, :])
             acc = [(aW + gW, ab + gb) for (aW, ab), (gW, gb) in zip(acc, g)]
         for (aW, ab), (bW, bb) in zip(acc, grads_batch):
             assert np.allclose(aW, bW) and np.allclose(ab, bb)
@@ -131,8 +136,9 @@ class TestBackward:
     def test_input_only_backward_matches_full(self, head, batched):
         p = init_mlp((5, 16, 16, 1 if head == "sigmoid" else 3), head=head, seed=7)
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(6, 5) if batched else 5)
-        upstream = rng.normal(size=(6, p.sizes[-1]) if batched else p.sizes[-1])
+        batch = 6 if batched else 1
+        x = rng.normal(size=(batch, 5))
+        upstream = rng.normal(size=(batch, p.sizes[-1]))
         grads, gx_full = taped_backward(p, x, upstream)
         none, gx_frozen = taped_backward(p, x, upstream, param_grads=False)
         assert grads is not None and none is None
@@ -269,12 +275,11 @@ class TestTapeReuse:
         p = init_mlp(sizes, head=head, seed=4)
         rng = np.random.default_rng(5)
         tape = Tape()
-        # alternating inputs at one batch, then a batch-size change (new
-        # buffers), the single-vector path, and back to the first batch
-        for batch in (16, 16, 16, 9, None, 16):
-            shape = (batch,) if batch else ()
-            x = rng.normal(size=shape + (sizes[0],))
-            upstream = rng.normal(size=shape + (sizes[-1],))
+        # alternating inputs at one batch, then batch-size changes (new
+        # buffers), a one-row batch among them, and back to the first batch
+        for batch in (16, 16, 16, 9, 1, 16):
+            x = rng.normal(size=(batch, sizes[0]))
+            upstream = rng.normal(size=(batch, sizes[-1]))
             for param_grads in (True, False):
                 out = forward(p, x, tape).copy()
                 grads, gx = backward(p, tape, upstream, param_grads=param_grads)
@@ -364,13 +369,13 @@ class TestAdam:
         p = MlpParams(sizes=(1, 1), weights=((np.zeros((1, 1)), np.zeros(1)),),
                       head="identity")
         opt = init_opt(p, lr=0.1)
-        x = np.array([1.0])
+        x = np.array([[1.0]])
         for _ in range(200):
             tape = Tape()
             out = forward(p, x, tape)
             grads, _ = backward(p, tape, 2.0 * (out - 3.0))
             p, opt = adam_step(p, grads, opt)
-        assert abs(forward(p, x)[0] - 3.0) < 0.05
+        assert abs(forward(p, x)[0, 0] - 3.0) < 0.05
 
 
 class TestDeterminismAndIO:

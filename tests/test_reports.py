@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -196,3 +197,62 @@ def test_early_stop_marker_follows_meta(stopped_at, tmp_path):
     for name in ("laps_vs_epoch.svg", "imitation_loss.svg"):
         markers = (tmp_path / "rep" / name).read_text().count(">x</text>")
         assert markers == (stopped_at is not None), name
+
+
+def _run_dir(tmp_path, safety_on, clf_fit_epoch):
+    run = tmp_path / "run"
+    run.mkdir()
+    write_reports_csv([
+        EpochReport(epoch=e, clone_loss=1.0, safety_loss=float(on), dyn_loss=0.0,
+                    clf_loss=0.0, new_successes=1, new_failures=1, n_plus=100, n_query=50,
+                    n_minus=40, eval_laps=e, eval_lap_mean=12.0, eval_lap_std=0.0,
+                    safety_on=on, clf_fit_epoch=fit)
+        for e, (on, fit) in enumerate(zip(safety_on, clf_fit_epoch))], run / "reports.csv")
+    (run / "meta.json").write_text(json.dumps({"method": "ca", "eval_laps": 50}))
+    return run
+
+
+def test_laps_chart_marks_safety_term_and_classifier_fits(tmp_path):
+    safety_on = [False, False, True, True, False, True, True]
+    clf_fit_epoch = [-1, -1, 2, 2, 2, 5, 5]
+    emit_reports(_run_dir(tmp_path, safety_on, clf_fit_epoch), tmp_path / "rep")
+    with open(tmp_path / "rep" / "laps_vs_epoch.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["epoch", "laps", "safety_on", "clf_fit_epoch"]
+    assert rows[1:] == [[str(e), str(e), str(on), str(fit)]
+                        for e, (on, fit) in enumerate(zip(safety_on, clf_fit_epoch))]
+
+    svg = ET.parse(tmp_path / "rep" / "laps_vs_epoch.svg").getroot()
+    # the x axis spans epochs 0..6 over the plot width
+    plot_x = [float(v) for v in re.findall(r"[\d.]+", svg.find(f"{_SVG}path").get("d"))[::2]]
+    left, right = plot_x[0], plot_x[-1]
+
+    def px(epoch):
+        return left + epoch / 6 * (right - left)
+
+    spans = [(float(e.get("x")), float(e.get("width")))
+             for e in svg.findall(f"{_SVG}rect") if e.get("class") == "span"]
+    # one band per run of safety-term epochs, the last clipped to the axis
+    assert spans == pytest.approx([(px(1.5), px(3.5) - px(1.5)), (px(4.5), px(6) - px(4.5))],
+                                  abs=0.11)
+    fits = [float(e.get("x1")) for e in svg.findall(f"{_SVG}line") if e.get("class") == "vline"]
+    assert fits == pytest.approx([px(2), px(5)], abs=0.06)
+    texts = [e.text for e in svg.findall(f"{_SVG}text")]
+    assert texts.count("clf fit") == 2 and texts.count("safety term on") == 1
+
+
+def test_reports_csv_without_the_safety_columns_still_reports(tmp_path):
+    """A reports.csv written before ``safety_on`` and ``clf_fit_epoch`` existed
+    gives the same charts, without their marks."""
+    run = _run_dir(tmp_path, [True] * 3, [0] * 3)
+    with open(run / "reports.csv", newline="") as fh:
+        old = [row[:-3] for row in csv.reader(fh)]
+    assert old[0][-1] == "clf_degenerate"
+    with open(run / "reports.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(old)
+    emit_reports(run, tmp_path / "rep")
+    with open(tmp_path / "rep" / "laps_vs_epoch.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [[str(e), str(e), "", ""] for e in range(3)]
+    svg = (tmp_path / "rep" / "laps_vs_epoch.svg").read_text()
+    assert 'class="span"' not in svg and 'class="vline"' not in svg
+    assert "safety term on" not in svg and "clf fit" not in svg

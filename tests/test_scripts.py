@@ -36,6 +36,27 @@ def test_labeling_benchmark_writes_its_row(tmp_path):
     assert 0.0 <= float(rows[0]["balanced_accuracy"]) <= 1.0
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--sets", "disk,torus"), "unknown set 'torus'"),
+    (("--sets", "disk,"), "unknown set ''"),
+    (("--rho", ""), "--rho must be comma-separated numbers"),
+    (("--rho", "1.0,"), "--rho must be comma-separated numbers"),
+    (("--rho", "1.0,x"), "--rho must be comma-separated numbers"),
+    (("--rho", "1.0,-0.5"), "finite and non-negative, got -0.5"),
+    (("--rho", "nan"), "finite and non-negative, got nan"),
+    (("--rho", "0.5,inf"), "finite and non-negative, got inf"),
+    (("--n", "0"), "--n must be at least 1"),
+])
+def test_labeling_benchmark_checks_its_arguments_first(tmp_path, args, message):
+    """A bad set, radius or point count is a usage error before any pair is labeled."""
+    out = tmp_path / "out"
+    done = run_script("run_labeling_benchmark.py", "--sets", "disk", "--n", "200",
+                      *args, "--out", str(out))
+    assert done.returncode == 2
+    assert "usage:" in done.stderr and message in done.stderr
+    assert not out.exists() and not done.stdout
+
+
 def test_racing_experiment_runs_both_methods(tmp_path):
     done = run_script("run_racing_experiment.py", "--seeds", "1", "--epochs", "1",
                       "--track", "circle", "--expert", "pid", "--out", str(tmp_path))

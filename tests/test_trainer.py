@@ -214,7 +214,8 @@ class TestTrainLoops:
         assert rep.clf_degenerate  # no negatives at the classifier epoch
         for name in ("clone_loss", "safety_loss", "dyn_loss", "clf_loss"):
             assert math.isfinite(getattr(rep, name))
-        assert rep.safety_loss > 0.0  # untrained classifier, -log p > 0
+        # a classifier that was never fit runs no safety term
+        assert rep.safety_loss == 0.0 and not rep.safety_on and rep.clf_fit_epoch == -1
 
     def test_lambda_zero_gives_bitwise_bc_equivalence(self, circle):
         factory = make_expert_factory("pid", SimConfig(max_steps=400), circle)
@@ -322,7 +323,32 @@ class TestTrainLoops:
         if method == "bc":
             assert columns == [(False, -1)] * cfg.epochs
         else:
-            assert columns == [(True, -1), (True, -1), (True, 2), (True, 2)]
+            assert columns == [(False, -1), (False, -1), (True, 2), (True, 2)]
+
+    def test_safety_term_waits_for_the_first_classifier_fit(self, gp):
+        """A CA run whose first epochs have no negatives trains bitwise the
+        same policy as BC until its classifier is first fit: no safety term
+        runs through the classifier's random initial weights."""
+        # as above: at seed 13 both epoch-0 episodes succeed, so the classifier
+        # due at epoch 0 has no negatives to fit, and its first fit is at epoch 2
+        cfg = tiny_cfg(gp, epochs=3, alpha=0.5, k_f=1, k_p=2, seed=13, grad_steps_policy=5,
+                       grad_steps_dyn=5, grad_steps_clf=5, eval_laps=1)
+        factory = make_expert_factory("racing", cfg.sim, gp)
+        policies = {"ca": [], "bc": []}
+        reports = {}
+        for method, seen in policies.items():
+            res = train(replace(cfg, method=method), gp, factory,
+                        epoch_callback=lambda report, params: seen.append(params.flat))
+            reports[method] = res.reports
+        ca = reports["ca"]
+        assert ca[0].clf_degenerate and ca[0].n_minus == 0
+        assert [r.clf_fit_epoch for r in ca] == [-1, -1, 2]
+        assert [(r.safety_on, r.safety_loss) for r in ca] == [
+            (False, 0.0), (False, 0.0), (True, ca[2].safety_loss)]
+        assert ca[2].safety_loss > 0.0
+        for epoch in (0, 1):
+            assert np.array_equal(policies["ca"][epoch], policies["bc"][epoch])
+        assert not np.array_equal(policies["ca"][2], policies["bc"][2])
 
     def test_nonfinite_loss_raises(self):
         with pytest.raises(NonFiniteLossError):
