@@ -7,9 +7,10 @@ Datasets are JSON-lines files so they can be appended to during iterative
 collection; gzip is used transparently for ``.gz`` paths.
 
 Trajectory files hold a ``{"kind": "traj", "traj_id", "outcome", "reason"}``
-header per rollout and one ``{"kind": "sample", "traj_id", "k", "x", "y",
-"u_expert", "u_applied", "x_next"}`` line per step (``y`` null where the
-output map was skipped; the ``"safe": null`` of older files is ignored).
+header per rollout, whose ``outcome`` must be the one its ``reason`` implies,
+and one ``{"kind": "sample", "traj_id", "k", "x", "y", "u_expert",
+"u_applied", "x_next"}`` line per step (``y`` null where the output map was
+skipped; the ``"safe": null`` of older files is ignored).
 """
 
 from __future__ import annotations
@@ -163,17 +164,21 @@ class TerminationReason(Enum):
     # Dynamics singularity (state left the valid Frenet chart); always a failure.
     SINGULARITY = "singularity"
 
+    @property
+    def outcome(self) -> Outcome:
+        """Success means exactly that the rollout ended inside the target set."""
+        return Outcome.SUCCESS if self is TerminationReason.REACHED_TARGET else Outcome.FAILURE
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A closed-loop rollout with a definite outcome, one array row per step.
+    """A closed-loop rollout and how it ended, one array row per step.
 
     Row ``k`` holds the state ``x``, the observation ``y`` (``None`` for the
     whole rollout where it skipped the output map), the expert's relabeled
     action ``u_expert``, the action ``u_applied`` that drove the plant, and
     the state ``x_next`` it reached: cloning trains against ``u_expert``, the
-    dynamics surrogate against ``u_applied``.  Success means exactly that the
-    rollout terminated inside the target set; steps chain
+    dynamics surrogate against ``u_applied``.  Steps chain
     (``x_next[k] == x[k + 1]``).
     """
 
@@ -182,16 +187,9 @@ class Trajectory:
     u_expert: np.ndarray          # (n, 2)
     u_applied: np.ndarray         # (n, 2)
     x_next: np.ndarray            # (n, 6)
-    outcome: Outcome
     termination_reason: TerminationReason
 
     def __post_init__(self):
-        success = self.outcome is Outcome.SUCCESS
-        reached = self.termination_reason is TerminationReason.REACHED_TARGET
-        if success != reached:
-            raise ValueError(
-                f"outcome {self.outcome} inconsistent with reason {self.termination_reason}"
-            )
         n = len(self.x)
         shapes = {"x": (n, 6), "u_expert": (n, 2), "u_applied": (n, 2), "x_next": (n, 6)}
         if self.y is not None:
@@ -207,6 +205,10 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.x)
+
+    @property
+    def outcome(self) -> Outcome:
+        return self.termination_reason.outcome
 
 
 @dataclass(frozen=True)
@@ -321,7 +323,7 @@ def _parse_step(obj: dict, line_no: int) -> tuple:
         raise DatasetFormatError(line_no, str(exc)) from exc
 
 
-def _trajectory(steps: list, outcome: Outcome, reason: TerminationReason) -> Trajectory:
+def _trajectory(steps: list, reason: TerminationReason) -> Trajectory:
     """The record of one trajectory's parsed step rows, in step order."""
     n = len(steps)
     x, y, u_expert, u_applied, x_next = zip(*steps) if steps else ((),) * 5
@@ -330,7 +332,7 @@ def _trajectory(steps: list, outcome: Outcome, reason: TerminationReason) -> Tra
         raise ValueError(f"y is null on {unobserved} of {n} lines")
     return Trajectory(np.reshape(x, (-1, 6)), None if unobserved or not n else np.array(y),
                       np.reshape(u_expert, (-1, 2)), np.reshape(u_applied, (-1, 2)),
-                      np.reshape(x_next, (-1, 6)), outcome, reason)
+                      np.reshape(x_next, (-1, 6)), reason)
 
 
 def load_dataset(path) -> Union[LabeledPool, list]:
@@ -362,14 +364,15 @@ def load_dataset(path) -> Union[LabeledPool, list]:
                 tid = _index(obj, line_no, "traj_id")
                 if tid in headers:
                     raise DatasetFormatError(line_no, f"second 'traj' header for trajectory {tid}")
+                outcome, reason = (_field(obj, line_no, f) for f in ("outcome", "reason"))
                 try:
-                    headers[tid] = (
-                        Outcome(_field(obj, line_no, "outcome")),
-                        TerminationReason(_field(obj, line_no, "reason")),
-                        line_no,
-                    )
+                    outcome, reason = Outcome(outcome), TerminationReason(reason)
                 except ValueError as exc:
                     raise DatasetFormatError(line_no, str(exc)) from exc
+                if outcome is not reason.outcome:
+                    raise DatasetFormatError(
+                        line_no, f"outcome {outcome.value!r} contradicts reason {reason.value!r}")
+                headers[tid] = (reason, line_no)
                 rows[tid] = {}
             elif kind == "sample":
                 saw_traj = True
@@ -403,10 +406,10 @@ def load_dataset(path) -> Union[LabeledPool, list]:
                            minus=np.array(pool["minus"], dtype=bool))
     trajs = []
     for tid in sorted(headers):
-        outcome, reason, line_no = headers[tid]
+        reason, line_no = headers[tid]
         steps = rows[tid]
         try:
-            trajs.append(_trajectory([steps[k] for k in sorted(steps)], outcome, reason))
+            trajs.append(_trajectory([steps[k] for k in sorted(steps)], reason))
         except ValueError as exc:
             raise DatasetFormatError(line_no, f"trajectory {tid}: {exc}") from exc
     return trajs

@@ -109,28 +109,26 @@ def dyn_loss_and_grad(model: DynModel, states_raw: np.ndarray, actions: np.ndarr
 
 def clf_loss_and_grad(clf: SafetyClf, states_raw: np.ndarray, labels: np.ndarray,
                       tape: Optional[nn.Tape] = None):
-    """Class-balanced binary cross-entropy with exact gradients.
+    """Mean binary cross-entropy with exact gradients.
 
-    Weights are inverse class frequencies scaled so they sum to the batch
-    size; with both classes present the degenerate collapse toward the
-    majority class is removed.  Raises when only one class is in the batch.
-    ``tape`` is reused as in :func:`dyn_loss_and_grad`.
+    The caller balances the batch: the trainer passes as many safe states
+    (label 1) as unsafe ones (label 0), so the classes carry no weights.
+    Raises when only one class is in the batch.  ``tape`` is reused as in
+    :func:`dyn_loss_and_grad`.
     """
     states_raw = np.atleast_2d(states_raw)
     labels = np.asarray(labels, dtype=float).reshape(-1)
     if len(states_raw) == 0:
         raise ValueError("empty classifier batch")
-    n_pos = float((labels == 1.0).sum())
-    n_neg = float((labels == 0.0).sum())
+    n_pos = int((labels == 1.0).sum())
+    n_neg = int((labels == 0.0).sum())
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
-            f"need both classes, got {int(n_pos)} positive / {int(n_neg)} negative")
-    B = len(labels)
-    weights = np.where(labels == 1.0, B / (2.0 * n_pos), B / (2.0 * n_neg))
+            f"need both classes, got {n_pos} positive / {n_neg} negative")
     tape = tape or nn.Tape()
     p = clf.prob(states_raw, tape)
-    loss = float(-(weights * (labels * np.log(p) + (1 - labels) * np.log(1 - p))).mean())
-    dp = weights * (-(labels / p) + (1 - labels) / (1 - p)) / B
+    loss = float(-(labels * np.log(p) + (1 - labels) * np.log(1 - p)).mean())
+    dp = (-(labels / p) + (1 - labels) / (1 - p)) / len(labels)
     grads, _ = nn.backward(clf.params, tape, dp[:, None])
     return loss, grads
 

@@ -12,54 +12,37 @@ injected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .core import Outcome, TerminationReason, Trajectory, VehicleState
+from .core import TerminationReason, Trajectory, VehicleState
 from .sim import SimConfig, default_start_state, rng_stream, rollout
 from .track import TrackSpec
 
 
-class EvalTermination(Enum):
-    FIFTY_LAPS = "fifty_laps"
-    CONSTRAINT_VIOLATION = "constraint_violation"
-    TIMEOUT = "timeout"
-    SINGULARITY = "singularity"
-
-
-_FAILURE_TERMINATION = {
-    TerminationReason.CONSTRAINT_VIOLATION: EvalTermination.CONSTRAINT_VIOLATION,
-    TerminationReason.TIMEOUT: EvalTermination.TIMEOUT,
-    TerminationReason.SINGULARITY: EvalTermination.SINGULARITY,
-}
+def _lap_stat(name: str) -> property:
+    """The lap times' ``ndarray`` reduction ``name``; 0.0 with no lap completed."""
+    return property(lambda self: float(getattr(np.asarray(self.lap_times), name)())
+                    if self.lap_times else 0.0)
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    laps_completed: int
+    """The completed laps' times and how the last lap attempt ended:
+    ``REACHED_TARGET`` once every requested lap was driven."""
+
     lap_times: tuple
-    terminated_by: EvalTermination
-    lap_mean: float
-    lap_std: float
-    lap_min: float
-    lap_max: float
+    terminated_by: TerminationReason
 
-    def __post_init__(self):
-        if len(self.lap_times) != self.laps_completed:
-            raise ValueError("lap_times length must equal laps_completed")
+    @property
+    def laps_completed(self) -> int:
+        return len(self.lap_times)
 
-
-def _result(lap_times: List[float], terminated_by: EvalTermination) -> EvalResult:
-    if lap_times:
-        arr = np.asarray(lap_times)
-        stats = (float(arr.mean()), float(arr.std()), float(arr.min()), float(arr.max()))
-    else:
-        stats = (0.0, 0.0, 0.0, 0.0)
-    return EvalResult(laps_completed=len(lap_times), lap_times=tuple(lap_times),
-                      terminated_by=terminated_by, lap_mean=stats[0],
-                      lap_std=stats[1], lap_min=stats[2], lap_max=stats[3])
+    lap_mean = _lap_stat("mean")
+    lap_std = _lap_stat("std")
+    lap_min = _lap_stat("min")
+    lap_max = _lap_stat("max")
 
 
 def chained_laps(policy, cfg: SimConfig, track: TrackSpec, seed: int,
@@ -71,7 +54,7 @@ def chained_laps(policy, cfg: SimConfig, track: TrackSpec, seed: int,
     for _ in range(laps):
         traj = rollout(cfg, track, policy, x, cfg.max_steps, rng, observe_unread=False)
         yield traj
-        if traj.outcome is not Outcome.SUCCESS:
+        if traj.termination_reason is not TerminationReason.REACHED_TARGET:
             return
         x = VehicleState(*traj.x_next[-1].tolist())
 
@@ -88,10 +71,10 @@ def evaluate(policy, cfg: SimConfig, track: TrackSpec, seed: int,
         raise ValueError("laps must be >= 1")
     lap_times: List[float] = []
     for traj in chained_laps(policy, cfg, track, seed, laps):
-        if traj.outcome is not Outcome.SUCCESS:
-            return _result(lap_times, _FAILURE_TERMINATION[traj.termination_reason])
-        lap_times.append(len(traj) * cfg.dt)
-    return _result(lap_times, EvalTermination.FIFTY_LAPS)
+        if traj.termination_reason is TerminationReason.REACHED_TARGET:
+            lap_times.append(len(traj) * cfg.dt)
+    # the last attempt, failed or the last lap asked for, says how it ended
+    return EvalResult(tuple(lap_times), traj.termination_reason)
 
 
 def early_stop_epoch(laps: Sequence[int], full_laps: int) -> Optional[int]:

@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     Action,
     Observation,
-    Outcome,
     TerminationReason,
     Trajectory,
     VehicleState,
@@ -249,7 +248,7 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
     observations, expert_actions, applied_actions = [], [], []
     x = x0
     s_start = x0.s
-    outcome, reason = Outcome.FAILURE, TerminationReason.TIMEOUT
+    reason = TerminationReason.TIMEOUT
     for _ in range(max_steps):
         y = None if skip_observe else observe(cfg, track, x, rng)
         u = policy(y, x)
@@ -258,7 +257,7 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
         try:
             x_next = step(cfg, track, x, u)
         except SimSingularityError:
-            outcome, reason = Outcome.FAILURE, TerminationReason.SINGULARITY
+            reason = TerminationReason.SINGULARITY
             break
         observations.append(y)
         expert_actions.append(relabel(x) if relabel is not None else u)
@@ -266,15 +265,15 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
         states.append(x_next)
         x = x_next
         if not in_constraints(cfg, track, x):
-            outcome, reason = Outcome.FAILURE, TerminationReason.CONSTRAINT_VIOLATION
+            reason = TerminationReason.CONSTRAINT_VIOLATION
             break
         if in_target(cfg, track, x, s_start):
-            outcome, reason = Outcome.SUCCESS, TerminationReason.REACHED_TARGET
+            reason = TerminationReason.REACHED_TARGET
             break
     visited = _rows(states, 6)
     y = None if skip_observe else _rows(observations, 3 + len(cfg.preview_distances))
     return Trajectory(visited[:-1], y, _rows(expert_actions, 2), _rows(applied_actions, 2),
-                      visited[1:], outcome, reason)
+                      visited[1:], reason)
 
 
 def _rows(records: list, width: int) -> np.ndarray:

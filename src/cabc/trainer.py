@@ -429,6 +429,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
     opt_dyn = opt_clf = None
     last_dyn_loss = 0.0
     last_clf_loss = 0.0
+    dyn_fit = False
     clf_fit_epoch = -1
     reports: List[EpochReport] = []
     early_stopped_at = None
@@ -478,6 +479,7 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
                     new_params, opt_dyn = nn.adam_step(dyn.params, grads, opt_dyn)
                     dyn = replace(dyn, params=new_params)
                 last_dyn_loss = _finite_or_raise("dyn_loss", loss_f, epoch)
+                dyn_fit = True
 
             if update_clf and clf is not None:
                 if len(plus) and len(minus):
@@ -498,11 +500,11 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
 
         # policy update (identical code path for both methods; this is the one
         # place that decides whether the safety term runs).  It runs only
-        # through a classifier that has been fit, which only CA does: until
-        # then the classifier's weights are its random initialization
+        # through a critic pair that has been fit, which only CA does: until
+        # each network's first fit its weights are its random initialization
         rng_b = rng_stream(cfg.seed, 3, epoch)
         clone_sum = safety_sum = 0.0
-        use_critic = cfg.lam > 0.0 and clf_fit_epoch >= 0
+        use_critic = cfg.lam > 0.0 and dyn_fit and clf_fit_epoch >= 0
         for _ in range(cfg.grad_steps_policy):
             idx = rng_b.integers(0, n, size=min(cfg.batch_size, n))
             clone, safety, grads = agent_loss_and_grad(

@@ -72,15 +72,15 @@ def make_trajectory(n: int, outcome: Outcome, k_preview: int = 2,
               else TerminationReason.CONSTRAINT_VIOLATION)
     return Trajectory(x=visited[:-1], y=y, u_expert=np.tile([0.2, 0.0], (n, 1)),
                       u_applied=np.tile([0.25, -0.1], (n, 1)), x_next=visited[1:],
-                      outcome=outcome, termination_reason=reason)
+                      termination_reason=reason)
 
 
 STEP_FIELDS = ("x", "y", "u_expert", "u_applied", "x_next")
 
 
 def same_trajectory(a: Trajectory, b: Trajectory) -> bool:
-    """Equal outcome, reason and step rows (``Trajectory`` defines no ``__eq__``)."""
-    return (a.outcome is b.outcome and a.termination_reason is b.termination_reason
+    """Equal reason and step rows (``Trajectory`` defines no ``__eq__``)."""
+    return (a.termination_reason is b.termination_reason
             and (a.y is None) == (b.y is None)
             and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in STEP_FIELDS
                     if getattr(a, f) is not None))

@@ -54,10 +54,11 @@ class TestTypes:
         assert len(y.as_tuple()) == 6
         assert Observation.from_sequence(y.as_tuple()) == y
 
-    def test_trajectory_outcome_reason_consistency(self):
-        traj = make_trajectory(2, Outcome.SUCCESS)
-        with pytest.raises(ValueError):
-            replace(traj, termination_reason=TerminationReason.TIMEOUT)
+    @pytest.mark.parametrize("reason", list(TerminationReason))
+    def test_trajectory_outcome_follows_its_reason(self, reason):
+        traj = replace(make_trajectory(2, Outcome.SUCCESS), termination_reason=reason)
+        success = reason is TerminationReason.REACHED_TARGET
+        assert traj.outcome is (Outcome.SUCCESS if success else Outcome.FAILURE)
 
     def test_trajectory_chaining_enforced(self):
         a = make_trajectory(2, Outcome.SUCCESS)
@@ -65,8 +66,7 @@ class TestTypes:
         # step 0 of a, then step 1 of b
         mixed = {f: np.vstack([getattr(a, f)[:1], getattr(b, f)[1:]]) for f in STEP_FIELDS}
         with pytest.raises(ValueError, match="does not chain at step 0"):
-            Trajectory(**mixed, outcome=Outcome.SUCCESS,
-                       termination_reason=TerminationReason.REACHED_TARGET)
+            Trajectory(**mixed, termination_reason=TerminationReason.REACHED_TARGET)
 
     @pytest.mark.parametrize("name, shape", [("x", (3, 5)), ("u_expert", (2, 2)),
                                              ("u_applied", (3,)), ("x_next", (3, 6, 1)),
@@ -305,6 +305,22 @@ class TestPersistence:
         self._write(path, records)
         with pytest.raises(DatasetFormatError,
                            match="trajectory 1: trajectory does not chain at step 1") as err:
+            load_dataset(path)
+        assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("outcome, reason", [("failure", "reached_target"),
+                                                 ("success", "constraint_violation"),
+                                                 ("success", "timeout")])
+    def test_header_whose_outcome_contradicts_its_reason_reports_line(self, tmp_path,
+                                                                      outcome, reason):
+        path = tmp_path / "data.jsonl"
+        save_dataset([make_trajectory(2, Outcome.SUCCESS),
+                      make_trajectory(1, Outcome.FAILURE, start=4.0)], path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[3].update(outcome=outcome, reason=reason)
+        self._write(path, records)
+        with pytest.raises(DatasetFormatError,
+                           match=f"outcome '{outcome}' contradicts reason '{reason}'") as err:
             load_dataset(path)
         assert err.value.line_no == 4
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from cabc.cli import main
-from cabc.core import Action
-from cabc.evalharness import EvalResult, EvalTermination, early_stop_epoch, evaluate
+from cabc.core import Action, TerminationReason
+from cabc.evalharness import early_stop_epoch, evaluate
 from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import emit_reports, read_reports_csv
 from cabc.sim import SimConfig, rng_stream
@@ -21,8 +21,16 @@ class TestEvaluate:
         policy = PidCenterline(noiseless_sim, circle, v_ref=1.0)
         result = evaluate(policy, noiseless_sim, circle, seed=0, laps=50)
         assert result.laps_completed == 50
-        assert result.terminated_by is EvalTermination.FIFTY_LAPS
+        assert result.terminated_by is TerminationReason.REACHED_TARGET
         assert result.lap_std < 1e-6
+
+    def test_driving_every_requested_lap_reaches_the_target(self, circle, noiseless_sim):
+        # the end does not name a lap count: three laps asked, three driven
+        policy = PidCenterline(noiseless_sim, circle, v_ref=1.0)
+        result = evaluate(policy, noiseless_sim, circle, seed=0, laps=3)
+        assert result.laps_completed == 3
+        assert result.terminated_by is TerminationReason.REACHED_TARGET
+        assert result.terminated_by.value == "reached_target"
 
     def test_zero_policy_completes_no_laps(self, circle, noiseless_sim):
         # the standard start moves at 1 m/s, so a zero policy coasts off the
@@ -30,8 +38,9 @@ class TestEvaluate:
         result = evaluate(lambda y, x: Action(0.0, 0.0), noiseless_sim, circle,
                           seed=0, laps=50)
         assert result.laps_completed == 0
-        assert result.terminated_by in (EvalTermination.TIMEOUT,
-                                        EvalTermination.CONSTRAINT_VIOLATION)
+        assert result.terminated_by in (TerminationReason.TIMEOUT,
+                                        TerminationReason.CONSTRAINT_VIOLATION)
+        assert (result.lap_mean, result.lap_std, result.lap_min, result.lap_max) == (0.0,) * 4
 
     def test_noisy_racing_violates_for_some_seed(self, gp, noiseless_sim):
         class Noisy:
@@ -47,7 +56,7 @@ class TestEvaluate:
         for seed in range(10):
             policy = Noisy(RacingExpert(noiseless_sim, gp), rng_stream(seed, 7))
             result = evaluate(policy, noiseless_sim, gp, seed=seed, laps=50)
-            if (result.terminated_by is EvalTermination.CONSTRAINT_VIOLATION
+            if (result.terminated_by is TerminationReason.CONSTRAINT_VIOLATION
                     and result.laps_completed < 50):
                 violated += 1
         assert violated >= 1
@@ -57,7 +66,7 @@ class TestEvaluate:
         import cabc.evalharness as eval_mod
         from dataclasses import replace
 
-        from cabc.core import Outcome, TerminationReason
+        from cabc.core import Outcome
 
         def singular_rollout(*args, **kw):
             return replace(make_trajectory(0, Outcome.FAILURE),
@@ -67,7 +76,7 @@ class TestEvaluate:
         result = evaluate(lambda y, x: Action(0.0, 0.0), noiseless_sim, circle,
                           seed=0, laps=50)
         assert result.laps_completed == 0
-        assert result.terminated_by is EvalTermination.SINGULARITY
+        assert result.terminated_by is TerminationReason.SINGULARITY
 
     def test_statistics_match_lap_list(self, circle, noiseless_sim):
         policy = PidCenterline(noiseless_sim, circle, v_ref=1.0)
@@ -77,12 +86,6 @@ class TestEvaluate:
         assert result.lap_mean == pytest.approx(arr.mean())
         assert result.lap_std == pytest.approx(arr.std())
         assert result.lap_min == arr.min() and result.lap_max == arr.max()
-
-    def test_lap_times_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            EvalResult(laps_completed=2, lap_times=(10.0,),
-                       terminated_by=EvalTermination.TIMEOUT,
-                       lap_mean=10.0, lap_std=0.0, lap_min=10.0, lap_max=10.0)
 
     def test_evaluation_does_not_mutate_policy(self, circle, noiseless_sim):
         from cabc import nn
@@ -96,7 +99,7 @@ class TestEvaluate:
             assert np.array_equal(W, W0) and np.array_equal(b, b0)
 
     def test_rejects_fewer_than_one_lap(self, circle, noiseless_sim):
-        # zero laps used to report "fifty_laps" with no lap driven
+        # zero laps used to report a full evaluation with no lap driven
         for laps in (0, -1):
             with pytest.raises(ValueError, match="laps"):
                 evaluate(PidCenterline(noiseless_sim, circle), noiseless_sim, circle,

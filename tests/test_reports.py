@@ -162,7 +162,7 @@ def test_reports_csv_round_trips_every_field(tmp_path):
         EpochReport(epoch=0, clone_loss=0.1 + 0.2, safety_loss=0.0, dyn_loss=1e-300,
                     clf_loss=math.pi, new_successes=2, new_failures=0, n_plus=812,
                     n_query=0, n_minus=0, eval_laps=50, eval_lap_mean=7.25,
-                    eval_lap_std=1.0 / 3.0, eval_terminated_by="fifty_laps"),
+                    eval_lap_std=1.0 / 3.0, eval_terminated_by="reached_target"),
         EpochReport(epoch=1, clone_loss=1e6, safety_loss=2.5, dyn_loss=-0.0,
                     clf_loss=0.5, new_successes=0, new_failures=2, n_plus=812,
                     n_query=600, n_minus=431, eval_laps=0, eval_lap_mean=0.0,

@@ -350,6 +350,31 @@ class TestTrainLoops:
             assert np.array_equal(policies["ca"][epoch], policies["bc"][epoch])
         assert not np.array_equal(policies["ca"][2], policies["bc"][2])
 
+    def test_safety_term_waits_for_the_first_dynamics_fit(self, gp):
+        """A classifier fit alone does not start the safety term: its penalty
+        runs through the dynamics model, which must have been fit too."""
+        # the expert drives every step (alpha = 1).  At seed 23 both epoch-0
+        # episodes fail, so there is no metric and no critic; epoch 1 has a
+        # success, so the networks are made and the classifier (due every
+        # epoch) is fit, but the dynamics model is first due at epoch 2
+        cfg = tiny_cfg(gp, epochs=3, alpha=1.0, k_f=2, k_p=1, seed=23, grad_steps_policy=5,
+                       grad_steps_dyn=5, grad_steps_clf=5, eval_laps=1)
+        factory = make_expert_factory("racing", cfg.sim, gp)
+        policies = {"ca": [], "bc": []}
+        reports = {}
+        for method, seen in policies.items():
+            res = train(replace(cfg, method=method), gp, factory,
+                        epoch_callback=lambda report, params: seen.append(params.flat))
+            reports[method] = res.reports
+        ca = reports["ca"]
+        assert [(r.new_successes, r.new_failures) for r in ca[:2]] == [(0, 2), (1, 1)]
+        assert [r.clf_fit_epoch for r in ca] == [-1, 1, 2]
+        assert [(r.safety_on, r.safety_loss) for r in ca[:2]] == [(False, 0.0), (False, 0.0)]
+        assert ca[2].safety_on and ca[2].safety_loss > 0.0
+        for epoch in (0, 1):
+            assert np.array_equal(policies["ca"][epoch], policies["bc"][epoch])
+        assert not np.array_equal(policies["ca"][2], policies["bc"][2])
+
     def test_nonfinite_loss_raises(self):
         with pytest.raises(NonFiniteLossError):
             _finite_or_raise("clone_loss", float("nan"), epoch=3)
