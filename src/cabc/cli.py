@@ -18,7 +18,9 @@ from .autolabel import (
     SyntheticSet,
     classifier_grid,
     grid_map,
+    incorrect_removals,
     label_synthetic,
+    prop1_violation_count,
     train_synthetic_classifier,
 )
 from .config import (
@@ -242,6 +244,9 @@ def _cmd_labeldemo(args) -> int:
     synth = _SYNTH[args.set]()
     rhos = _labeldemo_radii(args)
     os.makedirs(args.out, exist_ok=True)
+    summary_path = os.path.join(args.out, "summary.csv")
+    summary = [("set", "rho", "removed", "violations", "incorrect_removals",
+                "balanced_accuracy")]
     for rho in rhos:
         rng = np.random.default_rng(args.seed)
         plus, query, removed = label_synthetic(synth, args.n, args.n, rho, rng)
@@ -278,7 +283,16 @@ def _cmd_labeldemo(args) -> int:
         svg_path = os.path.join(args.out, f"overlay_{tag}.svg")
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(svg)
-        n_inc = int((sdf_query[removed] < 0).sum())
+        n_inc = incorrect_removals(removed, query, synth)
+        # balanced accuracy: the mean of the true-positive and true-negative
+        # rates of p(safe) > 0.5 on the grid
+        truth, pred = grid_map(synth.contains, xs, ys) > 0.5, probs > 0.5
+        accuracy = 0.5 * float((pred & truth).sum() / max(truth.sum(), 1)
+                               + (~pred & ~truth).sum() / max((~truth).sum(), 1))
+        summary.append((args.set, rho, int(removed.sum()),
+                        prop1_violation_count(query[removed], synth, rho), n_inc, accuracy))
+        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(f"{','.join(map(str, row))}\r\n" for row in summary)
         print(f"rho={rho:g}: removed {int(removed.sum())} of {len(query)} "
               f"({n_inc} outside the true set); wrote {points_path}, {grid_path}, {svg_path}")
     return 0
@@ -306,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True,
                    help="policy .npz archive written by train, e.g. RUN/policy.npz or "
                         "RUN/checkpoints/epoch_NNNN/policy.npz: .npy members flat "
-                        "(float64 parameters), sizes, head, activation and seed")
+                        "(float64 parameters), sizes, head and seed")
     p.add_argument("--track", default="gp")
     p.add_argument("--obs", choices=("full", "output"), default="output")
     p.add_argument("--seed", type=int, default=0)
@@ -329,7 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_sim)
 
-    p = sub.add_parser("labeldemo", help="synthetic-set auto-labeling benchmark")
+    p = sub.add_parser(
+        "labeldemo", help="synthetic-set auto-labeling benchmark",
+        description="Label one synthetic set at each --rho radius, fit a classifier to "
+                    "the labels and evaluate it on a --grid x --grid grid. Writes "
+                    "points_<tag>.csv, decision_grid_<tag>.csv and overlay_<tag>.svg per "
+                    "radius, and summary.csv, one row per radius: set, rho, removed, "
+                    "violations, incorrect_removals, balanced_accuracy.")
     p.add_argument("--set", choices=tuple(_SYNTH), default="crescent")
     p.add_argument("--rho", default="1.0,0.5,0.25", help="comma-separated radii")
     p.add_argument("--n", type=int, default=2000)

@@ -393,7 +393,10 @@ def load_dataset(path) -> Union[LabeledPool, list]:
                     pool["plus"].append(x)
                 elif which == "query":
                     pool["query"].append(x)
-                    pool["minus"].append(bool(_field(obj, line_no, "minus")))
+                    minus = _field(obj, line_no, "minus")
+                    if type(minus) is not int or minus not in (0, 1):
+                        raise DatasetFormatError(line_no, f"minus must be 0 or 1, got {minus!r}")
+                    pool["minus"].append(minus == 1)
                 else:
                     raise DatasetFormatError(line_no, f"unknown pool set {which!r}")
             else:

@@ -17,10 +17,10 @@ layout, so an Adam step is a handful of whole-vector operations.
 
 Files.  ``save_weights`` writes one network as an ``.npz`` archive: an
 uncompressed zip whose members are plain ``.npy`` arrays (NumPy NEP 1),
-``flat`` (float64, the layout above), ``sizes`` (int64), ``head`` and
-``activation`` (unicode scalars) and ``seed`` (int64 scalar).  Every member
-carries zip's fixed 1980 timestamp, so saving one network twice gives the
-same bytes, and ``np.load(path, allow_pickle=False)`` reads every member.
+``flat`` (float64, the layout above), ``sizes`` (int64), ``head`` (unicode
+scalar) and ``seed`` (int64 scalar).  Every hidden layer is tanh.  Every
+member carries zip's fixed 1980 timestamp, so saving one network twice gives
+the same bytes, and ``np.load(path, allow_pickle=False)`` reads every member.
 
 Ownership.  Parameters are immutable values: nothing writes into an
 ``MlpParams`` after it is built, and ``adam_step`` returns a new one.  An
@@ -61,12 +61,11 @@ class MlpParams:
     sizes: Tuple[int, ...]
     weights: tuple            # ((W, b), ...) with W of shape (n_in, n_out)
     head: str = "identity"
-    activation: str = "tanh"
     seed: int = 0
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_kind(self.head, self.activation)
+        _check_head(self.head)
         if len(self.weights) != len(self.sizes) - 1:
             raise ValueError("weight count does not match layer sizes")
         for i, (W, b) in enumerate(self.weights):
@@ -90,22 +89,18 @@ class MlpParams:
 
     def with_flat(self, flat: np.ndarray) -> "MlpParams":
         """The same network backed by ``flat``, which the new value takes over."""
-        return _from_flat(self.sizes, flat, self.head, self.activation, self.seed)
+        return _from_flat(self.sizes, flat, self.head, self.seed)
 
 
-def _check_kind(head: str, activation: str) -> None:
+def _check_head(head: str) -> None:
     if head not in _HEADS:
         raise ValueError(f"unknown head {head!r}")
-    if activation != "tanh":
-        raise ValueError("only tanh hidden activation is supported")
 
 
-def _from_flat(sizes: Tuple[int, ...], flat: np.ndarray, head: str, activation: str,
-               seed: int) -> MlpParams:
+def _from_flat(sizes: Tuple[int, ...], flat: np.ndarray, head: str, seed: int) -> MlpParams:
     """An ``MlpParams`` backed by ``flat`` (not copied), which has its layout."""
     new = object.__new__(MlpParams)
-    for name, value in (("sizes", sizes), ("head", head), ("activation", activation),
-                        ("seed", seed)):
+    for name, value in (("sizes", sizes), ("head", head), ("seed", seed)):
         object.__setattr__(new, name, value)
     new._adopt(flat)
     return new
@@ -327,8 +322,7 @@ def save_weights(p: MlpParams, path) -> None:
     stamp the current time into every member.
     """
     members = (("flat", p.flat), ("sizes", np.asarray(p.sizes, dtype=np.int64)),
-               ("head", np.asarray(p.head)), ("activation", np.asarray(p.activation)),
-               ("seed", np.asarray(p.seed, dtype=np.int64)))
+               ("head", np.asarray(p.head)), ("seed", np.asarray(p.seed, dtype=np.int64)))
     with zipfile.ZipFile(path, "w") as zf:
         for name, value in members:
             with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
@@ -342,6 +336,8 @@ def load_weights(path) -> MlpParams:
     as JSON text before the ``.npz`` format no longer load), when ``sizes``
     has fewer than two widths or one below 1, or when ``flat`` does not hold
     exactly the parameters ``sizes`` calls for, or holds a non-finite value.
+    Older archives also carry an ``activation`` member, always ``tanh``; it
+    is not read.
     """
     if not zipfile.is_zipfile(path):
         # np.load would report such a file as pickled data
@@ -349,12 +345,12 @@ def load_weights(path) -> MlpParams:
     with np.load(path, allow_pickle=False) as data:
         flat = data["flat"].astype(np.float64, copy=False)
         sizes = tuple(int(n) for n in data["sizes"])
-        head, activation = data["head"].item(), data["activation"].item()
+        head = data["head"].item()
         seed = int(data["seed"])
-    _check_kind(head, activation)
+    _check_head(head)
     if len(sizes) < 2 or min(sizes) < 1:
         raise ValueError(f"layer sizes {sizes} need two or more widths, each >= 1")
     n = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
     if flat.shape != (n,):
         raise ValueError(f"flat has shape {flat.shape}; layer sizes {sizes} need ({n},)")
-    return _from_flat(sizes, flat, head, activation, seed)
+    return _from_flat(sizes, flat, head, seed)

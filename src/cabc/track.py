@@ -31,17 +31,22 @@ class TrackSpec:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("track needs at least one segment")
-        if any(l <= 0 for l, _ in segs):
+        # each test is written so that NaN fails it
+        if not all(l > 0 for l, _ in segs):
             raise ValueError("segment lengths must be positive")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-        turn = sum(l * k for l, k in segs)
-        if abs(abs(turn) - 2.0 * math.pi) > _CLOSURE_TOL:
-            raise ValueError(f"track does not close in heading: total turn {turn!r}")
+        if not all(-math.inf < k < math.inf for _, k in segs):
+            raise ValueError("segment curvatures must be finite")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width!r}")
         # cumulative arc length at segment starts, plus total lap length
         starts = [0.0]
         for l, _ in segs:
             starts.append(starts[-1] + l)
+        if not starts[-1] < math.inf:
+            raise ValueError("lap length must be finite")
+        turn = sum(l * k for l, k in segs)
+        if not abs(abs(turn) - 2.0 * math.pi) <= _CLOSURE_TOL:
+            raise ValueError(f"track does not close in heading: total turn {turn!r}")
         object.__setattr__(self, "_starts", tuple(starts))
 
     @property
@@ -212,12 +217,20 @@ def get_track(name: str) -> TrackSpec:
 
 # --- plain-text track files ---------------------------------------------------
 
+def _number(token: str, where: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"{where}: {token!r} is not a number") from None
+
+
 def load_track(path, name: str | None = None) -> TrackSpec:
     """Read a track file: a ``halfwidth <m>`` line, then one ``<length> <curvature>``
     line per segment, in driving order, floats as written by ``repr``.
 
     Blank lines and lines starting with ``#`` are skipped.  ``name`` defaults
-    to the file name without its extension.
+    to the file name without its extension.  A malformed line raises
+    ``ValueError`` naming the file and the line.
     """
     half_width = None
     segments = []
@@ -226,12 +239,17 @@ def load_track(path, name: str | None = None) -> TrackSpec:
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
                 continue
+            where = f"{path}: line {line_no}"
             if parts[0] == "halfwidth":
-                half_width = float(parts[1])
+                if half_width is not None:
+                    raise ValueError(f"{where}: second 'halfwidth' line")
+                if len(parts) != 2:
+                    raise ValueError(f"{where}: expected 'halfwidth <m>'")
+                half_width = _number(parts[1], where)
             elif len(parts) == 2:
-                segments.append((float(parts[0]), float(parts[1])))
+                segments.append((_number(parts[0], where), _number(parts[1], where)))
             else:
-                raise ValueError(f"{path}: line {line_no}: expected 'length curvature'")
+                raise ValueError(f"{where}: expected 'length curvature'")
     if half_width is None:
         raise ValueError(f"{path}: missing 'halfwidth' header")
     return TrackSpec(

@@ -184,6 +184,18 @@ class TestPersistence:
         assert loaded.minus.dtype == bool
         assert np.array_equal(loaded.minus, pool.minus)
 
+    @pytest.mark.parametrize("value", ["no", 7, -1, True, 1.0, None])
+    def test_pool_minus_other_than_0_or_1_reports_line(self, tmp_path, value):
+        path = tmp_path / "pool.jsonl"
+        save_dataset(LabeledPool(d_plus=np.zeros((0, 6)), d_query=np.zeros((2, 6)),
+                                 minus=np.array([True, False])), path)
+        first, second = (json.loads(line) for line in path.read_text().splitlines())
+        second["minus"] = value
+        self._write(path, [first, second])
+        with pytest.raises(DatasetFormatError, match="minus must be 0 or 1") as err:
+            load_dataset(path)
+        assert err.value.line_no == 2
+
     def test_unobserved_samples_round_trip(self, tmp_path):
         # state-feedback rollouts skip the output map and record y=None
         traj = make_trajectory(3, Outcome.FAILURE)

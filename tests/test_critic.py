@@ -304,7 +304,7 @@ class TestCheckpointIO:
         dyn2, clf2 = load_critic(tmp_path / "critic", cfg)
         for a, b in ((dyn.params, dyn2.params), (clf.params, clf2.params)):
             assert a.flat.tobytes() == b.flat.tobytes()
-            for name in ("sizes", "head", "activation", "seed"):
+            for name in ("sizes", "head", "seed"):
                 assert getattr(a, name) == getattr(b, name)
         for a, b in ((dyn.norm, dyn2.norm), (clf.norm, clf2.norm)):
             assert a.mean.tobytes() == b.mean.tobytes() and a.std.tobytes() == b.std.tobytes()

@@ -406,6 +406,24 @@ class TestCli:
         for row in rows:
             float(row["x"]), float(row["y"])
 
+    def test_labeldemo_writes_its_summary(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        code = run_cli("labeldemo", "--set", "sector", "--rho", "0.5,1.0,0.25", "--n", "200",
+                       "--grid", "40", "--out", str(out), "--seed", "1")
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["set"], row["rho"]) for row in rows] == [
+            ("sector", "0.5"), ("sector", "1.0"), ("sector", "0.25")]
+        for row, tag, line in zip(rows, ("rho0p5", "rho1", "rho0p25"), printed, strict=True):
+            with open(out / f"points_{tag}.csv", newline="") as fh:
+                removed = sum(point["removed"] == "1" for point in csv.DictReader(fh))
+            assert int(row["removed"]) == removed
+            assert row["violations"] == "0"
+            assert f"({int(row['incorrect_removals'])} outside the true set)" in line
+            assert 0.0 <= float(row["balanced_accuracy"]) <= 1.0
+
     def test_labeldemo_csv_bytes_match_csv_writer(self, tmp_path):
         """The streamed CSVs are byte for byte what a ``csv.writer`` loop writes."""
         from cabc.cli import write_grid_csv, write_points_csv

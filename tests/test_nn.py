@@ -390,7 +390,7 @@ class TestDeterminismAndIO:
         path = tmp_path / "w.npz"
         save_weights(p, path)
         q = load_weights(path)
-        assert q.sizes == p.sizes and q.head == p.head and q.activation == p.activation
+        assert q.sizes == p.sizes and q.head == p.head
         for (Wa, ba), (Wb, bb) in zip(p.weights, q.weights):
             assert np.all(Wa == Wb) and np.all(ba == bb)
         # the exact bytes of the layout: stored .npy members in a fixed order,
@@ -398,8 +398,7 @@ class TestDeterminismAndIO:
         expected = io.BytesIO()
         with zipfile.ZipFile(expected, "w") as zf:
             for name, value in (("flat", p.flat), ("sizes", np.array([4, 10, 1])),
-                                ("head", np.array("sigmoid")), ("activation", np.array("tanh")),
-                                ("seed", np.array(11))):
+                                ("head", np.array("sigmoid")), ("seed", np.array(11))):
                 with zf.open(zipfile.ZipInfo(name + ".npy"), "w") as fh:
                     np.lib.format.write_array(fh, value, allow_pickle=False)
         assert path.read_bytes() == expected.getvalue()
@@ -413,7 +412,7 @@ class TestDeterminismAndIO:
         q = load_weights(tmp_path / "w.npz")
         assert q.flat.dtype == np.float64
         assert q.flat.tobytes() == p.flat.tobytes()   # keeps the sign of -0.0
-        assert (q.sizes, q.head, q.activation, q.seed) == (p.sizes, p.head, p.activation, 2)
+        assert (q.sizes, q.head, q.seed) == (p.sizes, p.head, 2)
 
     def test_saves_are_byte_identical(self, tmp_path, monkeypatch):
         # the clock must not reach the file, as it does through np.savez
@@ -427,17 +426,16 @@ class TestDeterminismAndIO:
         p = init_mlp((5, 8, 2), head="identity", seed=7)
         save_weights(p, tmp_path / "w.npz")
         with np.load(tmp_path / "w.npz", allow_pickle=False) as data:
-            assert sorted(data.files) == ["activation", "flat", "head", "seed", "sizes"]
+            assert sorted(data.files) == ["flat", "head", "seed", "sizes"]
             assert data["flat"].dtype == np.float64
             assert np.array_equal(data["flat"], p.flat)
             assert data["sizes"].tolist() == [5, 8, 2]
-            assert (data["head"].item(), data["activation"].item()) == ("identity", "tanh")
+            assert data["head"].item() == "identity"
             assert int(data["seed"]) == 7
 
     def test_load_rejects_bad_flat(self, tmp_path):
         p = init_mlp((3, 4, 2), seed=1)
-        meta = dict(sizes=np.array(p.sizes), head=np.array("identity"),
-                    activation=np.array("tanh"), seed=np.array(1))
+        meta = dict(sizes=np.array(p.sizes), head=np.array("identity"), seed=np.array(1))
         nan = p.flat.copy()
         nan[5] = np.nan
         inf = p.flat.copy()
@@ -453,6 +451,15 @@ class TestDeterminismAndIO:
             load_weights(tmp_path / "bad.npz")
         np.savez(tmp_path / "ok.npz", flat=p.flat, **meta)
         assert np.array_equal(load_weights(tmp_path / "ok.npz").flat, p.flat)
+
+    def test_archive_with_an_activation_member_loads(self, tmp_path):
+        # archives written while every network stored its hidden "tanh"
+        p = init_mlp((3, 4, 2), head="sigmoid", seed=3)
+        np.savez(tmp_path / "old.npz", flat=p.flat, sizes=np.array(p.sizes),
+                 head=np.array("sigmoid"), activation=np.array("tanh"), seed=np.array(3))
+        q = load_weights(tmp_path / "old.npz")
+        assert (q.sizes, q.head, q.seed) == (p.sizes, p.head, 3)
+        assert q.flat.tobytes() == p.flat.tobytes()
 
     def test_load_rejects_json_weights(self, tmp_path):
         # the text format weights had before .npz

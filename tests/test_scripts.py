@@ -11,7 +11,7 @@ import sys
 import pytest
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
-NAMES = ("bench_closed_loop.py", "run_labeling_benchmark.py", "run_racing_experiment.py")
+NAMES = ("bench_closed_loop.py", "run_racing_experiment.py")
 
 
 def run_script(name, *args):
@@ -24,37 +24,6 @@ def test_help_exits_zero(name):
     done = run_script(name, "--help")
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
-
-
-def test_labeling_benchmark_writes_its_row(tmp_path):
-    done = run_script("run_labeling_benchmark.py", "--sets", "disk", "--rho", "1.0",
-                      "--n", "200", "--out", str(tmp_path))
-    assert done.returncode == 0, done.stderr
-    with open(tmp_path / "labeling_benchmark.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(row["set"], float(row["rho"])) for row in rows] == [("disk", 1.0)]
-    assert 0.0 <= float(rows[0]["balanced_accuracy"]) <= 1.0
-
-
-@pytest.mark.parametrize("args, message", [
-    (("--sets", "disk,torus"), "unknown set 'torus'"),
-    (("--sets", "disk,"), "unknown set ''"),
-    (("--rho", ""), "--rho must be comma-separated numbers"),
-    (("--rho", "1.0,"), "--rho must be comma-separated numbers"),
-    (("--rho", "1.0,x"), "--rho must be comma-separated numbers"),
-    (("--rho", "1.0,-0.5"), "finite and non-negative, got -0.5"),
-    (("--rho", "nan"), "finite and non-negative, got nan"),
-    (("--rho", "0.5,inf"), "finite and non-negative, got inf"),
-    (("--n", "0"), "--n must be at least 1"),
-])
-def test_labeling_benchmark_checks_its_arguments_first(tmp_path, args, message):
-    """A bad set, radius or point count is a usage error before any pair is labeled."""
-    out = tmp_path / "out"
-    done = run_script("run_labeling_benchmark.py", "--sets", "disk", "--n", "200",
-                      *args, "--out", str(out))
-    assert done.returncode == 2
-    assert "usage:" in done.stderr and message in done.stderr
-    assert not out.exists() and not done.stdout
 
 
 def test_racing_experiment_runs_both_methods(tmp_path):

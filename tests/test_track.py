@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ class TestSpecValidation:
     def test_rejects_nonpositive_half_width(self):
         with pytest.raises(ValueError):
             TrackSpec(segments=((2 * math.pi, 1.0),), half_width=0.0)
+
+    @pytest.mark.parametrize("segments, half_width", [
+        (((math.nan, 0.5),), 0.6),
+        (((math.inf, 0.0), (2 * math.pi, 1.0)), 0.6),
+        (((2 * math.pi, 1.0), (1.0, math.nan)), 0.6),
+        (((2 * math.pi, 1.0),), math.nan),
+        (((2 * math.pi, 1.0),), math.inf),
+    ], ids=["nan-length", "inf-length", "nan-curvature", "nan-half-width", "inf-half-width"])
+    def test_rejects_what_cannot_be_driven(self, segments, half_width):
+        """NaN fails every test, and an infinite length or width is refused."""
+        with pytest.raises(ValueError):
+            TrackSpec(segments=segments, half_width=half_width)
 
     def test_heading_closure_of_defaults(self):
         for track in default_tracks():
@@ -170,6 +183,18 @@ class TestFiles:
         path = tmp_path / "bad.track"
         path.write_text("1.0 0.5\n")
         with pytest.raises(ValueError):
+            load_track(path)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("halfwidth\n{seg}\n", 1, "expected 'halfwidth <m>'"),
+        ("halfwidth 0.6\n12.5 x\n", 2, "'x' is not a number"),
+        ("halfwidth 0.6 0.7\n{seg}\n", 1, "expected 'halfwidth <m>'"),
+        ("halfwidth 0.6\n{seg}\nhalfwidth 0.7\n", 3, "second 'halfwidth' line"),
+    ], ids=["no-value", "not-a-number", "extra-token", "second-halfwidth"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.track"
+        path.write_text(text.format(seg=f"{4 * math.pi!r} 0.5"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: {message}")):
             load_track(path)
 
     def test_resolve_by_name_and_path(self, tmp_path, circle):
