@@ -222,9 +222,9 @@ def _labeldemo_radii(args) -> list:
     try:
         rhos = [float(tok) for tok in args.rho.split(",") if tok]
     except ValueError:
-        raise ValueError(f"--rho must be comma-separated numbers, got {args.rho!r}") from None
+        rhos = []
     if not rhos:
-        raise ValueError("--rho must list at least one radius")
+        raise ValueError(f"--rho must be comma-separated numbers, got {args.rho!r}")
     for rho in rhos:
         if not 0.0 <= rho < math.inf:
             raise ValueError(f"--rho radii must be finite and non-negative, got {rho!r}")

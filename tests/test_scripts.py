@@ -1,14 +1,18 @@
 """Smoke tests of the scripts under ``scripts/``: each starts, and each
-experiment script finishes a tiny run."""
+experiment script finishes a tiny run. Also the argument checks of the
+labeling benchmark, ``cabc labeldemo``."""
 
 import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+
+from cabc.cli import main
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
 NAMES = ("bench_closed_loop.py", "run_racing_experiment.py")
@@ -24,6 +28,29 @@ def test_help_exits_zero(name):
     done = run_script(name, "--help")
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+# The labeling benchmark is ``cabc labeldemo``, whose summary.csv replaced
+# scripts/run_labeling_benchmark.py. The ids are those of the script's cases.
+@pytest.mark.parametrize("args, message", [
+    pytest.param(("--rho", ""), "--rho must be comma-separated numbers",
+                 id="args2---rho must be comma-separated numbers"),
+    pytest.param(("--rho", "1.0,x"), "--rho must be comma-separated numbers",
+                 id="args4---rho must be comma-separated numbers"),
+    pytest.param(("--rho", "1.0,-0.5"), "finite and non-negative, got -0.5",
+                 id="args5-finite and non-negative, got -0.5"),
+    pytest.param(("--rho", "nan"), "finite and non-negative, got nan",
+                 id="args6-finite and non-negative, got nan"),
+    pytest.param(("--rho", "0.5,inf"), "finite and non-negative, got inf",
+                 id="args7-finite and non-negative, got inf"),
+    pytest.param(("--n", "0"), "--n must be at least 1", id="args8---n must be at least 1"),
+])
+def test_labeling_benchmark_checks_its_arguments_first(tmp_path, capsys, args, message):
+    """A bad radius or point count is refused before any pair is labeled."""
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["labeldemo", "--set", "disk", "--n", "200", *args, "--out", str(out)])
+    assert not out.exists() and not capsys.readouterr().out
 
 
 def test_racing_experiment_runs_both_methods(tmp_path):
