@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .core import (
     Action,
     LabeledPool,
-    Observation,
     Outcome,
     TerminationReason,
     Trajectory,
@@ -17,7 +16,7 @@ from .track import TrackSpec, curvature_at, default_tracks, frenet_to_cartesian,
 from .sim import SimConfig, in_constraints, in_target, observe, rollout, step
 
 __all__ = [
-    "Action", "LabeledPool", "Observation", "Outcome", "TerminationReason",
+    "Action", "LabeledPool", "Outcome", "TerminationReason",
     "Trajectory", "VehicleState",
     "load_dataset", "save_dataset",
     "TrackSpec", "curvature_at", "default_tracks", "frenet_to_cartesian", "get_track",

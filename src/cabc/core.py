@@ -6,11 +6,18 @@ lateral offset ``x_tran`` (left-positive), and heading error ``e_psi``.
 Datasets are JSON-lines files so they can be appended to during iterative
 collection; gzip is used transparently for ``.gz`` paths.
 
+An observation is one row of floats, ``(v_long, v_tran, omega_psi, *preview)``:
+the noisy body velocities, then the lane centre's vehicle-frame lateral offset
+at each preview distance.  ``sim.observe`` returns it; policies,
+``Trajectory.y`` and the dataset lines take it as it is.
+
 Trajectory files hold a ``{"kind": "traj", "traj_id", "outcome", "reason"}``
 header per rollout, whose ``outcome`` must be the one its ``reason`` implies,
 and one ``{"kind": "sample", "traj_id", "k", "x", "y", "u_expert",
 "u_applied", "x_next"}`` line per step (``y`` null where the output map was
-skipped; the ``"safe": null`` of older files is ignored).
+skipped; the ``"safe": null`` of older files is ignored).  Pool files hold
+one ``{"kind": "pool", "set", "x"}`` line per state of the labeling pools,
+with a 0/1 ``minus`` flag on the ``"query"`` ones.
 """
 
 from __future__ import annotations
@@ -18,10 +25,12 @@ from __future__ import annotations
 import gzip
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from math import isfinite
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Optional, Union
 
 import numpy as np
 
@@ -114,44 +123,6 @@ class Action:
         return (self.u_a, self.u_steer)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Noise-corrupted output: body velocities plus a lane preview.
-
-    ``preview[i]`` is the (noisy) lateral offset of the lane center at a fixed
-    arc range ahead, expressed in the vehicle frame: the geometry a forward
-    lane camera reports.  The vector length is set by configuration.
-    """
-
-    v_long: float
-    v_tran: float
-    omega_psi: float
-    preview: tuple
-
-    def __post_init__(self):
-        # same fast path as VehicleState's
-        a, b, c = self.v_long, self.v_tran, self.omega_psi
-        if not (type(a) is float and type(b) is float and type(c) is float
-                and isfinite(a + b + c)):
-            for name in ("v_long", "v_tran", "omega_psi"):
-                object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        preview = tuple(map(float, self.preview))
-        object.__setattr__(self, "preview", preview)
-        if not isfinite(sum(preview)):
-            for p in preview:
-                _require_finite("preview", p)
-
-    def as_tuple(self) -> tuple:
-        return (self.v_long, self.v_tran, self.omega_psi) + self.preview
-
-    @staticmethod
-    def from_sequence(values) -> "Observation":
-        v = list(map(float, values))
-        if len(v) < 3:
-            raise ValueError(f"expected at least 3 observation components, got {len(v)}")
-        return Observation(v[0], v[1], v[2], tuple(v[3:]))
-
-
 class Outcome(Enum):
     SUCCESS = "success"
     FAILURE = "failure"
@@ -183,7 +154,7 @@ class Trajectory:
     """
 
     x: np.ndarray                 # (n, 6), VehicleState field order
-    y: Optional[np.ndarray]       # (n, k), Observation.as_tuple order
+    y: Optional[np.ndarray]       # (n, 3 + k), observation rows as ``sim.observe`` returns them
     u_expert: np.ndarray          # (n, 2)
     u_applied: np.ndarray         # (n, 2)
     x_next: np.ndarray            # (n, 6)
@@ -247,15 +218,14 @@ def _open(path, mode: str) -> IO:
 _STEP_FIELDS = ("x", "y", "u_expert", "u_applied", "x_next")
 
 
-def _traj_lines(trajs: Iterable[Trajectory], first_id: int = 0):
-    for tid, traj in enumerate(trajs, first_id):
-        yield {"kind": "traj", "traj_id": tid, "outcome": traj.outcome.value,
-               "reason": traj.termination_reason.value}
-        ys = [None] * len(traj) if traj.y is None else traj.y.tolist()
-        columns = (traj.x.tolist(), ys, traj.u_expert.tolist(), traj.u_applied.tolist(),
-                   traj.x_next.tolist())
-        for k, row in enumerate(zip(*columns)):
-            yield {"kind": "sample", "traj_id": tid, "k": k, **dict(zip(_STEP_FIELDS, row))}
+def _traj_lines(traj: Trajectory, tid: int):
+    yield {"kind": "traj", "traj_id": tid, "outcome": traj.outcome.value,
+           "reason": traj.termination_reason.value}
+    ys = [None] * len(traj) if traj.y is None else traj.y.tolist()
+    columns = (traj.x.tolist(), ys, traj.u_expert.tolist(), traj.u_applied.tolist(),
+               traj.x_next.tolist())
+    for k, row in enumerate(zip(*columns)):
+        yield {"kind": "sample", "traj_id": tid, "k": k, **dict(zip(_STEP_FIELDS, row))}
 
 
 def _pool_lines(pool: LabeledPool):
@@ -265,11 +235,11 @@ def _pool_lines(pool: LabeledPool):
         yield {"kind": "pool", "set": "query", "x": x, "minus": 1 if minus else 0}
 
 
-def save_dataset(data: Union[LabeledPool, Iterable[Trajectory]], path) -> None:
-    """Write trajectories or a labeled pool as one JSON object per line."""
-    lines = _pool_lines(data) if isinstance(data, LabeledPool) else _traj_lines(list(data))
+def save_dataset(pool: LabeledPool, path) -> None:
+    """Write a labeled pool as one JSON object per line; trajectories go through
+    :class:`DatasetWriter`."""
     with _open(path, "w") as fh:
-        fh.writelines(json.dumps(obj) + "\n" for obj in lines)
+        fh.writelines(json.dumps(obj) + "\n" for obj in _pool_lines(pool))
 
 
 class DatasetWriter:
@@ -282,7 +252,7 @@ class DatasetWriter:
     def write(self, traj: Trajectory) -> int:
         tid = self._next_id
         self._next_id += 1
-        self._fh.writelines(json.dumps(obj) + "\n" for obj in _traj_lines([traj], tid))
+        self._fh.writelines(json.dumps(obj) + "\n" for obj in _traj_lines(traj, tid))
         return tid
 
     def close(self) -> None:
@@ -308,19 +278,34 @@ def _index(obj: dict, line_no: int, name: str) -> int:
     return value
 
 
-def _parse_step(obj: dict, line_no: int) -> tuple:
-    """A sample line's ``(x, y, u_expert, u_applied, x_next)``, checked by their record types."""
+@contextmanager
+def _on_line(line_no: int):
+    """Re-raise a ``TypeError`` or ``ValueError`` as a :class:`DatasetFormatError` of the line."""
     try:
-        x, y, u_expert, u_applied, x_next = (_field(obj, line_no, f) for f in _STEP_FIELDS)
+        yield
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(line_no, str(exc)) from exc
+
+
+def _observation_row(values) -> tuple:
+    """An observation row as floats: at least the three velocities, each finite."""
+    row = tuple(map(float, values))
+    if len(row) < 3:
+        raise ValueError(f"expected at least 3 observation components, got {len(row)}")
+    for name, value in zip(chain(("v_long", "v_tran", "omega_psi"), repeat("preview")), row):
+        _require_finite(name, value)
+    return row
+
+
+def _parse_step(obj: dict, line_no: int) -> tuple:
+    """A sample line's ``(x, y, u_expert, u_applied, x_next)``, each checked as its row."""
+    x, y, u_expert, u_applied, x_next = (_field(obj, line_no, f) for f in _STEP_FIELDS)
+    with _on_line(line_no):
         return (VehicleState.from_sequence(x).as_tuple(),
-                None if y is None else Observation.from_sequence(y).as_tuple(),
+                None if y is None else _observation_row(y),
                 Action(*map(float, u_expert)).as_tuple(),
                 Action(*map(float, u_applied)).as_tuple(),
                 VehicleState.from_sequence(x_next).as_tuple())
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, DatasetFormatError):
-            raise
-        raise DatasetFormatError(line_no, str(exc)) from exc
 
 
 def _trajectory(steps: list, reason: TerminationReason) -> Trajectory:
@@ -336,7 +321,7 @@ def _trajectory(steps: list, reason: TerminationReason) -> Trajectory:
 
 
 def load_dataset(path) -> Union[LabeledPool, list]:
-    """Load a dataset written by :func:`save_dataset`.
+    """Load a dataset written by :class:`DatasetWriter` or :func:`save_dataset`.
 
     Returns a list of :class:`Trajectory` for trajectory files and a
     :class:`LabeledPool` for pool files; an empty file yields an empty list.
@@ -365,10 +350,8 @@ def load_dataset(path) -> Union[LabeledPool, list]:
                 if tid in headers:
                     raise DatasetFormatError(line_no, f"second 'traj' header for trajectory {tid}")
                 outcome, reason = (_field(obj, line_no, f) for f in ("outcome", "reason"))
-                try:
+                with _on_line(line_no):
                     outcome, reason = Outcome(outcome), TerminationReason(reason)
-                except ValueError as exc:
-                    raise DatasetFormatError(line_no, str(exc)) from exc
                 if outcome is not reason.outcome:
                     raise DatasetFormatError(
                         line_no, f"outcome {outcome.value!r} contradicts reason {reason.value!r}")
@@ -388,7 +371,9 @@ def load_dataset(path) -> Union[LabeledPool, list]:
             elif kind == "pool":
                 saw_pool = True
                 which = _field(obj, line_no, "set")
-                x = VehicleState.from_sequence(_field(obj, line_no, "x")).as_tuple()
+                x = _field(obj, line_no, "x")
+                with _on_line(line_no):
+                    x = VehicleState.from_sequence(x).as_tuple()
                 if which == "plus":
                     pool["plus"].append(x)
                 elif which == "query":

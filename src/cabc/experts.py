@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Action, Observation, VehicleState
+from .core import Action, VehicleState
 from .sim import SimConfig
 from .track import TrackSpec, curvature_at, peak_curvature
 
@@ -53,7 +53,7 @@ class PidCenterline:
         self.gains = gains
         self._integral = 0.0
 
-    def __call__(self, y: Optional[Observation], x: VehicleState) -> Action:
+    def __call__(self, y: Optional[tuple], x: VehicleState) -> Action:
         cfg, g = self.cfg, self.gains
         err_v = self.v_ref - x.v_long
         self._integral = min(max(self._integral + err_v * cfg.dt, -1.0), 1.0)
@@ -103,7 +103,7 @@ class RacingExpert:
         raw = curvature_at(self.track, s + p.offset_lead) * p.offset_gain
         return -min(max(raw, -p.offset_max), p.offset_max)
 
-    def __call__(self, y: Optional[Observation], x: VehicleState) -> Action:
+    def __call__(self, y: Optional[tuple], x: VehicleState) -> Action:
         cfg, p = self.cfg, self.params
         v_t = self.target_speed(x.s)
         err_v = v_t - x.v_long

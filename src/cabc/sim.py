@@ -19,13 +19,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import (
-    Action,
-    Observation,
-    TerminationReason,
-    Trajectory,
-    VehicleState,
-)
+from .core import Action, TerminationReason, Trajectory, VehicleState
 from .track import TrackSpec, curvature_at
 
 
@@ -185,8 +179,13 @@ def lane_preview(track: TrackSpec, x: VehicleState, distances) -> list:
 
 
 def observe(cfg: SimConfig, track: TrackSpec, x: VehicleState,
-            rng: Optional[np.random.Generator] = None) -> Observation:
-    """Output map: body velocities and a lane-center preview, noise-corrupted."""
+            rng: Optional[np.random.Generator] = None) -> tuple:
+    """Output map: the observation row ``(v_long, v_tran, omega_psi, *preview)``.
+
+    The body velocities and :func:`lane_preview` at ``cfg.preview_distances``,
+    each plus Gaussian noise from ``rng`` (none without it): finite floats,
+    as the state and the noise are.
+    """
     preview = lane_preview(track, x, cfg.preview_distances)
     v_long, v_tran, omega_psi = x.v_long, x.v_tran, x.omega_psi
     # draws as Python floats, so every sum is float + float
@@ -196,7 +195,7 @@ def observe(cfg: SimConfig, track: TrackSpec, x: VehicleState,
     if rng is not None and cfg.noise_sigma_kappa > 0.0 and preview:
         noise = rng.normal(0.0, cfg.noise_sigma_kappa, size=len(preview)).tolist()
         preview = map(operator.add, preview, noise)
-    return Observation(v_long, v_tran, omega_psi, tuple(preview))
+    return (v_long, v_tran, omega_psi, *preview)
 
 
 def in_constraints(cfg: SimConfig, track: TrackSpec, x: VehicleState) -> bool:
@@ -212,11 +211,11 @@ def in_target(cfg: SimConfig, track: TrackSpec, x: VehicleState, s_start: float)
             and in_constraints(cfg, track, x))
 
 
-# Policies are callables (observation, full_state) -> Action on one step's
-# records.  Full-state experts ignore the observation; output-feedback policies
-# ignore the state.  A policy whose ``state_feedback`` attribute is true never
-# reads its observation, so it may be handed ``None`` and recorded as ``y=None``.
-Policy = Callable[[Optional[Observation], VehicleState], Action]
+# Policies are callables (observation row, full state) -> Action, handed the
+# row as :func:`observe` returns it.  Full-state experts ignore the row and
+# output-feedback policies the state; one whose ``state_feedback`` attribute is
+# true never reads its row, so it may be handed ``None`` (recorded as ``y=None``).
+Policy = Callable[[Optional[tuple], VehicleState], Action]
 
 
 def default_start_state(v_long: float = 1.0, s: float = 0.0) -> VehicleState:
@@ -244,7 +243,8 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     skip_observe = not observe_unread and getattr(policy, "state_feedback", False)
-    states = [x0]
+    # one row per step, each observation as ``observe`` returned it
+    states = [x0.as_tuple()]
     observations, expert_actions, applied_actions = [], [], []
     x = x0
     s_start = x0.s
@@ -260,9 +260,9 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
             reason = TerminationReason.SINGULARITY
             break
         observations.append(y)
-        expert_actions.append(relabel(x) if relabel is not None else u)
-        applied_actions.append(u)
-        states.append(x_next)
+        expert_actions.append((relabel(x) if relabel is not None else u).as_tuple())
+        applied_actions.append(u.as_tuple())
+        states.append(x_next.as_tuple())
         x = x_next
         if not in_constraints(cfg, track, x):
             reason = TerminationReason.CONSTRAINT_VIOLATION
@@ -276,10 +276,9 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
                       visited[1:], reason)
 
 
-def _rows(records: list, width: int) -> np.ndarray:
-    # a record of another width fails the reshape
-    values = chain.from_iterable(r.as_tuple() for r in records)
-    return np.fromiter(values, float).reshape(len(records), width)
+def _rows(rows: list, width: int) -> np.ndarray:
+    # a row of another width fails the reshape
+    return np.fromiter(chain.from_iterable(rows), float).reshape(len(rows), width)
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .autolabel import NormStats, embed, fit_norm, member_mask
-from .core import Action, LabeledPool, Observation, Outcome, Trajectory, VehicleState
+from .core import Action, LabeledPool, Outcome, Trajectory, VehicleState
 from .critic import (
     DynModel,
     SafetyClf,
@@ -151,15 +151,10 @@ def policy_input_dim(mode: str, sim_cfg: SimConfig) -> int:
     return 7
 
 
-def features_from_obs(y: Observation) -> np.ndarray:
-    # float products give the same bits as scaling an array, without temporaries
-    k_long, k_tran, k_omega = _VEL_SCALES
-    return np.array([k_long * y.v_long, k_tran * y.v_tran, k_omega * y.omega_psi, *y.preview])
-
-
-def features_from_obs_array(y_arr: np.ndarray) -> np.ndarray:
-    out = np.array(y_arr, dtype=float)
-    out[:, 0:3] *= _VEL_SCALE
+def features_from_obs(y) -> np.ndarray:
+    """Policy features of an observation row ``(3 + k,)`` or rows ``(n, 3 + k)``."""
+    out = np.array(y, dtype=float)
+    out[..., 0:3] *= _VEL_SCALE
     return out
 
 
@@ -192,13 +187,9 @@ class MlpPolicy:
         self.track = track
         self.state_feedback = mode != "output"   # full-state features skip ``y``
 
-    def features(self, y: Observation, x: VehicleState) -> np.ndarray:
-        if self.mode == "output":
-            return features_from_obs(y)
-        return features_from_state(x, self.track)
-
-    def __call__(self, y: Observation, x: VehicleState) -> Action:
-        u_a, u_steer = nn.forward(self.params, self.features(y, x)).tolist()
+    def __call__(self, y: Optional[tuple], x: VehicleState) -> Action:
+        feats = features_from_state(x, self.track) if self.state_feedback else features_from_obs(y)
+        u_a, u_steer = nn.forward(self.params, feats).tolist()
         return Action(u_a, u_steer)
 
 
@@ -241,7 +232,7 @@ class MixedPolicy:
         self.expert_steps = 0
         self.total_steps = 0
 
-    def __call__(self, y: Observation, x: VehicleState) -> Action:
+    def __call__(self, y: Optional[tuple], x: VehicleState) -> Action:
         u_exp = self.pi_beta(y, x)
         self.last_expert_action = u_exp
         take_expert = self.rng.random() < self.beta_prob
@@ -358,7 +349,7 @@ class _SampleStore:
             if not len(traj):
                 raise ValueError("cannot record a trajectory with zero steps")
             if mode == "output":
-                feats = features_from_obs_array(traj.y)
+                feats = features_from_obs(traj.y)
             else:
                 feats = features_from_state_array(traj.x, track)
             chunks["states"] += [traj.x, traj.x_next[-1:]]

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cabc.core import Outcome, TerminationReason, Trajectory, VehicleState
+from cabc.core import DatasetWriter, Outcome, TerminationReason, Trajectory, VehicleState
 from cabc.sim import SimConfig
 from cabc.track import TrackSpec, get_track
 
@@ -73,6 +73,13 @@ def make_trajectory(n: int, outcome: Outcome, k_preview: int = 2,
     return Trajectory(x=visited[:-1], y=y, u_expert=np.tile([0.2, 0.0], (n, 1)),
                       u_applied=np.tile([0.25, -0.1], (n, 1)), x_next=visited[1:],
                       termination_reason=reason)
+
+
+def write_trajectories(trajs, path) -> None:
+    """Write ``trajs`` to ``path`` through one ``DatasetWriter``, as ``cabc train`` does."""
+    with DatasetWriter(path) as writer:
+        for traj in trajs:
+            writer.write(traj)
 
 
 STEP_FIELDS = ("x", "y", "u_expert", "u_applied", "x_next")

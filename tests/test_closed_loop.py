@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cabc.core import Action, Observation, Outcome, Trajectory, VehicleState
+from cabc.core import Action, Outcome, Trajectory, VehicleState
 from cabc.experts import PidCenterline, RaceParams, RacingExpert
 from cabc.sim import SimConfig, default_start_state, lane_preview, rng_stream, rollout
 from cabc.track import curvature_at, default_tracks, peak_curvature
@@ -195,11 +195,7 @@ def test_state_fast_path_still_rejects_non_finite(bad):
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE)
-def test_observation_and_action_fast_paths_still_reject_non_finite(bad):
-    with pytest.raises(ValueError, match="omega_psi must be finite"):
-        Observation(1.0, 0.0, bad, (0.1, 0.2))
-    with pytest.raises(ValueError, match="preview must be finite"):
-        Observation(1.0, 0.0, 0.0, (0.1, bad, 0.2))
+def test_action_fast_path_still_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="u_steer must be finite"):
         Action(0.0, bad)
     with pytest.raises(ValueError, match="u_a must be finite"):
@@ -208,19 +204,16 @@ def test_observation_and_action_fast_paths_still_reject_non_finite(bad):
 
 def test_fast_paths_still_convert_numpy_scalars_and_ints():
     x = VehicleState(np.float64(1.5), 0, np.float32(0.25), np.int64(3), 0.1, -0.0)
-    y = Observation(np.float64(1.0), 2, 0.5, np.array([0.1, 0.2]))
     u = Action(np.float64(0.5), -1)
-    for v in x.as_tuple() + y.as_tuple() + u.as_tuple():
+    for v in x.as_tuple() + u.as_tuple():
         assert type(v) is float
     assert x.as_tuple() == (1.5, 0.0, 0.25, 3.0, 0.1, -0.0)
-    assert y.preview == (0.1, 0.2) and type(y.preview) is tuple
     assert Action.clamped(np.float64(3.0), np.float32(-0.5)) == Action(1.0, -0.5)
 
 
 def test_fast_paths_accept_finite_values_whose_sum_overflows():
     big = 1e308
     assert VehicleState(big, big, big, big, big, big).s == big
-    assert Observation(big, big, 0.0, (big, big)).preview == (big, big)
 
 
 def test_action_fast_path_keeps_the_box():

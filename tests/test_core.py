@@ -13,7 +13,6 @@ from cabc.core import (
     DatasetFormatError,
     DatasetWriter,
     LabeledPool,
-    Observation,
     Outcome,
     TerminationReason,
     Trajectory,
@@ -23,7 +22,14 @@ from cabc.core import (
 )
 from cabc.trainer import _SampleStore
 
-from conftest import STEP_FIELDS, make_state, make_trajectory, same_trajectories, states_array
+from conftest import (
+    STEP_FIELDS,
+    make_state,
+    make_trajectory,
+    same_trajectories,
+    states_array,
+    write_trajectories,
+)
 
 
 class TestTypes:
@@ -48,11 +54,6 @@ class TestTypes:
             Action.clamped(0.3, float("-inf"))
         with pytest.raises(ValueError, match="u_a must be finite"):
             Action.clamped(float("inf"), 0.0)
-
-    def test_observation_length(self):
-        y = Observation(1.0, 0.0, 0.0, (0.1, 0.2, 0.3))
-        assert len(y.as_tuple()) == 6
-        assert Observation.from_sequence(y.as_tuple()) == y
 
     @pytest.mark.parametrize("reason", list(TerminationReason))
     def test_trajectory_outcome_follows_its_reason(self, reason):
@@ -149,24 +150,22 @@ class TestPersistence:
         trajs = [make_trajectory(3, Outcome.SUCCESS),
                  make_trajectory(2, Outcome.FAILURE, start=9.0)]
         path = tmp_path / "data.jsonl"
-        save_dataset(trajs, path)
+        write_trajectories(trajs, path)
         assert same_trajectories(load_dataset(path), trajs)
 
     def test_gzip_round_trip(self, tmp_path):
         trajs = [make_trajectory(4, Outcome.FAILURE)]
         path = tmp_path / "data.jsonl.gz"
-        save_dataset(trajs, path)
+        write_trajectories(trajs, path)
         assert same_trajectories(load_dataset(path), trajs)
 
     def test_gzip_header_carries_no_clock(self, tmp_path, monkeypatch):
         # the header's MTIME field (bytes 4-8) stays zero whatever the clock reads
         monkeypatch.setattr(time, "time", lambda: 1.6e9)
         traj = make_trajectory(2, Outcome.SUCCESS)
-        save_dataset([traj], tmp_path / "saved.jsonl.gz")
         save_dataset(plus_only(states_array([make_state()])), tmp_path / "pool.jsonl.gz")
-        with DatasetWriter(tmp_path / "written.jsonl.gz") as writer:
-            writer.write(traj)
-        for name in ("saved", "pool", "written"):
+        write_trajectories([traj], tmp_path / "written.jsonl.gz")
+        for name in ("pool", "written"):
             assert (tmp_path / f"{name}.jsonl.gz").read_bytes()[4:8] == bytes(4), name
 
     def test_pool_round_trip(self, tmp_path):
@@ -196,12 +195,45 @@ class TestPersistence:
             load_dataset(path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("x, message", [
+        ([0, 0, 0], "expected 6 state components, got 3"),
+        ([0, 0, 0, 0, 0, "z"], "could not convert string to float: 'z'"),
+        ([0, 0, 0, 0, 0, None], "float"),
+        (7, "not iterable"),
+    ], ids=["short", "string", "null", "number"])
+    def test_pool_state_that_is_not_a_state_reports_line(self, tmp_path, x, message):
+        path = tmp_path / "pool.jsonl"
+        save_dataset(plus_only(states_array([make_state(), make_state(v=2.0)])), path)
+        first, second = (json.loads(line) for line in path.read_text().splitlines())
+        second["x"] = x
+        self._write(path, [first, second])
+        with pytest.raises(DatasetFormatError, match=message) as err:
+            load_dataset(path)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("y, message", [
+        ([1.0, 0.0], "expected at least 3 observation components, got 2"),
+        ([], "expected at least 3 observation components, got 0"),
+        ([math.nan, 0.0, 0.0, 0.5, 0.5], "v_long must be finite"),
+        ([1.0, 0.0, math.nan, 0.5, 0.5], "omega_psi must be finite"),
+        ([1.0, 0.0, 0.0, 0.5, math.nan], "preview must be finite"),
+        ([1.0, 0.0, 0.0, -math.inf, 0.5], "preview must be finite"),
+        ([1.0, 0.0, 0.0, "z", 0.5], "could not convert"),
+    ], ids=["two", "none", "nan_v_long", "nan_omega", "nan_preview", "inf_preview", "string"])
+    def test_sample_observation_that_is_not_a_row_reports_line(self, tmp_path, y, message):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        second["y"] = y
+        self._write(path, [header, first, second])
+        with pytest.raises(DatasetFormatError, match=message) as err:
+            load_dataset(path)
+        assert err.value.line_no == 3
+
     def test_unobserved_samples_round_trip(self, tmp_path):
         # state-feedback rollouts skip the output map and record y=None
         traj = make_trajectory(3, Outcome.FAILURE)
         blind = replace(traj, y=None)
         path = tmp_path / "data.jsonl"
-        save_dataset([blind], path)
+        write_trajectories([blind], path)
         assert '"y": null' in path.read_text()
         assert same_trajectories(load_dataset(path), [blind])
 
@@ -209,22 +241,23 @@ class TestPersistence:
         # a rollout that hit a singularity at its first step records no rows
         trajs = [make_trajectory(0, Outcome.FAILURE), make_trajectory(2, Outcome.SUCCESS)]
         path = tmp_path / "data.jsonl"
-        save_dataset(trajs, path)
+        write_trajectories(trajs, path)
         loaded = load_dataset(path)
         assert [len(t) for t in loaded] == [0, 2]
         assert same_trajectories(loaded[1:], trajs[1:])
 
-    def test_writer_numbers_trajectories_as_save_does(self, tmp_path):
+    def test_writer_numbers_trajectories_from_zero(self, tmp_path):
         trajs = [make_trajectory(2, Outcome.SUCCESS), make_trajectory(1, Outcome.FAILURE)]
-        save_dataset(trajs, tmp_path / "saved.jsonl")
-        with DatasetWriter(tmp_path / "written.jsonl") as writer:
+        path = tmp_path / "written.jsonl"
+        with DatasetWriter(path) as writer:
             assert [writer.write(t) for t in trajs] == [0, 1]
-        assert (tmp_path / "written.jsonl").read_text() == (tmp_path / "saved.jsonl").read_text()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["traj_id"] for r in records] == [0, 0, 0, 1, 1]
 
     def test_truncated_line_reports_line_number(self, tmp_path):
         trajs = [make_trajectory(2, Outcome.SUCCESS)]
         path = tmp_path / "data.jsonl"
-        save_dataset(trajs, path)
+        write_trajectories(trajs, path)
         text = path.read_text()
         path.write_text(text[:-20])  # mangle the last record
         with pytest.raises(DatasetFormatError) as err:
@@ -246,7 +279,7 @@ class TestPersistence:
 
     def test_mixed_kinds_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        save_dataset([make_trajectory(1, Outcome.SUCCESS)], path)
+        write_trajectories([make_trajectory(1, Outcome.SUCCESS)], path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"kind":"pool","set":"plus","x":[0,0,0,0,0,0]}\n')
         with pytest.raises(DatasetFormatError):
@@ -254,7 +287,7 @@ class TestPersistence:
 
     def _saved_lines(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        save_dataset([make_trajectory(2, Outcome.SUCCESS)], path)
+        write_trajectories([make_trajectory(2, Outcome.SUCCESS)], path)
         return path, [json.loads(line) for line in path.read_text().splitlines()]
 
     @staticmethod
@@ -309,8 +342,8 @@ class TestPersistence:
 
     def test_chain_break_in_a_later_trajectory_names_its_header_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        save_dataset([make_trajectory(2, Outcome.SUCCESS),
-                      make_trajectory(3, Outcome.FAILURE, start=4.0)], path)
+        write_trajectories([make_trajectory(2, Outcome.SUCCESS),
+                            make_trajectory(3, Outcome.FAILURE, start=4.0)], path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records[3] == dict(records[3], kind="traj", traj_id=1)
         records[6]["x"][3] += 1e-9   # step 2 of trajectory 1 no longer follows step 1
@@ -326,8 +359,8 @@ class TestPersistence:
     def test_header_whose_outcome_contradicts_its_reason_reports_line(self, tmp_path,
                                                                       outcome, reason):
         path = tmp_path / "data.jsonl"
-        save_dataset([make_trajectory(2, Outcome.SUCCESS),
-                      make_trajectory(1, Outcome.FAILURE, start=4.0)], path)
+        write_trajectories([make_trajectory(2, Outcome.SUCCESS),
+                            make_trajectory(1, Outcome.FAILURE, start=4.0)], path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         records[3].update(outcome=outcome, reason=reason)
         self._write(path, records)
@@ -349,7 +382,7 @@ class TestPersistence:
         trajs = [make_trajectory(3, Outcome.SUCCESS),
                  make_trajectory(2, Outcome.FAILURE, start=9.0)]
         path = tmp_path / "data.jsonl"
-        save_dataset(trajs, path)
+        write_trajectories(trajs, path)
         lines = path.read_text().splitlines()
         old = [line[:-1] + ', "safe": null}' if '"kind": "sample"' in line else line
                for line in lines]

@@ -225,7 +225,6 @@ class TestStateFeedback:
 
     @pytest.mark.parametrize("kind", ["output", "mixed"])
     def test_observation_readers_are_observed(self, kind, circle, observe_calls, tmp_path):
-        from cabc.core import Observation
         from cabc.reports import policy_rollout_figure
         from cabc.trainer import MixedPolicy
         sim = SimConfig()
@@ -240,7 +239,8 @@ class TestStateFeedback:
         policy_rollout_figure(policy, sim, circle, seed=3, out_path=tmp_path / "f.svg",
                               laps=2)
         assert policy.seen
-        assert all(type(y) is Observation for y in policy.seen)
+        width = 3 + len(sim.preview_distances)
+        assert all(type(y) is tuple and len(y) == width for y in policy.seen)
         assert len(observe_calls) == len(policy.seen)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cabc.core import Action, Outcome, TerminationReason, VehicleState
-from cabc.experts import PidCenterline
+from cabc.experts import PidCenterline, RacingExpert
 from cabc.sim import (
     SimConfig,
     SimSingularityError,
@@ -130,12 +130,30 @@ class TestStep:
 
 class TestObserve:
     def test_noiseless_output_map(self, gp, noiseless_sim):
+        # the row is the body velocities, then the preview, bit for bit
         x = make_state(v=1.2, s=2.5, vt=0.1, om=-0.2, xt=0.1, ep=0.05)
-        y = observe(noiseless_sim, gp, x, np.random.default_rng(0))
-        assert y.v_long == x.v_long and y.v_tran == x.v_tran
-        assert y.omega_psi == x.omega_psi
-        from cabc.sim import lane_preview
-        assert y.preview == tuple(lane_preview(gp, x, noiseless_sim.preview_distances))
+        row = (x.v_long, x.v_tran, x.omega_psi,
+               *lane_preview(gp, x, noiseless_sim.preview_distances))
+        assert observe(noiseless_sim, gp, x, np.random.default_rng(0)) == row
+        # without a generator a noisy configuration draws no noise
+        assert observe(SimConfig(), gp, x) == row
+        assert type(row) is tuple and len(row) == 3 + len(noiseless_sim.preview_distances)
+        assert all(type(v) is float for v in observe(SimConfig(), gp, x, rng_stream(0, 0)))
+
+    def test_rollout_hands_the_policy_the_row_it_records(self, gp):
+        cfg = SimConfig(lap_target=2)
+        seen = []
+        expert = RacingExpert(cfg, gp)
+
+        def policy(y, x):
+            seen.append(y)
+            return expert(y, x)
+
+        traj = rollout(cfg, gp, policy, default_start_state(), 300, rng_stream(11, 0))
+        assert len(seen) == len(traj) == 300
+        width = 3 + len(cfg.preview_distances)
+        assert all(type(y) is tuple and len(y) == width for y in seen)
+        assert [tuple(row) for row in traj.y.tolist()] == seen
 
     def test_lane_preview_geometry(self, circle, stadium):
         import math
@@ -166,7 +184,7 @@ class TestObserve:
                         preview_distances=(1.0, 2.0))
         x = make_state(v=1.0, s=0.5)
         rng = np.random.default_rng(7)
-        draws = np.array([observe(cfg, circle, x, rng).as_tuple() for _ in range(100_000)])
+        draws = np.array([observe(cfg, circle, x, rng) for _ in range(100_000)])
         stds = draws.std(axis=0)
         assert np.allclose(stds[:3], 0.05, rtol=0.02)
         assert np.allclose(stds[3:], 0.02, rtol=0.02)

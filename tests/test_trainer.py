@@ -517,6 +517,20 @@ class TestPolicyWrapper:
         assert len(features_from_obs(y)) == 3 + len(sim.preview_distances)
         assert len(features_from_state(make_state(v=1.0), circle)) == 7
 
+    def test_output_features_match_training_bits(self, gp):
+        # the policy is trained on the features of ``Trajectory.y`` and driven
+        # on those of each row ``observe`` hands it: one function, same bits
+        cfg = SimConfig(lap_target=2)
+        traj = rollout(cfg, gp, RacingExpert(cfg, gp), default_start_state(), 600,
+                       rng_stream(11, 0))
+        batch = features_from_obs(traj.y)
+        rows = np.array([features_from_obs(tuple(y)) for y in traj.y.tolist()])
+        assert batch.shape == rows.shape == traj.y.shape
+        assert batch.tobytes() == rows.tobytes()
+        assert np.array_equal(batch[:, 3:], traj.y[:, 3:])
+        assert batch[0, :3].tolist() == [0.5 * traj.y[0, 0], 2.0 * traj.y[0, 1],
+                                         0.5 * traj.y[0, 2]]
+
     @pytest.mark.parametrize("name", ["circle", "lshaped", "gp"])
     def test_full_state_features_match_training_bits(self, name):
         # the policy is trained on the batch features and driven on the
