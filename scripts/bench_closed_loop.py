@@ -103,18 +103,9 @@ def _import_cabc(src: str) -> None:
     import cabc  # noqa: F401
 
 
-def _rng(seed: int, key: int):
-    """Stream ``key`` of ``seed``, as ``cabc.sim.rng_stream(seed, key)`` draws it.
-
-    Built here so that checkouts from before that helper measure the same loops.
-    """
-    import numpy as np
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
-
-
 def _loops() -> dict:
     from cabc.experts import PidCenterline, RacingExpert
-    from cabc.sim import SimConfig, default_start_state, rollout
+    from cabc.sim import SimConfig, default_start_state, rng_stream, rollout
     from cabc.track import get_track
     from cabc.trainer import MixedPolicy, MlpPolicy, TrainConfig, init_policy
 
@@ -126,16 +117,16 @@ def _loops() -> dict:
 
     def racing_gp():
         return rollout(cfg, gp, RacingExpert(cfg, gp), default_start_state(), 1200,
-                       _rng(11, 0))
+                       rng_stream(11, 0))
 
     def pid_circle():
         return rollout(cfg, circle, PidCenterline(cfg, circle), default_start_state(), 1200,
-                       _rng(12, 0))
+                       rng_stream(12, 0))
 
     def mixture(policy):
-        mixed = MixedPolicy(PidCenterline(cfg, circle), policy, 0.5, _rng(13, 1),
+        mixed = MixedPolicy(PidCenterline(cfg, circle), policy, 0.5, rng_stream(13, 1),
                             sigma_u=0.15)
-        return rollout(cfg, circle, mixed, default_start_state(), 1200, _rng(13, 0),
+        return rollout(cfg, circle, mixed, default_start_state(), 1200, rng_stream(13, 0),
                        relabel=lambda x: mixed.last_expert_action)
 
     out = {}
@@ -188,6 +179,7 @@ def _calls() -> dict:
         in_target,
         lane_preview,
         observe,
+        rng_stream,
         step,
     )
     from cabc.track import get_track
@@ -196,7 +188,7 @@ def _calls() -> dict:
     gp = get_track("gp")
     cfg = SimConfig(lap_target=2)
     # the racing loop's steps, as ``rollout`` drives them
-    expert, rng_obs, x = RacingExpert(cfg, gp), _rng(11, 0), default_start_state()
+    expert, rng_obs, x = RacingExpert(cfg, gp), rng_stream(11, 0), default_start_state()
     states, obs, acts = [], [], []
     for _ in range(1200):
         y = observe(cfg, gp, x, rng_obs)
@@ -209,7 +201,7 @@ def _calls() -> dict:
             break
     expert = RacingExpert(cfg, gp)
     policy = MlpPolicy(init_policy(TrainConfig(seed=1, sim=cfg), gp), "output", gp)
-    rng = _rng(0, 0)
+    rng = rng_stream(0, 0)
     distances = cfg.preview_distances
     pairs = list(zip(states, acts, obs))
 
@@ -236,12 +228,12 @@ def _nn() -> dict:
     from cabc import nn
     from cabc.autolabel import fit_norm
     from cabc.critic import init_dyn_model, init_safety_clf, safety_penalty_and_input_grad
-    from cabc.sim import SimConfig
+    from cabc.sim import SimConfig, rng_stream
     from cabc.track import get_track
     from cabc.trainer import TrainConfig, init_policy
 
     gp, cfg = get_track("gp"), SimConfig()
-    rng = _rng(0, 0)
+    rng = rng_stream(0, 0)
     states, actions = rng.normal(size=(NN_BATCH, 6)), rng.normal(size=(NN_BATCH, 2))
     norm = fit_norm(states, gp.lap_length)
     dyn, clf = init_dyn_model(norm, cfg, seed=1), init_safety_clf(norm, seed=2)

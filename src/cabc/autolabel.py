@@ -461,22 +461,13 @@ class SyntheticSet:
         return sign * np.minimum(d_arc, d_seg)
 
     # sampling -----------------------------------------------------------------
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        if self.kind == "disk":
-            cx, cy, r = self.params
-            return (cx - r, cy - r, cx + r, cy + r)
-        if self.kind == "crescent":
-            ax, ay, ra = self.params[:3]
-            return (ax - ra, ay - ra, ax + ra, ay + ra)
-        cx, cy, r, _ = self.params
-        return (cx - r, cy - r, cx + r, cy + r)
-
     def sample_inside(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform interior samples by rejection from the bounding box."""
-        lo_x, lo_y, hi_x, hi_y = self.bounding_box()
+        """Uniform interior samples by rejection from the box around the outer
+        disk, whose ``(cx, cy, r)`` every kind's ``params`` start with."""
+        cx, cy, r = self.params[:3]
         out = np.zeros((0, 2))
         while len(out) < n:
-            cand = rng.uniform((lo_x, lo_y), (hi_x, hi_y), size=(4 * n, 2))
+            cand = rng.uniform((cx - r, cy - r), (cx + r, cy + r), size=(4 * n, 2))
             keep = cand[self.contains(cand)]
             out = np.vstack([out, keep])
         return out[:n]

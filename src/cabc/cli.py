@@ -103,6 +103,9 @@ def _cmd_train(args) -> int:
     except NonFiniteLossError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
+    if not result.reports:
+        # with no epoch, on_epoch never wrote the table that `cabc report` reads
+        write_reports_csv([], os.path.join(out, "reports.csv"))
 
     nn.save_weights(result.policy, os.path.join(out, "policy.npz"))
     if result.dyn is not None and result.clf is not None:

@@ -11,13 +11,13 @@ the noisy body velocities, then the lane centre's vehicle-frame lateral offset
 at each preview distance.  ``sim.observe`` returns it; policies,
 ``Trajectory.y`` and the dataset lines take it as it is.
 
-Trajectory files hold a ``{"kind": "traj", "traj_id", "outcome", "reason"}``
-header per rollout, whose ``outcome`` must be the one its ``reason`` implies,
-and one ``{"kind": "sample", "traj_id", "k", "x", "y", "u_expert",
-"u_applied", "x_next"}`` line per step (``y`` null where the output map was
-skipped; the ``"safe": null`` of older files is ignored).  Pool files hold
-one ``{"kind": "pool", "set", "x"}`` line per state of the labeling pools,
-with a 0/1 ``minus`` flag on the ``"query"`` ones.
+Trajectory files hold a ``{"kind": "traj", "traj_id", "reason", "x_end"}``
+header per rollout, ``x_end`` being the state its last step reached (the
+start state if it took none), and one ``{"kind": "sample", "traj_id", "k",
+"x", "y", "u_expert", "u_applied"}`` line per step ``k``, whose ``x`` is the
+state the step left (the ``"safe": null`` of older files is ignored).  Pool
+files hold one ``{"kind": "pool", "set", "x"}`` line per state of the
+labeling pools, with a 0/1 ``minus`` flag on the ``"query"`` ones.
 """
 
 from __future__ import annotations
@@ -145,24 +145,24 @@ class TerminationReason(Enum):
 class Trajectory:
     """A closed-loop rollout and how it ended, one array row per step.
 
-    Row ``k`` holds the state ``x``, the observation ``y`` (``None`` for the
+    ``states`` holds the start state, then the state each step reached, so
+    step ``k`` leaves ``states[k]`` and reaches ``states[k + 1]``.  Row ``k``
+    of the other arrays holds that step's observation ``y`` (``None`` for the
     whole rollout where it skipped the output map), the expert's relabeled
-    action ``u_expert``, the action ``u_applied`` that drove the plant, and
-    the state ``x_next`` it reached: cloning trains against ``u_expert``, the
-    dynamics surrogate against ``u_applied``.  Steps chain
-    (``x_next[k] == x[k + 1]``).
+    action ``u_expert`` and the action ``u_applied`` that drove the plant:
+    cloning trains against ``u_expert``, the dynamics surrogate against
+    ``u_applied``.
     """
 
-    x: np.ndarray                 # (n, 6), VehicleState field order
+    states: np.ndarray            # (n + 1, 6), VehicleState field order
     y: Optional[np.ndarray]       # (n, 3 + k), observation rows as ``sim.observe`` returns them
     u_expert: np.ndarray          # (n, 2)
     u_applied: np.ndarray         # (n, 2)
-    x_next: np.ndarray            # (n, 6)
     termination_reason: TerminationReason
 
     def __post_init__(self):
-        n = len(self.x)
-        shapes = {"x": (n, 6), "u_expert": (n, 2), "u_applied": (n, 2), "x_next": (n, 6)}
+        n = len(self.u_applied)
+        shapes = {"states": (n + 1, 6), "u_expert": (n, 2), "u_applied": (n, 2)}
         if self.y is not None:
             shapes["y"] = (n, *np.shape(self.y)[-1:])
         for name, shape in shapes.items():
@@ -170,12 +170,9 @@ class Trajectory:
             if rows.shape != shape:
                 raise ValueError(f"{name} has shape {rows.shape}, expected {shape}")
             object.__setattr__(self, name, rows)
-        breaks = np.flatnonzero(~(self.x_next[:-1] == self.x[1:]).all(axis=1))
-        if len(breaks):
-            raise ValueError(f"trajectory does not chain at step {breaks[0]}")
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.u_applied)
 
     @property
     def outcome(self) -> Outcome:
@@ -215,15 +212,14 @@ def _open(path, mode: str) -> IO:
     return open(path, mode, encoding="utf-8")
 
 
-_STEP_FIELDS = ("x", "y", "u_expert", "u_applied", "x_next")
+_STEP_FIELDS = ("x", "y", "u_expert", "u_applied")
 
 
 def _traj_lines(traj: Trajectory, tid: int):
-    yield {"kind": "traj", "traj_id": tid, "outcome": traj.outcome.value,
-           "reason": traj.termination_reason.value}
-    ys = [None] * len(traj) if traj.y is None else traj.y.tolist()
-    columns = (traj.x.tolist(), ys, traj.u_expert.tolist(), traj.u_applied.tolist(),
-               traj.x_next.tolist())
+    states = traj.states.tolist()
+    yield {"kind": "traj", "traj_id": tid, "reason": traj.termination_reason.value,
+           "x_end": states[-1]}
+    columns = (states[:-1], traj.y.tolist(), traj.u_expert.tolist(), traj.u_applied.tolist())
     for k, row in enumerate(zip(*columns)):
         yield {"kind": "sample", "traj_id": tid, "k": k, **dict(zip(_STEP_FIELDS, row))}
 
@@ -250,6 +246,10 @@ class DatasetWriter:
         self._next_id = 0
 
     def write(self, traj: Trajectory) -> int:
+        """Append ``traj`` and return its ``traj_id``; a rollout that skipped the
+        output map (``y is None``) raises ``ValueError``."""
+        if traj.y is None:
+            raise ValueError("cannot write a trajectory without observations (y is None)")
         tid = self._next_id
         self._next_id += 1
         self._fh.writelines(json.dumps(obj) + "\n" for obj in _traj_lines(traj, tid))
@@ -298,26 +298,25 @@ def _observation_row(values) -> tuple:
 
 
 def _parse_step(obj: dict, line_no: int) -> tuple:
-    """A sample line's ``(x, y, u_expert, u_applied, x_next)``, each checked as its row."""
-    x, y, u_expert, u_applied, x_next = (_field(obj, line_no, f) for f in _STEP_FIELDS)
+    """A sample line's ``(x, y, u_expert, u_applied)``, each checked as its row."""
+    x, y, u_expert, u_applied = (_field(obj, line_no, f) for f in _STEP_FIELDS)
     with _on_line(line_no):
-        return (VehicleState.from_sequence(x).as_tuple(),
-                None if y is None else _observation_row(y),
+        return (VehicleState.from_sequence(x).as_tuple(), _observation_row(y),
                 Action(*map(float, u_expert)).as_tuple(),
-                Action(*map(float, u_applied)).as_tuple(),
-                VehicleState.from_sequence(x_next).as_tuple())
+                Action(*map(float, u_applied)).as_tuple())
 
 
-def _trajectory(steps: list, reason: TerminationReason) -> Trajectory:
-    """The record of one trajectory's parsed step rows, in step order."""
+def _trajectory(steps: dict, reason: TerminationReason, x_end: tuple) -> Trajectory:
+    """The record of one trajectory from its parsed step rows, keyed by ``k``."""
     n = len(steps)
-    x, y, u_expert, u_applied, x_next = zip(*steps) if steps else ((),) * 5
-    unobserved = y.count(None)
-    if 0 < unobserved < n:
-        raise ValueError(f"y is null on {unobserved} of {n} lines")
-    return Trajectory(np.reshape(x, (-1, 6)), None if unobserved or not n else np.array(y),
-                      np.reshape(u_expert, (-1, 2)), np.reshape(u_applied, (-1, 2)),
-                      np.reshape(x_next, (-1, 6)), reason)
+    missing = next((k for k in range(n) if k not in steps), None)
+    if missing is not None:
+        raise ValueError(f"no line for step {missing}")
+    x, y, u_expert, u_applied = zip(*map(steps.get, range(n))) if n else ((),) * 4
+    # a rollout with no step has no observation row to give y its width
+    y = np.array(y) if n else np.zeros((0, 0))
+    return Trajectory(np.array(x + (x_end,)), y, np.reshape(u_expert, (-1, 2)),
+                      np.reshape(u_applied, (-1, 2)), reason)
 
 
 def load_dataset(path) -> Union[LabeledPool, list]:
@@ -349,13 +348,11 @@ def load_dataset(path) -> Union[LabeledPool, list]:
                 tid = _index(obj, line_no, "traj_id")
                 if tid in headers:
                     raise DatasetFormatError(line_no, f"second 'traj' header for trajectory {tid}")
-                outcome, reason = (_field(obj, line_no, f) for f in ("outcome", "reason"))
+                reason, x_end = (_field(obj, line_no, f) for f in ("reason", "x_end"))
                 with _on_line(line_no):
-                    outcome, reason = Outcome(outcome), TerminationReason(reason)
-                if outcome is not reason.outcome:
-                    raise DatasetFormatError(
-                        line_no, f"outcome {outcome.value!r} contradicts reason {reason.value!r}")
-                headers[tid] = (reason, line_no)
+                    reason = TerminationReason(reason)
+                    x_end = VehicleState.from_sequence(x_end).as_tuple()
+                headers[tid] = (reason, x_end, line_no)
                 rows[tid] = {}
             elif kind == "sample":
                 saw_traj = True
@@ -394,10 +391,9 @@ def load_dataset(path) -> Union[LabeledPool, list]:
                            minus=np.array(pool["minus"], dtype=bool))
     trajs = []
     for tid in sorted(headers):
-        reason, line_no = headers[tid]
-        steps = rows[tid]
+        reason, x_end, line_no = headers[tid]
         try:
-            trajs.append(_trajectory([steps[k] for k in sorted(steps)], reason))
+            trajs.append(_trajectory(rows[tid], reason, x_end))
         except ValueError as exc:
             raise DatasetFormatError(line_no, f"trajectory {tid}: {exc}") from exc
     return trajs

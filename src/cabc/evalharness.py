@@ -56,7 +56,7 @@ def chained_laps(policy, cfg: SimConfig, track: TrackSpec, seed: int,
         yield traj
         if traj.termination_reason is not TerminationReason.REACHED_TARGET:
             return
-        x = VehicleState(*traj.x_next[-1].tolist())
+        x = VehicleState(*traj.states[-1].tolist())
 
 
 def evaluate(policy, cfg: SimConfig, track: TrackSpec, seed: int,

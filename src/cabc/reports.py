@@ -45,6 +45,8 @@ def read_reports_csv(path) -> List[Dict[str, object]]:
 _W, _H = 720, 420
 _ML, _MR, _MT, _MB = 64, 20, 34, 46
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+_LINE_COLOR, _SPAN_COLOR = "#555555", "#2ca02c"
+_XY_SIZE = 560   # width and height of ``svg_xy_figure``, pixels
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> List[float]:
@@ -73,31 +75,30 @@ class SvgChart:
         self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
         self.series: List[dict] = []
         self.markers: List[Tuple[float, float, str]] = []
-        self.hlines: List[Tuple[float, str, str]] = []
-        self.vlines: List[Tuple[float, str, str]] = []
-        self.spans: List[Tuple[float, float, str, str]] = []
+        self.hlines: List[Tuple[float, str]] = []
+        self.vlines: List[Tuple[float, str]] = []
+        self.spans: List[Tuple[float, float, str]] = []
 
-    def add_series(self, xs, ys, label: str, color: Optional[str] = None,
-                   dash: Optional[str] = None, band: Optional[Tuple] = None):
+    def add_series(self, xs, ys, label: str, dash: Optional[str] = None,
+                   band: Optional[Tuple] = None):
         self.series.append({"x": list(map(float, xs)), "y": list(map(float, ys)),
-                            "label": label,
-                            "color": color or _COLORS[len(self.series) % len(_COLORS)],
+                            "label": label, "color": _COLORS[len(self.series) % len(_COLORS)],
                             "dash": dash, "band": band})
 
     def add_marker(self, x: float, y: float, text: str):
         self.markers.append((float(x), float(y), text))
 
-    def add_hline(self, y: float, label: str, color: str = "#555555"):
-        self.hlines.append((float(y), label, color))
+    def add_hline(self, y: float, label: str):
+        self.hlines.append((float(y), label))
 
-    def add_vline(self, x: float, label: str, color: str = "#555555"):
+    def add_vline(self, x: float, label: str):
         """A dotted vertical line at ``x``, labelled at its top."""
-        self.vlines.append((float(x), label, color))
+        self.vlines.append((float(x), label))
 
-    def add_span(self, x0: float, x1: float, label: str, color: str = "#2ca02c"):
+    def add_span(self, x0: float, x1: float, label: str):
         """A shaded band over ``[x0, x1]``, clipped to the chart; each label
         gets one legend entry."""
-        self.spans.append((float(x0), float(x1), label, color))
+        self.spans.append((float(x0), float(x1), label))
 
     def _bounds(self):
         xs = [v for s in self.series for v in s["x"]] or [0.0, 1.0]
@@ -107,7 +108,7 @@ class SvgChart:
                 lo, hi = s["band"]
                 ys.extend(map(float, lo))
                 ys.extend(map(float, hi))
-        ys.extend(y for y, _, _ in self.hlines)
+        ys.extend(y for y, _ in self.hlines)
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         if x_hi == x_lo:
@@ -133,11 +134,11 @@ class SvgChart:
             f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" font-size="14" '
             f'font-family="sans-serif">{self.title}</text>',
         ]
-        for x0, x1, _, color in self.spans:
+        for x0, x1, _ in self.spans:
             left, right = px(max(x0, x_lo)), px(min(x1, x_hi))
             parts.append(f'<rect class="span" x="{left:.1f}" y="{_MT}" '
                          f'width="{right - left:.1f}" height="{_H - _MT - _MB}" '
-                         f'fill="{color}" opacity="0.15"/>')
+                         f'fill="{_SPAN_COLOR}" opacity="0.15"/>')
         axis = (f'M {_ML} {_MT} L {_ML} {_H - _MB} L {_W - _MR} {_H - _MB}')
         parts.append(f'<path d="{axis}" stroke="black" fill="none"/>')
         for t in _ticks(x_lo, x_hi):
@@ -155,16 +156,17 @@ class SvgChart:
         parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" '
                      f'font-size="12" font-family="sans-serif" '
                      f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.1f})">{self.ylabel}</text>')
-        for y, label, color in self.hlines:
+        for y, label in self.hlines:
             parts.append(f'<line x1="{_ML}" y1="{py(y):.1f}" x2="{_W - _MR}" '
-                         f'y2="{py(y):.1f}" stroke="{color}" stroke-dasharray="6 4"/>')
+                         f'y2="{py(y):.1f}" stroke="{_LINE_COLOR}" stroke-dasharray="6 4"/>')
             parts.append(f'<text x="{_W - _MR - 4}" y="{py(y) - 4:.1f}" text-anchor="end" '
-                         f'font-size="10" font-family="sans-serif" fill="{color}">{label}</text>')
-        for x, label, color in self.vlines:
+                         f'font-size="10" font-family="sans-serif" '
+                         f'fill="{_LINE_COLOR}">{label}</text>')
+        for x, label in self.vlines:
             parts.append(f'<line class="vline" x1="{px(x):.1f}" y1="{_MT}" x2="{px(x):.1f}" '
-                         f'y2="{_H - _MB}" stroke="{color}" stroke-dasharray="2 3"/>')
+                         f'y2="{_H - _MB}" stroke="{_LINE_COLOR}" stroke-dasharray="2 3"/>')
             parts.append(f'<text x="{px(x) + 3:.1f}" y="{_MT + 10}" font-size="10" '
-                         f'font-family="sans-serif" fill="{color}">{label}</text>')
+                         f'font-family="sans-serif" fill="{_LINE_COLOR}">{label}</text>')
         for s in self.series:
             if s["band"]:
                 lo, hi = s["band"]
@@ -183,11 +185,11 @@ class SvgChart:
                          f'y2="{y0}" stroke="{s["color"]}" stroke-width="2"/>')
             parts.append(f'<text x="{_W - _MR - 84}" y="{y0 + 4}" font-size="10" '
                          f'font-family="sans-serif">{s["label"]}</text>')
-        span_labels = {label: color for _, _, label, color in self.spans}
-        for i, (label, color) in enumerate(span_labels.items(), start=len(self.series)):
+        span_labels = dict.fromkeys(label for _, _, label in self.spans)
+        for i, label in enumerate(span_labels, start=len(self.series)):
             y0 = _MT + 14 * i
             parts.append(f'<rect x="{_W - _MR - 110}" y="{y0 - 4}" width="22" height="8" '
-                         f'fill="{color}" opacity="0.15"/>')
+                         f'fill="{_SPAN_COLOR}" opacity="0.15"/>')
             parts.append(f'<text x="{_W - _MR - 84}" y="{y0 + 4}" font-size="10" '
                          f'font-family="sans-serif">{label}</text>')
         for x, y, text in self.markers:
@@ -201,10 +203,9 @@ class SvgChart:
             fh.write(self.render())
 
 
-def svg_xy_figure(polylines: Sequence[dict], title: str, width: int = 560,
-                  height: int = 560, points: Sequence[dict] = (),
+def svg_xy_figure(polylines: Sequence[dict], title: str, points: Sequence[dict] = (),
                   segments: Sequence[dict] = ()) -> str:
-    """Equal-aspect world-coordinate figure.
+    """Equal-aspect world-coordinate figure, ``_XY_SIZE`` pixels square.
 
     ``polylines`` and ``points`` are ``{x, y, color, dash/r}`` dicts;
     ``segments`` are ``{segs: [((x0,y0),(x1,y1)), ...], color, dash}``.
@@ -224,18 +225,19 @@ def svg_xy_figure(polylines: Sequence[dict], title: str, width: int = 560,
     y_lo, y_hi = ys.min(), ys.max()
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
     margin = 30
-    scale = (min(width, height) - 2 * margin) / span
+    scale = (_XY_SIZE - 2 * margin) / span
     cx, cy = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+    half = _XY_SIZE / 2
 
     def pixels(x: np.ndarray, y: np.ndarray) -> tuple:
         """Pixel coordinates of world arrays ``x``, ``y``, as lists of floats."""
-        return (width / 2 + (x - cx) * scale).tolist(), (height / 2 - (y - cy) * scale).tolist()
+        return (half + (x - cx) * scale).tolist(), (half - (y - cy) * scale).tolist()
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="18" text-anchor="middle" font-size="13" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_XY_SIZE}" height="{_XY_SIZE}" '
+        f'viewBox="0 0 {_XY_SIZE} {_XY_SIZE}">',
+        f'<rect width="{_XY_SIZE}" height="{_XY_SIZE}" fill="white"/>',
+        f'<text x="{half}" y="18" text-anchor="middle" font-size="13" '
         f'font-family="sans-serif">{title}</text>',
     ]
     for p, (x, y) in zip(points, dots):
@@ -434,7 +436,7 @@ def policy_rollout_figure(policy, sim_cfg: SimConfig, track: TrackSpec, seed: in
     xs: List[float] = []
     ys: List[float] = []
     for traj in chained_laps(policy, sim_cfg, track, seed, laps):
-        for s, x_tran, e_psi in traj.x[:, 3:].tolist():
+        for s, x_tran, e_psi in traj.states[:-1, 3:].tolist():
             gx, gy, _ = frenet_to_cartesian(track, s, x_tran, e_psi)
             xs.append(gx)
             ys.append(gy)

@@ -255,25 +255,24 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
         if type(u) is not Action:
             u = Action.clamped(u.u_a, u.u_steer)
         try:
-            x_next = step(cfg, track, x, u)
+            reached = step(cfg, track, x, u)
         except SimSingularityError:
             reason = TerminationReason.SINGULARITY
             break
         observations.append(y)
         expert_actions.append((relabel(x) if relabel is not None else u).as_tuple())
         applied_actions.append(u.as_tuple())
-        states.append(x_next.as_tuple())
-        x = x_next
+        states.append(reached.as_tuple())
+        x = reached
         if not in_constraints(cfg, track, x):
             reason = TerminationReason.CONSTRAINT_VIOLATION
             break
         if in_target(cfg, track, x, s_start):
             reason = TerminationReason.REACHED_TARGET
             break
-    visited = _rows(states, 6)
     y = None if skip_observe else _rows(observations, 3 + len(cfg.preview_distances))
-    return Trajectory(visited[:-1], y, _rows(expert_actions, 2), _rows(applied_actions, 2),
-                      visited[1:], reason)
+    return Trajectory(_rows(states, 6), y, _rows(expert_actions, 2), _rows(applied_actions, 2),
+                      reason)
 
 
 def _rows(rows: list, width: int) -> np.ndarray:

@@ -230,7 +230,8 @@ def load_track(path, name: str | None = None) -> TrackSpec:
 
     Blank lines and lines starting with ``#`` are skipped.  ``name`` defaults
     to the file name without its extension.  A malformed line raises
-    ``ValueError`` naming the file and the line.
+    ``ValueError`` naming the file and the line; a track that ``TrackSpec``
+    rejects as a whole raises its error prefixed with the file.
     """
     half_width = None
     segments = []
@@ -252,11 +253,14 @@ def load_track(path, name: str | None = None) -> TrackSpec:
                 raise ValueError(f"{where}: expected 'length curvature'")
     if half_width is None:
         raise ValueError(f"{path}: missing 'halfwidth' header")
-    return TrackSpec(
-        segments=tuple(segments),
-        half_width=half_width,
-        name=name or os.path.splitext(os.path.basename(str(path)))[0],
-    )
+    try:
+        return TrackSpec(
+            segments=tuple(segments),
+            half_width=half_width,
+            name=name or os.path.splitext(os.path.basename(str(path)))[0],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def resolve_track(name_or_path: str) -> TrackSpec:

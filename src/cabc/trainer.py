@@ -183,7 +183,6 @@ class MlpPolicy:
         if params.head != "tanh":
             raise ValueError("policy network must use the bounded head")
         self.params = params
-        self.mode = mode
         self.track = track
         self.state_feedback = mode != "output"   # full-state features skip ``y``
 
@@ -325,10 +324,10 @@ class TrainResult:
 class _SampleStore:
     """The one record of visited states, extended by :meth:`add_trajectories`.
 
-    ``states`` holds each rollout's ``x`` rows followed by its final
-    ``x_next``, so every visited state is stored once.  The other columns
-    hold one row per step: ``rows[k]`` is the ``states`` row of step ``k``
-    (the state it reached is row ``rows[k] + 1``), ``feats`` its policy
+    ``states`` holds the ``states`` rows of each rollout, so every visited
+    state is stored once.  The other columns hold one row per step:
+    ``rows[k]`` is the ``states`` row of step ``k`` (the state it reached is
+    row ``rows[k] + 1``), ``feats`` its policy
     features, ``u_expert`` and ``u_applied`` its actions, and ``safe``
     whether its rollout succeeded.  The labeling pools are ``states`` rows
     of steps (see :meth:`pools`), in visit order.
@@ -351,8 +350,8 @@ class _SampleStore:
             if mode == "output":
                 feats = features_from_obs(traj.y)
             else:
-                feats = features_from_state_array(traj.x, track)
-            chunks["states"] += [traj.x, traj.x_next[-1:]]
+                feats = features_from_state_array(traj.states[:-1], track)
+            chunks["states"].append(traj.states)
             chunks["rows"].append(np.arange(first, first + len(traj)))
             chunks["feats"].append(feats)
             chunks["u_expert"].append(traj.u_expert)

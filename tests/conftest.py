@@ -70,9 +70,8 @@ def make_trajectory(n: int, outcome: Outcome, k_preview: int = 2,
     y = np.column_stack([visited[:-1, :3], np.full((n, k_preview), 0.5)])
     reason = (TerminationReason.REACHED_TARGET if outcome is Outcome.SUCCESS
               else TerminationReason.CONSTRAINT_VIOLATION)
-    return Trajectory(x=visited[:-1], y=y, u_expert=np.tile([0.2, 0.0], (n, 1)),
-                      u_applied=np.tile([0.25, -0.1], (n, 1)), x_next=visited[1:],
-                      termination_reason=reason)
+    return Trajectory(states=visited, y=y, u_expert=np.tile([0.2, 0.0], (n, 1)),
+                      u_applied=np.tile([0.25, -0.1], (n, 1)), termination_reason=reason)
 
 
 def write_trajectories(trajs, path) -> None:
@@ -82,14 +81,14 @@ def write_trajectories(trajs, path) -> None:
             writer.write(traj)
 
 
-STEP_FIELDS = ("x", "y", "u_expert", "u_applied", "x_next")
+ARRAY_FIELDS = ("states", "y", "u_expert", "u_applied")
 
 
 def same_trajectory(a: Trajectory, b: Trajectory) -> bool:
-    """Equal reason and step rows (``Trajectory`` defines no ``__eq__``)."""
+    """Equal reason, states and step rows (``Trajectory`` defines no ``__eq__``)."""
     return (a.termination_reason is b.termination_reason
             and (a.y is None) == (b.y is None)
-            and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in STEP_FIELDS
+            and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ARRAY_FIELDS
                     if getattr(a, f) is not None))
 
 

@@ -8,24 +8,23 @@ any float, any random draw or the termination of a rollout changes them.
 
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cabc.core import Action, Outcome, Trajectory, VehicleState
+from cabc.core import Action, Trajectory, VehicleState
 from cabc.experts import PidCenterline, RaceParams, RacingExpert
 from cabc.sim import SimConfig, default_start_state, lane_preview, rng_stream, rollout
 from cabc.track import curvature_at, default_tracks, peak_curvature
 from cabc.trainer import MixedPolicy, MlpPolicy, TrainConfig, init_policy
 
-from conftest import make_state, make_trajectory
+from conftest import make_state
 
 
 def _digest(traj: Trajectory) -> str:
     h = hashlib.sha256()
     h.update(f"{traj.outcome.value} {traj.termination_reason.value} {len(traj)}\n".encode())
-    rows = np.hstack([traj.x, traj.y, traj.u_expert, traj.u_applied, traj.x_next])
+    rows = np.hstack([traj.states[:-1], traj.y, traj.u_expert, traj.u_applied, traj.states[1:]])
     for parts in rows.tolist():
         h.update(" ".join(float.hex(v) for v in parts).encode())
         h.update(b"\n")
@@ -227,22 +226,7 @@ def test_action_fast_path_keeps_the_box():
             Action(0.0, outside)
 
 
-# --- chaining and clamping in the loop ----------------------------------------------------
-
-def test_trajectory_chain_accepts_equal_distinct_states_and_rejects_breaks():
-    traj = make_trajectory(3, Outcome.SUCCESS)
-    # the synthetic record's x and x_next are views of one array; copies chain too
-    copied = replace(traj, x=traj.x.copy(), x_next=traj.x_next.copy())
-    assert not np.shares_memory(copied.x, copied.x_next)
-    broken = traj.x.copy()
-    broken[1, 3] += 1e-9
-    with pytest.raises(ValueError, match="does not chain at step 0"):
-        replace(traj, x=broken)
-    broken = traj.x_next.copy()
-    broken[1, 0] = np.nextafter(broken[1, 0], 0.0)
-    with pytest.raises(ValueError, match="does not chain at step 1"):
-        replace(traj, x_next=broken)
-
+# --- clamping in the loop ------------------------------------------------------------------
 
 class _Command:
     """A policy output that is not an Action: the rollout must clip it."""

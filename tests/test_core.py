@@ -23,7 +23,6 @@ from cabc.core import (
 from cabc.trainer import _SampleStore
 
 from conftest import (
-    STEP_FIELDS,
     make_state,
     make_trajectory,
     same_trajectories,
@@ -61,16 +60,8 @@ class TestTypes:
         success = reason is TerminationReason.REACHED_TARGET
         assert traj.outcome is (Outcome.SUCCESS if success else Outcome.FAILURE)
 
-    def test_trajectory_chaining_enforced(self):
-        a = make_trajectory(2, Outcome.SUCCESS)
-        b = make_trajectory(2, Outcome.SUCCESS, start=5.0)
-        # step 0 of a, then step 1 of b
-        mixed = {f: np.vstack([getattr(a, f)[:1], getattr(b, f)[1:]]) for f in STEP_FIELDS}
-        with pytest.raises(ValueError, match="does not chain at step 0"):
-            Trajectory(**mixed, termination_reason=TerminationReason.REACHED_TARGET)
-
-    @pytest.mark.parametrize("name, shape", [("x", (3, 5)), ("u_expert", (2, 2)),
-                                             ("u_applied", (3,)), ("x_next", (3, 6, 1)),
+    @pytest.mark.parametrize("name, shape", [("states", (3, 6)), ("u_expert", (2, 2)),
+                                             ("u_applied", (3,)), ("states", (4, 6, 1)),
                                              ("y", (2, 5))])
     def test_trajectory_rejects_misshapen_rows(self, name, shape):
         traj = make_trajectory(3, Outcome.FAILURE)
@@ -122,7 +113,7 @@ class TestPartition:
         plus, query = pools(trajs)
         # every visited state lands in the pool of its rollout's outcome, in visit order
         for rows, outcome in ((plus, Outcome.SUCCESS), (query, Outcome.FAILURE)):
-            states = [t.x for t in trajs if t.outcome is outcome]
+            states = [t.states[:-1] for t in trajs if t.outcome is outcome]
             assert np.array_equal(rows, np.concatenate(states) if states else np.zeros((0, 6)))
 
     def test_store_holds_each_visited_state_once(self):
@@ -136,9 +127,9 @@ class TestPartition:
         steps = np.cumsum([0] + [len(t) for t in trajs])
         for traj, lo, hi in zip(trajs, steps, steps[1:]):
             rows = store.rows[lo:hi]
-            assert np.array_equal(store.states[rows], traj.x)
+            assert np.array_equal(store.states[rows], traj.states[:-1])
             assert np.array_equal(store.u_applied[lo:hi], traj.u_applied)
-            assert np.array_equal(store.states[rows + 1], traj.x_next)
+            assert np.array_equal(store.states[rows + 1], traj.states[1:])
 
 
 def plus_only(plus: np.ndarray) -> LabeledPool:
@@ -228,22 +219,36 @@ class TestPersistence:
             load_dataset(path)
         assert err.value.line_no == 3
 
-    def test_unobserved_samples_round_trip(self, tmp_path):
-        # state-feedback rollouts skip the output map and record y=None
-        traj = make_trajectory(3, Outcome.FAILURE)
-        blind = replace(traj, y=None)
+    def test_writer_refuses_unobserved_trajectory(self, tmp_path):
+        # evaluation rollouts of state-feedback policies skip the output map (y=None)
+        blind = replace(make_trajectory(3, Outcome.FAILURE), y=None)
         path = tmp_path / "data.jsonl"
-        write_trajectories([blind], path)
-        assert '"y": null' in path.read_text()
-        assert same_trajectories(load_dataset(path), [blind])
+        with DatasetWriter(path) as writer:
+            with pytest.raises(ValueError, match="y is None"):
+                writer.write(blind)
+            assert writer.write(make_trajectory(1, Outcome.SUCCESS)) == 0
+        assert [t.y.shape for t in load_dataset(path)] == [(1, 5)]
+
+    def test_file_keys_are_the_documented_ones(self, tmp_path):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        assert set(header) == {"kind", "traj_id", "reason", "x_end"}
+        for sample in (first, second):
+            assert set(sample) == {"kind", "traj_id", "k", "x", "y", "u_expert", "u_applied"}
+        # each visited state is written once: the steps' x rows, then x_end
+        states = make_trajectory(2, Outcome.SUCCESS).states.tolist()
+        assert [first["x"], second["x"], header["x_end"]] == states
 
     def test_empty_trajectory_round_trip(self, tmp_path):
         # a rollout that hit a singularity at its first step records no rows
-        trajs = [make_trajectory(0, Outcome.FAILURE), make_trajectory(2, Outcome.SUCCESS)]
+        trajs = [make_trajectory(0, Outcome.FAILURE, start=3.0),
+                 make_trajectory(2, Outcome.SUCCESS)]
         path = tmp_path / "data.jsonl"
         write_trajectories(trajs, path)
         loaded = load_dataset(path)
         assert [len(t) for t in loaded] == [0, 2]
+        assert loaded[0].states.tolist() == trajs[0].states.tolist() == [
+            list(make_state(s=3.0).as_tuple())]
+        assert loaded[0].termination_reason is trajs[0].termination_reason
         assert same_trajectories(loaded[1:], trajs[1:])
 
     def test_writer_numbers_trajectories_from_zero(self, tmp_path):
@@ -326,56 +331,55 @@ class TestPersistence:
 
     def test_second_header_reports_line(self, tmp_path):
         path, (header, first, second) = self._saved_lines(tmp_path)
-        relabeled = dict(header, outcome="failure", reason="timeout")
+        relabeled = dict(header, reason="timeout")
         self._write(path, [header, first, second, relabeled])
         with pytest.raises(DatasetFormatError, match="second 'traj' header") as err:
             load_dataset(path)
         assert err.value.line_no == 4
 
-    def test_broken_chain_reports_header_line(self, tmp_path):
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        second["x"][0] += 1.0
-        self._write(path, [header, first, second])
-        with pytest.raises(DatasetFormatError, match="does not chain") as err:
-            load_dataset(path)
-        assert err.value.line_no == 1
-
-    def test_chain_break_in_a_later_trajectory_names_its_header_line(self, tmp_path):
+    @pytest.mark.parametrize("kept", [[1, 2], [0, 2], [2]], ids=["first", "middle", "two"])
+    def test_missing_step_reports_header_line(self, tmp_path, kept):
         path = tmp_path / "data.jsonl"
         write_trajectories([make_trajectory(2, Outcome.SUCCESS),
                             make_trajectory(3, Outcome.FAILURE, start=4.0)], path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records[3] == dict(records[3], kind="traj", traj_id=1)
-        records[6]["x"][3] += 1e-9   # step 2 of trajectory 1 no longer follows step 1
-        self._write(path, records)
+        self._write(path, records[:4] + [records[4 + k] for k in kept])
+        missing = min(set(range(3)) - set(kept))
         with pytest.raises(DatasetFormatError,
-                           match="trajectory 1: trajectory does not chain at step 1") as err:
+                           match=f"trajectory 1: no line for step {missing}$") as err:
             load_dataset(path)
         assert err.value.line_no == 4
 
-    @pytest.mark.parametrize("outcome, reason", [("failure", "reached_target"),
-                                                 ("success", "constraint_violation"),
-                                                 ("success", "timeout")])
-    def test_header_whose_outcome_contradicts_its_reason_reports_line(self, tmp_path,
-                                                                      outcome, reason):
+    def test_header_without_x_end_reports_line(self, tmp_path):
+        # files written before the header carried x_end held each state twice
         path = tmp_path / "data.jsonl"
-        write_trajectories([make_trajectory(2, Outcome.SUCCESS),
-                            make_trajectory(1, Outcome.FAILURE, start=4.0)], path)
+        write_trajectories([make_trajectory(1, Outcome.SUCCESS),
+                            make_trajectory(2, Outcome.FAILURE, start=4.0)], path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        records[3].update(outcome=outcome, reason=reason)
-        self._write(path, records)
-        with pytest.raises(DatasetFormatError,
-                           match=f"outcome '{outcome}' contradicts reason '{reason}'") as err:
+        old = {**records[2], "outcome": "failure"}
+        del old["x_end"]
+        self._write(path, records[:2] + [old] + records[3:])
+        with pytest.raises(DatasetFormatError, match="missing field 'x_end'") as err:
             load_dataset(path)
-        assert err.value.line_no == 4
+        assert err.value.line_no == 3
+
+    def test_header_whose_x_end_is_not_a_state_reports_line(self, tmp_path):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        header["x_end"] = header["x_end"][:5]
+        self._write(path, [header, first, second])
+        with pytest.raises(DatasetFormatError, match="expected 6 state components") as err:
+            load_dataset(path)
+        assert err.value.line_no == 1
 
     def test_partly_unobserved_trajectory_rejected(self, tmp_path):
+        # every sample line holds an observation row; a null one names its line
         path, (header, first, second) = self._saved_lines(tmp_path)
         second["y"] = None
         self._write(path, [header, first, second])
-        with pytest.raises(DatasetFormatError, match="y is null on 1 of 2 lines") as err:
+        with pytest.raises(DatasetFormatError, match="not iterable") as err:
             load_dataset(path)
-        assert err.value.line_no == 1
+        assert err.value.line_no == 3
 
     def test_lines_with_the_old_safe_member_load(self, tmp_path):
         # files written while every step line carried "safe": null

@@ -109,9 +109,9 @@ class TestDynLoss:
             pol = Noisy(RacingExpert(cfg, gp), rng)
             s0 = float(rng.uniform(0, gp.lap_length))
             traj = rollout(cfg, gp, pol, default_start_state(1.0, s=s0), 600, rng)
-            X.append(traj.x)
+            X.append(traj.states[:-1])
             U.append(traj.u_applied)
-            XN.append(traj.x_next)
+            XN.append(traj.states[1:])
         X, U, XN = np.concatenate(X), np.concatenate(U), np.concatenate(XN)
         n_train = int(0.9 * len(X))
         norm = fit_norm(X[:n_train], gp.lap_length)

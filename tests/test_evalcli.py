@@ -195,7 +195,7 @@ class TestStateFeedback:
                        50, rng_stream(0))
         assert (len(skipped), skipped.y) == (50, None)
         assert kept.y.shape == (50, 3 + len(sim.preview_distances))
-        for name in ("x", "u_expert", "u_applied", "x_next"):
+        for name in ("states", "u_expert", "u_applied"):
             assert np.array_equal(getattr(skipped, name), getattr(kept, name)), name
 
     @pytest.mark.parametrize("case", ["pid_circle", "racing_gp", "full_state_gp"])
@@ -367,6 +367,18 @@ class TestCli:
         assert run_cli("report", "--run", str(out), "--baseline", str(out_bc),
                        "--out", str(rep)) == 0
         assert (rep / "laps_vs_epoch.svg").exists()
+
+    def test_zero_epoch_run_reports(self, tmp_path, capsys):
+        cfg_path = tmp_path / "zero.cfg"
+        cfg_path.write_text("epochs = 0\nhidden = 8\neval_laps = 1\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--method", "bc", "--track", "circle", "--expert", "pid",
+                       "--config", str(cfg_path), "--out", str(out)) == 0
+        assert "done: 0 epochs" in capsys.readouterr().out
+        assert read_reports_csv(out / "reports.csv") == []
+        rep = tmp_path / "rep"
+        assert run_cli("report", "--run", str(out), "--out", str(rep)) == 0
+        ET.parse(rep / "laps_vs_epoch.svg")
 
     def test_report_on_empty_rundir_lists_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError) as err:

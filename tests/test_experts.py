@@ -43,7 +43,7 @@ class TestPid:
                        max_steps=int(track.lap_length / noiseless_sim.dt * 2.5),
                        rng=rng_stream(0, 0))
         assert traj.outcome is Outcome.SUCCESS
-        assert np.abs(traj.x[:, 4]).max() < 0.3 * track.half_width
+        assert np.abs(traj.states[:, 4]).max() < 0.3 * track.half_width
 
 
 class TestRacing:

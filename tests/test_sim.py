@@ -224,7 +224,7 @@ class TestSets:
         traj = rollout(noiseless_sim, gp, lambda y, x: Action(0.2, 0.0), x, 1,
                        rng_stream(0, 0))
         x_next = step(noiseless_sim, gp, x, Action(0.2, 0.0))
-        assert traj.x_next[-1].tolist() == list(x_next.as_tuple())
+        assert traj.states[-1].tolist() == list(x_next.as_tuple())
         assert in_constraints(noiseless_sim, gp, x_next)
         assert not in_target(noiseless_sim, gp, x_next, 0.0)
         assert traj.termination_reason is TerminationReason.TIMEOUT
@@ -237,7 +237,7 @@ class TestRollout:
         traj = rollout(noiseless_sim, circle, policy, x0, 50, rng_stream(0, 0))
         assert traj.outcome is Outcome.FAILURE
         assert traj.termination_reason is TerminationReason.TIMEOUT
-        assert traj.x.tolist() == [list(x0.as_tuple())] * len(traj)
+        assert traj.states.tolist() == [list(x0.as_tuple())] * (len(traj) + 1)
 
     def test_pid_lap_time_near_kinematic_estimate(self, circle, noiseless_sim):
         pid = PidCenterline(noiseless_sim, circle, v_ref=1.0)
@@ -268,14 +268,15 @@ class TestRollout:
         pid = PidCenterline(cfg, gp, v_ref=1.0)
         traj = rollout(cfg, gp, pid, default_start_state(1.0), 1000, rng_stream(5, 0))
         assert traj.outcome is Outcome.SUCCESS
-        for row in traj.x.tolist() + traj.x_next[-1:].tolist():
+        for row in traj.states.tolist():
             assert in_constraints(cfg, gp, VehicleState(*row))
 
     def test_samples_chain_and_match_plant(self, circle, noiseless_sim):
         pid = PidCenterline(noiseless_sim, circle, v_ref=1.0)
         traj = rollout(noiseless_sim, circle, pid, default_start_state(1.0), 200,
                        rng_stream(1, 1))
-        for x, u, x_next in zip(traj.x.tolist(), traj.u_applied.tolist(), traj.x_next.tolist()):
+        for x, u, x_next in zip(traj.states[:-1].tolist(), traj.u_applied.tolist(),
+                                traj.states[1:].tolist()):
             assert step(noiseless_sim, circle, VehicleState(*x), Action(*u)).as_tuple() == \
                 tuple(x_next)
 

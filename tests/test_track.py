@@ -197,6 +197,17 @@ class TestFiles:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: {message}")):
             load_track(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("halfwidth 0.6\n", "track needs at least one segment"),
+        ("halfwidth 0.6\n12.5 0.0\n", "track does not close in heading: total turn 0.0"),
+        ("halfwidth 0\n{seg}\n", "half_width must be positive and finite"),
+    ], ids=["no-segment", "open", "zero-halfwidth"])
+    def test_invalid_track_names_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.track"
+        path.write_text(text.format(seg=f"{4 * math.pi!r} 0.5"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_track(path)
+
     def test_resolve_by_name_and_path(self, tmp_path, circle):
         assert resolve_track("circle").name == "circle"
         path = tmp_path / "custom.track"

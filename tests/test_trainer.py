@@ -254,7 +254,7 @@ class TestTrainLoops:
                     traj_callback=lambda epoch, new: trajs.extend(new))
         for rows, outcome in ((res.pool.d_plus, Outcome.SUCCESS),
                               (res.pool.d_query, Outcome.FAILURE)):
-            states = [t.x for t in trajs if t.outcome is outcome]
+            states = [t.states[:-1] for t in trajs if t.outcome is outcome]
             assert len(states) and np.array_equal(rows, np.concatenate(states))
         last = res.reports[-1]
         assert (last.n_plus, last.n_query, last.n_minus) == (
@@ -541,7 +541,7 @@ class TestPolicyWrapper:
             cfg = SimConfig(lap_target=2)
             traj = rollout(cfg, track, RacingExpert(cfg, track), default_start_state(),
                            1200, rng_stream(11, 0))
-            states = [VehicleState(*row) for row in traj.x.tolist()]
+            states = [VehicleState(*row) for row in traj.states[:-1].tolist()]
         rng = np.random.default_rng(7)
         n, lap = 10_000, track.lap_length
         raw = np.column_stack([
