@@ -47,6 +47,8 @@ def main() -> int:
     parser.add_argument("--early-stop", action="store_true",
                         help="stop each run at the second full evaluation")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     track = get_track(args.track)
     sim = SimConfig(max_steps=600)

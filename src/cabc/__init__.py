@@ -3,12 +3,10 @@
 __version__ = "0.1.0"
 
 from .core import (
-    Action,
     LabeledPool,
     Outcome,
     TerminationReason,
     Trajectory,
-    VehicleState,
     load_dataset,
     save_dataset,
 )
@@ -16,8 +14,7 @@ from .track import TrackSpec, curvature_at, default_tracks, frenet_to_cartesian,
 from .sim import SimConfig, in_constraints, in_target, observe, rollout, step
 
 __all__ = [
-    "Action", "LabeledPool", "Outcome", "TerminationReason",
-    "Trajectory", "VehicleState",
+    "LabeledPool", "Outcome", "TerminationReason", "Trajectory",
     "load_dataset", "save_dataset",
     "TrackSpec", "curvature_at", "default_tracks", "frenet_to_cartesian", "get_track",
     "SimConfig", "in_constraints", "in_target", "observe", "rollout", "step",

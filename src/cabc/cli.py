@@ -46,6 +46,12 @@ from .trainer import NonFiniteLossError, load_policy, make_expert_factory, train
 EXIT_NONFINITE = 2
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative ``--seed`` before a command writes anything."""
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def _load_configs(args) -> tuple:
     values = parse_config_file(args.config) if args.config else {}
     sim = sim_config_from(values)
@@ -123,6 +129,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_seed(args.seed)
     values = parse_config_file(args.config) if args.config else {}
     sim = sim_config_from(values)
     track = resolve_track(args.track)
@@ -162,6 +169,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sim(args) -> int:
+    _check_seed(args.seed)
     values = parse_config_file(args.config) if args.config else {}
     sim = sim_config_from(values)
     track = resolve_track(args.track)
@@ -240,6 +248,7 @@ def _labeldemo_radii(args) -> list:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.grid < 2:
         raise ValueError(f"--grid must be at least 2, got {args.grid}")
+    _check_seed(args.seed)
     return rhos
 
 

@@ -11,12 +11,18 @@ the noisy body velocities, then the lane centre's vehicle-frame lateral offset
 at each preview distance.  ``sim.observe`` returns it; policies,
 ``Trajectory.y`` and the dataset lines take it as it is.
 
-Trajectory files hold a ``{"kind": "traj", "traj_id", "reason", "x_end"}``
-header per rollout, ``x_end`` being the state its last step reached (the
-start state if it took none), and one ``{"kind": "sample", "traj_id", "k",
-"x", "y", "u_expert", "u_applied"}`` line per step ``k``, whose ``x`` is the
-state the step left (the ``"safe": null`` of older files is ignored).  Pool
-files hold one ``{"kind": "pool", "set", "x"}`` line per state of the
+A state is one row of six floats, ``(v_long, v_tran, omega_psi, s, x_tran,
+e_psi)`` (:data:`STATE_FIELDS`), and an action one pair ``(u_a, u_steer)``,
+each component in [-1, 1]: tuples in the closed loop, array rows in a
+:class:`Trajectory` and lists in the files.  :func:`state_row` and
+:func:`clamp_action` make them from other numbers, checked.
+
+Trajectory files hold a ``{"kind": "traj", "traj_id", "reason", "n",
+"x_end"}`` header per rollout, ``n`` being its step count and ``x_end`` the
+state its last step reached (the start state if it took none), and one
+``{"kind": "sample", "traj_id", "k", "x", "y", "u_expert", "u_applied"}``
+line per step ``k = 0 ... n - 1``, whose ``x`` is the state the step left.
+Pool files hold one ``{"kind": "pool", "set", "x"}`` line per state of the
 labeling pools, with a 0/1 ``minus`` flag on the ``"query"`` ones.
 """
 
@@ -50,77 +56,46 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Frenet-frame vehicle state.
+# the components of a state row, in order: the body velocities (m/s, m/s,
+# rad/s), the unwrapped arc length (m), the lateral deviation (m, left
+# positive) and the heading error (rad)
+STATE_FIELDS = ("v_long", "v_tran", "omega_psi", "s", "x_tran", "e_psi")
 
-    ``s`` is unwrapped: it keeps growing across laps.
+
+def state_row(values) -> tuple:
+    """``values`` as a state row: six finite Python floats."""
+    row = tuple(map(float, values))
+    if len(row) != 6:
+        raise ValueError(f"expected 6 state components, got {len(row)}")
+    for name, value in zip(STATE_FIELDS, row):
+        _require_finite(name, value)
+    return row
+
+
+def clamp_action(u_a, u_steer) -> tuple:
+    """The action pair ``(u_a, u_steer)`` as Python floats, each clipped into [-1, 1].
+
+    A component already inside the box is kept bit for bit.  A non-finite one
+    raises ``ValueError`` naming it: ``max(-1.0, nan)`` is -1.0, so clipping
+    would silently turn nan into a full command.
     """
-
-    v_long: float   # longitudinal velocity, m/s
-    v_tran: float   # lateral velocity, m/s
-    omega_psi: float  # yaw rate, rad/s
-    s: float        # unwrapped arc length along the reference path, m
-    x_tran: float   # lateral deviation from the centerline, m (left positive)
-    e_psi: float    # heading error w.r.t. the path tangent, rad
-
-    def __post_init__(self):
-        # Fast path for finite built-in floats, which the closed loop builds
-        # every step: a float sum is finite only if every term is (an
-        # overflowing sum merely takes the per-field route).
-        a, b, c = self.v_long, self.v_tran, self.omega_psi
-        d, e, f = self.s, self.x_tran, self.e_psi
-        if (type(a) is float and type(b) is float and type(c) is float
-                and type(d) is float and type(e) is float and type(f) is float
-                and isfinite(a + b + c + d + e + f)):
-            return
-        for name in ("v_long", "v_tran", "omega_psi", "s", "x_tran", "e_psi"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-
-    def as_tuple(self) -> tuple:
-        return (self.v_long, self.v_tran, self.omega_psi, self.s, self.x_tran, self.e_psi)
-
-    @staticmethod
-    def from_sequence(values) -> "VehicleState":
-        v = list(values)
-        if len(v) != 6:
-            raise ValueError(f"expected 6 state components, got {len(v)}")
-        return VehicleState(*map(float, v))
+    u_a, u_steer = float(u_a), float(u_steer)
+    if not (isfinite(u_a) and isfinite(u_steer)):
+        _require_finite("u_a", u_a)
+        _require_finite("u_steer", u_steer)
+    return (min(1.0, max(-1.0, u_a)), min(1.0, max(-1.0, u_steer)))
 
 
-@dataclass(frozen=True)
-class Action:
-    """Normalized throttle/brake and steering command, each in [-1, 1]."""
-
-    u_a: float
-    u_steer: float
-
-    def __post_init__(self):
-        a, b = self.u_a, self.u_steer
-        # the range test fails for nan and inf, so it also checks finiteness
-        if type(a) is float and type(b) is float and -1.0 <= a <= 1.0 and -1.0 <= b <= 1.0:
-            return
-        for name in ("u_a", "u_steer"):
-            val = _require_finite(name, getattr(self, name))
-            if not -1.0 <= val <= 1.0:
-                raise ValueError(f"{name} out of [-1, 1]: {val}")
-            object.__setattr__(self, name, val)
-
-    @staticmethod
-    def clamped(u_a: float, u_steer: float) -> "Action":
-        """Clip each component into [-1, 1].
-
-        Non-finite input raises the constructor's error: ``max(-1.0, nan)``
-        is -1.0, so clipping would silently turn nan into a full command.
-        """
-        u_a, u_steer = float(u_a), float(u_steer)
-        if not (isfinite(u_a) and isfinite(u_steer)):
-            _require_finite("u_a", u_a)
-            _require_finite("u_steer", u_steer)
-        return Action(min(1.0, max(-1.0, u_a)), min(1.0, max(-1.0, u_steer)))
-
-    def as_tuple(self) -> tuple:
-        return (self.u_a, self.u_steer)
+def _action_row(values) -> tuple:
+    """An action row as read from a file: two finite floats inside [-1, 1]."""
+    row = tuple(map(float, values))
+    if len(row) != 2:
+        raise ValueError(f"expected 2 action components, got {len(row)}")
+    for name, value in zip(("u_a", "u_steer"), row):
+        _require_finite(name, value)
+        if not -1.0 <= value <= 1.0:
+            raise ValueError(f"{name} out of [-1, 1]: {value}")
+    return row
 
 
 class Outcome(Enum):
@@ -154,7 +129,7 @@ class Trajectory:
     ``u_applied``.
     """
 
-    states: np.ndarray            # (n + 1, 6), VehicleState field order
+    states: np.ndarray            # (n + 1, 6), state rows
     y: Optional[np.ndarray]       # (n, 3 + k), observation rows as ``sim.observe`` returns them
     u_expert: np.ndarray          # (n, 2)
     u_applied: np.ndarray         # (n, 2)
@@ -218,7 +193,7 @@ _STEP_FIELDS = ("x", "y", "u_expert", "u_applied")
 def _traj_lines(traj: Trajectory, tid: int):
     states = traj.states.tolist()
     yield {"kind": "traj", "traj_id": tid, "reason": traj.termination_reason.value,
-           "x_end": states[-1]}
+           "n": len(traj), "x_end": states[-1]}
     columns = (states[:-1], traj.y.tolist(), traj.u_expert.tolist(), traj.u_applied.tolist())
     for k, row in enumerate(zip(*columns)):
         yield {"kind": "sample", "traj_id": tid, "k": k, **dict(zip(_STEP_FIELDS, row))}
@@ -292,7 +267,7 @@ def _observation_row(values) -> tuple:
     row = tuple(map(float, values))
     if len(row) < 3:
         raise ValueError(f"expected at least 3 observation components, got {len(row)}")
-    for name, value in zip(chain(("v_long", "v_tran", "omega_psi"), repeat("preview")), row):
+    for name, value in zip(chain(STATE_FIELDS[:3], repeat("preview")), row):
         _require_finite(name, value)
     return row
 
@@ -301,17 +276,17 @@ def _parse_step(obj: dict, line_no: int) -> tuple:
     """A sample line's ``(x, y, u_expert, u_applied)``, each checked as its row."""
     x, y, u_expert, u_applied = (_field(obj, line_no, f) for f in _STEP_FIELDS)
     with _on_line(line_no):
-        return (VehicleState.from_sequence(x).as_tuple(), _observation_row(y),
-                Action(*map(float, u_expert)).as_tuple(),
-                Action(*map(float, u_applied)).as_tuple())
+        return state_row(x), _observation_row(y), _action_row(u_expert), _action_row(u_applied)
 
 
-def _trajectory(steps: dict, reason: TerminationReason, x_end: tuple) -> Trajectory:
-    """The record of one trajectory from its parsed step rows, keyed by ``k``."""
-    n = len(steps)
+def _trajectory(steps: dict, reason: TerminationReason, n: int, x_end: tuple) -> Trajectory:
+    """The record of one ``n``-step trajectory from its parsed step rows, keyed by ``k``."""
     missing = next((k for k in range(n) if k not in steps), None)
     if missing is not None:
         raise ValueError(f"no line for step {missing}")
+    extra = min((k for k in steps if not 0 <= k < n), default=None)
+    if extra is not None:
+        raise ValueError(f"line for step {extra}, but the header gives n = {n}")
     x, y, u_expert, u_applied = zip(*map(steps.get, range(n))) if n else ((),) * 4
     # a rollout with no step has no observation row to give y its width
     y = np.array(y) if n else np.zeros((0, 0))
@@ -348,11 +323,15 @@ def load_dataset(path) -> Union[LabeledPool, list]:
                 tid = _index(obj, line_no, "traj_id")
                 if tid in headers:
                     raise DatasetFormatError(line_no, f"second 'traj' header for trajectory {tid}")
-                reason, x_end = (_field(obj, line_no, f) for f in ("reason", "x_end"))
+                reason = _field(obj, line_no, "reason")
+                n = _index(obj, line_no, "n")
+                if n < 0:
+                    raise DatasetFormatError(line_no, f"n must be non-negative, got {n}")
+                x_end = _field(obj, line_no, "x_end")
                 with _on_line(line_no):
                     reason = TerminationReason(reason)
-                    x_end = VehicleState.from_sequence(x_end).as_tuple()
-                headers[tid] = (reason, x_end, line_no)
+                    x_end = state_row(x_end)
+                headers[tid] = (reason, n, x_end, line_no)
                 rows[tid] = {}
             elif kind == "sample":
                 saw_traj = True
@@ -370,7 +349,7 @@ def load_dataset(path) -> Union[LabeledPool, list]:
                 which = _field(obj, line_no, "set")
                 x = _field(obj, line_no, "x")
                 with _on_line(line_no):
-                    x = VehicleState.from_sequence(x).as_tuple()
+                    x = state_row(x)
                 if which == "plus":
                     pool["plus"].append(x)
                 elif which == "query":
@@ -391,9 +370,9 @@ def load_dataset(path) -> Union[LabeledPool, list]:
                            minus=np.array(pool["minus"], dtype=bool))
     trajs = []
     for tid in sorted(headers):
-        reason, x_end, line_no = headers[tid]
+        reason, n, x_end, line_no = headers[tid]
         try:
-            trajs.append(_trajectory(rows[tid], reason, x_end))
+            trajs.append(_trajectory(rows[tid], reason, n, x_end))
         except ValueError as exc:
             raise DatasetFormatError(line_no, f"trajectory {tid}: {exc}") from exc
     return trajs

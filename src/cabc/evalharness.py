@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .core import TerminationReason, Trajectory, VehicleState
+from .core import TerminationReason, Trajectory
 from .sim import SimConfig, default_start_state, rng_stream, rollout
 from .track import TrackSpec
 
@@ -56,7 +56,7 @@ def chained_laps(policy, cfg: SimConfig, track: TrackSpec, seed: int,
         yield traj
         if traj.termination_reason is not TerminationReason.REACHED_TARGET:
             return
-        x = VehicleState(*traj.states[-1].tolist())
+        x = traj.states[-1]
 
 
 def evaluate(policy, cfg: SimConfig, track: TrackSpec, seed: int,

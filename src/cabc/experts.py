@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Action, VehicleState
+from .core import clamp_action
 from .sim import SimConfig
 from .track import TrackSpec, curvature_at, peak_curvature
 
@@ -53,16 +53,17 @@ class PidCenterline:
         self.gains = gains
         self._integral = 0.0
 
-    def __call__(self, y: Optional[tuple], x: VehicleState) -> Action:
+    def __call__(self, y: Optional[tuple], x: tuple) -> tuple:
+        v_long, _, _, s, x_tran, e_psi = x
         cfg, g = self.cfg, self.gains
-        err_v = self.v_ref - x.v_long
+        err_v = self.v_ref - v_long
         self._integral = min(max(self._integral + err_v * cfg.dt, -1.0), 1.0)
         u_a = _drag_throttle(cfg, self.v_ref) + g.kp_v * err_v + g.ki_v * self._integral
 
-        kappa = curvature_at(self.track, x.s)
-        delta = (_steer_feedforward(cfg, kappa, x.v_long)
-                 - g.kp_lat * x.x_tran - g.kd_lat * x.e_psi)
-        return Action.clamped(u_a, delta / cfg.steer_max)
+        kappa = curvature_at(self.track, s)
+        delta = (_steer_feedforward(cfg, kappa, v_long)
+                 - g.kp_lat * x_tran - g.kd_lat * e_psi)
+        return clamp_action(u_a, delta / cfg.steer_max)
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,18 @@ class RacingExpert:
         raw = curvature_at(self.track, s + p.offset_lead) * p.offset_gain
         return -min(max(raw, -p.offset_max), p.offset_max)
 
-    def __call__(self, y: Optional[tuple], x: VehicleState) -> Action:
+    def __call__(self, y: Optional[tuple], x: tuple) -> tuple:
+        v_long, _, _, s, x_tran, e_psi = x
         cfg, p = self.cfg, self.params
-        v_t = self.target_speed(x.s)
-        err_v = v_t - x.v_long
+        v_t = self.target_speed(s)
+        err_v = v_t - v_long
         self._integral = min(max(self._integral + err_v * cfg.dt, -1.0), 1.0)
         u_a = _drag_throttle(cfg, v_t) + p.kp_v * err_v + p.ki_v * self._integral
 
-        s_t = x.s + p.pursuit_dist
-        dy = self.offset_ref(s_t) - x.x_tran
-        alpha = math.atan2(dy, p.pursuit_dist) - x.e_psi
+        s_t = s + p.pursuit_dist
+        dy = self.offset_ref(s_t) - x_tran
+        alpha = math.atan2(dy, p.pursuit_dist) - e_psi
         l_d = math.hypot(p.pursuit_dist, dy)
-        kappa_cmd = 2.0 * math.sin(alpha) / l_d + curvature_at(self.track, x.s)
-        delta = _steer_feedforward(cfg, kappa_cmd, x.v_long)
-        return Action.clamped(u_a, delta / cfg.steer_max)
+        kappa_cmd = 2.0 * math.sin(alpha) / l_d + curvature_at(self.track, s)
+        delta = _steer_feedforward(cfg, kappa_cmd, v_long)
+        return clamp_action(u_a, delta / cfg.steer_max)

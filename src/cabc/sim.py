@@ -19,7 +19,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import Action, TerminationReason, Trajectory, VehicleState
+from .core import TerminationReason, Trajectory, clamp_action, state_row
 from .track import TrackSpec, curvature_at
 
 
@@ -83,10 +83,11 @@ class SimConfig:
         object.__setattr__(self, "preview_distances", distances)
 
 
-def _derivatives(cfg: SimConfig, kappa: float, x: VehicleState, u: Action):
-    v_long, v_tran, omega, e_psi = x.v_long, x.v_tran, x.omega_psi, x.e_psi
+def _derivatives(cfg: SimConfig, kappa: float, x: tuple, u: tuple):
+    v_long, v_tran, omega, s, x_tran, e_psi = x
+    u_a, u_steer = u
     l_front, l_rear = cfg.l_front, cfg.l_rear
-    delta = u.u_steer * cfg.steer_max
+    delta = u_steer * cfg.steer_max
     v_eff = max(v_long, cfg.v_slip_floor)
     alpha_f = math.atan2(v_tran + l_front * omega, v_eff) - delta
     alpha_r = math.atan2(v_tran - l_rear * omega, v_eff)
@@ -95,12 +96,12 @@ def _derivatives(cfg: SimConfig, kappa: float, x: VehicleState, u: Action):
     cos_d = math.cos(delta)
     sin_e, cos_e = math.sin(e_psi), math.cos(e_psi)
 
-    denom = 1.0 - x.x_tran * kappa
+    denom = 1.0 - x_tran * kappa
     if abs(denom) < 1e-6:
-        raise SimSingularityError(f"Frenet singularity at s={x.s!r}, x_tran={x.x_tran!r}")
+        raise SimSingularityError(f"Frenet singularity at s={s!r}, x_tran={x_tran!r}")
     s_dot = (v_long * cos_e - v_tran * sin_e) / denom
 
-    dv_long = (cfg.drive_gain * u.u_a - cfg.drag_lin * v_long
+    dv_long = (cfg.drive_gain * u_a - cfg.drag_lin * v_long
                - cfg.drag_quad * v_long * v_long + omega * v_tran)
     dv_tran = a_yf * cos_d + a_yr - omega * v_long
     domega = (l_front * a_yf * cos_d - l_rear * a_yr) / cfg.yaw_radius_sq
@@ -109,23 +110,27 @@ def _derivatives(cfg: SimConfig, kappa: float, x: VehicleState, u: Action):
     return dv_long, dv_tran, domega, s_dot, dx_tran, de_psi
 
 
-def step(cfg: SimConfig, track: TrackSpec, x: VehicleState, u: Action) -> VehicleState:
-    """One forward-Euler step of the plant.  Deterministic."""
-    kappa = curvature_at(track, x.s)
+def step(cfg: SimConfig, track: TrackSpec, x: tuple, u: tuple) -> tuple:
+    """One forward-Euler step of the plant from state row ``x`` under action
+    pair ``u``: the state row it reaches.  Deterministic.
+
+    A reached state that is not finite raises ``ValueError`` naming the field.
+    """
+    v_long, v_tran, omega_psi, s, x_tran, e_psi = x
+    kappa = curvature_at(track, s)
     dv_long, dv_tran, domega, s_dot, dx_tran, de_psi = _derivatives(cfg, kappa, x, u)
     dt = cfg.dt
-    v_long = min(max(x.v_long + dt * dv_long, 0.0), cfg.v_max)
-    return VehicleState(
-        v_long=v_long,
-        v_tran=x.v_tran + dt * dv_tran,
-        omega_psi=x.omega_psi + dt * domega,
-        s=x.s + dt * s_dot,
-        x_tran=x.x_tran + dt * dx_tran,
-        e_psi=x.e_psi + dt * de_psi,
-    )
+    reached = (min(max(v_long + dt * dv_long, 0.0), cfg.v_max), v_tran + dt * dv_tran,
+               omega_psi + dt * domega, s + dt * s_dot, x_tran + dt * dx_tran,
+               e_psi + dt * de_psi)
+    # a float sum is finite only if every term is; one that merely overflows
+    # takes the per-field check, which passes it
+    if math.isfinite(sum(reached)):
+        return reached
+    return state_row(reached)
 
 
-def lane_preview(track: TrackSpec, x: VehicleState, distances) -> list:
+def lane_preview(track: TrackSpec, x: tuple, distances) -> list:
     """Vehicle-frame lateral offsets of the lane center at arc ranges ahead.
 
     This is the information a forward lane camera provides: for each lookahead
@@ -135,9 +140,10 @@ def lane_preview(track: TrackSpec, x: VehicleState, distances) -> list:
     The walk only goes forward, so ``distances`` must be non-negative and
     ascending; anything else raises ``ValueError``.
     """
+    _, _, _, s, x_tran, e_psi = x
     segments = track.segments
     n_seg = len(segments)
-    s_w = x.s % track.lap_length
+    s_w = s % track.lap_length
     seg = track._segment_index(s_w)
     remaining = track._starts[seg + 1] - s_w
     # centerline pose ahead of the vehicle, in the tangent frame at arc s, with
@@ -146,8 +152,7 @@ def lane_preview(track: TrackSpec, x: VehicleState, distances) -> list:
     px, py, psi = 0.0, 0.0, 0.0
     sin_p, cos_p = 0.0, 1.0
     arc = 0.0
-    sin_e, cos_e = math.sin(x.e_psi), math.cos(x.e_psi)
-    x_tran = x.x_tran
+    sin_e, cos_e = math.sin(e_psi), math.cos(e_psi)
     kappa = segments[seg][1]
     out = []
     for d in map(float, distances):
@@ -178,7 +183,7 @@ def lane_preview(track: TrackSpec, x: VehicleState, distances) -> list:
     return out
 
 
-def observe(cfg: SimConfig, track: TrackSpec, x: VehicleState,
+def observe(cfg: SimConfig, track: TrackSpec, x: tuple,
             rng: Optional[np.random.Generator] = None) -> tuple:
     """Output map: the observation row ``(v_long, v_tran, omega_psi, *preview)``.
 
@@ -186,8 +191,8 @@ def observe(cfg: SimConfig, track: TrackSpec, x: VehicleState,
     each plus Gaussian noise from ``rng`` (none without it): finite floats,
     as the state and the noise are.
     """
+    v_long, v_tran, omega_psi, _, _, _ = x
     preview = lane_preview(track, x, cfg.preview_distances)
-    v_long, v_tran, omega_psi = x.v_long, x.v_tran, x.omega_psi
     # draws as Python floats, so every sum is float + float
     if rng is not None and cfg.noise_sigma_v > 0.0:
         n_long, n_tran, n_omega = rng.normal(0.0, cfg.noise_sigma_v, size=3).tolist()
@@ -198,41 +203,45 @@ def observe(cfg: SimConfig, track: TrackSpec, x: VehicleState,
     return (v_long, v_tran, omega_psi, *preview)
 
 
-def in_constraints(cfg: SimConfig, track: TrackSpec, x: VehicleState) -> bool:
+def in_constraints(cfg: SimConfig, track: TrackSpec, x: tuple) -> bool:
+    v_long, _, _, _, x_tran, e_psi = x
     lat_bound = track.half_width - cfg.half_width_margin
-    return (abs(x.x_tran) <= lat_bound
-            and 0.0 <= x.v_long <= cfg.v_max
-            and abs(x.e_psi) <= cfg.e_psi_max)
+    return (abs(x_tran) <= lat_bound
+            and 0.0 <= v_long <= cfg.v_max
+            and abs(e_psi) <= cfg.e_psi_max)
 
 
-def in_target(cfg: SimConfig, track: TrackSpec, x: VehicleState, s_start: float) -> bool:
+def in_target(cfg: SimConfig, track: TrackSpec, x: tuple, s_start: float) -> bool:
     """Target set: required lap progress made while still inside the constraints."""
-    return (x.s >= s_start + cfg.lap_target * track.lap_length
+    _, _, _, s, _, _ = x
+    return (s >= s_start + cfg.lap_target * track.lap_length
             and in_constraints(cfg, track, x))
 
 
-# Policies are callables (observation row, full state) -> Action, handed the
-# row as :func:`observe` returns it.  Full-state experts ignore the row and
-# output-feedback policies the state; one whose ``state_feedback`` attribute is
-# true never reads its row, so it may be handed ``None`` (recorded as ``y=None``).
-Policy = Callable[[Optional[tuple], VehicleState], Action]
+# Policies are callables (observation row, state row) -> action pair, handed
+# the row as :func:`observe` returns it.  Full-state experts ignore the
+# observation and output-feedback policies the state; one whose
+# ``state_feedback`` attribute is true never reads its observation, so it may
+# be handed ``None`` (recorded as ``y=None``).
+Policy = Callable[[Optional[tuple], tuple], tuple]
 
 
-def default_start_state(v_long: float = 1.0, s: float = 0.0) -> VehicleState:
-    return VehicleState(v_long=v_long, v_tran=0.0, omega_psi=0.0, s=s,
-                        x_tran=0.0, e_psi=0.0)
+def default_start_state(v_long: float = 1.0, s: float = 0.0) -> tuple:
+    return state_row((v_long, 0.0, 0.0, s, 0.0, 0.0))
 
 
-def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
+def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0,
             max_steps: int, rng: np.random.Generator,
-            relabel: Optional[Callable[[VehicleState], Action]] = None,
+            relabel: Optional[Callable[[tuple], tuple]] = None,
             observe_unread: bool = True) -> Trajectory:
-    """Run the closed loop until target, constraint violation, or timeout.
+    """Run the closed loop from state row ``x0`` until target, constraint
+    violation, or timeout.
 
-    Policy outputs are clamped to the input box before stepping; an
-    :class:`Action` already lies in it and is used as it is.  ``relabel``
-    optionally supplies the expert action recorded at every step; without
-    it the applied action doubles as the expert action.
+    Every policy output passes :func:`core.clamp_action` before stepping, so
+    it enters the plant as a pair of floats inside the input box.
+    ``relabel`` optionally supplies the expert action recorded at every step,
+    clamped the same way; without it the applied action doubles as the
+    expert action.
 
     ``rng`` feeds only the observation noise.  With ``observe_unread=False``
     a policy whose ``state_feedback`` attribute is true is not observed: it
@@ -243,26 +252,24 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0: VehicleState,
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     skip_observe = not observe_unread and getattr(policy, "state_feedback", False)
+    x = state_row(x0)
+    _, _, _, s_start, _, _ = x
     # one row per step, each observation as ``observe`` returned it
-    states = [x0.as_tuple()]
+    states = [x]
     observations, expert_actions, applied_actions = [], [], []
-    x = x0
-    s_start = x0.s
     reason = TerminationReason.TIMEOUT
     for _ in range(max_steps):
         y = None if skip_observe else observe(cfg, track, x, rng)
-        u = policy(y, x)
-        if type(u) is not Action:
-            u = Action.clamped(u.u_a, u.u_steer)
+        u = clamp_action(*policy(y, x))
         try:
             reached = step(cfg, track, x, u)
         except SimSingularityError:
             reason = TerminationReason.SINGULARITY
             break
         observations.append(y)
-        expert_actions.append((relabel(x) if relabel is not None else u).as_tuple())
-        applied_actions.append(u.as_tuple())
-        states.append(reached.as_tuple())
+        expert_actions.append(clamp_action(*relabel(x)) if relabel is not None else u)
+        applied_actions.append(u)
+        states.append(reached)
         x = reached
         if not in_constraints(cfg, track, x):
             reason = TerminationReason.CONSTRAINT_VIOLATION

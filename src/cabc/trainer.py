@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .autolabel import NormStats, embed, fit_norm, member_mask
-from .core import Action, LabeledPool, Outcome, Trajectory, VehicleState
+from .core import LabeledPool, Outcome, Trajectory, clamp_action
 from .critic import (
     DynModel,
     SafetyClf,
@@ -91,6 +91,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        # every random stream is rooted at a SeedSequence, which takes no negative seed
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.neighbor_cap < 1:
             raise ValueError("neighbor_cap must be >= 1")
         if self.k_f < 1 or self.k_p < 1:
@@ -167,13 +170,15 @@ def features_from_state_array(x_arr: np.ndarray, track: TrackSpec) -> np.ndarray
     return out
 
 
-def features_from_state(x: VehicleState, track: TrackSpec) -> np.ndarray:
-    """One row of :func:`features_from_state_array`, bit for bit, in float arithmetic."""
+def features_from_state(x: tuple, track: TrackSpec) -> np.ndarray:
+    """The features of one state row: a row of :func:`features_from_state_array`,
+    bit for bit, in float arithmetic."""
+    v_long, v_tran, omega_psi, s, x_tran, e_psi = x
     k_long, k_tran, k_omega = _VEL_SCALES
-    ang = 2.0 * math.pi * x.s / track.lap_length
-    return np.array([k_long * x.v_long, k_tran * x.v_tran, k_omega * x.omega_psi,
+    ang = 2.0 * math.pi * s / track.lap_length
+    return np.array([k_long * v_long, k_tran * v_tran, k_omega * omega_psi,
                      math.cos(ang), math.sin(ang),
-                     x.x_tran / track.half_width, x.e_psi * 2.0 / math.pi])
+                     x_tran / track.half_width, e_psi * 2.0 / math.pi])
 
 
 class MlpPolicy:
@@ -186,10 +191,10 @@ class MlpPolicy:
         self.track = track
         self.state_feedback = mode != "output"   # full-state features skip ``y``
 
-    def __call__(self, y: Optional[tuple], x: VehicleState) -> Action:
+    def __call__(self, y: Optional[tuple], x: tuple) -> tuple:
         feats = features_from_state(x, self.track) if self.state_feedback else features_from_obs(y)
         u_a, u_steer = nn.forward(self.params, feats).tolist()
-        return Action(u_a, u_steer)
+        return (u_a, u_steer)
 
 
 def load_policy(path, mode: str, sim_cfg: SimConfig, track: TrackSpec) -> MlpPolicy:
@@ -227,11 +232,11 @@ class MixedPolicy:
         self.beta_prob = beta_prob
         self.rng = rng
         self.sigma_u = sigma_u
-        self.last_expert_action: Optional[Action] = None
+        self.last_expert_action: Optional[tuple] = None
         self.expert_steps = 0
         self.total_steps = 0
 
-    def __call__(self, y: Optional[tuple], x: VehicleState) -> Action:
+    def __call__(self, y: Optional[tuple], x: tuple) -> tuple:
         u_exp = self.pi_beta(y, x)
         self.last_expert_action = u_exp
         take_expert = self.rng.random() < self.beta_prob
@@ -242,8 +247,9 @@ class MixedPolicy:
         else:
             u = self.pi_theta(y, x)
         if self.sigma_u > 0.0:
+            u_a, u_steer = u
             n_a, n_steer = self.rng.normal(0.0, self.sigma_u, size=2).tolist()
-            u = Action.clamped(u.u_a + n_a, u.u_steer + n_steer)
+            u = clamp_action(u_a + n_a, u_steer + n_steer)
         return u
 
 
@@ -267,8 +273,7 @@ def _collect_epoch(cfg: TrainConfig, track: TrackSpec, expert_factory,
         rng_obs = rng_stream(cfg.seed, 2, epoch, i)
         s0 = rng_noise.uniform(0.0, track.lap_length)
         xt0 = rng_noise.uniform(-0.15, 0.15)
-        x0 = VehicleState(v_long=1.0, v_tran=0.0, omega_psi=0.0,
-                          s=s0, x_tran=xt0, e_psi=0.0)
+        x0 = (1.0, 0.0, 0.0, s0, xt0, 0.0)
         learner = MlpPolicy(policy_params, cfg.observation_mode, track)
         mixed = MixedPolicy(expert_factory(), learner, beta, rng_noise,
                             cfg.actuation_noise_sigma)

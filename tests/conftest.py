@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cabc.core import DatasetWriter, Outcome, TerminationReason, Trajectory, VehicleState
+from cabc.core import DatasetWriter, Outcome, TerminationReason, Trajectory, state_row
 from cabc.sim import SimConfig
 from cabc.track import TrackSpec, get_track
 
@@ -39,8 +39,9 @@ def noiseless_sim():
     return SimConfig(noise_sigma_v=0.0, noise_sigma_kappa=0.0)
 
 
-def make_state(v=1.0, s=0.0, xt=0.0, ep=0.0, vt=0.0, om=0.0) -> VehicleState:
-    return VehicleState(v_long=v, v_tran=vt, omega_psi=om, s=s, x_tran=xt, e_psi=ep)
+def make_state(v=1.0, s=0.0, xt=0.0, ep=0.0, vt=0.0, om=0.0) -> tuple:
+    """A state row ``(v_long, v_tran, omega_psi, s, x_tran, e_psi)``."""
+    return state_row((v, vt, om, s, xt, ep))
 
 
 def max_abs_curvature(track: TrackSpec) -> float:
@@ -56,7 +57,7 @@ def write_track_file(track: TrackSpec, path) -> None:
 
 def states_array(states) -> np.ndarray:
     """Raw ``(n, 6)`` rows of ``states``, as the trainer's sample store holds them."""
-    return np.array([x.as_tuple() for x in states], dtype=float).reshape(-1, 6)
+    return np.array(states, dtype=float).reshape(-1, 6)
 
 
 def make_trajectory(n: int, outcome: Outcome, k_preview: int = 2,

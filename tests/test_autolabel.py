@@ -61,8 +61,7 @@ class TestNormalization:
 
     def test_circular_embedding_joins_lap_ends(self):
         lap = 10.0
-        a, b = embed(np.array([make_state(s=0.0).as_tuple(),
-                               make_state(s=lap - 1e-6).as_tuple()]), lap)
+        a, b = embed(np.array([make_state(s=0.0), make_state(s=lap - 1e-6)]), lap)
         assert np.linalg.norm(a - b) < 1e-5
 
 

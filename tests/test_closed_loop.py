@@ -1,4 +1,4 @@
-"""Closed-loop golden digests and the edge cases of the per-step fast paths.
+"""Closed-loop golden digests and the edge cases of the per-step row checks.
 
 The digests pin every bit of three short seeded rollouts: each state,
 observation and action is hashed through ``float.hex``.  A change to the
@@ -12,9 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from cabc.core import Action, Trajectory, VehicleState
+from cabc import sim
+from cabc.core import STATE_FIELDS, Trajectory, clamp_action, state_row
 from cabc.experts import PidCenterline, RaceParams, RacingExpert
-from cabc.sim import SimConfig, default_start_state, lane_preview, rng_stream, rollout
+from cabc.sim import SimConfig, default_start_state, lane_preview, rng_stream, rollout, step
 from cabc.track import curvature_at, default_tracks, peak_curvature
 from cabc.trainer import MixedPolicy, MlpPolicy, TrainConfig, init_policy
 
@@ -122,11 +123,12 @@ def _reference_lane_preview(track, x, distances):
     out = [0.0] * len(distances)
     px, py, psi = 0.0, 0.0, 0.0
     arc = 0.0
-    s_w = x.s % track.lap_length
+    _, _, _, s, x_tran, e_psi = x
+    s_w = s % track.lap_length
     seg = track._segment_index(s_w)
     n_seg = len(track.segments)
     remaining = track._starts[seg + 1] - s_w
-    sin_e, cos_e = math.sin(x.e_psi), math.cos(x.e_psi)
+    sin_e, cos_e = math.sin(e_psi), math.cos(e_psi)
 
     def advance(length, kappa):
         nonlocal px, py, psi
@@ -150,7 +152,7 @@ def _reference_lane_preview(track, x, distances):
         advance(partial, track.segments[seg][1])
         remaining -= partial
         arc = d
-        out[i] = -sin_e * px + cos_e * (py - x.x_tran)
+        out[i] = -sin_e * px + cos_e * (py - x_tran)
     return out
 
 
@@ -178,71 +180,107 @@ def test_lane_preview_rejects_descending_distances(gp):
                 lane_preview(gp, x, bad)
 
 
-# --- validation fast paths ---------------------------------------------------------------
+# --- validation where a row is made ---------------------------------------------------
 
 _NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE)
-def test_state_fast_path_still_rejects_non_finite(bad):
-    names = ("v_long", "v_tran", "omega_psi", "s", "x_tran", "e_psi")
-    for k, name in enumerate(names):
-        values = [0.5] * 6
-        values[k] = bad
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            VehicleState(*values)
+def test_state_fast_path_still_rejects_non_finite(bad, circle, noiseless_sim, monkeypatch):
+    """A stepped state that is not finite raises, naming its field."""
+    x = default_start_state()
+    for k, name in enumerate(STATE_FIELDS):
+        if k == 0 and not math.isnan(bad):
+            continue   # an infinite rate only drives v_long to a bound of [0, v_max]
+        rates = [0.0] * 6
+        rates[k] = bad
+        monkeypatch.setattr(sim, "_derivatives", lambda *args: tuple(rates))
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            step(noiseless_sim, circle, x, (0.0, 0.0))
+
+
+def test_step_names_the_field_that_overflows(circle, noiseless_sim):
+    # the yaw rate times the speed overflows the lateral acceleration
+    x = (5.0, 0.0, 1.7e308, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^v_tran must be finite, got -inf"):
+        step(noiseless_sim, circle, x, (0.0, 0.0))
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE)
-def test_action_fast_path_still_rejects_non_finite(bad):
+def test_action_fast_path_still_rejects_non_finite(bad, circle, noiseless_sim):
     with pytest.raises(ValueError, match="u_steer must be finite"):
-        Action(0.0, bad)
+        clamp_action(0.0, bad)
     with pytest.raises(ValueError, match="u_a must be finite"):
-        Action(bad, 0.0)
+        clamp_action(bad, 0.0)
+    for u, name in (((bad, 0.0), "u_a"), ((0.5, np.float64(bad)), "u_steer")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            rollout(noiseless_sim, circle, lambda y, x: u, default_start_state(), 3,
+                    rng_stream(0, 0))
 
 
-def test_fast_paths_still_convert_numpy_scalars_and_ints():
-    x = VehicleState(np.float64(1.5), 0, np.float32(0.25), np.int64(3), 0.1, -0.0)
-    u = Action(np.float64(0.5), -1)
-    for v in x.as_tuple() + u.as_tuple():
-        assert type(v) is float
-    assert x.as_tuple() == (1.5, 0.0, 0.25, 3.0, 0.1, -0.0)
-    assert Action.clamped(np.float64(3.0), np.float32(-0.5)) == Action(1.0, -0.5)
+def test_fast_paths_still_convert_numpy_scalars_and_ints(circle, noiseless_sim, monkeypatch):
+    x0 = (np.float64(1.5), 0, np.float32(0.25), np.int64(3), 0.1, -0.0)
+    assert state_row(x0) == (1.5, 0.0, 0.25, 3.0, 0.1, -0.0)
+    assert clamp_action(np.float64(3.0), np.float32(-0.5)) == (1.0, -0.5)
+    assert all(type(v) is float for v in state_row(x0) + clamp_action(np.int64(1), -1))
+    # the rollout hands the policy and the plant Python floats
+    handed = []
+    real_step = sim.step
+
+    def spy(cfg, track, x, u):
+        handed.append(x + u)
+        return real_step(cfg, track, x, u)
+
+    outputs = [(np.float64(0.5), -1), np.array([0.25, 0.0]), [np.float32(0.5), 1]]
+
+    def policy(y, x):
+        handed.append(x)
+        return outputs.pop()
+
+    monkeypatch.setattr(sim, "step", spy)
+    traj = rollout(noiseless_sim, circle, policy, x0, 3, rng_stream(0, 0))
+    assert all(type(v) is float for row in handed for v in row)
+    assert traj.u_applied.tolist() == [[0.5, 1.0], [0.25, 0.0], [0.5, -1.0]]
+    assert traj.states[0].tolist() == [1.5, 0.0, 0.25, 3.0, 0.1, -0.0]
 
 
-def test_fast_paths_accept_finite_values_whose_sum_overflows():
+def test_fast_paths_accept_finite_values_whose_sum_overflows(circle, noiseless_sim):
     big = 1e308
-    assert VehicleState(big, big, big, big, big, big).s == big
+    assert state_row((big,) * 6) == (big,) * 6
+    # a stepped state whose components sum past the float range is still finite
+    reached = step(noiseless_sim, circle, (1.0, 0.0, 0.0, big, big, 0.0), (0.0, 0.0))
+    assert reached[3] == reached[4] == big
+    assert math.isinf(sum(reached))
 
 
 def test_action_fast_path_keeps_the_box():
-    assert Action(-1.0, 1.0).as_tuple() == (-1.0, 1.0)
-    assert Action(1.0, -1.0).as_tuple() == (1.0, -1.0)
+    assert clamp_action(-1.0, 1.0) == (-1.0, 1.0)
+    assert clamp_action(1.0, -1.0) == (1.0, -1.0)
     for edge in (1.0, -1.0):
         outside = math.nextafter(edge, 2.0 * edge)
-        with pytest.raises(ValueError, match="u_a out of"):
-            Action(outside, 0.0)
-        with pytest.raises(ValueError, match="u_steer out of"):
-            Action(0.0, outside)
+        assert clamp_action(outside, 0.0) == (edge, 0.0)
+        assert clamp_action(0.0, outside) == (0.0, edge)
+    # inside the box every bit is kept, the sign of zero too
+    inside = np.random.default_rng(0).uniform(-1.0, 1.0, size=(1000, 2)).tolist()
+    inside += [[-0.0, 0.0], [5e-324, -5e-324]]
+    for u_a, u_steer in inside:
+        kept = clamp_action(u_a, u_steer)
+        assert [float.hex(v) for v in kept] == [float.hex(u_a), float.hex(u_steer)]
 
 
 # --- clamping in the loop ------------------------------------------------------------------
 
-class _Command:
-    """A policy output that is not an Action: the rollout must clip it."""
-
-    def __init__(self, u_a, u_steer):
-        self.u_a, self.u_steer = u_a, u_steer
-
-
 def test_rollout_applies_actions_as_they_are_and_clamps_the_rest(circle, noiseless_sim):
-    u = Action(0.3, 0.1)
-    traj = rollout(noiseless_sim, circle, lambda y, x: u, default_start_state(), 3,
+    traj = rollout(noiseless_sim, circle, lambda y, x: (0.3, 0.1), default_start_state(), 3,
                    rng_stream(0, 0))
     assert traj.u_applied.tolist() == [[0.3, 0.1]] * 3
-    traj = rollout(noiseless_sim, circle, lambda y, x: _Command(4.0, np.float64(-2.0)),
+    traj = rollout(noiseless_sim, circle, lambda y, x: np.array([4.0, -2.0]),
                    default_start_state(), 3, rng_stream(0, 0))
     assert traj.u_applied.tolist() == [[1.0, -1.0]] * 3
+    # the relabeled action is recorded through the same clamp
+    traj = rollout(noiseless_sim, circle, lambda y, x: (0.3, 0.1), default_start_state(), 3,
+                   rng_stream(0, 0), relabel=lambda x: (-7.0, 0.5))
+    assert traj.u_expert.tolist() == [[-1.0, 0.5]] * 3
     with pytest.raises(ValueError, match="u_a must be finite"):
-        rollout(noiseless_sim, circle, lambda y, x: _Command(math.nan, 0.0),
+        rollout(noiseless_sim, circle, lambda y, x: (math.nan, 0.0),
                 default_start_state(), 3, rng_stream(0, 0))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -9,16 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cabc.core import (
-    Action,
     DatasetFormatError,
     DatasetWriter,
     LabeledPool,
     Outcome,
     TerminationReason,
     Trajectory,
-    VehicleState,
+    clamp_action,
     load_dataset,
     save_dataset,
+    state_row,
 )
 from cabc.trainer import _SampleStore
 
@@ -33,26 +34,39 @@ from conftest import (
 
 class TestTypes:
     def test_state_requires_finite(self):
-        with pytest.raises(ValueError):
-            VehicleState(float("nan"), 0, 0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            VehicleState(0, 0, 0, float("inf"), 0, 0)
+        with pytest.raises(ValueError, match="v_long must be finite, got nan"):
+            state_row((float("nan"), 0, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="s must be finite, got inf"):
+            state_row((0, 0, 0, float("inf"), 0, 0))
+        with pytest.raises(ValueError, match="expected 6 state components, got 7"):
+            state_row([0.0] * 7)
 
-    def test_action_bounds(self):
-        with pytest.raises(ValueError):
-            Action(1.2, 0.0)
-        with pytest.raises(ValueError):
-            Action(0.0, -1.0001)
-        assert Action.clamped(3.0, -7.0) == Action(1.0, -1.0)
+    def test_action_bounds(self, tmp_path):
+        # the closed loop clamps an action into the box; the loader refuses one outside it
+        assert clamp_action(3.0, -7.0) == (1.0, -1.0)
+        path = tmp_path / "data.jsonl"
+        write_trajectories([make_trajectory(2, Outcome.SUCCESS)], path)
+        header, first, second = (json.loads(line) for line in path.read_text().splitlines())
+        for field, u, message in [
+                ("u_expert", [1.2, 0.0], "u_a out of [-1, 1]: 1.2"),
+                ("u_applied", [0.0, -1.0001], "u_steer out of [-1, 1]: -1.0001"),
+                ("u_expert", [math.inf, 0.0], "u_a must be finite, got inf"),
+                ("u_applied", [0.0, math.nan], "u_steer must be finite, got nan"),
+                ("u_applied", [0.0], "expected 2 action components, got 1")]:
+            lines = (header, first, dict(second, **{field: u}))
+            path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+            with pytest.raises(DatasetFormatError, match=re.escape(message)) as err:
+                load_dataset(path)
+            assert err.value.line_no == 3
 
     def test_clamped_rejects_non_finite(self):
         # max(-1.0, nan) is -1.0: clipping must not turn nan into a full command
         with pytest.raises(ValueError, match="u_a must be finite"):
-            Action.clamped(float("nan"), 0.3)
+            clamp_action(float("nan"), 0.3)
         with pytest.raises(ValueError, match="u_steer must be finite"):
-            Action.clamped(0.3, float("-inf"))
+            clamp_action(0.3, float("-inf"))
         with pytest.raises(ValueError, match="u_a must be finite"):
-            Action.clamped(float("inf"), 0.0)
+            clamp_action(float("inf"), 0.0)
 
     @pytest.mark.parametrize("reason", list(TerminationReason))
     def test_trajectory_outcome_follows_its_reason(self, reason):
@@ -231,7 +245,8 @@ class TestPersistence:
 
     def test_file_keys_are_the_documented_ones(self, tmp_path):
         path, (header, first, second) = self._saved_lines(tmp_path)
-        assert set(header) == {"kind", "traj_id", "reason", "x_end"}
+        assert set(header) == {"kind", "traj_id", "reason", "n", "x_end"}
+        assert header["n"] == 2
         for sample in (first, second):
             assert set(sample) == {"kind", "traj_id", "k", "x", "y", "u_expert", "u_applied"}
         # each visited state is written once: the steps' x rows, then x_end
@@ -247,7 +262,7 @@ class TestPersistence:
         loaded = load_dataset(path)
         assert [len(t) for t in loaded] == [0, 2]
         assert loaded[0].states.tolist() == trajs[0].states.tolist() == [
-            list(make_state(s=3.0).as_tuple())]
+            list(make_state(s=3.0))]
         assert loaded[0].termination_reason is trajs[0].termination_reason
         assert same_trajectories(loaded[1:], trajs[1:])
 
@@ -337,7 +352,8 @@ class TestPersistence:
             load_dataset(path)
         assert err.value.line_no == 4
 
-    @pytest.mark.parametrize("kept", [[1, 2], [0, 2], [2]], ids=["first", "middle", "two"])
+    @pytest.mark.parametrize("kept", [[1, 2], [0, 2], [2], [0]],
+                             ids=["first", "middle", "two", "tail"])
     def test_missing_step_reports_header_line(self, tmp_path, kept):
         path = tmp_path / "data.jsonl"
         write_trajectories([make_trajectory(2, Outcome.SUCCESS),
@@ -363,6 +379,37 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="missing field 'x_end'") as err:
             load_dataset(path)
         assert err.value.line_no == 3
+
+    def test_header_without_n_reports_line(self, tmp_path):
+        # files written before the header carried n could lose their last steps unseen
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        del header["n"]
+        self._write(path, [header, first, second])
+        with pytest.raises(DatasetFormatError, match="missing field 'n'") as err:
+            load_dataset(path)
+        assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("n, message", [(-1, "n must be non-negative, got -1"),
+                                            ("2", "n must be an integer"),
+                                            (2.0, "n must be an integer")])
+    def test_header_whose_n_is_not_a_count_reports_line(self, tmp_path, n, message):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        header["n"] = n
+        self._write(path, [header, first, second])
+        with pytest.raises(DatasetFormatError, match=message) as err:
+            load_dataset(path)
+        assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (0, 0)])
+    def test_sample_past_n_reports_header_line(self, tmp_path, n, k):
+        path, (header, first, second) = self._saved_lines(tmp_path)
+        header["n"] = n
+        self._write(path, [header, first, second][:n + 2])
+        with pytest.raises(DatasetFormatError,
+                           match=f"trajectory 0: line for step {k}, but the header gives "
+                                 f"n = {n}$") as err:
+            load_dataset(path)
+        assert err.value.line_no == 1
 
     def test_header_whose_x_end_is_not_a_state_reports_line(self, tmp_path):
         path, (header, first, second) = self._saved_lines(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 
 from cabc import nn
 from cabc.autolabel import NormStats, fit_norm
-from cabc.core import Action
+from cabc.core import clamp_action
 from cabc.critic import (
     DegenerateLabelsError,
     DynModel,
@@ -99,7 +99,7 @@ class TestDynLoss:
             def __call__(self, y, x):
                 u = self.inner(y, x)
                 n = self.rng.normal(0.0, 0.2, size=2)
-                return Action.clamped(u.u_a + n[0], u.u_steer + n[1])
+                return clamp_action(u[0] + n[0], u[1] + n[1])
 
         X, U, XN = [], [], []
         i = 0

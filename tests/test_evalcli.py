@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cabc.cli import main
-from cabc.core import Action, TerminationReason
+from cabc.core import TerminationReason, clamp_action
 from cabc.evalharness import early_stop_epoch, evaluate
 from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import emit_reports, read_reports_csv
@@ -35,7 +35,7 @@ class TestEvaluate:
     def test_zero_policy_completes_no_laps(self, circle, noiseless_sim):
         # the standard start moves at 1 m/s, so a zero policy coasts off the
         # curve; a from-rest start would time out instead (covered in sim tests)
-        result = evaluate(lambda y, x: Action(0.0, 0.0), noiseless_sim, circle,
+        result = evaluate(lambda y, x: (0.0, 0.0), noiseless_sim, circle,
                           seed=0, laps=50)
         assert result.laps_completed == 0
         assert result.terminated_by in (TerminationReason.TIMEOUT,
@@ -50,7 +50,7 @@ class TestEvaluate:
             def __call__(self, y, x):
                 u = self.inner(y, x)
                 n = self.rng.normal(0.0, 0.3, size=2)
-                return Action.clamped(u.u_a + n[0], u.u_steer + n[1])
+                return clamp_action(u[0] + n[0], u[1] + n[1])
 
         violated = 0
         for seed in range(10):
@@ -73,7 +73,7 @@ class TestEvaluate:
                            termination_reason=TerminationReason.SINGULARITY)
 
         monkeypatch.setattr(eval_mod, "rollout", singular_rollout)
-        result = evaluate(lambda y, x: Action(0.0, 0.0), noiseless_sim, circle,
+        result = evaluate(lambda y, x: (0.0, 0.0), noiseless_sim, circle,
                           seed=0, laps=50)
         assert result.laps_completed == 0
         assert result.terminated_by is TerminationReason.SINGULARITY
@@ -517,6 +517,26 @@ class TestCli:
                     "--config", str(cfg_path), "--out", str(tmp_path / "run"),
                     "--checkpoint-every", "-1")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, args", [
+        ("train", ("--method", "bc", "--track", "circle", "--expert", "pid", "--seed", "-1")),
+        ("train", ("--method", "bc", "--track", "circle", "--expert", "pid",
+                   "--config", "SEED_FILE")),
+        ("eval", ("--weights", "missing.npz", "--track", "circle", "--seed", "-1")),
+        ("sim", ("--expert", "pid", "--track", "circle", "--seed", "-1", "--render", "OUT")),
+        ("labeldemo", ("--n", "50", "--grid", "10", "--seed", "-1")),
+    ], ids=["train", "train-config", "eval", "sim", "labeldemo"])
+    def test_negative_seed_is_refused_before_writing(self, tmp_path, capsys, command, args):
+        seed_file = tmp_path / "seed.cfg"
+        seed_file.write_text("seed = -1\n")
+        out = tmp_path / "out"
+        args = [str(seed_file) if a == "SEED_FILE" else str(out) if a == "OUT" else a
+                for a in args]
+        if command in ("train", "labeldemo"):
+            args += ["--out", str(out)]
+        with pytest.raises(ValueError, match=r"seed must be non-negative, got -1$"):
+            run_cli(command, *args)
+        assert not out.exists() and not capsys.readouterr().out
 
     def test_nonfinite_abort_exit_code(self, monkeypatch, tmp_path):
         import cabc.cli as cli_mod

@@ -64,6 +64,14 @@ def test_racing_experiment_runs_both_methods(tmp_path):
     assert (summary["seeds"], summary["epochs"]) == (1, 1)
 
 
+def test_racing_experiment_refuses_no_seeds(tmp_path):
+    out = tmp_path / "out"
+    done = run_script("run_racing_experiment.py", "--seeds", "0", "--out", str(out))
+    assert done.returncode == 2
+    assert "--seeds must be at least 1, got 0" in done.stderr
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def bench():
     spec = importlib.util.spec_from_file_location(

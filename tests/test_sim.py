@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cabc.core import Action, Outcome, TerminationReason, VehicleState
+from cabc.core import Outcome, TerminationReason
 from cabc.experts import PidCenterline, RacingExpert
 from cabc.sim import (
     SimConfig,
@@ -63,13 +63,13 @@ def test_config_requires_non_negative(name):
 class TestStep:
     def test_zero_state_zero_input_fixed_point(self, circle, noiseless_sim):
         x = default_start_state(v_long=0.0)
-        assert step(noiseless_sim, circle, x, Action(0.0, 0.0)) == x
+        assert step(noiseless_sim, circle, x, (0.0, 0.0)) == x
 
     def test_refined_integration_on_straight(self, stadium, noiseless_sim):
         """Coarse Euler vs dt/100 Euler of the same longitudinal dynamics, 1 s."""
         cfg = noiseless_sim
         fine = replace(cfg, dt=cfg.dt / 100)
-        u = Action(0.5, 0.0)
+        u = (0.5, 0.0)
         x_coarse = default_start_state(v_long=1.0)
         x_fine = default_start_state(v_long=1.0)
         steps = int(round(1.0 / cfg.dt))
@@ -78,7 +78,7 @@ class TestStep:
             x_coarse = step(cfg, stadium, x_coarse, u)
             for _ in range(100):
                 x_fine = step(fine, stadium, x_fine, u)
-            worst = max(worst, abs(x_coarse.v_long - x_fine.v_long) / x_fine.v_long)
+            worst = max(worst, abs(x_coarse[0] - x_fine[0]) / x_fine[0])
         assert worst < 1e-3
 
     def test_steady_state_cornering(self, circle, noiseless_sim):
@@ -95,13 +95,13 @@ class TestStep:
         v_tran_ss = max(v0, cfg.v_slip_floor) * math.tan(alpha_r) + cfg.l_rear * v0 * kappa
         u_a = (cfg.drag_lin * v0 + cfg.drag_quad * v0 * v0
                - v0 * kappa * v_tran_ss) / cfg.drive_gain
-        u = Action(u_a, delta / cfg.steer_max)
+        u = (u_a, delta / cfg.steer_max)
         x = default_start_state(v_long=v0)
         ratios = []
         for k in range(80):
             x = step(cfg, circle, x, u)
             if k >= 60:
-                ratios.append(x.omega_psi / (x.v_long * kappa))
+                ratios.append(x[2] / (x[0] * kappa))
         assert all(abs(r - 1.0) < 0.05 for r in ratios)
 
     def test_singularity_raises(self, gp, noiseless_sim):
@@ -111,19 +111,19 @@ class TestStep:
             if abs(k) == max_abs_curvature(gp))
         x = make_state(v=1.0, s=float(s_tight) + 0.1, xt=1.0 / kappa)
         with pytest.raises(SimSingularityError):
-            step(noiseless_sim, gp, x, Action(0.0, 0.0))
+            step(noiseless_sim, gp, x, (0.0, 0.0))
 
     def test_finite_difference_jacobian_bounded(self, gp, noiseless_sim):
         """The step map is smooth on-track: central differences exist and stay small."""
         h = 1e-6
         x0 = make_state(v=1.5, s=3.0, xt=0.1, ep=0.05, vt=0.02, om=0.3)
-        base = np.array(step(noiseless_sim, gp, x0, Action(0.3, 0.1)).as_tuple())
+        base = np.array(step(noiseless_sim, gp, x0, (0.3, 0.1)))
         for dim in range(6):
             for sign in (+1, -1):
-                vals = list(x0.as_tuple())
+                vals = list(x0)
                 vals[dim] += sign * h
-                xp = VehicleState(*vals)
-                out = np.array(step(noiseless_sim, gp, xp, Action(0.3, 0.1)).as_tuple())
+                xp = tuple(vals)
+                out = np.array(step(noiseless_sim, gp, xp, (0.3, 0.1)))
                 assert np.isfinite(out).all()
                 assert np.abs((out - base) / h).max() < 100.0
 
@@ -132,8 +132,7 @@ class TestObserve:
     def test_noiseless_output_map(self, gp, noiseless_sim):
         # the row is the body velocities, then the preview, bit for bit
         x = make_state(v=1.2, s=2.5, vt=0.1, om=-0.2, xt=0.1, ep=0.05)
-        row = (x.v_long, x.v_tran, x.omega_psi,
-               *lane_preview(gp, x, noiseless_sim.preview_distances))
+        row = (*x[:3], *lane_preview(gp, x, noiseless_sim.preview_distances))
         assert observe(noiseless_sim, gp, x, np.random.default_rng(0)) == row
         # without a generator a noisy configuration draws no noise
         assert observe(SimConfig(), gp, x) == row
@@ -221,10 +220,10 @@ class TestSets:
 
     def test_rollout_flags_match_in_constraints_and_in_target(self, gp, noiseless_sim):
         x = make_state(v=1.0, s=1.0)
-        traj = rollout(noiseless_sim, gp, lambda y, x: Action(0.2, 0.0), x, 1,
+        traj = rollout(noiseless_sim, gp, lambda y, x: (0.2, 0.0), x, 1,
                        rng_stream(0, 0))
-        x_next = step(noiseless_sim, gp, x, Action(0.2, 0.0))
-        assert traj.states[-1].tolist() == list(x_next.as_tuple())
+        x_next = step(noiseless_sim, gp, x, (0.2, 0.0))
+        assert traj.states[-1].tolist() == list(x_next)
         assert in_constraints(noiseless_sim, gp, x_next)
         assert not in_target(noiseless_sim, gp, x_next, 0.0)
         assert traj.termination_reason is TerminationReason.TIMEOUT
@@ -232,12 +231,12 @@ class TestSets:
 
 class TestRollout:
     def test_zero_policy_from_rest_times_out(self, circle, noiseless_sim):
-        policy = lambda y, x: Action(0.0, 0.0)
+        policy = lambda y, x: (0.0, 0.0)
         x0 = default_start_state(v_long=0.0)
         traj = rollout(noiseless_sim, circle, policy, x0, 50, rng_stream(0, 0))
         assert traj.outcome is Outcome.FAILURE
         assert traj.termination_reason is TerminationReason.TIMEOUT
-        assert traj.states.tolist() == [list(x0.as_tuple())] * (len(traj) + 1)
+        assert traj.states.tolist() == [list(x0)] * (len(traj) + 1)
 
     def test_pid_lap_time_near_kinematic_estimate(self, circle, noiseless_sim):
         pid = PidCenterline(noiseless_sim, circle, v_ref=1.0)
@@ -248,7 +247,7 @@ class TestRollout:
         assert abs(lap_time - circle.lap_length / 1.0) / (circle.lap_length / 1.0) < 0.10
 
     def test_full_throttle_full_steer_crashes(self, gp, noiseless_sim):
-        policy = lambda y, x: Action(1.0, 1.0)
+        policy = lambda y, x: (1.0, 1.0)
         traj = rollout(noiseless_sim, gp, policy, default_start_state(1.0), 600,
                        rng_stream(0, 0))
         assert traj.outcome is Outcome.FAILURE
@@ -269,7 +268,7 @@ class TestRollout:
         traj = rollout(cfg, gp, pid, default_start_state(1.0), 1000, rng_stream(5, 0))
         assert traj.outcome is Outcome.SUCCESS
         for row in traj.states.tolist():
-            assert in_constraints(cfg, gp, VehicleState(*row))
+            assert in_constraints(cfg, gp, row)
 
     def test_samples_chain_and_match_plant(self, circle, noiseless_sim):
         pid = PidCenterline(noiseless_sim, circle, v_ref=1.0)
@@ -277,12 +276,11 @@ class TestRollout:
                        rng_stream(1, 1))
         for x, u, x_next in zip(traj.states[:-1].tolist(), traj.u_applied.tolist(),
                                 traj.states[1:].tolist()):
-            assert step(noiseless_sim, circle, VehicleState(*x), Action(*u)).as_tuple() == \
-                tuple(x_next)
+            assert step(noiseless_sim, circle, x, u) == tuple(x_next)
 
     def test_rollout_requires_steps(self, circle, noiseless_sim):
         with pytest.raises(ValueError):
-            rollout(noiseless_sim, circle, lambda y, x: Action(0, 0),
+            rollout(noiseless_sim, circle, lambda y, x: (0, 0),
                     default_start_state(), 0, rng_stream(0, 0))
 
     def test_singularity_becomes_distinct_failure(self, gp, noiseless_sim):
@@ -291,7 +289,7 @@ class TestRollout:
                 np.cumsum([0.0] + [l for l, _ in gp.segments]), gp.segments)
             if abs(k) == max_abs_curvature(gp))
         x0 = make_state(v=1.0, s=float(s_tight) + 0.1, xt=1.0 / kappa)
-        traj = rollout(noiseless_sim, gp, lambda y, x: Action(0.0, 0.0), x0, 10,
+        traj = rollout(noiseless_sim, gp, lambda y, x: (0.0, 0.0), x0, 10,
                        rng_stream(0, 0))
         assert traj.outcome is Outcome.FAILURE
         assert traj.termination_reason is TerminationReason.SINGULARITY

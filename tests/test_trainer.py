@@ -6,7 +6,7 @@ import pytest
 
 from cabc import nn
 from cabc.autolabel import NormStats
-from cabc.core import Action, Outcome, VehicleState
+from cabc.core import Outcome
 from cabc.critic import (
     DynModel,
     SafetyClf,
@@ -151,7 +151,7 @@ class TestConfigValidation:
 class TestMixPolicy:
     def test_pure_expert_is_trajectorywise_identical(self, circle, noiseless_sim):
         factory = lambda: PidCenterline(noiseless_sim, circle, v_ref=1.0)
-        learner = lambda y, x: Action(0.0, 0.0)
+        learner = lambda y, x: (0.0, 0.0)
         mixed = MixedPolicy(factory(), learner, 1.0, rng_stream(0, 9), sigma_u=0.0)
         t_mixed = rollout(noiseless_sim, circle, mixed, default_start_state(1.0),
                           300, rng_stream(0, 1))
@@ -161,15 +161,15 @@ class TestMixPolicy:
 
     def test_pure_learner(self, circle, noiseless_sim):
         expert = PidCenterline(noiseless_sim, circle, v_ref=1.0)
-        learner = lambda y, x: Action(0.3, 0.0)
+        learner = lambda y, x: (0.3, 0.0)
         mixed = MixedPolicy(expert, learner, 0.0, rng_stream(0, 9), sigma_u=0.0)
         y = None
         for _ in range(10):
-            assert mixed(y, make_state(v=1.0)) == Action(0.3, 0.0)
+            assert mixed(y, make_state(v=1.0)) == (0.3, 0.0)
 
     def test_bernoulli_frequency(self, circle, noiseless_sim):
-        expert = lambda y, x: Action(1.0, 0.0)
-        learner = lambda y, x: Action(-1.0, 0.0)
+        expert = lambda y, x: (1.0, 0.0)
+        learner = lambda y, x: (-1.0, 0.0)
         mixed = MixedPolicy(expert, learner, 0.5, rng_stream(4, 2), sigma_u=0.0)
         x = make_state(v=1.0)
         for _ in range(10_000):
@@ -179,8 +179,8 @@ class TestMixPolicy:
 
     def test_alpha_decay_fractions(self):
         for beta in (1.0, 0.7, 0.49):
-            mixed = MixedPolicy(lambda y, x: Action(1.0, 0.0),
-                                lambda y, x: Action(-1.0, 0.0),
+            mixed = MixedPolicy(lambda y, x: (1.0, 0.0),
+                                lambda y, x: (-1.0, 0.0),
                                 beta, rng_stream(1, 3), sigma_u=0.0)
             x = make_state(v=1.0)
             for _ in range(5000):
@@ -188,15 +188,15 @@ class TestMixPolicy:
             assert abs(mixed.expert_steps / mixed.total_steps - beta) < 0.03
 
     def test_noise_is_clamped(self):
-        mixed = MixedPolicy(lambda y, x: Action(1.0, 1.0), lambda y, x: Action(0, 0),
+        mixed = MixedPolicy(lambda y, x: (1.0, 1.0), lambda y, x: (0, 0),
                             1.0, rng_stream(2, 2), sigma_u=5.0)
         for _ in range(50):
-            u = mixed(None, make_state(v=1.0))
-            assert -1.0 <= u.u_a <= 1.0 and -1.0 <= u.u_steer <= 1.0
+            u_a, u_steer = mixed(None, make_state(v=1.0))
+            assert -1.0 <= u_a <= 1.0 and -1.0 <= u_steer <= 1.0
 
     def test_expert_action_cached_for_relabeling(self, circle, noiseless_sim):
         expert = PidCenterline(noiseless_sim, circle, v_ref=1.0)
-        mixed = MixedPolicy(expert, lambda y, x: Action(0, 0), 0.0,
+        mixed = MixedPolicy(expert, lambda y, x: (0, 0), 0.0,
                             rng_stream(0, 0), sigma_u=0.0)
         x = make_state(v=0.9)
         mixed(None, x)
@@ -541,7 +541,7 @@ class TestPolicyWrapper:
             cfg = SimConfig(lap_target=2)
             traj = rollout(cfg, track, RacingExpert(cfg, track), default_start_state(),
                            1200, rng_stream(11, 0))
-            states = [VehicleState(*row) for row in traj.states[:-1].tolist()]
+            states = traj.states[:-1].tolist()
         rng = np.random.default_rng(7)
         n, lap = 10_000, track.lap_length
         raw = np.column_stack([
@@ -549,8 +549,8 @@ class TestPolicyWrapper:
             rng.uniform(-3.0 * lap, 5.0 * lap, n),
             rng.uniform(-track.half_width, track.half_width, n),
             rng.uniform(-math.pi / 2, math.pi / 2, n)])
-        states += [VehicleState(*row) for row in raw.tolist()]
-        batch = features_from_state_array(np.array([x.as_tuple() for x in states]), track)
+        states += raw.tolist()
+        batch = features_from_state_array(np.array(states), track)
         rows = np.array([features_from_state(x, track) for x in states])
         assert batch.shape == rows.shape == (len(states), 7)
         differ = np.flatnonzero((batch.view(np.int64) != rows.view(np.int64)).any(axis=1))
