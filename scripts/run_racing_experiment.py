@@ -50,31 +50,35 @@ def main() -> int:
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
-    track = get_track(args.track)
     sim = SimConfig(max_steps=600)
-    os.makedirs(args.out, exist_ok=True)
     mode = "output" if args.obs == "output" else "full_state"
+    # every setting is checked before --out is made, so a bad one leaves no directory
+    try:
+        track = get_track(args.track)
+        factory = make_expert_factory(args.expert, sim, track)
+        configs = [TrainConfig(epochs=args.epochs, seed=seed, method=method,
+                               observation_mode=mode, sim=sim, lam=args.lam,
+                               rho=args.rho, early_stop=args.early_stop)
+                   for seed in range(args.seeds) for method in ("ca", "bc")]
+    except (KeyError, ValueError) as exc:
+        parser.error(exc.args[0])
+    os.makedirs(args.out, exist_ok=True)
 
     results = {"ca": [], "bc": []}
     rows = []
-    for seed in range(args.seeds):
-        for method in ("ca", "bc"):
-            cfg = TrainConfig(epochs=args.epochs, seed=seed, method=method,
-                              observation_mode=mode, sim=sim, lam=args.lam,
-                              rho=args.rho, early_stop=args.early_stop)
-            factory = make_expert_factory(args.expert, sim, track)
-            t0 = time.time()
-            res = train(cfg, track, factory)
-            first = first_full_eval(res.reports, cfg.eval_laps)
-            best = max((r.eval_laps for r in res.reports), default=0)
-            results[method].append(args.epochs + 1 if first is None else first)
-            rows.append({"seed": seed, "method": method,
-                         "first_full_eval": first, "best_laps": best,
-                         "epochs_run": len(res.reports),
-                         "wall_s": round(time.time() - t0, 1)})
-            print(f"seed {seed} {method}: first full eval at "
-                  f"{first if first is not None else 'never'} "
-                  f"(best {best} laps, {rows[-1]['wall_s']}s)", flush=True)
+    for cfg in configs:
+        t0 = time.time()
+        res = train(cfg, track, factory)
+        first = first_full_eval(res.reports, cfg.eval_laps)
+        best = max((r.eval_laps for r in res.reports), default=0)
+        results[cfg.method].append(args.epochs + 1 if first is None else first)
+        rows.append({"seed": cfg.seed, "method": cfg.method,
+                     "first_full_eval": first, "best_laps": best,
+                     "epochs_run": len(res.reports),
+                     "wall_s": round(time.time() - t0, 1)})
+        print(f"seed {cfg.seed} {cfg.method}: first full eval at "
+              f"{first if first is not None else 'never'} "
+              f"(best {best} laps, {rows[-1]['wall_s']}s)", flush=True)
 
     with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

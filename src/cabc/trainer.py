@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -402,6 +402,32 @@ def _finite_or_raise(name: str, value: float, epoch: int) -> float:
     return value
 
 
+@dataclass
+class _Critic:
+    """One critic network of a run: its weights and metric, Adam state, schedule and last fit."""
+
+    name: str                      # "dyn" or "clf"
+    cadence: int                   # k_f or k_p: fit at every cadence-th epoch
+    steps: int                     # grad_steps_dyn or grad_steps_clf: Adam steps per fit
+    net: Optional[Union[DynModel, SafetyClf]] = None   # None until the run has a metric
+    opt: Optional[nn.OptState] = None
+    tape: nn.Tape = field(default_factory=nn.Tape)
+    fit_epoch: int = -1            # epoch of the last fit, -1 before it
+    loss: float = 0.0              # the last fit's final minibatch loss
+
+    def due(self, epoch: int) -> bool:
+        return epoch % self.cadence == 0
+
+    def fit(self, epoch: int, rng: np.random.Generator, sample, loss_and_grad) -> None:
+        """``steps`` Adam steps on ``loss_and_grad(net, *sample(rng))``."""
+        for _ in range(self.steps):
+            loss, grads = loss_and_grad(self.net, *sample(rng), tape=self.tape)
+            params, self.opt = nn.adam_step(self.net.params, grads, self.opt)
+            self.net = replace(self.net, params=params)
+        self.loss = _finite_or_raise(f"{self.name}_loss", loss, epoch)
+        self.fit_epoch = epoch
+
+
 def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
           epoch_callback: Optional[Callable[[EpochReport, nn.MlpParams], None]] = None,
           traj_callback: Optional[Callable[[int, List[Trajectory]], None]] = None
@@ -419,19 +445,26 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
     plus = query = minus = np.zeros(0, dtype=np.intp)
     labels = _LabelState(cfg.rho, cfg.hull_tol, cfg.neighbor_cap)
     norm: Optional[NormStats] = None
-    dyn: Optional[DynModel] = None
-    clf: Optional[SafetyClf] = None
-    opt_dyn = opt_clf = None
-    last_dyn_loss = 0.0
-    last_clf_loss = 0.0
-    dyn_fit = False
-    clf_fit_epoch = -1
+    dyn = _Critic("dyn", cfg.k_f, cfg.grad_steps_dyn)
+    clf = _Critic("clf", cfg.k_p, cfg.grad_steps_clf)
     reports: List[EpochReport] = []
     early_stopped_at = None
     # one tape per network, reused by every step of every phase: the critic
     # fits and the policy update's frozen critic pair run at the same batch
-    tapes = (nn.Tape(), nn.Tape(), nn.Tape())
-    _, tape_dyn, tape_clf = tapes
+    tapes = (nn.Tape(), dyn.tape, clf.tape)
+    half = cfg.batch_size // 2
+    clf_targets = np.concatenate([np.ones(half), np.zeros(half)])
+
+    def dyn_batch(rng):
+        idx = rng.integers(0, len(store), size=min(cfg.batch_size, len(store)))
+        at = store.rows[idx]
+        return store.states[at], store.u_applied[idx], store.states[at + 1]
+
+    def clf_batch(rng):
+        # half safe, half unsafe states
+        ip = rng.integers(0, len(plus), size=half)
+        im = rng.integers(0, len(minus), size=half)
+        return store.states[np.concatenate([plus[ip], minus[im]])], clf_targets
 
     for epoch in range(cfg.epochs):
         trajs = _collect_epoch(cfg, track, expert_factory, policy, epoch)
@@ -442,56 +475,25 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
         new_succ = sum(t.outcome is Outcome.SUCCESS for t in trajs)
         plus, query = store.pools()
 
-        clf_degenerate = False
         if constraint_aware:
-            update_dyn = epoch % cfg.k_f == 0
-            update_clf = epoch % cfg.k_p == 0
-            refit = (update_dyn or update_clf) and len(plus) >= 2
-            if refit:
+            if (dyn.due(epoch) or clf.due(epoch)) and len(plus) >= 2:
                 norm = fit_norm(states[plus], track.lap_length)
-            if norm is not None:
-                minus = labels.relabel(states, plus, query, norm)
-            else:
-                # no metric yet: nothing can be excluded from the negatives
-                minus = query
-
-            if norm is not None and dyn is None:
-                dyn = init_dyn_model(norm, cfg.sim, hidden=cfg.hidden, seed=cfg.seed + 1)
-                clf = init_safety_clf(norm, hidden=cfg.hidden, seed=cfg.seed + 2)
-                opt_dyn = nn.init_opt(dyn.params, lr=cfg.lr_dyn)
-                opt_clf = nn.init_opt(clf.params, lr=cfg.lr_clf)
-            elif refit and dyn is not None:
-                dyn = replace(dyn, norm=norm)
-                clf = replace(clf, norm=norm)
-
-            if update_dyn and dyn is not None:
-                rng_b = rng_stream(cfg.seed, 4, epoch)
-                for _ in range(cfg.grad_steps_dyn):
-                    idx = rng_b.integers(0, n, size=min(cfg.batch_size, n))
-                    at = store.rows[idx]
-                    loss_f, grads = dyn_loss_and_grad(
-                        dyn, states[at], store.u_applied[idx], states[at + 1], tape=tape_dyn)
-                    new_params, opt_dyn = nn.adam_step(dyn.params, grads, opt_dyn)
-                    dyn = replace(dyn, params=new_params)
-                last_dyn_loss = _finite_or_raise("dyn_loss", loss_f, epoch)
-                dyn_fit = True
-
-            if update_clf and clf is not None:
-                if len(plus) and len(minus):
-                    rng_b = rng_stream(cfg.seed, 5, epoch)
-                    half = cfg.batch_size // 2
-                    yb = np.concatenate([np.ones(half), np.zeros(half)])
-                    for _ in range(cfg.grad_steps_clf):
-                        ip = rng_b.integers(0, len(plus), size=half)
-                        im = rng_b.integers(0, len(minus), size=half)
-                        xb = states[np.concatenate([plus[ip], minus[im]])]
-                        loss_p, grads = clf_loss_and_grad(clf, xb, yb, tape=tape_clf)
-                        new_params, opt_clf = nn.adam_step(clf.params, grads, opt_clf)
-                        clf = replace(clf, params=new_params)
-                    last_clf_loss = _finite_or_raise("clf_loss", loss_p, epoch)
-                    clf_fit_epoch = epoch
+                if dyn.net is None:
+                    dyn.net = init_dyn_model(norm, cfg.sim, hidden=cfg.hidden, seed=cfg.seed + 1)
+                    clf.net = init_safety_clf(norm, hidden=cfg.hidden, seed=cfg.seed + 2)
+                    dyn.opt = nn.init_opt(dyn.net.params, lr=cfg.lr_dyn)
+                    clf.opt = nn.init_opt(clf.net.params, lr=cfg.lr_clf)
                 else:
-                    clf_degenerate = True
+                    # both networks take the new metric, the one not due too (ROADMAP item 2 (b))
+                    dyn.net = replace(dyn.net, norm=norm)
+                    clf.net = replace(clf.net, norm=norm)
+            # no metric yet: nothing can be excluded from the negatives
+            minus = query if norm is None else labels.relabel(states, plus, query, norm)
+
+            if dyn.due(epoch) and dyn.net is not None:
+                dyn.fit(epoch, rng_stream(cfg.seed, 4, epoch), dyn_batch, dyn_loss_and_grad)
+            if clf.due(epoch) and clf.net is not None and len(plus) and len(minus):
+                clf.fit(epoch, rng_stream(cfg.seed, 5, epoch), clf_batch, clf_loss_and_grad)
 
         # policy update (identical code path for both methods; this is the one
         # place that decides whether the safety term runs).  It runs only
@@ -499,32 +501,29 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
         # each network's first fit its weights are its random initialization
         rng_b = rng_stream(cfg.seed, 3, epoch)
         clone_sum = safety_sum = 0.0
-        use_critic = cfg.lam > 0.0 and dyn_fit and clf_fit_epoch >= 0
+        use_critic = cfg.lam > 0.0 and dyn.fit_epoch >= 0 and clf.fit_epoch >= 0
         for _ in range(cfg.grad_steps_policy):
             idx = rng_b.integers(0, n, size=min(cfg.batch_size, n))
             clone, safety, grads = agent_loss_and_grad(
                 policy, store.feats[idx], store.u_expert[idx],
                 states[store.rows[idx]] if use_critic else None,
-                dyn if use_critic else None, clf if use_critic else None, cfg.lam,
+                dyn.net if use_critic else None, clf.net if use_critic else None, cfg.lam,
                 tapes=tapes)
             policy, opt_policy = nn.adam_step(policy, grads, opt_policy)
             clone_sum += clone
             safety_sum += safety
-        clone_mean = _finite_or_raise(
-            "clone_loss", clone_sum / cfg.grad_steps_policy, epoch)
-        safety_mean = _finite_or_raise(
-            "safety_loss", safety_sum / cfg.grad_steps_policy, epoch)
+        clone_mean = _finite_or_raise("clone_loss", clone_sum / cfg.grad_steps_policy, epoch)
+        safety_mean = _finite_or_raise("safety_loss", safety_sum / cfg.grad_steps_policy, epoch)
 
-        eval_policy = MlpPolicy(policy, cfg.observation_mode, track)
-        result = evaluate(eval_policy, cfg.sim, track,
+        result = evaluate(MlpPolicy(policy, cfg.observation_mode, track), cfg.sim, track,
                           seed=(cfg.seed * 1000003 + epoch) & 0x7FFFFFFF,
                           laps=cfg.eval_laps)
         report = EpochReport(
             epoch=epoch,
             clone_loss=clone_mean,
             safety_loss=safety_mean,
-            dyn_loss=last_dyn_loss,
-            clf_loss=last_clf_loss,
+            dyn_loss=dyn.loss,
+            clf_loss=clf.loss,
             new_successes=new_succ,
             new_failures=len(trajs) - new_succ,
             n_plus=len(plus),
@@ -533,9 +532,10 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             eval_laps=result.laps_completed,
             eval_lap_mean=result.lap_mean,
             eval_lap_std=result.lap_std,
-            clf_degenerate=clf_degenerate,
+            # due, but its labels held one class only
+            clf_degenerate=clf.due(epoch) and clf.net is not None and clf.fit_epoch != epoch,
             safety_on=use_critic,
-            clf_fit_epoch=clf_fit_epoch,
+            clf_fit_epoch=clf.fit_epoch,
             eval_terminated_by=result.terminated_by.value,
         )
         reports.append(report)
@@ -548,5 +548,5 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
 
     pool = LabeledPool(d_plus=store.states[plus], d_query=store.states[query],
                        minus=np.isin(query, minus))
-    return TrainResult(policy=policy, reports=reports, pool=pool, dyn=dyn, clf=clf,
+    return TrainResult(policy=policy, reports=reports, pool=pool, dyn=dyn.net, clf=clf.net,
                        early_stopped_at=early_stopped_at)

@@ -428,17 +428,18 @@ class TestPersistence:
             load_dataset(path)
         assert err.value.line_no == 3
 
-    def test_lines_with_the_old_safe_member_load(self, tmp_path):
-        # files written while every step line carried "safe": null
+    def test_unknown_sample_members_are_ignored(self, tmp_path):
+        # no writer ever produced such a file: a member the loader does not
+        # know, here "safe", is skipped on every sample line
         trajs = [make_trajectory(3, Outcome.SUCCESS),
                  make_trajectory(2, Outcome.FAILURE, start=9.0)]
         path = tmp_path / "data.jsonl"
         write_trajectories(trajs, path)
         lines = path.read_text().splitlines()
-        old = [line[:-1] + ', "safe": null}' if '"kind": "sample"' in line else line
-               for line in lines]
-        assert sum(line.endswith('"safe": null}') for line in old) == 5
-        path.write_text("".join(line + "\n" for line in old))
+        extended = [line[:-1] + ', "safe": null}' if '"kind": "sample"' in line else line
+                    for line in lines]
+        assert sum(line.endswith('"safe": null}') for line in extended) == 5
+        path.write_text("".join(line + "\n" for line in extended))
         assert same_trajectories(load_dataset(path), trajs)
 
     @given(st.lists(

@@ -72,6 +72,19 @@ def test_racing_experiment_refuses_no_seeds(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--epochs", "-1"), "epochs must be non-negative"),
+    (("--track", "oval"), "unknown track 'oval'"),
+    (("--expert", "mpc"), "unknown expert 'mpc'"),
+])
+def test_racing_experiment_checks_settings_before_making_out(tmp_path, args, message):
+    out = tmp_path / "out"
+    done = run_script("run_racing_experiment.py", "--seeds", "1", *args, "--out", str(out))
+    assert done.returncode != 0
+    assert message in done.stderr
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def bench():
     spec = importlib.util.spec_from_file_location(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -44,6 +45,19 @@ def tiny_cfg(track, **kw):
                 lam=1.0, eval_laps=5)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def _critic_run(gp, epochs):
+    """A tiny gp/racing CA run whose dynamics model is due every epoch and
+    whose classifier is due every second one."""
+    cfg = tiny_cfg(gp, epochs=epochs, alpha=1.0, k_f=1, k_p=2, seed=0, grad_steps_policy=5,
+                   grad_steps_dyn=5, grad_steps_clf=5, eval_laps=1)
+    return train(cfg, gp, make_expert_factory("racing", cfg.sim, gp))
+
+
+# SHA-256 of the 3-epoch _critic_run, recorded before the critic pair became
+# one record per network
+GOLDEN_CA_RUN = "3de78e20e1dbe76d6de0de2d99c0b0dbc6cc0b445495744b997d98be79743d0f"
 
 
 class TestConfigValidation:
@@ -374,6 +388,46 @@ class TestTrainLoops:
         for epoch in (0, 1):
             assert np.array_equal(policies["ca"][epoch], policies["bc"][epoch])
         assert not np.array_equal(policies["ca"][2], policies["bc"][2])
+
+    def test_ca_run_matches_its_golden_digest(self, gp):
+        """A tiny CA run, bit for bit: its reports and all three networks.
+
+        The expert drives every step (alpha = 1).  At seed 0 epoch 0 has both
+        classes, so both critics are fit from epoch 0; epoch 1 refits the
+        metric for the dynamics model alone, and epoch 2 refits both."""
+        res = _critic_run(gp, epochs=3)
+        assert [r.clf_fit_epoch for r in res.reports] == [0, 0, 2]
+        h = hashlib.sha256()
+        for report in res.reports:
+            h.update(repr(report.row()).encode())
+        for flat in (res.policy.flat, res.dyn.params.flat, res.clf.params.flat):
+            h.update(flat.tobytes())
+        assert h.hexdigest() == GOLDEN_CA_RUN
+
+    def test_dynamics_only_refit_hands_the_classifier_its_metric(self, monkeypatch, gp):
+        """Today's metric swap, pinned: a refit for the dynamics model alone
+        also gives the classifier the new metric, although the classifier is
+        not fit under it.  One metric per network (ROADMAP item 2, step (b))
+        is meant to change this test."""
+        import cabc.trainer as trainer
+
+        fit_norms = []
+        clf_step = trainer.clf_loss_and_grad
+
+        def spy_clf(clf, *args, **kw):
+            fit_norms.append(clf.norm)
+            return clf_step(clf, *args, **kw)
+
+        monkeypatch.setattr(trainer, "clf_loss_and_grad", spy_clf)
+        # as above, cut after epoch 1: the last refit is the dynamics model's
+        # alone, and epoch 1's new success moves the metric
+        res = _critic_run(gp, epochs=2)
+        assert [r.clf_fit_epoch for r in res.reports] == [0, 0]
+        assert res.reports[1].new_successes > 0
+        last_fit = fit_norms[-1]
+        assert np.array_equal(res.clf.norm.mean, res.dyn.norm.mean)
+        assert np.array_equal(res.clf.norm.std, res.dyn.norm.std)
+        assert not np.array_equal(res.clf.norm.mean, last_fit.mean)
 
     def test_nonfinite_loss_raises(self):
         with pytest.raises(NonFiniteLossError):
