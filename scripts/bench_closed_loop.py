@@ -20,9 +20,10 @@ Calls (minimum over ``REPEATS`` of the mean cost of one call, each made on
 the states and observations the racing loop visits, stepped here through
 ``sim.step`` and ``sim.observe`` so that any version of the trajectory
 record gives the same calls): ``sim.step``,
-``sim.observe``, ``sim.lane_preview``, ``RacingExpert.__call__``, the
-batch-1 ``MlpPolicy.__call__`` and the full-state policy features
-``trainer.features_from_state``.
+``sim.observe``, ``sim.lane_preview``, ``track.frenet_to_cartesian``,
+``RacingExpert.__call__``, the batch-1 ``MlpPolicy.__call__`` and the
+full-state policy features ``trainer.features_from_state``; and one call of
+``reports.track_polylines`` on gp, the outline of the rollout figure.
 
 Kernels (minimum over ``REPEATS`` of the mean cost of one of ``NN_CALLS``
 calls, each on a batch of ``NN_BATCH`` random rows): a taped ``nn.forward``,
@@ -172,6 +173,7 @@ def _evaluations() -> dict:
 
 def _calls() -> dict:
     from cabc.experts import RacingExpert
+    from cabc.reports import track_polylines
     from cabc.sim import (
         SimConfig,
         default_start_state,
@@ -182,7 +184,7 @@ def _calls() -> dict:
         rng_stream,
         step,
     )
-    from cabc.track import get_track
+    from cabc.track import frenet_to_cartesian, get_track
     from cabc.trainer import MlpPolicy, TrainConfig, features_from_state, init_policy
 
     gp = get_track("gp")
@@ -209,18 +211,21 @@ def _calls() -> dict:
         "sim.step": lambda: [step(cfg, gp, x, u) for x, u, _ in pairs],
         "sim.observe": lambda: [observe(cfg, gp, x, rng) for x in states],
         "sim.lane_preview": lambda: [lane_preview(gp, x, distances) for x in states],
+        "track.frenet_to_cartesian": lambda: [frenet_to_cartesian(gp, *x[3:]) for x in states],
         "RacingExpert.__call__": lambda: [expert(y, x) for x, _, y in pairs],
         "MlpPolicy.__call__": lambda: [policy(y, x) for x, _, y in pairs],
         "trainer.features_from_state": lambda: [features_from_state(x, gp) for x in states],
+        "reports.track_polylines": lambda: track_polylines(gp),
     }
     out = {}
     for name, run in cases.items():
+        calls = 1 if name == "reports.track_polylines" else len(pairs)
         best = float("inf")
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             run()
-            best = min(best, (time.perf_counter() - t0) / len(pairs))
-        out[name] = {"us_per_call": round(best * 1e6, 3), "calls": len(pairs)}
+            best = min(best, (time.perf_counter() - t0) / calls)
+        out[name] = {"us_per_call": round(best * 1e6, 3), "calls": calls}
     return out
 
 

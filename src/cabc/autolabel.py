@@ -28,6 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import nn
+from .sim import rng_stream
 
 SIGMA_MIN = 1e-6
 HULL_TOL = 1e-7
@@ -536,7 +537,7 @@ def train_synthetic_classifier(plus_pts: np.ndarray, minus_pts: np.ndarray, seed
         raise ValueError("need both positive and negative points")
     params = nn.init_mlp((2, *_SYNTH_CLF_HIDDEN, 1), head="sigmoid", seed=seed)
     opt = nn.init_opt(params, lr=_SYNTH_CLF_LR)
-    rng = np.random.default_rng(seed)
+    rng = rng_stream(seed)
     half = _SYNTH_CLF_BATCH // 2
     yb = np.concatenate([np.ones(half), np.zeros(half)])
     tape = nn.Tape()

@@ -11,8 +11,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import nn
 from .autolabel import (
     SyntheticSet,
@@ -40,6 +38,7 @@ from .reports import (
     svg_xy_figure,
     write_reports_csv,
 )
+from .sim import rng_stream
 from .track import resolve_track
 from .trainer import NonFiniteLossError, load_policy, make_expert_factory, train
 
@@ -128,6 +127,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _print_result(result, *stats: str) -> None:
+    """An evaluation's laps, how it ended and the named lap statistics, as JSON."""
+    print(json.dumps({"laps_completed": result.laps_completed,
+                      "terminated_by": result.terminated_by.value,
+                      **{name: getattr(result, name) for name in stats}}, indent=1))
+
+
 def _cmd_eval(args) -> int:
     _check_seed(args.seed)
     values = parse_config_file(args.config) if args.config else {}
@@ -135,15 +141,8 @@ def _cmd_eval(args) -> int:
     track = resolve_track(args.track)
     mode = "output" if args.obs == "output" else "full_state"
     policy = load_policy(args.weights, mode, sim, track)
-    result = evaluate(policy, sim, track, seed=args.seed, laps=args.laps)
-    print(json.dumps({
-        "laps_completed": result.laps_completed,
-        "terminated_by": result.terminated_by.value,
-        "lap_mean": result.lap_mean,
-        "lap_std": result.lap_std,
-        "lap_min": result.lap_min,
-        "lap_max": result.lap_max,
-    }, indent=1))
+    _print_result(evaluate(policy, sim, track, seed=args.seed, laps=args.laps),
+                  "lap_mean", "lap_std", "lap_min", "lap_max")
     return 0
 
 
@@ -176,13 +175,8 @@ def _cmd_sim(args) -> int:
     v_ref, pid_gains, race_params = expert_params_from(values)
     factory = make_expert_factory(args.expert, sim, track, v_ref=v_ref,
                                   pid_gains=pid_gains, race_params=race_params)
-    result = evaluate(factory(), sim, track, seed=args.seed, laps=args.laps)
-    print(json.dumps({
-        "laps_completed": result.laps_completed,
-        "terminated_by": result.terminated_by.value,
-        "lap_mean": result.lap_mean,
-        "lap_std": result.lap_std,
-    }, indent=1))
+    _print_result(evaluate(factory(), sim, track, seed=args.seed, laps=args.laps),
+                  "lap_mean", "lap_std")
     if args.render:
         policy_rollout_figure(factory(), sim, track, seed=args.seed,
                               out_path=args.render, laps=min(3, args.laps))
@@ -260,7 +254,7 @@ def _cmd_labeldemo(args) -> int:
     summary = [("set", "rho", "removed", "violations", "incorrect_removals",
                 "balanced_accuracy")]
     for rho in rhos:
-        rng = np.random.default_rng(args.seed)
+        rng = rng_stream(args.seed)
         plus, query, removed = label_synthetic(synth, args.n, args.n, rho, rng)
         sdf_plus = synth.signed_distance(plus)
         sdf_query = synth.signed_distance(query)

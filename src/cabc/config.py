@@ -14,6 +14,7 @@ experiment configs are worse than a hard error.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Mapping, Tuple, get_type_hints
 
 from .experts import PidGains, RaceParams
@@ -108,11 +109,21 @@ def train_config_from(values: Dict[str, str], sim: SimConfig) -> TrainConfig:
     return TrainConfig(sim=sim, **_fields_from(values, _TRAIN_KEYS))
 
 
+def _expert_params(cls, values: Dict[str, str], keys: Dict[str, tuple]):
+    """``cls`` from its keys in ``values``; a field it refuses is named by its key."""
+    try:
+        return cls(**_fields_from(values, keys))
+    except ValueError as exc:
+        key = next(key for key, (name, _) in keys.items() if str(exc).startswith(name + " "))
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def expert_params_from(values: Dict[str, str]) -> Tuple[float, PidGains, RaceParams]:
     v_ref = _parse("v_ref", values["v_ref"]) if "v_ref" in values else 1.0
-    gains = PidGains(**_fields_from(values, _PID_KEYS))
-    race = RaceParams(**_fields_from(values, _RACE_KEYS))
-    return v_ref, gains, race
+    if not 0 < v_ref < math.inf:
+        raise ValueError(f"v_ref must be positive and finite, got {v_ref!r}")
+    return (v_ref, _expert_params(PidGains, values, _PID_KEYS),
+            _expert_params(RaceParams, values, _RACE_KEYS))
 
 
 def snapshot_config(cfg: TrainConfig, values: Dict[str, str]) -> str:

@@ -32,7 +32,7 @@ import gzip
 import io
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, repeat
 from math import isfinite
@@ -54,6 +54,22 @@ def _require_finite(name: str, value: float) -> float:
     if not isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def check_fields(config, positive=(), non_negative=(), at_least_one=()) -> None:
+    """A settings dataclass's checks: every float field finite, and the fields in
+    ``positive``, ``non_negative`` and ``at_least_one`` above 0, at least 0 and at
+    least 1.  NaN fails each test, and the error names the field."""
+    for f in fields(config):
+        if isinstance(getattr(config, f.name), float):
+            _require_finite(f.name, getattr(config, f.name))
+    rules = ((positive, lambda v: v > 0, "positive"),
+             (non_negative, lambda v: v >= 0, "non-negative"),
+             (at_least_one, lambda v: v >= 1, ">= 1"))
+    for names, holds, rule in rules:
+        for name in names:
+            if not holds(getattr(config, name)):
+                raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
 
 
 # the components of a state row, in order: the body velocities (m/s, m/s,

@@ -9,10 +9,10 @@ produce genuine failures for the labeling pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from .core import clamp_action
+from .core import check_fields, clamp_action
 from .sim import SimConfig
 from .track import TrackSpec, curvature_at, peak_curvature
 
@@ -23,6 +23,9 @@ class PidGains:
     ki_v: float = 0.6
     kp_lat: float = 0.7    # rad of steering per m of lateral error
     kd_lat: float = 1.1    # rad per rad of heading error
+
+    def __post_init__(self):
+        check_fields(self, non_negative=[f.name for f in fields(self)])
 
 
 def _steer_feedforward(cfg: SimConfig, kappa: float, v: float) -> float:
@@ -77,6 +80,11 @@ class RaceParams:
     pursuit_dist: float = 1.0    # pure-pursuit target distance, m
     kp_v: float = 2.0
     ki_v: float = 0.4
+
+    def __post_init__(self):
+        # a zero budget, floor or pursuit distance is a divisor of the rollout
+        check_fields(self, positive=("a_lat_max", "kappa_floor", "pursuit_dist"),
+                     non_negative=[f.name for f in fields(self)])
 
 
 class RacingExpert:

@@ -313,16 +313,14 @@ def _band_segments(xs: np.ndarray, ys: np.ndarray, F: np.ndarray) -> list:
 
 
 def track_polylines(track: TrackSpec, ds: float = 0.05) -> List[dict]:
+    """The centreline (dashed) and both edges, sampled at most ``ds`` apart
+    from the lap start to the lap end."""
     n = max(2, int(math.ceil(track.lap_length / ds)))
-    svals = [i * track.lap_length / n for i in range(n + 1)]
-    center = [frenet_to_cartesian(track, s, 0.0)[:2] for s in svals]
-    left = [frenet_to_cartesian(track, s, track.half_width)[:2] for s in svals]
-    right = [frenet_to_cartesian(track, s, -track.half_width)[:2] for s in svals]
-    out = []
-    for pts, dash in ((center, "4 4"), (left, None), (right, None)):
-        out.append({"x": [p[0] for p in pts], "y": [p[1] for p in pts],
-                    "color": "#888888", "dash": dash})
-    return out
+    s = np.arange(n + 1) * track.lap_length / n
+    offsets = np.repeat([0.0, track.half_width, -track.half_width], n + 1)
+    xs, ys, _ = frenet_to_cartesian(track, np.tile(s, 3), offsets)
+    return [{"x": x, "y": y, "color": "#888888", "dash": dash}
+            for x, y, dash in zip(np.split(xs, 3), np.split(ys, 3), ("4 4", None, None))]
 
 
 # --- run-directory reports ----------------------------------------------------------
@@ -433,13 +431,9 @@ def policy_rollout_figure(policy, sim_cfg: SimConfig, track: TrackSpec, seed: in
                           out_path, laps: int = 3) -> str:
     """Draw the path of the evaluation's first ``laps`` lap attempts over the track outline."""
     polys = track_polylines(track)
-    xs: List[float] = []
-    ys: List[float] = []
-    for traj in chained_laps(policy, sim_cfg, track, seed, laps):
-        for s, x_tran, e_psi in traj.states[:-1, 3:].tolist():
-            gx, gy, _ = frenet_to_cartesian(track, s, x_tran, e_psi)
-            xs.append(gx)
-            ys.append(gy)
+    visited = np.vstack([np.empty((0, 6))] + [traj.states[:-1] for traj in
+                                              chained_laps(policy, sim_cfg, track, seed, laps)])
+    xs, ys, _ = frenet_to_cartesian(track, *visited[:, 3:].T)
     polys.append({"x": xs, "y": ys, "color": "#d62728"})
     svg = svg_xy_figure(polys, f"rollout on {track.name}")
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -11,16 +11,17 @@ brakes (and reverses thrust), but ``v_long`` is clamped to ``[0, v_max]``.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import TerminationReason, Trajectory, clamp_action, state_row
-from .track import TrackSpec, curvature_at
+from .core import TerminationReason, Trajectory, check_fields, clamp_action, state_row
+from .track import TrackSpec, advance_pose, curvature_at, frenet_to_cartesian
 
 
 class SimSingularityError(RuntimeError):
@@ -59,24 +60,13 @@ class SimConfig:
     lap_target: int = 1        # laps of progress required to reach the target set
 
     def __post_init__(self):
-        # written so that NaN fails too
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "preview_distances" and not -math.inf < value < math.inf:
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        for name in ("dt", "v_max", "yaw_radius_sq", "steer_max", "e_psi_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
         # a negative noise sigma would silently turn observation noise off
-        for name in ("drag_lin", "drag_quad", "stiff_front", "stiff_rear",
-                     "half_width_margin", "noise_sigma_v", "noise_sigma_kappa"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("max_steps", "lap_target"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_fields(self, positive=("dt", "v_max", "yaw_radius_sq", "steer_max", "e_psi_max"),
+                     non_negative=("drag_lin", "drag_quad", "stiff_front", "stiff_rear",
+                                   "half_width_margin", "noise_sigma_v", "noise_sigma_kappa"),
+                     at_least_one=("max_steps", "lap_target"))
         distances = tuple(float(d) for d in self.preview_distances)
-        # lane_preview walks forward from the vehicle; written so that NaN fails too
+        # lane_preview walks the pose table forward; written so that NaN fails too
         if (not all(0 <= d < math.inf for d in distances)
                 or any(b < a for a, b in zip(distances, distances[1:]))):
             raise ValueError("preview_distances must be finite, non-negative and ascending")
@@ -134,52 +124,46 @@ def lane_preview(track: TrackSpec, x: tuple, distances) -> list:
     """Vehicle-frame lateral offsets of the lane center at arc ranges ahead.
 
     This is the information a forward lane camera provides: for each lookahead
-    arc distance the lateral coordinate (left positive) of the centerline
-    point, expressed in the vehicle's own frame.  It blends lateral deviation,
-    heading error, and upcoming curvature, with no absolute localization.
-    The walk only goes forward, so ``distances`` must be non-negative and
-    ascending; anything else raises ``ValueError``.
+    arc distance ``d`` the lateral coordinate (left positive) of the centerline
+    pose at ``s + d`` in the vehicle's own frame.  It blends lateral deviation,
+    heading error, and upcoming curvature, with no absolute localization.  The
+    segment index walks the track's pose table forward, so ``distances`` must
+    be finite, non-negative and ascending; anything else raises ``ValueError``.
+    Past the lap end the table continues into the next lap, so a track that
+    does not close in position puts no jump into the preview.
     """
     _, _, _, s, x_tran, e_psi = x
-    segments = track.segments
+    starts, segments, poses = track._starts, track.segments, track._poses
     n_seg = len(segments)
-    s_w = s % track.lap_length
-    seg = track._segment_index(s_w)
-    remaining = track._starts[seg + 1] - s_w
-    # centerline pose ahead of the vehicle, in the tangent frame at arc s, with
-    # the sine and cosine of its heading carried along; walk segments by index
-    # so float rounding cannot stall the cursor
-    px, py, psi = 0.0, 0.0, 0.0
-    sin_p, cos_p = 0.0, 1.0
-    arc = 0.0
-    sin_e, cos_e = math.sin(e_psi), math.cos(e_psi)
-    kappa = segments[seg][1]
+    lap = starts[-1]
+    # the vehicle's pose, in the frame of the lap that holds s + d
+    vx, vy, psi_v = frenet_to_cartesian(track, s, x_tran, e_psi)
+    sin_v, cos_v = math.sin(psi_v), math.cos(psi_v)
+    s_w = s % lap
+    seg = bisect.bisect_right(starts, s_w, 0, n_seg) - 1
+    lap_start = prev = 0.0
     out = []
     for d in map(float, distances):
-        if d < arc:
-            raise ValueError(f"preview distances must be non-negative and ascending, "
-                             f"got {d!r} after {arc!r}")
-        while True:
-            # advance to the end of the segment, or to d within it
-            whole = arc + remaining < d
-            length = remaining if whole else d - arc
-            if -1e-12 < kappa < 1e-12:
-                px += length * cos_p
-                py += length * sin_p
-            else:
-                psi += kappa * length
-                sin_1, cos_1 = math.sin(psi), math.cos(psi)
-                px += (sin_1 - sin_p) / kappa
-                py -= (cos_1 - cos_p) / kappa
-                sin_p, cos_p = sin_1, cos_1
-            if not whole:
-                break
-            arc += remaining
-            seg = (seg + 1) % n_seg
-            remaining, kappa = segments[seg]
-        remaining -= length
-        arc = d
-        out.append(-sin_e * px + cos_e * (py - x_tran))
+        if not prev <= d < math.inf:
+            raise ValueError(f"preview distances must be finite, non-negative and ascending, "
+                             f"got {d!r} after {prev!r}")
+        prev = d
+        arc = s_w + d - lap_start
+        # index by index, so float rounding cannot stall the walk
+        while arc >= starts[seg + 1]:
+            seg += 1
+            if seg == n_seg:
+                # into the next lap's frame: undo the lap end's pose
+                end_x, end_y, end_psi, sin_n, cos_n = poses[n_seg]
+                dx, dy = vx - end_x, vy - end_y
+                vx, vy = cos_n * dx + sin_n * dy, cos_n * dy - sin_n * dx
+                psi_v -= end_psi
+                sin_v, cos_v = math.sin(psi_v), math.cos(psi_v)
+                seg = 0
+                lap_start += lap
+                arc = s_w + d - lap_start
+        px, py, _, _, _ = advance_pose(poses[seg], arc - starts[seg], segments[seg][1])
+        out.append(cos_v * (py - vy) - sin_v * (px - vx))
     return out
 
 

@@ -13,7 +13,10 @@ import bisect
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 _CLOSURE_TOL = 1e-9
 
@@ -39,32 +42,29 @@ class TrackSpec:
         if not 0 < self.half_width < math.inf:
             raise ValueError(f"half_width must be positive and finite, got {self.half_width!r}")
         # cumulative arc length at segment starts, plus total lap length
-        starts = [0.0]
-        for l, _ in segs:
-            starts.append(starts[-1] + l)
+        starts = tuple(accumulate((l for l, _ in segs), initial=0.0))
         if not starts[-1] < math.inf:
             raise ValueError("lap length must be finite")
         turn = sum(l * k for l, k in segs)
         if not abs(abs(turn) - 2.0 * math.pi) <= _CLOSURE_TOL:
             raise ValueError(f"track does not close in heading: total turn {turn!r}")
-        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_starts", starts)
+        # the centreline pose at each segment start, then at the lap end
+        object.__setattr__(self, "_poses", tuple(accumulate(
+            segs, lambda pose, seg: advance_pose(pose, *seg), initial=(0.0, 0.0, 0.0, 0.0, 1.0))))
 
     @property
     def lap_length(self) -> float:
         return self._starts[-1]
 
-    def _segment_index(self, s_wrapped: float) -> int:
-        idx = bisect.bisect_right(self._starts, s_wrapped) - 1
-        return min(max(idx, 0), len(self.segments) - 1)
-
 
 def curvature_at(track: TrackSpec, s: float) -> float:
     """Centerline curvature at arc length ``s`` (wrapped into one lap).
 
-    The segment of ``track._segment_index(s % lap_length)`` in one search:
-    the wrapped ``s`` is never negative, and searching only the segment
-    starts (``hi`` = number of segments) maps ``s_w == lap_length``, which
-    rounding can produce, to the last segment.
+    The segment whose start is the last at or below the wrapped ``s``, in one
+    search: the wrapped ``s`` is never negative, and searching only the
+    segment starts (``hi`` = number of segments) maps ``s_w == lap_length``,
+    which rounding can produce, to the last segment.
     """
     starts = track._starts
     return track.segments[bisect.bisect_right(starts, s % starts[-1], 0, len(starts) - 1) - 1][1]
@@ -89,34 +89,50 @@ def peak_curvature(track: TrackSpec, s: float, lookahead: float, ds: float) -> f
     return worst
 
 
-def _advance(x: float, y: float, psi: float, length: float, kappa: float):
-    if abs(kappa) < 1e-12:
-        return x + length * math.cos(psi), y + length * math.sin(psi), psi
+def advance_pose(pose: tuple, length, kappa: float, sin=math.sin, cos=math.cos) -> tuple:
+    """The centreline pose ``(X, Y, psi, sin psi, cos psi)`` reached from
+    ``pose`` after ``length`` along a segment of curvature ``kappa``, in
+    closed form; with ``np.sin`` and ``np.cos``, ``length`` may be an array."""
+    x, y, psi, sin_p, cos_p = pose
+    if -1e-12 < kappa < 1e-12:
+        return x + length * cos_p, y + length * sin_p, psi, sin_p, cos_p
     psi1 = psi + kappa * length
-    x1 = x + (math.sin(psi1) - math.sin(psi)) / kappa
-    y1 = y - (math.cos(psi1) - math.cos(psi)) / kappa
-    return x1, y1, psi1
+    sin_1, cos_1 = sin(psi1), cos(psi1)
+    return x + (sin_1 - sin_p) / kappa, y - (cos_1 - cos_p) / kappa, psi1, sin_1, cos_1
 
 
-def frenet_to_cartesian(track: TrackSpec, s: float, x_tran: float, e_psi: float = 0.0):
-    """Map Frenet coordinates to a global pose (X, Y, psi).
+def centerline_pose(track: TrackSpec, s):
+    """The centreline pose ``(X, Y, psi, sin psi, cos psi)`` at arc length ``s``
+    (wrapped into one lap): the table's pose at the start of the segment that
+    :func:`curvature_at` finds, advanced by :func:`advance_pose`.  An array
+    ``s`` is advanced segment by segment with ``np.sin`` and ``np.cos``, so it
+    gets its floats' poses bit for bit where those equal ``math``'s."""
+    starts = track._starts
+    if not isinstance(s, np.ndarray):
+        s_w = s % starts[-1]
+        seg = bisect.bisect_right(starts, s_w, 0, len(starts) - 1) - 1
+        return advance_pose(track._poses[seg], s_w - starts[seg], track.segments[seg][1])
+    s_w = np.mod(s, starts[-1])
+    seg = np.searchsorted(starts[:-1], s_w, side="right") - 1
+    pose = np.empty((5, *s_w.shape))
+    for i, (_, kappa) in enumerate(track.segments):
+        on = seg == i
+        ahead = advance_pose(track._poses[i], s_w[on] - starts[i], kappa, np.sin, np.cos)
+        for row, value in zip(pose, ahead):
+            row[on] = value
+    return tuple(pose)
+
+
+def frenet_to_cartesian(track: TrackSpec, s, x_tran, e_psi=0.0):
+    """Map Frenet coordinates to a global pose (X, Y, psi): floats, or numpy
+    arrays of one shape.
 
     The start line is anchored at the origin with the path tangent along +X.
     Positive ``x_tran`` offsets to the left of the travel direction.
     """
-    s_w = s % track.lap_length
-    x, y, psi = 0.0, 0.0, 0.0
-    idx = track._segment_index(s_w)
-    for i in range(idx):
-        length, kappa = track.segments[i]
-        x, y, psi = _advance(x, y, psi, length, kappa)
-    residual = s_w - track._starts[idx]
-    length, kappa = track.segments[idx]
-    x, y, psi = _advance(x, y, psi, residual, kappa)
+    x, y, psi, sin_p, cos_p = centerline_pose(track, s)
     # left normal of the tangent
-    xg = x - x_tran * math.sin(psi)
-    yg = y + x_tran * math.cos(psi)
-    return xg, yg, psi + e_psi
+    return x - x_tran * sin_p, y + x_tran * cos_p, psi + e_psi
 
 
 def _rounded_polygon(edges: Sequence[float], turns: Sequence[float], radii: Sequence[float]):
@@ -192,16 +208,9 @@ def _gp_track(half_width: float = 0.6) -> TrackSpec:
     # base layout: [straight0, arc0, straight1, arc1, straight2, arc2, straight3, arc3]
     tight, tight_extent = _chicane(0.8, math.pi / 3, sign=1.0)
     sweep, sweep_extent = _chicane(1.6, math.pi / 4, sign=-1.0)
-    segments = []
-    segments.extend(_insert_chicane(base[0][0], tight, tight_extent))
-    segments.append(base[1])
-    segments.append(base[2])
-    segments.append(base[3])
-    segments.extend(_insert_chicane(base[4][0], sweep, sweep_extent))
-    segments.append(base[5])
-    segments.append(base[6])
-    segments.append(base[7])
-    return TrackSpec(segments=tuple(segments), half_width=half_width, name="gp")
+    segments = (*_insert_chicane(base[0][0], tight, tight_extent), *base[1:4],
+                *_insert_chicane(base[4][0], sweep, sweep_extent), *base[5:])
+    return TrackSpec(segments=segments, half_width=half_width, name="gp")
 
 
 def default_tracks() -> List[TrackSpec]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .autolabel import NormStats, embed, fit_norm, member_mask
-from .core import LabeledPool, Outcome, Trajectory, clamp_action
+from .core import LabeledPool, Outcome, Trajectory, check_fields, clamp_action
 from .critic import (
     DynModel,
     SafetyClf,
@@ -76,32 +76,14 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        # written so that NaN fails too
-        if not self.rho >= 0:
-            raise ValueError("rho must be non-negative")
-        if not self.lam >= 0:
-            raise ValueError("lam must be non-negative")
-        if not 0 <= self.hull_tol < math.inf:
-            raise ValueError("hull_tol must be non-negative and finite")
-        # a NaN sigma would silently turn actuation noise off
-        if not 0 <= self.actuation_noise_sigma < math.inf:
-            raise ValueError("actuation_noise_sigma must be non-negative and finite")
-        for name in ("lr_policy", "lr_dyn", "lr_clf"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        # every random stream is rooted at a SeedSequence, which takes no negative seed
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.neighbor_cap < 1:
-            raise ValueError("neighbor_cap must be >= 1")
-        if self.k_f < 1 or self.k_p < 1:
-            raise ValueError("k_f and k_p must be >= 1")
-        for name in ("episodes_per_epoch", "grad_steps_policy", "grad_steps_dyn",
-                     "grad_steps_clf", "eval_laps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        # a NaN sigma would silently turn actuation noise off, and every random
+        # stream is rooted at a SeedSequence, which takes no negative seed
+        check_fields(self, positive=("lr_policy", "lr_dyn", "lr_clf"),
+                     non_negative=("rho", "lam", "hull_tol", "actuation_noise_sigma", "epochs",
+                                   "seed"),
+                     at_least_one=("neighbor_cap", "k_f", "k_p", "episodes_per_epoch",
+                                   "grad_steps_policy", "grad_steps_dyn", "grad_steps_clf",
+                                   "eval_laps"))
         # the classifier batch is half safe, half unsafe states
         min_batch = 2 if self.method == "ca" else 1
         if self.batch_size < min_batch:

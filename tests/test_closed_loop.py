@@ -6,8 +6,10 @@ simulator, the experts, the policy wrappers or the validation that alters
 any float, any random draw or the termination of a rollout changes them.
 """
 
+import bisect
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,14 @@ from cabc import sim
 from cabc.core import STATE_FIELDS, Trajectory, clamp_action, state_row
 from cabc.experts import PidCenterline, RaceParams, RacingExpert
 from cabc.sim import SimConfig, default_start_state, lane_preview, rng_stream, rollout, step
-from cabc.track import curvature_at, default_tracks, peak_curvature
+from cabc.track import (
+    TrackSpec,
+    centerline_pose,
+    curvature_at,
+    default_tracks,
+    frenet_to_cartesian,
+    peak_curvature,
+)
 from cabc.trainer import MixedPolicy, MlpPolicy, TrainConfig, init_policy
 
 from conftest import make_state
@@ -54,11 +63,12 @@ def _mixed_circle(circle):
                    relabel=lambda x: mixed.last_expert_action)
 
 
-# SHA-256 of the three rollouts, recorded before the closed-loop fast paths
+# SHA-256 of the three rollouts, recorded when lane_preview came to read the
+# centreline pose table
 GOLDEN = {
-    "racing_gp": "b7a47b8fe1a6a9db2831d7efb070fb0890a0f955eb3ba0ead0357d71df7b895b",
-    "pid_circle": "2b90bfe678d4e83f211f2e28bae10cd13c44c862fed80de63c942048a5b74ebb",
-    "mixed_circle": "2df2aeea9a04b2f5e0476f8149baab0ccca067fa9fbf7ca9b031f98360075a82",
+    "racing_gp": "ba4e55fff1bbcc25f89327a9b83c0c23492808d9d62d39edf9a468193bdff8d0",
+    "pid_circle": "02457d53b2aa839997ed84c9b28ac8b24308fc15fc5e52c4cc61777537f9fe67",
+    "mixed_circle": "d71e7e05f356578885934081876f8091ad59d04922c52e8ffe34f65dd8d688af",
 }
 
 
@@ -75,9 +85,16 @@ class TestGoldenRollouts:
 
 # --- one segment lookup per curvature ------------------------------------------------
 
+def _reference_segment_index(track, s_wrapped):
+    """Reference search: the last segment start at or below ``s_wrapped``,
+    clamped to the segments."""
+    idx = bisect.bisect_right(track._starts, s_wrapped) - 1
+    return min(max(idx, 0), len(track.segments) - 1)
+
+
 def _reference_curvature(track, s):
-    """Reference: the clamped segment search of ``TrackSpec._segment_index``."""
-    return track.segments[track._segment_index(s % track.lap_length)][1]
+    """Reference: the curvature of the clamped segment search."""
+    return track.segments[_reference_segment_index(track, s % track.lap_length)][1]
 
 
 def _probe_arcs(track):
@@ -125,7 +142,7 @@ def _reference_lane_preview(track, x, distances):
     arc = 0.0
     _, _, _, s, x_tran, e_psi = x
     s_w = s % track.lap_length
-    seg = track._segment_index(s_w)
+    seg = _reference_segment_index(track, s_w)
     n_seg = len(track.segments)
     remaining = track._starts[seg + 1] - s_w
     sin_e, cos_e = math.sin(e_psi), math.cos(e_psi)
@@ -169,7 +186,9 @@ def test_lane_preview_matches_reference_walk(name):
     # long ranges cross many segments and wrap the lap
     for distances in (SimConfig().preview_distances, (0.5, 7.0, 7.0, 30.0, 95.0)):
         for x in _preview_states(track):
-            assert lane_preview(track, x, distances) == _reference_lane_preview(track, x, distances)
+            got = lane_preview(track, x, distances)
+            assert np.abs(np.subtract(got, _reference_lane_preview(track, x, distances))).max() \
+                <= 1e-12
 
 
 def test_lane_preview_rejects_descending_distances(gp):
@@ -178,6 +197,119 @@ def test_lane_preview_rejects_descending_distances(gp):
         for bad in (distances, np.array(distances), [-0.5, 1.0]):
             with pytest.raises(ValueError, match="ascending"):
                 lane_preview(gp, x, bad)
+
+
+def test_lane_preview_rejects_non_finite_distances(gp):
+    for bad in ([1.0, math.inf], [math.nan], [0.5, math.nan, 2.0]):
+        with pytest.raises(ValueError, match="finite"):
+            lane_preview(gp, make_state(s=3.0), bad)
+
+
+def _seam_track():
+    """Closes in heading but not in position: the lap ends 2 m from its start."""
+    return TrackSpec(segments=((1.0, 0.0), (math.pi, 1.0), (2.0, 0.0), (math.pi, 1.0)),
+                     half_width=0.5, name="seam")
+
+
+def test_lane_preview_is_continuous_across_an_open_seam():
+    """Past the lap end the preview continues along the last segment's pose,
+    as the reference walk does, and does not jump by the track's 2 m gap."""
+    track = _seam_track()
+    rng = np.random.default_rng(3)
+    lap = track.lap_length
+    for s in np.concatenate([np.linspace(lap - 10.0, lap, 41), rng.uniform(lap - 10.0, lap, 40),
+                             [lap - 1e-12, -1e-15]]).tolist():
+        for xt, ep in ((0.0, 0.0), (0.3, -0.4), (-0.45, 1.2)):
+            x = make_state(s=s, xt=xt, ep=ep)
+            for distances in (SimConfig().preview_distances, (0.5, 7.0, 7.0, 30.0, 95.0)):
+                got = lane_preview(track, x, distances)
+                want = _reference_lane_preview(track, x, distances)
+                assert np.abs(np.subtract(got, want)).max() <= 1e-12, (s, xt, ep)
+
+
+# --- one centreline pose ------------------------------------------------------------------
+
+def _reference_advance(x, y, psi, length, kappa):
+    if abs(kappa) < 1e-12:
+        return x + length * math.cos(psi), y + length * math.sin(psi), psi
+    psi1 = psi + kappa * length
+    x1 = x + (math.sin(psi1) - math.sin(psi)) / kappa
+    y1 = y - (math.cos(psi1) - math.cos(psi)) / kappa
+    return x1, y1, psi1
+
+
+def _reference_frenet_to_cartesian(track, s, x_tran, e_psi=0.0):
+    """Reference walk: every segment from the lap start, on every call."""
+    s_w = s % track.lap_length
+    x, y, psi = 0.0, 0.0, 0.0
+    idx = _reference_segment_index(track, s_w)
+    for i in range(idx):
+        x, y, psi = _reference_advance(x, y, psi, *track.segments[i])
+    x, y, psi = _reference_advance(x, y, psi, s_w - track._starts[idx], track.segments[idx][1])
+    return x - x_tran * math.sin(psi), y + x_tran * math.cos(psi), psi + e_psi
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in values]
+
+
+_ALL_TRACKS = [*(t.name for t in default_tracks()), "seam"]
+
+
+def _track(name):
+    return _seam_track() if name == "seam" else {t.name: t for t in default_tracks()}[name]
+
+
+@pytest.mark.parametrize("name", _ALL_TRACKS)
+def test_frenet_to_cartesian_matches_reference_walk_bit_for_bit(name):
+    track = _track(name)
+    arcs = _probe_arcs(track)
+    for x_tran in (0.0, track.half_width, -track.half_width):
+        for s in arcs:
+            want = _hex(_reference_frenet_to_cartesian(track, s, x_tran, 0.25))
+            assert _hex(frenet_to_cartesian(track, s, x_tran, 0.25)) == want, (s, x_tran)
+        got = frenet_to_cartesian(track, np.array(arcs), np.full(len(arcs), x_tran), 0.25)
+        for k, s in enumerate(arcs):
+            want = _hex(_reference_frenet_to_cartesian(track, s, x_tran, 0.25))
+            assert _hex(col[k] for col in got) == want, (s, x_tran)
+
+
+@pytest.mark.parametrize("name", _ALL_TRACKS)
+def test_array_pose_equals_scalar_poses_bit_for_bit(name):
+    track = _track(name)
+    arcs = _probe_arcs(track)
+    arcs += np.random.default_rng(5).uniform(-3 * track.lap_length, 3 * track.lap_length,
+                                             500).tolist()
+    columns = centerline_pose(track, np.array(arcs))
+    assert all(col.shape == (len(arcs),) for col in columns)
+    for k, s in enumerate(arcs):
+        assert _hex(col[k] for col in columns) == _hex(centerline_pose(track, s)), s
+
+
+@pytest.mark.parametrize("name", _ALL_TRACKS)
+def test_pose_is_continuous_at_segment_ends(name):
+    track = _track(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a straight's curvature is never a divisor
+        for i, end in enumerate(track._starts[1:]):
+            before = centerline_pose(track, np.array([math.nextafter(end, 0.0)]))
+            # the last segment ends at the lap end's pose, which a track need
+            # not close onto its start
+            after = track._poses[-1] if i == len(track.segments) - 1 else \
+                centerline_pose(track, np.array([end]))
+            for a, b in zip(before, after):
+                assert abs(float(a[0]) - float(np.ravel(b)[0])) <= 1e-12, (i, end)
+
+
+@pytest.mark.parametrize("name", _ALL_TRACKS)
+def test_pose_repeats_every_lap(name):
+    track = _track(name)
+    lap = track.lap_length
+    # clear of the seam, where a lap's rounding can move s across it
+    arcs = np.random.default_rng(9).uniform(1e-6, lap - 1e-6, 200)
+    here = np.array(centerline_pose(track, arcs))
+    for shifted in (arcs + lap, arcs - lap):
+        assert np.abs(np.array(centerline_pose(track, shifted)) - here).max() <= 1e-12
 
 
 # --- validation where a row is made ---------------------------------------------------

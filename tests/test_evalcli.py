@@ -538,6 +538,33 @@ class TestCli:
             run_cli(command, *args)
         assert not out.exists() and not capsys.readouterr().out
 
+    @pytest.mark.parametrize("expert, line", [
+        ("racing", "race_lookahead = inf"),
+        ("racing", "race_lookahead = nan"),
+        ("racing", "race_lookahead = -1"),
+        ("racing", "race_kappa_floor = 0"),
+        ("racing", "race_pursuit_dist = 0"),
+        ("racing", "race_alat_max = -1"),
+        ("racing", "race_kp_v = inf"),
+        ("pid", "pid_kp_v = nan"),
+        ("pid", "v_ref = nan"),
+    ])
+    @pytest.mark.parametrize("command", ["sim", "train"])
+    def test_expert_setting_is_refused_before_writing(self, tmp_path, capsys, command,
+                                                      expert, line):
+        """Each of these used to hang, crash mid-rollout or quietly drop the setting."""
+        cfg_path = tmp_path / "expert.cfg"
+        cfg_path.write_text(line + "\n")
+        out = tmp_path / "out"
+        track = "circle" if expert == "pid" else "gp"
+        args = ["--expert", expert, "--track", track, "--config", str(cfg_path)]
+        args += (["--laps", "1", "--render", str(out)] if command == "sim"
+                 else ["--method", "bc", "--out", str(out)])
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=f"^{key}"):
+            run_cli(command, *args)
+        assert not out.exists() and not capsys.readouterr().out
+
     def test_nonfinite_abort_exit_code(self, monkeypatch, tmp_path):
         import cabc.cli as cli_mod
         from cabc.trainer import NonFiniteLossError

@@ -55,9 +55,9 @@ def _critic_run(gp, epochs):
     return train(cfg, gp, make_expert_factory("racing", cfg.sim, gp))
 
 
-# SHA-256 of the 3-epoch _critic_run, recorded before the critic pair became
-# one record per network
-GOLDEN_CA_RUN = "3de78e20e1dbe76d6de0de2d99c0b0dbc6cc0b445495744b997d98be79743d0f"
+# SHA-256 of the 3-epoch _critic_run, recorded when lane_preview came to read
+# the centreline pose table (the run trains on output observations)
+GOLDEN_CA_RUN = "6db71f3cc912b90653896cfbcb66b0b8a5a2d91ca94ecd7f9e729da924948e9d"
 
 
 class TestConfigValidation:
