@@ -24,7 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cabc.sim import SimConfig
 from cabc.track import get_track
-from cabc.trainer import TrainConfig, make_expert_factory, train
+from cabc.trainer import OBS_FLAGS, TrainConfig, make_expert_factory, train
 
 
 def first_full_eval(reports, full_laps: int) -> int | None:
@@ -40,7 +40,7 @@ def main() -> int:
     parser.add_argument("--epochs", type=int, default=300)
     parser.add_argument("--track", default="gp")
     parser.add_argument("--expert", default="racing")
-    parser.add_argument("--obs", choices=("output", "full"), default="output")
+    parser.add_argument("--obs", choices=tuple(OBS_FLAGS), default="output")
     parser.add_argument("--lam", type=float, default=10.0)
     parser.add_argument("--rho", type=float, default=1.0)
     parser.add_argument("--out", default="runs/racing")
@@ -51,13 +51,12 @@ def main() -> int:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     sim = SimConfig(max_steps=600)
-    mode = "output" if args.obs == "output" else "full_state"
     # every setting is checked before --out is made, so a bad one leaves no directory
     try:
         track = get_track(args.track)
         factory = make_expert_factory(args.expert, sim, track)
         configs = [TrainConfig(epochs=args.epochs, seed=seed, method=method,
-                               observation_mode=mode, sim=sim, lam=args.lam,
+                               observation_mode=OBS_FLAGS[args.obs], sim=sim, lam=args.lam,
                                rho=args.rho, early_stop=args.early_stop)
                    for seed in range(args.seeds) for method in ("ca", "bc")]
     except (KeyError, ValueError) as exc:

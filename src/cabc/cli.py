@@ -40,7 +40,7 @@ from .reports import (
 )
 from .sim import rng_stream
 from .track import resolve_track
-from .trainer import NonFiniteLossError, load_policy, make_expert_factory, train
+from .trainer import OBS_FLAGS, NonFiniteLossError, load_policy, make_expert_factory, train
 
 EXIT_NONFINITE = 2
 
@@ -58,8 +58,7 @@ def _load_configs(args) -> tuple:
         values["seed"] = str(args.seed)
     # the command line's method and feedback override the file's, and are in
     # place when the config is validated
-    options = {"method": args.method,
-               "observation_mode": "output" if args.obs == "output" else "full_state"}
+    options = {"method": args.method, "observation_mode": OBS_FLAGS[args.obs]}
     cfg = train_config_from({**values, **options}, sim)
     return cfg, values
 
@@ -139,8 +138,7 @@ def _cmd_eval(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     sim = sim_config_from(values)
     track = resolve_track(args.track)
-    mode = "output" if args.obs == "output" else "full_state"
-    policy = load_policy(args.weights, mode, sim, track)
+    policy = load_policy(args.weights, OBS_FLAGS[args.obs], sim, track)
     _print_result(evaluate(policy, sim, track, seed=args.seed, laps=args.laps),
                   "lap_mean", "lap_std", "lap_min", "lap_max")
     return 0
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("bc", "ca"), required=True)
     p.add_argument("--track", default="gp", help="built-in track name or track file")
     p.add_argument("--expert", choices=("pid", "racing"), default="racing")
-    p.add_argument("--obs", choices=("full", "output"), default="output")
+    p.add_argument("--obs", choices=tuple(OBS_FLAGS), default="output")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "RUN/checkpoints/epoch_NNNN/policy.npz: .npy members flat "
                         "(float64 parameters), sizes, head and seed")
     p.add_argument("--track", default="gp")
-    p.add_argument("--obs", choices=("full", "output"), default="output")
+    p.add_argument("--obs", choices=tuple(OBS_FLAGS), default="output")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--laps", type=int, default=50)
     p.add_argument("--config", default=None)

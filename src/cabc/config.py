@@ -101,6 +101,13 @@ def sim_config_from(values: Dict[str, str]) -> SimConfig:
     if "preview_k" in typed or "preview_spacing" in typed:
         k = typed.pop("preview_k", len(SimConfig.preview_distances))
         spacing = typed.pop("preview_spacing", 1.0)
+        # range() of a negative k is empty, and a negative spacing would be
+        # refused under SimConfig's field name instead of the key that set it
+        if k < 0:
+            raise ValueError(f"preview_k must be non-negative, got {k}")
+        if not 0.0 <= spacing < math.inf:
+            raise ValueError(f"preview_spacing must be finite and non-negative, got {spacing!r} "
+                             f"(it spaces preview_distances)")
         typed["preview_distances"] = tuple(spacing * (i + 1) for i in range(k))
     return SimConfig(**typed)
 

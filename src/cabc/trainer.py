@@ -46,6 +46,10 @@ class NonFiniteLossError(RuntimeError):
     """A training loss stopped being finite; the run is aborted."""
 
 
+# each value of the command line's ``--obs`` flag, with the observation mode it selects
+OBS_FLAGS = {"output": "output", "full": "full_state"}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50                     # M: training epochs
@@ -90,7 +94,7 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= {min_batch} for method {self.method!r}")
         if self.method not in ("ca", "bc"):
             raise ValueError("method must be 'ca' or 'bc'")
-        if self.observation_mode not in ("output", "full_state"):
+        if self.observation_mode not in OBS_FLAGS.values():
             raise ValueError("observation_mode must be 'output' or 'full_state'")
         if any(width < 1 for width in self.hidden):
             raise ValueError("hidden widths must be >= 1")
@@ -180,13 +184,16 @@ class MlpPolicy:
 
 
 def load_policy(path, mode: str, sim_cfg: SimConfig, track: TrackSpec) -> MlpPolicy:
-    """The saved policy at ``path``; ``ValueError`` if its input width is not ``mode``'s."""
+    """The saved policy at ``path``; ``ValueError`` if ``mode`` is unknown or the
+    policy's input width is not ``mode``'s."""
+    flags = {named: flag for flag, named in OBS_FLAGS.items()}
+    if mode not in flags:   # a run's meta.json names the mode
+        raise ValueError(f"unknown observation mode {mode!r}")
     params = nn.load_weights(path)
     want = policy_input_dim(mode, sim_cfg)
     if params.sizes[0] != want:
-        obs = "output" if mode == "output" else "full"
         raise ValueError(f"{path}: the policy takes {params.sizes[0]} inputs, but "
-                         f"observation mode {mode!r} (--obs {obs}) gives {want}")
+                         f"observation mode {mode!r} (--obs {flags[mode]}) gives {want}")
     return MlpPolicy(params, mode, track)
 
 

@@ -124,3 +124,22 @@ def test_key_set_twice_names_both_lines(tmp_path):
 def test_negative_preview_spacing_is_rejected():
     with pytest.raises(ValueError, match="preview_distances"):
         sim_config_from({"preview_spacing": "-1"})
+
+
+@pytest.mark.parametrize("key, text", [
+    ("preview_k", "-3"), ("preview_spacing", "-1"), ("preview_spacing", "nan"),
+    ("preview_spacing", "inf"),
+])
+def test_preview_setting_is_refused_naming_its_key(key, text):
+    """A negative k used to build no preview at all, and a bad spacing was
+    refused under the name of the field it builds."""
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        sim_config_from({key: text})
+
+
+def test_zero_preview_k_observes_the_velocities_alone(gp):
+    from cabc.sim import default_start_state, observe
+
+    cfg = sim_config_from({"preview_k": "0"})
+    assert cfg.preview_distances == ()
+    assert len(observe(cfg, gp, default_start_state())) == 3

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -346,6 +347,16 @@ class TestCli:
                     "--obs", "full", "--laps", "1", "--config", str(cfg_path))
         assert capsys.readouterr().out == ""
 
+    def test_report_refuses_an_unknown_observation_mode(self, smoke_run, tmp_path):
+        """``meta.json`` names the mode the run's policy reads; an unknown one is refused."""
+        _, _, out = smoke_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        meta = json.loads((run / "meta.json").read_text())
+        (run / "meta.json").write_text(json.dumps({**meta, "observation_mode": "image"}))
+        with pytest.raises(ValueError, match="unknown observation mode 'image'"):
+            run_cli("report", "--run", str(run), "--out", str(tmp_path / "rep"))
+
     def test_report_emits_charts(self, smoke_run, tmp_path):
         _, _, out = smoke_run
         rep = tmp_path / "rep"
@@ -562,6 +573,21 @@ class TestCli:
                  else ["--method", "bc", "--out", str(out)])
         key = line.split(" = ")[0]
         with pytest.raises(ValueError, match=f"^{key}"):
+            run_cli(command, *args)
+        assert not out.exists() and not capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["preview_k = -3", "preview_spacing = -1",
+                                      "preview_spacing = nan", "preview_spacing = inf"])
+    @pytest.mark.parametrize("command", ["sim", "train"])
+    def test_preview_setting_is_refused_before_writing(self, tmp_path, capsys, command, line):
+        """``preview_k = -3`` used to train without a preview and snapshot ``preview_k = 0``."""
+        cfg_path = tmp_path / "preview.cfg"
+        cfg_path.write_text(line + "\n")
+        out = tmp_path / "out"
+        args = ["--expert", "pid", "--track", "circle", "--config", str(cfg_path)]
+        args += (["--laps", "1", "--render", str(out)] if command == "sim"
+                 else ["--method", "bc", "--out", str(out)])
+        with pytest.raises(ValueError, match=f"^{line.split(' = ')[0]} must be"):
             run_cli(command, *args)
         assert not out.exists() and not capsys.readouterr().out
 

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ import pytest
 from cabc.cli import main
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 NAMES = ("bench_closed_loop.py", "run_racing_experiment.py")
 
 
@@ -95,18 +97,63 @@ def bench():
 
 
 def test_bench_kernels_time_every_network(bench, monkeypatch):
-    monkeypatch.setattr(bench, "REPEATS", 1)
     monkeypatch.setattr(bench, "NN_CALLS", 1)
-    kernels = bench._nn()
+    kernels = bench._nn("cabc")
     assert sorted(kernels) == sorted(
         [f"nn.{op}.{net}" for op in ("forward", "backward", "adam_step")
          for net in ("policy", "dyn", "clf")] + ["critic.safety_penalty"])
-    assert all(entry["us_per_call"] > 0 and entry["batch"] == bench.NN_BATCH
-               for entry in kernels.values())
-    assert "nn" in bench.PAIRED_GROUPS
+    assert all(run() == 1 and info == {"batch": bench.NN_BATCH}
+               for run, info in kernels.values())
+    assert bench.GROUPS["nn"] is bench._nn
 
 
 def test_bench_hull_cases_build_from_the_sample_store(bench):
-    cases = bench._hull_cases()
+    cases = bench._hull_cases("cabc")
     assert {name: len(c) for name, c in cases.items()} == {
         "labeldemo_rho1": bench.HULL_QUERIES, "train_gp": bench.HULL_QUERIES}
+
+
+def test_bench_loads_a_second_tree_beside_cabc(bench, tmp_path):
+    import cabc.track
+
+    shutil.copytree(os.path.join(SRC, "cabc"), tmp_path / "cabc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    track_py = tmp_path / "cabc" / "track.py"
+    text = track_py.read_text()
+    assert text.count("def get_track(name: str) -> TrackSpec:\n") == 1
+    track_py.write_text(text.replace("def get_track(name: str) -> TrackSpec:\n",
+                                     "def get_track(name: str) -> TrackSpec:\n"
+                                     "    return 'altered'\n"))
+    pkg = bench.load_tree(str(tmp_path), "_test_tree")
+    try:
+        track, sim = (importlib.import_module(f"{pkg}.{name}") for name in ("track", "sim"))
+        loaded = [m for name, m in sys.modules.items() if name.startswith(pkg + ".")]
+        assert len(loaded) >= 2 and all(
+            os.path.commonpath([m.__file__, str(tmp_path)]) == str(tmp_path) for m in loaded)
+        assert track is not cabc.track and sim.TrackSpec is track.TrackSpec
+        assert sim.TrackSpec is not cabc.track.TrackSpec
+        assert track.get_track("gp") == "altered"
+        assert cabc.track.get_track("gp").name == "gp"
+    finally:
+        bench.unload_tree(pkg)
+    assert not [name for name in sys.modules if name.startswith(pkg)]
+
+
+def test_bench_against_itself_writes_a_ratio_for_every_case(bench, tmp_path, monkeypatch):
+    for name, value in (("PAIRS", 2), ("PAIR_REPEATS", 1), ("NN_CALLS", 1),
+                        ("HULL_QUERIES", 5), ("EVAL_LAPS", 1)):
+        monkeypatch.setattr(bench, name, value)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--label", "self", "--out", str(out), "--against", SRC]) == 0
+    record = json.loads(out.read_text())["records"][-1]
+    assert record["label"] == "self" and set(record) == {"label", "started", "against"}
+    against = record["against"]
+    # the hull cases' names are pinned above; building them is the slow part
+    cases = {group: sorted(build("cabc")) for group, build in bench.GROUPS.items()
+             if group != "hulls"}
+    cases["hulls"] = ["labeldemo_rho1", "train_gp"]
+    for key in ("ratio_median", "ratio_q1", "ratio_q3", "ratios"):
+        assert {group: sorted(entries) for group, entries in against[key].items()} == cases
+    assert all(len(ratios) == 2 and all(r > 0 for r in ratios)
+               for entries in against["ratios"].values() for ratios in entries.values())
+    assert not [name for name in sys.modules if name.startswith("_bench_pair")]
