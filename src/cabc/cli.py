@@ -11,6 +11,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import nn
 from .autolabel import (
     SyntheticSet,
@@ -193,16 +195,23 @@ _SYNTH = {
 # ends and no quoting, since a float's repr holds no delimiter, quote or line
 # break.  Rows are formatted from Python floats and streamed.
 
-def write_points_csv(path, plus, sdf_plus, query, sdf_query, removed) -> None:
-    """Safe points (label 1), then query points: label -1 if removed, else 0."""
-    flags = {True: "-1,1", False: "0,0"}
+def write_samples_csv(path, plus, sdf_plus, query, sdf_query) -> None:
+    """Every sample once, with its signed distance to the true boundary: the
+    plus points (pool ``plus``), then the query points (pool ``query``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,y,true_sdf,label,removed\r\n")
-        fh.writelines(f"{x!r},{y!r},{s!r},1,0\r\n"
-                      for (x, y), s in zip(plus.tolist(), sdf_plus.tolist()))
-        fh.writelines(f"{x!r},{y!r},{s!r},{flags[rm]}\r\n"
-                      for (x, y), s, rm in zip(query.tolist(), sdf_query.tolist(),
-                                               removed.tolist()))
+        fh.write("x,y,true_sdf,pool\r\n")
+        for pool, pts, sdf in (("plus", plus, sdf_plus), ("query", query, sdf_query)):
+            fh.writelines(f"{x!r},{y!r},{s!r},{pool}\r\n"
+                          for (x, y), s in zip(pts.tolist(), sdf.tolist()))
+
+
+def write_points_csv(path, query, removed) -> None:
+    """One radius's decisions: each query point, in ``samples.csv`` order, with
+    ``removed`` 1 if the hull test dropped it from the negative set, else 0."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,y,removed\r\n")
+        fh.writelines(f"{x!r},{y!r},{rm:d}\r\n"
+                      for (x, y), rm in zip(query.tolist(), removed.tolist()))
 
 
 def write_grid_csv(path, xs, ys, probs) -> None:
@@ -251,24 +260,40 @@ def _cmd_labeldemo(args) -> int:
     summary_path = os.path.join(args.out, "summary.csv")
     summary = [("set", "rho", "removed", "violations", "incorrect_removals",
                 "balanced_accuracy")]
+    samples = None      # (plus, query) as samples.csv holds them
+    true_set = None     # (zero contour, truth mask) of the true set on the grid
     for rho in rhos:
-        rng = rng_stream(args.seed)
-        plus, query, removed = label_synthetic(synth, args.n, args.n, rho, rng)
-        sdf_plus = synth.signed_distance(plus)
-        sdf_query = synth.signed_distance(query)
+        # each pass begins with its own labeling call (perfbench marks the
+        # passes there); a fresh stream of the one seed draws the samples
+        # the first pass wrote, and each later pass checks that it did
+        plus, query, removed = label_synthetic(synth, args.n, args.n, rho,
+                                               rng_stream(args.seed))
+        if samples is None:
+            samples = plus, query
+            write_samples_csv(os.path.join(args.out, "samples.csv"),
+                              plus, synth.signed_distance(plus),
+                              query, synth.signed_distance(query))
+        elif np.array_equal(plus, samples[0]) and np.array_equal(query, samples[1]):
+            plus, query = samples   # and the equal copies are freed
+        else:
+            raise RuntimeError(f"rho={rho:g} labeled other samples than samples.csv holds")
         tag = _rho_tag(rho)
 
         points_path = os.path.join(args.out, f"points_{tag}.csv")
-        write_points_csv(points_path, plus, sdf_plus, query, sdf_query, removed)
+        write_points_csv(points_path, query, removed)
 
         minus = query[~removed]
         params = train_synthetic_classifier(plus, minus, seed=args.seed)
         xs, ys, probs = classifier_grid(params, bounds=(-5.0, 5.0), n=args.grid)
         grid_path = os.path.join(args.out, f"decision_grid_{tag}.csv")
         write_grid_csv(grid_path, xs, ys, probs)
+        if true_set is None:    # every pass evaluates on the same grid
+            boundary = contour_segments(xs, ys, grid_map(synth.signed_distance, xs, ys), 0.0)
+            # kept as one float array, about an eighth of the size of its tuples
+            true_set = np.array(boundary), grid_map(synth.contains, xs, ys) > 0.5
+        boundary, truth = true_set
 
         # true boundary (dotted) and classifier decision boundary overlay
-        sdf_grid = grid_map(synth.signed_distance, xs, ys)
         svg = svg_xy_figure(
             [],
             title=f"{args.set}, rho = {rho:g}: removed points in red",
@@ -279,8 +304,7 @@ def _cmd_labeldemo(args) -> int:
                  "color": "#d62728", "r": 1.8},
             ],
             segments=[
-                {"segs": contour_segments(xs, ys, sdf_grid, 0.0), "color": "black",
-                 "dash": "2 3"},
+                {"segs": boundary, "color": "black", "dash": "2 3"},
                 {"segs": contour_segments(xs, ys, probs, 0.5), "color": "#1f77b4"},
             ],
         )
@@ -290,7 +314,7 @@ def _cmd_labeldemo(args) -> int:
         n_inc = incorrect_removals(removed, query, synth)
         # balanced accuracy: the mean of the true-positive and true-negative
         # rates of p(safe) > 0.5 on the grid
-        truth, pred = grid_map(synth.contains, xs, ys) > 0.5, probs > 0.5
+        pred = probs > 0.5
         accuracy = 0.5 * float((pred & truth).sum() / max(truth.sum(), 1)
                                + (~pred & ~truth).sum() / max((~truth).sum(), 1))
         summary.append((args.set, rho, int(removed.sum()),
@@ -350,10 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "labeldemo", help="synthetic-set auto-labeling benchmark",
         description="Label one synthetic set at each --rho radius, fit a classifier to "
-                    "the labels and evaluate it on a --grid x --grid grid. Writes "
-                    "points_<tag>.csv, decision_grid_<tag>.csv and overlay_<tag>.svg per "
-                    "radius, and summary.csv, one row per radius: set, rho, removed, "
-                    "violations, incorrect_removals, balanced_accuracy.")
+                    "the labels and evaluate it on a --grid x --grid grid. Every radius "
+                    "labels the same samples, written once to samples.csv (x, y, "
+                    "true_sdf, pool: the plus points, then the query points). Per "
+                    "radius it writes points_<tag>.csv (x, y, removed: one row per "
+                    "query point, in samples.csv order), decision_grid_<tag>.csv and "
+                    "overlay_<tag>.svg, and summary.csv has one row per radius: set, "
+                    "rho, removed, violations, incorrect_removals, balanced_accuracy.")
     p.add_argument("--set", choices=tuple(_SYNTH), default="crescent")
     p.add_argument("--rho", default="1.0,0.5,0.25", help="comma-separated radii")
     p.add_argument("--n", type=int, default=2000)

@@ -33,6 +33,7 @@ that tape is next used; a caller that keeps one must copy it.
 
 from __future__ import annotations
 
+import os
 import zipfile
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -332,13 +333,17 @@ def save_weights(p: MlpParams, path) -> None:
 def load_weights(path) -> MlpParams:
     """Read a network that ``save_weights`` wrote; the result owns ``flat``.
 
-    Raises ``ValueError`` when ``path`` is not a zip archive (weights saved
-    as JSON text before the ``.npz`` format no longer load), when ``sizes``
+    Raises ``FileNotFoundError`` when nothing is at ``path``, and
+    ``ValueError`` when it is not a zip archive (weights saved as JSON text
+    before the ``.npz`` format no longer load), when ``sizes``
     has fewer than two widths or one below 1, or when ``flat`` does not hold
     exactly the parameters ``sizes`` calls for, or holds a non-finite value.
     Older archives also carry an ``activation`` member, always ``tanh``; it
     is not read.
     """
+    if not os.path.exists(path):
+        # is_zipfile would report a missing file as one of another format
+        raise FileNotFoundError(f"no weight archive at {path}")
     if not zipfile.is_zipfile(path):
         # np.load would report such a file as pickled data
         raise ValueError(f"{path} is not an .npz weight archive")

@@ -1,9 +1,11 @@
 """The benchmark under ``perfbench/`` reaches the program from outside: it
-wraps functions at the attribute their caller looks up, and picks the
-``ca-gp`` seed by running one collection epoch itself.  A change that
-deletes or renames one of those names breaks the benchmark, not the
-program's own tests, so each is checked here."""
+wraps functions at the attribute their caller looks up, picks the ``ca-gp``
+seed by running one collection epoch itself, and reads ``labeldemo``'s
+files to check each pass.  A change that deletes or renames one of those
+names, or changes those files, breaks the benchmark, not the program's own
+tests, so each is checked here."""
 
+import csv
 import importlib
 import importlib.util
 import os
@@ -26,6 +28,7 @@ def load_bench_module(name):
 
 spans = load_bench_module("spans")
 workloads = load_bench_module("workloads")
+one_run = load_bench_module("one_run")
 
 
 @pytest.mark.parametrize("module, path", [(module, path) for module, path, _, _ in spans.TRACED],
@@ -43,3 +46,18 @@ def test_traced_binding_resolves(module, path):
 def test_ca_gp_seed_is_found():
     seed = workloads.seed_for(workloads.WORKLOADS["ca-gp"], 1, ROOT, smoke=True)
     assert seed in range(1000, 2000)
+
+
+def test_labeldemo_output_passes_the_bench_check(tmp_path):
+    from cabc.cli import main
+
+    out = tmp_path / "demo"
+    rhos = workloads.LABELDEMO_RHOS
+    assert main(["labeldemo", "--set", "crescent", "--n", "120", "--grid", "8",
+                 "--rho", ",".join(map(str, rhos)), "--seed", "3", "--out", str(out)]) == 0
+    checks = one_run._check_labeldemo(str(out), "crescent", rhos)
+    assert checks["ops_ok"] == [True] * len(rhos)
+    with open(out / "summary.csv", newline="") as fh:
+        removed = [int(row["removed"]) for row in csv.DictReader(fh)]
+    assert checks["record"]["removed"] == removed
+    assert checks["record"]["numpy_repr_in_points_csv"] is False

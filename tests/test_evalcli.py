@@ -347,6 +347,12 @@ class TestCli:
                     "--obs", "full", "--laps", "1", "--config", str(cfg_path))
         assert capsys.readouterr().out == ""
 
+    def test_eval_reports_missing_weights(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.npz"
+        with pytest.raises(FileNotFoundError, match="nonexistent.npz"):
+            run_cli("eval", "--weights", str(missing), "--track", "circle", "--laps", "1")
+        assert capsys.readouterr().out == ""
+
     def test_report_refuses_an_unknown_observation_mode(self, smoke_run, tmp_path):
         """``meta.json`` names the mode the run's policy reads; an unknown one is refused."""
         _, _, out = smoke_run
@@ -419,15 +425,16 @@ class TestCli:
         code = run_cli("labeldemo", "--set", "crescent", "--rho", "0.5", "--n", "200",
                        "--grid", "40", "--out", str(out), "--seed", "1")
         assert code == 0
-        assert (out / "points_rho0p5.csv").exists()
         assert (out / "decision_grid_rho0p5.csv").exists()
         ET.parse(out / "overlay_rho0p5.svg")
-        # coordinates are written as plain floats, never as numpy scalar reprs
-        with open(out / "points_rho0p5.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 400
-        for row in rows:
-            float(row["x"]), float(row["y"])
+        # coordinates are written as plain floats, never as numpy scalar reprs;
+        # samples.csv holds both pools, points_<tag>.csv the query points
+        for name, n_rows in (("samples.csv", 400), ("points_rho0p5.csv", 200)):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == n_rows
+            for row in rows:
+                float(row["x"]), float(row["y"])
 
     def test_labeldemo_writes_its_summary(self, tmp_path, capsys):
         out = tmp_path / "demo"
@@ -447,9 +454,83 @@ class TestCli:
             assert f"({int(row['incorrect_removals'])} outside the true set)" in line
             assert 0.0 <= float(row["balanced_accuracy"]) <= 1.0
 
+    def test_labeldemo_rebuilds_the_per_radius_rows(self, tmp_path):
+        """``samples.csv`` and each ``points_<tag>.csv`` give back the rows one
+        radius's points file held before the samples moved out of it: every
+        sample that radius labeled, its exact signed distance, its label (1
+        plus, -1 removed query, 0 kept query) and its removed flag."""
+        from cabc.autolabel import SyntheticSet, label_synthetic
+
+        out = tmp_path / "demo"
+        assert run_cli("labeldemo", "--set", "crescent", "--rho", "1.0,0.25", "--n", "150",
+                       "--grid", "10", "--out", str(out), "--seed", "4") == 0
+        synth = SyntheticSet.crescent()
+        with open(out / "samples.csv", newline="") as fh:
+            samples = list(csv.DictReader(fh))
+        for rho, tag in ((1.0, "rho1"), (0.25, "rho0p25")):
+            with open(out / f"points_{tag}.csv", newline="") as fh:
+                decided = iter(list(csv.DictReader(fh)))
+            rebuilt = []
+            for row in samples:
+                label, removed = "1", "0"
+                if row["pool"] == "query":
+                    point = next(decided)
+                    assert (point["x"], point["y"]) == (row["x"], row["y"])
+                    removed = point["removed"]
+                    label = "-1" if removed == "1" else "0"
+                rebuilt.append((row["x"], row["y"], row["true_sdf"], label, removed))
+            assert next(decided, None) is None
+
+            # a float's repr reads back to its bits, so equal text is equal bits
+            plus, query, mask = label_synthetic(synth, 150, 150, rho, rng_stream(4))
+            want = [(repr(x), repr(y), repr(d), "1", "0") for (x, y), d in
+                    zip(plus.tolist(), synth.signed_distance(plus).tolist())]
+            want += [(repr(x), repr(y), repr(d), "-1" if rm else "0", "1" if rm else "0")
+                     for (x, y), d, rm in zip(query.tolist(),
+                                              synth.signed_distance(query).tolist(),
+                                              mask.tolist())]
+            assert rebuilt == want
+
+    def test_labeldemo_passes_start_at_their_labeling_call(self, tmp_path, monkeypatch):
+        """Each radius's pass begins with its own ``label_synthetic`` call, before
+        it writes anything: a benchmark marks the passes there."""
+        import cabc.cli
+
+        out = tmp_path / "demo"
+        label_synthetic, seen = cabc.cli.label_synthetic, []
+
+        def recording(*args, **kwargs):
+            seen.append(sorted(os.listdir(out)))
+            return label_synthetic(*args, **kwargs)
+
+        monkeypatch.setattr(cabc.cli, "label_synthetic", recording)
+        assert run_cli("labeldemo", "--set", "disk", "--rho", "1.0,0.5", "--n", "60",
+                       "--grid", "8", "--out", str(out), "--seed", "2") == 0
+        first_pass = ["decision_grid_rho1.csv", "overlay_rho1.svg", "points_rho1.csv",
+                      "samples.csv", "summary.csv"]
+        assert seen == [[], first_pass]
+        assert sorted(os.listdir(out)) == sorted(
+            first_pass + ["decision_grid_rho0p5.csv", "overlay_rho0p5.svg",
+                          "points_rho0p5.csv"])
+
+    def test_labeldemo_refuses_a_pass_that_draws_other_samples(self, tmp_path, monkeypatch):
+        # samples.csv is written once, so every later pass must label its samples
+        import cabc.cli
+
+        label_synthetic, drift = cabc.cli.label_synthetic, iter((0.0, 1e-12))
+
+        def drifting(*args, **kwargs):
+            plus, query, removed = label_synthetic(*args, **kwargs)
+            return plus, query + next(drift), removed
+
+        monkeypatch.setattr(cabc.cli, "label_synthetic", drifting)
+        with pytest.raises(RuntimeError, match="rho=0.5 labeled other samples"):
+            run_cli("labeldemo", "--set", "disk", "--rho", "1.0,0.5", "--n", "40",
+                    "--grid", "6", "--out", str(tmp_path / "demo"))
+
     def test_labeldemo_csv_bytes_match_csv_writer(self, tmp_path):
         """The streamed CSVs are byte for byte what a ``csv.writer`` loop writes."""
-        from cabc.cli import write_grid_csv, write_points_csv
+        from cabc.cli import write_grid_csv, write_points_csv, write_samples_csv
 
         rng = np.random.default_rng(6)
         special = np.array([0.0, -0.0, 1e-300, 5e-324, -1e300, 0.1, 1 / 3, np.nan,
@@ -464,16 +545,20 @@ class TestCli:
         probs[0, :3] = (0.0, 1.0, 1e-17)
         probs[1:6, :2] = special.reshape(5, 2)
 
-        ref_points, ref_grid = tmp_path / "ref_points.csv", tmp_path / "ref_grid.csv"
+        ref_samples, ref_points = tmp_path / "ref_samples.csv", tmp_path / "ref_points.csv"
+        ref_grid = tmp_path / "ref_grid.csv"
+        with open(ref_samples, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y", "true_sdf", "pool"])
+            for pool, pts, sdf in (("plus", plus, sdf_plus), ("query", query, sdf_query)):
+                for p, s in zip(pts, sdf):
+                    writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(s)),
+                                     pool])
         with open(ref_points, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["x", "y", "true_sdf", "label", "removed"])
-            for p, s in zip(plus, sdf_plus):
-                writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(s)), 1, 0])
-            for p, s, rm in zip(query, sdf_query, removed):
-                label = -1 if rm else 0
-                writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(s)),
-                                 label, int(rm)])
+            writer.writerow(["x", "y", "removed"])
+            for p, rm in zip(query, removed):
+                writer.writerow([repr(float(p[0])), repr(float(p[1])), int(rm)])
         with open(ref_grid, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["y\\x"] + [repr(float(x)) for x in xs])
@@ -481,8 +566,10 @@ class TestCli:
                 writer.writerow([repr(float(ys[i]))]
                                 + [repr(float(probs[i, j])) for j in range(len(xs))])
 
-        write_points_csv(tmp_path / "points.csv", plus, sdf_plus, query, sdf_query, removed)
+        write_samples_csv(tmp_path / "samples.csv", plus, sdf_plus, query, sdf_query)
+        write_points_csv(tmp_path / "points.csv", query, removed)
         write_grid_csv(tmp_path / "grid.csv", xs, ys, probs)
+        assert (tmp_path / "samples.csv").read_bytes() == ref_samples.read_bytes()
         assert (tmp_path / "points.csv").read_bytes() == ref_points.read_bytes()
         assert (tmp_path / "grid.csv").read_bytes() == ref_grid.read_bytes()
         # the matrix reads back to the grid bit for bit: nan, +-inf, -0.0, subnormals

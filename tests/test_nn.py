@@ -469,6 +469,12 @@ class TestDeterminismAndIO:
         with pytest.raises(ValueError, match="not an .npz weight archive"):
             load_weights(path)
 
+    def test_load_reports_a_missing_file(self, tmp_path):
+        # not as a file of another format, which is_zipfile says of a missing path
+        path = tmp_path / "missing.npz"
+        with pytest.raises(FileNotFoundError, match="missing.npz"):
+            load_weights(path)
+
     def test_params_copy_their_source_arrays(self):
         W, b = np.ones((2, 3)), np.zeros(3)
         p = MlpParams(sizes=(2, 3), weights=((W, b),))
