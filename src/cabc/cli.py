@@ -41,7 +41,7 @@ from .reports import (
     write_reports_csv,
 )
 from .sim import rng_stream
-from .track import resolve_track
+from .track import resolve_track, track_ref
 from .trainer import OBS_FLAGS, NonFiniteLossError, load_policy, make_expert_factory, train
 
 EXIT_NONFINITE = 2
@@ -81,7 +81,7 @@ def _cmd_train(args) -> int:
 
     expert_eval = evaluate(factory(), cfg.sim, track, seed=cfg.seed, laps=cfg.eval_laps)
     meta = {
-        "track": args.track,
+        "track": track_ref(args.track),
         "expert": args.expert,
         "method": cfg.method,
         "observation_mode": cfg.observation_mode,
@@ -90,6 +90,13 @@ def _cmd_train(args) -> int:
         "expert_lap_std": expert_eval.lap_std,
         "expert_laps": expert_eval.laps_completed,
     }
+
+    def write_meta(**extra):
+        with open(os.path.join(out, "meta.json"), "w", encoding="utf-8") as fh:
+            json.dump({**meta, **extra}, fh, indent=1)
+
+    # written before the first epoch, so that an aborted run can be reported
+    write_meta()
 
     reports = []
     ckpt_dir = os.path.join(out, "checkpoints")
@@ -102,26 +109,27 @@ def _cmd_train(args) -> int:
             os.makedirs(d, exist_ok=True)
             nn.save_weights(policy_params, os.path.join(d, "policy.npz"))
 
+    aborted = None
     try:
         with DatasetWriter(os.path.join(out, "trajectories.jsonl.gz")) as writer:
             result = train(cfg, track, factory, epoch_callback=on_epoch,
                            traj_callback=lambda epoch, trajs: [writer.write(t) for t in trajs])
     except NonFiniteLossError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
-    if not result.reports:
+        aborted = str(exc)
+    if not reports:
         # with no epoch, on_epoch never wrote the table that `cabc report` reads
         write_reports_csv([], os.path.join(out, "reports.csv"))
+    if aborted is not None:
+        write_meta(completed_epochs=len(reports), aborted=aborted)
+        print(f"aborted: {aborted}", file=sys.stderr)
+        return EXIT_NONFINITE
 
     nn.save_weights(result.policy, os.path.join(out, "policy.npz"))
     if result.dyn is not None and result.clf is not None:
         save_critic(result.dyn, result.clf, os.path.join(out, "critic"))
     if len(result.pool.d_plus) or len(result.pool.d_query):
         save_dataset(result.pool, os.path.join(out, "pool.jsonl.gz"))
-    meta["early_stopped_at"] = result.early_stopped_at
-    meta["completed_epochs"] = len(result.reports)
-    with open(os.path.join(out, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
+    write_meta(early_stopped_at=result.early_stopped_at, completed_epochs=len(result.reports))
     best = max((r.eval_laps for r in result.reports), default=0)
     print(f"done: {len(result.reports)} epochs, best eval {best} laps, "
           f"early stop at {result.early_stopped_at}")

@@ -280,3 +280,12 @@ def resolve_track(name_or_path: str) -> TrackSpec:
         if os.path.exists(name_or_path):
             return load_track(name_or_path)
         raise
+
+
+def track_ref(name_or_path: str) -> str:
+    """How a run records ``name_or_path`` so that ``resolve_track`` reads the same
+    track from any directory: a built-in name as it is, a track file by its
+    absolute path."""
+    if any(t.name == name_or_path for t in default_tracks()):
+        return name_or_path
+    return os.path.abspath(name_or_path)

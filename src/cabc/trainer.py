@@ -88,12 +88,12 @@ class TrainConfig:
                      at_least_one=("neighbor_cap", "k_f", "k_p", "episodes_per_epoch",
                                    "grad_steps_policy", "grad_steps_dyn", "grad_steps_clf",
                                    "eval_laps"))
+        if self.method not in ("ca", "bc"):
+            raise ValueError("method must be 'ca' or 'bc'")
         # the classifier batch is half safe, half unsafe states
         min_batch = 2 if self.method == "ca" else 1
         if self.batch_size < min_batch:
             raise ValueError(f"batch_size must be >= {min_batch} for method {self.method!r}")
-        if self.method not in ("ca", "bc"):
-            raise ValueError("method must be 'ca' or 'bc'")
         if self.observation_mode not in OBS_FLAGS.values():
             raise ValueError("observation_mode must be 'output' or 'full_state'")
         if any(width < 1 for width in self.hidden):

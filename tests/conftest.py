@@ -55,6 +55,23 @@ def write_track_file(track: TrackSpec, path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def abort_after_one_epoch(monkeypatch, message: str) -> None:
+    """Make ``cabc train`` stop on a non-finite loss, with ``message``, once its
+    first epoch is reported."""
+    import cabc.cli
+    from cabc.trainer import NonFiniteLossError
+
+    real_train = cabc.cli.train
+
+    def aborting(*args, epoch_callback, **kw):
+        def after_one_epoch(report, params):
+            epoch_callback(report, params)
+            raise NonFiniteLossError(message)
+        return real_train(*args, epoch_callback=after_one_epoch, **kw)
+
+    monkeypatch.setattr(cabc.cli, "train", aborting)
+
+
 def states_array(states) -> np.ndarray:
     """Raw ``(n, 6)`` rows of ``states``, as the trainer's sample store holds them."""
     return np.array(states, dtype=float).reshape(-1, 6)

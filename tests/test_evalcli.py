@@ -14,7 +14,7 @@ from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import emit_reports, read_reports_csv
 from cabc.sim import SimConfig, rng_stream
 
-from conftest import make_trajectory, write_track_file
+from conftest import abort_after_one_epoch, make_trajectory, write_track_file
 
 
 class TestEvaluate:
@@ -689,6 +689,45 @@ class TestCli:
         code = run_cli("train", "--method", "bc", "--track", "circle", "--expert",
                        "pid", "--out", str(tmp_path / "r"))
         assert code == 2
+
+    def test_aborted_run_reports(self, monkeypatch, tmp_path, capsys):
+        """An aborted run keeps ``meta.json``, which names the abort and the
+        epochs that finished, and ``cabc report`` charts those epochs."""
+        abort_after_one_epoch(monkeypatch, "clone_loss became non-finite at epoch 1: nan")
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("epochs = 3\nhidden = 8\ngrad_steps_policy = 5\neval_laps = 1\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--method", "bc", "--track", "circle", "--expert", "pid",
+                       "--config", str(cfg_path), "--out", str(out)) == 2
+        assert "aborted: clone_loss became non-finite" in capsys.readouterr().err
+        meta = json.loads((out / "meta.json").read_text())
+        assert (meta["completed_epochs"], meta["aborted"]) == (
+            1, "clone_loss became non-finite at epoch 1: nan")
+        assert "early_stopped_at" not in meta
+        assert len(read_reports_csv(out / "reports.csv")) == 1
+        rep = tmp_path / "rep"
+        assert run_cli("report", "--run", str(out), "--out", str(rep)) == 0
+        ET.parse(rep / "laps_vs_epoch.svg")
+
+    def test_run_on_a_relative_track_file_reports_from_elsewhere(self, monkeypatch, tmp_path,
+                                                                 circle):
+        """``meta.json`` holds a track file's absolute path, a built-in's name."""
+        here, elsewhere = tmp_path / "here", tmp_path / "elsewhere"
+        here.mkdir()
+        elsewhere.mkdir()
+        write_track_file(circle, here / "my.track")
+        (here / "tiny.cfg").write_text("epochs = 1\nhidden = 8\ngrad_steps_policy = 5\n"
+                                       "eval_laps = 1\n")
+        monkeypatch.chdir(here)
+        for track in ("my.track", "circle"):
+            assert run_cli("train", "--method", "bc", "--track", track, "--expert", "pid",
+                           "--config", "tiny.cfg", "--out", f"run_{track}") == 0
+        meta = json.loads((here / "run_my.track" / "meta.json").read_text())
+        assert meta["track"] == str(here / "my.track")
+        assert json.loads((here / "run_circle" / "meta.json").read_text())["track"] == "circle"
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("report", "--run", str(here / "run_my.track"), "--out", "rep") == 0
+        ET.parse(elsewhere / "rep" / "trajectory_xy.svg")
 
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"

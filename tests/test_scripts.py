@@ -8,16 +8,28 @@ import json
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 
 import pytest
 
 from cabc.cli import main
+from cabc.reports import read_reports_csv
+
+from conftest import abort_after_one_epoch
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-NAMES = ("bench_closed_loop.py", "run_racing_experiment.py")
+NAMES = ("bench_closed_loop.py", "run_racing_experiment.py")   # every script, sorted
+
+
+def load_script(name):
+    """The script ``name`` loaded as a module, so a test can call its functions."""
+    spec = importlib.util.spec_from_file_location(name[:-3], os.path.join(SCRIPTS, name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(name, *args):
@@ -55,13 +67,30 @@ def test_labeling_benchmark_checks_its_arguments_first(tmp_path, capsys, args, m
     assert not out.exists() and not capsys.readouterr().out
 
 
+# a few seconds per cell: two epochs of five gradient steps, two-lap evaluations
+TINY_CONFIG = ("epochs = 2\nhidden = 16,16\ngrad_steps_policy = 5\ngrad_steps_dyn = 5\n"
+               "grad_steps_clf = 5\neval_laps = 2\nearly_stop = 0\n")
+
+
+def tiny_config(tmp_path, text=TINY_CONFIG):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_every_script_is_smoke_tested():
+    assert list(NAMES) == sorted(n for n in os.listdir(SCRIPTS) if n.endswith(".py"))
+
+
 def test_racing_experiment_runs_both_methods(tmp_path):
-    done = run_script("run_racing_experiment.py", "--seeds", "1", "--epochs", "1",
-                      "--track", "circle", "--expert", "pid", "--out", str(tmp_path))
+    config = tiny_config(tmp_path, TINY_CONFIG.replace("epochs = 2", "epochs = 1"))
+    out = tmp_path / "out"
+    done = run_script("run_racing_experiment.py", "--seeds", "1", "--track", "circle",
+                      "--expert", "pid", "--config", config, "--out", str(out))
     assert done.returncode == 0, done.stderr
-    with open(tmp_path / "summary.csv", newline="") as fh:
+    with open(out / "summary.csv", newline="") as fh:
         assert [row["method"] for row in csv.DictReader(fh)] == ["ca", "bc"]
-    with open(tmp_path / "summary.json") as fh:
+    with open(out / "summary.json") as fh:
         summary = json.load(fh)
     assert (summary["seeds"], summary["epochs"]) == (1, 1)
 
@@ -74,26 +103,99 @@ def test_racing_experiment_refuses_no_seeds(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args, message", [
-    (("--epochs", "-1"), "epochs must be non-negative"),
-    (("--track", "oval"), "unknown track 'oval'"),
-    (("--expert", "mpc"), "unknown expert 'mpc'"),
+# The first three ids are kept from when these settings were the script's own
+# options; an unknown expert is now refused by `cabc train`'s parser.
+@pytest.mark.parametrize("config, args, message", [
+    pytest.param("epochs = -1\n", (), "epochs must be non-negative",
+                 id="args0-epochs must be non-negative"),
+    pytest.param("", ("--track", "oval"), "unknown track 'oval'",
+                 id="args1-unknown track 'oval'"),
+    pytest.param("", ("--expert", "mpc"), "invalid choice: 'mpc'",
+                 id="args2-unknown expert 'mpc'"),
+    # each cell sets these; --seed is not read as --seeds
+    pytest.param("", ("--method", "bc"), "--method is set by each cell", id="--method bc"),
+    pytest.param("", ("--method=bc",), "--method is set by each cell", id="--method=bc"),
+    pytest.param("", ("--seed", "3"), "--seed is set by each cell", id="--seed 3"),
+    pytest.param("", ("--seed=3",), "--seed is set by each cell", id="--seed=3"),
 ])
-def test_racing_experiment_checks_settings_before_making_out(tmp_path, args, message):
+def test_racing_experiment_checks_settings_before_making_out(tmp_path, config, args, message):
     out = tmp_path / "out"
-    done = run_script("run_racing_experiment.py", "--seeds", "1", *args, "--out", str(out))
+    done = run_script("run_racing_experiment.py", "--seeds", "1", "--config",
+                      tiny_config(tmp_path, config), *args, "--out", str(out))
     assert done.returncode != 0
     assert message in done.stderr
     assert not out.exists()
 
 
 @pytest.fixture(scope="module")
+def experiment():
+    return load_script("run_racing_experiment.py")
+
+
+@pytest.fixture(scope="module")
+def experiment_run(experiment, tmp_path_factory):
+    """Two seeds of the experiment on the tiny config, run in this process."""
+    root = tmp_path_factory.mktemp("experiment")
+    out = root / "out"
+    assert experiment.main(["--seeds", "2", "--track", "circle", "--expert", "pid",
+                            "--config", tiny_config(root), "--out", str(out)]) == 0
+    return out
+
+
+def test_racing_experiment_summarises_its_run_directories(experiment_run):
+    with open(experiment_run / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["seed"], row["method"]) for row in rows] == [
+        ("0", "ca"), ("0", "bc"), ("1", "ca"), ("1", "bc")]
+    firsts = {"ca": [], "bc": []}
+    for row in rows:
+        reports = read_reports_csv(experiment_run / f"{row['method']}_seed{row['seed']}"
+                                   / "reports.csv")
+        first = next((r["epoch"] for r in reports if r["eval_laps"] >= 2), None)
+        assert row["first_full_eval"] == ("" if first is None else str(first))
+        assert int(row["best_laps"]) == max(r["eval_laps"] for r in reports)
+        assert int(row["epochs_run"]) == len(reports) == 2
+        firsts[row["method"]].append(3 if first is None else first)
+    summary = json.loads((experiment_run / "summary.json").read_text())
+    assert summary == {
+        "ca_first_full": firsts["ca"], "bc_first_full": firsts["bc"],
+        "ca_median": statistics.median(firsts["ca"]),
+        "bc_median": statistics.median(firsts["bc"]),
+        "ca_success_seeds": sum(v <= 2 for v in firsts["ca"]),
+        "bc_success_seeds": sum(v <= 2 for v in firsts["bc"]),
+        "epochs": 2, "seeds": 2}
+
+
+def test_racing_experiment_cells_are_run_directories(experiment_run):
+    for cell in ("ca_seed0", "bc_seed0", "ca_seed1", "bc_seed1"):
+        names = os.listdir(experiment_run / cell)
+        assert {"reports.csv", "meta.json", "config.txt"} <= set(names), cell
+        assert "checkpoints" not in names, cell
+
+
+def test_racing_experiment_passes_a_checkpoint_cadence(experiment, tmp_path):
+    out = tmp_path / "out"
+    assert experiment.main(["--seeds", "1", "--track", "circle", "--expert", "pid",
+                            "--config", tiny_config(tmp_path), "--checkpoint-every", "1",
+                            "--out", str(out)]) == 0
+    for cell in ("ca_seed0", "bc_seed0"):
+        assert sorted(os.listdir(out / cell / "checkpoints")) == ["epoch_0000", "epoch_0001"]
+
+
+def test_racing_experiment_stops_at_an_aborted_cell(experiment, tmp_path, monkeypatch):
+    abort_after_one_epoch(monkeypatch, "clone_loss became non-finite at epoch 1: nan")
+    out = tmp_path / "out"
+    assert experiment.main(["--seeds", "2", "--track", "circle", "--expert", "pid",
+                            "--config", tiny_config(tmp_path), "--out", str(out)]) == 2
+    assert os.listdir(out) == ["ca_seed0"]
+    meta = json.loads((out / "ca_seed0" / "meta.json").read_text())
+    assert (meta["completed_epochs"], meta["aborted"]) == (
+        1, "clone_loss became non-finite at epoch 1: nan")
+
+
+@pytest.fixture(scope="module")
 def bench():
-    spec = importlib.util.spec_from_file_location(
-        "bench_closed_loop", os.path.join(SCRIPTS, "bench_closed_loop.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("bench_closed_loop.py")
 
 
 def test_bench_kernels_time_every_network(bench, monkeypatch):

@@ -75,6 +75,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_cfg(circle, method="dagger")
 
+    def test_unknown_method_is_named_before_the_batch_rule_reads_it(self):
+        with pytest.raises(ValueError, match="^method must be 'ca' or 'bc'$"):
+            TrainConfig(method="dagger", batch_size=0)
+
     def test_neighbor_cap_positive(self, circle):
         # a zero cap used to pass here and crash in the first labeling pass
         for cap in (0, -3):
