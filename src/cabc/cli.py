@@ -6,6 +6,7 @@ Every command runs on numpy alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -335,12 +336,15 @@ def _cmd_labeldemo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no option may be abbreviated: a prefix such as --se would be read as
+    # --seed, and the experiment script passes unknown options through
     parser = argparse.ArgumentParser(
-        prog="cabc",
+        prog="cabc", allow_abbrev=False,
         description="Constraint-aware behavior cloning on a built-in racing simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("train", help="run a training method and write a run directory")
+    p = add_parser("train", help="run a training method and write a run directory")
     p.add_argument("--method", choices=("bc", "ca"), required=True)
     p.add_argument("--track", default="gp", help="built-in track name or track file")
     p.add_argument("--expert", choices=("pid", "racing"), default="racing")
@@ -352,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="policy checkpoint cadence in epochs (0 disables)")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate saved policy weights")
+    p = add_parser("eval", help="evaluate saved policy weights")
     p.add_argument("--weights", required=True,
                    help="policy .npz archive written by train, e.g. RUN/policy.npz or "
                         "RUN/checkpoints/epoch_NNNN/policy.npz: .npy members flat "
@@ -364,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("report", help="emit charts from run directories")
+    p = add_parser("report", help="emit charts from run directories")
     p.add_argument("--run", required=True)
     p.add_argument("--baseline", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("sim", help="run an expert and optionally render its path")
+    p = add_parser("sim", help="run an expert and optionally render its path")
     p.add_argument("--expert", choices=("pid", "racing"), default="racing")
     p.add_argument("--track", default="gp")
     p.add_argument("--seed", type=int, default=0)
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_sim)
 
-    p = sub.add_parser(
+    p = add_parser(
         "labeldemo", help="synthetic-set auto-labeling benchmark",
         description="Label one synthetic set at each --rho radius, fit a classifier to "
                     "the labels and evaluate it on a --grid x --grid grid. Every radius "

@@ -5,9 +5,8 @@ can be reproduced from its snapshot alone.  Each key is a field of
 ``SimConfig``, ``TrainConfig``, ``PidGains`` (prefixed ``pid_``) or
 ``RaceParams`` (prefixed ``race_``), and reads and writes by that field's
 type.  The exceptions: ``lambda`` sets ``TrainConfig.lam``,
-``race_alat_max`` sets ``RaceParams.a_lat_max``, ``v_ref`` is the PID
-expert's speed reference, and ``preview_k``/``preview_spacing`` build
-``SimConfig.preview_distances``.  Unknown keys are rejected: silent typos in
+``race_alat_max`` sets ``RaceParams.a_lat_max``, and ``v_ref`` is the PID
+expert's speed reference.  Unknown keys are rejected: silent typos in
 experiment configs are worse than a hard error.
 """
 
@@ -34,20 +33,13 @@ _PARSE = {float: float, int: int, str: str, bool: _parse_flag,
 _RENDER = {float: repr, int: repr, str: str, bool: lambda flag: "1" if flag else "0",
            Tuple[int, ...]: lambda widths: ",".join(str(w) for w in widths)}
 
-# the keys that stand in SimConfig.preview_distances' place; sim_config_from builds it
-_PREVIEW_KEYS = {"preview_k": int, "preview_spacing": float}
-
 
 def _field_keys(cls, prefix: str = "", renamed: Mapping[str, str] = {}) -> Dict[str, tuple]:
     """``{key: (field name, field type)}`` for the fields of ``cls``, in field order."""
     hints = get_type_hints(cls)
-    keys = {}
-    for f in dataclasses.fields(cls):
-        if f.name == "preview_distances":
-            keys.update((key, (key, kind)) for key, kind in _PREVIEW_KEYS.items())
-        elif not dataclasses.is_dataclass(hints[f.name]):   # TrainConfig.sim has its own keys
-            keys[renamed.get(f.name, prefix + f.name)] = (f.name, hints[f.name])
-    return keys
+    return {renamed.get(f.name, prefix + f.name): (f.name, hints[f.name])
+            for f in dataclasses.fields(cls)
+            if not dataclasses.is_dataclass(hints[f.name])}   # TrainConfig.sim has its own keys
 
 
 _SIM_KEYS = _field_keys(SimConfig)
@@ -97,19 +89,7 @@ def _fields_from(values: Dict[str, str], keys: Dict[str, tuple]) -> Dict[str, ob
 
 
 def sim_config_from(values: Dict[str, str]) -> SimConfig:
-    typed = _fields_from(values, _SIM_KEYS)
-    if "preview_k" in typed or "preview_spacing" in typed:
-        k = typed.pop("preview_k", len(SimConfig.preview_distances))
-        spacing = typed.pop("preview_spacing", 1.0)
-        # range() of a negative k is empty, and a negative spacing would be
-        # refused under SimConfig's field name instead of the key that set it
-        if k < 0:
-            raise ValueError(f"preview_k must be non-negative, got {k}")
-        if not 0.0 <= spacing < math.inf:
-            raise ValueError(f"preview_spacing must be finite and non-negative, got {spacing!r} "
-                             f"(it spaces preview_distances)")
-        typed["preview_distances"] = tuple(spacing * (i + 1) for i in range(k))
-    return SimConfig(**typed)
+    return SimConfig(**_fields_from(values, _SIM_KEYS))
 
 
 def train_config_from(values: Dict[str, str], sim: SimConfig) -> TrainConfig:
@@ -139,13 +119,8 @@ def snapshot_config(cfg: TrainConfig, values: Dict[str, str]) -> str:
     Every simulator and trainer key is written, in field order, followed by
     the expert keys the run's own config file set, sorted.
     """
-    sim = cfg.sim
-    preview = {"preview_k": len(sim.preview_distances),
-               "preview_spacing": sim.preview_distances[0] if sim.preview_distances else 1.0}
-    lines = []
-    for obj, keys in ((sim, _SIM_KEYS), (cfg, _TRAIN_KEYS)):
-        for key, (name, kind) in keys.items():
-            value = preview[key] if key in preview else getattr(obj, name)
-            lines.append(f"{key} = {_RENDER[kind](value)}")
+    lines = [f"{key} = {_RENDER[kind](getattr(obj, name))}"
+             for obj, keys in ((cfg.sim, _SIM_KEYS), (cfg, _TRAIN_KEYS))
+             for key, (name, kind) in keys.items()]
     lines += [f"{key} = {values[key]}" for key in sorted(_EXPERT_KEYS) if key in values]
     return "\n".join(lines) + "\n"

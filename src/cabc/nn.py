@@ -22,8 +22,10 @@ scalar) and ``seed`` (int64 scalar).  Every hidden layer is tanh.  Every
 member carries zip's fixed 1980 timestamp, so saving one network twice gives
 the same bytes, and ``np.load(path, allow_pickle=False)`` reads every member.
 
-Ownership.  Parameters are immutable values: nothing writes into an
-``MlpParams`` after it is built, and ``adam_step`` returns a new one.  An
+Ownership.  Parameters are immutable values.  ``MlpParams(sizes, flat,
+head, seed)`` is the one way to build a network: it checks every value, takes
+``flat`` over without copying it and makes it read-only, so nothing can write
+into a network after it is built; ``adam_step`` returns a new one.  An
 ``OptState``'s moments and a ``Tape``'s buffers are workspaces owned by one
 training loop: ``adam_step`` updates its ``OptState`` in place, and a tape
 passed again at the same layer sizes and batch reuses its buffers.  So an
@@ -57,67 +59,48 @@ def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple:
     return tuple(views)
 
 
-@dataclass(frozen=True)
+def _param_count(sizes: Sequence[int]) -> int:
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+
+
+@dataclass(frozen=True, eq=False)
 class MlpParams:
+    """One network: layer widths, the parameters in the layout above, the
+    output head and the init seed.  ``==`` compares identity."""
+
     sizes: Tuple[int, ...]
-    weights: tuple            # ((W, b), ...) with W of shape (n_in, n_out)
+    flat: np.ndarray = field(repr=False)
     head: str = "identity"
     seed: int = 0
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: tuple = field(init=False, repr=False)   # ((W, b), ...) views into flat
 
     def __post_init__(self):
-        _check_head(self.head)
-        if len(self.weights) != len(self.sizes) - 1:
-            raise ValueError("weight count does not match layer sizes")
-        for i, (W, b) in enumerate(self.weights):
-            if np.shape(W) != (self.sizes[i], self.sizes[i + 1]) or \
-                    np.shape(b) != (self.sizes[i + 1],):
-                raise ValueError(f"layer {i} shape mismatch")
-        flat = np.empty(sum(np.size(W) + np.size(b) for W, b in self.weights))
-        for (W, b), (vW, vb) in zip(self.weights, _layer_views(flat, self.sizes)):
-            vW[...] = W
-            vb[...] = b
-        self._adopt(flat)
-
-    def _adopt(self, flat: np.ndarray) -> None:
-        """Back this value by ``flat`` (not copied) after checking it is finite."""
+        sizes, flat = self.sizes, self.flat
+        if self.head not in _HEADS:
+            raise ValueError(f"unknown head {self.head!r}")
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ValueError(f"layer sizes {sizes} need two or more widths, each >= 1")
+        n = _param_count(sizes)
+        if flat.shape != (n,):
+            raise ValueError(f"flat has shape {flat.shape}; layer sizes {sizes} need ({n},)")
         if not np.isfinite(flat).all():
-            bad = next(i for i, (W, b) in enumerate(_layer_views(flat, self.sizes))
+            bad = next(i for i, (W, b) in enumerate(_layer_views(flat, sizes))
                        if not (np.isfinite(W).all() and np.isfinite(b).all()))
             raise ValueError(f"layer {bad} has non-finite values")
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "weights", _layer_views(flat, self.sizes))
-
-    def with_flat(self, flat: np.ndarray) -> "MlpParams":
-        """The same network backed by ``flat``, which the new value takes over."""
-        return _from_flat(self.sizes, flat, self.head, self.seed)
-
-
-def _check_head(head: str) -> None:
-    if head not in _HEADS:
-        raise ValueError(f"unknown head {head!r}")
-
-
-def _from_flat(sizes: Tuple[int, ...], flat: np.ndarray, head: str, seed: int) -> MlpParams:
-    """An ``MlpParams`` backed by ``flat`` (not copied), which has its layout."""
-    new = object.__new__(MlpParams)
-    for name, value in (("sizes", sizes), ("head", head), ("seed", seed)):
-        object.__setattr__(new, name, value)
-    new._adopt(flat)
-    return new
+        # read-only before the views are taken, so that they are read-only too
+        flat.flags.writeable = False
+        object.__setattr__(self, "weights", _layer_views(flat, sizes))
 
 
 def init_mlp(sizes: Sequence[int], head: str = "identity", seed: int = 0) -> MlpParams:
     """Glorot-uniform initialization, reproducible from the seed."""
+    sizes = tuple(int(s) for s in sizes)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    weights = []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        W = rng.uniform(-bound, bound, size=(n_in, n_out))
-        b = np.zeros(n_out)
-        weights.append((W, b))
-    return MlpParams(sizes=tuple(int(s) for s in sizes), weights=tuple(weights),
-                     head=head, seed=seed)
+    flat = np.zeros(_param_count(sizes))
+    for W, _ in _layer_views(flat, sizes):
+        bound = np.sqrt(6.0 / sum(W.shape))
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+    return MlpParams(sizes, flat, head, seed)
 
 
 def _apply_head(z: np.ndarray, head: str) -> np.ndarray:
@@ -312,7 +295,7 @@ def adam_step(p: MlpParams, grads, opt: OptState) -> Tuple[MlpParams, OptState]:
     s *= opt.lr
     np.divide(s, new, out=new)
     np.subtract(p.flat, new, out=new)
-    return p.with_flat(new), opt
+    return MlpParams(p.sizes, new, p.head, p.seed), opt
 
 
 def save_weights(p: MlpParams, path) -> None:
@@ -335,11 +318,9 @@ def load_weights(path) -> MlpParams:
 
     Raises ``FileNotFoundError`` when nothing is at ``path``, and
     ``ValueError`` when it is not a zip archive (weights saved as JSON text
-    before the ``.npz`` format no longer load), when ``sizes``
-    has fewer than two widths or one below 1, or when ``flat`` does not hold
-    exactly the parameters ``sizes`` calls for, or holds a non-finite value.
-    Older archives also carry an ``activation`` member, always ``tanh``; it
-    is not read.
+    before the ``.npz`` format no longer load) or when ``MlpParams`` refuses
+    its members.  Older archives also carry an ``activation`` member, always
+    ``tanh``; it is not read.
     """
     if not os.path.exists(path):
         # is_zipfile would report a missing file as one of another format
@@ -348,14 +329,6 @@ def load_weights(path) -> MlpParams:
         # np.load would report such a file as pickled data
         raise ValueError(f"{path} is not an .npz weight archive")
     with np.load(path, allow_pickle=False) as data:
-        flat = data["flat"].astype(np.float64, copy=False)
-        sizes = tuple(int(n) for n in data["sizes"])
-        head = data["head"].item()
-        seed = int(data["seed"])
-    _check_head(head)
-    if len(sizes) < 2 or min(sizes) < 1:
-        raise ValueError(f"layer sizes {sizes} need two or more widths, each >= 1")
-    n = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
-    if flat.shape != (n,):
-        raise ValueError(f"flat has shape {flat.shape}; layer sizes {sizes} need ({n},)")
-    return _from_flat(sizes, flat, head, seed)
+        return MlpParams(tuple(int(n) for n in data["sizes"]),
+                         data["flat"].astype(np.float64, copy=False),
+                         data["head"].item(), int(data["seed"]))

@@ -335,16 +335,14 @@ def emit_reports(run_dir, out_dir, baseline_dir=None) -> List[str]:
     """Produce comparison charts and CSV extracts from one or two run dirs."""
     reports_path = os.path.join(run_dir, "reports.csv")
     meta_path = os.path.join(run_dir, "meta.json")
-    _require([reports_path, meta_path])
+    base_reports = None if baseline_dir is None else os.path.join(baseline_dir, "reports.csv")
+    # both runs' files are checked before out_dir is made
+    _require([reports_path, meta_path] + ([] if base_reports is None else [base_reports]))
     os.makedirs(out_dir, exist_ok=True)
     rows = read_reports_csv(reports_path)
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    base_rows = None
-    if baseline_dir is not None:
-        base_reports = os.path.join(baseline_dir, "reports.csv")
-        _require([base_reports])
-        base_rows = read_reports_csv(base_reports)
+    base_rows = None if base_reports is None else read_reports_csv(base_reports)
     written: List[str] = []
 
     def _csv(name: str, header: List[str], data_rows: List[list]) -> None:

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,10 +51,12 @@ class SimConfig:
     half_width_margin: float = 0.1
     e_psi_max: float = math.pi / 2
 
-    # output map: velocities plus the lane centre's lateral offsets ahead, Gaussian noise
+    # output map: velocities plus the lane centre's lateral offsets at preview_k
+    # arc ranges preview_spacing apart, Gaussian noise
     noise_sigma_v: float = 0.02
     noise_sigma_kappa: float = 0.01
-    preview_distances: Tuple[float, ...] = tuple(float(i) for i in range(1, 11))
+    preview_k: int = 10
+    preview_spacing: float = 1.0   # m
 
     max_steps: int = 600       # per lap attempt
     lap_target: int = 1        # laps of progress required to reach the target set
@@ -63,14 +65,12 @@ class SimConfig:
         # a negative noise sigma would silently turn observation noise off
         check_fields(self, positive=("dt", "v_max", "yaw_radius_sq", "steer_max", "e_psi_max"),
                      non_negative=("drag_lin", "drag_quad", "stiff_front", "stiff_rear",
-                                   "half_width_margin", "noise_sigma_v", "noise_sigma_kappa"),
+                                   "half_width_margin", "noise_sigma_v", "noise_sigma_kappa",
+                                   "preview_k", "preview_spacing"),
                      at_least_one=("max_steps", "lap_target"))
-        distances = tuple(float(d) for d in self.preview_distances)
-        # lane_preview walks the pose table forward; written so that NaN fails too
-        if (not all(0 <= d < math.inf for d in distances)
-                or any(b < a for a, b in zip(distances, distances[1:]))):
-            raise ValueError("preview_distances must be finite, non-negative and ascending")
-        object.__setattr__(self, "preview_distances", distances)
+        # derived, not a field; observe reads it every step
+        object.__setattr__(self, "preview_distances", tuple(
+            self.preview_spacing * (i + 1) for i in range(self.preview_k)))
 
 
 def _derivatives(cfg: SimConfig, kappa: float, x: tuple, u: tuple):

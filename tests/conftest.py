@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cabc.core import DatasetWriter, Outcome, TerminationReason, Trajectory, state_row
+from cabc.nn import MlpParams
 from cabc.sim import SimConfig
 from cabc.track import TrackSpec, get_track
 
@@ -70,6 +71,12 @@ def abort_after_one_epoch(monkeypatch, message: str) -> None:
         return real_train(*args, epoch_callback=after_one_epoch, **kw)
 
     monkeypatch.setattr(cabc.cli, "train", aborting)
+
+
+def mlp_from_layers(sizes, layers, head: str = "identity") -> MlpParams:
+    """The network whose ``(W, b)`` layers are ``layers``, laid into one flat vector."""
+    flat = np.concatenate([np.concatenate([np.ravel(W), np.ravel(b)]) for W, b in layers])
+    return MlpParams(tuple(sizes), flat.astype(float, copy=False), head)
 
 
 def states_array(states) -> np.ndarray:

@@ -25,6 +25,8 @@ from cabc.experts import RacingExpert
 from cabc.sim import SimConfig, default_start_state, rng_stream, rollout
 from cabc.trainer import agent_loss_and_grad
 
+from conftest import mlp_from_layers
+
 
 LAM = 2.0  # safety weight of the penalty tests
 
@@ -43,13 +45,9 @@ def small_critic(norm7):
 
 
 def perturb_weight(params, layer, idx, dv):
-    ws = []
-    for i, (W, b) in enumerate(params.weights):
-        if i == layer:
-            W = W.copy()
-            W[idx] += dv
-        ws.append((W, b))
-    return nn.MlpParams(sizes=params.sizes, weights=tuple(ws), head=params.head)
+    ws = [(W.copy(), b) for W, b in params.weights]
+    ws[layer][0][idx] += dv
+    return mlp_from_layers(params.sizes, ws, params.head)
 
 
 class TestDynLoss:
@@ -58,7 +56,7 @@ class TestDynLoss:
         rng = np.random.default_rng(0)
         W = rng.normal(size=(9, 6))
         b = rng.normal(size=6)
-        params = nn.MlpParams(sizes=(9, 6), weights=((W, b),), head="identity")
+        params = mlp_from_layers((9, 6), ((W, b),))
         dyn = DynModel(params=params, norm=norm7, delta_scale=delta_scale_from(cfg))
         X = rng.normal(size=(8, 6))
         U = rng.uniform(-1, 1, size=(8, 2))
@@ -136,8 +134,7 @@ class TestDynLoss:
 
 class TestClfLoss:
     def test_coin_flip_classifier_loss_is_ln2(self, norm7):
-        zero = nn.MlpParams(sizes=(7, 1), weights=((np.zeros((7, 1)), np.zeros(1)),),
-                            head="sigmoid")
+        zero = nn.MlpParams((7, 1), np.zeros(8), "sigmoid")
         clf = SafetyClf(params=zero, norm=norm7)
         X = np.random.default_rng(0).normal(size=(10, 6))
         labels = np.array([1, 0] * 5, dtype=float)
@@ -208,9 +205,7 @@ class TestSafetyPenalty:
     def test_saturated_safe_classifier_gives_zero_gradient(self, norm7):
         cfg = SimConfig()
         dyn = init_dyn_model(norm7, cfg, hidden=(8,), seed=0)
-        sat = nn.MlpParams(sizes=(7, 1),
-                           weights=((np.zeros((7, 1)), np.full(1, 100.0)),),
-                           head="sigmoid")
+        sat = mlp_from_layers((7, 1), ((np.zeros((7, 1)), np.full(1, 100.0)),), "sigmoid")
         clf = SafetyClf(params=sat, norm=norm7)
         pen, g_u = safety_penalty_and_input_grad(clf, dyn, np.zeros((2, 6)),
                                                  np.zeros((2, 2)), 5.0)

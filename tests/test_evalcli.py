@@ -397,6 +397,35 @@ class TestCli:
         assert run_cli("report", "--run", str(out), "--out", str(rep)) == 0
         ET.parse(rep / "laps_vs_epoch.svg")
 
+    def test_report_with_a_missing_baseline_makes_no_out(self, smoke_run, tmp_path):
+        _, _, out = smoke_run
+        rep = tmp_path / "rep"
+        with pytest.raises(FileNotFoundError, match="nothere.reports.csv"):
+            run_cli("report", "--run", str(out), "--baseline", str(tmp_path / "nothere"),
+                    "--out", str(rep))
+        assert not rep.exists()
+
+    def test_abbreviated_option_is_refused(self, tmp_path, capsys):
+        """``--se`` used to be read as ``--seed``."""
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exited:
+            run_cli("train", "--method", "bc", "--track", "circle", "--se", "3",
+                    "--out", str(out))
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --se 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_preview_k_run_records_its_spacing(self, tmp_path):
+        """Without a preview the snapshot used to record a spacing of 1.0."""
+        cfg_path = tmp_path / "zero.cfg"
+        cfg_path.write_text("epochs = 0\nhidden = 8\neval_laps = 1\n"
+                            "preview_k = 0\npreview_spacing = 2\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--method", "bc", "--track", "circle", "--expert", "pid",
+                       "--config", str(cfg_path), "--out", str(out)) == 0
+        text = (out / "config.txt").read_text()
+        assert "preview_k = 0\npreview_spacing = 2.0\n" in text
+
     def test_report_on_empty_rundir_lists_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError) as err:
             emit_reports(tmp_path / "nothing", tmp_path / "out")

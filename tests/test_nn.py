@@ -21,6 +21,7 @@ from cabc.nn import (
     save_weights,
 )
 
+from conftest import mlp_from_layers
 from gradcheck import _central_differences, grad_check
 
 
@@ -31,8 +32,8 @@ def taped_backward(p, x, upstream, **kw):
 
 
 def zero_net(sizes, head="identity"):
-    weights = tuple((np.zeros((a, b)), np.zeros(b)) for a, b in zip(sizes[:-1], sizes[1:]))
-    return MlpParams(sizes=tuple(sizes), weights=weights, head=head)
+    n = sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
+    return MlpParams(tuple(sizes), np.zeros(n), head)
 
 
 class TestForward:
@@ -48,7 +49,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         W = rng.normal(size=(3, 2))
         b = rng.normal(size=2)
-        p = MlpParams(sizes=(3, 2), weights=((W, b),), head="identity")
+        p = mlp_from_layers((3, 2), ((W, b),))
         x = rng.normal(size=3)
         assert np.allclose(forward(p, x), x @ W + b)
 
@@ -82,8 +83,7 @@ class TestForward:
             forward(p, np.ones(shape), Tape())
 
     def test_probability_head_never_saturates_exactly(self):
-        W = (np.full((1, 1), 1e6), np.zeros(1))
-        p = MlpParams(sizes=(1, 1), weights=(W,), head="sigmoid")
+        p = MlpParams((1, 1), np.array([1e6, 0.0]), "sigmoid")
         hi = forward(p, np.array([1.0]))[0]
         lo = forward(p, np.array([-1.0]))[0]
         assert 0.0 < lo < hi < 1.0
@@ -112,7 +112,7 @@ class TestBackward:
     def test_linear_input_grad_closed_form(self):
         rng = np.random.default_rng(5)
         W = rng.normal(size=(4, 3))
-        p = MlpParams(sizes=(4, 3), weights=((W, np.zeros(3)),), head="identity")
+        p = mlp_from_layers((4, 3), ((W, np.zeros(3)),))
         upstream = rng.normal(size=(1, 3))
         _, gx = taped_backward(p, rng.normal(size=(1, 4)), upstream)
         assert np.allclose(gx, upstream @ W.T)
@@ -178,16 +178,13 @@ class TestBackward:
         def scalar(params, xv):
             return float(c @ forward(params, xv))
 
-        theta = p.flat.copy()
-        q = p.with_flat(theta)
-        per_entry = []
-        for j in range(len(theta)):
-            theta[j] = p.flat[j] + h
-            f_plus = scalar(q, x)
-            theta[j] = p.flat[j] - h
-            f_minus = scalar(q, x)
-            theta[j] = p.flat[j]
-            per_entry.append((f_plus - f_minus) / (2 * h))
+        def shifted(j, step):
+            theta = p.flat.copy()
+            theta[j] += step
+            return MlpParams(p.sizes, theta, p.head)
+
+        per_entry = [(scalar(shifted(j, h), x) - scalar(shifted(j, -h), x)) / (2 * h)
+                     for j in range(p.flat.size)]
         for j in range(len(x)):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
@@ -357,8 +354,7 @@ class TestAdam:
         assert opt2.t == 1
 
     def test_first_step_moves_by_lr_sign(self):
-        W = (np.zeros((1, 1)), np.zeros(1))
-        p = MlpParams(sizes=(1, 1), weights=(W,), head="identity")
+        p = zero_net((1, 1))
         opt = init_opt(p, lr=0.01)
         grads = ParamGrads(np.array([3.7, -0.2]), p.sizes)  # (dW, db)
         p2, _ = adam_step(p, grads, opt)
@@ -366,8 +362,7 @@ class TestAdam:
         assert p2.weights[0][1][0] == pytest.approx(0.01, rel=1e-6)
 
     def test_scalar_quadratic_converges(self):
-        p = MlpParams(sizes=(1, 1), weights=((np.zeros((1, 1)), np.zeros(1)),),
-                      head="identity")
+        p = zero_net((1, 1))
         opt = init_opt(p, lr=0.1)
         x = np.array([[1.0]])
         for _ in range(200):
@@ -407,7 +402,7 @@ class TestDeterminismAndIO:
         p = init_mlp((3, 4, 2), head="tanh", seed=2)
         flat = p.flat.copy()
         flat[:6] = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.nextafter(1.0, 2.0)]
-        p = p.with_flat(flat)
+        p = MlpParams(p.sizes, flat, p.head, p.seed)
         save_weights(p, tmp_path / "w.npz")
         q = load_weights(tmp_path / "w.npz")
         assert q.flat.dtype == np.float64
@@ -475,14 +470,27 @@ class TestDeterminismAndIO:
         with pytest.raises(FileNotFoundError, match="missing.npz"):
             load_weights(path)
 
-    def test_params_copy_their_source_arrays(self):
-        W, b = np.ones((2, 3)), np.zeros(3)
-        p = MlpParams(sizes=(2, 3), weights=((W, b),))
-        W[0, 0] = 5.0
-        b[1] = -1.0
+    def test_params_take_over_their_flat_vector(self):
+        flat = np.r_[np.ones(6), np.zeros(3)]
+        p = MlpParams((2, 3), flat)
+        assert p.flat is flat and not flat.flags.writeable
         assert np.all(p.weights[0][0] == 1.0) and np.all(p.weights[0][1] == 0.0)
-        assert np.array_equal(p.flat, np.r_[np.ones(6), np.zeros(3)])
         assert np.shares_memory(p.weights[0][0], p.flat)
+
+    def test_params_cannot_be_written(self):
+        """Nothing writes into a network after it is built: not through its
+        ``weights`` views, nor through the vector it took over."""
+        p = init_mlp((3, 4, 2), head="tanh", seed=1)
+        for target in (p.weights[0][0], p.weights[1][1], p.flat):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0] = 1.0
+        q = adam_step(p, ParamGrads(np.ones_like(p.flat), p.sizes), init_opt(p))[0]
+        with pytest.raises(ValueError, match="read-only"):
+            q.weights[0][0][0, 0] = 1.0
+
+    def test_params_compare_by_identity(self):
+        p, q = init_mlp((2, 3), seed=0), init_mlp((2, 3), seed=0)
+        assert p == p and p != q
 
     def test_non_finite_values_are_rejected_by_layer(self):
         p = init_mlp((3, 4, 4, 2), seed=2)
@@ -491,22 +499,24 @@ class TestDeterminismAndIO:
                 flat = p.flat.copy()
                 flat[index] = bad
                 with pytest.raises(ValueError, match=f"layer {layer} has non-finite"):
-                    p.with_flat(flat)
+                    MlpParams(p.sizes, flat)
         # +inf and -inf together are caught at the first of them
         flat = p.flat.copy()
         flat[[1, 30]] = np.inf, -np.inf
         with pytest.raises(ValueError, match="layer 0 has non-finite"):
-            p.with_flat(flat)
+            MlpParams(p.sizes, flat)
 
     def test_finite_values_whose_sum_overflows_are_accepted(self):
-        p = MlpParams(sizes=(1, 2), weights=((np.array([[1e308, 1e308]]), np.zeros(2)),))
-        assert np.array_equal(p.flat, [1e308, 1e308, 0.0, 0.0])
-        assert p.with_flat(-p.flat).flat[1] == -1e308
+        p = MlpParams((1, 2), np.array([1e308, 1e308, 0.0, 0.0]))
+        assert MlpParams(p.sizes, -p.flat).flat[1] == -1e308
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            MlpParams(sizes=(2, 3), weights=((np.zeros((2, 4)), np.zeros(4)),))
-        with pytest.raises(ValueError):
-            MlpParams(sizes=(2, 3), weights=((np.full((2, 3), np.nan), np.zeros(3)),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="flat has shape"):
+            mlp_from_layers((2, 3), ((np.zeros((2, 4)), np.zeros(4)),))
+        with pytest.raises(ValueError, match="layer 0 has non-finite"):
+            mlp_from_layers((2, 3), ((np.full((2, 3), np.nan), np.zeros(3)),))
+        with pytest.raises(ValueError, match="unknown head 'relu'"):
             init_mlp((2, 2), head="relu")
+        for sizes in ((3,), (3, 0, 2)):
+            with pytest.raises(ValueError, match="each >= 1"):
+                MlpParams(sizes, np.zeros(2))

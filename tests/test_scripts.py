@@ -127,6 +127,16 @@ def test_racing_experiment_checks_settings_before_making_out(tmp_path, config, a
     assert not out.exists()
 
 
+def test_racing_experiment_refuses_an_abbreviated_option(tmp_path):
+    """``cabc train`` used to read a passed-through ``--se 3`` as ``--seed 3``."""
+    out = tmp_path / "out"
+    done = run_script("run_racing_experiment.py", "--seeds", "1", "--se", "3",
+                      "--out", str(out))
+    assert done.returncode == 2
+    assert "unrecognized arguments: --se 3" in done.stderr
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def experiment():
     return load_script("run_racing_experiment.py")

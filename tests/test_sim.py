@@ -25,15 +25,20 @@ from conftest import make_state, max_abs_curvature, same_trajectory
 @pytest.mark.parametrize("name, value", [
     ("lap_target", 0),
     ("max_steps", 0),
-    ("preview_distances", (-1.0, -2.0)),
-    ("preview_distances", (-0.5, 1.0)),
-    ("preview_distances", (1.0, math.nan)),
-    ("preview_distances", (1.0, math.inf)),
-    ("preview_distances", (1.0, 3.0, 2.0)),
-], ids=["lap_target", "max_steps", "negative", "negative_first", "nan", "inf", "descending"])
+    ("preview_spacing", -1.0),
+    ("preview_k", -1),
+    ("preview_spacing", math.nan),
+    ("preview_spacing", math.inf),
+], ids=["lap_target", "max_steps", "negative", "negative_k", "nan", "inf"])
 def test_config_rejects_settings_that_corrupt_rollouts(name, value):
     with pytest.raises(ValueError, match=name):
         SimConfig(**{name: value})
+
+
+def test_preview_distances_are_k_multiples_of_the_spacing():
+    assert SimConfig().preview_distances == tuple(float(i) for i in range(1, 11))
+    assert SimConfig(preview_k=3, preview_spacing=0.5).preview_distances == (0.5, 1.0, 1.5)
+    assert SimConfig(preview_k=0).preview_distances == ()
 
 
 _SIM_FLOATS = [name for name, value in vars(SimConfig()).items() if isinstance(value, float)]
@@ -179,8 +184,7 @@ class TestObserve:
         assert y1 == y2
 
     def test_monte_carlo_noise_std(self, circle):
-        cfg = SimConfig(noise_sigma_v=0.05, noise_sigma_kappa=0.02,
-                        preview_distances=(1.0, 2.0))
+        cfg = SimConfig(noise_sigma_v=0.05, noise_sigma_kappa=0.02, preview_k=2)
         x = make_state(v=1.0, s=0.5)
         rng = np.random.default_rng(7)
         draws = np.array([observe(cfg, circle, x, rng) for _ in range(100_000)])

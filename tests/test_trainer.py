@@ -34,7 +34,7 @@ from cabc.trainer import (
     _finite_or_raise,
 )
 
-from conftest import make_state, same_trajectory
+from conftest import make_state, mlp_from_layers, same_trajectory
 
 
 def tiny_cfg(track, **kw):
@@ -499,8 +499,8 @@ class TestComputeGradients:
             ws_m = [(w.copy(), b.copy()) for w, b in policy.weights]
             ws_p[layer][0][idx] += h
             ws_m[layer][0][idx] -= h
-            pp = nn.MlpParams(sizes=policy.sizes, weights=tuple(ws_p), head="tanh")
-            pm = nn.MlpParams(sizes=policy.sizes, weights=tuple(ws_m), head="tanh")
+            pp = mlp_from_layers(policy.sizes, ws_p, "tanh")
+            pm = mlp_from_layers(policy.sizes, ws_m, "tanh")
             fd = (clone_loss(pp) - clone_loss(pm)) / (2 * h)
             analytic = grad_theta[layer][0][idx]
             assert abs(fd - analytic) <= 1e-6 + 1e-4 * max(abs(fd), abs(analytic))
@@ -510,7 +510,7 @@ class TestComputeGradients:
         rng = np.random.default_rng(3)
         W = rng.normal(size=(4, 2)) * 0.3
         b = rng.normal(size=2) * 0.1
-        policy = nn.MlpParams(sizes=(4, 2), weights=((W, b),), head="tanh")
+        policy = mlp_from_layers((4, 2), ((W, b),), "tanh")
         x = rng.normal(size=4)
         u_exp = np.array([0.2, -0.1])
         clone, safety, grads = agent_loss_and_grad(policy, x[None, :], u_exp[None, :],
@@ -529,15 +529,11 @@ class TestComputeGradients:
         norm = NormStats(mean=np.zeros(7), std=np.ones(7), lap_length=circle.lap_length)
         W_dyn = np.zeros((9, 6))
         W_dyn[7, 0] = 1.0
-        dyn = DynModel(params=nn.MlpParams(sizes=(9, 6),
-                                           weights=((W_dyn, np.zeros(6)),),
-                                           head="identity"),
+        dyn = DynModel(params=mlp_from_layers((9, 6), ((W_dyn, np.zeros(6)),)),
                        norm=norm, delta_scale=delta_scale_from(cfg.sim))
         W_clf = np.zeros((7, 1))
         W_clf[0, 0] = -4.0
-        clf = SafetyClf(params=nn.MlpParams(sizes=(7, 1),
-                                            weights=((W_clf, np.zeros(1)),),
-                                            head="sigmoid"),
+        clf = SafetyClf(params=mlp_from_layers((7, 1), ((W_clf, np.zeros(1)),), "sigmoid"),
                         norm=norm)
         from cabc.critic import safety_penalty_and_input_grad
         x = np.array([[1.0, 0.0, 0.0, 3.0, 0.0, 0.0]])
