@@ -479,19 +479,10 @@ def sample_box(n: int, rng: np.random.Generator, lo: float = -5.0,
     return rng.uniform(lo, hi, size=(n, 2))
 
 
-def label_synthetic(synth: SyntheticSet, n_plus: int, n_query: int, rho: float,
-                    rng: np.random.Generator):
-    """Fig-style benchmark: sample pools, run the hull exclusion, return arrays.
-
-    The queries are uniform over :func:`sample_box`'s default square, and the
-    hull test runs at ``HULL_TOL`` with uncapped neighborhoods.  Returns
-    ``(plus_pts, query_pts, removed_mask)`` where ``removed_mask`` flags the
-    query points excluded from the negative set.
-    """
-    plus = synth.sample_inside(n_plus, rng)
-    query = sample_box(n_query, rng)
-    removed = member_mask(plus, query, rho)
-    return plus, query, removed
+def label_synthetic(plus: np.ndarray, query: np.ndarray, rho: float) -> np.ndarray:
+    """Fig-style benchmark: the mask of the ``query`` points the hull test, at
+    ``HULL_TOL`` with uncapped neighborhoods, removes from the negative set."""
+    return member_mask(plus, query, rho)
 
 
 def prop1_violation_count(removed_pts: np.ndarray, synth: SyntheticSet,

@@ -6,6 +6,7 @@ Every command runs on numpy alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -22,6 +23,7 @@ from .autolabel import (
     incorrect_removals,
     label_synthetic,
     prop1_violation_count,
+    sample_box,
     train_synthetic_classifier,
 )
 from .config import (
@@ -48,32 +50,31 @@ from .trainer import OBS_FLAGS, NonFiniteLossError, load_policy, make_expert_fac
 EXIT_NONFINITE = 2
 
 
-def _check_seed(seed: int) -> None:
-    """Refuse a negative ``--seed`` before a command writes anything."""
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
-
-
-def _load_configs(args) -> tuple:
-    values = parse_config_file(args.config) if args.config else {}
-    sim = sim_config_from(values)
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
-    # the command line's method and feedback override the file's, and are in
-    # place when the config is validated
-    options = {"method": args.method, "observation_mode": OBS_FLAGS[args.obs]}
-    cfg = train_config_from({**values, **options}, sim)
-    return cfg, values
+@contextlib.contextmanager
+def _refused(args, out=None):
+    """Build a command's settings in this block: a setting it refuses, or an
+    ``out`` directory that exists and is not empty (one run directory holds one
+    run), ends the command with its parser's one-line usage error, exit 2.  The
+    block must write nothing, so that a refused command leaves nothing behind."""
+    try:
+        if out and os.path.exists(out) and (not os.path.isdir(out) or os.listdir(out)):
+            raise ValueError(f"--out {out} exists and is not an empty directory")
+        yield
+    except (ValueError, KeyError, OSError) as exc:
+        args.parser.error(exc.args[0] if isinstance(exc, KeyError) else str(exc))
 
 
 def _cmd_train(args) -> int:
-    if args.checkpoint_every < 0:
-        raise ValueError(f"--checkpoint-every must be non-negative, got {args.checkpoint_every}")
-    cfg, values = _load_configs(args)
-    track = resolve_track(args.track)
-    v_ref, pid_gains, race_params = expert_params_from(values)
-    factory = make_expert_factory(args.expert, cfg.sim, track, v_ref=v_ref,
-                                  pid_gains=pid_gains, race_params=race_params)
+    with _refused(args, out=args.out):
+        values = parse_config_file(args.config) if args.config else {}
+        if args.seed is not None:
+            values["seed"] = str(args.seed)
+        # the command line's method and feedback override the file's, and are in
+        # place when the config is validated
+        options = {"method": args.method, "observation_mode": OBS_FLAGS[args.obs]}
+        cfg = train_config_from({**values, **options}, sim_config_from(values))
+        track = resolve_track(args.track)
+        factory = make_expert_factory(args.expert, cfg.sim, track, *expert_params_from(values))
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -145,11 +146,11 @@ def _print_result(result, *stats: str) -> None:
 
 
 def _cmd_eval(args) -> int:
-    _check_seed(args.seed)
-    values = parse_config_file(args.config) if args.config else {}
-    sim = sim_config_from(values)
-    track = resolve_track(args.track)
-    policy = load_policy(args.weights, OBS_FLAGS[args.obs], sim, track)
+    with _refused(args):
+        values = parse_config_file(args.config) if args.config else {}
+        sim = sim_config_from(values)
+        track = resolve_track(args.track)
+        policy = load_policy(args.weights, OBS_FLAGS[args.obs], sim, track)
     _print_result(evaluate(policy, sim, track, seed=args.seed, laps=args.laps),
                   "lap_mean", "lap_std", "lap_min", "lap_max")
     return 0
@@ -177,13 +178,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    _check_seed(args.seed)
-    values = parse_config_file(args.config) if args.config else {}
-    sim = sim_config_from(values)
-    track = resolve_track(args.track)
-    v_ref, pid_gains, race_params = expert_params_from(values)
-    factory = make_expert_factory(args.expert, sim, track, v_ref=v_ref,
-                                  pid_gains=pid_gains, race_params=race_params)
+    with _refused(args):
+        values = parse_config_file(args.config) if args.config else {}
+        sim = sim_config_from(values)
+        track = resolve_track(args.track)
+        factory = make_expert_factory(args.expert, sim, track, *expert_params_from(values))
     _print_result(evaluate(factory(), sim, track, seed=args.seed, laps=args.laps),
                   "lap_mean", "lap_std")
     if args.render:
@@ -237,55 +236,58 @@ def _rho_tag(rho: float) -> str:
     return f"rho{rho:g}".replace(".", "p")
 
 
-def _labeldemo_radii(args) -> list:
-    """The ``--rho`` radii, once every argument is checked: a bad one raises
-    ``ValueError`` naming it before anything is written."""
+def _radii(text: str) -> list:
+    """The ``--rho`` radii: comma-separated numbers, each finite and
+    non-negative, no two with one file tag (the second pass would overwrite
+    the first pass's files)."""
     try:
-        rhos = [float(tok) for tok in args.rho.split(",") if tok]
+        rhos = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         rhos = []
     if not rhos:
-        raise ValueError(f"--rho must be comma-separated numbers, got {args.rho!r}")
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}")
     for rho in rhos:
         if not 0.0 <= rho < math.inf:
-            raise ValueError(f"--rho radii must be finite and non-negative, got {rho!r}")
+            raise argparse.ArgumentTypeError(f"radii must be finite and non-negative, "
+                                             f"got {rho!r}")
     tags = [_rho_tag(rho) for rho in rhos]
     for i, tag in enumerate(tags):
         if tag in tags[:i]:
-            raise ValueError(f"--rho radius {rhos[i]!r} repeats the file tag {tag!r} "
-                             f"of radius {rhos[tags.index(tag)]!r}")
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
-    if args.grid < 2:
-        raise ValueError(f"--grid must be at least 2, got {args.grid}")
-    _check_seed(args.seed)
+            raise argparse.ArgumentTypeError(f"radius {rhos[i]!r} repeats the file tag "
+                                             f"{tag!r} of radius {rhos[tags.index(tag)]!r}")
     return rhos
 
 
+def _at_least(least: int):
+    """An ``argparse`` type: an integer of at least ``least``.  Text that is no
+    integer reads as ``invalid integer value``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
 def _cmd_labeldemo(args) -> int:
-    synth = _SYNTH[args.set]()
-    rhos = _labeldemo_radii(args)
+    with _refused(args, out=args.out):
+        synth = _SYNTH[args.set]()
+    rng = rng_stream(args.seed)
+    plus = synth.sample_inside(args.n, rng)
+    query = sample_box(args.n, rng)
     os.makedirs(args.out, exist_ok=True)
     summary_path = os.path.join(args.out, "summary.csv")
     summary = [("set", "rho", "removed", "violations", "incorrect_removals",
                 "balanced_accuracy")]
-    samples = None      # (plus, query) as samples.csv holds them
     true_set = None     # (zero contour, truth mask) of the true set on the grid
-    for rho in rhos:
+    for i, rho in enumerate(args.rho):
         # each pass begins with its own labeling call (perfbench marks the
-        # passes there); a fresh stream of the one seed draws the samples
-        # the first pass wrote, and each later pass checks that it did
-        plus, query, removed = label_synthetic(synth, args.n, args.n, rho,
-                                               rng_stream(args.seed))
-        if samples is None:
-            samples = plus, query
+        # passes there); every pass labels the one draw that samples.csv holds
+        removed = label_synthetic(plus, query, rho)
+        if i == 0:
             write_samples_csv(os.path.join(args.out, "samples.csv"),
                               plus, synth.signed_distance(plus),
                               query, synth.signed_distance(query))
-        elif np.array_equal(plus, samples[0]) and np.array_equal(query, samples[1]):
-            plus, query = samples   # and the equal copies are freed
-        else:
-            raise RuntimeError(f"rho={rho:g} labeled other samples than samples.csv holds")
         tag = _rho_tag(rho)
 
         points_path = os.path.join(args.out, f"points_{tag}.csv")
@@ -350,11 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expert", choices=("pid", "racing"), default="racing")
     p.add_argument("--obs", choices=tuple(OBS_FLAGS), default="output")
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint-every", type=int, default=1,
+    p.add_argument("--seed", type=_at_least(0), default=None)
+    p.add_argument("--out", required=True, help="run directory, absent or empty")
+    p.add_argument("--checkpoint-every", type=_at_least(0), default=1,
                    help="policy checkpoint cadence in epochs (0 disables)")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, parser=p)
 
     p = add_parser("eval", help="evaluate saved policy weights")
     p.add_argument("--weights", required=True,
@@ -363,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(float64 parameters), sizes, head and seed")
     p.add_argument("--track", default="gp")
     p.add_argument("--obs", choices=tuple(OBS_FLAGS), default="output")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--laps", type=int, default=50)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--laps", type=_at_least(1), default=50)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, parser=p)
 
     p = add_parser("report", help="emit charts from run directories")
     p.add_argument("--run", required=True)
@@ -377,11 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("sim", help="run an expert and optionally render its path")
     p.add_argument("--expert", choices=("pid", "racing"), default="racing")
     p.add_argument("--track", default="gp")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--laps", type=int, default=3)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--laps", type=_at_least(1), default=3)
     p.add_argument("--render", default=None, help="output SVG path")
     p.add_argument("--config", default=None)
-    p.set_defaults(func=_cmd_sim)
+    p.set_defaults(func=_cmd_sim, parser=p)
 
     p = add_parser(
         "labeldemo", help="synthetic-set auto-labeling benchmark",
@@ -394,12 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "overlay_<tag>.svg, and summary.csv has one row per radius: set, "
                     "rho, removed, violations, incorrect_removals, balanced_accuracy.")
     p.add_argument("--set", choices=tuple(_SYNTH), default="crescent")
-    p.add_argument("--rho", default="1.0,0.5,0.25", help="comma-separated radii")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_labeldemo)
+    p.add_argument("--rho", type=_radii, default="1.0,0.5,0.25", help="comma-separated radii")
+    p.add_argument("--n", type=_at_least(1), default=2000)
+    p.add_argument("--grid", type=_at_least(2), default=200)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--out", required=True, help="output directory, absent or empty")
+    p.set_defaults(func=_cmd_labeldemo, parser=p)
     return parser
 
 

@@ -88,29 +88,32 @@ def _fields_from(values: Dict[str, str], keys: Dict[str, tuple]) -> Dict[str, ob
     return {keys[key][0]: _parse(key, text) for key, text in values.items() if key in keys}
 
 
+def _record(cls, values: Dict[str, str], keys: Dict[str, tuple], **given):
+    """``cls`` from the ``given`` fields and its keys in ``values``; a field it
+    refuses is named by its key."""
+    try:
+        return cls(**given, **_fields_from(values, keys))
+    except ValueError as exc:
+        for key, (name, _) in keys.items():
+            if str(exc).startswith(name + " "):
+                raise ValueError(key + str(exc)[len(name):]) from None
+        raise
+
+
 def sim_config_from(values: Dict[str, str]) -> SimConfig:
-    return SimConfig(**_fields_from(values, _SIM_KEYS))
+    return _record(SimConfig, values, _SIM_KEYS)
 
 
 def train_config_from(values: Dict[str, str], sim: SimConfig) -> TrainConfig:
-    return TrainConfig(sim=sim, **_fields_from(values, _TRAIN_KEYS))
-
-
-def _expert_params(cls, values: Dict[str, str], keys: Dict[str, tuple]):
-    """``cls`` from its keys in ``values``; a field it refuses is named by its key."""
-    try:
-        return cls(**_fields_from(values, keys))
-    except ValueError as exc:
-        key = next(key for key, (name, _) in keys.items() if str(exc).startswith(name + " "))
-        raise ValueError(f"{key}: {exc}") from None
+    return _record(TrainConfig, values, _TRAIN_KEYS, sim=sim)
 
 
 def expert_params_from(values: Dict[str, str]) -> Tuple[float, PidGains, RaceParams]:
     v_ref = _parse("v_ref", values["v_ref"]) if "v_ref" in values else 1.0
     if not 0 < v_ref < math.inf:
         raise ValueError(f"v_ref must be positive and finite, got {v_ref!r}")
-    return (v_ref, _expert_params(PidGains, values, _PID_KEYS),
-            _expert_params(RaceParams, values, _RACE_KEYS))
+    return (v_ref, _record(PidGains, values, _PID_KEYS),
+            _record(RaceParams, values, _RACE_KEYS))
 
 
 def snapshot_config(cfg: TrainConfig, values: Dict[str, str]) -> str:

@@ -73,6 +73,21 @@ def abort_after_one_epoch(monkeypatch, message: str) -> None:
     monkeypatch.setattr(cabc.cli, "train", aborting)
 
 
+def cli_refuses(capsys, *argv) -> str:
+    """Run ``cabc`` on ``argv`` and expect it to refuse: exit 2 with one
+    ``error:`` line, no traceback and nothing printed.  Returns that line's
+    message, the text after ``error: ``."""
+    from cabc.cli import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if ": error: " in line]
+    assert out == "" and len(errors) == 1 and "Traceback" not in err, err
+    return errors[0].split(": error: ", 1)[1]
+
+
 def mlp_from_layers(sizes, layers, head: str = "identity") -> MlpParams:
     """The network whose ``(W, b)`` layers are ``layers``, laid into one flat vector."""
     flat = np.concatenate([np.concatenate([np.ravel(W), np.ravel(b)]) for W, b in layers])

@@ -22,6 +22,7 @@ from cabc.autolabel import (
     label_synthetic,
     member_mask,
     prop1_violation_count,
+    sample_box,
 )
 from cabc.trainer import _LabelState
 
@@ -475,28 +476,33 @@ class TestSyntheticSets:
         assert synth.contains(pts).all()
 
 
+def draw_synthetic(synth, n, seed):
+    """``n`` points inside ``synth``, then ``n`` uniform query points, from one stream."""
+    rng = np.random.default_rng(seed)
+    return synth.sample_inside(n, rng), sample_box(n, rng)
+
+
 class TestPropositionSoundness:
     @pytest.mark.parametrize("synth,seed", [(SyntheticSet.crescent(), 7),
                                             (SyntheticSet.sector(), 9)])
     def test_no_removed_point_is_confidently_unsafe(self, synth, seed):
+        plus, query = draw_synthetic(synth, 800, seed)
         for rho in (1.0, 0.5, 0.25):
-            plus, query, removed = label_synthetic(synth, 800, 800, rho,
-                                                   np.random.default_rng(seed))
+            removed = label_synthetic(plus, query, rho)
             assert prop1_violation_count(query[removed], synth, rho) == 0
 
     def test_negative_control_buggy_labeler(self):
         synth = SyntheticSet.crescent()
-        rng = np.random.default_rng(7)
-        plus, query, _ = label_synthetic(synth, 400, 400, 0.5, rng)
+        _, query = draw_synthetic(synth, 400, 7)
         remove_all = np.ones(len(query), dtype=bool)
         assert prop1_violation_count(query[remove_all], synth, 0.5) > 0
 
     def test_incorrect_removals_shrink_with_rho(self):
         synth = SyntheticSet.crescent()
+        plus, query = draw_synthetic(synth, 1200, 7)
         counts = []
         for rho in (1.0, 0.5, 0.25):
-            plus, query, removed = label_synthetic(synth, 1200, 1200, rho,
-                                                   np.random.default_rng(7))
+            removed = label_synthetic(plus, query, rho)
             counts.append(incorrect_removals(removed, query, synth))
         assert counts[0] >= counts[1] >= counts[2]
         assert counts[0] > 0  # the concavity does fool the largest radius

@@ -143,6 +143,15 @@ def test_preview_setting_is_refused_naming_its_key(key, text):
         sim_config_from({key: text})
 
 
+@pytest.mark.parametrize("key", ["lambda", "race_alat_max"])
+def test_renamed_key_is_refused_naming_its_key(key):
+    """``lambda = -1`` used to be refused as ``lam``, a key that does not exist."""
+    values = {key: "-1"}
+    with pytest.raises(ValueError, match=f"^{key} must be (non-negative|positive), got -1.0$"):
+        train_config_from(values, sim_config_from(values))
+        expert_params_from(values)
+
+
 def test_zero_preview_k_observes_the_velocities_alone(gp):
     from cabc.sim import default_start_state, observe
 

@@ -1,7 +1,11 @@
+import argparse
 import csv
 import json
 import os
+import re
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -14,7 +18,7 @@ from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import emit_reports, read_reports_csv
 from cabc.sim import SimConfig, rng_stream
 
-from conftest import abort_after_one_epoch, make_trajectory, write_track_file
+from conftest import abort_after_one_epoch, cli_refuses, make_trajectory, write_track_file
 
 
 class TestEvaluate:
@@ -310,20 +314,20 @@ class TestCli:
         trajs = load_dataset(out / "trajectories.jsonl.gz")
         assert len(trajs) == 6  # 3 epochs x 2 episodes
 
-    def test_eval_subcommand_rejects_zero_laps(self, smoke_run):
+    def test_eval_subcommand_rejects_zero_laps(self, smoke_run, capsys):
         _, cfg_path, out = smoke_run
-        with pytest.raises(ValueError, match="laps"):
-            run_cli("eval", "--weights", str(out / "policy.npz"), "--track", "circle",
-                    "--laps", "0", "--config", str(cfg_path))
+        assert cli_refuses(capsys, "eval", "--weights", str(out / "policy.npz"), "--track",
+                           "circle", "--laps", "0", "--config", str(cfg_path)
+                           ) == "argument --laps: must be at least 1, got 0"
 
-    def test_train_validates_config_for_the_command_line_method(self, tmp_path):
+    def test_train_validates_config_for_the_command_line_method(self, tmp_path, capsys):
         cfg_path = tmp_path / "b1.cfg"
         cfg_path.write_text("epochs = 1\nmax_steps = 100\nhidden = 8\nbatch_size = 1\n"
                             "grad_steps_policy = 2\neval_laps = 1\n")
         # a one-row batch is fine for plain cloning, but CA needs both classes
-        with pytest.raises(ValueError, match="batch_size"):
-            run_cli("train", "--method", "ca", "--track", "circle", "--expert", "pid",
-                    "--config", str(cfg_path), "--out", str(tmp_path / "ca"))
+        assert "batch_size" in cli_refuses(
+            capsys, "train", "--method", "ca", "--track", "circle", "--expert", "pid",
+            "--config", str(cfg_path), "--out", str(tmp_path / "ca"))
         assert not (tmp_path / "ca").exists()
         assert run_cli("train", "--method", "bc", "--track", "circle", "--expert", "pid",
                        "--config", str(cfg_path), "--out", str(tmp_path / "bc")) == 0
@@ -341,17 +345,15 @@ class TestCli:
     def test_eval_rejects_weights_of_the_other_observation_mode(self, smoke_run, capsys):
         # the smoke policy reads 13 output features; --obs full would feed it 7
         _, cfg_path, out = smoke_run
-        with pytest.raises(ValueError, match=r"takes 13 inputs, but observation mode "
-                                             r"'full_state' \(--obs full\) gives 7"):
-            run_cli("eval", "--weights", str(out / "policy.npz"), "--track", "circle",
-                    "--obs", "full", "--laps", "1", "--config", str(cfg_path))
-        assert capsys.readouterr().out == ""
+        assert re.search(r"takes 13 inputs, but observation mode 'full_state' \(--obs full\) "
+                         r"gives 7$", cli_refuses(
+                             capsys, "eval", "--weights", str(out / "policy.npz"), "--track",
+                             "circle", "--obs", "full", "--laps", "1", "--config", str(cfg_path)))
 
     def test_eval_reports_missing_weights(self, tmp_path, capsys):
         missing = tmp_path / "nonexistent.npz"
-        with pytest.raises(FileNotFoundError, match="nonexistent.npz"):
-            run_cli("eval", "--weights", str(missing), "--track", "circle", "--laps", "1")
-        assert capsys.readouterr().out == ""
+        assert cli_refuses(capsys, "eval", "--weights", str(missing), "--track", "circle",
+                           "--laps", "1") == f"no weight archive at {missing}"
 
     def test_report_refuses_an_unknown_observation_mode(self, smoke_run, tmp_path):
         """``meta.json`` names the mode the run's policy reads; an unknown one is refused."""
@@ -488,7 +490,7 @@ class TestCli:
         radius's points file held before the samples moved out of it: every
         sample that radius labeled, its exact signed distance, its label (1
         plus, -1 removed query, 0 kept query) and its removed flag."""
-        from cabc.autolabel import SyntheticSet, label_synthetic
+        from cabc.autolabel import SyntheticSet, label_synthetic, sample_box
 
         out = tmp_path / "demo"
         assert run_cli("labeldemo", "--set", "crescent", "--rho", "1.0,0.25", "--n", "150",
@@ -511,7 +513,10 @@ class TestCli:
             assert next(decided, None) is None
 
             # a float's repr reads back to its bits, so equal text is equal bits
-            plus, query, mask = label_synthetic(synth, 150, 150, rho, rng_stream(4))
+            rng = rng_stream(4)
+            plus = synth.sample_inside(150, rng)
+            query = sample_box(150, rng)
+            mask = label_synthetic(plus, query, rho)
             want = [(repr(x), repr(y), repr(d), "1", "0") for (x, y), d in
                     zip(plus.tolist(), synth.signed_distance(plus).tolist())]
             want += [(repr(x), repr(y), repr(d), "-1" if rm else "0", "1" if rm else "0")
@@ -541,21 +546,6 @@ class TestCli:
         assert sorted(os.listdir(out)) == sorted(
             first_pass + ["decision_grid_rho0p5.csv", "overlay_rho0p5.svg",
                           "points_rho0p5.csv"])
-
-    def test_labeldemo_refuses_a_pass_that_draws_other_samples(self, tmp_path, monkeypatch):
-        # samples.csv is written once, so every later pass must label its samples
-        import cabc.cli
-
-        label_synthetic, drift = cabc.cli.label_synthetic, iter((0.0, 1e-12))
-
-        def drifting(*args, **kwargs):
-            plus, query, removed = label_synthetic(*args, **kwargs)
-            return plus, query + next(drift), removed
-
-        monkeypatch.setattr(cabc.cli, "label_synthetic", drifting)
-        with pytest.raises(RuntimeError, match="rho=0.5 labeled other samples"):
-            run_cli("labeldemo", "--set", "disk", "--rho", "1.0,0.5", "--n", "40",
-                    "--grid", "6", "--out", str(tmp_path / "demo"))
 
     def test_labeldemo_csv_bytes_match_csv_writer(self, tmp_path):
         """The streamed CSVs are byte for byte what a ``csv.writer`` loop writes."""
@@ -610,13 +600,12 @@ class TestCli:
                            (probs, got[:, 1:])):
             assert np.array_equal(want.view(np.int64), have.view(np.int64))
 
-    def test_labeldemo_rejects_negative_rho(self, tmp_path):
+    def test_labeldemo_rejects_negative_rho(self, tmp_path, capsys):
         out = tmp_path / "demo"
         out.mkdir()
         for rho in ("-0.5", "1.0,-0.5"):
-            with pytest.raises(ValueError, match="--rho"):
-                run_cli("labeldemo", f"--rho={rho}", "--n", "50", "--grid", "10",
-                        "--out", str(out))
+            assert "--rho" in cli_refuses(capsys, "labeldemo", f"--rho={rho}", "--n", "50",
+                                          "--grid", "10", "--out", str(out))
             assert not list(out.iterdir())   # not even the valid radius's files
 
     @pytest.mark.parametrize("args, name", [
@@ -624,25 +613,29 @@ class TestCli:
         (("--rho", "0.5,x"), "--rho"), (("--n", "0"), "--n"), (("--grid", "1"), "--grid"),
         (("--grid", "0"), "--grid"),
         # radii with one file tag (rho1, rho0p123457): the second pass would
-        # overwrite the first pass's files
-        (("--rho", "1,0.5,1.0"), "--rho radius 1.0 repeats the file tag 'rho1'"),
-        (("--rho", "0.1234567,0.1234568"), "--rho radius 0.1234568 repeats"),
+        # overwrite the first pass's files; the ids are those of the messages
+        # from before the parser checked --rho
+        pytest.param(("--rho", "1,0.5,1.0"),
+                     "--rho: radius 1.0 repeats the file tag 'rho1' of radius 1.0",
+                     id="args7---rho radius 1.0 repeats the file tag 'rho1'"),
+        pytest.param(("--rho", "0.1234567,0.1234568"), "--rho: radius 0.1234568 repeats",
+                     id="args8---rho radius 0.1234568 repeats"),
     ])
-    def test_labeldemo_checks_arguments_before_writing(self, tmp_path, args, name):
+    def test_labeldemo_checks_arguments_before_writing(self, tmp_path, capsys, args, name):
         out = tmp_path / "demo"
         out.mkdir()
-        with pytest.raises(ValueError, match=name):
-            run_cli("labeldemo", "--n", "50", "--grid", "10", *args, "--out", str(out))
+        assert name in cli_refuses(capsys, "labeldemo", "--n", "50", "--grid", "10", *args,
+                                   "--out", str(out))
         assert not list(out.iterdir())
 
-    def test_train_rejects_a_negative_checkpoint_cadence(self, tmp_path):
+    def test_train_rejects_a_negative_checkpoint_cadence(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.cfg"
         cfg_path.write_text("epochs = 2\nmax_steps = 100\nhidden = 8\n"
                             "grad_steps_policy = 2\neval_laps = 1\n")
-        with pytest.raises(ValueError, match="--checkpoint-every"):
-            run_cli("train", "--method", "bc", "--track", "circle", "--expert", "pid",
-                    "--config", str(cfg_path), "--out", str(tmp_path / "run"),
-                    "--checkpoint-every", "-1")
+        assert cli_refuses(capsys, "train", "--method", "bc", "--track", "circle", "--expert",
+                           "pid", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                           "--checkpoint-every", "-1"
+                           ) == "argument --checkpoint-every: must be at least 0, got -1"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command, args", [
@@ -661,9 +654,11 @@ class TestCli:
                 for a in args]
         if command in ("train", "labeldemo"):
             args += ["--out", str(out)]
-        with pytest.raises(ValueError, match=r"seed must be non-negative, got -1$"):
-            run_cli(command, *args)
-        assert not out.exists() and not capsys.readouterr().out
+        # a --seed option is refused by the parser, a seed key by TrainConfig
+        want = ("seed must be non-negative, got -1" if "--config" in args
+                else "argument --seed: must be at least 0, got -1")
+        assert cli_refuses(capsys, command, *args) == want
+        assert not out.exists()
 
     @pytest.mark.parametrize("expert, line", [
         ("racing", "race_lookahead = inf"),
@@ -688,9 +683,8 @@ class TestCli:
         args += (["--laps", "1", "--render", str(out)] if command == "sim"
                  else ["--method", "bc", "--out", str(out)])
         key = line.split(" = ")[0]
-        with pytest.raises(ValueError, match=f"^{key}"):
-            run_cli(command, *args)
-        assert not out.exists() and not capsys.readouterr().out
+        assert re.match(f"{key} must be", cli_refuses(capsys, command, *args))
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["preview_k = -3", "preview_spacing = -1",
                                       "preview_spacing = nan", "preview_spacing = inf"])
@@ -703,9 +697,8 @@ class TestCli:
         args = ["--expert", "pid", "--track", "circle", "--config", str(cfg_path)]
         args += (["--laps", "1", "--render", str(out)] if command == "sim"
                  else ["--method", "bc", "--out", str(out)])
-        with pytest.raises(ValueError, match=f"^{line.split(' = ')[0]} must be"):
-            run_cli(command, *args)
-        assert not out.exists() and not capsys.readouterr().out
+        assert re.match(f"{line.split(' = ')[0]} must be", cli_refuses(capsys, command, *args))
+        assert not out.exists()
 
     def test_nonfinite_abort_exit_code(self, monkeypatch, tmp_path):
         import cabc.cli as cli_mod
@@ -758,12 +751,12 @@ class TestCli:
         assert run_cli("report", "--run", str(here / "run_my.track"), "--out", "rep") == 0
         ET.parse(elsewhere / "rep" / "trajectory_xy.svg")
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("warp_drive = 9\n")
-        with pytest.raises(ValueError):
-            run_cli("train", "--method", "bc", "--track", "circle", "--expert", "pid",
-                    "--config", str(bad), "--out", str(tmp_path / "r"))
+        assert cli_refuses(capsys, "train", "--method", "bc", "--track", "circle", "--expert",
+                           "pid", "--config", str(bad), "--out", str(tmp_path / "r")
+                           ) == f"{bad}: line 1: unknown key 'warp_drive'"
 
     def test_custom_track_file(self, tmp_path, circle):
         track_path = tmp_path / "mycircle.track"
@@ -771,3 +764,75 @@ class TestCli:
         code = run_cli("sim", "--expert", "pid", "--track", str(track_path),
                        "--laps", "1")
         assert code == 0
+
+    def test_train_refuses_an_out_that_holds_a_run(self, tmp_path, capsys):
+        """A ``bc`` run written over a ``ca`` run used to leave the CA run's
+        critic and checkpoints beside a ``meta.json`` that says ``bc``."""
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("epochs = 0\nhidden = 8\neval_laps = 1\n")
+        out = tmp_path / "run"
+        out.mkdir()   # an empty directory takes a run
+        args = ("train", "--track", "circle", "--expert", "pid", "--config", str(cfg_path),
+                "--out", str(out))
+        assert run_cli(*args, "--method", "ca") == 0
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert cli_refuses(capsys, *args, "--method", "bc", "--checkpoint-every", "0"
+                           ) == f"--out {out} exists and is not an empty directory"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("x")
+        assert "not an empty directory" in cli_refuses(capsys, *args[:-1], str(not_a_dir),
+                                                       "--method", "bc")
+        assert not_a_dir.read_text() == "x"
+
+    def test_labeldemo_refuses_an_out_that_holds_a_run(self, tmp_path, capsys):
+        """``--rho 0.25`` after ``--rho 1.0,0.5`` used to leave ``points_rho1.csv``
+        beside a ``summary.csv`` that lists only 0.25."""
+        out = tmp_path / "demo"
+        args = ("labeldemo", "--set", "disk", "--n", "40", "--grid", "6", "--out", str(out))
+        assert run_cli(*args, "--rho", "1.0,0.5") == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert cli_refuses(capsys, *args, "--rho", "0.25"
+                           ) == f"--out {out} exists and is not an empty directory"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+class TestRefusal:
+    def test_no_option_is_a_bare_int(self):
+        """Every integer option is checked by its type, so a bad one is refused
+        by the parser, in one line."""
+        from cabc.cli import build_parser
+
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for name, parser in subparsers.choices.items():
+            for action in parser._actions:
+                assert action.type is not int, (name, action.option_strings)
+
+    def test_unreadable_config_is_refused(self, tmp_path, capsys):
+        """A missing ``--config`` file, or a directory, used to end in a traceback."""
+        for path in (tmp_path / "missing.cfg", tmp_path):
+            assert str(path) in cli_refuses(capsys, "sim", "--config", str(path))
+
+    @pytest.mark.parametrize("command, args, config, named", [
+        ("train", ("--method", "bc", "--track", "oval", "--out", "out"), "",
+         "unknown track 'oval'"),
+        ("eval", ("--weights", "missing.npz", "--track", "circle"), "", "missing.npz"),
+        ("sim", ("--track", "gp", "--laps", "1", "--render", "out"), "race_alat_max = -1\n",
+         "race_alat_max must be positive"),
+        ("labeldemo", ("--rho", "nan", "--out", "out"), "", "argument --rho:"),
+    ])
+    def test_bad_setting_exits_2_in_one_line(self, tmp_path, command, args, config, named):
+        (tmp_path / "run.cfg").write_text(config)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        cfg = ("--config", "run.cfg") if command != "labeldemo" else ()
+        done = subprocess.run([sys.executable, "-m", "cabc.cli", command, *args, *cfg],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and named in errors[0], done.stderr
+        assert "Traceback" not in done.stderr and done.stdout == ""
+        assert os.listdir(tmp_path) == ["run.cfg"]
