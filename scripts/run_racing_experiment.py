@@ -23,18 +23,16 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cabc import cli
-from cabc.config import parse_config_file
-from cabc.reports import read_reports_csv
+from cabc.reports import read_run
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(allow_abbrev=False, description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seeds", type=int, default=5, help="seeds 0 to SEEDS-1, per method")
+    parser.add_argument("--seeds", type=cli._at_least(1), default=5,
+                        help="seeds 0 to SEEDS-1, per method")
     parser.add_argument("--out", default="runs/racing", help="experiment directory")
     args, passed = parser.parse_known_args(argv)
-    if args.seeds < 1:
-        parser.error(f"--seeds must be at least 1, got {args.seeds}")
     for flag in (arg.split("=", 1)[0] for arg in passed):
         if flag in ("--method", "--seed"):
             parser.error(f"{flag} is set by each cell of the experiment")
@@ -49,13 +47,10 @@ def main(argv=None) -> int:
             if code:
                 return code
             wall_s = round(time.time() - t0, 1)
-            reports = read_reports_csv(os.path.join(run, "reports.csv"))
-            with open(os.path.join(run, "meta.json"), encoding="utf-8") as fh:
-                full_laps = json.load(fh)["eval_laps"]
-            epochs = int(parse_config_file(os.path.join(run, "config.txt"))["epochs"])
-            first = next((r["epoch"] for r in reports if r["eval_laps"] >= full_laps), None)
+            cfg, _, reports = read_run(run)
+            first = next((r["epoch"] for r in reports if r["eval_laps"] >= cfg.eval_laps), None)
             best = max((r["eval_laps"] for r in reports), default=0)
-            results[method].append(epochs + 1 if first is None else first)
+            results[method].append(cfg.epochs + 1 if first is None else first)
             rows.append({"seed": seed, "method": method, "first_full_eval": first,
                          "best_laps": best, "epochs_run": len(reports), "wall_s": wall_s})
             print(f"seed {seed} {method}: first full eval at {'never' if first is None else first}"
@@ -67,8 +62,9 @@ def main(argv=None) -> int:
         writer.writerows(rows)
     summary = {**{f"{m}_first_full": v for m, v in results.items()},
                **{f"{m}_median": statistics.median(v) for m, v in results.items()},
-               **{f"{m}_success_seeds": sum(x <= epochs for x in v) for m, v in results.items()},
-               "epochs": epochs, "seeds": args.seeds}
+               **{f"{m}_success_seeds": sum(x <= cfg.epochs for x in v)
+                  for m, v in results.items()},
+               "epochs": cfg.epochs, "seeds": args.seeds}
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1)
     print(json.dumps(summary, indent=1))

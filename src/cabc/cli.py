@@ -26,13 +26,7 @@ from .autolabel import (
     sample_box,
     train_synthetic_classifier,
 )
-from .config import (
-    expert_params_from,
-    parse_config_file,
-    sim_config_from,
-    snapshot_config,
-    train_config_from,
-)
+from .config import parse_config_file, settings_from, snapshot_config
 from .core import DatasetWriter, save_dataset
 from .critic import save_critic
 from .evalharness import evaluate
@@ -40,6 +34,7 @@ from .reports import (
     contour_segments,
     emit_reports,
     policy_rollout_figure,
+    read_run,
     svg_xy_figure,
     write_reports_csv,
 )
@@ -71,10 +66,10 @@ def _cmd_train(args) -> int:
             values["seed"] = str(args.seed)
         # the command line's method and feedback override the file's, and are in
         # place when the config is validated
-        options = {"method": args.method, "observation_mode": OBS_FLAGS[args.obs]}
-        cfg = train_config_from({**values, **options}, sim_config_from(values))
+        cfg, expert = settings_from(values, method=args.method,
+                                    observation_mode=OBS_FLAGS[args.obs])
         track = resolve_track(args.track)
-        factory = make_expert_factory(args.expert, cfg.sim, track, *expert_params_from(values))
+        factory = make_expert_factory(args.expert, cfg.sim, track, *expert)
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -85,9 +80,6 @@ def _cmd_train(args) -> int:
     meta = {
         "track": track_ref(args.track),
         "expert": args.expert,
-        "method": cfg.method,
-        "observation_mode": cfg.observation_mode,
-        "eval_laps": cfg.eval_laps,
         "expert_lap_mean": expert_eval.lap_mean,
         "expert_lap_std": expert_eval.lap_std,
         "expert_laps": expert_eval.laps_completed,
@@ -147,8 +139,7 @@ def _print_result(result, *stats: str) -> None:
 
 def _cmd_eval(args) -> int:
     with _refused(args):
-        values = parse_config_file(args.config) if args.config else {}
-        sim = sim_config_from(values)
+        sim = settings_from(parse_config_file(args.config) if args.config else {})[0].sim
         track = resolve_track(args.track)
         policy = load_policy(args.weights, OBS_FLAGS[args.obs], sim, track)
     _print_result(evaluate(policy, sim, track, seed=args.seed, laps=args.laps),
@@ -157,20 +148,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    written = emit_reports(args.run, args.out, baseline_dir=args.baseline)
-    run_policy = os.path.join(args.run, "policy.npz")
-    cfg_path = os.path.join(args.run, "config.txt")
-    meta_path = os.path.join(args.run, "meta.json")
-    if os.path.exists(run_policy) and os.path.exists(cfg_path) and os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        values = parse_config_file(cfg_path)
-        sim = sim_config_from(values)
-        track = resolve_track(meta["track"])
-        policy = load_policy(run_policy, meta.get("observation_mode", "output"), sim, track)
+    with _refused(args):
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out} exists and is not a directory")
+        run = read_run(args.run)
+        baseline = None if args.baseline is None else read_run(args.baseline)
+        cfg, meta, _ = run
+        run_policy, policy = os.path.join(args.run, "policy.npz"), None
+        if os.path.exists(run_policy):
+            track = resolve_track(meta["track"])
+            policy = load_policy(run_policy, cfg.observation_mode, cfg.sim, track)
+    written = emit_reports(run, args.out, baseline)
+    if policy is not None:
         path = os.path.join(args.out, "trajectory_xy.svg")
-        policy_rollout_figure(policy, sim, track, seed=int(values.get("seed", "0")),
-                              out_path=path)
+        policy_rollout_figure(policy, cfg.sim, track, seed=cfg.seed, out_path=path)
         written.append(path)
     for path in written:
         print(path)
@@ -179,14 +170,13 @@ def _cmd_report(args) -> int:
 
 def _cmd_sim(args) -> int:
     with _refused(args):
-        values = parse_config_file(args.config) if args.config else {}
-        sim = sim_config_from(values)
+        cfg, expert = settings_from(parse_config_file(args.config) if args.config else {})
         track = resolve_track(args.track)
-        factory = make_expert_factory(args.expert, sim, track, *expert_params_from(values))
-    _print_result(evaluate(factory(), sim, track, seed=args.seed, laps=args.laps),
+        factory = make_expert_factory(args.expert, cfg.sim, track, *expert)
+    _print_result(evaluate(factory(), cfg.sim, track, seed=args.seed, laps=args.laps),
                   "lap_mean", "lap_std")
     if args.render:
-        policy_rollout_figure(factory(), sim, track, seed=args.seed,
+        policy_rollout_figure(factory(), cfg.sim, track, seed=args.seed,
                               out_path=args.render, laps=min(3, args.laps))
         print(args.render)
     return 0
@@ -373,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("report", help="emit charts from run directories")
     p.add_argument("--run", required=True)
     p.add_argument("--baseline", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
+    p.add_argument("--out", required=True, help="report directory, made if absent")
+    p.set_defaults(func=_cmd_report, parser=p)
 
     p = add_parser("sim", help="run an expert and optionally render its path")
     p.add_argument("--expert", choices=("pid", "racing"), default="racing")

@@ -116,6 +116,14 @@ def expert_params_from(values: Dict[str, str]) -> Tuple[float, PidGains, RacePar
             _record(RaceParams, values, _RACE_KEYS))
 
 
+def settings_from(values: Dict[str, str], **options: str) -> Tuple[TrainConfig, tuple]:
+    """Every record ``values`` sets, each checked: the ``TrainConfig``, with the
+    ``options`` keys in place of the file's, and the expert's
+    ``(v_ref, PidGains, RaceParams)``."""
+    cfg = train_config_from({**values, **options}, sim_config_from(values))
+    return cfg, expert_params_from(values)
+
+
 def snapshot_config(cfg: TrainConfig, values: Dict[str, str]) -> str:
     """Render a full, reloadable snapshot of the effective configuration.
 

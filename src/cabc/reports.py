@@ -15,10 +15,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
+from .config import parse_config_file, settings_from
 from .evalharness import chained_laps
 from .sim import SimConfig
 from .track import TrackSpec, frenet_to_cartesian
-from .trainer import EpochReport
+from .trainer import EpochReport, TrainConfig
 
 
 def write_reports_csv(reports: Sequence[EpochReport], path) -> None:
@@ -325,24 +326,26 @@ def track_polylines(track: TrackSpec, ds: float = 0.05) -> List[dict]:
 
 # --- run-directory reports ----------------------------------------------------------
 
-def _require(paths: Sequence[str]) -> None:
+def read_run(run_dir) -> Tuple[TrainConfig, dict, List[Dict[str, object]]]:
+    """A run directory's settings, as the ``TrainConfig`` that ``train`` ran with
+    (``config.txt``, checked as ``train`` checks it), its ``meta.json`` and its
+    ``reports.csv`` rows.  ``FileNotFoundError`` names every file it lacks."""
+    paths = [os.path.join(run_dir, name) for name in ("config.txt", "meta.json", "reports.csv")]
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
         raise FileNotFoundError("missing run files: " + ", ".join(missing))
-
-
-def emit_reports(run_dir, out_dir, baseline_dir=None) -> List[str]:
-    """Produce comparison charts and CSV extracts from one or two run dirs."""
-    reports_path = os.path.join(run_dir, "reports.csv")
-    meta_path = os.path.join(run_dir, "meta.json")
-    base_reports = None if baseline_dir is None else os.path.join(baseline_dir, "reports.csv")
-    # both runs' files are checked before out_dir is made
-    _require([reports_path, meta_path] + ([] if base_reports is None else [base_reports]))
-    os.makedirs(out_dir, exist_ok=True)
-    rows = read_reports_csv(reports_path)
-    with open(meta_path, "r", encoding="utf-8") as fh:
+    cfg, _ = settings_from(parse_config_file(paths[0]))
+    with open(paths[1], "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    base_rows = None if base_reports is None else read_reports_csv(base_reports)
+    return cfg, meta, read_reports_csv(paths[2])
+
+
+def emit_reports(run, out_dir, baseline=None) -> List[str]:
+    """Comparison charts and CSV extracts of a run, and of a ``baseline`` run
+    if given, each as :func:`read_run` returns it."""
+    cfg, meta, rows = run
+    base_rows = None if baseline is None else baseline[2]
+    os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
 
     def _csv(name: str, header: List[str], data_rows: List[list]) -> None:
@@ -353,7 +356,7 @@ def emit_reports(run_dir, out_dir, baseline_dir=None) -> List[str]:
             writer.writerows(data_rows)
         written.append(path)
 
-    full_laps = int(meta.get("eval_laps", 50))
+    full_laps = cfg.eval_laps
     epochs = [r["epoch"] for r in rows]
 
     # laps per epoch, with the epochs whose policy update ran the safety term
@@ -375,7 +378,7 @@ def emit_reports(run_dir, out_dir, baseline_dir=None) -> List[str]:
             chart.add_vline(epoch, "clf fit")
     for x0, x1 in spans:
         chart.add_span(x0, x1, "safety term on")
-    chart.add_series(epochs, [r["eval_laps"] for r in rows], meta.get("method", "run"))
+    chart.add_series(epochs, [r["eval_laps"] for r in rows], cfg.method)
     if base_rows:
         chart.add_series([r["epoch"] for r in base_rows],
                          [r["eval_laps"] for r in base_rows], "baseline", dash="5 3")
@@ -390,7 +393,7 @@ def emit_reports(run_dir, out_dir, baseline_dir=None) -> List[str]:
     _csv("imitation_loss.csv", ["epoch", "clone_loss"],
          [[r["epoch"], repr(r["clone_loss"])] for r in rows])
     chart = SvgChart("Imitation loss per epoch", "epoch", "clone loss")
-    chart.add_series(epochs, [r["clone_loss"] for r in rows], meta.get("method", "run"))
+    chart.add_series(epochs, [r["clone_loss"] for r in rows], cfg.method)
     if base_rows:
         chart.add_series([r["epoch"] for r in base_rows],
                          [r["clone_loss"] for r in base_rows], "baseline", dash="5 3")
@@ -409,7 +412,7 @@ def emit_reports(run_dir, out_dir, baseline_dir=None) -> List[str]:
     if done:
         mean = [r["eval_lap_mean"] for r in done]
         std = [r["eval_lap_std"] for r in done]
-        chart.add_series([r["epoch"] for r in done], mean, meta.get("method", "run"),
+        chart.add_series([r["epoch"] for r in done], mean, cfg.method,
                          band=([m - s for m, s in zip(mean, std)],
                                [m + s for m, s in zip(mean, std)]))
     if base_rows:

@@ -184,11 +184,9 @@ class MlpPolicy:
 
 
 def load_policy(path, mode: str, sim_cfg: SimConfig, track: TrackSpec) -> MlpPolicy:
-    """The saved policy at ``path``; ``ValueError`` if ``mode`` is unknown or the
-    policy's input width is not ``mode``'s."""
+    """The saved policy at ``path``; ``ValueError`` if its input width is not
+    observation mode ``mode``'s."""
     flags = {named: flag for flag, named in OBS_FLAGS.items()}
-    if mode not in flags:   # a run's meta.json names the mode
-        raise ValueError(f"unknown observation mode {mode!r}")
     params = nn.load_weights(path)
     want = policy_input_dim(mode, sim_cfg)
     if params.sizes[0] != want:

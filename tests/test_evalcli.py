@@ -15,7 +15,7 @@ from cabc.cli import main
 from cabc.core import TerminationReason, clamp_action
 from cabc.evalharness import early_stop_epoch, evaluate
 from cabc.experts import PidCenterline, RacingExpert
-from cabc.reports import emit_reports, read_reports_csv
+from cabc.reports import read_reports_csv, read_run
 from cabc.sim import SimConfig, rng_stream
 
 from conftest import abort_after_one_epoch, cli_refuses, make_trajectory, write_track_file
@@ -293,8 +293,11 @@ class TestCli:
         assert len(rows) == 3
         with open(out / "meta.json") as fh:
             meta = json.load(fh)
-        assert meta["method"] == "ca"
         assert "expert_lap_mean" in meta
+        # config.txt holds the method, feedback mode and evaluation laps, and
+        # meta.json repeats none of them
+        assert not {"method", "observation_mode", "eval_laps"} & set(meta)
+        assert "method = ca\n" in (out / "config.txt").read_text()
 
     def test_run_directory_weights_are_npz(self, smoke_run):
         _, _, out = smoke_run
@@ -355,15 +358,79 @@ class TestCli:
         assert cli_refuses(capsys, "eval", "--weights", str(missing), "--track", "circle",
                            "--laps", "1") == f"no weight archive at {missing}"
 
-    def test_report_refuses_an_unknown_observation_mode(self, smoke_run, tmp_path):
-        """``meta.json`` names the mode the run's policy reads; an unknown one is refused."""
+    def test_report_refuses_an_unknown_observation_mode(self, smoke_run, tmp_path, capsys):
+        """``config.txt`` names the mode the run's policy reads; an unknown one is refused."""
+        _, _, out = smoke_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        text = (run / "config.txt").read_text()
+        assert "observation_mode = output\n" in text
+        (run / "config.txt").write_text(text.replace("observation_mode = output\n",
+                                                     "observation_mode = image\n"))
+        assert cli_refuses(capsys, "report", "--run", str(run), "--out", str(tmp_path / "rep")
+                           ).startswith("observation_mode must be")
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_refuses_an_out_that_is_a_file(self, smoke_run, tmp_path, capsys):
+        """``--out RUN/config.txt`` used to end in a ``FileExistsError`` traceback."""
+        _, _, out = smoke_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        before = (run / "config.txt").read_bytes()
+        assert cli_refuses(capsys, "report", "--run", str(run), "--out", str(run / "config.txt")
+                           ) == f"--out {run / 'config.txt'} exists and is not a directory"
+        assert (run / "config.txt").read_bytes() == before
+        # an existing directory takes the report
+        assert run_cli("report", "--run", str(run), "--out", str(run)) == 0
+        assert (run / "laps_vs_epoch.svg").exists()
+
+    def test_report_reads_a_run_written_before_meta_lost_its_settings(self, smoke_run,
+                                                                    tmp_path, capsys):
+        """Old ``meta.json`` keys are ignored; a ``config.txt`` key that no
+        longer exists is refused by its name."""
         _, _, out = smoke_run
         run = tmp_path / "run"
         shutil.copytree(out, run)
         meta = json.loads((run / "meta.json").read_text())
-        (run / "meta.json").write_text(json.dumps({**meta, "observation_mode": "image"}))
-        with pytest.raises(ValueError, match="unknown observation mode 'image'"):
-            run_cli("report", "--run", str(run), "--out", str(tmp_path / "rep"))
+        (run / "meta.json").write_text(json.dumps(
+            {**meta, "method": "bc", "observation_mode": "image", "eval_laps": 1}))
+        for name, src in (("old", run), ("new", out)):
+            assert run_cli("report", "--run", str(src), "--out", str(tmp_path / name)) == 0
+        capsys.readouterr()
+        names = sorted(os.listdir(tmp_path / "new"))
+        assert sorted(os.listdir(tmp_path / "old")) == names and len(names) == 7
+        for name in names:
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+        with open(run / "config.txt", "a") as fh:
+            fh.write("preview_distances = 0.5,1.0\n")
+        assert "unknown key 'preview_distances'" in cli_refuses(
+            capsys, "report", "--run", str(run), "--out", str(tmp_path / "rep1"))
+        assert not (tmp_path / "rep1").exists()
+
+    def test_read_run_gives_the_config_train_ran_with(self, monkeypatch, tmp_path):
+        import cabc.cli as cli_mod
+
+        ran = []
+        real_train = cli_mod.train
+
+        def recording_train(cfg, *args, **kw):
+            ran.append(cfg)
+            return real_train(cfg, *args, **kw)
+
+        monkeypatch.setattr(cli_mod, "train", recording_train)
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("epochs = 1\nhidden = 8,4\ngrad_steps_policy = 5\neval_laps = 1\n"
+                            "lambda = 0.25\npreview_k = 2\npreview_spacing = 0.7\n"
+                            "dt = 0.03\nv_ref = 1.5\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--method", "bc", "--obs", "full", "--track", "circle",
+                       "--expert", "pid", "--seed", "7", "--config", str(cfg_path),
+                       "--out", str(out)) == 0
+        cfg, meta, rows = read_run(out)
+        assert cfg == ran[0]
+        assert (cfg.method, cfg.observation_mode, cfg.seed, cfg.lam) == (
+            "bc", "full_state", 7, 0.25)
+        assert meta["track"] == "circle" and len(rows) == 1
 
     def test_report_emits_charts(self, smoke_run, tmp_path):
         _, _, out = smoke_run
@@ -399,12 +466,14 @@ class TestCli:
         assert run_cli("report", "--run", str(out), "--out", str(rep)) == 0
         ET.parse(rep / "laps_vs_epoch.svg")
 
-    def test_report_with_a_missing_baseline_makes_no_out(self, smoke_run, tmp_path):
+    def test_report_with_a_missing_baseline_makes_no_out(self, smoke_run, tmp_path, capsys):
         _, _, out = smoke_run
         rep = tmp_path / "rep"
-        with pytest.raises(FileNotFoundError, match="nothere.reports.csv"):
-            run_cli("report", "--run", str(out), "--baseline", str(tmp_path / "nothere"),
-                    "--out", str(rep))
+        missing = tmp_path / "nothere"
+        assert cli_refuses(capsys, "report", "--run", str(out), "--baseline", str(missing),
+                           "--out", str(rep)) == (
+            f"missing run files: {missing / 'config.txt'}, {missing / 'meta.json'}, "
+            f"{missing / 'reports.csv'}")
         assert not rep.exists()
 
     def test_abbreviated_option_is_refused(self, tmp_path, capsys):
@@ -428,10 +497,12 @@ class TestCli:
         text = (out / "config.txt").read_text()
         assert "preview_k = 0\npreview_spacing = 2.0\n" in text
 
-    def test_report_on_empty_rundir_lists_missing(self, tmp_path):
-        with pytest.raises(FileNotFoundError) as err:
-            emit_reports(tmp_path / "nothing", tmp_path / "out")
-        assert "reports.csv" in str(err.value)
+    def test_report_on_empty_rundir_lists_missing(self, tmp_path, capsys):
+        message = cli_refuses(capsys, "report", "--run", str(tmp_path / "nothing"),
+                              "--out", str(tmp_path / "out"))
+        for name in ("config.txt", "meta.json", "reports.csv"):
+            assert str(tmp_path / "nothing" / name) in message
+        assert not (tmp_path / "out").exists()
 
     def test_repeat_runs_are_byte_identical(self, smoke_run, tmp_path_factory):
         """Golden determinism: a repeated invocation reproduces the CSV exactly."""
@@ -826,13 +897,49 @@ class TestRefusal:
     ])
     def test_bad_setting_exits_2_in_one_line(self, tmp_path, command, args, config, named):
         (tmp_path / "run.cfg").write_text(config)
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
         cfg = ("--config", "run.cfg") if command != "labeldemo" else ()
-        done = subprocess.run([sys.executable, "-m", "cabc.cli", command, *args, *cfg],
-                              cwd=tmp_path, capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == 2
-        errors = [line for line in done.stderr.splitlines() if "error:" in line]
-        assert len(errors) == 1 and named in errors[0], done.stderr
-        assert "Traceback" not in done.stderr and done.stdout == ""
+        refused_in_one_line(tmp_path, named, command, *args, *cfg)
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_every_command_sets_its_parser(self):
+        """``_refused`` reports through the command's own parser."""
+        from cabc.cli import build_parser
+
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for name, parser in subparsers.choices.items():
+            assert parser.get_default("parser") is parser, name
+
+    @pytest.mark.parametrize("command, args", [
+        ("train", ("--method", "bc", "--track", "circle", "--config", "run.cfg",
+                   "--out", "out")),
+        ("eval", ("--weights", "run/policy.npz", "--track", "circle", "--config", "run.cfg")),
+        ("sim", ("--expert", "pid", "--track", "circle", "--laps", "1", "--config", "run.cfg")),
+        ("report", ("--run", "run", "--out", "out")),
+    ], ids=["train", "eval", "sim", "report"])
+    def test_refused_trainer_value_exits_2_in_one_line(self, smoke_run, tmp_path, command,
+                                                       args):
+        """``eval`` and ``sim`` used to run with a ``lambda`` that ``train``
+        refuses; ``report`` reads it from the run's ``config.txt``."""
+        _, _, out = smoke_run
+        shutil.copytree(out, tmp_path / "run")
+        config = tmp_path / "run" / "config.txt"
+        assert "\nlambda = 1.0\n" in config.read_text()
+        config.write_text(config.read_text().replace("\nlambda = 1.0\n", "\nlambda = -1\n"))
+        (tmp_path / "run.cfg").write_text("lambda = -1\n")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        refused_in_one_line(tmp_path, "lambda must be non-negative, got -1.0", command, *args)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def refused_in_one_line(cwd, named, *argv) -> None:
+    """Run ``python -m cabc.cli`` on ``argv`` in ``cwd`` and expect exit 2 with
+    one ``error:`` line that names ``named``, no traceback and nothing printed."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    done = subprocess.run([sys.executable, "-m", "cabc.cli", *argv],
+                          cwd=cwd, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0], done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""

@@ -15,6 +15,7 @@ from cabc.reports import (
     contour_segments,
     emit_reports,
     read_reports_csv,
+    read_run,
     svg_xy_figure,
     write_reports_csv,
 )
@@ -184,38 +185,40 @@ def test_reports_csv_round_trips_every_field(tmp_path):
 def test_early_stop_marker_follows_meta(stopped_at, tmp_path):
     """Two full evaluations draw the marker only if the run stopped there:
     an ``early_stop = 0`` run trains on and records ``early_stopped_at: null``."""
-    run = tmp_path / "run"
-    run.mkdir()
-    write_reports_csv([
+    run = write_run(tmp_path / "run", [
         EpochReport(epoch=e, clone_loss=1.0 / (e + 1), safety_loss=0.0, dyn_loss=0.0,
                     clf_loss=0.0, new_successes=2, new_failures=0, n_plus=100, n_query=0,
                     n_minus=0, eval_laps=50, eval_lap_mean=12.0, eval_lap_std=0.0)
-        for e in range(3)], run / "reports.csv")
-    (run / "meta.json").write_text(json.dumps(
-        {"method": "bc", "eval_laps": 50, "early_stopped_at": stopped_at}))
-    emit_reports(run, tmp_path / "rep")
+        for e in range(3)], "bc", early_stopped_at=stopped_at)
+    emit_reports(read_run(run), tmp_path / "rep")
     for name in ("laps_vs_epoch.svg", "imitation_loss.svg"):
         markers = (tmp_path / "rep" / name).read_text().count(">x</text>")
         assert markers == (stopped_at is not None), name
 
 
-def _run_dir(tmp_path, safety_on, clf_fit_epoch):
-    run = tmp_path / "run"
+def write_run(run, reports, method, **meta):
+    """``run`` made a run directory of ``reports``, whose ``config.txt`` sets
+    ``method`` and 50 evaluation laps and whose ``meta.json`` holds ``meta``."""
     run.mkdir()
-    write_reports_csv([
+    write_reports_csv(reports, run / "reports.csv")
+    (run / "config.txt").write_text(f"method = {method}\neval_laps = 50\n")
+    (run / "meta.json").write_text(json.dumps(meta))
+    return run
+
+
+def _run_dir(tmp_path, safety_on, clf_fit_epoch):
+    return write_run(tmp_path / "run", [
         EpochReport(epoch=e, clone_loss=1.0, safety_loss=float(on), dyn_loss=0.0,
                     clf_loss=0.0, new_successes=1, new_failures=1, n_plus=100, n_query=50,
                     n_minus=40, eval_laps=e, eval_lap_mean=12.0, eval_lap_std=0.0,
                     safety_on=on, clf_fit_epoch=fit)
-        for e, (on, fit) in enumerate(zip(safety_on, clf_fit_epoch))], run / "reports.csv")
-    (run / "meta.json").write_text(json.dumps({"method": "ca", "eval_laps": 50}))
-    return run
+        for e, (on, fit) in enumerate(zip(safety_on, clf_fit_epoch))], "ca")
 
 
 def test_laps_chart_marks_safety_term_and_classifier_fits(tmp_path):
     safety_on = [False, False, True, True, False, True, True]
     clf_fit_epoch = [-1, -1, 2, 2, 2, 5, 5]
-    emit_reports(_run_dir(tmp_path, safety_on, clf_fit_epoch), tmp_path / "rep")
+    emit_reports(read_run(_run_dir(tmp_path, safety_on, clf_fit_epoch)), tmp_path / "rep")
     with open(tmp_path / "rep" / "laps_vs_epoch.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "laps", "safety_on", "clf_fit_epoch"]
@@ -250,7 +253,7 @@ def test_reports_csv_without_the_safety_columns_still_reports(tmp_path):
     assert old[0][-1] == "clf_degenerate"
     with open(run / "reports.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(old)
-    emit_reports(run, tmp_path / "rep")
+    emit_reports(read_run(run), tmp_path / "rep")
     with open(tmp_path / "rep" / "laps_vs_epoch.csv", newline="") as fh:
         assert list(csv.reader(fh))[1:] == [[str(e), str(e), "", ""] for e in range(3)]
     svg = (tmp_path / "rep" / "laps_vs_epoch.svg").read_text()

@@ -98,7 +98,7 @@ def test_racing_experiment_refuses_no_seeds(tmp_path):
     out = tmp_path / "out"
     done = run_script("run_racing_experiment.py", "--seeds", "0", "--out", str(out))
     assert done.returncode == 2
-    assert "--seeds must be at least 1, got 0" in done.stderr
+    assert "argument --seeds: must be at least 1, got 0" in done.stderr
     assert not out.exists()
 
 
