@@ -23,6 +23,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cabc import cli
+from cabc.evalharness import full_epochs
 from cabc.reports import read_run
 
 
@@ -48,8 +49,9 @@ def main(argv=None) -> int:
                 return code
             wall_s = round(time.time() - t0, 1)
             cfg, _, reports = read_run(run)
-            first = next((r["epoch"] for r in reports if r["eval_laps"] >= cfg.eval_laps), None)
-            best = max((r["eval_laps"] for r in reports), default=0)
+            laps = [r["eval_laps"] for r in reports]
+            first = next(iter(full_epochs(laps, cfg.eval_laps)), None)
+            best = max(laps, default=0)
             results[method].append(cfg.epochs + 1 if first is None else first)
             rows.append({"seed": seed, "method": method, "first_full_eval": first,
                          "best_laps": best, "epochs_run": len(reports), "wall_s": wall_s})

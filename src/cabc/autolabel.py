@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import nn
-from .sim import rng_stream
+from .core import rng_stream
 
 SIGMA_MIN = 1e-6
 HULL_TOL = 1e-7

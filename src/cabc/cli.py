@@ -27,7 +27,7 @@ from .autolabel import (
     train_synthetic_classifier,
 )
 from .config import parse_config_file, settings_from, snapshot_config
-from .core import DatasetWriter, save_dataset
+from .core import DatasetWriter, rng_stream, save_dataset
 from .critic import save_critic
 from .evalharness import evaluate
 from .reports import (
@@ -38,7 +38,6 @@ from .reports import (
     svg_xy_figure,
     write_reports_csv,
 )
-from .sim import rng_stream
 from .track import resolve_track, track_ref
 from .trainer import OBS_FLAGS, NonFiniteLossError, load_policy, make_expert_factory, train
 

@@ -1,4 +1,5 @@
-"""Shared domain types, the labeled-pool record, and dataset persistence.
+"""Shared domain types, the random-stream family, the labeled-pool record, and
+dataset persistence.
 
 The vehicle lives in Frenet coordinates attached to a closed reference path:
 arc length ``s`` (stored unwrapped so progress is monotone across laps),
@@ -112,6 +113,16 @@ def _action_row(values) -> tuple:
         if not -1.0 <= value <= 1.0:
             raise ValueError(f"{name} out of [-1, 1]: {value}")
     return row
+
+
+def rng_stream(seed: int, *key: int) -> np.random.Generator:
+    """Independent, reproducible stream ``key`` of the family rooted at ``seed``.
+
+    The key is the ``SeedSequence`` spawn key, so distinct keys give
+    independent streams and ``rng_stream(seed)`` is the root stream itself.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=key)))
 
 
 class Outcome(Enum):

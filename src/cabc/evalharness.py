@@ -16,8 +16,8 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .core import TerminationReason, Trajectory
-from .sim import SimConfig, default_start_state, rng_stream, rollout
+from .core import TerminationReason, Trajectory, rng_stream
+from .sim import SimConfig, default_start_state, rollout
 from .track import TrackSpec
 
 
@@ -77,11 +77,16 @@ def evaluate(policy, cfg: SimConfig, track: TrackSpec, seed: int,
     return EvalResult(tuple(lap_times), traj.termination_reason)
 
 
-def early_stop_epoch(laps: Sequence[int], full_laps: int) -> Optional[int]:
-    """The epoch training stops at: the second whose evaluation drove ``full_laps``.
+def full_epochs(laps: Sequence[int], full_laps: int) -> List[int]:
+    """The epochs whose evaluation drove ``full_laps``, in order.
 
-    ``laps`` holds each epoch's completed laps, epoch 0 first; ``None`` while
-    fewer than two evaluations were full.
+    ``laps`` holds each epoch's completed laps, epoch 0 first.
     """
-    full = [epoch for epoch, n in enumerate(laps) if n >= full_laps]
+    return [epoch for epoch, n in enumerate(laps) if n >= full_laps]
+
+
+def early_stop_epoch(laps: Sequence[int], full_laps: int) -> Optional[int]:
+    """The epoch training stops at: the second of :func:`full_epochs`;
+    ``None`` while fewer than two evaluations were full."""
+    full = full_epochs(laps, full_laps)
     return full[1] if len(full) >= 2 else None

@@ -42,6 +42,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import rng_stream
+
 _HEADS = ("identity", "tanh", "sigmoid")
 _LOGIT_CLAMP = 30.0  # keeps sigmoid output strictly inside (0, 1)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
@@ -95,7 +97,7 @@ class MlpParams:
 def init_mlp(sizes: Sequence[int], head: str = "identity", seed: int = 0) -> MlpParams:
     """Glorot-uniform initialization, reproducible from the seed."""
     sizes = tuple(int(s) for s in sizes)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = rng_stream(seed)
     flat = np.zeros(_param_count(sizes))
     for W, _ in _layer_views(flat, sizes):
         bound = np.sqrt(6.0 / sum(W.shape))

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 import numpy as np
 
 from .config import parse_config_file, settings_from
-from .evalharness import chained_laps
+from .evalharness import chained_laps, full_epochs
 from .sim import SimConfig
 from .track import TrackSpec, frenet_to_cartesian
 from .trainer import EpochReport, TrainConfig
@@ -340,31 +340,47 @@ def read_run(run_dir) -> Tuple[TrainConfig, dict, List[Dict[str, object]]]:
     return cfg, meta, read_reports_csv(paths[2])
 
 
+def _full_rows(run) -> List[Dict[str, object]]:
+    """The ``reports.csv`` rows of a run's full evaluations, judged by its own
+    ``eval_laps``; ``run`` is as :func:`read_run` returns it."""
+    cfg, _, rows = run
+    return [rows[e] for e in full_epochs([r["eval_laps"] for r in rows], cfg.eval_laps)]
+
+
 def emit_reports(run, out_dir, baseline=None) -> List[str]:
     """Comparison charts and CSV extracts of a run, and of a ``baseline`` run
     if given, each as :func:`read_run` returns it."""
     cfg, meta, rows = run
-    base_rows = None if baseline is None else baseline[2]
+    base_rows = baseline[2] if baseline else []
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
 
-    def _csv(name: str, header: List[str], data_rows: List[list]) -> None:
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    def draw(chart: SvgChart, stem: str, columns: Dict[str, str], own, base,
+             band: Optional[str] = None) -> None:
+        """Write ``<stem>.csv``, the rows ``own`` under ``columns`` (each header
+        and the ``reports.csv`` key it reads); chart the second column per epoch
+        for ``own``, then dashed for ``base`` if it has rows, and save ``chart``
+        as ``<stem>.svg``.  ``band`` keys the half-width of a band around the
+        run's series; a banded chart draws no run series while ``own`` is empty."""
+        path = os.path.join(out_dir, stem)
+        with open(path + ".csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(data_rows)
-        written.append(path)
-
-    full_laps = cfg.eval_laps
-    epochs = [r["epoch"] for r in rows]
+            writer.writerow(columns)
+            writer.writerows([r.get(key, "") for key in columns.values()] for r in own)
+        key = list(columns.values())[1]
+        if own or band is None:
+            ys = [r[key] for r in own]
+            chart.add_series([r["epoch"] for r in own], ys, cfg.method, band=band and (
+                [y - r[band] for y, r in zip(ys, own)], [y + r[band] for y, r in zip(ys, own)]))
+        if base:
+            chart.add_series([r["epoch"] for r in base], [r[key] for r in base], "baseline",
+                             dash="5 3")
+        chart.save(path + ".svg")
+        written.extend((path + ".csv", path + ".svg"))
 
     # laps per epoch, with the epochs whose policy update ran the safety term
     # and the classifier fits (a reports.csv older than these columns has
     # empty cells and draws no marks)
-    laps_rows = [[r["epoch"], r["eval_laps"], r.get("safety_on", ""), r.get("clf_fit_epoch", "")]
-                 for r in rows]
-    _csv("laps_vs_epoch.csv", ["epoch", "laps", "safety_on", "clf_fit_epoch"], laps_rows)
     chart = SvgChart("Consecutive laps completed per evaluation", "epoch", "laps")
     spans: List[List[float]] = []   # runs of consecutive safety-term epochs
     for r in rows:
@@ -378,53 +394,25 @@ def emit_reports(run, out_dir, baseline=None) -> List[str]:
             chart.add_vline(epoch, "clf fit")
     for x0, x1 in spans:
         chart.add_span(x0, x1, "safety term on")
-    chart.add_series(epochs, [r["eval_laps"] for r in rows], cfg.method)
-    if base_rows:
-        chart.add_series([r["epoch"] for r in base_rows],
-                         [r["eval_laps"] for r in base_rows], "baseline", dash="5 3")
     es = meta.get("early_stopped_at")
     if es is not None:
-        chart.add_marker(es, full_laps, "x")
-    path = os.path.join(out_dir, "laps_vs_epoch.svg")
-    chart.save(path)
-    written.append(path)
+        chart.add_marker(es, cfg.eval_laps, "x")
+    draw(chart, "laps_vs_epoch", {"epoch": "epoch", "laps": "eval_laps", "safety_on": "safety_on",
+                                  "clf_fit_epoch": "clf_fit_epoch"}, rows, base_rows)
 
-    # imitation loss
-    _csv("imitation_loss.csv", ["epoch", "clone_loss"],
-         [[r["epoch"], repr(r["clone_loss"])] for r in rows])
     chart = SvgChart("Imitation loss per epoch", "epoch", "clone loss")
-    chart.add_series(epochs, [r["clone_loss"] for r in rows], cfg.method)
-    if base_rows:
-        chart.add_series([r["epoch"] for r in base_rows],
-                         [r["clone_loss"] for r in base_rows], "baseline", dash="5 3")
     if es is not None:
         chart.add_marker(es, rows[es]["clone_loss"] if es < len(rows) else 0.0, "x")
-    path = os.path.join(out_dir, "imitation_loss.svg")
-    chart.save(path)
-    written.append(path)
+    draw(chart, "imitation_loss", {"epoch": "epoch", "clone_loss": "clone_loss"}, rows, base_rows)
 
-    # lap-time statistics (only epochs that completed the full lap count)
-    done = [r for r in rows if r["eval_laps"] >= full_laps]
-    _csv("laptime_stats.csv", ["epoch", "lap_mean", "lap_std"],
-         [[r["epoch"], repr(r["eval_lap_mean"]), repr(r["eval_lap_std"])] for r in done])
+    # lap times at full evaluations, each run's judged by its own eval_laps
     chart = SvgChart("Lap time (mean +- std) at full-distance evaluations",
                      "epoch", "lap time [s]")
-    if done:
-        mean = [r["eval_lap_mean"] for r in done]
-        std = [r["eval_lap_std"] for r in done]
-        chart.add_series([r["epoch"] for r in done], mean, cfg.method,
-                         band=([m - s for m, s in zip(mean, std)],
-                               [m + s for m, s in zip(mean, std)]))
-    if base_rows:
-        base_done = [r for r in base_rows if r["eval_laps"] >= full_laps]
-        if base_done:
-            chart.add_series([r["epoch"] for r in base_done],
-                             [r["eval_lap_mean"] for r in base_done], "baseline", dash="5 3")
     if "expert_lap_mean" in meta:
         chart.add_hline(meta["expert_lap_mean"], "expert")
-    path = os.path.join(out_dir, "laptime_stats.svg")
-    chart.save(path)
-    written.append(path)
+    draw(chart, "laptime_stats",
+         {"epoch": "epoch", "lap_mean": "eval_lap_mean", "lap_std": "eval_lap_std"},
+         _full_rows(run), _full_rows(baseline) if baseline else [], band="eval_lap_std")
     return written
 
 

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import TerminationReason, Trajectory, check_fields, clamp_action, state_row
+from .core import rng_stream  # noqa: F401  (re-exported: older trees define it here)
 from .track import TrackSpec, advance_pose, curvature_at, frenet_to_cartesian
 
 
@@ -269,13 +270,3 @@ def rollout(cfg: SimConfig, track: TrackSpec, policy: Policy, x0,
 def _rows(rows: list, width: int) -> np.ndarray:
     # a row of another width fails the reshape
     return np.fromiter(chain.from_iterable(rows), float).reshape(len(rows), width)
-
-
-def rng_stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent, reproducible stream ``key`` of the family rooted at ``seed``.
-
-    The key is the ``SeedSequence`` spawn key, so distinct keys give
-    independent streams and ``rng_stream(seed)`` is the root stream itself.
-    """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=seed, spawn_key=key)))

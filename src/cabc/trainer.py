@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .autolabel import NormStats, embed, fit_norm, member_mask
-from .core import LabeledPool, Outcome, Trajectory, check_fields, clamp_action
+from .core import LabeledPool, Outcome, Trajectory, check_fields, clamp_action, rng_stream
 from .critic import (
     DynModel,
     SafetyClf,
@@ -38,7 +38,7 @@ from .critic import (
 )
 from .evalharness import early_stop_epoch, evaluate
 from .experts import PidCenterline, PidGains, RaceParams, RacingExpert
-from .sim import SimConfig, rng_stream, rollout
+from .sim import SimConfig, rollout
 from .track import TrackSpec
 
 

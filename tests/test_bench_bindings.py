@@ -29,6 +29,8 @@ def load_bench_module(name):
 spans = load_bench_module("spans")
 workloads = load_bench_module("workloads")
 one_run = load_bench_module("one_run")
+run = load_bench_module("run")
+selftest = load_bench_module("selftest")
 
 
 @pytest.mark.parametrize("module, path", [(module, path) for module, path, _, _ in spans.TRACED],
@@ -61,3 +63,15 @@ def test_labeldemo_output_passes_the_bench_check(tmp_path):
         removed = [int(row["removed"]) for row in csv.DictReader(fh)]
     assert checks["record"]["removed"] == removed
     assert checks["record"]["numpy_repr_in_points_csv"] is False
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_smoke_run_passes_the_self_test(name, tmp_path):
+    """Every per-layer metric is reached where ``REACHED_ON`` says, no two
+    trainer phases overlap, and the run's outputs check out, as
+    ``perfbench/selftest.py`` checks them."""
+    workload = workloads.WORKLOADS[name]
+    result = run.run_once(str(tmp_path), workload,
+                          workloads.seed_for(workload, 0, ROOT, smoke=True), 0,
+                          trace=True, smoke=True)
+    assert selftest.check(name, result) == []

@@ -13,7 +13,7 @@ import pytest
 
 from cabc.cli import main
 from cabc.core import TerminationReason, clamp_action
-from cabc.evalharness import early_stop_epoch, evaluate
+from cabc.evalharness import early_stop_epoch, evaluate, full_epochs
 from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import read_reports_csv, read_run
 from cabc.sim import SimConfig, rng_stream
@@ -261,6 +261,12 @@ class TestEarlyStop:
 
     def test_never_triggers_below_threshold(self):
         assert early_stop_epoch([49] * 100, 50) is None
+
+    def test_full_epochs_are_those_that_drove_full_laps(self):
+        laps = [0, 3, 2, 5, 3]
+        assert full_epochs(laps, 3) == [1, 3, 4]
+        assert early_stop_epoch(laps, 3) == full_epochs(laps, 3)[1]
+        assert full_epochs(laps, 6) == [] and full_epochs([], 3) == []
 
 
 def run_cli(*argv) -> int:

@@ -206,6 +206,30 @@ def write_run(run, reports, method, **meta):
     return run
 
 
+def test_laptime_chart_judges_each_run_by_its_own_eval_laps(tmp_path):
+    """A 3-lap baseline's full evaluations are charted beside a 50-lap run's,
+    and the CSV extract keeps only the run's full evaluations."""
+    def reports(laps):
+        return [EpochReport(epoch=e, clone_loss=1.0, safety_loss=0.0, dyn_loss=0.0,
+                            clf_loss=0.0, new_successes=1, new_failures=1, n_plus=100,
+                            n_query=0, n_minus=0, eval_laps=n, eval_lap_mean=12.0 + e,
+                            eval_lap_std=0.5) for e, n in enumerate(laps)]
+
+    run = write_run(tmp_path / "run", reports([50, 3, 50, 7]), "ca", expert_lap_mean=11.0)
+    base = write_run(tmp_path / "base", reports([3, 3, 1, 3]), "bc")
+    (base / "config.txt").write_text("method = bc\neval_laps = 3\n")
+    emit_reports(read_run(run), tmp_path / "rep", baseline=read_run(base))
+    with open(tmp_path / "rep" / "laptime_stats.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["epoch", "lap_mean", "lap_std"],
+                                        ["0", "12.0", "0.5"], ["2", "14.0", "0.5"]]
+    svg = ET.parse(tmp_path / "rep" / "laptime_stats.svg").getroot()
+    texts = [e.text for e in svg.findall(f"{_SVG}text")]
+    assert "ca" in texts and "baseline" in texts
+    lines = svg.findall(f"{_SVG}polyline")
+    assert [len(e.get("points").split()) for e in lines] == [2, 3]   # epochs 0, 2; 0, 1, 3
+    assert lines[1].get("stroke-dasharray") == "5 3"
+
+
 def _run_dir(tmp_path, safety_on, clf_fit_epoch):
     return write_run(tmp_path / "run", [
         EpochReport(epoch=e, clone_loss=1.0, safety_loss=float(on), dyn_loss=0.0,
