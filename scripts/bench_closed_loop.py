@@ -19,9 +19,8 @@ Evaluations (per step of ``evalharness.evaluate`` over ``EVAL_LAPS`` laps,
 default simulator, seed 0): ``pid_circle``, the PID expert on circle, and
 ``racing_gp``, the racing expert on gp.
 
-Calls (per call, each made on the states and observations the racing loop
-visits, stepped here through ``sim.step`` and ``sim.observe`` so that any
-version of the trajectory record gives the same calls): ``sim.step``,
+Calls (per call, each made on the states, actions and observations of one
+``sim.rollout`` of the racing loop, ``racing_gp``): ``sim.step``,
 ``sim.observe``, ``sim.lane_preview``, ``track.frenet_to_cartesian``,
 ``RacingExpert.__call__``, the batch-1 ``MlpPolicy.__call__`` and the
 full-state policy features ``trainer.features_from_state``; and one call of
@@ -133,7 +132,8 @@ def _modules(pkg: str, *names: str) -> list:
 
 
 def _loops(pkg: str) -> dict:
-    experts, sim, track, trainer = _modules(pkg, "experts", "sim", "track", "trainer")
+    core, experts, sim, track, trainer = _modules(pkg, "core", "experts", "sim", "track",
+                                                  "trainer")
     gp, circle = track.get_track("gp"), track.get_track("circle")
     cfg = sim.SimConfig(lap_target=2)
     learner = trainer.MlpPolicy(
@@ -143,18 +143,18 @@ def _loops(pkg: str) -> dict:
 
     def racing_gp():
         return len(sim.rollout(cfg, gp, experts.RacingExpert(cfg, gp),
-                               sim.default_start_state(), 1200, sim.rng_stream(11, 0)))
+                               sim.default_start_state(), 1200, core.rng_stream(11, 0)))
 
     def pid_circle():
         return len(sim.rollout(cfg, circle, experts.PidCenterline(cfg, circle),
-                               sim.default_start_state(), 1200, sim.rng_stream(12, 0)))
+                               sim.default_start_state(), 1200, core.rng_stream(12, 0)))
 
     def mixture(policy):
         def run():
             mixed = trainer.MixedPolicy(experts.PidCenterline(cfg, circle), policy, 0.5,
-                                        sim.rng_stream(13, 1), sigma_u=0.15)
+                                        core.rng_stream(13, 1), sigma_u=0.15)
             return len(sim.rollout(cfg, circle, mixed, sim.default_start_state(), 1200,
-                                   sim.rng_stream(13, 0),
+                                   core.rng_stream(13, 0),
                                    relabel=lambda x: mixed.last_expert_action))
         return run
 
@@ -184,29 +184,19 @@ def _evaluate(pkg: str) -> dict:
 
 
 def _calls(pkg: str) -> dict:
-    experts, reports, sim, track, trainer = _modules(
-        pkg, "experts", "reports", "sim", "track", "trainer")
+    core, experts, reports, sim, track, trainer = _modules(
+        pkg, "core", "experts", "reports", "sim", "track", "trainer")
     gp = track.get_track("gp")
     cfg = sim.SimConfig(lap_target=2)
-    # the racing loop's steps, as ``rollout`` drives them
-    expert, rng_obs = experts.RacingExpert(cfg, gp), sim.rng_stream(11, 0)
-    x = sim.default_start_state()
-    states, obs, acts = [], [], []
-    for _ in range(1200):
-        y = sim.observe(cfg, gp, x, rng_obs)
-        u = expert(y, x)
-        states.append(x)
-        obs.append(y)
-        acts.append(u)
-        x = sim.step(cfg, gp, x, u)
-        if not sim.in_constraints(cfg, gp, x) or sim.in_target(cfg, gp, x, 0.0):
-            break
+    traj = sim.rollout(cfg, gp, experts.RacingExpert(cfg, gp), sim.default_start_state(), 1200,
+                       core.rng_stream(11, 0))
+    pairs = [(tuple(x), tuple(u), tuple(y)) for x, u, y in zip(
+        traj.states[:-1].tolist(), traj.u_applied.tolist(), traj.y.tolist())]
     expert = experts.RacingExpert(cfg, gp)
     policy = trainer.MlpPolicy(
         trainer.init_policy(trainer.TrainConfig(seed=1, sim=cfg), gp), "output", gp)
-    rng = sim.rng_stream(0, 0)
+    rng = core.rng_stream(0, 0)
     distances = cfg.preview_distances
-    pairs = list(zip(states, acts, obs))
 
     def per_state(call):
         def run():
@@ -234,14 +224,15 @@ def _calls(pkg: str) -> dict:
 
 
 def _nn(pkg: str) -> dict:
-    nn, autolabel, critic, sim, track, trainer = _modules(
-        pkg, "nn", "autolabel", "critic", "sim", "track", "trainer")
+    nn, autolabel, core, critic, sim, track, trainer = _modules(
+        pkg, "nn", "autolabel", "core", "critic", "sim", "track", "trainer")
     gp, cfg = track.get_track("gp"), sim.SimConfig()
-    rng = sim.rng_stream(0, 0)
+    rng = core.rng_stream(0, 0)
     states, actions = rng.normal(size=(NN_BATCH, 6)), rng.normal(size=(NN_BATCH, 2))
     norm = autolabel.fit_norm(states, gp.lap_length)
-    dyn = critic.init_dyn_model(norm, cfg, seed=1)
-    clf = critic.init_safety_clf(norm, seed=2)
+    hidden = trainer.TrainConfig().hidden
+    dyn = critic.init_dyn_model(norm, cfg, hidden=hidden, seed=1)
+    clf = critic.init_safety_clf(norm, hidden=hidden, seed=2)
     nets = {"policy": trainer.init_policy(trainer.TrainConfig(seed=1), gp), "dyn": dyn.params,
             "clf": clf.params}
 
@@ -271,8 +262,8 @@ def _nn(pkg: str) -> dict:
 
 def _hull_cases(pkg: str) -> dict:
     """``(x, points, tol)`` triples of the two hull-test shapes."""
-    autolabel, sim, track, trainer = _modules(pkg, "autolabel", "sim", "track", "trainer")
-    rng = sim.rng_stream(0)
+    autolabel, core, track, trainer = _modules(pkg, "autolabel", "core", "track", "trainer")
+    rng = core.rng_stream(0)
     plus = autolabel.SyntheticSet.crescent().sample_inside(6000, rng)
     index = autolabel.NeighborIndex(plus)
     demo = [(q, plus[idx], autolabel.HULL_TOL) for q in autolabel.sample_box(6000, rng)

@@ -13,7 +13,6 @@ Usage:
 """
 
 import argparse
-import csv
 import json
 import os
 import statistics
@@ -24,7 +23,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cabc import cli
 from cabc.evalharness import full_epochs
-from cabc.reports import read_run
+from cabc.reports import read_run, write_csv
 
 
 def main(argv=None) -> int:
@@ -53,15 +52,13 @@ def main(argv=None) -> int:
             first = next(iter(full_epochs(laps, cfg.eval_laps)), None)
             best = max(laps, default=0)
             results[method].append(cfg.epochs + 1 if first is None else first)
-            rows.append({"seed": seed, "method": method, "first_full_eval": first,
-                         "best_laps": best, "epochs_run": len(reports), "wall_s": wall_s})
+            rows.append((seed, method, "" if first is None else first, best, len(reports),
+                         wall_s))
             print(f"seed {seed} {method}: first full eval at {'never' if first is None else first}"
                   f" (best {best} laps, {wall_s}s)", flush=True)
 
-    with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(os.path.join(args.out, "summary.csv"),
+              ("seed", "method", "first_full_eval", "best_laps", "epochs_run", "wall_s"), rows)
     summary = {**{f"{m}_first_full": v for m, v in results.items()},
                **{f"{m}_median": statistics.median(v) for m, v in results.items()},
                **{f"{m}_success_seeds": sum(x <= cfg.epochs for x in v)

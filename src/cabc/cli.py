@@ -36,6 +36,7 @@ from .reports import (
     policy_rollout_figure,
     read_run,
     svg_xy_figure,
+    write_csv,
     write_reports_csv,
 )
 from .track import resolve_track, track_ref
@@ -188,36 +189,27 @@ _SYNTH = {
 }
 
 
-# The labeldemo CSVs are written as csv.writer would write them: "\r\n" line
-# ends and no quoting, since a float's repr holds no delimiter, quote or line
-# break.  Rows are formatted from Python floats and streamed.
-
 def write_samples_csv(path, plus, sdf_plus, query, sdf_query) -> None:
     """Every sample once, with its signed distance to the true boundary: the
     plus points (pool ``plus``), then the query points (pool ``query``)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,y,true_sdf,pool\r\n")
-        for pool, pts, sdf in (("plus", plus, sdf_plus), ("query", query, sdf_query)):
-            fh.writelines(f"{x!r},{y!r},{s!r},{pool}\r\n"
-                          for (x, y), s in zip(pts.tolist(), sdf.tolist()))
+    write_csv(path, ("x", "y", "true_sdf", "pool"),
+              ((x, y, s, pool)
+               for pool, pts, sdf in (("plus", plus, sdf_plus), ("query", query, sdf_query))
+               for (x, y), s in zip(pts.tolist(), sdf.tolist())))
 
 
 def write_points_csv(path, query, removed) -> None:
     """One radius's decisions: each query point, in ``samples.csv`` order, with
     ``removed`` 1 if the hull test dropped it from the negative set, else 0."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,y,removed\r\n")
-        fh.writelines(f"{x!r},{y!r},{rm:d}\r\n"
-                      for (x, y), rm in zip(query.tolist(), removed.tolist()))
+    write_csv(path, ("x", "y", "removed"),
+              ((x, y, rm) for (x, y), rm in zip(query.tolist(), removed.astype(int).tolist())))
 
 
 def write_grid_csv(path, xs, ys, probs) -> None:
     """The p(safe) matrix: a header row of ``y\\x`` and the x-coordinates,
     then one row per y, that y followed by ``probs[i, :]`` along x."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"y\\x,{','.join(map(repr, xs.tolist()))}\r\n")
-        fh.writelines(f"{y!r},{','.join(map(repr, row.tolist()))}\r\n"
-                      for y, row in zip(ys.tolist(), probs))
+    write_csv(path, ("y\\x", *xs.tolist()),
+              ((y, *row) for y, row in zip(ys.tolist(), probs.tolist())))
 
 
 def _rho_tag(rho: float) -> str:
@@ -266,8 +258,7 @@ def _cmd_labeldemo(args) -> int:
     query = sample_box(args.n, rng)
     os.makedirs(args.out, exist_ok=True)
     summary_path = os.path.join(args.out, "summary.csv")
-    summary = [("set", "rho", "removed", "violations", "incorrect_removals",
-                "balanced_accuracy")]
+    summary = []        # one row per radius, the file rewritten after each pass
     true_set = None     # (zero contour, truth mask) of the true set on the grid
     for i, rho in enumerate(args.rho):
         # each pass begins with its own labeling call (perfbench marks the
@@ -319,8 +310,8 @@ def _cmd_labeldemo(args) -> int:
                                + (~pred & ~truth).sum() / max((~truth).sum(), 1))
         summary.append((args.set, rho, int(removed.sum()),
                         prop1_violation_count(query[removed], synth, rho), n_inc, accuracy))
-        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(f"{','.join(map(str, row))}\r\n" for row in summary)
+        write_csv(summary_path, ("set", "rho", "removed", "violations", "incorrect_removals",
+                                 "balanced_accuracy"), summary)
         print(f"rho={rho:g}: removed {int(removed.sum())} of {len(query)} "
               f"({n_inc} outside the true set); wrote {points_path}, {grid_path}, {svg_path}")
     return 0

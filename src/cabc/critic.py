@@ -74,14 +74,12 @@ class SafetyClf:
         return nn.forward(self.params, emb, tape)[..., 0]
 
 
-def init_dyn_model(norm: NormStats, cfg: SimConfig, hidden: Sequence[int] = (128, 128, 128),
-                   seed: int = 0) -> DynModel:
+def init_dyn_model(norm: NormStats, cfg: SimConfig, hidden: Sequence[int], seed: int) -> DynModel:
     params = nn.init_mlp((9, *hidden, 6), head="identity", seed=seed)
     return DynModel(params=params, norm=norm, delta_scale=delta_scale_from(cfg))
 
 
-def init_safety_clf(norm: NormStats, hidden: Sequence[int] = (128, 128, 128),
-                    seed: int = 1) -> SafetyClf:
+def init_safety_clf(norm: NormStats, hidden: Sequence[int], seed: int) -> SafetyClf:
     params = nn.init_mlp((7, *hidden, 1), head="sigmoid", seed=seed)
     return SafetyClf(params=params, norm=norm)
 

@@ -164,16 +164,21 @@ class Tape:
             self._dact.append(other[:batch * n].reshape(batch, n))
 
 
-def _forward_cached(p: MlpParams, x: np.ndarray, tape: Optional[Tape]) -> np.ndarray:
-    """Run the network on a batch ``x`` (B, d), or untaped on one input (d,),
-    and return the head output.
+def forward(p: MlpParams, x: np.ndarray, tape: Optional[Tape] = None) -> np.ndarray:
+    """Evaluate the network on a single input (d,) or a batch (B, d).
 
-    With a ``tape`` every layer writes into the tape's buffers, which then
-    hold the activations ``backward`` needs; without one each layer's output
-    is a new array.
+    With a ``tape``, ``x`` must be a batch: every layer writes into the
+    tape's buffers, which then hold the activations that ``backward`` needs,
+    and the result lives there too (see the module's ownership rule).
+    Without one each layer's output is a new array, and a single input (d,)
+    runs as it is: every layer maps it to a vector.  Raises ``ValueError``
+    for a taped input that is not a batch.
     """
+    x = np.asarray(x, dtype=float)
     acts = None
     if tape is not None:
+        if x.ndim != 2:
+            raise ValueError(f"a taped forward takes a batch (B, d), got shape {x.shape}")
         tape._fit(p.sizes, len(x))
         acts = tape.acts
         acts[0] = x
@@ -188,21 +193,6 @@ def _forward_cached(p: MlpParams, x: np.ndarray, tape: Optional[Tape]) -> np.nda
     if tape is not None:
         tape.out = out
     return out
-
-
-def forward(p: MlpParams, x: np.ndarray, tape: Optional[Tape] = None) -> np.ndarray:
-    """Evaluate the network on a single input (d,) or a batch (B, d).
-
-    With a ``tape``, ``x`` must be a batch, and the activations that
-    ``backward`` needs are recorded; the result then lives in the tape's
-    buffers (see the module's ownership rule).  Raises ``ValueError`` for a
-    taped input that is not a batch.
-    """
-    x = np.asarray(x, dtype=float)
-    if tape is not None and x.ndim != 2:
-        raise ValueError(f"a taped forward takes a batch (B, d), got shape {x.shape}")
-    # without a tape a single input (d,) runs as it is: every layer maps it to a vector
-    return _forward_cached(p, x, tape)
 
 
 def backward(p: MlpParams, tape: Tape, upstream: np.ndarray, param_grads: bool = True):

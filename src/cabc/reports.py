@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -22,12 +22,19 @@ from .track import TrackSpec, frenet_to_cartesian
 from .trainer import EpochReport, TrainConfig
 
 
-def write_reports_csv(reports: Sequence[EpochReport], path) -> None:
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a CSV file: the ``header`` row, then ``rows``, each value as ``str``
+    gives it (a float's shortest repr, which reads back bit for bit), joined by
+    commas, with ``\\r\\n`` line ends and no quoting.  That is what ``csv.writer``
+    writes for values that hold no comma, quote or line break, as every value
+    cabc writes does.  ``rows`` is streamed."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EpochReport.FIELDS)
-        for r in reports:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in r.row()])
+        fh.write(",".join(map(str, header)) + "\r\n")
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+
+
+def write_reports_csv(reports: Sequence[EpochReport], path) -> None:
+    write_csv(path, EpochReport.FIELDS, (r.row() for r in reports))
 
 
 # how each reports.csv column reads back, from its EpochReport field type
@@ -363,10 +370,8 @@ def emit_reports(run, out_dir, baseline=None) -> List[str]:
         as ``<stem>.svg``.  ``band`` keys the half-width of a band around the
         run's series; a banded chart draws no run series while ``own`` is empty."""
         path = os.path.join(out_dir, stem)
-        with open(path + ".csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows([r.get(key, "") for key in columns.values()] for r in own)
+        write_csv(path + ".csv", columns, ([r.get(key, "") for key in columns.values()]
+                                          for r in own))
         key = list(columns.values())[1]
         if own or band is None:
             ys = [r[key] for r in own]

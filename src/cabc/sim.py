@@ -21,7 +21,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import TerminationReason, Trajectory, check_fields, clamp_action, state_row
-from .core import rng_stream  # noqa: F401  (re-exported: older trees define it here)
 from .track import TrackSpec, advance_pose, curvature_at, frenet_to_cartesian
 
 

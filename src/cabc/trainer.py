@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import nn
-from .autolabel import NormStats, embed, fit_norm, member_mask
+from .autolabel import NormStats, fit_norm, member_mask
 from .core import LabeledPool, Outcome, Trajectory, check_fields, clamp_action, rng_stream
 from .critic import (
     DynModel,
@@ -147,18 +147,10 @@ def features_from_obs(y) -> np.ndarray:
     return out
 
 
-def features_from_state_array(x_arr: np.ndarray, track: TrackSpec) -> np.ndarray:
-    """The state embedding with each column brought to order one."""
-    out = embed(x_arr, track.lap_length)
-    out[:, 0:3] *= _VEL_SCALE
-    out[:, 6] *= 2.0   # then / pi: (e_psi * 2) / pi rounds unlike e_psi * (2 / pi)
-    out[:, 5:7] /= (track.half_width, math.pi)
-    return out
-
-
 def features_from_state(x: tuple, track: TrackSpec) -> np.ndarray:
-    """The features of one state row: a row of :func:`features_from_state_array`,
-    bit for bit, in float arithmetic."""
+    """Policy features of one state row ``(7,)``: the state embedding
+    (``autolabel.embed``) with each column brought to order one.  A rollout's
+    features are its rows' features."""
     v_long, v_tran, omega_psi, s, x_tran, e_psi = x
     k_long, k_tran, k_omega = _VEL_SCALES
     ang = 2.0 * math.pi * s / track.lap_length
@@ -342,7 +334,8 @@ class _SampleStore:
             if mode == "output":
                 feats = features_from_obs(traj.y)
             else:
-                feats = features_from_state_array(traj.states[:-1], track)
+                feats = np.array([features_from_state(x, track)
+                                  for x in traj.states[:-1].tolist()])
             chunks["states"].append(traj.states)
             chunks["rows"].append(np.arange(first, first + len(traj)))
             chunks["feats"].append(feats)

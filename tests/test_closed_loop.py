@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from cabc import sim
-from cabc.core import STATE_FIELDS, Trajectory, clamp_action, state_row
+from cabc.core import STATE_FIELDS, Trajectory, clamp_action, rng_stream, state_row
 from cabc.experts import PidCenterline, RaceParams, RacingExpert
-from cabc.sim import SimConfig, default_start_state, lane_preview, rng_stream, rollout, step
+from cabc.sim import SimConfig, default_start_state, lane_preview, rollout, step
 from cabc.track import (
     TrackSpec,
     centerline_pose,

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import shutil
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 
 from cabc.cli import main
-from cabc.core import TerminationReason, clamp_action
+from cabc.core import TerminationReason, clamp_action, rng_stream
 from cabc.evalharness import early_stop_epoch, evaluate, full_epochs
 from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import read_reports_csv, read_run
-from cabc.sim import SimConfig, rng_stream
+from cabc.sim import SimConfig
 
 from conftest import abort_after_one_epoch, cli_refuses, make_trajectory, write_track_file
 
@@ -625,50 +626,34 @@ class TestCli:
                           "points_rho0p5.csv"])
 
     def test_labeldemo_csv_bytes_match_csv_writer(self, tmp_path):
-        """The streamed CSVs are byte for byte what a ``csv.writer`` loop writes."""
-        from cabc.cli import write_grid_csv, write_points_csv, write_samples_csv
+        """Every CSV is written by ``reports.write_csv``, byte for byte what a
+        ``csv.writer`` loop writes for cabc's values, and a float reads back
+        bit for bit."""
+        from cabc.cli import write_grid_csv
+        from cabc.reports import write_csv
 
+        special = [0.0, -0.0, 1e-300, 5e-324, -1e300, 0.1, 1 / 3, math.nan, math.inf,
+                   -math.inf]
+        rows = [special, [1, -2, 0, True, False, "plus", "query", "", "y\\x", 7],
+                ["", 2.5, "", 1, 0.0, True, "a b", -0.0, "", ""], [3, "", 1e-17, False]]
+        header = ["x", "y", "true_sdf", "pool", "", "removed", "a", "b", "c", "d"]
+        write_csv(tmp_path / "rows.csv", header, iter(rows))
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        write_csv(tmp_path / "empty.csv", header, [])
+        assert (tmp_path / "empty.csv").read_bytes() == b"x,y,true_sdf,pool,,removed,a,b,c,d\r\n"
+
+        # the p(safe) matrix reads back to the grid bit for bit: nan, +-inf,
+        # -0.0, subnormals
         rng = np.random.default_rng(6)
-        special = np.array([0.0, -0.0, 1e-300, 5e-324, -1e300, 0.1, 1 / 3, np.nan,
-                            np.inf, -np.inf])
-        plus = np.concatenate([rng.normal(size=(30, 2)), special.reshape(-1, 2)])
-        query = np.concatenate([rng.normal(size=(40, 2)), special[::-1].reshape(-1, 2)])
-        sdf_plus = rng.normal(size=len(plus))
-        sdf_query = np.concatenate([rng.normal(size=40), special[:5]])
-        removed = rng.random(len(query)) < 0.4
         xs, ys = np.linspace(-5.0, 5.0, 7), np.linspace(-5.0, 5.0, 9)
         probs = rng.random((len(ys), len(xs)))
         probs[0, :3] = (0.0, 1.0, 1e-17)
-        probs[1:6, :2] = special.reshape(5, 2)
-
-        ref_samples, ref_points = tmp_path / "ref_samples.csv", tmp_path / "ref_points.csv"
-        ref_grid = tmp_path / "ref_grid.csv"
-        with open(ref_samples, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "true_sdf", "pool"])
-            for pool, pts, sdf in (("plus", plus, sdf_plus), ("query", query, sdf_query)):
-                for p, s in zip(pts, sdf):
-                    writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(s)),
-                                     pool])
-        with open(ref_points, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "removed"])
-            for p, rm in zip(query, removed):
-                writer.writerow([repr(float(p[0])), repr(float(p[1])), int(rm)])
-        with open(ref_grid, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y\\x"] + [repr(float(x)) for x in xs])
-            for i in range(len(ys)):
-                writer.writerow([repr(float(ys[i]))]
-                                + [repr(float(probs[i, j])) for j in range(len(xs))])
-
-        write_samples_csv(tmp_path / "samples.csv", plus, sdf_plus, query, sdf_query)
-        write_points_csv(tmp_path / "points.csv", query, removed)
+        probs[1:6, :2] = np.reshape(special, (5, 2))
         write_grid_csv(tmp_path / "grid.csv", xs, ys, probs)
-        assert (tmp_path / "samples.csv").read_bytes() == ref_samples.read_bytes()
-        assert (tmp_path / "points.csv").read_bytes() == ref_points.read_bytes()
-        assert (tmp_path / "grid.csv").read_bytes() == ref_grid.read_bytes()
-        # the matrix reads back to the grid bit for bit: nan, +-inf, -0.0, subnormals
         with open(tmp_path / "grid.csv", newline="") as fh:
             (corner, *header), *rows = list(csv.reader(fh))
         got = np.array([[float(v) for v in row] for row in rows])

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cabc.core import Outcome, clamp_action
+from cabc.core import Outcome, clamp_action, rng_stream
 from cabc.experts import PidCenterline, RacingExpert
-from cabc.sim import default_start_state, rng_stream, rollout
+from cabc.sim import default_start_state, rollout
 from cabc.track import default_tracks
 
 from conftest import make_state, max_abs_curvature

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cabc.core import Outcome, TerminationReason
+from cabc.core import Outcome, TerminationReason, rng_stream
 from cabc.experts import PidCenterline, RacingExpert
 from cabc.sim import (
     SimConfig,
@@ -14,7 +14,6 @@ from cabc.sim import (
     in_target,
     lane_preview,
     observe,
-    rng_stream,
     rollout,
     step,
 )

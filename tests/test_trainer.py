@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cabc import nn
-from cabc.autolabel import NormStats
-from cabc.core import Outcome
+from cabc.autolabel import NormStats, embed
+from cabc.core import Outcome, rng_stream
 from cabc.critic import (
     DynModel,
     SafetyClf,
@@ -16,7 +16,7 @@ from cabc.critic import (
     dyn_loss_and_grad,
 )
 from cabc.experts import PidCenterline, RacingExpert
-from cabc.sim import SimConfig, default_start_state, rng_stream, rollout
+from cabc.sim import SimConfig, default_start_state, rollout
 from cabc.track import get_track
 from cabc.trainer import (
     EpochReport,
@@ -27,11 +27,12 @@ from cabc.trainer import (
     agent_loss_and_grad,
     features_from_obs,
     features_from_state,
-    features_from_state_array,
     init_policy,
     make_expert_factory,
     train,
+    _collect_epoch,
     _finite_or_raise,
+    _SampleStore,
 )
 
 from conftest import make_state, mlp_from_layers, same_trajectory
@@ -587,8 +588,8 @@ class TestPolicyWrapper:
 
     @pytest.mark.parametrize("name", ["circle", "lshaped", "gp"])
     def test_full_state_features_match_training_bits(self, name):
-        # the policy is trained on the batch features and driven on the
-        # per-step ones, so the two must agree bit for bit on every state
+        # reference: the state embedding, scaled column by column; only the
+        # cos/sin pair may differ, by libm against numpy's trig
         track = get_track(name)
         states = []
         if name == "gp":
@@ -604,11 +605,32 @@ class TestPolicyWrapper:
             rng.uniform(-track.half_width, track.half_width, n),
             rng.uniform(-math.pi / 2, math.pi / 2, n)])
         states += raw.tolist()
-        batch = features_from_state_array(np.array(states), track)
+        ref = embed(np.array(states), lap)
+        ref[:, 0:3] *= (0.5, 2.0, 0.5)
+        ref[:, 5] /= track.half_width
+        ref[:, 6] = ref[:, 6] * 2.0 / math.pi
         rows = np.array([features_from_state(x, track) for x in states])
-        assert batch.shape == rows.shape == (len(states), 7)
-        differ = np.flatnonzero((batch.view(np.int64) != rows.view(np.int64)).any(axis=1))
+        assert rows.shape == ref.shape == (len(states), 7)
+        exact = [0, 1, 2, 5, 6]
+        differ = np.flatnonzero((rows[:, exact].view(np.int64)
+                                 != ref[:, exact].view(np.int64)).any(axis=1))
         assert len(differ) == 0, f"{len(differ)} of {len(states)} rows differ, first {differ[:5]}"
+        np.testing.assert_allclose(rows[:, 3:5], ref[:, 3:5], rtol=0.0, atol=2.3e-16)
+
+    def test_full_state_training_features_are_the_driving_features(self, gp):
+        # a full-state collection stores, at every visited state, the features
+        # the policy drives with there
+        cfg = tiny_cfg(gp, observation_mode="full_state", alpha=0.5)
+        trajs = [t for epoch in range(2) for t in _collect_epoch(
+            cfg, gp, make_expert_factory("racing", cfg.sim, gp), init_policy(cfg, gp), epoch)]
+        store = _SampleStore(7)
+        store.add_trajectories(trajs, cfg.observation_mode, gp)
+        visited = store.states[store.rows]
+        assert len(store) == sum(len(t) for t in trajs) > 0
+        assert np.array_equal(visited, np.vstack([t.states[:-1] for t in trajs]))
+        driven = np.array([features_from_state(x, gp) for x in visited.tolist()])
+        assert store.feats.shape == driven.shape
+        assert store.feats.tobytes() == driven.tobytes()
 
     def test_policy_head_must_be_bounded(self, circle):
         bad = nn.init_mlp((5, 4, 2), head="identity", seed=0)
