@@ -95,11 +95,17 @@ def _cmd_train(args) -> int:
     reports = []
     ckpt_dir = os.path.join(out, "checkpoints")
 
+    def checkpoint_dir(epoch):
+        """Where ``epoch``'s policy is checkpointed, or None off the cadence."""
+        if args.checkpoint_every and epoch % args.checkpoint_every == 0:
+            return os.path.join(ckpt_dir, f"epoch_{epoch:04d}")
+        return None
+
     def on_epoch(report, policy_params):
         reports.append(report)
         write_reports_csv(reports, os.path.join(out, "reports.csv"))
-        if args.checkpoint_every and report.epoch % args.checkpoint_every == 0:
-            d = os.path.join(ckpt_dir, f"epoch_{report.epoch:04d}")
+        d = checkpoint_dir(report.epoch)
+        if d is not None:
             os.makedirs(d, exist_ok=True)
             nn.save_weights(policy_params, os.path.join(d, "policy.npz"))
 
@@ -118,10 +124,22 @@ def _cmd_train(args) -> int:
         print(f"aborted: {aborted}", file=sys.stderr)
         return EXIT_NONFINITE
 
-    nn.save_weights(result.policy, os.path.join(out, "policy.npz"))
+    # the final epoch's checkpoint, when it has one, is moved to policy.npz
+    # rather than written twice; checkpoints/ keeps the cadence epochs before it
+    final = os.path.join(out, "policy.npz")
+    last = checkpoint_dir(result.reports[-1].epoch) if result.reports else None
+    if last is None:
+        nn.save_weights(result.policy, final)
+    else:
+        os.replace(os.path.join(last, "policy.npz"), final)
+        os.rmdir(last)
+        if not os.listdir(ckpt_dir):
+            os.rmdir(ckpt_dir)
     if result.dyn is not None and result.clf is not None:
         save_critic(result.dyn, result.clf, os.path.join(out, "critic"))
-    if len(result.pool.d_plus) or len(result.pool.d_query):
+    # a BC pool would repeat trajectories.jsonl.gz's states with every minus
+    # flag 0; a CA pool's minus flags are the labeler's output
+    if cfg.method == "ca" and (len(result.pool.d_plus) or len(result.pool.d_query)):
         save_dataset(result.pool, os.path.join(out, "pool.jsonl.gz"))
     write_meta(early_stopped_at=result.early_stopped_at, completed_epochs=len(result.reports))
     best = max((r.eval_laps for r in result.reports), default=0)
@@ -335,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("--out", required=True, help="run directory, absent or empty")
     p.add_argument("--checkpoint-every", type=_at_least(0), default=1,
-                   help="policy checkpoint cadence in epochs (0 disables)")
+                   help="policy checkpoint cadence in epochs (0 disables); checkpoints/ "
+                        "holds the cadence epochs before the last, whose policy is "
+                        "policy.npz")
     p.set_defaults(func=_cmd_train, parser=p)
 
     p = add_parser("eval", help="evaluate saved policy weights")

@@ -1,9 +1,9 @@
 """The benchmark under ``perfbench/`` reaches the program from outside: it
 wraps functions at the attribute their caller looks up, picks the ``ca-gp``
-seed by running one collection epoch itself, and reads ``labeldemo``'s
-files to check each pass.  A change that deletes or renames one of those
-names, or changes those files, breaks the benchmark, not the program's own
-tests, so each is checked here."""
+seed by running one collection epoch itself, and reads the files of
+``train`` and ``labeldemo`` to check each pass.  A change that deletes or
+renames one of those names, or changes those files, breaks the benchmark,
+not the program's own tests, so each is checked here."""
 
 import csv
 import importlib
@@ -63,6 +63,24 @@ def test_labeldemo_output_passes_the_bench_check(tmp_path):
         removed = [int(row["removed"]) for row in csv.DictReader(fh)]
     assert checks["record"]["removed"] == removed
     assert checks["record"]["numpy_repr_in_points_csv"] is False
+
+
+@pytest.mark.parametrize("method", ["bc", "ca"])
+def test_train_output_passes_the_bench_check(method, tmp_path):
+    """The bench's check reads the run directory's layout: a BC run has no
+    pool to digest, and a CA run's pool is digested."""
+    from cabc.cli import main
+
+    cfg, out, epochs = tmp_path / "tiny.cfg", tmp_path / "run", 2
+    cfg.write_text(f"epochs = {epochs}\nearly_stop = 0\nhidden = 8\nmax_steps = 300\n"
+                   "grad_steps_policy = 5\ngrad_steps_dyn = 5\ngrad_steps_clf = 5\n"
+                   "eval_laps = 1\nseed = 5\n")
+    assert main(["train", "--method", method, "--track", "circle", "--expert", "pid",
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    checks = one_run._check_train(str(out), epochs)
+    assert checks["ops_ok"] == [True] * epochs
+    assert sorted(checks["digests"]) == (["pool.jsonl", "reports.csv"] if method == "ca"
+                                         else ["reports.csv"])
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

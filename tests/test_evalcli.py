@@ -12,8 +12,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from cabc import nn
 from cabc.cli import main
-from cabc.core import TerminationReason, clamp_action, rng_stream
+from cabc.core import (LabeledPool, Outcome, TerminationReason, clamp_action, load_dataset,
+                       rng_stream)
 from cabc.evalharness import early_stop_epoch, evaluate, full_epochs
 from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import read_reports_csv, read_run
@@ -309,13 +311,14 @@ class TestCli:
     def test_run_directory_weights_are_npz(self, smoke_run):
         _, _, out = smoke_run
         ckpts = sorted(os.listdir(out / "checkpoints"))
-        assert ckpts == ["epoch_0000", "epoch_0001", "epoch_0002"]
+        assert ckpts == ["epoch_0000", "epoch_0001"]
         for d in ckpts:
             assert os.listdir(out / "checkpoints" / d) == ["policy.npz"]
         assert sorted(os.listdir(out / "critic")) == ["clf.npz", "dyn.npz", "norm.json"]
-        # the final policy is the last epoch's
+        # the last epoch's checkpoint became the final policy: it is not duplicated
         final = (out / "policy.npz").read_bytes()
-        assert final == (out / "checkpoints" / "epoch_0002" / "policy.npz").read_bytes()
+        assert all(final != (out / "checkpoints" / d / "policy.npz").read_bytes()
+                   for d in ckpts)
         assert sorted(p.name for p in out.rglob("*.json")) == ["meta.json", "norm.json"]
 
     def test_saved_dataset_loads(self, smoke_run):
@@ -859,6 +862,100 @@ class TestCli:
         assert cli_refuses(capsys, *args, "--rho", "0.25"
                            ) == f"--out {out} exists and is not an empty directory"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def train_recording(monkeypatch, *argv) -> list:
+    """Run ``cabc train`` on ``argv``; return a copy of the parameters each
+    ``epoch_callback`` received, in epoch order."""
+    import cabc.cli
+
+    real_train, seen = cabc.cli.train, []
+
+    def recording(*args, epoch_callback, **kw):
+        def record(report, params):
+            seen.append((params.sizes, params.flat.copy(), params.head, params.seed))
+            epoch_callback(report, params)
+        return real_train(*args, epoch_callback=record, **kw)
+
+    monkeypatch.setattr(cabc.cli, "train", recording)
+    assert run_cli("train", *argv) == 0
+    return seen
+
+
+def assert_stored_once(out) -> None:
+    """No two files under ``out`` hold equal bytes, and no directory is empty."""
+    files = [p for p in out.rglob("*") if p.is_file()]
+    contents = [p.read_bytes() for p in files]
+    assert len(set(contents)) == len(contents), sorted(
+        str(p.relative_to(out)) for p, c in zip(files, contents) if contents.count(c) > 1)
+    assert all(any(d.iterdir()) for d in [out, *out.rglob("*")] if d.is_dir())
+
+
+class TestRunLayout:
+    """A run directory holds one copy of each policy: the final epoch's
+    checkpoint becomes ``policy.npz``, and ``checkpoints/`` keeps the cadence
+    epochs before it.  A BC run writes no pool."""
+
+    @pytest.mark.parametrize("cadence, epochs, early_stop", [
+        (1, 3, 0), (2, 3, 0), (2, 2, 0), (0, 3, 0), (1, 6, 1)],
+        ids=["every-1", "every-2-final-on-cadence", "every-2-final-off-cadence",
+             "every-0", "early-stop"])
+    def test_a_run_stores_each_policy_once(self, monkeypatch, tmp_path, cadence, epochs,
+                                           early_stop):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(f"epochs = {epochs}\nearly_stop = {early_stop}\nhidden = 16,16\n"
+                            "grad_steps_policy = 30\nmax_steps = 400\neval_laps = 1\n"
+                            "seed = 5\n")
+        out = tmp_path / "run"
+        seen = train_recording(monkeypatch, "--method", "bc", "--track", "circle",
+                               "--expert", "pid", "--config", str(cfg_path), "--out", str(out),
+                               "--checkpoint-every", str(cadence))
+        final = len(seen) - 1
+        stopped_at = json.loads((out / "meta.json").read_text())["early_stopped_at"]
+        if early_stop:   # the case needs a run that stops before its last epoch
+            assert stopped_at == final < epochs - 1
+        else:
+            assert stopped_at is None and final == epochs - 1
+        assert_stored_once(out)
+        kept = {f"epoch_{e:04d}": e for e in range(final) if cadence and e % cadence == 0}
+        if kept:
+            assert sorted(os.listdir(out / "checkpoints")) == list(kept)
+        else:
+            assert not (out / "checkpoints").exists()
+        loaded = nn.load_weights(out / "policy.npz")
+        sizes, flat, head, seed = seen[-1]
+        assert (loaded.sizes, loaded.head, loaded.seed) == (sizes, head, seed)
+        assert loaded.flat.tobytes() == flat.tobytes()
+        for name, epoch in kept.items():
+            assert (nn.load_weights(out / "checkpoints" / name / "policy.npz").flat.tobytes()
+                    == seen[epoch][1].tobytes())
+        assert not (out / "pool.jsonl.gz").exists()
+
+    def test_a_ca_run_stores_each_policy_once_and_keeps_its_pool(self, smoke_run):
+        _, _, out = smoke_run
+        assert_stored_once(out)
+        pool = load_dataset(out / "pool.jsonl.gz")
+        assert isinstance(pool, LabeledPool)
+        trajs = load_dataset(out / "trajectories.jsonl.gz")
+        for states, outcome in ((pool.d_plus, Outcome.SUCCESS), (pool.d_query, Outcome.FAILURE)):
+            visited = [t.states[:-1] for t in trajs if t.outcome is outcome]
+            assert np.array_equal(states, np.concatenate(visited) if visited
+                                  else np.zeros((0, 6)))
+        assert int(pool.minus.sum()) == read_reports_csv(out / "reports.csv")[-1]["n_minus"]
+
+    def test_an_aborted_run_keeps_its_checkpoints(self, monkeypatch, tmp_path, capsys):
+        """The final checkpoint is moved only after training returns, so a run
+        that aborts keeps each completed cadence epoch and has no final policy."""
+        abort_after_one_epoch(monkeypatch, "clone_loss became non-finite at epoch 1: nan")
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("epochs = 3\nhidden = 8\ngrad_steps_policy = 5\neval_laps = 1\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--method", "bc", "--track", "circle", "--expert", "pid",
+                       "--config", str(cfg_path), "--out", str(out)) == 2
+        assert "aborted:" in capsys.readouterr().err
+        assert os.listdir(out / "checkpoints") == ["epoch_0000"]
+        nn.load_weights(out / "checkpoints" / "epoch_0000" / "policy.npz")
+        assert not (out / "policy.npz").exists()
 
 
 class TestRefusal:
