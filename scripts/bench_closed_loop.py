@@ -42,9 +42,18 @@ accepted), each over the first ``HULL_QUERIES`` queries that have a neighbor:
   fixed-seed expert collection on gp (eight epochs, alpha = 1) against at most
   ``neighbor_cap`` nearest safe states within ``rho``, at ``hull_tol``.
 
-Weight files (per call, with the file's size): ``nn.save_weights`` and
-``nn.load_weights`` of the default 128x3 output-feedback policy, in a
-temporary file.
+Files (per call, with the file's size), each in a temporary file:
+
+- ``nn.save_weights`` and ``nn.load_weights`` of the default 128x3
+  output-feedback policy;
+- ``core.DatasetWriter.write`` and ``core.load_dataset``: one
+  ``trajectories.jsonl.gz`` written whole (writer opened, every rollout
+  written, closed) and read whole.  The collection is fixed: the first
+  ``DATASET_EPOCHS`` epochs of ``trainer._collect_epoch`` with the PID expert
+  on circle, seed ``DATASET_SEED`` (a ``bc-circle`` run's) and an untrained
+  policy; its rollout and step counts are in the record.  Run with
+  ``--against`` on trees of two dataset formats, these cases compare the
+  formats.
 
 Start-up (minimum over ``STARTUP_REPEATS`` fresh interpreters, run one after
 another with ``--src`` on ``PYTHONPATH``, of the wall time from spawn to exit
@@ -103,6 +112,8 @@ HULL_QUERIES = 100
 STARTUP_REPEATS = 10
 NN_BATCH = 256
 NN_CALLS = 20
+DATASET_SEED = 1000
+DATASET_EPOCHS = 3
 STARTUP = {"import_cli": "import cabc.cli"}
 STEP_GROUPS = ("loops", "evaluate")   # timed per simulated step; the others per call
 
@@ -301,24 +312,52 @@ def _hulls(pkg: str) -> dict:
     return cases
 
 
-def _io(pkg: str) -> dict:
-    nn, track, trainer = _modules(pkg, "nn", "track", "trainer")
-    policy = trainer.init_policy(trainer.TrainConfig(seed=1), track.get_track("gp"))
-    fd, path = tempfile.mkstemp(suffix=".npz")
+def _temp_path(owner, suffix: str) -> str:
+    """A new temporary file's path, the file removed when ``owner`` is collected."""
+    fd, path = tempfile.mkstemp(suffix=suffix)
     os.close(fd)
-    nn.save_weights(policy, path)
-    info = {"bytes": os.path.getsize(path)}
+    weakref.finalize(owner, os.remove, path)
+    return path
+
+
+def _io(pkg: str) -> dict:
+    core, nn, track, trainer = _modules(pkg, "core", "nn", "track", "trainer")
+    policy = trainer.init_policy(trainer.TrainConfig(seed=1), track.get_track("gp"))
 
     def save():
-        nn.save_weights(policy, path)
+        nn.save_weights(policy, weights)
         return 1
 
     def load():
-        nn.load_weights(path)
+        nn.load_weights(weights)
         return 1
 
-    weakref.finalize(save, os.remove, path)   # the file lasts as long as its cases
-    return {"nn.save_weights": (save, info), "nn.load_weights": (load, info)}
+    weights = _temp_path(save, ".npz")
+    nn.save_weights(policy, weights)
+    weights_info = {"bytes": os.path.getsize(weights)}
+
+    circle, cfg = track.get_track("circle"), trainer.TrainConfig(seed=DATASET_SEED)
+    factory = trainer.make_expert_factory("pid", cfg.sim, circle)
+    trajs = [t for epoch in range(DATASET_EPOCHS) for t in trainer._collect_epoch(
+        cfg, circle, factory, trainer.init_policy(cfg, circle), epoch)]
+
+    def write():
+        with core.DatasetWriter(dataset) as writer:
+            for traj in trajs:
+                writer.write(traj)
+        return 1
+
+    def read():
+        core.load_dataset(dataset)
+        return 1
+
+    dataset = _temp_path(write, ".jsonl.gz")
+    write()
+    dataset_info = {"bytes": os.path.getsize(dataset), "rollouts": len(trajs),
+                    "steps": sum(map(len, trajs))}
+    return {"nn.save_weights": (save, weights_info), "nn.load_weights": (load, weights_info),
+            "core.DatasetWriter.write": (write, dataset_info),
+            "core.load_dataset": (read, dataset_info)}
 
 
 GROUPS = {"loops": _loops, "evaluate": _evaluate, "calls": _calls, "nn": _nn,

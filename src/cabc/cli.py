@@ -174,6 +174,9 @@ def _cmd_report(args) -> int:
         cfg, meta, _ = run
         run_policy, policy = os.path.join(args.run, "policy.npz"), None
         if os.path.exists(run_policy):
+            if "track" not in meta:
+                raise ValueError(f"{os.path.join(args.run, 'meta.json')} has no 'track' key, "
+                                 f"which {run_policy} needs")
             track = resolve_track(meta["track"])
             policy = load_policy(run_policy, cfg.observation_mode, cfg.sim, track)
     written = emit_reports(run, args.out, baseline)
@@ -188,6 +191,11 @@ def _cmd_report(args) -> int:
 
 def _cmd_sim(args) -> int:
     with _refused(args):
+        if args.render and os.path.isdir(args.render):
+            raise ValueError(f"--render {args.render} is a directory")
+        if args.render and not os.path.isdir(os.path.dirname(args.render) or "."):
+            raise ValueError(f"--render {args.render}: no directory "
+                             f"{os.path.dirname(args.render)}")
         cfg, expert = settings_from(parse_config_file(args.config) if args.config else {})
         track = resolve_track(args.track)
         factory = make_expert_factory(args.expert, cfg.sim, track, *expert)

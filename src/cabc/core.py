@@ -10,7 +10,7 @@ collection; gzip is used transparently for ``.gz`` paths.
 An observation is one row of floats, ``(v_long, v_tran, omega_psi, *preview)``:
 the noisy body velocities, then the lane centre's vehicle-frame lateral offset
 at each preview distance.  ``sim.observe`` returns it; policies,
-``Trajectory.y`` and the dataset lines take it as it is.
+``Trajectory.y`` and the dataset records take it as it is.
 
 A state is one row of six floats, ``(v_long, v_tran, omega_psi, s, x_tran,
 e_psi)`` (:data:`STATE_FIELDS`), and an action one pair ``(u_a, u_steer)``,
@@ -18,13 +18,14 @@ each component in [-1, 1]: tuples in the closed loop, array rows in a
 :class:`Trajectory` and lists in the files.  :func:`state_row` and
 :func:`clamp_action` make them from other numbers, checked.
 
-Trajectory files hold a ``{"kind": "traj", "traj_id", "reason", "n",
-"x_end"}`` header per rollout, ``n`` being its step count and ``x_end`` the
-state its last step reached (the start state if it took none), and one
-``{"kind": "sample", "traj_id", "k", "x", "y", "u_expert", "u_applied"}``
-line per step ``k = 0 ... n - 1``, whose ``x`` is the state the step left.
-Pool files hold one ``{"kind": "pool", "set", "x"}`` line per state of the
-labeling pools, with a 0/1 ``minus`` flag on the ``"query"`` ones.
+Trajectory files hold one ``{"kind": "traj", "reason", "states", "y",
+"u_expert", "u_applied"}`` record per rollout, in the order written: its
+:class:`TerminationReason` value and the :class:`Trajectory` rows of each
+array member as lists.  A pool file holds the one ``{"kind": "pool", "plus",
+"query", "minus"}`` record of a :class:`LabeledPool`: the ``d_plus`` and
+``d_query`` rows, and a 0/1 ``minus`` flag per query row.  A file in an
+earlier format (one line per step or per pooled state) is refused at line 1,
+with the member it lacks named.
 """
 
 from __future__ import annotations
@@ -112,6 +113,16 @@ def _action_row(values) -> tuple:
         _require_finite(name, value)
         if not -1.0 <= value <= 1.0:
             raise ValueError(f"{name} out of [-1, 1]: {value}")
+    return row
+
+
+def _observation_row(values) -> tuple:
+    """An observation row as floats: at least the three velocities, each finite."""
+    row = tuple(map(float, values))
+    if len(row) < 3:
+        raise ValueError(f"expected at least 3 observation components, got {len(row)}")
+    for name, value in zip(chain(STATE_FIELDS[:3], repeat("preview")), row):
+        _require_finite(name, value)
     return row
 
 
@@ -214,48 +225,38 @@ def _open(path, mode: str) -> IO:
     return open(path, mode, encoding="utf-8")
 
 
-_STEP_FIELDS = ("x", "y", "u_expert", "u_applied")
+# a trajectory record's array members, each with the check of one of its rows
+_TRAJ_ROWS = {"states": state_row, "y": _observation_row, "u_expert": _action_row,
+              "u_applied": _action_row}
 
 
-def _traj_lines(traj: Trajectory, tid: int):
-    states = traj.states.tolist()
-    yield {"kind": "traj", "traj_id": tid, "reason": traj.termination_reason.value,
-           "n": len(traj), "x_end": states[-1]}
-    columns = (states[:-1], traj.y.tolist(), traj.u_expert.tolist(), traj.u_applied.tolist())
-    for k, row in enumerate(zip(*columns)):
-        yield {"kind": "sample", "traj_id": tid, "k": k, **dict(zip(_STEP_FIELDS, row))}
-
-
-def _pool_lines(pool: LabeledPool):
-    for x in pool.d_plus.tolist():
-        yield {"kind": "pool", "set": "plus", "x": x}
-    for x, minus in zip(pool.d_query.tolist(), pool.minus.tolist()):
-        yield {"kind": "pool", "set": "query", "x": x, "minus": 1 if minus else 0}
+def _dump(fh: IO, record: dict) -> None:
+    # streamed: json.dumps of a whole rollout holds about five times its text at once
+    json.dump(record, fh)
+    fh.write("\n")
 
 
 def save_dataset(pool: LabeledPool, path) -> None:
-    """Write a labeled pool as one JSON object per line; trajectories go through
+    """Write a labeled pool as its one record; trajectories go through
     :class:`DatasetWriter`."""
     with _open(path, "w") as fh:
-        fh.writelines(json.dumps(obj) + "\n" for obj in _pool_lines(pool))
+        _dump(fh, {"kind": "pool", "plus": pool.d_plus.tolist(),
+                   "query": pool.d_query.tolist(), "minus": pool.minus.astype(int).tolist()})
 
 
 class DatasetWriter:
-    """Incrementally append trajectories to a JSON-lines file (single writer)."""
+    """Append trajectories to a JSON-lines file, one record each (single writer)."""
 
     def __init__(self, path):
         self._fh = _open(path, "w")
-        self._next_id = 0
 
-    def write(self, traj: Trajectory) -> int:
-        """Append ``traj`` and return its ``traj_id``; a rollout that skipped the
-        output map (``y is None``) raises ``ValueError``."""
+    def write(self, traj: Trajectory) -> None:
+        """Append ``traj``; a rollout that skipped the output map (``y is None``)
+        raises ``ValueError``."""
         if traj.y is None:
             raise ValueError("cannot write a trajectory without observations (y is None)")
-        tid = self._next_id
-        self._next_id += 1
-        self._fh.writelines(json.dumps(obj) + "\n" for obj in _traj_lines(traj, tid))
-        return tid
+        _dump(self._fh, {"kind": "traj", "reason": traj.termination_reason.value,
+                         **{name: getattr(traj, name).tolist() for name in _TRAJ_ROWS}})
 
     def close(self) -> None:
         self._fh.close()
@@ -273,13 +274,6 @@ def _field(obj: dict, line_no: int, name: str):
     return obj[name]
 
 
-def _index(obj: dict, line_no: int, name: str) -> int:
-    value = _field(obj, line_no, name)
-    if type(value) is not int:
-        raise DatasetFormatError(line_no, f"{name} must be an integer, got {value!r}")
-    return value
-
-
 @contextmanager
 def _on_line(line_no: int):
     """Re-raise a ``TypeError`` or ``ValueError`` as a :class:`DatasetFormatError` of the line."""
@@ -289,36 +283,36 @@ def _on_line(line_no: int):
         raise DatasetFormatError(line_no, str(exc)) from exc
 
 
-def _observation_row(values) -> tuple:
-    """An observation row as floats: at least the three velocities, each finite."""
-    row = tuple(map(float, values))
-    if len(row) < 3:
-        raise ValueError(f"expected at least 3 observation components, got {len(row)}")
-    for name, value in zip(chain(STATE_FIELDS[:3], repeat("preview")), row):
-        _require_finite(name, value)
-    return row
+def _flag(value) -> bool:
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"minus must be 0 or 1, got {value!r}")
+    return value == 1
 
 
-def _parse_step(obj: dict, line_no: int) -> tuple:
-    """A sample line's ``(x, y, u_expert, u_applied)``, each checked as its row."""
-    x, y, u_expert, u_applied = (_field(obj, line_no, f) for f in _STEP_FIELDS)
+def _rows(obj: dict, line_no: int, name: str, row) -> list:
+    """Member ``name`` of a record, each of its entries checked by ``row``."""
+    values = _field(obj, line_no, name)
     with _on_line(line_no):
-        return state_row(x), _observation_row(y), _action_row(u_expert), _action_row(u_applied)
+        return [row(value) for value in values]
 
 
-def _trajectory(steps: dict, reason: TerminationReason, n: int, x_end: tuple) -> Trajectory:
-    """The record of one ``n``-step trajectory from its parsed step rows, keyed by ``k``."""
-    missing = next((k for k in range(n) if k not in steps), None)
-    if missing is not None:
-        raise ValueError(f"no line for step {missing}")
-    extra = min((k for k in steps if not 0 <= k < n), default=None)
-    if extra is not None:
-        raise ValueError(f"line for step {extra}, but the header gives n = {n}")
-    x, y, u_expert, u_applied = zip(*map(steps.get, range(n))) if n else ((),) * 4
-    # a rollout with no step has no observation row to give y its width
-    y = np.array(y) if n else np.zeros((0, 0))
-    return Trajectory(np.array(x + (x_end,)), y, np.reshape(u_expert, (-1, 2)),
-                      np.reshape(u_applied, (-1, 2)), reason)
+def _trajectory(obj: dict, line_no: int) -> Trajectory:
+    reason = _field(obj, line_no, "reason")
+    states, y, u_expert, u_applied = (_rows(obj, line_no, name, row)
+                                      for name, row in _TRAJ_ROWS.items())
+    with _on_line(line_no):
+        # a rollout with no step has no observation row to give y its width
+        return Trajectory(np.array(states), np.array(y) if y else np.zeros((0, 0)),
+                          np.reshape(u_expert, (-1, 2)), np.reshape(u_applied, (-1, 2)),
+                          TerminationReason(reason))
+
+
+def _pool(obj: dict, line_no: int) -> LabeledPool:
+    plus, query = (_rows(obj, line_no, name, state_row) for name in ("plus", "query"))
+    minus = _rows(obj, line_no, "minus", _flag)
+    with _on_line(line_no):
+        return LabeledPool(d_plus=np.reshape(plus, (-1, 6)), d_query=np.reshape(query, (-1, 6)),
+                           minus=np.array(minus, dtype=bool))
 
 
 def load_dataset(path) -> Union[LabeledPool, list]:
@@ -328,15 +322,10 @@ def load_dataset(path) -> Union[LabeledPool, list]:
     :class:`LabeledPool` for pool files; an empty file yields an empty list.
     Malformed records raise :class:`DatasetFormatError` with the line number.
     """
-    headers: dict = {}
-    rows: dict = {}   # traj_id -> {k: step rows}
-    pool = {"plus": [], "query": [], "minus": []}
-    saw_pool = False
-    saw_traj = False
+    trajs, pool = [], None
     with _open(path, "r") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
+            if not raw.strip():
                 continue
             try:
                 obj = json.loads(raw)
@@ -345,61 +334,12 @@ def load_dataset(path) -> Union[LabeledPool, list]:
             if not isinstance(obj, dict):
                 raise DatasetFormatError(line_no, "record is not a JSON object")
             kind = _field(obj, line_no, "kind")
+            if pool is not None or (kind == "pool" and trajs):
+                raise DatasetFormatError(line_no, "a pool record must be its file's only record")
             if kind == "traj":
-                saw_traj = True
-                tid = _index(obj, line_no, "traj_id")
-                if tid in headers:
-                    raise DatasetFormatError(line_no, f"second 'traj' header for trajectory {tid}")
-                reason = _field(obj, line_no, "reason")
-                n = _index(obj, line_no, "n")
-                if n < 0:
-                    raise DatasetFormatError(line_no, f"n must be non-negative, got {n}")
-                x_end = _field(obj, line_no, "x_end")
-                with _on_line(line_no):
-                    reason = TerminationReason(reason)
-                    x_end = state_row(x_end)
-                headers[tid] = (reason, n, x_end, line_no)
-                rows[tid] = {}
-            elif kind == "sample":
-                saw_traj = True
-                tid = _index(obj, line_no, "traj_id")
-                k = _index(obj, line_no, "k")
-                step = _parse_step(obj, line_no)
-                if tid not in headers:
-                    raise DatasetFormatError(
-                        line_no, f"sample of trajectory {tid} before its 'traj' header")
-                if k in rows[tid]:
-                    raise DatasetFormatError(line_no, f"duplicate k={k} in trajectory {tid}")
-                rows[tid][k] = step
+                trajs.append(_trajectory(obj, line_no))
             elif kind == "pool":
-                saw_pool = True
-                which = _field(obj, line_no, "set")
-                x = _field(obj, line_no, "x")
-                with _on_line(line_no):
-                    x = state_row(x)
-                if which == "plus":
-                    pool["plus"].append(x)
-                elif which == "query":
-                    pool["query"].append(x)
-                    minus = _field(obj, line_no, "minus")
-                    if type(minus) is not int or minus not in (0, 1):
-                        raise DatasetFormatError(line_no, f"minus must be 0 or 1, got {minus!r}")
-                    pool["minus"].append(minus == 1)
-                else:
-                    raise DatasetFormatError(line_no, f"unknown pool set {which!r}")
+                pool = _pool(obj, line_no)
             else:
                 raise DatasetFormatError(line_no, f"unknown record kind {kind!r}")
-    if saw_pool and saw_traj:
-        raise DatasetFormatError(0, "file mixes pool and trajectory records")
-    if saw_pool:
-        return LabeledPool(d_plus=np.array(pool["plus"]).reshape(-1, 6),
-                           d_query=np.array(pool["query"]).reshape(-1, 6),
-                           minus=np.array(pool["minus"], dtype=bool))
-    trajs = []
-    for tid in sorted(headers):
-        reason, n, x_end, line_no = headers[tid]
-        try:
-            trajs.append(_trajectory(rows[tid], reason, n, x_end))
-        except ValueError as exc:
-            raise DatasetFormatError(line_no, f"trajectory {tid}: {exc}") from exc
-    return trajs
+    return trajs if pool is None else pool

@@ -177,13 +177,16 @@ class MlpPolicy:
 
 def load_policy(path, mode: str, sim_cfg: SimConfig, track: TrackSpec) -> MlpPolicy:
     """The saved policy at ``path``; ``ValueError`` if its input width is not
-    observation mode ``mode``'s."""
+    observation mode ``mode``'s or its output is not an action pair."""
     flags = {named: flag for flag, named in OBS_FLAGS.items()}
     params = nn.load_weights(path)
     want = policy_input_dim(mode, sim_cfg)
     if params.sizes[0] != want:
         raise ValueError(f"{path}: the policy takes {params.sizes[0]} inputs, but "
                          f"observation mode {mode!r} (--obs {flags[mode]}) gives {want}")
+    if params.sizes[-1] != 2:
+        raise ValueError(f"{path}: the policy gives {params.sizes[-1]} outputs, but an "
+                         f"action is the 2 of (u_a, u_steer)")
     return MlpPolicy(params, mode, track)
 
 

@@ -45,19 +45,20 @@ class TestTypes:
         # the closed loop clamps an action into the box; the loader refuses one outside it
         assert clamp_action(3.0, -7.0) == (1.0, -1.0)
         path = tmp_path / "data.jsonl"
-        write_trajectories([make_trajectory(2, Outcome.SUCCESS)], path)
-        header, first, second = (json.loads(line) for line in path.read_text().splitlines())
+        write_trajectories([make_trajectory(1, Outcome.SUCCESS),
+                            make_trajectory(2, Outcome.SUCCESS)], path)
+        first, second = (json.loads(line) for line in path.read_text().splitlines())
         for field, u, message in [
                 ("u_expert", [1.2, 0.0], "u_a out of [-1, 1]: 1.2"),
                 ("u_applied", [0.0, -1.0001], "u_steer out of [-1, 1]: -1.0001"),
                 ("u_expert", [math.inf, 0.0], "u_a must be finite, got inf"),
                 ("u_applied", [0.0, math.nan], "u_steer must be finite, got nan"),
                 ("u_applied", [0.0], "expected 2 action components, got 1")]:
-            lines = (header, first, dict(second, **{field: u}))
+            lines = (first, dict(second, **{field: [second[field][0], u]}))
             path.write_text("".join(json.dumps(r) + "\n" for r in lines))
             with pytest.raises(DatasetFormatError, match=re.escape(message)) as err:
                 load_dataset(path)
-            assert err.value.line_no == 3
+            assert err.value.line_no == 2
 
     def test_clamped_rejects_non_finite(self):
         # max(-1.0, nan) is -1.0: clipping must not turn nan into a full command
@@ -193,12 +194,12 @@ class TestPersistence:
         path = tmp_path / "pool.jsonl"
         save_dataset(LabeledPool(d_plus=np.zeros((0, 6)), d_query=np.zeros((2, 6)),
                                  minus=np.array([True, False])), path)
-        first, second = (json.loads(line) for line in path.read_text().splitlines())
-        second["minus"] = value
-        self._write(path, [first, second])
+        (record,) = self._records(path)
+        record["minus"][1] = value
+        self._write(path, [record])
         with pytest.raises(DatasetFormatError, match="minus must be 0 or 1") as err:
             load_dataset(path)
-        assert err.value.line_no == 2
+        assert err.value.line_no == 1
 
     @pytest.mark.parametrize("x, message", [
         ([0, 0, 0], "expected 6 state components, got 3"),
@@ -209,12 +210,12 @@ class TestPersistence:
     def test_pool_state_that_is_not_a_state_reports_line(self, tmp_path, x, message):
         path = tmp_path / "pool.jsonl"
         save_dataset(plus_only(states_array([make_state(), make_state(v=2.0)])), path)
-        first, second = (json.loads(line) for line in path.read_text().splitlines())
-        second["x"] = x
-        self._write(path, [first, second])
+        (record,) = self._records(path)
+        record["plus"][1] = x
+        self._write(path, [record])
         with pytest.raises(DatasetFormatError, match=message) as err:
             load_dataset(path)
-        assert err.value.line_no == 2
+        assert err.value.line_no == 1
 
     @pytest.mark.parametrize("y, message", [
         ([1.0, 0.0], "expected at least 3 observation components, got 2"),
@@ -226,12 +227,12 @@ class TestPersistence:
         ([1.0, 0.0, 0.0, "z", 0.5], "could not convert"),
     ], ids=["two", "none", "nan_v_long", "nan_omega", "nan_preview", "inf_preview", "string"])
     def test_sample_observation_that_is_not_a_row_reports_line(self, tmp_path, y, message):
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        second["y"] = y
-        self._write(path, [header, first, second])
+        path, (first, second) = self._saved_records(tmp_path)
+        second["y"][1] = y
+        self._write(path, [first, second])
         with pytest.raises(DatasetFormatError, match=message) as err:
             load_dataset(path)
-        assert err.value.line_no == 3
+        assert err.value.line_no == 2
 
     def test_writer_refuses_unobserved_trajectory(self, tmp_path):
         # evaluation rollouts of state-feedback policies skip the output map (y=None)
@@ -240,18 +241,25 @@ class TestPersistence:
         with DatasetWriter(path) as writer:
             with pytest.raises(ValueError, match="y is None"):
                 writer.write(blind)
-            assert writer.write(make_trajectory(1, Outcome.SUCCESS)) == 0
+            writer.write(make_trajectory(1, Outcome.SUCCESS))
         assert [t.y.shape for t in load_dataset(path)] == [(1, 5)]
 
     def test_file_keys_are_the_documented_ones(self, tmp_path):
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        assert set(header) == {"kind", "traj_id", "reason", "n", "x_end"}
-        assert header["n"] == 2
-        for sample in (first, second):
-            assert set(sample) == {"kind", "traj_id", "k", "x", "y", "u_expert", "u_applied"}
-        # each visited state is written once: the steps' x rows, then x_end
-        states = make_trajectory(2, Outcome.SUCCESS).states.tolist()
-        assert [first["x"], second["x"], header["x_end"]] == states
+        path, records = self._saved_records(tmp_path)
+        trajs = [make_trajectory(1, Outcome.SUCCESS),
+                 make_trajectory(2, Outcome.FAILURE, start=4.0)]
+        for record, traj in zip(records, trajs):
+            assert set(record) == {"kind", "reason", "states", "y", "u_expert", "u_applied"}
+            assert (record["kind"], record["reason"]) == ("traj", traj.termination_reason.value)
+            # each visited state is written once, the start state first
+            for name in ("states", "y", "u_expert", "u_applied"):
+                assert record[name] == getattr(traj, name).tolist()
+        pool = LabeledPool(d_plus=states_array([make_state(v=1.5)]),
+                           d_query=states_array([make_state(v=0.5), make_state(v=0.7)]),
+                           minus=np.array([True, False]))
+        save_dataset(pool, path)
+        assert self._records(path) == [{"kind": "pool", "plus": pool.d_plus.tolist(),
+                                        "query": pool.d_query.tolist(), "minus": [1, 0]}]
 
     def test_empty_trajectory_round_trip(self, tmp_path):
         # a rollout that hit a singularity at its first step records no rows
@@ -266,31 +274,67 @@ class TestPersistence:
         assert loaded[0].termination_reason is trajs[0].termination_reason
         assert same_trajectories(loaded[1:], trajs[1:])
 
-    def test_writer_numbers_trajectories_from_zero(self, tmp_path):
-        trajs = [make_trajectory(2, Outcome.SUCCESS), make_trajectory(1, Outcome.FAILURE)]
-        path = tmp_path / "written.jsonl"
-        with DatasetWriter(path) as writer:
-            assert [writer.write(t) for t in trajs] == [0, 1]
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["traj_id"] for r in records] == [0, 0, 0, 1, 1]
-
     def test_truncated_line_reports_line_number(self, tmp_path):
-        trajs = [make_trajectory(2, Outcome.SUCCESS)]
-        path = tmp_path / "data.jsonl"
-        write_trajectories(trajs, path)
+        path, _ = self._saved_records(tmp_path)
         text = path.read_text()
         path.write_text(text[:-20])  # mangle the last record
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(path)
-        assert err.value.line_no == 3
+        assert err.value.line_no == 2
 
     def test_missing_field_reports_line_and_field(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        path.write_text('{"kind":"sample","traj_id":0,"k":0,"x":[0,0,0,0,0,0]}\n')
+        path.write_text('{"reason": "timeout", "states": [[0, 0, 0, 0, 0, 0]]}\n')
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(path)
         assert "line 1" in str(err.value)
-        assert "'y'" in str(err.value)
+        assert "'kind'" in str(err.value)
+
+    @pytest.mark.parametrize("member", ["reason", "states", "y", "u_expert", "u_applied"])
+    def test_record_without_a_member_names_it_and_its_line(self, tmp_path, member):
+        path, (first, second) = self._saved_records(tmp_path)
+        del second[member]
+        self._write(path, [first, second])
+        with pytest.raises(DatasetFormatError, match=f"^line 2: missing field '{member}'$"):
+            load_dataset(path)
+
+    def test_ragged_observations_report_line(self, tmp_path):
+        path, (first, second) = self._saved_records(tmp_path)
+        second["y"][1] = second["y"][1][:4]   # a row with one preview fewer
+        self._write(path, [first, second])
+        with pytest.raises(DatasetFormatError, match="^line 2: .*inhomogeneous"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_state_count_other_than_steps_plus_one_reports_line(self, tmp_path, rows):
+        path, (first, second) = self._saved_records(tmp_path)   # second: 2 steps
+        self._write(path, [first, dict(second, states=(second["states"] * 2)[:rows])])
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"line 2: states has shape ({rows}, 6), expected (3, 6)")):
+            load_dataset(path)
+
+    def test_earlier_format_is_refused_at_line_1(self, tmp_path):
+        """Files that held a header line per rollout and a line per step, or a
+        line per pooled state, name the first member they lack."""
+        path = tmp_path / "data.jsonl"
+        state = list(make_state())
+        self._write(path, [
+            {"kind": "traj", "traj_id": 0, "reason": "timeout", "n": 1, "x_end": state},
+            {"kind": "sample", "traj_id": 0, "k": 0, "x": state, "y": state[:3],
+             "u_expert": [0.0, 0.0], "u_applied": [0.0, 0.0]}])
+        with pytest.raises(DatasetFormatError, match="^line 1: missing field 'states'$"):
+            load_dataset(path)
+        self._write(path, [{"kind": "pool", "set": "plus", "x": state}])
+        with pytest.raises(DatasetFormatError, match="^line 1: missing field 'plus'$"):
+            load_dataset(path)
+
+    def test_pool_file_with_a_second_record_is_refused(self, tmp_path):
+        path = tmp_path / "pool.jsonl"
+        save_dataset(plus_only(states_array([make_state()])), path)
+        record = path.read_text()
+        path.write_text(record * 2)
+        with pytest.raises(DatasetFormatError, match="^line 2: a pool record must be"):
+            load_dataset(path)
 
     def test_empty_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -300,146 +344,54 @@ class TestPersistence:
     def test_mixed_kinds_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_trajectories([make_trajectory(1, Outcome.SUCCESS)], path)
+        pool = tmp_path / "pool.jsonl"
+        save_dataset(plus_only(states_array([make_state()])), pool)
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind":"pool","set":"plus","x":[0,0,0,0,0,0]}\n')
-        with pytest.raises(DatasetFormatError):
+            fh.write(pool.read_text())
+        with pytest.raises(DatasetFormatError, match="^line 2: a pool record must be"):
             load_dataset(path)
 
-    def _saved_lines(self, tmp_path):
+    def _saved_records(self, tmp_path):
+        """A file of two rollouts, one of 1 step and one of 2, and its records."""
         path = tmp_path / "data.jsonl"
-        write_trajectories([make_trajectory(2, Outcome.SUCCESS)], path)
-        return path, [json.loads(line) for line in path.read_text().splitlines()]
+        write_trajectories([make_trajectory(1, Outcome.SUCCESS),
+                            make_trajectory(2, Outcome.FAILURE, start=4.0)], path)
+        return path, self._records(path)
+
+    @staticmethod
+    def _records(path):
+        return [json.loads(line) for line in path.read_text().splitlines()]
 
     @staticmethod
     def _write(path, records):
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
-    def test_sample_without_header_reports_line(self, tmp_path):
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        self._write(path, [first])
-        with pytest.raises(DatasetFormatError, match="header") as err:
-            load_dataset(path)
-        assert err.value.line_no == 1
-        second["traj_id"] = 7
-        self._write(path, [header, first, second])
-        with pytest.raises(DatasetFormatError, match="header") as err:
-            load_dataset(path)
-        assert err.value.line_no == 3
-
-    @pytest.mark.parametrize("name", ["k", "traj_id"])
-    @pytest.mark.parametrize("value", ["1", 1.0, None, [1]])
-    def test_non_integer_index_reports_line(self, tmp_path, name, value):
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        second[name] = value
-        self._write(path, [header, first, second])
-        with pytest.raises(DatasetFormatError, match=f"{name} must be an integer") as err:
-            load_dataset(path)
-        assert err.value.line_no == 3
-
-    def test_duplicate_k_reports_line(self, tmp_path):
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        second["k"] = 0
-        self._write(path, [header, first, second])
-        with pytest.raises(DatasetFormatError, match="duplicate k=0") as err:
-            load_dataset(path)
-        assert err.value.line_no == 3
-
-    def test_second_header_reports_line(self, tmp_path):
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        relabeled = dict(header, reason="timeout")
-        self._write(path, [header, first, second, relabeled])
-        with pytest.raises(DatasetFormatError, match="second 'traj' header") as err:
-            load_dataset(path)
-        assert err.value.line_no == 4
-
-    @pytest.mark.parametrize("kept", [[1, 2], [0, 2], [2], [0]],
-                             ids=["first", "middle", "two", "tail"])
-    def test_missing_step_reports_header_line(self, tmp_path, kept):
-        path = tmp_path / "data.jsonl"
-        write_trajectories([make_trajectory(2, Outcome.SUCCESS),
-                            make_trajectory(3, Outcome.FAILURE, start=4.0)], path)
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert records[3] == dict(records[3], kind="traj", traj_id=1)
-        self._write(path, records[:4] + [records[4 + k] for k in kept])
-        missing = min(set(range(3)) - set(kept))
-        with pytest.raises(DatasetFormatError,
-                           match=f"trajectory 1: no line for step {missing}$") as err:
-            load_dataset(path)
-        assert err.value.line_no == 4
-
-    def test_header_without_x_end_reports_line(self, tmp_path):
-        # files written before the header carried x_end held each state twice
-        path = tmp_path / "data.jsonl"
-        write_trajectories([make_trajectory(1, Outcome.SUCCESS),
-                            make_trajectory(2, Outcome.FAILURE, start=4.0)], path)
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        old = {**records[2], "outcome": "failure"}
-        del old["x_end"]
-        self._write(path, records[:2] + [old] + records[3:])
-        with pytest.raises(DatasetFormatError, match="missing field 'x_end'") as err:
-            load_dataset(path)
-        assert err.value.line_no == 3
-
-    def test_header_without_n_reports_line(self, tmp_path):
-        # files written before the header carried n could lose their last steps unseen
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        del header["n"]
-        self._write(path, [header, first, second])
-        with pytest.raises(DatasetFormatError, match="missing field 'n'") as err:
-            load_dataset(path)
-        assert err.value.line_no == 1
-
-    @pytest.mark.parametrize("n, message", [(-1, "n must be non-negative, got -1"),
-                                            ("2", "n must be an integer"),
-                                            (2.0, "n must be an integer")])
-    def test_header_whose_n_is_not_a_count_reports_line(self, tmp_path, n, message):
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        header["n"] = n
-        self._write(path, [header, first, second])
-        with pytest.raises(DatasetFormatError, match=message) as err:
-            load_dataset(path)
-        assert err.value.line_no == 1
-
-    @pytest.mark.parametrize("n, k", [(1, 1), (0, 0)])
-    def test_sample_past_n_reports_header_line(self, tmp_path, n, k):
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        header["n"] = n
-        self._write(path, [header, first, second][:n + 2])
-        with pytest.raises(DatasetFormatError,
-                           match=f"trajectory 0: line for step {k}, but the header gives "
-                                 f"n = {n}$") as err:
-            load_dataset(path)
-        assert err.value.line_no == 1
-
     def test_header_whose_x_end_is_not_a_state_reports_line(self, tmp_path):
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        header["x_end"] = header["x_end"][:5]
-        self._write(path, [header, first, second])
+        # the state the last step reached is the last row of states
+        path, (first, second) = self._saved_records(tmp_path)
+        second["states"][-1] = second["states"][-1][:5]
+        self._write(path, [first, second])
         with pytest.raises(DatasetFormatError, match="expected 6 state components") as err:
             load_dataset(path)
-        assert err.value.line_no == 1
+        assert err.value.line_no == 2
 
     def test_partly_unobserved_trajectory_rejected(self, tmp_path):
-        # every sample line holds an observation row; a null one names its line
-        path, (header, first, second) = self._saved_lines(tmp_path)
-        second["y"] = None
-        self._write(path, [header, first, second])
+        # every step holds an observation row; a null one names its line
+        path, (first, second) = self._saved_records(tmp_path)
+        second["y"][1] = None
+        self._write(path, [first, second])
         with pytest.raises(DatasetFormatError, match="not iterable") as err:
             load_dataset(path)
-        assert err.value.line_no == 3
+        assert err.value.line_no == 2
 
     def test_unknown_sample_members_are_ignored(self, tmp_path):
         # no writer ever produced such a file: a member the loader does not
-        # know, here "safe", is skipped on every sample line
+        # know, here "safe", is skipped on every record
         trajs = [make_trajectory(3, Outcome.SUCCESS),
                  make_trajectory(2, Outcome.FAILURE, start=9.0)]
         path = tmp_path / "data.jsonl"
         write_trajectories(trajs, path)
-        lines = path.read_text().splitlines()
-        extended = [line[:-1] + ', "safe": null}' if '"kind": "sample"' in line else line
-                    for line in lines]
-        assert sum(line.endswith('"safe": null}') for line in extended) == 5
-        path.write_text("".join(line + "\n" for line in extended))
+        self._write(path, [dict(r, safe=None) for r in self._records(path)])
         assert same_trajectories(load_dataset(path), trajs)
 
     @given(st.lists(

@@ -363,6 +363,34 @@ class TestCli:
                              capsys, "eval", "--weights", str(out / "policy.npz"), "--track",
                              "circle", "--obs", "full", "--laps", "1", "--config", str(cfg_path)))
 
+    def test_a_policy_that_gives_no_action_pair_is_refused(self, smoke_run, tmp_path, capsys):
+        """A 13 -> 3 policy is refused with the settings: ``eval`` runs no lap and
+        ``report`` writes no chart."""
+        _, cfg_path, out = smoke_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        nn.save_weights(nn.init_mlp((13, 8, 3), head="tanh", seed=0), run / "policy.npz")
+        want = f"{run / 'policy.npz'}: the policy gives 3 outputs, but an action is the 2 of "
+        assert cli_refuses(capsys, "eval", "--weights", str(run / "policy.npz"), "--track",
+                           "circle", "--laps", "1", "--config", str(cfg_path)
+                           ).startswith(want)
+        assert cli_refuses(capsys, "report", "--run", str(run), "--out", str(tmp_path / "rep")
+                           ).startswith(want)
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_names_a_track_missing_from_meta(self, smoke_run, tmp_path, capsys):
+        """The error names the file and the key, not the bare key."""
+        _, _, out = smoke_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        meta = json.loads((run / "meta.json").read_text())
+        del meta["track"]
+        (run / "meta.json").write_text(json.dumps(meta))
+        assert cli_refuses(capsys, "report", "--run", str(run), "--out", str(tmp_path / "rep")
+                           ) == (f"{run / 'meta.json'} has no 'track' key, which "
+                                 f"{run / 'policy.npz'} needs")
+        assert not (tmp_path / "rep").exists()
+
     def test_eval_reports_missing_weights(self, tmp_path, capsys):
         missing = tmp_path / "nonexistent.npz"
         assert cli_refuses(capsys, "eval", "--weights", str(missing), "--track", "circle",
@@ -531,6 +559,15 @@ class TestCli:
                        "--render", str(svg))
         assert code == 0
         ET.parse(svg)
+
+    def test_sim_refuses_a_render_path_it_cannot_write(self, tmp_path, capsys):
+        """The render path is checked with the settings, before the evaluation."""
+        svg = tmp_path / "missing" / "race.svg"
+        args = ("sim", "--expert", "pid", "--track", "circle", "--laps", "1", "--render")
+        assert cli_refuses(capsys, *args, str(svg)) == (
+            f"--render {svg}: no directory {tmp_path / 'missing'}")
+        assert cli_refuses(capsys, *args, str(tmp_path)) == f"--render {tmp_path} is a directory"
+        assert os.listdir(tmp_path) == []
 
     def test_labeldemo_outputs(self, tmp_path):
         out = tmp_path / "demo"

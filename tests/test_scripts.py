@@ -268,3 +268,19 @@ def test_bench_against_itself_writes_a_ratio_for_every_case(bench, tmp_path, mon
     assert all(len(ratios) == 2 and all(r > 0 for r in ratios)
                for entries in against["ratios"].values() for ratios in entries.values())
     assert not [name for name in sys.modules if name.startswith("_bench_pair")]
+
+
+def test_bench_io_writes_and_reads_one_fixed_collection(bench):
+    from cabc.core import load_dataset
+    from cabc.trainer import TrainConfig
+
+    cases = bench._io("cabc")
+    assert sorted(cases) == ["core.DatasetWriter.write", "core.load_dataset",
+                             "nn.load_weights", "nn.save_weights"]
+    assert all(run() == 1 for run, _ in cases.values())
+    info = cases["core.load_dataset"][1]
+    assert cases["core.DatasetWriter.write"][1] == info
+    assert info["rollouts"] == bench.DATASET_EPOCHS * TrainConfig().episodes_per_epoch
+    assert info["bytes"] > 0 and info["steps"] > info["rollouts"]
+    # a second build collects the same rollouts
+    assert bench._io("cabc")["core.load_dataset"][1] == info
