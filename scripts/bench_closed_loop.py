@@ -75,7 +75,9 @@ case ``PAIR_REPEATS`` times on each tree, one run on one tree right after
 one on the other, and keeps each tree's fewest seconds per unit.  Pairs
 alternate which tree is built and timed first.  The record holds, for every
 case, each pair's ratio ``--src`` over ``OTHER_SRC`` (below 1 means
-``--src`` is faster), their median and their quartiles:
+``--src`` is faster), their median and their quartiles, and under ``info``
+each tree's case details (file bytes, laps, hull points and acceptances) as
+the first pair built them:
 
     python3 scripts/bench_closed_loop.py --label change-vs-parent --against ../parent/src
 
@@ -389,10 +391,11 @@ def _measure(pkg: str) -> dict:
 
 
 def _compare(src: str, against: str) -> dict:
-    """Per-pair ratios ``src / against`` of every case, with their median and quartiles."""
+    """Per-pair ratios ``src / against`` of every case, with their median and
+    quartiles, and each tree's case ``info`` from the first pair."""
     import numpy as np
 
-    trees, ratios = (src, against), {}
+    trees, ratios, info = (src, against), {}, None
     for i in range(PAIRS):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         names = [f"_bench_pair{i}_tree{side}" for side in (0, 1)]
@@ -400,6 +403,9 @@ def _compare(src: str, against: str) -> dict:
         for side in order:
             load_tree(trees[side], names[side])
             cases[side] = {group: build(names[side]) for group, build in GROUPS.items()}
+        if info is None:
+            info = [{group: {name: case[1] for name, case in named.items()}
+                     for group, named in tree.items()} for tree in cases]
         for group, named in cases[0].items():
             for name in named:
                 # run by run, so that drift within one case's timing reaches both trees
@@ -418,7 +424,8 @@ def _compare(src: str, against: str) -> dict:
                 for g, entries in ratios.items()}
 
     return {"pairs": PAIRS, "repeats": PAIR_REPEATS, "ratio_median": stat(0.5),
-            "ratio_q1": stat(0.25), "ratio_q3": stat(0.75), "ratios": ratios}
+            "ratio_q1": stat(0.25), "ratio_q3": stat(0.75), "ratios": ratios,
+            "info": {"src": info[0], "against": info[1]}}
 
 
 def _startup(src: str) -> dict:

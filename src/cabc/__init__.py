@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .core import (
-    LabeledPool,
     Outcome,
     TerminationReason,
     Trajectory,
@@ -14,7 +13,7 @@ from .track import TrackSpec, curvature_at, default_tracks, frenet_to_cartesian,
 from .sim import SimConfig, in_constraints, in_target, observe, rollout, step
 
 __all__ = [
-    "LabeledPool", "Outcome", "TerminationReason", "Trajectory",
+    "Outcome", "TerminationReason", "Trajectory",
     "load_dataset", "save_dataset",
     "TrackSpec", "curvature_at", "default_tracks", "frenet_to_cartesian", "get_track",
     "SimConfig", "in_constraints", "in_target", "observe", "rollout", "step",

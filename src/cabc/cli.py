@@ -137,10 +137,10 @@ def _cmd_train(args) -> int:
             os.rmdir(ckpt_dir)
     if result.dyn is not None and result.clf is not None:
         save_critic(result.dyn, result.clf, os.path.join(out, "critic"))
-    # a BC pool would repeat trajectories.jsonl.gz's states with every minus
-    # flag 0; a CA pool's minus flags are the labeler's output
-    if cfg.method == "ca" and (len(result.pool.d_plus) or len(result.pool.d_query)):
-        save_dataset(result.pool, os.path.join(out, "pool.jsonl.gz"))
+    # the labeler's output, one D- flag per step of trajectories.jsonl.gz; a BC
+    # run labels no negatives, so its flags would all read 0
+    if cfg.method == "ca" and len(result.minus):
+        save_dataset(result.minus, os.path.join(out, "pool.jsonl.gz"))
     write_meta(early_stopped_at=result.early_stopped_at, completed_epochs=len(result.reports))
     best = max((r.eval_laps for r in result.reports), default=0)
     print(f"done: {len(result.reports)} epochs, best eval {best} laps, "

@@ -1,5 +1,4 @@
-"""Shared domain types, the random-stream family, the labeled-pool record, and
-dataset persistence.
+"""Shared domain types, the random-stream family and dataset persistence.
 
 The vehicle lives in Frenet coordinates attached to a closed reference path:
 arc length ``s`` (stored unwrapped so progress is monotone across laps),
@@ -21,11 +20,12 @@ each component in [-1, 1]: tuples in the closed loop, array rows in a
 Trajectory files hold one ``{"kind": "traj", "reason", "states", "y",
 "u_expert", "u_applied"}`` record per rollout, in the order written: its
 :class:`TerminationReason` value and the :class:`Trajectory` rows of each
-array member as lists.  A pool file holds the one ``{"kind": "pool", "plus",
-"query", "minus"}`` record of a :class:`LabeledPool`: the ``d_plus`` and
-``d_query`` rows, and a 0/1 ``minus`` flag per query row.  A file in an
-earlier format (one line per step or per pooled state) is refused at line 1,
-with the member it lacks named.
+array member as lists.  A pool file holds one ``{"kind": "pool",
+"minus_per_step"}`` record: a 0/1 flag per step of the run's trajectory file,
+in file order, 1 where the auto-labeler kept the state that step left in D-.
+The states themselves are the trajectory file's, so each is stored once.  A
+file in an earlier format (one line per step or per pooled state, or a pool
+record of states) is refused at line 1, with the member it lacks named.
 """
 
 from __future__ import annotations
@@ -192,30 +192,6 @@ class Trajectory:
         return self.termination_reason.outcome
 
 
-@dataclass(frozen=True)
-class LabeledPool:
-    """The safety-labeling pools as raw ``(n, 6)`` state arrays: the I/O record.
-
-    ``d_plus`` holds the states of successful rollouts (known safe) and
-    ``d_query`` those of failed ones (undecided); ``minus`` marks the query
-    rows the auto-labeler keeps as negatives, so the negatives are a subset
-    of the undecided states by construction.  Training keeps the pools as
-    row indices into its sample store and builds this record once, at the
-    end of a run.
-    """
-
-    d_plus: np.ndarray
-    d_query: np.ndarray
-    minus: np.ndarray
-
-    def __post_init__(self):
-        for name in ("d_plus", "d_query"):
-            if np.shape(getattr(self, name))[1:] != (6,):
-                raise ValueError(f"{name} must be an (n, 6) array of raw states")
-        if np.shape(self.minus) != (len(self.d_query),):
-            raise ValueError("minus must hold one flag per d_query row")
-
-
 # --- JSON-lines persistence -------------------------------------------------
 
 def _open(path, mode: str) -> IO:
@@ -236,12 +212,11 @@ def _dump(fh: IO, record: dict) -> None:
     fh.write("\n")
 
 
-def save_dataset(pool: LabeledPool, path) -> None:
-    """Write a labeled pool as its one record; trajectories go through
-    :class:`DatasetWriter`."""
+def save_dataset(minus: np.ndarray, path) -> None:
+    """Write the labeler's per-step D- flags as a pool file's one record;
+    trajectories go through :class:`DatasetWriter`."""
     with _open(path, "w") as fh:
-        _dump(fh, {"kind": "pool", "plus": pool.d_plus.tolist(),
-                   "query": pool.d_query.tolist(), "minus": pool.minus.astype(int).tolist()})
+        _dump(fh, {"kind": "pool", "minus_per_step": np.asarray(minus, dtype=int).tolist()})
 
 
 class DatasetWriter:
@@ -285,7 +260,7 @@ def _on_line(line_no: int):
 
 def _flag(value) -> bool:
     if type(value) is not int or value not in (0, 1):
-        raise ValueError(f"minus must be 0 or 1, got {value!r}")
+        raise ValueError(f"minus_per_step must be 0 or 1, got {value!r}")
     return value == 1
 
 
@@ -307,20 +282,13 @@ def _trajectory(obj: dict, line_no: int) -> Trajectory:
                           TerminationReason(reason))
 
 
-def _pool(obj: dict, line_no: int) -> LabeledPool:
-    plus, query = (_rows(obj, line_no, name, state_row) for name in ("plus", "query"))
-    minus = _rows(obj, line_no, "minus", _flag)
-    with _on_line(line_no):
-        return LabeledPool(d_plus=np.reshape(plus, (-1, 6)), d_query=np.reshape(query, (-1, 6)),
-                           minus=np.array(minus, dtype=bool))
-
-
-def load_dataset(path) -> Union[LabeledPool, list]:
+def load_dataset(path) -> Union[np.ndarray, list]:
     """Load a dataset written by :class:`DatasetWriter` or :func:`save_dataset`.
 
-    Returns a list of :class:`Trajectory` for trajectory files and a
-    :class:`LabeledPool` for pool files; an empty file yields an empty list.
-    Malformed records raise :class:`DatasetFormatError` with the line number.
+    Returns a list of :class:`Trajectory` for trajectory files and the bool
+    array of per-step D- flags for pool files; an empty file yields an empty
+    list.  Malformed records raise :class:`DatasetFormatError` with the line
+    number.
     """
     trajs, pool = [], None
     with _open(path, "r") as fh:
@@ -339,7 +307,7 @@ def load_dataset(path) -> Union[LabeledPool, list]:
             if kind == "traj":
                 trajs.append(_trajectory(obj, line_no))
             elif kind == "pool":
-                pool = _pool(obj, line_no)
+                pool = np.array(_rows(obj, line_no, "minus_per_step", _flag), dtype=bool)
             else:
                 raise DatasetFormatError(line_no, f"unknown record kind {kind!r}")
     return trajs if pool is None else pool

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .autolabel import NormStats, fit_norm, member_mask
-from .core import LabeledPool, Outcome, Trajectory, check_fields, clamp_action, rng_stream
+from .core import Outcome, Trajectory, check_fields, clamp_action, rng_stream
 from .critic import (
     DynModel,
     SafetyClf,
@@ -302,7 +302,7 @@ def agent_loss_and_grad(policy: nn.MlpParams, feats: np.ndarray, u_expert: np.nd
 class TrainResult:
     policy: nn.MlpParams
     reports: List[EpochReport]
-    pool: LabeledPool
+    minus: np.ndarray      # one flag per collected step, in visit order: its state is in D-
     dyn: Optional[DynModel] = None
     clf: Optional[SafetyClf] = None
     early_stopped_at: Optional[int] = None
@@ -529,7 +529,5 @@ def train(cfg: TrainConfig, track: TrackSpec, expert_factory,
             early_stopped_at = epoch
             break
 
-    pool = LabeledPool(d_plus=store.states[plus], d_query=store.states[query],
-                       minus=np.isin(query, minus))
-    return TrainResult(policy=policy, reports=reports, pool=pool, dyn=dyn.net, clf=clf.net,
-                       early_stopped_at=early_stopped_at)
+    return TrainResult(policy=policy, reports=reports, minus=np.isin(store.rows, minus),
+                       dyn=dyn.net, clf=clf.net, early_stopped_at=early_stopped_at)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cabc.core import (
     DatasetFormatError,
     DatasetWriter,
-    LabeledPool,
     Outcome,
     TerminationReason,
     Trajectory,
@@ -147,10 +146,6 @@ class TestPartition:
             assert np.array_equal(store.states[rows + 1], traj.states[1:])
 
 
-def plus_only(plus: np.ndarray) -> LabeledPool:
-    return LabeledPool(d_plus=plus, d_query=np.zeros((0, 6)), minus=np.zeros(0, dtype=bool))
-
-
 class TestPersistence:
     def test_trajectory_round_trip(self, tmp_path):
         trajs = [make_trajectory(3, Outcome.SUCCESS),
@@ -169,53 +164,28 @@ class TestPersistence:
         # the header's MTIME field (bytes 4-8) stays zero whatever the clock reads
         monkeypatch.setattr(time, "time", lambda: 1.6e9)
         traj = make_trajectory(2, Outcome.SUCCESS)
-        save_dataset(plus_only(states_array([make_state()])), tmp_path / "pool.jsonl.gz")
+        save_dataset(np.array([False, True]), tmp_path / "pool.jsonl.gz")
         write_trajectories([traj], tmp_path / "written.jsonl.gz")
         for name in ("pool", "written"):
             assert (tmp_path / f"{name}.jsonl.gz").read_bytes()[4:8] == bytes(4), name
 
     def test_pool_round_trip(self, tmp_path):
-        pool = LabeledPool(
-            d_plus=states_array([make_state(v=1.5, s=2.0)]),
-            d_query=states_array([make_state(v=0.5, s=1.0), make_state(v=0.7, s=3.0)]),
-            minus=np.array([True, False]),
-        )
         path = tmp_path / "pool.jsonl"
-        save_dataset(pool, path)
-        loaded = load_dataset(path)
-        assert isinstance(loaded, LabeledPool)
-        assert np.array_equal(loaded.d_plus, pool.d_plus)
-        assert np.array_equal(loaded.d_query, pool.d_query)
-        assert loaded.minus.dtype == bool
-        assert np.array_equal(loaded.minus, pool.minus)
+        for flags in ([True, False, True], [False], []):
+            save_dataset(np.array(flags, dtype=bool), path)
+            loaded = load_dataset(path)
+            assert loaded.dtype == bool and loaded.tolist() == flags
 
-    @pytest.mark.parametrize("value", ["no", 7, -1, True, 1.0, None])
+    @pytest.mark.parametrize("value", ["no", 7, -1, True, 1.0, None, 2, 0.5])
     def test_pool_minus_other_than_0_or_1_reports_line(self, tmp_path, value):
         path = tmp_path / "pool.jsonl"
-        save_dataset(LabeledPool(d_plus=np.zeros((0, 6)), d_query=np.zeros((2, 6)),
-                                 minus=np.array([True, False])), path)
+        save_dataset(np.array([True, False]), path)
         (record,) = self._records(path)
-        record["minus"][1] = value
+        record["minus_per_step"][1] = value
         self._write(path, [record])
-        with pytest.raises(DatasetFormatError, match="minus must be 0 or 1") as err:
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"line 1: minus_per_step must be 0 or 1, got {value!r}")):
             load_dataset(path)
-        assert err.value.line_no == 1
-
-    @pytest.mark.parametrize("x, message", [
-        ([0, 0, 0], "expected 6 state components, got 3"),
-        ([0, 0, 0, 0, 0, "z"], "could not convert string to float: 'z'"),
-        ([0, 0, 0, 0, 0, None], "float"),
-        (7, "not iterable"),
-    ], ids=["short", "string", "null", "number"])
-    def test_pool_state_that_is_not_a_state_reports_line(self, tmp_path, x, message):
-        path = tmp_path / "pool.jsonl"
-        save_dataset(plus_only(states_array([make_state(), make_state(v=2.0)])), path)
-        (record,) = self._records(path)
-        record["plus"][1] = x
-        self._write(path, [record])
-        with pytest.raises(DatasetFormatError, match=message) as err:
-            load_dataset(path)
-        assert err.value.line_no == 1
 
     @pytest.mark.parametrize("y, message", [
         ([1.0, 0.0], "expected at least 3 observation components, got 2"),
@@ -254,12 +224,9 @@ class TestPersistence:
             # each visited state is written once, the start state first
             for name in ("states", "y", "u_expert", "u_applied"):
                 assert record[name] == getattr(traj, name).tolist()
-        pool = LabeledPool(d_plus=states_array([make_state(v=1.5)]),
-                           d_query=states_array([make_state(v=0.5), make_state(v=0.7)]),
-                           minus=np.array([True, False]))
-        save_dataset(pool, path)
-        assert self._records(path) == [{"kind": "pool", "plus": pool.d_plus.tolist(),
-                                        "query": pool.d_query.tolist(), "minus": [1, 0]}]
+        # a pool file holds the labeler's flags alone: no state is written twice
+        save_dataset(np.array([True, False, False]), path)
+        assert self._records(path) == [{"kind": "pool", "minus_per_step": [1, 0, 0]}]
 
     def test_empty_trajectory_round_trip(self, tmp_path):
         # a rollout that hit a singularity at its first step records no rows
@@ -314,8 +281,9 @@ class TestPersistence:
             load_dataset(path)
 
     def test_earlier_format_is_refused_at_line_1(self, tmp_path):
-        """Files that held a header line per rollout and a line per step, or a
-        line per pooled state, name the first member they lack."""
+        """Files that held a header line per rollout and a line per step, a line
+        per pooled state, or a pool record of states with a flag per failed
+        state name the first member they lack."""
         path = tmp_path / "data.jsonl"
         state = list(make_state())
         self._write(path, [
@@ -324,13 +292,17 @@ class TestPersistence:
              "u_expert": [0.0, 0.0], "u_applied": [0.0, 0.0]}])
         with pytest.raises(DatasetFormatError, match="^line 1: missing field 'states'$"):
             load_dataset(path)
-        self._write(path, [{"kind": "pool", "set": "plus", "x": state}])
-        with pytest.raises(DatasetFormatError, match="^line 1: missing field 'plus'$"):
-            load_dataset(path)
+        for record in ({"kind": "pool", "set": "plus", "x": state},
+                       {"kind": "pool", "plus": [state], "query": [state, state],
+                        "minus": [1, 0]}):
+            self._write(path, [record])
+            with pytest.raises(DatasetFormatError,
+                               match="^line 1: missing field 'minus_per_step'$"):
+                load_dataset(path)
 
     def test_pool_file_with_a_second_record_is_refused(self, tmp_path):
         path = tmp_path / "pool.jsonl"
-        save_dataset(plus_only(states_array([make_state()])), path)
+        save_dataset(np.array([True]), path)
         record = path.read_text()
         path.write_text(record * 2)
         with pytest.raises(DatasetFormatError, match="^line 2: a pool record must be"):
@@ -345,7 +317,7 @@ class TestPersistence:
         path = tmp_path / "data.jsonl"
         write_trajectories([make_trajectory(1, Outcome.SUCCESS)], path)
         pool = tmp_path / "pool.jsonl"
-        save_dataset(plus_only(states_array([make_state()])), pool)
+        save_dataset(np.array([False]), pool)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(pool.read_text())
         with pytest.raises(DatasetFormatError, match="^line 2: a pool record must be"):
@@ -402,31 +374,22 @@ class TestPersistence:
         min_size=1, max_size=8))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_preserves_floats_bit_exactly(self, tmp_path_factory, pairs):
-        pool = plus_only(states_array([make_state(v=abs(v) % 10, s=s) for v, s in pairs]))
-        path = tmp_path_factory.mktemp("rt") / "pool.jsonl"
-        save_dataset(pool, path)
-        loaded = load_dataset(path)
-        assert loaded.d_plus.tobytes() == pool.d_plus.tobytes()
+        states = states_array([make_state(v=abs(v) % 10, s=s) for v, s in pairs])
+        path = tmp_path_factory.mktemp("rt") / "data.jsonl"
+        write_trajectories([self._through(states)], path)
+        (loaded,) = load_dataset(path)
+        assert loaded.states.tobytes() == states.tobytes()
 
     def test_round_trip_awkward_floats(self, tmp_path):
         awkward = states_array([make_state(v=math.pi, s=1e-300),
                                 make_state(v=0.1 + 0.2, s=1.0 / 3.0)])
-        path = tmp_path / "pool.jsonl"
-        save_dataset(plus_only(awkward), path)
-        assert load_dataset(path).d_plus.tobytes() == awkward.tobytes()
+        path = tmp_path / "data.jsonl"
+        write_trajectories([self._through(awkward)], path)
+        assert load_dataset(path)[0].states.tobytes() == awkward.tobytes()
 
-
-class TestPoolInvariants:
-    def test_minus_must_be_subset_of_query(self):
-        # negatives are flags over the query rows: one flag too many names a
-        # state outside the query pool
-        query = states_array([make_state(v=1.0)])
-        with pytest.raises(ValueError, match="minus"):
-            LabeledPool(d_plus=np.zeros((0, 6)), d_query=query, minus=np.array([True, True]))
-
-    def test_pools_hold_raw_states(self):
-        rows = states_array([make_state(v=1.0)])
-        with pytest.raises(ValueError, match="d_plus"):
-            LabeledPool(d_plus=rows[:, :5], d_query=rows, minus=np.array([False]))
-        with pytest.raises(ValueError, match="d_query"):
-            LabeledPool(d_plus=rows, d_query=rows[0], minus=np.array([False]))
+    @staticmethod
+    def _through(states: np.ndarray) -> Trajectory:
+        """A rollout that visits ``states`` in turn, each step observed as its velocities."""
+        n = len(states) - 1
+        return Trajectory(states, states[:-1, :3], np.zeros((n, 2)), np.zeros((n, 2)),
+                          TerminationReason.TIMEOUT)

@@ -1,5 +1,7 @@
 import argparse
 import csv
+import gzip
+import itertools
 import json
 import math
 import os
@@ -14,8 +16,7 @@ import pytest
 
 from cabc import nn
 from cabc.cli import main
-from cabc.core import (LabeledPool, Outcome, TerminationReason, clamp_action, load_dataset,
-                       rng_stream)
+from cabc.core import Outcome, TerminationReason, clamp_action, load_dataset, rng_stream
 from cabc.evalharness import early_stop_epoch, evaluate, full_epochs
 from cabc.experts import PidCenterline, RacingExpert
 from cabc.reports import read_reports_csv, read_run
@@ -919,12 +920,25 @@ def train_recording(monkeypatch, *argv) -> list:
     return seen
 
 
+def _state_rows(path) -> set:
+    """Every row of six numbers in the records of the data file ``path``."""
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        return {tuple(row) for line in fh for value in json.loads(line).values()
+                if isinstance(value, list)
+                for row in value if isinstance(row, list) and len(row) == 6}
+
+
 def assert_stored_once(out) -> None:
-    """No two files under ``out`` hold equal bytes, and no directory is empty."""
+    """No two files under ``out`` hold equal bytes, no two data files hold one
+    state row, and no directory is empty."""
     files = [p for p in out.rglob("*") if p.is_file()]
     contents = [p.read_bytes() for p in files]
     assert len(set(contents)) == len(contents), sorted(
         str(p.relative_to(out)) for p, c in zip(files, contents) if contents.count(c) > 1)
+    rows = {str(p.relative_to(out)): _state_rows(p) for p in out.rglob("*.jsonl.gz")}
+    assert rows, "no data file"
+    for a, b in itertools.combinations(rows, 2):
+        assert not rows[a] & rows[b], (a, b)
     assert all(any(d.iterdir()) for d in [out, *out.rglob("*")] if d.is_dir())
 
 
@@ -968,17 +982,28 @@ class TestRunLayout:
                     == seen[epoch][1].tobytes())
         assert not (out / "pool.jsonl.gz").exists()
 
-    def test_a_ca_run_stores_each_policy_once_and_keeps_its_pool(self, smoke_run):
-        _, _, out = smoke_run
+    def test_a_ca_run_stores_each_policy_once_and_keeps_its_pool(self, tmp_path):
+        """``pool.jsonl.gz`` holds the labeler's D- flag of each step of
+        ``trajectories.jsonl.gz``, in file order, and no state."""
+        # the untrained learner drives from epoch 1 on, so some rollouts fail
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("epochs = 3\nalpha = 0.1\nmax_steps = 400\nhidden = 16,16\n"
+                            "grad_steps_policy = 20\ngrad_steps_dyn = 20\n"
+                            "grad_steps_clf = 20\neval_laps = 1\nseed = 11\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--method", "ca", "--track", "circle", "--expert", "pid",
+                       "--obs", "output", "--config", str(cfg_path), "--out", str(out)) == 0
         assert_stored_once(out)
-        pool = load_dataset(out / "pool.jsonl.gz")
-        assert isinstance(pool, LabeledPool)
+        minus = load_dataset(out / "pool.jsonl.gz")
         trajs = load_dataset(out / "trajectories.jsonl.gz")
-        for states, outcome in ((pool.d_plus, Outcome.SUCCESS), (pool.d_query, Outcome.FAILURE)):
-            visited = [t.states[:-1] for t in trajs if t.outcome is outcome]
-            assert np.array_equal(states, np.concatenate(visited) if visited
-                                  else np.zeros((0, 6)))
-        assert int(pool.minus.sum()) == read_reports_csv(out / "reports.csv")[-1]["n_minus"]
+        assert minus.dtype == bool and len(minus) == sum(map(len, trajs))
+        assert {t.outcome for t in trajs} == {Outcome.SUCCESS, Outcome.FAILURE}
+        steps = np.cumsum([0] + [len(t) for t in trajs])
+        for traj, lo, hi in zip(trajs, steps, steps[1:]):
+            if traj.termination_reason is TerminationReason.REACHED_TARGET:
+                assert not minus[lo:hi].any()
+        n_minus = read_reports_csv(out / "reports.csv")[-1]["n_minus"]
+        assert 0 < int(minus.sum()) == n_minus
 
     def test_an_aborted_run_keeps_its_checkpoints(self, monkeypatch, tmp_path, capsys):
         """The final checkpoint is moved only after training returns, so a run

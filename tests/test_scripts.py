@@ -267,6 +267,15 @@ def test_bench_against_itself_writes_a_ratio_for_every_case(bench, tmp_path, mon
         assert {group: sorted(entries) for group, entries in against[key].items()} == cases
     assert all(len(ratios) == 2 and all(r > 0 for r in ratios)
                for entries in against["ratios"].values() for ratios in entries.values())
+    # each tree's case details sit beside the ratios; one tree gives equal ones
+    assert sorted(against["info"]) == ["against", "src"]
+    for info in against["info"].values():
+        assert {group: sorted(entries) for group, entries in info.items()} == cases
+    assert against["info"]["src"] == against["info"]["against"]
+    io = against["info"]["src"]["io"]
+    assert io["core.load_dataset"] == io["core.DatasetWriter.write"]
+    assert io["core.load_dataset"]["bytes"] > 0 and io["nn.save_weights"]["bytes"] > 0
+    assert set(against["info"]["src"]["hulls"]["train_gp"]) == {"points_mean", "accepted"}
     assert not [name for name in sys.modules if name.startswith("_bench_pair")]
 
 

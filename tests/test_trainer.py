@@ -271,13 +271,13 @@ class TestTrainLoops:
         trajs = []
         res = train(replace(cfg, method="ca"), circle, make_expert_factory("pid", cfg.sim, circle),
                     traj_callback=lambda epoch, new: trajs.extend(new))
-        for rows, outcome in ((res.pool.d_plus, Outcome.SUCCESS),
-                              (res.pool.d_query, Outcome.FAILURE)):
-            states = [t.states[:-1] for t in trajs if t.outcome is outcome]
-            assert len(states) and np.array_equal(rows, np.concatenate(states))
+        # one D- flag per visited step, in visit order; D- holds failed steps only
+        failed = np.concatenate([np.full(len(t), t.outcome is Outcome.FAILURE) for t in trajs])
+        assert res.minus.shape == failed.shape and not (res.minus & ~failed).any()
         last = res.reports[-1]
-        assert (last.n_plus, last.n_query, last.n_minus) == (
-            len(res.pool.d_plus), len(res.pool.d_query), int(res.pool.minus.sum()))
+        assert 0 < last.n_plus == int((~failed).sum())
+        assert 0 < last.n_query == int(failed.sum())
+        assert last.n_minus == int(res.minus.sum())
 
     def test_bc_labels_no_negatives_when_rollouts_fail(self, gp):
         # the learner drives half the steps from epoch 1 on and fails on gp;
@@ -285,9 +285,10 @@ class TestTrainLoops:
         cfg = tiny_cfg(gp, method="bc", epochs=3, alpha=0.5, grad_steps_policy=5, eval_laps=1)
         res = train(cfg, gp, make_expert_factory("racing", cfg.sim, gp))
         assert sum(r.new_failures for r in res.reports) > 0
-        assert res.reports[-1].n_query == len(res.pool.d_query) > 0
+        last = res.reports[-1]
+        assert last.n_query > 0 and len(res.minus) == last.n_plus + last.n_query
         assert [r.n_minus for r in res.reports] == [0] * cfg.epochs
-        assert not res.pool.minus.any()
+        assert not res.minus.any()
 
     def test_traj_callback_sees_every_episode(self, circle):
         cfg = tiny_cfg(circle, epochs=2)
