@@ -151,8 +151,8 @@ def _loops(pkg: str) -> dict:
     cfg = sim.SimConfig(lap_target=2)
     learner = trainer.MlpPolicy(
         trainer.init_policy(trainer.TrainConfig(seed=1, sim=cfg), circle), "output", circle)
-    full_cfg = trainer.TrainConfig(seed=1, sim=cfg, observation_mode="full_state")
-    full_learner = trainer.MlpPolicy(trainer.init_policy(full_cfg, circle), "full_state", circle)
+    full_cfg = trainer.TrainConfig(seed=1, sim=cfg, observation_mode="full")
+    full_learner = trainer.MlpPolicy(trainer.init_policy(full_cfg, circle), "full", circle)
 
     def racing_gp():
         return len(sim.rollout(cfg, gp, experts.RacingExpert(cfg, gp),

@@ -9,7 +9,7 @@ passed, and ``early_stop = 0`` in the config gives BC its full epoch budget.
 
 Usage:
     python scripts/run_racing_experiment.py --seeds 5 --out runs/racing \\
-        --track gp --expert racing --obs output --config racing.cfg
+        --track gp --expert racing --config racing.cfg
 """
 
 import argparse

@@ -40,7 +40,7 @@ from .reports import (
     write_reports_csv,
 )
 from .track import resolve_track, track_ref
-from .trainer import OBS_FLAGS, NonFiniteLossError, load_policy, make_expert_factory, train
+from .trainer import NonFiniteLossError, load_policy, make_expert_factory, train
 
 EXIT_NONFINITE = 2
 
@@ -59,15 +59,18 @@ def _refused(args, out=None):
         args.parser.error(exc.args[0] if isinstance(exc, KeyError) else str(exc))
 
 
+def _settings(args, **options):
+    """``(values, TrainConfig, expert params)`` of the ``--config`` file, with
+    each ``options`` key that is not ``None`` in place of the file's value."""
+    values = parse_config_file(args.config) if args.config else {}
+    values.update((key, str(value)) for key, value in options.items() if value is not None)
+    return values, *settings_from(values)
+
+
 def _cmd_train(args) -> int:
     with _refused(args, out=args.out):
-        values = parse_config_file(args.config) if args.config else {}
-        if args.seed is not None:
-            values["seed"] = str(args.seed)
-        # the command line's method and feedback override the file's, and are in
-        # place when the config is validated
-        cfg, expert = settings_from(values, method=args.method,
-                                    observation_mode=OBS_FLAGS[args.obs])
+        values, cfg, expert = _settings(args, method=args.method, observation_mode=args.obs,
+                                        seed=args.seed)
         track = resolve_track(args.track)
         factory = make_expert_factory(args.expert, cfg.sim, track, *expert)
 
@@ -157,10 +160,10 @@ def _print_result(result, *stats: str) -> None:
 
 def _cmd_eval(args) -> int:
     with _refused(args):
-        sim = settings_from(parse_config_file(args.config) if args.config else {})[0].sim
+        _, cfg, _ = _settings(args, observation_mode=args.obs, eval_laps=args.laps)
         track = resolve_track(args.track)
-        policy = load_policy(args.weights, OBS_FLAGS[args.obs], sim, track)
-    _print_result(evaluate(policy, sim, track, seed=args.seed, laps=args.laps),
+        policy = load_policy(args.weights, cfg.observation_mode, cfg.sim, track)
+    _print_result(evaluate(policy, cfg.sim, track, seed=args.seed, laps=cfg.eval_laps),
                   "lap_mean", "lap_std", "lap_min", "lap_max")
     return 0
 
@@ -196,7 +199,7 @@ def _cmd_sim(args) -> int:
         if args.render and not os.path.isdir(os.path.dirname(args.render) or "."):
             raise ValueError(f"--render {args.render}: no directory "
                              f"{os.path.dirname(args.render)}")
-        cfg, expert = settings_from(parse_config_file(args.config) if args.config else {})
+        _, cfg, expert = _settings(args)
         track = resolve_track(args.track)
         factory = make_expert_factory(args.expert, cfg.sim, track, *expert)
     _print_result(evaluate(factory(), cfg.sim, track, seed=args.seed, laps=args.laps),
@@ -352,11 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
+    # an option that names a setting replaces the --config file's value only when given
     p = add_parser("train", help="run a training method and write a run directory")
     p.add_argument("--method", choices=("bc", "ca"), required=True)
     p.add_argument("--track", default="gp", help="built-in track name or track file")
     p.add_argument("--expert", choices=("pid", "racing"), default="racing")
-    p.add_argument("--obs", choices=tuple(OBS_FLAGS), default="output")
+    p.add_argument("--obs", help="output or full; replaces the config's observation_mode")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("--out", required=True, help="run directory, absent or empty")
@@ -372,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "RUN/checkpoints/epoch_NNNN/policy.npz: .npy members flat "
                         "(float64 parameters), sizes, head and seed")
     p.add_argument("--track", default="gp")
-    p.add_argument("--obs", choices=tuple(OBS_FLAGS), default="output")
+    p.add_argument("--obs", help="output or full; replaces the config's observation_mode")
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--laps", type=_at_least(1), default=50)
-    p.add_argument("--config", default=None)
+    p.add_argument("--laps", type=_at_least(1), help="replaces the config's eval_laps")
+    p.add_argument("--config", default=None, help="key = value config file, e.g. RUN/config.txt")
     p.set_defaults(func=_cmd_eval, parser=p)
 
     p = add_parser("report", help="emit charts from run directories")

@@ -4,10 +4,11 @@ One flat namespace covers simulator, trainer, and expert settings so a run
 can be reproduced from its snapshot alone.  Each key is a field of
 ``SimConfig``, ``TrainConfig``, ``PidGains`` (prefixed ``pid_``) or
 ``RaceParams`` (prefixed ``race_``), and reads and writes by that field's
-type.  The exceptions: ``lambda`` sets ``TrainConfig.lam``,
-``race_alat_max`` sets ``RaceParams.a_lat_max``, and ``v_ref`` is the PID
-expert's speed reference.  Unknown keys are rejected: silent typos in
-experiment configs are worse than a hard error.
+type.  The exceptions: ``lambda`` sets ``TrainConfig.lam``, and ``v_ref`` is
+the PID expert's speed reference.  Unknown keys are rejected: silent typos in
+experiment configs are worse than a hard error.  An option that names a
+setting (``train --method/--obs/--seed``, ``eval --obs/--laps``) replaces the
+file's value only when it is given.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _field_keys(cls, prefix: str = "", renamed: Mapping[str, str] = {}) -> Dict[
 _SIM_KEYS = _field_keys(SimConfig)
 _TRAIN_KEYS = _field_keys(TrainConfig, renamed={"lam": "lambda"})
 _PID_KEYS = _field_keys(PidGains, "pid_")
-_RACE_KEYS = _field_keys(RaceParams, "race_", renamed={"a_lat_max": "race_alat_max"})
+_RACE_KEYS = _field_keys(RaceParams, "race_")
 _EXPERT_KEYS = {"v_ref": ("v_ref", float), **_PID_KEYS, **_RACE_KEYS}
 
 KNOWN_KEYS = {**_SIM_KEYS, **_TRAIN_KEYS, **_EXPERT_KEYS}
@@ -83,16 +84,12 @@ def parse_config_file(path) -> Dict[str, str]:
     return values
 
 
-def _fields_from(values: Dict[str, str], keys: Dict[str, tuple]) -> Dict[str, object]:
-    """The parsed value of each of ``keys`` that ``values`` sets, by field name."""
-    return {keys[key][0]: _parse(key, text) for key, text in values.items() if key in keys}
-
-
 def _record(cls, values: Dict[str, str], keys: Dict[str, tuple], **given):
-    """``cls`` from the ``given`` fields and its keys in ``values``; a field it
-    refuses is named by its key."""
+    """``cls`` from the ``given`` fields and the parsed value of each of its
+    ``keys`` that ``values`` sets; a field it refuses is named by its key."""
+    parsed = {keys[key][0]: _parse(key, text) for key, text in values.items() if key in keys}
     try:
-        return cls(**given, **_fields_from(values, keys))
+        return cls(**given, **parsed)
     except ValueError as exc:
         for key, (name, _) in keys.items():
             if str(exc).startswith(name + " "):
@@ -116,12 +113,10 @@ def expert_params_from(values: Dict[str, str]) -> Tuple[float, PidGains, RacePar
             _record(RaceParams, values, _RACE_KEYS))
 
 
-def settings_from(values: Dict[str, str], **options: str) -> Tuple[TrainConfig, tuple]:
-    """Every record ``values`` sets, each checked: the ``TrainConfig``, with the
-    ``options`` keys in place of the file's, and the expert's
-    ``(v_ref, PidGains, RaceParams)``."""
-    cfg = train_config_from({**values, **options}, sim_config_from(values))
-    return cfg, expert_params_from(values)
+def settings_from(values: Dict[str, str]) -> Tuple[TrainConfig, tuple]:
+    """Every record ``values`` sets, each checked: the ``TrainConfig`` and the
+    expert's ``(v_ref, PidGains, RaceParams)``."""
+    return train_config_from(values, sim_config_from(values)), expert_params_from(values)
 
 
 def snapshot_config(cfg: TrainConfig, values: Dict[str, str]) -> str:

@@ -71,7 +71,7 @@ class PidCenterline:
 
 @dataclass(frozen=True)
 class RaceParams:
-    a_lat_max: float = 2.8       # lateral-acceleration budget, m/s^2
+    alat_max: float = 2.8        # lateral-acceleration budget, m/s^2
     lookahead: float = 2.8       # arc window scanned for the worst curvature, m
     kappa_floor: float = 0.12    # caps straight-line target speed
     offset_max: float = 0.40     # largest lateral offset of the racing line, m
@@ -83,7 +83,7 @@ class RaceParams:
 
     def __post_init__(self):
         # a zero budget, floor or pursuit distance is a divisor of the rollout
-        check_fields(self, positive=("a_lat_max", "kappa_floor", "pursuit_dist"),
+        check_fields(self, positive=("alat_max", "kappa_floor", "pursuit_dist"),
                      non_negative=[f.name for f in fields(self)])
 
 
@@ -105,7 +105,7 @@ class RacingExpert:
     def target_speed(self, s: float) -> float:
         p = self.params
         worst = max(p.kappa_floor, peak_curvature(self.track, s, p.lookahead, 0.25))
-        return min(self.cfg.v_max, math.sqrt(p.a_lat_max / worst))
+        return min(self.cfg.v_max, math.sqrt(p.alat_max / worst))
 
     def offset_ref(self, s: float) -> float:
         p = self.params

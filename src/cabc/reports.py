@@ -38,14 +38,28 @@ def write_reports_csv(reports: Sequence[EpochReport], path) -> None:
 
 
 # how each reports.csv column reads back, from its EpochReport field type
-_PARSE = {int: int, float: float, bool: lambda text: text == "True", str: str}
-_COLUMN_PARSERS = {name: _PARSE[kind] for name, kind in get_type_hints(EpochReport).items()}
+_PARSE = {int: int, float: float, bool: {"True": True, "False": False}.__getitem__, str: str}
+_COLUMN_TYPES = get_type_hints(EpochReport)
 
 
 def read_reports_csv(path) -> List[Dict[str, object]]:
+    """The rows of a ``reports.csv``, each cell read by its ``EpochReport``
+    field's type; a cell that does not parse is refused by file, line and column."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [{key: _COLUMN_PARSERS.get(key, float)(value) for key, value in record.items()}
-                for record in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        return [{key: _read_cell(path, reader.line_num, key, text)
+                 for key, text in record.items()} for record in reader]
+
+
+def _read_cell(path, line: int, key: str, text: str):
+    kind = _COLUMN_TYPES.get(key, float)
+    try:
+        if key is None or text is None:   # the row is longer or shorter than the header
+            raise ValueError
+        return _PARSE[kind](text)
+    except (ValueError, KeyError):
+        raise ValueError(f"{path}: line {line}, column {key}: cannot read {text!r} "
+                         f"as {kind.__name__}") from None
 
 
 # --- minimal SVG emission ---------------------------------------------------------

@@ -46,10 +46,6 @@ class NonFiniteLossError(RuntimeError):
     """A training loss stopped being finite; the run is aborted."""
 
 
-# each value of the command line's ``--obs`` flag, with the observation mode it selects
-OBS_FLAGS = {"output": "output", "full": "full_state"}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50                     # M: training epochs
@@ -71,7 +67,7 @@ class TrainConfig:
     grad_steps_clf: int = 200
     seed: int = 0
     method: str = "ca"                   # "ca" | "bc"
-    observation_mode: str = "output"     # "output" | "full_state"
+    observation_mode: str = "output"     # "output" | "full"
     hidden: Tuple[int, ...] = (128, 128, 128)
     eval_laps: int = 50
     early_stop: bool = True
@@ -94,8 +90,8 @@ class TrainConfig:
         min_batch = 2 if self.method == "ca" else 1
         if self.batch_size < min_batch:
             raise ValueError(f"batch_size must be >= {min_batch} for method {self.method!r}")
-        if self.observation_mode not in OBS_FLAGS.values():
-            raise ValueError("observation_mode must be 'output' or 'full_state'")
+        if self.observation_mode not in ("output", "full"):
+            raise ValueError("observation_mode must be 'output' or 'full'")
         if any(width < 1 for width in self.hidden):
             raise ValueError("hidden widths must be >= 1")
 
@@ -178,12 +174,11 @@ class MlpPolicy:
 def load_policy(path, mode: str, sim_cfg: SimConfig, track: TrackSpec) -> MlpPolicy:
     """The saved policy at ``path``; ``ValueError`` if its input width is not
     observation mode ``mode``'s or its output is not an action pair."""
-    flags = {named: flag for flag, named in OBS_FLAGS.items()}
     params = nn.load_weights(path)
     want = policy_input_dim(mode, sim_cfg)
     if params.sizes[0] != want:
         raise ValueError(f"{path}: the policy takes {params.sizes[0]} inputs, but "
-                         f"observation mode {mode!r} (--obs {flags[mode]}) gives {want}")
+                         f"observation mode {mode!r} gives {want}")
     if params.sizes[-1] != 2:
         raise ValueError(f"{path}: the policy gives {params.sizes[-1]} outputs, but an "
                          f"action is the 2 of (u_a, u_steer)")
@@ -215,19 +210,10 @@ class MixedPolicy:
         self.rng = rng
         self.sigma_u = sigma_u
         self.last_expert_action: Optional[tuple] = None
-        self.expert_steps = 0
-        self.total_steps = 0
 
     def __call__(self, y: Optional[tuple], x: tuple) -> tuple:
-        u_exp = self.pi_beta(y, x)
-        self.last_expert_action = u_exp
-        take_expert = self.rng.random() < self.beta_prob
-        self.total_steps += 1
-        if take_expert:
-            self.expert_steps += 1
-            u = u_exp
-        else:
-            u = self.pi_theta(y, x)
+        u_exp = self.last_expert_action = self.pi_beta(y, x)
+        u = u_exp if self.rng.random() < self.beta_prob else self.pi_theta(y, x)
         if self.sigma_u > 0.0:
             u_a, u_steer = u
             n_a, n_steer = self.rng.normal(0.0, self.sigma_u, size=2).tolist()

@@ -14,7 +14,7 @@ from cabc.experts import PidGains, RaceParams
 from cabc.sim import SimConfig
 from cabc.trainer import TrainConfig
 
-_OTHER_TEXT = {"method": "bc", "observation_mode": "full_state"}
+_OTHER_TEXT = {"method": "bc", "observation_mode": "full"}
 
 
 def _changed(name, value):
@@ -53,15 +53,14 @@ def test_snapshot_round_trips_every_key(tmp_path):
 
 def test_known_keys_are_the_record_fields():
     """Every key is a field of one of the four records, under its prefix, but
-    for three: a new key named otherwise needs an edit here."""
+    for two: a new key named otherwise needs an edit here."""
     fields = {f.name for cls in (SimConfig, TrainConfig) for f in dataclasses.fields(cls)}
     fields -= {"sim"}
     fields |= {f"pid_{f.name}" for f in dataclasses.fields(PidGains)}
     fields |= {f"race_{f.name}" for f in dataclasses.fields(RaceParams)}
-    # lambda stands for lam, a Python keyword, and race_alat_max for race_a_lat_max;
-    # v_ref is passed to make_expert_factory on its own
-    assert set(KNOWN_KEYS) == (fields - {"lam", "race_a_lat_max"}) | {
-        "lambda", "race_alat_max", "v_ref"}
+    # lambda stands for lam, a Python keyword; v_ref is passed to
+    # make_expert_factory on its own
+    assert set(KNOWN_KEYS) == (fields - {"lam"}) | {"lambda", "v_ref"}
 
 
 def test_snapshot_keeps_the_expert_keys_it_was_given(tmp_path):
@@ -100,8 +99,7 @@ def test_expert_params_round_trip_every_field(tmp_path):
             assert getattr(obj, f.name) != getattr(default, f.name), f.name
     keys = {"v_ref": 1.375}
     keys.update((f"pid_{f.name}", getattr(gains, f.name)) for f in dataclasses.fields(gains))
-    keys.update(("race_alat_max" if f.name == "a_lat_max" else f"race_{f.name}",
-                 getattr(race, f.name)) for f in dataclasses.fields(race))
+    keys.update((f"race_{f.name}", getattr(race, f.name)) for f in dataclasses.fields(race))
     path = tmp_path / "expert.cfg"
     path.write_text("".join(f"{key} = {value!r}\n" for key, value in keys.items()))
     assert expert_params_from(parse_config_file(path)) == (1.375, gains, race)
@@ -145,7 +143,8 @@ def test_preview_setting_is_refused_naming_its_key(key, text):
 
 @pytest.mark.parametrize("key", ["lambda", "race_alat_max"])
 def test_renamed_key_is_refused_naming_its_key(key):
-    """``lambda = -1`` used to be refused as ``lam``, a key that does not exist."""
+    """A value is refused by its key, not its field name: ``lambda = -1`` used
+    to be refused as ``lam``, a key that does not exist."""
     values = {key: "-1"}
     with pytest.raises(ValueError, match=f"^{key} must be (non-negative|positive), got -1.0$"):
         train_config_from(values, sim_config_from(values))

@@ -159,8 +159,8 @@ def observe_calls(monkeypatch):
 
 def _full_state_policy(track, seed=4):
     from cabc.trainer import MlpPolicy, TrainConfig, init_policy
-    cfg = TrainConfig(seed=seed, hidden=(16, 16), observation_mode="full_state")
-    return MlpPolicy(init_policy(cfg, track), "full_state", track)
+    cfg = TrainConfig(seed=seed, hidden=(16, 16), observation_mode="full")
+    return MlpPolicy(init_policy(cfg, track), "full", track)
 
 
 def _output_policy(track, seed=4):
@@ -359,10 +359,9 @@ class TestCli:
     def test_eval_rejects_weights_of_the_other_observation_mode(self, smoke_run, capsys):
         # the smoke policy reads 13 output features; --obs full would feed it 7
         _, cfg_path, out = smoke_run
-        assert re.search(r"takes 13 inputs, but observation mode 'full_state' \(--obs full\) "
-                         r"gives 7$", cli_refuses(
-                             capsys, "eval", "--weights", str(out / "policy.npz"), "--track",
-                             "circle", "--obs", "full", "--laps", "1", "--config", str(cfg_path)))
+        assert re.search(r"takes 13 inputs, but observation mode 'full' gives 7$", cli_refuses(
+            capsys, "eval", "--weights", str(out / "policy.npz"), "--track", "circle",
+            "--obs", "full", "--laps", "1", "--config", str(cfg_path)))
 
     def test_a_policy_that_gives_no_action_pair_is_refused(self, smoke_run, tmp_path, capsys):
         """A 13 -> 3 policy is refused with the settings: ``eval`` runs no lap and
@@ -467,9 +466,72 @@ class TestCli:
                        "--out", str(out)) == 0
         cfg, meta, rows = read_run(out)
         assert cfg == ran[0]
-        assert (cfg.method, cfg.observation_mode, cfg.seed, cfg.lam) == (
-            "bc", "full_state", 7, 0.25)
+        assert (cfg.method, cfg.observation_mode, cfg.seed, cfg.lam) == ("bc", "full", 7, 0.25)
         assert meta["track"] == "circle" and len(rows) == 1
+
+    @pytest.mark.parametrize("obs", ["output", "full"])
+    def test_a_run_config_trains_the_run_again(self, tmp_path, obs):
+        """With no --obs or --seed, a run's ``config.txt`` trains that run again: a
+        full-state run's config used to train output feedback and record it."""
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("epochs = 1\nhidden = 8\ngrad_steps_policy = 5\neval_laps = 1\n"
+                            "lambda = 0.25\nv_ref = 1.25\n")
+        args = ("train", "--method", "bc", "--track", "circle", "--expert", "pid")
+        run, again = tmp_path / "run", tmp_path / "again"
+        assert run_cli(*args, "--obs", obs, "--seed", "7", "--config", str(cfg_path),
+                       "--out", str(run)) == 0
+        assert run_cli(*args, "--config", str(run / "config.txt"), "--out", str(again)) == 0
+        text = (run / "config.txt").read_text()
+        assert "\nseed = 7\n" in text and f"\nobservation_mode = {obs}\n" in text
+        for name in ("config.txt", "reports.csv", "policy.npz"):
+            assert (again / name).read_bytes() == (run / name).read_bytes(), name
+
+    def test_eval_reads_the_feedback_and_laps_from_a_run_config(self, monkeypatch, tmp_path,
+                                                                capsys):
+        """``--obs`` and ``--laps`` replace the config's values only when given."""
+        import cabc.cli as cli_mod
+
+        calls = []
+        real_evaluate = cli_mod.evaluate
+
+        def recording(policy, *args, **kw):
+            calls.append((policy.state_feedback, kw["laps"]))
+            return real_evaluate(policy, *args, **kw)
+
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("epochs = 0\nhidden = 8\neval_laps = 2\n")
+        run = tmp_path / "run"
+        assert run_cli("train", "--method", "bc", "--obs", "full", "--track", "circle",
+                       "--expert", "pid", "--config", str(cfg_path), "--out", str(run)) == 0
+        monkeypatch.setattr(cli_mod, "evaluate", recording)
+        evaluate_run = ("eval", "--weights", str(run / "policy.npz"), "--track", "circle")
+        assert run_cli(*evaluate_run, "--config", str(run / "config.txt")) == 0
+        assert run_cli(*evaluate_run, "--config", str(run / "config.txt"), "--laps", "1") == 0
+        assert calls == [(True, 2), (True, 1)]
+        capsys.readouterr()
+        # without the config, the policy is read as output feedback, which it is not
+        assert "observation mode 'output' gives 13" in cli_refuses(capsys, *evaluate_run)
+
+    def test_a_ca_run_whose_collection_fails_labels_and_fits_its_classifier(self, tmp_path):
+        """The smoke run collects no failure; this one labels D- and fits the
+        classifier, and its report marks each fit."""
+        cfg_path = tmp_path / "noisy.cfg"
+        cfg_path.write_text("epochs = 3\nk_p = 1\nactuation_noise_sigma = 0.6\n"
+                            "max_steps = 400\nhidden = 16,16\ngrad_steps_policy = 20\n"
+                            "grad_steps_dyn = 20\ngrad_steps_clf = 20\neval_laps = 1\n"
+                            "seed = 5\n")
+        out, rep = tmp_path / "run", tmp_path / "rep"
+        assert run_cli("train", "--method", "ca", "--track", "circle", "--expert", "pid",
+                       "--config", str(cfg_path), "--out", str(out)) == 0
+        rows = read_reports_csv(out / "reports.csv")
+        assert rows[-1]["n_minus"] > 0
+        assert int(load_dataset(out / "pool.jsonl.gz").sum()) == rows[-1]["n_minus"]
+        fits = {r["clf_fit_epoch"] for r in rows} - {-1}
+        assert fits and rows[-1]["clf_fit_epoch"] >= 0
+        assert run_cli("report", "--run", str(out), "--out", str(rep)) == 0
+        svg = ET.parse(rep / "laps_vs_epoch.svg")
+        texts = [e.text for e in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count("clf fit") == len(fits)
 
     def test_report_emits_charts(self, smoke_run, tmp_path):
         _, _, out = smoke_run
@@ -1044,6 +1106,9 @@ class TestRefusal:
         ("sim", ("--track", "gp", "--laps", "1", "--render", "out"), "race_alat_max = -1\n",
          "race_alat_max must be positive"),
         ("labeldemo", ("--rho", "nan", "--out", "out"), "", "argument --rho:"),
+        # --obs is checked as the config's observation_mode is
+        ("eval", ("--weights", "missing.npz", "--obs", "image"), "",
+         "observation_mode must be 'output' or 'full'"),
     ])
     def test_bad_setting_exits_2_in_one_line(self, tmp_path, command, args, config, named):
         (tmp_path / "run.cfg").write_text(config)
@@ -1080,6 +1145,21 @@ class TestRefusal:
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         refused_in_one_line(tmp_path, "lambda must be non-negative, got -1.0", command, *args)
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_report_refuses_a_reports_cell_that_does_not_parse(self, smoke_run, tmp_path):
+        """A ``safety_on`` cell of ``1`` used to read as ``False``."""
+        _, _, out = smoke_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        with open(run / "reports.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        table[1][table[0].index("safety_on")] = "1"
+        with open(run / "reports.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(table)
+        refused_in_one_line(tmp_path, f"{os.path.join('run', 'reports.csv')}: line 2, "
+                            "column safety_on: cannot read '1' as bool",
+                            "report", "--run", "run", "--out", "rep")
+        assert not (tmp_path / "rep").exists()
 
 
 def refused_in_one_line(cwd, named, *argv) -> None:

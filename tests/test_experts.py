@@ -52,7 +52,7 @@ class TestRacing:
         p = race.params
         # mid-straight, corner beyond the lookahead window
         v_t = race.target_speed(2.0)
-        expected = min(noiseless_sim.v_max, math.sqrt(p.a_lat_max / p.kappa_floor))
+        expected = min(noiseless_sim.v_max, math.sqrt(p.alat_max / p.kappa_floor))
         assert v_t == pytest.approx(expected)
 
     def test_corner_speed_uses_worst_preview_curvature(self, gp, noiseless_sim):
@@ -60,7 +60,7 @@ class TestRacing:
         p = race.params
         kappa_max = max_abs_curvature(gp)
         v_corner = race.target_speed(2.0)  # tight chicane starts at ~2.26 m
-        assert v_corner == pytest.approx(math.sqrt(p.a_lat_max / kappa_max), rel=1e-9)
+        assert v_corner == pytest.approx(math.sqrt(p.alat_max / kappa_max), rel=1e-9)
 
     @pytest.mark.parametrize("track_name", ["circle", "lshaped", "gp"])
     def test_strictly_faster_than_pid(self, track_name, noiseless_sim):

@@ -181,6 +181,48 @@ def test_reports_csv_round_trips_every_field(tmp_path):
             assert type(value) is type(getattr(report, name)), name
 
 
+@pytest.mark.parametrize("column, text, kind", [
+    ("safety_on", "1", "bool"), ("safety_on", "true", "bool"), ("clf_degenerate", "Ture", "bool"),
+    ("n_minus", "4.5", "int"), ("clone_loss", "", "float"),
+])
+def test_a_reports_cell_that_does_not_parse_is_refused(tmp_path, column, text, kind):
+    """A flag other than ``True`` used to read as ``False``."""
+    path, table = _two_row_reports(tmp_path)
+    table[2][table[0].index(column)] = text
+    _write_table(path, table)
+    with pytest.raises(ValueError) as refused:
+        read_reports_csv(path)
+    assert str(refused.value) == f"{path}: line 3, column {column}: cannot read {text!r} as {kind}"
+
+
+@pytest.mark.parametrize("cut, column, text", [
+    (lambda row: row[:-1], "eval_terminated_by", None),
+    (lambda row: row + ["7"], None, ["7"]),
+], ids=["short", "long"])
+def test_a_reports_row_that_does_not_fit_the_header_is_refused(tmp_path, cut, column, text):
+    path, table = _two_row_reports(tmp_path)
+    _write_table(path, [*table[:2], cut(table[2])])
+    with pytest.raises(ValueError) as refused:
+        read_reports_csv(path)
+    assert str(refused.value).startswith(f"{path}: line 3, column {column}: cannot read {text!r}")
+
+
+def _two_row_reports(tmp_path):
+    """A two-epoch ``reports.csv`` and its cells, the header row first."""
+    path = tmp_path / "reports.csv"
+    write_reports_csv([EpochReport(epoch=e, clone_loss=0.5, safety_loss=0.0, dyn_loss=0.0,
+                                   clf_loss=0.0, new_successes=2, new_failures=0, n_plus=9,
+                                   n_query=0, n_minus=0, eval_laps=1, eval_lap_mean=7.0,
+                                   eval_lap_std=0.0) for e in range(2)], path)
+    with open(path, newline="") as fh:
+        return path, list(csv.reader(fh))
+
+
+def _write_table(path, table):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(table)
+
+
 @pytest.mark.parametrize("stopped_at", [None, 1])
 def test_early_stop_marker_follows_meta(stopped_at, tmp_path):
     """Two full evaluations draw the marker only if the run stopped there:

@@ -82,7 +82,9 @@ def test_every_script_is_smoke_tested():
 
 
 def test_racing_experiment_runs_both_methods(tmp_path):
-    config = tiny_config(tmp_path, TINY_CONFIG.replace("epochs = 2", "epochs = 1"))
+    # the config's feedback mode stands in each cell, given no --obs
+    config = tiny_config(tmp_path, TINY_CONFIG.replace("epochs = 2", "epochs = 1")
+                         + "observation_mode = full\n")
     out = tmp_path / "out"
     done = run_script("run_racing_experiment.py", "--seeds", "1", "--track", "circle",
                       "--expert", "pid", "--config", config, "--out", str(out))
@@ -92,6 +94,8 @@ def test_racing_experiment_runs_both_methods(tmp_path):
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
     assert (summary["seeds"], summary["epochs"]) == (1, 1)
+    for cell in ("ca_seed0", "bc_seed0"):
+        assert "\nobservation_mode = full\n" in (out / cell / "config.txt").read_text(), cell
 
 
 def test_racing_experiment_refuses_no_seeds(tmp_path):
