@@ -3,8 +3,9 @@
 
 Each group below is a builder: given the name of a loaded ``cabc`` package,
 it returns cases, each a function of no argument that returns how many units
-(steps or calls) it ran.  One timing loop times any case: the fewest seconds
-per unit over a number of runs.
+(steps or calls) it ran.  One timing loop times every case of one tree or of
+two (below).  A unit is a simulated step in ``loops`` and ``evaluate`` and a
+call in the other groups.
 
 Loops (per step):
 
@@ -55,38 +56,34 @@ Files (per call, with the file's size), each in a temporary file:
   ``--against`` on trees of two dataset formats, these cases compare the
   formats.
 
-Start-up (minimum over ``STARTUP_REPEATS`` fresh interpreters, run one after
-another with ``--src`` on ``PYTHONPATH``, of the wall time from spawn to exit
-and of the child's ``ru_maxrss``): ``import_cli``, ``import cabc.cli``, what
-every command loads.  Records from before the labeling commands dropped
-scipy also hold ``import_cli_scipy``.
-
-One tree: an invocation times each case ``REPEATS`` times (hull tests
-``HULL_REPEATS`` times), keeps the fewest seconds per unit, and appends one
-record under ``--label`` to ``--out``:
+Rounds: an invocation times the package in ``--src`` and, with ``--against
+OTHER_SRC``, the one in ``OTHER_SRC`` too, inside this one process, in
+``PAIRS`` rounds.  Each round imports every tree afresh under new package
+names and builds its cases.  It then times each case ``PAIR_REPEATS`` times
+on each tree, one run on one tree right after one on the other, and keeps
+each tree's fewest seconds per unit.  Rounds alternate which tree is built
+and timed first.  The invocation appends one record under ``--label`` to
+``--out``:
 
     python3 scripts/bench_closed_loop.py --label change
-
-Two trees: with ``--against OTHER_SRC`` an invocation compares the package
-in ``--src`` with the one in ``OTHER_SRC`` inside this one process, in
-``PAIRS`` pairs; start-up is not compared.  Each pair imports both trees
-afresh under new package names and builds their cases.  It then times each
-case ``PAIR_REPEATS`` times on each tree, one run on one tree right after
-one on the other, and keeps each tree's fewest seconds per unit.  Pairs
-alternate which tree is built and timed first.  The record holds, for every
-case, each pair's ratio ``--src`` over ``OTHER_SRC`` (below 1 means
-``--src`` is faster), their median and their quartiles, and under ``info``
-each tree's case details (file bytes, laps, hull points and acceptances) as
-the first pair built them:
-
     python3 scripts/bench_closed_loop.py --label change-vs-parent --against ../parent/src
+
+Record: ``label``, ``started``, ``rounds``, ``repeats`` and, under
+``trees``, one entry per tree (``src``, and ``against`` with two trees)
+holding, for every case of every group, ``us``, the median over rounds of
+the round's fewest microseconds per unit, ``units``, the units one run
+times, and the case details (file bytes, laps, hull points and acceptances)
+as the first round built them.  A two-tree record adds, for every case,
+``ratios``, each round's ratio ``--src`` over ``OTHER_SRC`` (below 1 means
+``--src`` is faster), and their median and quartiles, ``ratio_median``,
+``ratio_q1`` and ``ratio_q3``.
 
 Why afresh: with both trees loaded and their cases built only once, two
 copies of one tree read some cases a steady few percent apart
 (``nn.adam_step.policy`` 1.047, quartiles 1.034-1.066, over 20 pairs on a
 2-core x86_64 host), a bias that follows the loading, not the code.  A fresh
-import per pair makes it vary from pair to pair; there, every median of the
-same two copies lay within 2% of 1.
+import per round makes it vary from round to round; there, every median of
+the same two copies lay within 2% of 1.
 """
 
 from __future__ import annotations
@@ -98,26 +95,22 @@ import json
 import math
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
 import weakref
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
-REPEATS = 20
-HULL_REPEATS = 3
 PAIRS = 20
 PAIR_REPEATS = 3
 EVAL_LAPS = 10
 HULL_QUERIES = 100
-STARTUP_REPEATS = 10
 NN_BATCH = 256
 NN_CALLS = 20
 DATASET_SEED = 1000
 DATASET_EPOCHS = 3
-STARTUP = {"import_cli": "import cabc.cli"}
-STEP_GROUPS = ("loops", "evaluate")   # timed per simulated step; the others per call
 
 
 def load_tree(src: str, name: str) -> str:
@@ -144,30 +137,47 @@ def _modules(pkg: str, *names: str) -> list:
     return [importlib.import_module(f"{pkg}.{name}") for name in names]
 
 
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The stream ``core.rng_stream(seed, *key)`` returns, built here: trees
+    before the centreline-pose change define ``rng_stream`` in ``sim``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=key)))
+
+
+def _full_mode(trainer) -> str:
+    """The full-state observation mode's name in the loaded tree: ``full``,
+    or ``full_state`` in trees from before the two names were merged."""
+    try:
+        trainer.TrainConfig(observation_mode="full")
+    except ValueError:
+        return "full_state"
+    return "full"
+
+
 def _loops(pkg: str) -> dict:
-    core, experts, sim, track, trainer = _modules(pkg, "core", "experts", "sim", "track",
-                                                  "trainer")
+    experts, sim, track, trainer = _modules(pkg, "experts", "sim", "track", "trainer")
     gp, circle = track.get_track("gp"), track.get_track("circle")
     cfg = sim.SimConfig(lap_target=2)
     learner = trainer.MlpPolicy(
         trainer.init_policy(trainer.TrainConfig(seed=1, sim=cfg), circle), "output", circle)
-    full_cfg = trainer.TrainConfig(seed=1, sim=cfg, observation_mode="full")
-    full_learner = trainer.MlpPolicy(trainer.init_policy(full_cfg, circle), "full", circle)
+    full = _full_mode(trainer)
+    full_cfg = trainer.TrainConfig(seed=1, sim=cfg, observation_mode=full)
+    full_learner = trainer.MlpPolicy(trainer.init_policy(full_cfg, circle), full, circle)
 
     def racing_gp():
         return len(sim.rollout(cfg, gp, experts.RacingExpert(cfg, gp),
-                               sim.default_start_state(), 1200, core.rng_stream(11, 0)))
+                               sim.default_start_state(), 1200, _rng(11, 0)))
 
     def pid_circle():
         return len(sim.rollout(cfg, circle, experts.PidCenterline(cfg, circle),
-                               sim.default_start_state(), 1200, core.rng_stream(12, 0)))
+                               sim.default_start_state(), 1200, _rng(12, 0)))
 
     def mixture(policy):
         def run():
             mixed = trainer.MixedPolicy(experts.PidCenterline(cfg, circle), policy, 0.5,
-                                        core.rng_stream(13, 1), sigma_u=0.15)
+                                        _rng(13, 1), sigma_u=0.15)
             return len(sim.rollout(cfg, circle, mixed, sim.default_start_state(), 1200,
-                                   core.rng_stream(13, 0),
+                                   _rng(13, 0),
                                    relabel=lambda x: mixed.last_expert_action))
         return run
 
@@ -197,18 +207,18 @@ def _evaluate(pkg: str) -> dict:
 
 
 def _calls(pkg: str) -> dict:
-    core, experts, reports, sim, track, trainer = _modules(
-        pkg, "core", "experts", "reports", "sim", "track", "trainer")
+    experts, reports, sim, track, trainer = _modules(
+        pkg, "experts", "reports", "sim", "track", "trainer")
     gp = track.get_track("gp")
     cfg = sim.SimConfig(lap_target=2)
     traj = sim.rollout(cfg, gp, experts.RacingExpert(cfg, gp), sim.default_start_state(), 1200,
-                       core.rng_stream(11, 0))
+                       _rng(11, 0))
     pairs = [(tuple(x), tuple(u), tuple(y)) for x, u, y in zip(
         traj.states[:-1].tolist(), traj.u_applied.tolist(), traj.y.tolist())]
     expert = experts.RacingExpert(cfg, gp)
     policy = trainer.MlpPolicy(
         trainer.init_policy(trainer.TrainConfig(seed=1, sim=cfg), gp), "output", gp)
-    rng = core.rng_stream(0, 0)
+    rng = _rng(0, 0)
     distances = cfg.preview_distances
 
     def per_state(call):
@@ -237,10 +247,10 @@ def _calls(pkg: str) -> dict:
 
 
 def _nn(pkg: str) -> dict:
-    nn, autolabel, core, critic, sim, track, trainer = _modules(
-        pkg, "nn", "autolabel", "core", "critic", "sim", "track", "trainer")
+    nn, autolabel, critic, sim, track, trainer = _modules(
+        pkg, "nn", "autolabel", "critic", "sim", "track", "trainer")
     gp, cfg = track.get_track("gp"), sim.SimConfig()
-    rng = core.rng_stream(0, 0)
+    rng = _rng(0, 0)
     states, actions = rng.normal(size=(NN_BATCH, 6)), rng.normal(size=(NN_BATCH, 2))
     norm = autolabel.fit_norm(states, gp.lap_length)
     hidden = trainer.TrainConfig().hidden
@@ -276,7 +286,7 @@ def _nn(pkg: str) -> dict:
 def _hull_cases(pkg: str) -> dict:
     """``(x, points, tol)`` triples of the two hull-test shapes."""
     autolabel, core, track, trainer = _modules(pkg, "autolabel", "core", "track", "trainer")
-    rng = core.rng_stream(0)
+    rng = _rng(0)
     plus = autolabel.SyntheticSet.crescent().sample_inside(6000, rng)
     index = autolabel.NeighborIndex(plus)
     demo = [(q, plus[idx], autolabel.HULL_TOL) for q in autolabel.sample_box(6000, rng)
@@ -286,11 +296,12 @@ def _hull_cases(pkg: str) -> dict:
     gp = track.get_track("gp")
     factory = trainer.make_expert_factory("racing", cfg.sim, gp)
     policy = trainer.init_policy(cfg, gp)
-    store = trainer._SampleStore(trainer.policy_input_dim(cfg.observation_mode, cfg.sim))
-    store.add_trajectories(
-        [t for epoch in range(8) for t in trainer._collect_epoch(cfg, gp, factory, policy, epoch)],
-        cfg.observation_mode, gp)
-    plus, query = (store.states[rows] for rows in store.pools())
+    trajs = [t for epoch in range(8) for t in trainer._collect_epoch(cfg, gp, factory, policy,
+                                                                      epoch)]
+    # D+ and D_query: the states visited by successful and by failed rollouts
+    plus, query = (np.concatenate([t.states[:-1] for t in trajs
+                                   if (t.outcome is core.Outcome.SUCCESS) is safe])
+                   for safe in (True, False))
     norm = autolabel.fit_norm(plus, gp.lap_length)
     safe = norm.normalize_states(plus)
     index = autolabel.NeighborIndex(safe)
@@ -366,84 +377,58 @@ GROUPS = {"loops": _loops, "evaluate": _evaluate, "calls": _calls, "nn": _nn,
           "hulls": _hulls, "io": _io}
 
 
-def _per_unit(run, repeats: int) -> tuple:
-    """The fewest seconds per unit over ``repeats`` calls of ``run``, and the units."""
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        units = run()
-        best = min(best, (time.perf_counter() - t0) / units)
-    return best, units
+def _per_unit(run) -> tuple:
+    """Seconds per unit of one call of ``run``, and the units it ran."""
+    t0 = time.perf_counter()
+    units = run()
+    return (time.perf_counter() - t0) / units, units
 
 
-def _measure(pkg: str) -> dict:
-    """Every group's cases timed once, in microseconds per unit."""
-    out = {}
-    for group, build in GROUPS.items():
-        unit = "step" if group in STEP_GROUPS else "call"
-        repeats = HULL_REPEATS if group == "hulls" else REPEATS
-        out[group] = {}
-        for name, (run, info) in build(pkg).items():
-            seconds, units = _per_unit(run, repeats)
-            out[group][name] = {f"us_per_{unit}": round(seconds * 1e6, 3), f"{unit}s": units,
-                                **info}
-    return out
-
-
-def _compare(src: str, against: str) -> dict:
-    """Per-pair ratios ``src / against`` of every case, with their median and
-    quartiles, and each tree's case ``info`` from the first pair."""
-    import numpy as np
-
-    trees, ratios, info = (src, against), {}, None
+def _time_trees(trees: list) -> dict:
+    """Every case of the one or two trees in the src directories ``trees``,
+    timed in ``PAIRS`` rounds: the record's ``rounds``, ``repeats``, ``trees``
+    and, with two trees, the ratios of the first over the second."""
+    sides = list(range(len(trees)))
+    seconds = [{} for _ in sides]   # group -> name -> each round's fewest seconds per unit
+    facts = [{} for _ in sides]   # group -> name -> units and info, as the first round built them
     for i in range(PAIRS):
-        order = (0, 1) if i % 2 == 0 else (1, 0)
-        names = [f"_bench_pair{i}_tree{side}" for side in (0, 1)]
-        cases = [None, None]
+        order = sides if i % 2 == 0 else sides[::-1]
+        names = [f"_bench_pair{i}_tree{side}" for side in sides]
+        cases = [None for _ in sides]
         for side in order:
             load_tree(trees[side], names[side])
             cases[side] = {group: build(names[side]) for group, build in GROUPS.items()}
-        if info is None:
-            info = [{group: {name: case[1] for name, case in named.items()}
-                     for group, named in tree.items()} for tree in cases]
         for group, named in cases[0].items():
             for name in named:
-                # run by run, so that drift within one case's timing reaches both trees
-                seconds = [math.inf, math.inf]
+                # run by run, so that drift within one case's timing reaches every tree
+                best, units = [math.inf for _ in sides], [None for _ in sides]
                 for _ in range(PAIR_REPEATS):
                     for side in order:
-                        seconds[side] = min(seconds[side],
-                                            _per_unit(cases[side][group][name][0], 1)[0])
-                ratios.setdefault(group, {}).setdefault(name, []).append(
-                    round(seconds[0] / seconds[1], 4))
+                        per_unit, units[side] = _per_unit(cases[side][group][name][0])
+                        best[side] = min(best[side], per_unit)
+                for side in sides:
+                    seconds[side].setdefault(group, {}).setdefault(name, []).append(best[side])
+                    facts[side].setdefault(group, {}).setdefault(
+                        name, {"units": units[side], **cases[side][group][name][1]})
         for name in names:
             unload_tree(name)
 
-    def stat(q):
-        return {g: {n: round(float(np.quantile(r, q)), 4) for n, r in entries.items()}
-                for g, entries in ratios.items()}
-
-    return {"pairs": PAIRS, "repeats": PAIR_REPEATS, "ratio_median": stat(0.5),
-            "ratio_q1": stat(0.25), "ratio_q3": stat(0.75), "ratios": ratios,
-            "info": {"src": info[0], "against": info[1]}}
-
-
-def _startup(src: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = {}
-    for name, stmt in STARTUP.items():
-        wall, rss_kb = math.inf, math.inf
-        for _ in range(STARTUP_REPEATS):
-            t0 = time.perf_counter()
-            child = subprocess.Popen([sys.executable, "-c", stmt], env=env)
-            _, status, usage = os.wait4(child.pid, 0)   # the child's own rusage
-            wall = min(wall, time.perf_counter() - t0)
-            child.returncode = os.waitstatus_to_exitcode(status)
-            if child.returncode != 0:
-                raise RuntimeError(f"{stmt!r} exited with {child.returncode}")
-            rss_kb = min(rss_kb, usage.ru_maxrss)
-        out[name] = {"s": round(wall, 4), "peak_rss_mb": round(rss_kb / 1024.0, 2)}
-    return out
+    record = {"rounds": PAIRS, "repeats": PAIR_REPEATS, "trees": {
+        tree: {group: {name: {"us": round(float(np.median(s)) * 1e6, 3),
+                              **facts[side][group][name]}
+                       for name, s in named.items()}
+               for group, named in seconds[side].items()}
+        for tree, side in zip(("src", "against"), sides)}}
+    if len(trees) == 2:
+        ratios = {group: {name: [round(a / b, 4) for a, b in zip(s, seconds[1][group][name])]
+                          for name, s in named.items()}
+                  for group, named in seconds[0].items()}
+        for key, q in (("ratio_median", 0.5), ("ratio_q1", 0.25), ("ratio_q3", 0.75)):
+            record[key] = {group: {name: round(float(np.quantile(r, q)), 4)
+                                   for name, r in named.items()}
+                           for group, named in ratios.items()}
+        record["ratios"] = ratios
+    return record
 
 
 def main(argv=None) -> int:
@@ -453,28 +438,18 @@ def main(argv=None) -> int:
                     help="the src directory of the cabc package to measure")
     ap.add_argument("--out", default=os.path.join(HERE, "..", "BENCH_micro.json"))
     ap.add_argument("--against", default=None, metavar="OTHER_SRC",
-                    help="compare every group but start-up, pair by pair in this process, "
-                         "with the cabc package in this src directory")
+                    help="also time the cabc package in this src directory, round by round "
+                         "beside --src in this process, and record --src over it")
     args = ap.parse_args(argv)
 
-    record = {"label": args.label, "started": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    if args.against:
-        record["against"] = _compare(args.src, args.against)
-    else:
-        # before this process loads numpy: a child's ru_maxrss counts the image it
-        # was forked from, so the children must be spawned from a small process
-        startup = _startup(args.src)
-        record.update(_measure(load_tree(args.src, "_bench_tree")), startup=startup)
-    import numpy as np
-
+    record = {"label": args.label, "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
+              **_time_trees([args.src] + ([args.against] if args.against else []))}
     doc = {"records": []}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     doc["host"] = {"python": platform.python_version(), "numpy": np.__version__,
                    "machine": platform.machine(), "cpus": os.cpu_count()}
-    doc["repeats"] = REPEATS
-    doc["startup_repeats"] = STARTUP_REPEATS
     doc["records"].append(record)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

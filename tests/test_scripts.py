@@ -211,6 +211,30 @@ def bench():
     return load_script("bench_closed_loop.py")
 
 
+@pytest.fixture
+def small_bench(bench, monkeypatch):
+    """The bench with two rounds of one run each, on small cases."""
+    for name, value in (("PAIRS", 2), ("PAIR_REPEATS", 1), ("NN_CALLS", 1),
+                        ("HULL_QUERIES", 5), ("EVAL_LAPS", 1)):
+        monkeypatch.setattr(bench, name, value)
+    return bench
+
+
+def bench_case_names(bench):
+    """Every group's sorted case names; the hull cases' are pinned, building them is slow."""
+    cases = {group: sorted(build("cabc")) for group, build in bench.GROUPS.items()
+             if group != "hulls"}
+    cases["hulls"] = ["labeldemo_rho1", "train_gp"]
+    return cases
+
+
+def check_timed_tree(tree, cases):
+    """``tree`` holds µs per unit and units for every case in ``cases``."""
+    assert {group: sorted(entries) for group, entries in tree.items()} == cases
+    assert all(case["us"] > 0 and case["units"] >= 1
+               for entries in tree.values() for case in entries.values())
+
+
 def test_bench_kernels_time_every_network(bench, monkeypatch):
     monkeypatch.setattr(bench, "NN_CALLS", 1)
     kernels = bench._nn("cabc")
@@ -222,7 +246,7 @@ def test_bench_kernels_time_every_network(bench, monkeypatch):
     assert bench.GROUPS["nn"] is bench._nn
 
 
-def test_bench_hull_cases_build_from_the_sample_store(bench):
+def test_bench_hull_cases_build_from_the_collected_rollouts(bench):
     cases = bench._hull_cases("cabc")
     assert {name: len(c) for name, c in cases.items()} == {
         "labeldemo_rho1": bench.HULL_QUERIES, "train_gp": bench.HULL_QUERIES}
@@ -254,33 +278,74 @@ def test_bench_loads_a_second_tree_beside_cabc(bench, tmp_path):
     assert not [name for name in sys.modules if name.startswith(pkg)]
 
 
-def test_bench_against_itself_writes_a_ratio_for_every_case(bench, tmp_path, monkeypatch):
-    for name, value in (("PAIRS", 2), ("PAIR_REPEATS", 1), ("NN_CALLS", 1),
-                        ("HULL_QUERIES", 5), ("EVAL_LAPS", 1)):
-        monkeypatch.setattr(bench, name, value)
+def test_bench_one_tree_records_us_for_every_case_and_no_ratios(small_bench, tmp_path):
+    out = tmp_path / "bench.json"
+    assert small_bench.main(["--label", "one", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc) == ["host", "records"]
+    record = doc["records"][-1]
+    assert set(record) == {"label", "started", "rounds", "repeats", "trees"}
+    assert (record["label"], record["rounds"], record["repeats"]) == ("one", 2, 1)
+    assert list(record["trees"]) == ["src"]
+    check_timed_tree(record["trees"]["src"], bench_case_names(small_bench))
+    assert record["trees"]["src"]["evaluate"]["racing_gp"]["laps"] == 1
+
+
+def test_bench_against_itself_writes_a_ratio_for_every_case(small_bench, tmp_path):
+    bench = small_bench
     out = tmp_path / "bench.json"
     assert bench.main(["--label", "self", "--out", str(out), "--against", SRC]) == 0
     record = json.loads(out.read_text())["records"][-1]
-    assert record["label"] == "self" and set(record) == {"label", "started", "against"}
-    against = record["against"]
-    # the hull cases' names are pinned above; building them is the slow part
-    cases = {group: sorted(build("cabc")) for group, build in bench.GROUPS.items()
-             if group != "hulls"}
-    cases["hulls"] = ["labeldemo_rho1", "train_gp"]
+    assert record["label"] == "self" and set(record) == {
+        "label", "started", "rounds", "repeats", "trees",
+        "ratio_median", "ratio_q1", "ratio_q3", "ratios"}
+    cases = bench_case_names(bench)
     for key in ("ratio_median", "ratio_q1", "ratio_q3", "ratios"):
-        assert {group: sorted(entries) for group, entries in against[key].items()} == cases
+        assert {group: sorted(entries) for group, entries in record[key].items()} == cases
     assert all(len(ratios) == 2 and all(r > 0 for r in ratios)
-               for entries in against["ratios"].values() for ratios in entries.values())
-    # each tree's case details sit beside the ratios; one tree gives equal ones
-    assert sorted(against["info"]) == ["against", "src"]
-    for info in against["info"].values():
-        assert {group: sorted(entries) for group, entries in info.items()} == cases
-    assert against["info"]["src"] == against["info"]["against"]
-    io = against["info"]["src"]["io"]
+               for entries in record["ratios"].values() for ratios in entries.values())
+    # each tree's µs and case details sit beside the ratios; one tree gives equal details
+    trees = record["trees"]
+    assert sorted(trees) == ["against", "src"]
+    for tree in trees.values():
+        check_timed_tree(tree, cases)
+
+    def details(tree):
+        return {group: {name: {k: v for k, v in case.items() if k != "us"}
+                        for name, case in entries.items()} for group, entries in tree.items()}
+    assert details(trees["src"]) == details(trees["against"])
+    io = details(trees["src"])["io"]
     assert io["core.load_dataset"] == io["core.DatasetWriter.write"]
     assert io["core.load_dataset"]["bytes"] > 0 and io["nn.save_weights"]["bytes"] > 0
-    assert set(against["info"]["src"]["hulls"]["train_gp"]) == {"points_mean", "accepted"}
+    assert set(io["nn.save_weights"]) == {"units", "bytes"}
+    assert set(trees["src"]["hulls"]["train_gp"]) == {"us", "units", "points_mean", "accepted"}
     assert not [name for name in sys.modules if name.startswith("_bench_pair")]
+
+
+def test_bench_builds_every_case_on_a_tree_before_the_full_mode_name(small_bench, tmp_path):
+    """An older tree: its ``TrainConfig`` names the full-state mode
+    ``full_state``, and ``core`` has no ``rng_stream``."""
+    shutil.copytree(os.path.join(SRC, "cabc"), tmp_path / "cabc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    trainer_py = tmp_path / "cabc" / "trainer.py"
+    text = trainer_py.read_text()
+    check = ('if self.observation_mode not in ("output", "full"):\n'
+             '            raise ValueError("observation_mode must be \'output\' or \'full\'")\n')
+    assert text.count(check) == 1
+    trainer_py.write_text(text.replace(check, check.replace("full", "full_state")))
+    pkg = small_bench.load_tree(str(tmp_path), "_test_old_tree")
+    try:
+        modules = {name: importlib.import_module(f"{pkg}.{name}") for name in (
+            "autolabel", "core", "critic", "evalharness", "experts", "nn", "reports", "sim",
+            "track", "trainer")}
+        del modules["core"].rng_stream   # the modules hold their own reference
+        with pytest.raises(ValueError, match="full_state"):
+            modules["trainer"].TrainConfig(observation_mode="full")
+        for group, build in small_bench.GROUPS.items():
+            for name, (run, _) in build(pkg).items():
+                assert run() >= 1, (group, name)
+    finally:
+        small_bench.unload_tree(pkg)
 
 
 def test_bench_io_writes_and_reads_one_fixed_collection(bench):
